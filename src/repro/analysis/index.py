@@ -183,8 +183,8 @@ class AttributeWrite:
 
 
 #: Method names that mutate a dict/list container in place.  Used by
-#: the attribute-write index so VER001 sees ``q._q.update(...)`` the
-#: same way it sees ``q._q[key] = v``.
+#: the attribute-write index so VER001 sees ``q._flat.extend(...)`` the
+#: same way it sees ``q._flat[off] = v``.
 _MUTATING_METHODS = frozenset(
     {"update", "setdefault", "pop", "popitem", "clear",
      "append", "extend", "insert", "remove"}

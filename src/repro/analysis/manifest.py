@@ -71,12 +71,12 @@ PROCESS_DIRECTIVES = frozenset({"Timeout", "Wait"})
 #: Hot-path classes that must declare ``__slots__`` (PERF001): the
 #: kernel allocates one ``Event`` per scheduled callback, every
 #: 10 Hz sample touches a detector and a signal source, every RL
-#: training transition goes through the dense Q/trace backend, and
+#: training transition goes through the dense Q table and traces, and
 #: the fleet reducers see one ``HomeReport`` per home and one
 #: ``Welford`` update per observation.
 #: Each entry is ``(module path suffix, class names in that module)``.
 HOT_PATH_CLASSES: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
-    ("repro/sim/kernel.py", ("Event", "_HeapQueue", "_CalendarQueue")),
+    ("repro/sim/kernel.py", ("Event", "_CalendarQueue")),
     ("repro/sensors/detector.py", ("KofNDetector",)),
     ("repro/sensors/signals.py", ("SignalSource",)),
     (
@@ -123,10 +123,10 @@ HOT_PATH_CLASSES: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
 )
 
 #: Q-table buffer attributes whose element-wise mutation must bump
-#: the monotone ``version`` counter (VER001): the dense flat buffer
-#: and the sparse dict.  Whole-attribute rebinds (``clone._q = ...``
-#: in ``copy()``) are exempt -- a fresh table starts its own counter.
-VERSIONED_BUFFER_ATTRS: Tuple[str, ...] = ("_flat", "_q")
+#: the monotone ``version`` counter (VER001): the dense flat buffer.
+#: Whole-attribute rebinds (``clone._flat = ...`` in ``copy()``) are
+#: exempt -- a fresh table starts its own counter.
+VERSIONED_BUFFER_ATTRS: Tuple[str, ...] = ("_flat",)
 
 #: The monotone counter attribute every Q-table write path must bump
 #: (VER001).  Policy caches revalidate against it; a write that skips

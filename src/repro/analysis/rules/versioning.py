@@ -3,9 +3,9 @@
 The batched-inference layer (PR 8) memoizes greedy policies and
 revalidates them against a monotone ``version`` counter on each
 Q-table.  The contract is global: *any* statement that mutates a
-table's flat buffer (``_flat``) or sparse dict (``_q``) -- directly,
-through a local alias (``flat = q._flat``), or inside a helper
-reachable through the call graph -- must be followed by a
+table's flat buffer (``_flat``) -- directly, through a local alias
+(``flat = q._flat``), or inside a helper reachable through the call
+graph -- must be followed by a
 ``version`` bump on every structural path, or memoized predictions go
 stale under online adaptation.  PR 8 shipped exactly this bug in the
 fused dense learner paths; the single-module rule pack could not see
@@ -69,7 +69,7 @@ class StaleVersionWrite(ProjectRule):
     rule_id = "VER001"
     severity = "error"
     description = (
-        "statements mutating a Q-table buffer (_flat/_q) must bump the "
+        "statements mutating a Q-table buffer (_flat) must bump the "
         "version counter on every path, directly or in every caller"
     )
 

@@ -113,11 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--jobs", type=int, default=1, metavar="N",
                        help="worker processes (output is byte-identical "
                        "for every N)")
-    fleet.add_argument("--shard-mode", choices=("batched", "per-home"),
-                       default="batched",
-                       help="run each shard's homes on one shared event "
-                       "kernel (batched, default) or one kernel per home; "
-                       "never affects the output bytes")
     fleet.add_argument("--policy-plane", choices=("shm", "json"),
                        default="shm",
                        help="how workers restore trained policies: a "
@@ -326,7 +321,6 @@ def _cmd_fleet(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         spec,
         jobs=args.jobs,
         cache_dir=args.cache,
-        batch_homes=args.shard_mode == "batched",
         policy_plane=args.policy_plane,
     )
     elapsed = time.perf_counter() - start  # repro: allow[DET002] timing display only

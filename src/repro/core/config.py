@@ -14,54 +14,17 @@ Defaults are taken from the paper wherever it states a number:
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, replace
 
 from repro.core.errors import ConfigurationError
 
 __all__ = [
-    "SimConfig",
     "SensingConfig",
     "RadioConfig",
     "PlanningConfig",
     "RemindingConfig",
     "CoReDAConfig",
-    "default_infer_backend",
-    "default_q_backend",
 ]
-
-
-def _default_kernel_backend() -> str:
-    """Process-wide default kernel backend, overridable via environment.
-
-    The backends run byte-identically (see docs/architecture.md), so
-    the knob only selects a speed profile; the env hook lets benches
-    A/B the full pipeline without threading a parameter through every
-    construction site (the ``REPRO_Q_BACKEND`` pattern).
-    """
-    return os.environ.get("REPRO_KERNEL_BACKEND", "calendar")
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    """Discrete-event kernel parameters (no paper analogue: pure speed)."""
-
-    #: Event-queue backend: "calendar" (bucketed timing wheel) or
-    #: "heap" (the reference binary heap).  Byte-identical outputs.
-    kernel_backend: str = field(default_factory=_default_kernel_backend)
-    #: Calendar-queue bucket width in simulated seconds.  Tuned for
-    #: the 10 Hz sampling traffic (one block event per node-second
-    #: plus millisecond radio offsets); ignored by the heap backend.
-    bucket_width: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.kernel_backend not in ("heap", "calendar"):
-            raise ConfigurationError(
-                "kernel_backend must be 'heap' or 'calendar', got "
-                f"{self.kernel_backend!r}"
-            )
-        if self.bucket_width <= 0:
-            raise ConfigurationError("bucket_width must be positive")
 
 
 @dataclass(frozen=True)
@@ -126,30 +89,6 @@ class RadioConfig:
             raise ConfigurationError("max_retries must be >= 0")
 
 
-def default_q_backend() -> str:
-    """Process-wide default Q backend, overridable via environment.
-
-    The backends train byte-identically (see docs/architecture.md),
-    so the knob only selects a speed profile; the env hook lets the
-    benchmark A/B the full experiment pipeline without threading a
-    parameter through every plan builder.
-    """
-    return os.environ.get("REPRO_Q_BACKEND", "dense")
-
-
-def default_infer_backend() -> str:
-    """Process-wide default inference backend ("batched" | "scalar").
-
-    Selects how deployed predictors and the ADL recognizer serve
-    lookups: "batched" precomputes greedy-policy tables / stacks HMM
-    forward recursions, "scalar" is the per-call reference path.  The
-    backends are byte-identical (see docs/architecture.md); the env
-    hook (``REPRO_INFER_BACKEND``) lets benches A/B whole pipelines,
-    following the ``REPRO_Q_BACKEND`` pattern.
-    """
-    return os.environ.get("REPRO_INFER_BACKEND", "batched")
-
-
 @dataclass(frozen=True)
 class PlanningConfig:
     """TD(λ) Q-learning parameters (paper section 2.2).
@@ -192,17 +131,6 @@ class PlanningConfig:
     #: tool (8 actions × rare ε hits would need far more than the
     #: paper's 120 samples).
     initial_q: float = 1000.0
-    #: Q-table storage backend: "dense" (indexed NumPy arrays) or
-    #: "sparse" (the reference dict implementation).  Both produce
-    #: bit-identical training runs and share cache entries; dense is
-    #: several times faster on the training-bound experiment cells.
-    q_backend: str = field(default_factory=default_q_backend)
-    #: Inference backend for deployed prediction and recognition:
-    #: "batched" (memoized greedy-policy tables, stacked HMM
-    #: forwards) or "scalar" (per-call reference lookups).  Both are
-    #: byte-identical and share cache entries; batched is several
-    #: times faster on prediction/recognition-dominated workloads.
-    infer_backend: str = field(default_factory=default_infer_backend)
 
     def __post_init__(self) -> None:
         if not 0.0 < self.learning_rate <= 1.0:
@@ -221,15 +149,6 @@ class PlanningConfig:
             raise ConfigurationError(
                 "minimal_reward must be >= specific_reward (the paper "
                 "rewards minimal prompting more to promote independence)"
-            )
-        if self.q_backend not in ("dense", "sparse"):
-            raise ConfigurationError(
-                f"q_backend must be 'dense' or 'sparse', got {self.q_backend!r}"
-            )
-        if self.infer_backend not in ("batched", "scalar"):
-            raise ConfigurationError(
-                "infer_backend must be 'batched' or 'scalar', got "
-                f"{self.infer_backend!r}"
             )
 
 
@@ -280,7 +199,6 @@ class RemindingConfig:
 class CoReDAConfig:
     """Top-level configuration aggregating all subsystems."""
 
-    sim: SimConfig = field(default_factory=SimConfig)
     sensing: SensingConfig = field(default_factory=SensingConfig)
     radio: RadioConfig = field(default_factory=RadioConfig)
     planning: PlanningConfig = field(default_factory=PlanningConfig)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, fields
 from pathlib import Path
-from typing import Any, Dict, Type, Union
+from typing import Any, Dict, FrozenSet, Type, Union
 
 from repro.core.config import (
     CoReDAConfig,
@@ -20,18 +20,31 @@ from repro.core.config import (
     RadioConfig,
     RemindingConfig,
     SensingConfig,
-    SimConfig,
 )
 from repro.core.errors import ConfigurationError
 
 __all__ = ["config_to_dict", "config_from_dict", "save_config", "load_config"]
 
 _SECTIONS: Dict[str, Type] = {
-    "sim": SimConfig,
     "sensing": SensingConfig,
     "radio": RadioConfig,
     "planning": PlanningConfig,
     "reminding": RemindingConfig,
+}
+
+
+def _backend_keys(*knobs: str) -> FrozenSet[str]:
+    return frozenset(f"{knob}_backend" for knob in knobs)
+
+
+#: Keys that older files carry for retired speed knobs: the backend
+#: selectors of the event kernel, the Q-table and inference, and the
+#: kernel's bucket width.  None of them ever changed a result, so
+#: loading drops exactly these; ``sim`` held nothing else and is now a
+#: retired section.
+_RETIRED_KEYS: Dict[str, FrozenSet[str]] = {
+    "sim": _backend_keys("kernel") | {"bucket_width"},
+    "planning": _backend_keys("q", "infer"),
 }
 
 
@@ -44,31 +57,38 @@ def config_from_dict(data: Dict[str, Any]) -> CoReDAConfig:
     """Rebuild a :class:`CoReDAConfig` from :func:`config_to_dict` output.
 
     Sections and keys may be omitted (defaults apply); unknown
-    sections or keys raise :class:`ConfigurationError`.
+    sections or keys raise :class:`ConfigurationError`.  Keys of
+    retired knobs (``_RETIRED_KEYS``) are dropped.
     """
-    known_top = set(_SECTIONS) | {"seed"}
+    known_top = set(_SECTIONS) | set(_RETIRED_KEYS) | {"seed"}
     unknown = set(data) - known_top
     if unknown:
         raise ConfigurationError(f"unknown configuration keys: {sorted(unknown)}")
     kwargs: Dict[str, Any] = {}
-    if "seed" in data:
-        kwargs["seed"] = int(data["seed"])
-    for section, cls in _SECTIONS.items():
-        if section not in data:
+    for section, section_data in data.items():
+        if section == "seed":
+            kwargs["seed"] = int(section_data)
             continue
-        section_data = data[section]
         if not isinstance(section_data, dict):
             raise ConfigurationError(
                 f"section {section!r} must be an object, got "
                 f"{type(section_data).__name__}"
             )
-        valid_keys = {f.name for f in fields(cls)}
-        bad = set(section_data) - valid_keys
+        retired = _RETIRED_KEYS.get(section, frozenset())
+        kept = {
+            key: value
+            for key, value in section_data.items()
+            if key not in retired
+        }
+        cls = _SECTIONS.get(section)
+        valid_keys = {f.name for f in fields(cls)} if cls is not None else set()
+        bad = set(kept) - valid_keys
         if bad:
             raise ConfigurationError(
                 f"unknown keys in section {section!r}: {sorted(bad)}"
             )
-        kwargs[section] = cls(**section_data)
+        if cls is not None:
+            kwargs[section] = cls(**kept)
     return CoReDAConfig(**kwargs)
 
 

@@ -66,10 +66,7 @@ class CareHome:
         if not definitions:
             raise ValueError("a care home needs at least one ADL deployment")
         self.config = config if config is not None else CoReDAConfig()
-        self.sim = Simulator(
-            backend=self.config.sim.kernel_backend,
-            bucket_width=self.config.sim.bucket_width,
-        )
+        self.sim = Simulator()
         self.streams = RandomStreams(self.config.seed)
         self.trace = TraceRecorder()
         self.systems: Dict[str, CoReDA] = {}

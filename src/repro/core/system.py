@@ -71,10 +71,7 @@ class CoReDA:
         self.definition = definition
         self.adl = definition.adl
         self.config = config if config is not None else CoReDAConfig()
-        self.sim = sim if sim is not None else Simulator(
-            backend=self.config.sim.kernel_backend,
-            bucket_width=self.config.sim.bucket_width,
-        )
+        self.sim = sim if sim is not None else Simulator()
         if streams is None:
             streams = RandomStreams(self.config.seed)
         self.streams = streams.fork(f"system.{self.adl.name}")

@@ -187,7 +187,6 @@ def _expected_sarsa_cell(adl: ADL, seed: int, episodes: int) -> float:
         discount=config.discount,
         epsilon=0.1,
         initial_q=config.initial_q,
-        q_backend=config.q_backend,
     )
     trainer = RoutineTrainer(
         adl, config, learner=learner, rng=seeded_generator(seed)
@@ -715,7 +714,6 @@ def _train_sarsa(
             ExponentialDecay(config.epsilon, config.epsilon_decay)
         ),
         initial_q=config.initial_q,
-        q_backend=config.q_backend,
     )
     routine_steps = list(log[0])
     reward_fn = CoReDAReward(config, routine_steps[-1])

@@ -15,7 +15,6 @@ repo's determinism contract: byte-identical fleet metrics at any
 """
 
 from repro.fleet.executor import FleetResult, run_fleet
-from repro.fleet.home import simulate_home
 from repro.fleet.metrics import FleetMetrics, HomeReport, Welford
 from repro.fleet.shard import ShardSimulator, simulate_shard
 from repro.fleet.spec import FleetSpec, HomeSpec, distinct_trainings
@@ -30,6 +29,5 @@ __all__ = [
     "Welford",
     "distinct_trainings",
     "run_fleet",
-    "simulate_home",
     "simulate_shard",
 ]

@@ -8,18 +8,13 @@ Execution happens in two waves over one persistent
    :class:`~repro.planning.store.PolicyCache` on disk.  A 10k-home
    fleet with seven routines and four seed classes trains 28
    policies, not 10k.
-2. **Simulate** -- one cell per shard of ``shard_size`` homes.  Every
-   home resolves its policy with a cache hit, runs its guided
-   episodes, and folds into the shard's streaming
+2. **Simulate** -- one cell per shard of ``shard_size`` homes, all
+   on one shared event kernel (:mod:`repro.fleet.shard`).  Every home
+   resolves its policy with a cache hit, runs its guided episodes,
+   and folds into the shard's streaming
    :class:`~repro.fleet.metrics.FleetMetrics` accumulator; only that
    accumulator (plus the worker-side cache hit/miss counters) crosses
    back to the parent.
-
-Wave 2 has two execution modes.  The default **batched** mode runs
-every home of a shard on one shared event kernel
-(:mod:`repro.fleet.shard`); ``batch_homes=False`` falls back to one
-private kernel per home.  The two are byte-identical -- the mode is a
-speed knob, not a semantics knob -- and the tests cross-check them.
 
 Both waves go through :func:`repro.evalx.parallel.run_cells`, so they
 inherit its ordered-merge contract and bounded-window submission: the
@@ -42,7 +37,7 @@ from repro.adls.library import ADLDefinition, default_registry
 from repro.core.config import CoReDAConfig
 from repro.core.errors import CoReDAError
 from repro.evalx.parallel import Cell, WorkerPool, run_cells
-from repro.fleet.home import HomeRuntime, simulate_home, train_home_policy
+from repro.fleet.home import HomeRuntime, train_home_policy
 from repro.fleet.metrics import FleetMetrics
 from repro.fleet.shard import simulate_shard
 from repro.fleet.spec import FleetSpec, HomeSpec, distinct_trainings
@@ -122,7 +117,6 @@ def _shard_cell(
     episodes: int,
     training_episodes: int,
     cache_dir: str,
-    batch_homes: bool,
     policy_plane: str,
 ) -> Tuple[FleetMetrics, int, int]:
     """Wave-2 worker: simulate one shard of homes.
@@ -144,20 +138,11 @@ def _shard_cell(
         policy_plane=policy_plane,
     )
     metrics = FleetMetrics()
-    if batch_homes:
-        for report in simulate_shard(
-            definition, homes, config, episodes, training_episodes, cache,
-            runtime=runtime,
-        ):
-            metrics.add_home(report)
-    else:
-        for home in homes:
-            metrics.add_home(
-                simulate_home(
-                    definition, home, config, episodes, training_episodes,
-                    cache, runtime=runtime,
-                )
-            )
+    for report in simulate_shard(
+        definition, homes, config, episodes, training_episodes, cache,
+        runtime=runtime,
+    ):
+        metrics.add_home(report)
     hits, misses = cache.stats()
     return metrics, hits, misses
 
@@ -222,7 +207,6 @@ def run_fleet(
     config: Optional[CoReDAConfig] = None,
     cache_dir: Optional[str] = None,
     window: Optional[int] = None,
-    batch_homes: bool = True,
     policy_plane: str = "shm",
 ) -> FleetResult:
     """Run a whole fleet; byte-identical result at any ``jobs``.
@@ -230,9 +214,7 @@ def run_fleet(
     ``cache_dir`` shares trained policies across runs (and with the
     ``repro report`` cache); without it a private cache directory is
     created for the run and removed afterwards -- policy sharing
-    *within* the fleet works either way.  ``batch_homes`` selects the
-    batched shard kernel (default) or the per-home reference path;
-    both produce the same result byte for byte.
+    *within* the fleet works either way.
 
     ``policy_plane`` selects how wave-2 workers restore trained
     policies: ``"shm"`` (default) publishes each distinct training's
@@ -305,7 +287,6 @@ def run_fleet(
                         spec.episodes_per_home,
                         spec.training_episodes,
                         cache_dir,
-                        batch_homes,
                         policy_plane,
                     ),
                     label=f"fleet.shard[{index}]",

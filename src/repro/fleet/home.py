@@ -1,16 +1,16 @@
-"""Simulate one resident-home from its :class:`~repro.fleet.spec.HomeSpec`.
+"""Deploy and harvest one resident-home from its ``HomeSpec``.
 
-The fleet's innermost loop: rebuild the home's deployment (one
-:class:`~repro.core.system.CoReDA` per home, seeded from the home's
-SHA-256-derived seed), resolve the trained policy through the shared
-:class:`~repro.planning.store.PolicyCache`, run the home's guided
-episodes, and distill the outcome into a single
+The fleet's per-home building blocks: rebuild the home's deployment
+(one :class:`~repro.core.system.CoReDA` per home, seeded from the
+home's SHA-256-derived seed), resolve the trained policy through the
+shared :class:`~repro.planning.store.PolicyCache`, create the resident
+of each guided episode, and distill the outcome into a single
 :class:`~repro.fleet.metrics.HomeReport`.  Everything here is a pure
 function of the spec -- a home simulates identically whichever shard
-or worker process it lands in, **and** whether it runs on its own
-kernel (this module) or batched with its shard-mates into one shared
-kernel (:mod:`repro.fleet.shard`); the two paths share the
-deployment/harvest helpers below so they cannot drift apart.
+or worker process it lands in, **and** whether it shares a kernel with
+its shard-mates (:mod:`repro.fleet.shard`) or runs alone on a private
+one (the oracle in ``tests/oracles/fleet.py``); both drive the helpers
+below, so they cannot drift apart.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from repro.sim.kernel import Simulator
 
 __all__ = [
     "HomeRuntime",
-    "simulate_home",
     "train_home_policy",
     "resolve_home_predictor",
     "build_home_deployment",
@@ -230,7 +229,7 @@ def resolve_home_predictor(
     The predictor is a read-only greedy lookup over the trained
     Q-table, so callers may share one instance across every home
     with the same :attr:`~repro.fleet.spec.HomeSpec.training_key`
-    (the batched shard mode does) without perturbing a single byte.
+    (a shared-kernel shard does) without perturbing a single byte.
     """
     cached = train_home_policy(
         definition, home, config, training_episodes, cache
@@ -249,8 +248,8 @@ def build_home_deployment(
 ) -> CoReDA:
     """One home's live deployment, policy resolved and deployed.
 
-    ``sim`` shares a kernel across homes (the batched shard mode);
-    left ``None``, the home gets a private kernel.  Either way the
+    ``sim`` shares a kernel across homes (a fleet shard); left
+    ``None``, the home gets a private kernel.  Either way the
     home's random streams derive from its own SHA-256 seed, so the
     event *content* is identical -- only the queue it shares differs.
     ``predictor`` skips the per-home cache restore when the caller
@@ -324,8 +323,8 @@ def harvest_home_report(
     """Distill a finished home's session into its report.
 
     Called at the simulated instant the home's last episode completes
-    -- both execution modes harvest the same state, so the reports
-    are byte-identical between them.
+    -- on a shared or a private kernel the harvested state is the
+    same, so the reports are byte-identical.
     """
     session = system.session
     minimal = sum(
@@ -347,55 +346,4 @@ def harvest_home_report(
         self_recoveries=self_recoveries,
         reminders_seen=reminders_seen,
         reminders_followed=reminders_followed,
-    )
-
-
-def simulate_home(
-    definition: ADLDefinition,
-    home: HomeSpec,
-    config: CoReDAConfig,
-    episodes: int,
-    training_episodes: int,
-    cache: Optional[PolicyCache],
-    horizon: float = 3600.0,
-    runtime: Optional[HomeRuntime] = None,
-) -> HomeReport:
-    """Run one home's guided episodes on a private kernel.
-
-    ``runtime`` lends a shard-wide :class:`HomeRuntime` so shard-mates
-    share decoded policies and interned spec objects; without one, a
-    private runtime is built (same values, nothing shared).
-    """
-    if runtime is None:
-        runtime = HomeRuntime(definition, config, training_episodes, cache)
-    system = build_home_deployment(
-        definition, home, config, training_episodes, cache,
-        predictor=runtime.predictor(home),
-    )
-    routine = runtime.routine(home)
-    reliable = runtime.reliable()
-    compliance = runtime.compliance(home)
-    profile = runtime.profile(home)
-    completed = 0
-    reminders_seen = 0
-    reminders_followed = 0
-    self_recoveries = 0
-    for episode in range(episodes):
-        resident = create_home_resident(
-            system, home, routine, compliance, reliable, episode,
-            profile=profile,
-        )
-        outcome = system.run_episode(resident, horizon=horizon)
-        completed += int(outcome.completed)
-        reminders_seen += outcome.reminders_seen
-        reminders_followed += outcome.reminders_followed
-        self_recoveries += outcome.self_recoveries
-    return harvest_home_report(
-        system,
-        home,
-        episodes,
-        completed,
-        reminders_seen,
-        reminders_followed,
-        self_recoveries,
     )

@@ -1,13 +1,13 @@
-"""Batched shard simulation: one kernel, every home of the shard.
+"""Shard simulation: one kernel, every home of the shard.
 
-:func:`repro.fleet.home.simulate_home` runs each home on a private
-:class:`~repro.sim.kernel.Simulator`, so a 50-home shard pays for 50
-kernels, 50 network boots and 50 cold caches of everything the
-interpreter touches per event loop.  The batched mode here loads all
-homes of a shard into **one** shared kernel and lets their event
-streams interleave on the common clock.
+Running each home on a private :class:`~repro.sim.kernel.Simulator`
+would make a 50-home shard pay for 50 kernels, 50 network boots and
+50 cold caches of everything the interpreter touches per event loop.
+This module loads all homes of a shard into **one** shared kernel and
+lets their event streams interleave on the common clock.
 
-Byte-identity with the per-home path falls out of three facts:
+Byte-identity with a private kernel per home (the oracle in
+``tests/oracles/fleet.py``) falls out of three facts:
 
 * every home starts at t=0 and its event *times* depend only on its
   own state and its own SHA-256-derived random streams, so absolute
@@ -23,8 +23,9 @@ Byte-identity with the per-home path falls out of three facts:
   standalone driver loop would observe, before any same-instant
   later-sequence event has fired.
 
-The tests cross-check report-for-report equality between the two
-modes, across kernel backends and across ``--jobs``.
+The tests cross-check report-for-report equality with the oracle,
+on the production and the reference event queue, and across
+``--jobs``.
 """
 
 from __future__ import annotations
@@ -168,7 +169,7 @@ class ShardSimulator:
     Build it, :meth:`load` every home, then :meth:`run`.  Reports
     come back in load order regardless of which home finishes first,
     so the shard's Welford merge order -- and therefore the fleet
-    metrics -- match the per-home path byte for byte.
+    metrics -- match a home-by-home run byte for byte.
     """
 
     #: Simulated seconds per fused ``run_until`` segment of :meth:`run`.
@@ -183,10 +184,7 @@ class ShardSimulator:
         runtime: Optional[HomeRuntime] = None,
     ) -> None:
         self.config = config
-        self.sim = Simulator(
-            backend=config.sim.kernel_backend,
-            bucket_width=config.sim.bucket_width,
-        )
+        self.sim = Simulator()
         self._runs: List[_HomeRun] = []
         self._active = 0
         self._runtime = runtime
@@ -227,16 +225,13 @@ class ShardSimulator:
         reuse still counts as a cache hit, because the policy *was*
         served from that cache entry.
 
-        Under the batched inference backend the shared predictor is
-        additionally wrapped in a :class:`~repro.rl.batch.
+        The shared predictor is wrapped in a :class:`~repro.rl.batch.
         ShardPredictor`: its full greedy-policy table is precomputed
         here, once per distinct training per shard, so every per-step
         prediction inside the shared kernel is a single array index
         (byte-identical answers; see docs/architecture.md).
         """
         predictor = runtime.predictor(home)
-        if self.config.planning.infer_backend != "batched":
-            return predictor
         key = home.training_key
         wrapped = self._predictors.get(key)
         if wrapped is None:
@@ -285,10 +280,11 @@ def simulate_shard(
     horizon: float = 3600.0,
     runtime: Optional[HomeRuntime] = None,
 ) -> List[HomeReport]:
-    """Batched counterpart of mapping ``simulate_home`` over ``homes``.
+    """Simulate ``homes`` on one shared kernel.
 
-    Returns the homes' reports in input order; byte-identical to the
-    per-home path (see the module docstring for why).  ``runtime``
+    Returns the homes' reports in input order; byte-identical to
+    running each home on a private kernel (see the module docstring
+    for why).  ``runtime``
     lends a caller-owned :class:`~repro.fleet.home.HomeRuntime` (the
     fleet executor builds one per shard cell, wired to the selected
     policy plane); without one a private runtime is created.

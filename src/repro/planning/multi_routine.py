@@ -95,8 +95,6 @@ class MultiRoutinePlanner:
             surviving.items(), key=lambda item: (-item[1], item[0])
         ):
             routine = Routine(self.adl, sequence)
-            # Each cluster's trainer inherits config.q_backend, so the
-            # per-routine Q-tables all use the selected storage.
             trainer = RoutineTrainer(self.adl, self.config, rng=self._rng)
             training = trainer.train(
                 [list(sequence)] * support, routine=routine, criteria=criteria

@@ -66,7 +66,7 @@ class OnlineAdaptation:
         self.learner = learner
         self.config = config if config is not None else PlanningConfig()
         self._rng = rng if rng is not None else seeded_generator(0)
-        # A tuple: the dense backend caches the repr-sort order of an
+        # A tuple: the dense Q-table caches the repr-sort order of an
         # action set by tuple identity, so replaying every episode
         # with the same tuple keeps the argmax path allocation-free.
         self.actions: Tuple[PromptAction, ...] = tuple(action_space(adl))

@@ -9,16 +9,14 @@ correctly).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple, Union
+from typing import Sequence, Tuple, Union
 
-from repro.core.config import default_infer_backend
 from repro.core.errors import NotConvergedError
 from repro.planning.action import PromptAction
 from repro.planning.state import PlanningState
 from repro.planning.trainer import TrainingResult
 from repro.rl.batch import greedy_policy_for
 from repro.rl.dense import DenseQTable
-from repro.rl.qtable import QTable
 
 __all__ = ["NextStepPredictor"]
 
@@ -26,37 +24,30 @@ __all__ = ["NextStepPredictor"]
 class NextStepPredictor:
     """Greedy next-step lookup over a trained Q-table.
 
-    Works over either Q backend -- the actions tuple is kept stable
-    so the dense backend's interned argmax order is reused per call.
-
-    Under the default "batched" inference backend the predictions are
-    served from a lazily-built greedy-policy cache (a full argmax
-    table on the dense backend, a per-state memo otherwise) keyed on
-    the Q-table's monotone write counter -- identical answers to the
-    per-call ``best_action`` path, which ``memoize=False`` (or
-    ``REPRO_INFER_BACKEND=scalar``) keeps as the byte-identity
-    reference.  The version check makes the cache safe under online
+    Predictions are served from a lazily-built greedy-policy cache (a
+    full argmax table over a dense Q-table, a per-state memo over
+    other versioned tables; see :mod:`repro.rl.batch`) keyed on the
+    Q-table's monotone write counter.  The answers are those of a
+    per-call ``q.best_action`` -- the oracle the tests hold them
+    against.  The version check makes the cache safe under online
     adaptation: a learner writing through the same table invalidates
     it instead of leaving stale prompts deployed.
     """
 
-    __slots__ = ("q", "actions", "converged", "_memoize", "_policy")
+    __slots__ = ("q", "actions", "converged", "_cacheable", "_policy")
 
     def __init__(
         self,
-        q: Union[QTable, DenseQTable],
+        q: DenseQTable,
         actions: Sequence[PromptAction],
         converged: bool = True,
-        memoize: Optional[bool] = None,
     ) -> None:
         if not actions:
             raise ValueError("predictor needs a non-empty action space")
         self.q = q
         self.actions: Tuple[PromptAction, ...] = tuple(actions)
         self.converged = converged
-        if memoize is None:
-            memoize = default_infer_backend() == "batched"
-        self._memoize = memoize
+        self._cacheable = True
         self._policy = None
 
     @classmethod
@@ -88,14 +79,14 @@ class NextStepPredictor:
         policy = self._policy
         if policy is not None:
             return policy.lookup(state)
-        if self._memoize:
+        if self._cacheable:
             policy = greedy_policy_for(self.q, self.actions)
             if policy is not None:
                 self._policy = policy
                 return policy.lookup(state)
             # Unknown table type: no version counter to revalidate
             # against, so caching would risk stale prompts.
-            self._memoize = False
+            self._cacheable = False
         if not isinstance(state, PlanningState):
             state = PlanningState(*state)
         return self.q.best_action(state, self.actions)

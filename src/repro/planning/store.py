@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.core.adl import ADL, ReminderLevel, Routine
-from repro.core.config import PlanningConfig, default_q_backend
+from repro.core.config import PlanningConfig
 from repro.core.errors import CoReDAError
 from repro.planning.action import PromptAction, action_space
 from repro.planning.binary import (
@@ -41,8 +41,7 @@ from repro.planning.predictor import NextStepPredictor
 from repro.planning.state import PlanningState
 from repro.planning.trainer import LearningCurve, RoutineTrainer, TrainingResult
 from repro.rl.convergence import convergence_iteration
-from repro.rl.dense import DenseQTable, make_qtable
-from repro.rl.qtable import QTable
+from repro.rl.dense import DenseQTable
 from repro.sim.random import seeded_generator
 
 __all__ = [
@@ -70,7 +69,7 @@ FORMAT_VERSION = 1
 ARTIFACT_SUFFIX = ".qbin"
 
 
-def _entries_from_qtable(q: QTable) -> List[dict]:
+def _entries_from_qtable(q: DenseQTable) -> List[dict]:
     """The Q-table's known pairs as sorted, JSON-ready entries."""
     entries = []
     for (state, action), value in sorted(
@@ -89,21 +88,14 @@ def _entries_from_qtable(q: QTable) -> List[dict]:
     return entries
 
 
-def _qtable_from_document(
-    document: dict, adl: ADL, source: str, q_backend: Optional[str] = None
-) -> Union[QTable, DenseQTable]:
+def _qtable_from_document(document: dict, adl: ADL, source: str) -> DenseQTable:
     """Rebuild the Q-table of ``document``, validated against ``adl``.
 
-    ``q_backend`` selects the restored table's backend (default: the
-    process-wide ``default_q_backend``).  The entries are written in
-    repr order regardless of how the source table interned its
-    states, so a document restores to the same values either way --
-    and restoring dense gives deployed predictors the array-indexed
-    greedy-policy path of :mod:`repro.rl.batch`.
+    The entries are written in repr order regardless of how the
+    source table interned its states, so a document restores to the
+    same values whatever table wrote it.
     """
-    if q_backend is None:
-        q_backend = default_q_backend()
-    q = make_qtable(q_backend, float(document.get("initial_q", 0.0)))
+    q = DenseQTable(float(document.get("initial_q", 0.0)))
     for entry in document["entries"]:
         tool_id = int(entry["tool_id"])
         if not adl.has_step(tool_id):
@@ -133,9 +125,7 @@ def save_predictor(
     Path(path).write_text(json.dumps(document, indent=2), encoding="utf-8")
 
 
-def load_predictor(
-    path: Union[str, Path], adl: ADL, q_backend: Optional[str] = None
-) -> NextStepPredictor:
+def load_predictor(path: Union[str, Path], adl: ADL) -> NextStepPredictor:
     """Restore a predictor previously written by :func:`save_predictor`.
 
     Raises :class:`CoReDAError` on version mismatch, on an ADL-name
@@ -154,7 +144,7 @@ def load_predictor(
             f"policy file {path} was trained for ADL {document.get('adl')!r}, "
             f"not {adl.name!r}"
         )
-    q = _qtable_from_document(document, adl, f"file {path}", q_backend=q_backend)
+    q = _qtable_from_document(document, adl, f"file {path}")
     return NextStepPredictor(
         q, action_space(adl), converged=bool(document.get("converged", False))
     )
@@ -181,21 +171,13 @@ def training_cache_key(
     the number of replayed episodes and the RNG seed.  Convergence
     *criteria* are deliberately excluded -- they are recomputed from
     the cached curve, so sweeps asking different criteria of the same
-    training still share an entry.  The ``q_backend`` knob is also
-    excluded: the backends train byte-identically, so a cache entry
-    written sparse must be hit dense (and vice versa).
+    training still share an entry.
     """
-    config_payload = asdict(config)
-    config_payload.pop("q_backend", None)
-    # Inference backends are byte-identical too -- a predictor served
-    # from a policy table answers exactly what best_action would -- so
-    # the knob must not split the cache either.
-    config_payload.pop("infer_backend", None)
     payload = {
         "format": FORMAT_VERSION,
         "adl": adl_name,
         "routine": [int(step) for step in routine_ids],
-        "config": config_payload,
+        "config": asdict(config),
         "learner": list(learner),
         "episodes": int(episodes),
         "seed": int(rng_seed),
@@ -236,12 +218,9 @@ def predictor_from_document(
     document: dict,
     adl: ADL,
     converged: bool = True,
-    q_backend: Optional[str] = None,
 ) -> NextStepPredictor:
     """Rebuild a predictor from a cached training document."""
-    q = _qtable_from_document(
-        document, adl, f"document for {adl.name!r}", q_backend=q_backend
-    )
+    q = _qtable_from_document(document, adl, f"document for {adl.name!r}")
     return NextStepPredictor(q, action_space(adl), converged=converged)
 
 
@@ -504,7 +483,6 @@ def _build_learner(config: PlanningConfig, learner_spec):
                 ExponentialDecay(config.epsilon, config.epsilon_decay)
             ),
             initial_q=config.initial_q,
-            q_backend=config.q_backend,
         )
         return learner, ("dyna-q", steps)
     raise ValueError(f"unknown learner spec {learner_spec!r}")

@@ -177,13 +177,12 @@ class RoutineTrainer:
                 trace_decay=self.config.trace_decay,
                 policy=policy,
                 initial_q=self.config.initial_q,
-                q_backend=self.config.q_backend,
             )
         self.learner = learner
         self.actions: Tuple[PromptAction, ...] = tuple(action_space(adl))
         # Probe-state cache: the greedy probe runs once per training
         # iteration over the same routine, so its states, the expected
-        # next steps, and (on the dense backend) a prebound argmax
+        # next steps, and (on a dense Q-table) a prebound argmax
         # prober are computed once per routine.
         self._probe_cache: Optional[tuple] = None
         # Episode-trajectory cache: the paper replays the same logged
@@ -255,8 +254,8 @@ class RoutineTrainer:
         """Greedy accuracy and minimal-level fraction on the routine.
 
         Probes all routine states in one batched argmax when the
-        learner supports it (one ``greedy_actions`` call on the dense
-        backend); per-state ``greedy_action`` otherwise, so custom
+        learner supports it (a prebound argmax prober on a dense
+        Q-table); per-state ``greedy_action`` otherwise, so custom
         learners passed to the trainer keep working unchanged.
         """
         key = tuple(routine.step_ids)

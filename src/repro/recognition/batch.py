@@ -10,7 +10,7 @@ tensors and runs **one** forward recursion for the whole stack -- a
 single logsumexp per timestep covers every model (and, in the matrix
 form, every stream).
 
-The contract, as for every backend in this codebase, is
+The contract, as for every fast path in this codebase, is
 **bit-identity** with the scalar reference (:meth:`DiscreteHMM.
 log_likelihood`), which holds by construction:
 

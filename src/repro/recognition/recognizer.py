@@ -12,23 +12,21 @@ interesting cases are noisy ones: substituted detections (a foreign
 tool id in the stream) and gappy streams — both handled by the HMM's
 noise floors rather than brittle set-membership.
 
-Under the default ``"batched"`` inference backend the candidate
-models are additionally stacked into one :class:`~repro.recognition.
+The candidate models are stacked into one :class:`~repro.recognition.
 batch.BatchedHMM`, so a posterior costs one forward recursion instead
 of one per candidate, and whole fleets of streams can be classified
 in a single call (:meth:`ActivityRecognizer.classify_batch`).  The
-``"scalar"`` backend keeps the per-model loop as the bit-identical
-reference.
+per-model loop it replaced is the bit-identical oracle in
+``tests/oracles/inference.py``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
 from repro.core.adl import ADL
-from repro.core.config import default_infer_backend
 from repro.recognition.batch import BatchedHMM
 from repro.recognition.hmm import DiscreteHMM
 
@@ -43,17 +41,9 @@ class ActivityRecognizer:
         adls: Sequence[ADL],
         miss_probability: float = 0.15,
         substitution_noise: float = 0.05,
-        backend: Optional[str] = None,
     ) -> None:
         if not adls:
             raise ValueError("need at least one candidate ADL")
-        if backend is None:
-            backend = default_infer_backend()
-        if backend not in ("batched", "scalar"):
-            raise ValueError(
-                f"backend must be 'batched' or 'scalar', got {backend!r}"
-            )
-        self.backend = backend
         self.adls = list(adls)
         # One shared symbol alphabet across all candidates, so
         # likelihoods are comparable.
@@ -70,10 +60,8 @@ class ActivityRecognizer:
         # Model stack in candidate order (== dict insertion order), so
         # batched likelihood vectors zip back onto names losslessly.
         self._names: List[str] = [adl.name for adl in self.adls]
-        self._batched: Optional[BatchedHMM] = (
-            BatchedHMM([self._models[name] for name in self._names])
-            if backend == "batched"
-            else None
+        self._batched = BatchedHMM(
+            [self._models[name] for name in self._names]
         )
 
     def _build_model(
@@ -140,13 +128,7 @@ class ActivityRecognizer:
         if not symbols:
             uniform = 1.0 / len(self.adls)
             return {adl.name: uniform for adl in self.adls}
-        if self._batched is not None:
-            values = self._batched.log_likelihoods(symbols).tolist()
-        else:
-            values = [
-                self._models[name].log_likelihood(symbols)
-                for name in self._names
-            ]
+        values = self._batched.log_likelihoods(symbols).tolist()
         return self._posterior_from_likelihoods(values)
 
     def classify(self, observed: Sequence[int]) -> str:
@@ -159,13 +141,10 @@ class ActivityRecognizer:
     ) -> List[Dict[str, float]]:
         """One posterior dict per stream, in stream order.
 
-        On the batched backend every stream of every candidate runs
-        through a single stacked forward recursion; on the scalar
-        backend this is just a loop over :meth:`posterior`.  The
-        outputs are bit-identical either way.
+        Every stream of every candidate runs through a single stacked
+        forward recursion; the outputs are bit-identical to a loop
+        over :meth:`posterior`.
         """
-        if self._batched is None:
-            return [self.posterior(stream) for stream in streams]
         effective = [self._effective_symbols(stream) for stream in streams]
         nonempty = [sym for sym in effective if sym]
         matrix = self._batched.log_likelihood_matrix(nonempty)

@@ -9,13 +9,7 @@ detection.
 """
 
 from repro.rl.convergence import ConvergenceDetector, convergence_iteration
-from repro.rl.dense import (
-    DenseQTable,
-    DenseTraces,
-    StateActionIndex,
-    make_qtable,
-    make_traces,
-)
+from repro.rl.dense import DenseQTable, DenseTraces, StateActionIndex
 from repro.rl.double_q import DoubleQLearner
 from repro.rl.dyna import DynaQLearner
 from repro.rl.expected_sarsa import ExpectedSarsaLearner
@@ -27,7 +21,6 @@ from repro.rl.policies import (
     Policy,
     SoftmaxPolicy,
 )
-from repro.rl.qtable import QTable
 from repro.rl.rewards import CallableReward, RewardFunction, TabularReward
 from repro.rl.sarsa import SarsaLambdaLearner
 from repro.rl.schedules import (
@@ -38,7 +31,7 @@ from repro.rl.schedules import (
     Schedule,
 )
 from repro.rl.tdlambda import TDLambdaQLearner
-from repro.rl.traces import EligibilityTraces, TraceKind
+from repro.rl.traces import TraceKind
 from repro.rl.value_iteration import (
     ValueIterationResult,
     extract_policy,
@@ -54,7 +47,6 @@ __all__ = [
     "DenseTraces",
     "DoubleQLearner",
     "DynaQLearner",
-    "EligibilityTraces",
     "EpsilonGreedyPolicy",
     "ExpectedSarsaLearner",
     "ExponentialDecay",
@@ -62,7 +54,6 @@ __all__ = [
     "HarmonicDecay",
     "LinearDecay",
     "Policy",
-    "QTable",
     "ReplayBuffer",
     "RewardFunction",
     "SarsaLambdaLearner",
@@ -78,8 +69,6 @@ __all__ = [
     "ValueIterationResult",
     "convergence_iteration",
     "extract_policy",
-    "make_qtable",
-    "make_traces",
     "q_values",
     "value_iteration",
 ]

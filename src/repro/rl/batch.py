@@ -14,12 +14,11 @@ revalidate cheaply:
   of action indices, built by a single row-indexed ``argmax`` over
   the dense buffer's NumPy mirror.  A lookup is one dict probe (state
   -> interned id) plus one array index.
-* :class:`MemoizedGreedyPolicy` -- the backend-generic fallback: a
-  lazily filled ``state -> action`` dict over any table exposing
-  ``best_action`` (the sparse :class:`~repro.rl.qtable.QTable`,
-  Double Q's mean view).
+* :class:`MemoizedGreedyPolicy` -- the generic fallback: a lazily
+  filled ``state -> action`` dict over any table exposing
+  ``best_action`` and a ``version`` counter (Double Q's mean view).
 * :class:`ShardPredictor` -- a frozen, shareable predictor facade for
-  the fleet's batched shard mode: one eagerly-built policy table per
+  the fleet's shared-kernel shards: one eagerly-built policy table per
   distinct training per shard, so per-step prediction inside the
   shared kernel is a single array index, not a ``best_action`` call.
 
@@ -29,12 +28,12 @@ online adaptation -- invalidates the cache instead of being served
 stale prompts.
 
 The contract, as everywhere in this codebase: **byte-identity** with
-the scalar reference.  ``np.argmax`` returns the first maximum, the
-policy tables argmax over the same repr-sorted action order as
+a per-call ``best_action``.  ``np.argmax`` returns the first maximum,
+the policy tables argmax over the same repr-sorted action order as
 ``best_action``, and a state the table has never interned maps to the
 first action in repr order -- exactly what ``best_action`` computes
 for an all-initial-value row.  ``tests/test_rl_batch.py`` pins this
-down per backend.
+down per table type.
 """
 
 from __future__ import annotations
@@ -123,12 +122,11 @@ class GreedyPolicyTable:
 
 
 class MemoizedGreedyPolicy:
-    """Backend-generic greedy memo: ``state -> best_action(state)``.
+    """Generic greedy memo: ``state -> best_action(state)``.
 
     Works over any table exposing ``best_action`` and a monotone
-    ``version`` write counter (sparse :class:`~repro.rl.qtable.
-    QTable`, Double Q's mean view); the memo is cleared whenever the
-    version moves.  ``PlanningState`` is a ``NamedTuple``, so plain
+    ``version`` write counter (Double Q's mean view); the memo is
+    cleared whenever the version moves.  ``PlanningState`` is a ``NamedTuple``, so plain
     ``(previous, current)`` tuples hash and compare equal to it and
     share one memo entry.
     """
@@ -181,7 +179,7 @@ class ShardPredictor:
 
     Wraps a trained predictor (anything exposing ``q``, ``actions``
     and ``converged``) behind an eagerly-built greedy-policy cache:
-    the batched shard mode resolves one predictor per distinct
+    a shared-kernel shard resolves one predictor per distinct
     training key and serves every shard-mate from it, so the policy
     table is computed once per shard and each per-step prediction
     inside the shared kernel is a single array index.
@@ -208,8 +206,8 @@ class ShardPredictor:
     def precompute(self) -> "ShardPredictor":
         """Force-build the policy cache now (off the simulated clock).
 
-        For the dense backend this materializes the full argmax
-        vector; for memo backends it is a no-op warm-up hook.
+        Over a dense table this materializes the full argmax vector;
+        for memo policies it is a no-op warm-up hook.
         Returns ``self`` for chaining.
         """
         policy = self._policy

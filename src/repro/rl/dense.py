@@ -1,15 +1,15 @@
-"""Indexed dense backend for the tabular RL stack.
+"""Indexed dense Q storage for the tabular RL stack.
 
-The sparse :class:`~repro.rl.qtable.QTable` pays, on every argmax, a
-fresh ``sorted(actions, key=repr)`` (string formatting per action) and
-one dict probe per action with tuple-of-namedtuple hashing -- and the
+A dict keyed by ``(state, action)`` pays, on every argmax, a fresh
+``sorted(actions, key=repr)`` (string formatting per action) and one
+dict probe per action with tuple-of-namedtuple hashing -- and the
 trainer probes the greedy policy over the whole routine every
-iteration, so that cost dominates every training-bound experiment
-cell.  This module replaces the data layout, not the algorithm:
+iteration, so that cost would dominate every training-bound
+experiment cell.  This module is the Q storage every learner uses:
 
 * :class:`StateActionIndex` interns states and actions to dense
   integer ids and computes each action set's repr-sort order **once**,
-  preserving the sparse backend's deterministic tie-breaking exactly;
+  the deterministic tie-breaking order of a repr-sorted argmax;
 * :class:`DenseQTable` stores Q row-major in one flat buffer indexed
   by ``state_id * stride + action_id``, with a NumPy ``[n_states,
   n_actions]`` mirror behind :meth:`as_array` that services the
@@ -25,14 +25,15 @@ cell.  This module replaces the data layout, not the algorithm:
   e[active]`` over precomputed offsets with no hashing and no
   snapshot copy.
 
-The contract, in the spirit of the sensing fast path: training through
-this backend is **byte-identical** to the sparse backend -- the same
-IEEE-754 operations in an order whose regrouping is value-exact
-(elementwise multiply/add per independent pair, first-max argmax over
-the same repr order), so Q-values, learning curves, convergence
-iterations, RNG draw sequences and cached training documents come out
-bit-for-bit equal.  ``tests/test_rl_dense.py`` pins that down per
-learner, trace kind and seed.
+The contract: training on these tables is **byte-identical** to the
+plain dict Q-table and table-API learner updates kept as the oracle in
+``tests/oracles/rl.py`` -- the same IEEE-754 operations in an order
+whose regrouping is value-exact (elementwise multiply/add per
+independent pair, first-max argmax over the same repr order), so
+Q-values, learning curves, convergence iterations, RNG draw sequences
+and cached training documents come out bit-for-bit equal.
+``tests/test_rl_dense.py`` pins that down per learner, trace kind and
+seed.
 """
 
 from __future__ import annotations
@@ -42,15 +43,12 @@ from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.rl.qtable import QTable
-from repro.rl.traces import EligibilityTraces, TraceKind
+from repro.rl.traces import TraceKind
 
 __all__ = [
     "StateActionIndex",
     "DenseQTable",
     "DenseTraces",
-    "make_qtable",
-    "make_traces",
 ]
 
 State = Hashable
@@ -115,7 +113,7 @@ class _ActionView:
 class StateActionIndex:
     """Interns states/actions to dense ids; append-only, shareable.
 
-    The repr-sort order of an action sequence -- the sparse backend's
+    The repr-sort order of an action sequence -- the argmax
     tie-breaking order -- is computed once per distinct sequence and
     cached, first by tuple identity (the trainers pass the same
     actions tuple on every call) and then by value.
@@ -181,7 +179,7 @@ class StateActionIndex:
         view = self._views.get(key)
         if view is None:
             ids = [self.action_id(a) for a in key]
-            # Stable sort by repr = the sparse backend's tie-break order.
+            # Stable sort by repr = the argmax tie-break order.
             order = sorted(range(len(key)), key=lambda i: repr(key[i]))
             sorted_ids = [ids[i] for i in order]
             sorted_actions = tuple(key[i] for i in order)
@@ -203,10 +201,10 @@ class StateActionIndex:
 class DenseQTable:
     """Dense ``(state, action) -> value`` table over indexed storage.
 
-    API-compatible with :class:`~repro.rl.qtable.QTable` (default
-    initial value, repr-order tie-breaking, loud empty-action errors,
-    ``known_pairs`` over the written support).  Values live row-major
-    in one flat buffer (``offset = state_id * stride + action_id``);
+    Default initial value, repr-order tie-breaking, loud empty-action
+    errors, ``known_pairs`` over the written support.  Values live
+    row-major in one flat buffer (``offset = state_id * stride +
+    action_id``);
     :meth:`as_array` exposes the same data as a NumPy matrix, rebuilt
     lazily after writes, which :meth:`best_actions` uses for large
     batches.  Tables may share one :class:`StateActionIndex` (Double
@@ -242,7 +240,7 @@ class DenseQTable:
     ) -> None:
         self.initial_value = float(initial_value)
         self.index = index if index is not None else StateActionIndex()
-        #: Monotone write counter (see :attr:`QTable.version`); the
+        #: Monotone write counter, bumped on every write; the
         #: memoized greedy readouts of :mod:`repro.rl.batch`
         #: revalidate against it.
         self.version = 0
@@ -407,7 +405,7 @@ class DenseQTable:
         return arr
 
     # ------------------------------------------------------------------
-    # QTable-compatible API
+    # table API
 
     def value(self, state: State, action: Action) -> float:
         """Q(s, a), defaulting to the initial value for unseen pairs."""
@@ -480,7 +478,7 @@ class DenseQTable:
             g = _make_gather([base + a for a in sorted_ids])
             self._g1[sid] = g
         # index(max(values)) is the first maximum in repr order --
-        # exactly the sparse tie-break -- with every scan in C.
+        # the tie-break -- with every scan in C.
         values = g(self._flat)
         return view.sorted_actions[values.index(max(values))]
 
@@ -540,8 +538,8 @@ class DenseQTable:
         return clone
 
     def max_abs_difference(self, other) -> float:
-        """sup-norm distance to ``other`` (sparse or dense) over either
-        table's written support."""
+        """sup-norm distance to ``other`` (any table exposing ``value``
+        and ``known_pairs``) over either table's written support."""
         keys = set(self.known_pairs()) | set(other.known_pairs())
         if not keys:
             return 0.0
@@ -741,11 +739,10 @@ class _ArgmaxProber:
 class DenseTraces:
     """Eligibility traces over interned pair ids, as flat vectors.
 
-    Behaviour-compatible with
-    :class:`~repro.rl.traces.EligibilityTraces` (visit rules, decay,
-    cutoff drop, snapshot ``items()``), with the whole TD(λ) sweep
-    exposed as :meth:`apply_update`: ``Q[active] += coef * e[active]``
-    over precomputed flat offsets, no hashing, no snapshot copy.
+    Accumulating or replacing visits, decay with a cutoff drop and a
+    snapshot ``items()``, with the whole TD(λ) sweep exposed as
+    :meth:`apply_update`: ``Q[active] += coef * e[active]`` over
+    precomputed flat offsets, no hashing, no snapshot copy.
     """
 
     __slots__ = (
@@ -853,61 +850,32 @@ class DenseTraces:
     def apply_update(self, q, coef: float) -> None:
         """``Q[pair] += coef * e[pair]`` for every active pair.
 
-        Straight into the flat buffer when ``q`` is a
-        :class:`DenseQTable` on the same index; a plain loop through
-        ``q.add`` otherwise.  Elementwise multiply-then-add per
+        Straight into the flat buffer of ``q``, a :class:`DenseQTable`
+        on the same index.  Elementwise multiply-then-add per
         independent pair, in insertion (first-visit) order --
-        bit-identical to the sparse backend's per-pair arithmetic.
+        bit-identical to a per-pair ``q.add`` loop.
         """
+        if q.index is not self.index:
+            raise ValueError("traces and Q-table must share one index")
         pairs = self._pairs
         if not pairs:
             return
         e = self._e
-        if type(q) is DenseQTable and q.index is self.index:
-            q._ensure_capacity()
-            if q._frozen:
-                q._thaw()
-            flat = q._flat
-            written = q._written
-            cols = q._cols
-            for i, (sid, aid) in enumerate(pairs):
-                off = sid * cols + aid
-                flat[off] = flat[off] + coef * e[i]
-                written[off] = 1
-            q._array = None
-            q.version += 1
-            return
-        states = self.index.states
-        actions = self.index.actions
+        q._ensure_capacity()
+        if q._frozen:
+            q._thaw()
+        flat = q._flat
+        written = q._written
+        cols = q._cols
         for i, (sid, aid) in enumerate(pairs):
-            q.add(states[sid], actions[aid], coef * e[i])
+            off = sid * cols + aid
+            flat[off] = flat[off] + coef * e[i]
+            written[off] = 1
+        q._array = None
+        q.version += 1
 
     def __len__(self) -> int:
         return len(self._pairs)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"DenseTraces({self.kind.value}, active={len(self._pairs)})"
-
-
-# ---------------------------------------------------------------------------
-# backend selection
-
-
-def make_qtable(
-    backend: str,
-    initial_value: float = 0.0,
-    index: Optional[StateActionIndex] = None,
-):
-    """A Q-table of the requested backend (``"dense"`` | ``"sparse"``)."""
-    if backend == "dense":
-        return DenseQTable(initial_value, index=index)
-    if backend == "sparse":
-        return QTable(initial_value)
-    raise ValueError(f"unknown q_backend {backend!r}")
-
-
-def make_traces(q, kind: TraceKind = TraceKind.REPLACING):
-    """Eligibility traces matching the backend of ``q``."""
-    if isinstance(q, DenseQTable):
-        return DenseTraces(index=q.index, kind=kind)
-    return EligibilityTraces(kind=kind)

@@ -17,7 +17,7 @@ from typing import Hashable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.rl.dense import StateActionIndex, make_qtable
+from repro.rl.dense import DenseQTable, StateActionIndex
 from repro.rl.policies import EpsilonGreedyPolicy, Policy
 from repro.rl.schedules import ConstantSchedule, Schedule
 
@@ -36,7 +36,6 @@ class DoubleQLearner:
         discount: float = 0.9,
         policy: Optional[Policy] = None,
         initial_q: float = 0.0,
-        q_backend: str = "dense",
     ) -> None:
         if not 0.0 <= discount < 1.0:
             raise ValueError("discount must be in [0, 1)")
@@ -46,11 +45,11 @@ class DoubleQLearner:
             self.learning_rate_schedule = ConstantSchedule(float(learning_rate))
         self.discount = float(discount)
         self.policy: Policy = policy if policy is not None else EpsilonGreedyPolicy(0.2)
-        # On the dense backend both tables share one index so states,
-        # actions and cached action views are interned exactly once.
-        index = StateActionIndex() if q_backend == "dense" else None
-        self.q_a = make_qtable(q_backend, initial_q, index=index)
-        self.q_b = make_qtable(q_backend, initial_q, index=index)
+        # Both tables share one index so states, actions and cached
+        # action views are interned exactly once.
+        index = StateActionIndex()
+        self.q_a = DenseQTable(initial_q, index=index)
+        self.q_b = DenseQTable(initial_q, index=index)
         # The behaviour-facing combined table (mean of both).
         self.q = _MeanQView(self.q_a, self.q_b)
         self.updates = 0
@@ -119,13 +118,13 @@ class DoubleQLearner:
 
 
 class _MeanQView:
-    """A read-only QTable facade averaging two tables.
+    """A read-only Q-table facade averaging two tables.
 
-    Backend-independent by construction: both backends return plain
-    Python floats from ``action_values_sorted`` in the same repr
-    order, so the per-element ``0.5 * (a + b)`` and the first-max
-    scan produce the same IEEE-754 results and the same ties either
-    way.
+    Works over any two tables returning plain Python floats from
+    ``action_values_sorted`` in repr order (the dense tables here, the
+    sparse oracle tables in the tests): the per-element ``0.5 * (a +
+    b)`` and the first-max scan then produce the same IEEE-754 results
+    and the same ties.
     """
 
     __slots__ = ("_q_a", "_q_b")

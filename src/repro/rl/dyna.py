@@ -14,7 +14,7 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.rl.dense import DenseQTable, _make_gather, make_qtable
+from repro.rl.dense import DenseQTable, _make_gather
 from repro.rl.policies import EpsilonGreedyPolicy, Policy
 from repro.rl.schedules import ConstantSchedule, Schedule
 
@@ -22,14 +22,6 @@ __all__ = ["DynaQLearner"]
 
 State = Hashable
 Action = Hashable
-
-# A learned outcome record: (reward, next_state, done, next_actions)
-# on the sparse backend; the dense backend stores (state_id,
-# action_id, reward, next_state_id, action_view, done, cache_cell)
-# instead, where cache_cell memoises the stride-dependent gather and
-# flat offset (see DynaQLearner.observe).
-_Outcome = Tuple[float, State, bool, Tuple[Action, ...]]
-
 
 class DynaQLearner:
     """Tabular Dyna-Q with a deterministic-latest world model.
@@ -48,7 +40,6 @@ class DynaQLearner:
         planning_steps: int = 10,
         policy: Optional[Policy] = None,
         initial_q: float = 0.0,
-        q_backend: str = "dense",
     ) -> None:
         if not 0.0 <= discount < 1.0:
             raise ValueError("discount must be in [0, 1)")
@@ -68,19 +59,15 @@ class DynaQLearner:
         self.discount = float(discount)
         self.planning_steps = int(planning_steps)
         self.policy: Policy = policy if policy is not None else EpsilonGreedyPolicy(0.2)
-        self.q = make_qtable(q_backend, initial_q)
-        # The model is a parallel pair of lists so the planning sweep
+        self.q = DenseQTable(initial_q)
+        # The model is a list of outcome records so the planning sweep
         # samples by position without re-hashing keys; ``_model`` maps
-        # a key -- (state, action) on the sparse backend, interned
-        # (state_id, action_id) on the dense one -- to its position
-        # for deduplication.  On the dense backend the outcome record
-        # carries interned ids and the cached action view, so every
-        # planning update runs against the flat buffer with no
-        # hashing at all.
-        self._model: Dict[Tuple[State, Action], int] = {}
-        self._known_pairs: List[Tuple[State, Action]] = []
-        self._outcomes: List[tuple] = []
-        self._dense = type(self.q) is DenseQTable
+        # an interned (state_id, action_id) key to its position for
+        # deduplication.  Each record carries interned ids and the
+        # cached action view, so every planning update runs against
+        # the flat buffer with no hashing at all.
+        self._model: Dict[Tuple[int, int], int] = {}
+        self._outcomes: List[list] = []
         self.updates = 0
         self.planning_updates = 0
         self.episodes = 0
@@ -106,7 +93,7 @@ class DynaQLearner:
     def greedy_actions(
         self, states: Sequence[State], actions: Sequence[Action]
     ) -> Sequence[Action]:
-        """Greedy action per state (batched argmax on the dense backend)."""
+        """Greedy action per state (one batched argmax)."""
         return self.q.best_actions(states, actions)
 
     def observe(
@@ -138,126 +125,88 @@ class DynaQLearner:
         alpha = self._alpha_const
         if alpha is None:
             alpha = self.learning_rate_schedule.value(self.updates)
-        if self._dense:
-            q = self.q
-            index = q.index
-            sid = q._state_ids.get(state)
-            if sid is None:
-                sid = index.state_id(state)
-            aid = q._action_ids.get(action)
-            if aid is None:
-                aid = index.action_id(action)
-            next_sid = q._state_ids.get(next_state)
-            if next_sid is None:
-                next_sid = index.state_id(next_state)
-            # Dense records are mutable lists [sid, aid, reward,
-            # next_sid, view, done, gather, offset, grow_count]: the
-            # last three memoise the stride-dependent pieces and are
-            # revalidated against ``q._grow_count`` on every use
-            # (``gather`` stays None for terminal/actionless records,
-            # whose target is just the reward).
-            record = [
-                sid, aid, reward, next_sid, q._view(next_tuple), done,
-                None, 0, -1,
-            ]
-            delta = self._q_update_dense(record, alpha)
-            # Interned ids hash as plain ints -- much cheaper model
-            # keys than (state, action) namedtuple pairs, and nothing
-            # reads the dense model's keys back.
-            key = (sid, aid)
-        else:
-            record = (reward, next_state, done, next_tuple)
-            delta = self._q_update(
-                state, action, reward, next_state, next_tuple, done, alpha
-            )
-            key = (state, action)
+        q = self.q
+        index = q.index
+        sid = q._state_ids.get(state)
+        if sid is None:
+            sid = index.state_id(state)
+        aid = q._action_ids.get(action)
+        if aid is None:
+            aid = index.action_id(action)
+        next_sid = q._state_ids.get(next_state)
+        if next_sid is None:
+            next_sid = index.state_id(next_state)
+        # Records are mutable lists [sid, aid, reward, next_sid, view,
+        # done, gather, offset, grow_count]: the last three memoise
+        # the stride-dependent pieces and are revalidated against
+        # ``q._grow_count`` on every use (``gather`` stays None for
+        # terminal/actionless records, whose target is just the
+        # reward).
+        record = [
+            sid, aid, reward, next_sid, q._view(next_tuple), done,
+            None, 0, -1,
+        ]
+        delta = self._q_update(record, alpha)
+        # Interned ids hash as plain ints -- much cheaper model keys
+        # than (state, action) namedtuple pairs, and nothing reads the
+        # model's keys back.
+        key = (sid, aid)
         pos = self._model.get(key)
         if pos is None:
-            self._model[key] = len(self._known_pairs)
-            self._known_pairs.append(key)
+            self._model[key] = len(self._outcomes)
             self._outcomes.append(record)
         else:
             self._outcomes[pos] = record
-        if rng is not None and self.planning_steps > 0 and self._known_pairs:
+        if rng is not None and self.planning_steps > 0:
             self._plan(rng, alpha)
         self.updates += 1
         return delta
 
     def _plan(self, rng: np.random.Generator, alpha: float) -> None:
         outcomes = self._outcomes
-        n = len(self._known_pairs)
+        n = len(outcomes)
         # One batched draw consumes the generator's bit stream exactly
         # like the equivalent sequence of scalar draws (pinned down in
         # tests), so the planning sample sequence is unchanged -- the
         # updates in between never touch the generator.
         picks = rng.integers(n, size=self.planning_steps).tolist()
-        if self._dense:
-            # Inlined :meth:`_q_update_dense` minus the capacity guard:
-            # every record's ids were in range when its observe ran the
-            # guarded real update, and the table never shrinks, so the
-            # sweep can hold the flat buffer across iterations.
-            # ``written`` needs no store here: every record's pair was
-            # marked written by its real-step update in observe.
-            q = self.q
-            discount = self.discount
-            if q._frozen:
-                q._thaw()
-            flat = q._flat
-            grows = q._grow_count
-            refresh = self._refresh_record
-            for i in picks:
-                r = outcomes[i]
-                if r[8] != grows:
-                    refresh(r)
-                g = r[6]
-                if g is None:
-                    target = r[2]
-                else:
-                    values = g(flat)
-                    target = r[2] + discount * max(values)
-                off = r[7]
-                flat[off] = flat[off] + alpha * (target - flat[off])
-            q._array = None
-            q.version += 1
-        else:
-            known = self._known_pairs
-            for i in picks:
-                state, action = known[i]
-                reward, next_state, done, next_actions = outcomes[i]
-                self._q_update(
-                    state, action, reward, next_state, next_actions, done,
-                    alpha,
-                )
+        # Inlined :meth:`_q_update` minus the capacity guard: every
+        # record's ids were in range when its observe ran the guarded
+        # real update, and the table never shrinks, so the sweep can
+        # hold the flat buffer across iterations.  ``written`` needs
+        # no store here: every record's pair was marked written by its
+        # real-step update in observe.
+        q = self.q
+        discount = self.discount
+        if q._frozen:
+            q._thaw()
+        flat = q._flat
+        grows = q._grow_count
+        refresh = self._refresh_record
+        for i in picks:
+            r = outcomes[i]
+            if r[8] != grows:
+                refresh(r)
+            g = r[6]
+            if g is None:
+                target = r[2]
+            else:
+                values = g(flat)
+                target = r[2] + discount * max(values)
+            off = r[7]
+            flat[off] = flat[off] + alpha * (target - flat[off])
+        q._array = None
+        q.version += 1
         self.planning_updates += self.planning_steps
 
-    def _q_update(
-        self,
-        state: State,
-        action: Action,
-        reward: float,
-        next_state: State,
-        next_actions: Tuple[Action, ...],
-        done: bool,
-        alpha: float,
-    ) -> float:
-        if done or not next_actions:
-            target = reward
-        else:
-            target = reward + self.discount * self.q.max_value(
-                next_state, next_actions
-            )
-        delta = target - self.q.value(state, action)
-        self.q.add(state, action, alpha * delta)
-        return delta
-
-    def _q_update_dense(self, record: list, alpha: float) -> float:
+    def _q_update(self, record: list, alpha: float) -> float:
         """One Q update straight against the dense flat buffer.
 
         ``record`` carries interned ids and the cached action view, so
         the update pays no hashing and no repr sorting.  The scalar
         operations (max over the given-order values, one subtract, one
-        multiply-add) are exactly those of :meth:`_q_update` through
-        the table API, so both paths are bit-identical.
+        multiply-add) are exactly those of the table-API update in
+        ``tests/oracles/rl.py``, so the two are bit-identical.
         """
         q = self.q
         view = record[4]

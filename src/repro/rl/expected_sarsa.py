@@ -16,7 +16,7 @@ from typing import Hashable, Sequence, Tuple
 
 import numpy as np
 
-from repro.rl.dense import DenseQTable, _make_gather, make_qtable
+from repro.rl.dense import DenseQTable, _make_gather
 from repro.rl.policies import EpsilonGreedyPolicy
 from repro.rl.schedules import ConstantSchedule, Schedule
 
@@ -35,7 +35,6 @@ class ExpectedSarsaLearner:
         discount: float = 0.9,
         epsilon: float = 0.2,
         initial_q: float = 0.0,
-        q_backend: str = "dense",
     ) -> None:
         if not 0.0 <= discount < 1.0:
             raise ValueError("discount must be in [0, 1)")
@@ -55,8 +54,7 @@ class ExpectedSarsaLearner:
         self.discount = float(discount)
         self.epsilon = float(epsilon)
         self.policy = EpsilonGreedyPolicy(epsilon)
-        self.q = make_qtable(q_backend, initial_q)
-        self._dense = type(self.q) is DenseQTable
+        self.q = DenseQTable(initial_q)
         self.updates = 0
         self.episodes = 0
 
@@ -81,15 +79,15 @@ class ExpectedSarsaLearner:
     def greedy_actions(
         self, states: Sequence[State], actions: Sequence[Action]
     ) -> Sequence[Action]:
-        """Greedy action per state (batched argmax on the dense backend)."""
+        """Greedy action per state (one batched argmax)."""
         return self.q.best_actions(states, actions)
 
     def expected_value(self, state: State, actions: Sequence[Action]) -> float:
         """E_π[Q(state, ·)] under the ε-greedy policy.
 
-        The mean is taken with Python's left-to-right ``sum`` on both
-        backends -- NumPy's pairwise summation rounds differently, and
-        the backends must agree bit-for-bit.
+        The mean is taken with Python's left-to-right ``sum``, as in
+        :meth:`observe` -- NumPy's pairwise summation rounds
+        differently, and the two must agree bit-for-bit.
         """
         if not actions:
             raise ValueError(f"no actions available in state {state!r}")
@@ -112,75 +110,65 @@ class ExpectedSarsaLearner:
         alpha = self._alpha_const
         if alpha is None:
             alpha = self.learning_rate_schedule.value(self.updates)
-        if self._dense:
-            # Fused against the dense flat buffer (see
-            # TDLambdaQLearner.observe).  The expectation runs over the
-            # given-order gather -- the same value sequence
-            # q.action_values returns -- with Python's left-to-right
-            # max/sum, so both paths are bit-identical.
-            q = self.q
-            index = q.index
-            sid = q._state_ids.get(state)
-            if sid is None:
-                sid = index.state_id(state)
-            aid = q._action_ids.get(action)
-            if aid is None:
-                aid = index.action_id(action)
-            view = None
-            next_sid = -1
-            if not done and next_actions:
-                next_sid = q._state_ids.get(next_state)
-                if next_sid is None:
-                    next_sid = index.state_id(next_state)
-                view = q._view(
-                    next_actions
-                    if type(next_actions) is tuple
-                    else tuple(next_actions)
-                )
-            if (
-                sid >= q._rows
-                or next_sid >= q._rows
-                or aid >= q._cols
-                or (view is not None and view.max_id >= q._cols)
-            ):
-                q._grow()
-            if q._frozen:
-                q._thaw()
-            cols = q._cols
-            flat = q._flat
-            if view is None:
-                target = reward
-            else:
-                if view is q._g0_view:
-                    g = q._g0.get(next_sid)
-                else:
-                    q._g0_view = view
-                    q._g0 = {}
-                    g = None
-                if g is None:
-                    base = next_sid * cols
-                    g = _make_gather([base + a for a in view.ids_list])
-                    q._g0[next_sid] = g
-                values = g(flat)
-                greedy = max(values)
-                uniform = sum(values) / len(values)
-                expected = (1.0 - self.epsilon) * greedy + self.epsilon * uniform
-                target = reward + self.discount * expected
-            off = sid * cols + aid
-            delta = target - flat[off]
-            flat[off] = flat[off] + alpha * delta
-            q._written[off] = 1
-            q._array = None
-            q.version += 1
+        # Fused against the dense flat buffer (see
+        # TDLambdaQLearner.observe).  The expectation runs over the
+        # given-order gather -- the same value sequence
+        # q.action_values returns -- with Python's left-to-right
+        # max/sum, so it is bit-identical to the table-API update.
+        q = self.q
+        index = q.index
+        sid = q._state_ids.get(state)
+        if sid is None:
+            sid = index.state_id(state)
+        aid = q._action_ids.get(action)
+        if aid is None:
+            aid = index.action_id(action)
+        view = None
+        next_sid = -1
+        if not done and next_actions:
+            next_sid = q._state_ids.get(next_state)
+            if next_sid is None:
+                next_sid = index.state_id(next_state)
+            view = q._view(
+                next_actions
+                if type(next_actions) is tuple
+                else tuple(next_actions)
+            )
+        if (
+            sid >= q._rows
+            or next_sid >= q._rows
+            or aid >= q._cols
+            or (view is not None and view.max_id >= q._cols)
+        ):
+            q._grow()
+        if q._frozen:
+            q._thaw()
+        cols = q._cols
+        flat = q._flat
+        if view is None:
+            target = reward
         else:
-            if done or not next_actions:
-                target = reward
+            if view is q._g0_view:
+                g = q._g0.get(next_sid)
             else:
-                target = reward + self.discount * self.expected_value(
-                    next_state, next_actions
-                )
-            delta = target - self.q.value(state, action)
-            self.q.add(state, action, alpha * delta)
+                q._g0_view = view
+                q._g0 = {}
+                g = None
+            if g is None:
+                base = next_sid * cols
+                g = _make_gather([base + a for a in view.ids_list])
+                q._g0[next_sid] = g
+            values = g(flat)
+            greedy = max(values)
+            uniform = sum(values) / len(values)
+            expected = (1.0 - self.epsilon) * greedy + self.epsilon * uniform
+            target = reward + self.discount * expected
+        off = sid * cols + aid
+        delta = target - flat[off]
+        flat[off] = flat[off] + alpha * delta
+        q._written[off] = 1
+        q._array = None
+        q.version += 1
         self.updates += 1
         return delta
 

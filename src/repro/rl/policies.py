@@ -1,4 +1,4 @@
-"""Behaviour policies over a :class:`~repro.rl.qtable.QTable`.
+"""Behaviour policies over a :class:`~repro.rl.dense.DenseQTable`.
 
 A policy's :meth:`select` returns ``(action, exploratory)``.  The
 ``exploratory`` flag matters for Watkins Q(λ): eligibility traces must
@@ -13,7 +13,7 @@ from typing import Hashable, Sequence, Tuple
 
 import numpy as np
 
-from repro.rl.qtable import QTable
+from repro.rl.dense import DenseQTable
 from repro.rl.schedules import ConstantSchedule, Schedule
 
 __all__ = ["Policy", "GreedyPolicy", "EpsilonGreedyPolicy", "SoftmaxPolicy"]
@@ -28,7 +28,7 @@ class Policy(ABC):
     @abstractmethod
     def select(
         self,
-        q: QTable,
+        q: DenseQTable,
         state: State,
         actions: Sequence[Action],
         rng: np.random.Generator,
@@ -42,7 +42,7 @@ class GreedyPolicy(Policy):
 
     def select(
         self,
-        q: QTable,
+        q: DenseQTable,
         state: State,
         actions: Sequence[Action],
         rng: np.random.Generator,
@@ -79,7 +79,7 @@ class EpsilonGreedyPolicy(Policy):
 
     def select(
         self,
-        q: QTable,
+        q: DenseQTable,
         state: State,
         actions: Sequence[Action],
         rng: np.random.Generator,
@@ -115,7 +115,7 @@ class SoftmaxPolicy(Policy):
 
     def select(
         self,
-        q: QTable,
+        q: DenseQTable,
         state: State,
         actions: Sequence[Action],
         rng: np.random.Generator,

@@ -17,7 +17,7 @@ from typing import Hashable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.rl.dense import DenseQTable, DenseTraces, make_qtable, make_traces
+from repro.rl.dense import DenseQTable, DenseTraces
 from repro.rl.policies import EpsilonGreedyPolicy, Policy
 from repro.rl.schedules import ConstantSchedule, Schedule
 from repro.rl.traces import TraceKind
@@ -39,7 +39,6 @@ class SarsaLambdaLearner:
         policy: Optional[Policy] = None,
         trace_kind: TraceKind = TraceKind.REPLACING,
         initial_q: float = 0.0,
-        q_backend: str = "dense",
     ) -> None:
         if not 0.0 <= discount < 1.0:
             raise ValueError("discount must be in [0, 1)")
@@ -61,15 +60,10 @@ class SarsaLambdaLearner:
         # γλ, computed once -- the per-transition trace decay factor.
         self._glambda = self.discount * self.trace_decay
         self.policy: Policy = policy if policy is not None else EpsilonGreedyPolicy(0.2)
-        self.q = make_qtable(q_backend, initial_q)
-        self.traces = make_traces(self.q, trace_kind)
-        # The fused dense update requires the table and traces to
-        # share one index so interned ids mean the same thing in both.
-        self._dense = (
-            type(self.q) is DenseQTable
-            and type(self.traces) is DenseTraces
-            and self.traces.index is self.q.index
-        )
+        self.q = DenseQTable(initial_q)
+        # One shared index, so interned ids mean the same thing in the
+        # table and the traces.
+        self.traces = DenseTraces(index=self.q.index, kind=trace_kind)
         self.updates = 0
         self.episodes = 0
 
@@ -95,7 +89,7 @@ class SarsaLambdaLearner:
     def greedy_actions(
         self, states: Sequence[State], actions: Sequence[Action]
     ) -> Sequence[Action]:
-        """Greedy action per state (batched argmax on the dense backend)."""
+        """Greedy action per state (one batched argmax)."""
         return self.q.best_actions(states, actions)
 
     def observe(
@@ -117,86 +111,74 @@ class SarsaLambdaLearner:
             alpha = self.learning_rate_schedule.value(self.updates)
         if not done and next_action is None:
             raise ValueError("next_action is required for non-terminal updates")
-        if self._dense:
-            # The SARSA(λ) update fused against the dense flat buffer
-            # (see TDLambdaQLearner.observe): the bootstrap is a single
-            # offset read and the trace visit/apply/decay run inline
-            # over the active pairs in first-visit order, so the
-            # arithmetic is exactly the sparse backend's.
-            q = self.q
-            traces = self.traces
-            index = q.index
-            sid = q._state_ids.get(state)
-            if sid is None:
-                sid = index.state_id(state)
-            aid = q._action_ids.get(action)
-            if aid is None:
-                aid = index.action_id(action)
-            next_sid = -1
-            next_aid = -1
-            if not done:
-                next_sid = q._state_ids.get(next_state)
-                if next_sid is None:
-                    next_sid = index.state_id(next_state)
-                next_aid = q._action_ids.get(next_action)
-                if next_aid is None:
-                    next_aid = index.action_id(next_action)
-            if (
-                sid >= q._rows
-                or next_sid >= q._rows
-                or aid >= q._cols
-                or next_aid >= q._cols
-            ):
-                q._grow()
-            if q._frozen:
-                q._thaw()
-            cols = q._cols
-            flat = q._flat
-            written = q._written
-            if done:
-                target = reward
-            else:
-                target = reward + self.discount * flat[next_sid * cols + next_aid]
-            delta = target - flat[sid * cols + aid]
-            key = (sid, aid)
-            slots = traces._slots
-            pos = slots.get(key)
-            if pos is None:
-                slots[key] = len(traces._pairs)
-                traces._pairs.append(key)
-                traces._e.append(1.0)
-            elif traces.kind is TraceKind.ACCUMULATING:
-                traces._e[pos] += 1.0
-            else:
-                traces._e[pos] = 1.0
-            coef = alpha * delta
-            gl = self._glambda
-            new_e = []
-            push = new_e.append
-            for (psid, paid), ev in zip(traces._pairs, traces._e):
-                poff = psid * cols + paid
-                flat[poff] = flat[poff] + coef * ev
-                written[poff] = 1
-                push(ev * gl)
-            if gl == 0.0:
-                traces.reset()
-            else:
-                traces._e = new_e
-                if min(new_e) < traces.cutoff:
-                    traces._compact()
-            q._array = None
-            q.version += 1
+        # The SARSA(λ) update fused against the dense flat buffer
+        # (see TDLambdaQLearner.observe): the bootstrap is a single
+        # offset read and the trace visit/apply/decay run inline
+        # over the active pairs in first-visit order, so the
+        # arithmetic is exactly the table-API update's.
+        q = self.q
+        traces = self.traces
+        index = q.index
+        sid = q._state_ids.get(state)
+        if sid is None:
+            sid = index.state_id(state)
+        aid = q._action_ids.get(action)
+        if aid is None:
+            aid = index.action_id(action)
+        next_sid = -1
+        next_aid = -1
+        if not done:
+            next_sid = q._state_ids.get(next_state)
+            if next_sid is None:
+                next_sid = index.state_id(next_state)
+            next_aid = q._action_ids.get(next_action)
+            if next_aid is None:
+                next_aid = index.action_id(next_action)
+        if (
+            sid >= q._rows
+            or next_sid >= q._rows
+            or aid >= q._cols
+            or next_aid >= q._cols
+        ):
+            q._grow()
+        if q._frozen:
+            q._thaw()
+        cols = q._cols
+        flat = q._flat
+        written = q._written
+        if done:
+            target = reward
         else:
-            if done:
-                target = reward
-            else:
-                target = reward + self.discount * self.q.value(
-                    next_state, next_action
-                )
-            delta = target - self.q.value(state, action)
-            self.traces.visit(state, action)
-            self.traces.apply_update(self.q, alpha * delta)
-            self.traces.decay(self.discount * self.trace_decay)
+            target = reward + self.discount * flat[next_sid * cols + next_aid]
+        delta = target - flat[sid * cols + aid]
+        key = (sid, aid)
+        slots = traces._slots
+        pos = slots.get(key)
+        if pos is None:
+            slots[key] = len(traces._pairs)
+            traces._pairs.append(key)
+            traces._e.append(1.0)
+        elif traces.kind is TraceKind.ACCUMULATING:
+            traces._e[pos] += 1.0
+        else:
+            traces._e[pos] = 1.0
+        coef = alpha * delta
+        gl = self._glambda
+        new_e = []
+        push = new_e.append
+        for (psid, paid), ev in zip(traces._pairs, traces._e):
+            poff = psid * cols + paid
+            flat[poff] = flat[poff] + coef * ev
+            written[poff] = 1
+            push(ev * gl)
+        if gl == 0.0:
+            traces.reset()
+        else:
+            traces._e = new_e
+            if min(new_e) < traces.cutoff:
+                traces._compact()
+        q._array = None
+        q.version += 1
         if done:
             self.traces.reset()
         self.updates += 1

@@ -27,13 +27,7 @@ from typing import Hashable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.rl.dense import (
-    DenseQTable,
-    DenseTraces,
-    _make_gather,
-    make_qtable,
-    make_traces,
-)
+from repro.rl.dense import DenseQTable, DenseTraces, _make_gather
 from repro.rl.policies import EpsilonGreedyPolicy, Policy
 from repro.rl.schedules import ConstantSchedule, Schedule
 from repro.rl.traces import TraceKind
@@ -55,7 +49,6 @@ class TDLambdaQLearner:
         policy: Optional[Policy] = None,
         trace_kind: TraceKind = TraceKind.REPLACING,
         initial_q: float = 0.0,
-        q_backend: str = "dense",
     ) -> None:
         if not 0.0 <= discount < 1.0:
             raise ValueError("discount must be in [0, 1)")
@@ -77,15 +70,10 @@ class TDLambdaQLearner:
         # γλ, computed once -- the per-transition trace decay factor.
         self._glambda = self.discount * self.trace_decay
         self.policy: Policy = policy if policy is not None else EpsilonGreedyPolicy(0.2)
-        self.q = make_qtable(q_backend, initial_q)
-        self.traces = make_traces(self.q, trace_kind)
-        # The fused dense update requires the table and traces to
-        # share one index so interned ids mean the same thing in both.
-        self._dense = (
-            type(self.q) is DenseQTable
-            and type(self.traces) is DenseTraces
-            and self.traces.index is self.q.index
-        )
+        self.q = DenseQTable(initial_q)
+        # One shared index, so interned ids mean the same thing in the
+        # table and the traces.
+        self.traces = DenseTraces(index=self.q.index, kind=trace_kind)
         self.updates = 0
         self.episodes = 0
 
@@ -111,7 +99,7 @@ class TDLambdaQLearner:
     def greedy_actions(
         self, states: Sequence[State], actions: Sequence[Action]
     ) -> Sequence[Action]:
-        """Greedy action per state (batched argmax on the dense backend)."""
+        """Greedy action per state (one batched argmax)."""
         return self.q.best_actions(states, actions)
 
     def observe(
@@ -133,118 +121,102 @@ class TDLambdaQLearner:
         alpha = self._alpha_const
         if alpha is None:
             alpha = self.learning_rate_schedule.value(self.updates)
-        if self._dense:
-            # The Watkins update fused against the dense flat buffer:
-            # each state/action interned once, one capacity guard, the
-            # trace visit/update applied inline.  The arithmetic (max
-            # over given-order Python floats, per-pair multiply-then-
-            # add in first-visit order) is exactly the sparse
-            # backend's, so both paths are bit-identical.
-            q = self.q
-            traces = self.traces
-            index = q.index
-            sid = q._state_ids.get(state)
-            if sid is None:
-                sid = index.state_id(state)
-            aid = q._action_ids.get(action)
-            if aid is None:
-                aid = index.action_id(action)
-            view = None
-            next_sid = -1
-            if not done:
-                next_sid = q._state_ids.get(next_state)
-                if next_sid is None:
-                    next_sid = index.state_id(next_state)
-                view = q._view(
-                    next_actions
-                    if type(next_actions) is tuple
-                    else tuple(next_actions)
+        # The Watkins update fused against the dense flat buffer: each
+        # state/action interned once, one capacity guard, the trace
+        # visit/update applied inline.  The arithmetic (max over
+        # given-order Python floats, per-pair multiply-then-add in
+        # first-visit order) is exactly that of the table-API update
+        # in tests/oracles/rl.py, so the two are bit-identical.
+        q = self.q
+        traces = self.traces
+        index = q.index
+        sid = q._state_ids.get(state)
+        if sid is None:
+            sid = index.state_id(state)
+        aid = q._action_ids.get(action)
+        if aid is None:
+            aid = index.action_id(action)
+        view = None
+        next_sid = -1
+        if not done:
+            next_sid = q._state_ids.get(next_state)
+            if next_sid is None:
+                next_sid = index.state_id(next_state)
+            view = q._view(
+                next_actions
+                if type(next_actions) is tuple
+                else tuple(next_actions)
+            )
+        if (
+            sid >= q._rows
+            or next_sid >= q._rows
+            or aid >= q._cols
+            or (view is not None and view.max_id >= q._cols)
+        ):
+            q._grow()
+        if q._frozen:
+            q._thaw()
+        cols = q._cols
+        flat = q._flat
+        written = q._written
+        if done:
+            target = reward
+        else:
+            ids = view.ids_list
+            if not ids:
+                raise ValueError(
+                    f"no actions available in state {next_state!r}"
                 )
-            if (
-                sid >= q._rows
-                or next_sid >= q._rows
-                or aid >= q._cols
-                or (view is not None and view.max_id >= q._cols)
-            ):
-                q._grow()
-            if q._frozen:
-                q._thaw()
-            cols = q._cols
-            flat = q._flat
-            written = q._written
-            if done:
-                target = reward
+            if view is q._g0_view:
+                g = q._g0.get(next_sid)
             else:
-                ids = view.ids_list
-                if not ids:
-                    raise ValueError(
-                        f"no actions available in state {next_state!r}"
-                    )
-                if view is q._g0_view:
-                    g = q._g0.get(next_sid)
-                else:
-                    q._g0_view = view
-                    q._g0 = {}
-                    g = None
-                if g is None:
-                    base = next_sid * cols
-                    g = _make_gather([base + a for a in ids])
-                    q._g0[next_sid] = g
-                target = reward + self.discount * max(g(flat))
-            off = sid * cols + aid
-            delta = target - flat[off]
-            if exploratory:
-                flat[off] = flat[off] + alpha * delta
-                written[off] = 1
+                q._g0_view = view
+                q._g0 = {}
+                g = None
+            if g is None:
+                base = next_sid * cols
+                g = _make_gather([base + a for a in ids])
+                q._g0[next_sid] = g
+            target = reward + self.discount * max(g(flat))
+        off = sid * cols + aid
+        delta = target - flat[off]
+        if exploratory:
+            flat[off] = flat[off] + alpha * delta
+            written[off] = 1
+            traces.reset()
+        else:
+            key = (sid, aid)
+            slots = traces._slots
+            pos = slots.get(key)
+            if pos is None:
+                slots[key] = len(traces._pairs)
+                traces._pairs.append(key)
+                traces._e.append(1.0)
+            elif traces.kind is TraceKind.ACCUMULATING:
+                traces._e[pos] += 1.0
+            else:
+                traces._e[pos] = 1.0
+            # Apply and decay fused into one pass over the active
+            # pairs: Q[pair] += coef*e (same per-pair arithmetic
+            # and order as traces.apply_update) while building the
+            # decayed trace vector (same multiply as traces.decay).
+            coef = alpha * delta
+            gl = self._glambda
+            new_e = []
+            push = new_e.append
+            for (psid, paid), ev in zip(traces._pairs, traces._e):
+                poff = psid * cols + paid
+                flat[poff] = flat[poff] + coef * ev
+                written[poff] = 1
+                push(ev * gl)
+            if gl == 0.0:
                 traces.reset()
             else:
-                key = (sid, aid)
-                slots = traces._slots
-                pos = slots.get(key)
-                if pos is None:
-                    slots[key] = len(traces._pairs)
-                    traces._pairs.append(key)
-                    traces._e.append(1.0)
-                elif traces.kind is TraceKind.ACCUMULATING:
-                    traces._e[pos] += 1.0
-                else:
-                    traces._e[pos] = 1.0
-                # Apply and decay fused into one pass over the active
-                # pairs: Q[pair] += coef*e (same per-pair arithmetic
-                # and order as traces.apply_update) while building the
-                # decayed trace vector (same multiply as traces.decay).
-                coef = alpha * delta
-                gl = self._glambda
-                new_e = []
-                push = new_e.append
-                for (psid, paid), ev in zip(traces._pairs, traces._e):
-                    poff = psid * cols + paid
-                    flat[poff] = flat[poff] + coef * ev
-                    written[poff] = 1
-                    push(ev * gl)
-                if gl == 0.0:
-                    traces.reset()
-                else:
-                    traces._e = new_e
-                    if min(new_e) < traces.cutoff:
-                        traces._compact()
-            q._array = None
-            q.version += 1
-        else:
-            if done:
-                target = reward
-            else:
-                target = reward + self.discount * self.q.max_value(
-                    next_state, next_actions
-                )
-            delta = target - self.q.value(state, action)
-            if exploratory:
-                self.q.add(state, action, alpha * delta)
-                self.traces.reset()
-            else:
-                self.traces.visit(state, action)
-                self.traces.apply_update(self.q, alpha * delta)
-                self.traces.decay(self.discount * self.trace_decay)
+                traces._e = new_e
+                if min(new_e) < traces.cutoff:
+                    traces._compact()
+        q._array = None
+        q.version += 1
         if done:
             self.traces.reset()
         self.updates += 1

@@ -5,27 +5,19 @@ fire in insertion order (a monotonically increasing sequence number
 breaks ties), which keeps every run bit-for-bit deterministic for a
 given seed.
 
-Two interchangeable queue backends implement the ``(time, seq)``
-order:
+The queue is a calendar queue (bucketed timing wheel): events hash
+into fixed-width time buckets held in an unsorted list each, with a
+small integer heap tracking which buckets are populated.  A bucket is
+sorted once, when it becomes current.  Pushes are O(1) appends with
+**no per-event comparisons** (a binary heap of events pays O(log n)
+Python comparisons per push), which is what makes it fast on the
+periodic 10 Hz traffic that dominates node workloads.
 
-* ``"heap"`` -- the reference ``heapq`` binary heap.  Simple, and the
-  bit-identity baseline every optimization is proven against.
-* ``"calendar"`` -- a calendar queue (bucketed timing wheel): events
-  hash into fixed-width time buckets held in an unsorted list each,
-  with a small integer heap tracking which buckets are populated.  A
-  bucket is sorted once, when it becomes current.  Pushes are O(1)
-  appends with **no per-event comparisons** (the heap backend pays
-  O(log n) Python ``__lt__`` calls per push), which is what makes it
-  several times faster on the periodic 10 Hz traffic that dominates
-  node workloads.  Selected by default; override per simulator with
-  ``Simulator(backend=...)``, per process with the
-  ``REPRO_KERNEL_BACKEND`` environment variable, or per system via
-  ``SimConfig.kernel_backend``.
-
-Both backends produce byte-identical simulations -- same event order,
-same timestamps, same everything -- because the order is fully
-determined by ``(time, seq)`` and both implement it exactly (see
-``tests/test_sim_kernel_backends.py`` and ``docs/architecture.md``).
+The ``(time, seq)`` order fully determines a simulation, so the queue
+must replay any schedule exactly as a plain ``heapq`` of ``(time,
+seq)`` keys would; the queue-equivalence tests prove that against the
+heap oracle in ``tests/oracles/kernel.py``, across bucket widths (see
+``docs/architecture.md``).
 
 The kernel also recycles :class:`Event` objects: callers that own a
 recurring timeout (firmware sampling loops, process resumes) schedule
@@ -39,7 +31,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import os
 from bisect import insort
 from math import floor
 from dataclasses import dataclass, field
@@ -51,31 +42,19 @@ __all__ = [
     "Signal",
     "Simulator",
     "SimulationError",
-    "KERNEL_BACKENDS",
-    "default_kernel_backend",
 ]
 
-#: The recognised queue backends, reference implementation first.
-KERNEL_BACKENDS = ("heap", "calendar")
-
-
-def default_kernel_backend() -> str:
-    """Process-wide default backend, overridable via environment.
-
-    The backends are byte-identical (the ``REPRO_Q_BACKEND`` pattern:
-    the knob selects a speed profile, never a result), so benches can
-    A/B the full pipeline without threading a parameter through every
-    construction site.
-    """
-    return os.environ.get("REPRO_KERNEL_BACKEND", "calendar")
+#: Calendar bucket width in simulated seconds, tuned for the 10 Hz
+#: sampling traffic: one block event per node-second plus millisecond
+#: radio offsets.  It changes speed only, never the event order.
+BUCKET_WIDTH = 0.5
 
 
 class SimulationError(RuntimeError):
     """Raised when the kernel is used inconsistently.
 
-    Examples: running a simulator backwards, scheduling with a
-    negative delay or at a time already in the past, or constructing
-    a simulator with an unknown queue backend.
+    Examples: running a simulator backwards, or scheduling with a
+    negative delay or at a time already in the past.
     """
 
 
@@ -86,38 +65,29 @@ class Event:
     Events are ordered by ``(time, seq)``; ``seq`` is assigned by the
     simulator so that simultaneous events keep FIFO order.  An event
     can be cancelled before it fires, in which case the kernel skips
-    it (the queue entry is left in place and discarded lazily; the
-    calendar backend additionally compacts a bucket eagerly when most
-    of it is cancelled).
+    it (the queue entry is left in place and discarded lazily, and a
+    bucket is compacted eagerly when most of it is cancelled).
 
-    ``__slots__`` (via ``slots=True``) and the hand-written ``__lt__``
-    (no tuple allocation per heap comparison) matter here: the
-    simulation allocates one ``Event`` per kernel event, and the
-    sensing fast path still schedules tens of thousands of them per
-    experiment -- which is also why ``reusable`` events are recycled
-    through the simulator's free list instead of reallocated.
+    ``__slots__`` (via ``slots=True``) matters here: the simulation
+    allocates one ``Event`` per kernel event, and the sensing fast
+    path still schedules tens of thousands of them per experiment --
+    which is also why ``reusable`` events are recycled through the
+    simulator's free list instead of reallocated.
     """
 
     time: float
     seq: int
     callback: Optional[Callable[[], None]] = field(compare=False, default=None)
     cancelled: bool = field(default=False, compare=False)
-    #: True while the event sits in a queue backend (set by the
-    #: kernel; lets ``cancel`` notify the backend exactly once).
+    #: True while the event sits in the queue (set by the kernel;
+    #: lets ``cancel`` notify the queue exactly once).
     queued: bool = field(default=False, compare=False)
     #: True when the scheduling site owns the handle and promises not
     #: to touch it after it fires or after cancelling it -- the kernel
     #: then recycles the object through the free list.
     reusable: bool = field(default=False, compare=False)
-    #: The queue backend currently holding the event (kernel-managed).
+    #: The queue currently holding the event (kernel-managed).
     owner: Optional[Any] = field(default=None, compare=False, repr=False)
-
-    def __lt__(self, other: "Event") -> bool:
-        # Exact != is correct here: the tie-break must engage only
-        # for bit-identical times (same-instant FIFO ordering).
-        if self.time != other.time:  # repro: allow[DET004] exact tie-break
-            return self.time < other.time
-        return self.seq < other.seq
 
     def cancel(self) -> None:
         """Prevent this event from firing.
@@ -150,67 +120,8 @@ def _release(free: List[Event], event: Event) -> None:
         free.append(event)
 
 
-class _HeapQueue:
-    """The reference backend: a ``heapq`` binary heap of events."""
-
-    __slots__ = ("_heap", "_live", "free")
-
-    def __init__(self) -> None:
-        self._heap: List[Event] = []
-        self._live = 0
-        #: Shared with the owning simulator (set at construction).
-        self.free: List[Event] = []
-
-    def push(self, event: Event) -> None:
-        event.queued = True
-        event.owner = self
-        self._live += 1
-        heapq.heappush(self._heap, event)
-
-    def note_cancel(self, event: Event) -> None:
-        """Called by :meth:`Event.cancel` while the event is queued."""
-        self._live -= 1
-
-    def pop_due(self, horizon: float) -> Optional[Event]:
-        """Pop the next live event with ``time <= horizon``, else None."""
-        heap = self._heap
-        pop = heapq.heappop
-        while heap:
-            head = heap[0]
-            if head.cancelled:
-                pop(heap)
-                head.queued = False
-                if head.reusable:
-                    _release(self.free, head)
-                continue
-            if head.time > horizon:
-                return None
-            pop(heap)
-            head.queued = False
-            self._live -= 1
-            return head
-        return None
-
-    def peek_time(self) -> Optional[float]:
-        heap = self._heap
-        pop = heapq.heappop
-        while heap:
-            head = heap[0]
-            if not head.cancelled:
-                return head.time
-            pop(heap)
-            head.queued = False
-            if head.reusable:
-                _release(self.free, head)
-        return None
-
-    @property
-    def live(self) -> int:
-        return self._live
-
-
 class _CalendarQueue:
-    """Calendar-queue backend: fixed-width time buckets.
+    """The event queue: fixed-width time buckets.
 
     ``_buckets`` maps bucket key (``floor(time / width)``) to an
     *unsorted* list of events; ``_keys`` is an integer min-heap of the
@@ -234,7 +145,7 @@ class _CalendarQueue:
 
     _COMPACT_MIN = 16
 
-    def __init__(self, width: float = 0.5) -> None:
+    def __init__(self, width: float = BUCKET_WIDTH) -> None:
         if width <= 0:
             raise SimulationError(f"bucket width must be positive, got {width}")
         self._width = float(width)
@@ -437,31 +348,10 @@ class Simulator:
     The simulator never advances past the horizon given to
     :meth:`run_until`, and :attr:`now` is exact (no floating-point
     drift is introduced by the kernel itself).
-
-    ``backend`` selects the queue implementation (see the module
-    docstring); ``None`` resolves :func:`default_kernel_backend`.
-    ``bucket_width`` tunes the calendar backend's bucket size in
-    simulated seconds (ignored by the heap backend).
     """
 
-    def __init__(
-        self,
-        start_time: float = 0.0,
-        backend: Optional[str] = None,
-        bucket_width: float = 0.5,
-    ) -> None:
-        if backend is None:
-            backend = default_kernel_backend()
-        if backend == "heap":
-            self._queue = _HeapQueue()
-        elif backend == "calendar":
-            self._queue = _CalendarQueue(bucket_width)
-        else:
-            raise SimulationError(
-                f"unknown kernel backend {backend!r}; "
-                f"expected one of {KERNEL_BACKENDS}"
-            )
-        self.backend = backend
+    def __init__(self, start_time: float = 0.0) -> None:
+        self._queue = _CalendarQueue()
         self._now = float(start_time)
         self._seq = itertools.count()
         self._event_count = 0
@@ -605,6 +495,5 @@ class Simulator:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"Simulator(now={self._now:.3f}, backend={self.backend!r}, "
-            f"pending={self.pending_count})"
+            f"Simulator(now={self._now:.3f}, pending={self.pending_count})"
         )

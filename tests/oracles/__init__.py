@@ -1,0 +1,19 @@
+"""Reference implementations the production paths are proven against.
+
+Each production layer has one implementation in ``src/repro``; the
+simple version it replaced lives here, where the equivalence tests use
+it as the oracle:
+
+* :mod:`oracles.kernel` -- a ``heapq`` event queue (the calendar queue
+  must replay every schedule exactly like it);
+* :mod:`oracles.rl` -- the sparse dict Q-table, dict eligibility
+  traces and the learners' table-API updates (the fused dense updates
+  must train bit-identically);
+* :mod:`oracles.inference` -- the per-model recognizer loop and
+  per-call ``best_action`` prediction (the batched HMM stack and the
+  greedy-policy tables must answer identically);
+* :mod:`oracles.fleet` -- one private kernel per home (the shared
+  shard kernel must report identically).
+
+Nothing under ``src/`` imports this package.
+"""

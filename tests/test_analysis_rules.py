@@ -391,9 +391,6 @@ class TestPerf001Slots:
             class Event:
                 seq: int
 
-            class _HeapQueue:
-                __slots__ = ("_heap",)
-
             class _CalendarQueue:
                 __slots__ = ("_buckets",)
             """,

@@ -192,7 +192,6 @@ class TestExemptIdioms:
                 def copy(self):
                     clone = Table.__new__(Table)
                     clone._flat = self._flat[:]
-                    clone._q = dict(self._q)
                     return clone
             """
         )
@@ -215,11 +214,12 @@ class TestExemptIdioms:
         assert found == []
 
     def test_direct_bump_after_sparse_write_is_clean(self):
+        # A single keyed write, as DenseQTable.set does it.
         found = ver_findings(
             """
-            class QTable:
-                def set(self, key, value):
-                    self._q[key] = value
+            class Table:
+                def set(self, off, value):
+                    self._flat[off] = value
                     self.version += 1
             """
         )
@@ -230,9 +230,9 @@ class TestWriteShapes:
     def test_sparse_dict_write_without_bump_flagged(self):
         found = ver_findings(
             """
-            class QTable:
-                def set(self, key, value):
-                    self._q[key] = value
+            class Table:
+                def set(self, off, value):
+                    self._flat[off] = value
             """
         )
         assert [f.rule for f in found] == ["VER001"]
@@ -240,12 +240,24 @@ class TestWriteShapes:
     def test_mutating_method_call_on_buffer_flagged(self):
         found = ver_findings(
             """
-            class QTable:
+            class Table:
                 def merge(self, other):
-                    self._q.update(other)
+                    self._flat.extend(other)
             """
         )
         assert [f.rule for f in found] == ["VER001"]
+
+    def test_retired_sparse_buffer_is_not_versioned(self):
+        # The dict-backed ``_q`` table now lives only in the test
+        # oracles; the manifest no longer treats ``_q`` as a Q buffer.
+        found = ver_findings(
+            """
+            class Cache:
+                def set(self, key, value):
+                    self._q[key] = value
+            """
+        )
+        assert found == []
 
     def test_augmented_write_through_alias_flagged(self):
         found = ver_findings(

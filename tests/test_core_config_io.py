@@ -79,3 +79,67 @@ class TestValidation:
     def test_invalid_values_caught_by_dataclass_checks(self):
         with pytest.raises(ConfigurationError):
             config_from_dict({"planning": {"learning_rate": 5.0}})
+
+
+class TestRetiredKeys:
+    """Files saved while the speed knobs existed keep loading."""
+
+    #: What ``save_config`` wrote for a default config before the
+    #: kernel, Q-table and inference backends were retired.
+    OLD_FORMAT = {
+        "sim": {"kernel_backend": "calendar", "bucket_width": 0.5},
+        "sensing": {
+            "sampling_hz": 10.0, "window_size": 10, "threshold_count": 3,
+            "usage_threshold": 1.0, "idle_timeout": 30.0,
+            "refractory_period": 2.0, "batch_samples": 10,
+        },
+        "radio": {
+            "loss_probability": 0.02, "latency": 0.005, "max_retries": 3,
+            "retry_interval": 0.05,
+        },
+        "planning": {
+            "learning_rate": 0.2, "discount": 0.9, "trace_decay": 0.7,
+            "epsilon": 0.2, "epsilon_decay": 0.978,
+            "terminal_reward": 1000.0, "minimal_reward": 100.0,
+            "specific_reward": 50.0, "wrong_prompt_reward": 0.0,
+            "convergence_criterion": 0.95, "convergence_patience": 3,
+            "initial_q": 1000.0, "q_backend": "dense",
+            "infer_backend": "batched",
+        },
+        "reminding": {
+            "stall_timeout": 30.0, "statistical_timeout": True,
+            "stall_sd_factor": 3.0, "minimal_blinks": 3,
+            "specific_blinks": 8, "escalate_after": 2,
+            "max_reminders_per_step": 5, "praise_enabled": True,
+            "user_title": "Mr. Tanaka",
+        },
+        "seed": 3,
+    }
+
+    def test_old_format_loads_to_the_same_config(self, tmp_path):
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(self.OLD_FORMAT))
+        assert load_config(path) == CoReDAConfig(seed=3)
+
+    def test_reference_backend_values_load_too(self):
+        document = json.loads(json.dumps(self.OLD_FORMAT))
+        document["sim"] = {"kernel_backend": "heap", "bucket_width": 2.0}
+        document["planning"]["q_backend"] = "sparse"
+        document["planning"]["infer_backend"] = "scalar"
+        assert config_from_dict(document) == CoReDAConfig(seed=3)
+
+    def test_other_unknown_keys_still_rejected(self):
+        with pytest.raises(ConfigurationError):
+            config_from_dict({"sim": {"kernel_backend": "heap", "tick": 1}})
+        with pytest.raises(ConfigurationError):
+            config_from_dict({"sensing": {"q_backend": "dense"}})
+        with pytest.raises(ConfigurationError):
+            config_from_dict({"sim": "calendar"})
+
+    def test_saved_files_carry_no_retired_keys(self, tmp_path):
+        path = tmp_path / "new.json"
+        save_config(CoReDAConfig(), path)
+        document = json.loads(path.read_text())
+        assert "sim" not in document
+        assert "q_backend" not in document["planning"]
+        assert "infer_backend" not in document["planning"]

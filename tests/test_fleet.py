@@ -15,6 +15,9 @@ import statistics
 
 import pytest
 
+from oracles.fleet import per_home_shards, simulate_home
+from oracles.inference import ScalarPredictor
+from oracles.kernel import heap_recorder
 from repro.cli import main
 from repro.fleet import (
     FleetMetrics,
@@ -256,7 +259,7 @@ class TestFleetDeterminism:
 
 
 class TestShardModes:
-    """Batched shared-kernel shards vs the per-home reference path."""
+    """Shared-kernel shards vs the private-kernel-per-home oracle."""
 
     @staticmethod
     def _report_fields(report):
@@ -268,7 +271,7 @@ class TestShardModes:
         self, tea_fleet_definition, tmp_path
     ):
         from repro.core.config import CoReDAConfig
-        from repro.fleet import simulate_home, simulate_shard
+        from repro.fleet import simulate_shard
         from repro.planning.store import PolicyCache
 
         homes = SPEC.expand(tea_fleet_definition)[:4]
@@ -289,53 +292,41 @@ class TestShardModes:
             self._report_fields(r) for r in per_home
         ]
 
-    def test_batched_fleet_matches_per_home_fleet(self, serial_result):
-        per_home = run_fleet(SPEC, jobs=1, batch_homes=False)
+    def test_batched_fleet_matches_per_home_fleet(
+        self, serial_result, monkeypatch
+    ):
+        monkeypatch.setattr(
+            "repro.fleet.executor.simulate_shard", per_home_shards()
+        )
+        per_home = run_fleet(SPEC, jobs=1)
         assert per_home.to_json() == serial_result.to_json()
 
     def test_batched_fleet_byte_identical_across_jobs(self, serial_result):
-        assert run_fleet(SPEC, jobs=3, batch_homes=True).to_json() == (
-            serial_result.to_json()
-        )
+        assert run_fleet(SPEC, jobs=3).to_json() == serial_result.to_json()
 
     def test_infer_backends_identical_in_both_shard_modes(
-        self, serial_result
+        self, serial_result, monkeypatch
     ):
-        from repro.core.config import CoReDAConfig, PlanningConfig
-
-        scalar_config = CoReDAConfig(
-            seed=SPEC.seed,
-            planning=PlanningConfig(infer_backend="scalar"),
-        )
-        scalar_batched = run_fleet(SPEC, jobs=1, config=scalar_config)
+        # Every prediction a fresh best_action: on the shared kernel...
+        monkeypatch.setattr("repro.fleet.shard.ShardPredictor", ScalarPredictor)
+        scalar_batched = run_fleet(SPEC, jobs=1)
         assert scalar_batched.to_json() == serial_result.to_json()
-        scalar_per_home = run_fleet(
-            SPEC, jobs=2, config=scalar_config, batch_homes=False
+        # ... and one private kernel per home, in forked workers.
+        monkeypatch.setattr(
+            "repro.fleet.executor.simulate_shard",
+            per_home_shards(wrap=ScalarPredictor),
         )
+        scalar_per_home = run_fleet(SPEC, jobs=2)
         assert scalar_per_home.to_json() == serial_result.to_json()
 
-    def test_kernel_backends_identical_in_batched_mode(self, serial_result):
-        from repro.core.config import CoReDAConfig, SimConfig
-
-        heap = run_fleet(
-            SPEC,
-            jobs=1,
-            config=CoReDAConfig(
-                seed=SPEC.seed, sim=SimConfig(kernel_backend="heap")
-            ),
-        )
+    def test_kernel_backends_identical_in_batched_mode(
+        self, serial_result, monkeypatch
+    ):
+        built = []
+        monkeypatch.setattr("repro.fleet.shard.Simulator", heap_recorder(built))
+        heap = run_fleet(SPEC, jobs=1)
         assert heap.to_json() == serial_result.to_json()
-
-    def test_cli_shard_mode_flag(self, capsys):
-        argv = [
-            "fleet", "--homes", "4", "--train-episodes", "40",
-            "--seed-classes", "2", "--shard-size", "2", "--json",
-        ]
-        assert main(argv + ["--shard-mode", "per-home"]) == 0
-        per_home = capsys.readouterr().out
-        assert main(argv + ["--shard-mode", "batched"]) == 0
-        batched = capsys.readouterr().out
-        assert json.loads(batched) == json.loads(per_home)
+        assert built  # every shard really ran on the heap oracle
 
 
 class TestPolicyPlanes:
@@ -343,8 +334,9 @@ class TestPolicyPlanes:
 
     The plane is a speed knob, not a semantics knob: both must
     produce the same bytes and the same cache accounting at any
-    ``--jobs``, in both shard modes.  (``serial_result`` runs on the
-    default plane, which is ``shm`` -- so every byte-identity test in
+    ``--jobs``, on shared and on private kernels.  (``serial_result``
+    runs on the default plane, which is ``shm`` -- so every
+    byte-identity test in
     this module already exercises the arena; these pin the reference
     path against it explicitly.)
     """
@@ -354,11 +346,12 @@ class TestPolicyPlanes:
         assert json_plane.to_json() == serial_result.to_json()
 
     def test_json_plane_byte_identical_parallel_per_home(
-        self, serial_result
+        self, serial_result, monkeypatch
     ):
-        json_plane = run_fleet(
-            SPEC, jobs=2, policy_plane="json", batch_homes=False
+        monkeypatch.setattr(
+            "repro.fleet.executor.simulate_shard", per_home_shards()
         )
+        json_plane = run_fleet(SPEC, jobs=2, policy_plane="json")
         assert json_plane.to_json() == serial_result.to_json()
 
     def test_shm_plane_byte_identical_parallel(self, serial_result):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles.inference import scalar_predict
 from repro.core.errors import NotConvergedError
 from repro.planning.predictor import NextStepPredictor
 from repro.planning.state import PlanningState, episode_states
@@ -65,32 +66,15 @@ class TestMemoizedPrediction:
         return [(prev, cur) for prev in ids for cur in ids]
 
     def test_memoized_matches_unmemoized(self, tea_adl, training):
-        memoized = NextStepPredictor(
-            training.learner.q, training.actions, memoize=True
-        )
-        plain = NextStepPredictor(
-            training.learner.q, training.actions, memoize=False
-        )
+        memoized = NextStepPredictor(training.learner.q, training.actions)
+        q, actions = training.learner.q, training.actions
         for state in self.all_states(tea_adl):
-            assert memoized.predict(state) == plain.predict(state)
-
-    def test_env_override_disables_memoization(self, training, monkeypatch):
-        monkeypatch.setenv("REPRO_INFER_BACKEND", "scalar")
-        predictor = NextStepPredictor(training.learner.q, training.actions)
-        assert not predictor._memoize
-        monkeypatch.setenv("REPRO_INFER_BACKEND", "batched")
-        predictor = NextStepPredictor(training.learner.q, training.actions)
-        assert predictor._memoize
+            assert memoized.predict(state) == scalar_predict(q, actions, state)
 
     def test_learner_writes_invalidate_memo(self, tea_adl, training):
         """Online adaptation writes through the deployed predictor's
         table; memoized predictions must track them, not go stale."""
-        predictor = NextStepPredictor(
-            training.learner.q, training.actions, memoize=True
-        )
-        plain = NextStepPredictor(
-            training.learner.q, training.actions, memoize=False
-        )
+        predictor = NextStepPredictor(training.learner.q, training.actions)
         states = self.all_states(tea_adl)
         for state in states:
             predictor.predict(state)
@@ -99,4 +83,6 @@ class TestMemoizedPrediction:
             for action in training.actions:
                 q.set(PlanningState(*state), action, -float(action.tool_id))
         for state in states:
-            assert predictor.predict(state) == plain.predict(state)
+            assert predictor.predict(state) == scalar_predict(
+                q, training.actions, state
+            )

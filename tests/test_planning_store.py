@@ -111,6 +111,13 @@ class TestTrainingCacheKey:
             learner=("dyna-q", 5),
         )
 
+    def test_key_is_pinned(self):
+        # The key existing --cache directories were written under; a
+        # change here silently orphans every cached training.
+        assert training_cache_key(
+            "tea-making", (1, 2, 3, 4), PlanningConfig(), 0, 120
+        ) == "2fa4059e2cb92da253a7deb8fe448bbc73850875e9721425dbb9de4234dee134"
+
 
 class TestPolicyCache:
     def test_miss_then_hit(self, tmp_path, tea_adl):

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from repro.core.bus import EventBus
 from repro.core.metrics import rolling_mean, wilson_interval
 from repro.rl.convergence import ConvergenceDetector, convergence_iteration
-from repro.rl.qtable import QTable
+from repro.rl.dense import DenseQTable, DenseTraces
 from repro.rl.schedules import ExponentialDecay, HarmonicDecay, LinearDecay
-from repro.rl.traces import EligibilityTraces, TraceKind
+from repro.rl.traces import TraceKind
 from repro.sensing.history import UsageHistory
 from repro.sensors.detector import KofNDetector
 from repro.sensors.eeprom import RECORD_SIZE, EepromLog, EepromRecord
@@ -62,7 +62,7 @@ def test_kernel_run_until_never_overshoots(delays, horizon):
     )
 )
 def test_qtable_best_action_is_maximal(writes):
-    q = QTable()
+    q = DenseQTable()
     for state, action, value in writes:
         q.set(state, action, value)
     actions = list(range(6))
@@ -79,7 +79,7 @@ def test_qtable_best_action_is_maximal(writes):
     )
 )
 def test_qtable_copy_equivalence_and_independence(writes):
-    q = QTable(initial_value=1.5)
+    q = DenseQTable(initial_value=1.5)
     for state, action, value in writes:
         q.set(state, action, value)
     clone = q.copy()
@@ -97,7 +97,7 @@ def test_qtable_copy_equivalence_and_independence(writes):
     st.floats(min_value=0.0, max_value=0.99),
 )
 def test_traces_bounded_for_replacing_kind(visits, decay):
-    traces = EligibilityTraces(TraceKind.REPLACING)
+    traces = DenseTraces(kind=TraceKind.REPLACING)
     for state, action in visits:
         traces.visit(state, action)
         traces.decay(decay)
@@ -106,7 +106,7 @@ def test_traces_bounded_for_replacing_kind(visits, decay):
 
 @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=50))
 def test_traces_reset_always_empties(visits):
-    traces = EligibilityTraces(TraceKind.ACCUMULATING)
+    traces = DenseTraces(kind=TraceKind.ACCUMULATING)
     for state, action in visits:
         traces.visit(state, action)
     traces.reset()
@@ -299,10 +299,9 @@ def test_policy_store_roundtrip_is_lossless(entries):
     from repro.planning.predictor import NextStepPredictor
     from repro.planning.state import PlanningState
     from repro.planning.store import load_predictor, save_predictor
-    from repro.rl.qtable import QTable
 
     adl = make_tea_making()
-    q = QTable(initial_value=1000.0)
+    q = DenseQTable(initial_value=1000.0)
     for previous, current, tool, minimal, value in entries:
         if previous == current:
             continue

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles.inference import ScalarRecognizer
 from repro.recognition import ActivityRecognizer, BatchedHMM, DiscreteHMM
 from repro.recognition.hmm import _logsumexp, _logsumexp_matrix
 
@@ -125,16 +126,16 @@ class TestRecognizerBackends:
 
     def test_backends_byte_identical(self, registry):
         adls = [registry.get(name).adl for name in registry.names()]
-        batched = ActivityRecognizer(adls, backend="batched")
-        scalar = ActivityRecognizer(adls, backend="scalar")
+        batched = ActivityRecognizer(adls)
+        scalar = ScalarRecognizer(adls)
         for stream in self.streams(registry):
             assert batched.posterior(stream) == scalar.posterior(stream)
             assert batched.classify(stream) == scalar.classify(stream)
 
     def test_batch_calls_match_scalar_loop(self, registry):
         adls = [registry.get(name).adl for name in registry.names()]
-        batched = ActivityRecognizer(adls, backend="batched")
-        scalar = ActivityRecognizer(adls, backend="scalar")
+        batched = ActivityRecognizer(adls)
+        scalar = ScalarRecognizer(adls)
         streams = self.streams(registry)
         assert batched.posterior_batch(streams) == [
             scalar.posterior(s) for s in streams
@@ -142,19 +143,7 @@ class TestRecognizerBackends:
         assert batched.classify_batch(streams) == [
             scalar.classify(s) for s in streams
         ]
-        # The scalar recognizer's batch API is the plain loop.
+        # The oracle's batch API is the plain loop.
         assert scalar.posterior_batch(streams) == batched.posterior_batch(
             streams
         )
-
-    def test_env_override_selects_backend(self, registry, monkeypatch):
-        adls = [registry.get(name).adl for name in registry.names()]
-        monkeypatch.setenv("REPRO_INFER_BACKEND", "scalar")
-        assert ActivityRecognizer(adls)._batched is None
-        monkeypatch.setenv("REPRO_INFER_BACKEND", "batched")
-        assert ActivityRecognizer(adls)._batched is not None
-
-    def test_invalid_backend_rejected(self, registry):
-        adls = [registry.get(name).adl for name in registry.names()]
-        with pytest.raises(ValueError):
-            ActivityRecognizer(adls, backend="turbo")

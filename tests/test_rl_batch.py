@@ -14,7 +14,7 @@ from repro.rl.batch import (
 from repro.rl.dense import _VECTOR_MIN_ELEMENTS, DenseQTable
 from repro.rl.double_q import DoubleQLearner
 from repro.rl.expected_sarsa import ExpectedSarsaLearner
-from repro.rl.qtable import QTable
+from oracles.rl import QTable
 from repro.rl.sarsa import SarsaLambdaLearner
 from repro.rl.tdlambda import TDLambdaQLearner
 

@@ -1,11 +1,11 @@
-"""The indexed dense RL backend and its bit-identity contract.
+"""The dense RL core and its bit-identity contract.
 
-The dense backend (``repro.rl.dense``) must be *indistinguishable*
-from the sparse dict-backed one: same RNG draw sequence, same learning
-curves, same convergence iterations, same greedy policies and the same
-``training_document`` bytes, for every learner.  These tests pin that
-contract down -- any arithmetic reordering in the fused dense paths
-shows up here as a float mismatch.
+Training on :mod:`repro.rl.dense` must be *indistinguishable* from the
+sparse dict-backed reference kept in ``tests/oracles/rl.py``: same RNG
+draw sequence, same learning curves, same convergence iterations, same
+greedy policies and the same ``training_document`` bytes, for every
+learner.  These tests pin that contract down -- any arithmetic
+reordering in the fused dense paths shows up here as a float mismatch.
 """
 
 from __future__ import annotations
@@ -15,7 +15,17 @@ import json
 import numpy as np
 import pytest
 
+from oracles.rl import (
+    EligibilityTraces,
+    QTable,
+    SparseDoubleQLearner,
+    SparseDynaQLearner,
+    SparseExpectedSarsaLearner,
+    SparseSarsaLambdaLearner,
+    SparseTDLambdaQLearner,
+)
 from repro.core.config import PlanningConfig
+from repro.core.config_io import config_from_dict
 from repro.planning.action import action_space
 from repro.planning.rewards_coreda import CoReDAReward
 from repro.planning.state import episode_states
@@ -26,18 +36,11 @@ from repro.planning.store import (
     training_document,
 )
 from repro.planning.trainer import RoutineTrainer
-from repro.rl.dense import (
-    DenseQTable,
-    DenseTraces,
-    StateActionIndex,
-    make_qtable,
-    make_traces,
-)
+from repro.rl.dense import DenseQTable, DenseTraces, StateActionIndex
 from repro.rl.double_q import DoubleQLearner
 from repro.rl.dyna import DynaQLearner
 from repro.rl.expected_sarsa import ExpectedSarsaLearner
 from repro.rl.policies import EpsilonGreedyPolicy, SoftmaxPolicy
-from repro.rl.qtable import QTable
 from repro.rl.sarsa import SarsaLambdaLearner
 from repro.rl.schedules import ExponentialDecay
 from repro.rl.tdlambda import TDLambdaQLearner
@@ -46,38 +49,56 @@ from repro.sim.random import seeded_generator
 
 EPISODES = 60
 
+#: The production learner class ("dense") and its sparse oracle.
+CLASSES = {
+    "tdlambda": (TDLambdaQLearner, SparseTDLambdaQLearner),
+    "sarsa": (SarsaLambdaLearner, SparseSarsaLambdaLearner),
+    "dyna": (DynaQLearner, SparseDynaQLearner),
+    "double-q": (DoubleQLearner, SparseDoubleQLearner),
+    "expected-sarsa": (ExpectedSarsaLearner, SparseExpectedSarsaLearner),
+}
+
+
+def _learner(kind: str, backend: str, **kwargs):
+    dense, sparse = CLASSES[kind]
+    return (dense if backend == "dense" else sparse)(**kwargs)
+
+
 #: learner name -> factory(backend, config); covers every learner the
 #: evaluation suite trains, in both trace flavours where applicable.
 LEARNERS = {
-    "tdlambda-replacing": lambda backend, c: TDLambdaQLearner(
+    "tdlambda-replacing": lambda backend, c: _learner(
+        "tdlambda", backend,
         learning_rate=c.learning_rate, discount=c.discount,
         trace_decay=c.trace_decay, policy=_decay_policy(c),
         trace_kind=TraceKind.REPLACING, initial_q=c.initial_q,
-        q_backend=backend,
     ),
-    "tdlambda-accumulating": lambda backend, c: TDLambdaQLearner(
+    "tdlambda-accumulating": lambda backend, c: _learner(
+        "tdlambda", backend,
         learning_rate=c.learning_rate, discount=c.discount,
         trace_decay=c.trace_decay, policy=_decay_policy(c),
         trace_kind=TraceKind.ACCUMULATING, initial_q=c.initial_q,
-        q_backend=backend,
     ),
-    "tdlambda-softmax": lambda backend, c: TDLambdaQLearner(
+    "tdlambda-softmax": lambda backend, c: _learner(
+        "tdlambda", backend,
         learning_rate=c.learning_rate, discount=c.discount,
         trace_decay=c.trace_decay, policy=SoftmaxPolicy(50.0),
-        initial_q=c.initial_q, q_backend=backend,
+        initial_q=c.initial_q,
     ),
-    "dyna": lambda backend, c: DynaQLearner(
+    "dyna": lambda backend, c: _learner(
+        "dyna", backend,
         learning_rate=c.learning_rate, discount=c.discount,
-        planning_steps=10, policy=_decay_policy(c),
-        initial_q=c.initial_q, q_backend=backend,
+        planning_steps=10, policy=_decay_policy(c), initial_q=c.initial_q,
     ),
-    "double-q": lambda backend, c: DoubleQLearner(
+    "double-q": lambda backend, c: _learner(
+        "double-q", backend,
         learning_rate=c.learning_rate, discount=c.discount,
-        policy=_decay_policy(c), initial_q=c.initial_q, q_backend=backend,
+        policy=_decay_policy(c), initial_q=c.initial_q,
     ),
-    "expected-sarsa": lambda backend, c: ExpectedSarsaLearner(
+    "expected-sarsa": lambda backend, c: _learner(
+        "expected-sarsa", backend,
         learning_rate=c.learning_rate, discount=c.discount,
-        epsilon=0.2, initial_q=c.initial_q, q_backend=backend,
+        epsilon=0.2, initial_q=c.initial_q,
     ),
 }
 
@@ -89,7 +110,7 @@ def _decay_policy(config: PlanningConfig) -> EpsilonGreedyPolicy:
 
 
 def _train(adl, learner_name: str, backend: str, seed: int):
-    config = PlanningConfig(q_backend=backend)
+    config = PlanningConfig()
     learner = LEARNERS[learner_name](backend, config)
     trainer = RoutineTrainer(
         adl, config, learner=learner, rng=seeded_generator(seed)
@@ -107,7 +128,7 @@ def _sup_norm(learner_a, learner_b) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Bit-identity across backends, every learner
+# Bit-identity with the sparse oracle, every learner
 # ---------------------------------------------------------------------------
 
 
@@ -132,13 +153,13 @@ def test_sarsa_backends_train_identically(tea_adl, trace_kind):
     """Naive SARSA(λ), trained the way the ablation bench trains it."""
 
     def run(backend):
-        config = PlanningConfig(q_backend=backend)
+        config = PlanningConfig()
         actions = tuple(action_space(tea_adl))
-        learner = SarsaLambdaLearner(
+        learner = _learner(
+            "sarsa", backend,
             learning_rate=config.learning_rate, discount=config.discount,
             trace_decay=config.trace_decay, policy=_decay_policy(config),
             trace_kind=trace_kind, initial_q=config.initial_q,
-            q_backend=backend,
         )
         rng = seeded_generator(0)
         routine = tea_adl.canonical_routine()
@@ -183,7 +204,7 @@ def test_sarsa_backends_train_identically(tea_adl, trace_kind):
 
 
 def test_softmax_selections_identical_across_backends(tea_adl):
-    """SoftmaxPolicy consumes the RNG identically on both backends."""
+    """SoftmaxPolicy consumes the RNG identically over both tables."""
     result = {}
     for backend in ("sparse", "dense"):
         trained = _train(tea_adl, "tdlambda-softmax", backend, 1)
@@ -215,38 +236,68 @@ def test_training_document_bytes_identical(tea_adl):
 
 
 def test_cache_key_ignores_backend(tea_adl):
+    """Config files saved naming either Q backend load to the default
+    config's cache key, so cache entries written by either stay hit."""
     keys = {
         backend: training_cache_key(
             tea_adl.name,
             list(tea_adl.step_ids),
-            PlanningConfig(q_backend=backend),
+            config_from_dict({"planning": {"q_backend": backend}}).planning,
             0,
             EPISODES,
         )
         for backend in ("sparse", "dense")
     }
-    assert keys["sparse"] == keys["dense"]
+    assert keys["sparse"] == keys["dense"] == training_cache_key(
+        tea_adl.name, list(tea_adl.step_ids), PlanningConfig(), 0, EPISODES
+    )
+
+
+def _cached_document(backend: str, adl, cache: PolicyCache):
+    """(document, cache_hit) of the default training through ``cache``.
+
+    ``"dense"`` is the production :func:`train_routine_cached`;
+    ``"sparse"`` does the same lookup-or-train-and-put by hand with the
+    sparse oracle learner.
+    """
+    routine = list(adl.step_ids)
+    config = PlanningConfig()
+    if backend == "dense":
+        cached = train_routine_cached(
+            adl, routine, config, 0, EPISODES, cache=cache
+        )
+        return cached.document, cached.cache_hit
+    key = training_cache_key(adl.name, routine, config, 0, EPISODES)
+    document = cache.get(key)
+    if document is not None:
+        return document, True
+    learner = _learner(
+        "tdlambda", "sparse",
+        learning_rate=config.learning_rate, discount=config.discount,
+        trace_decay=config.trace_decay, policy=_decay_policy(config),
+        initial_q=config.initial_q,
+    )
+    trainer = RoutineTrainer(
+        adl, config, learner=learner, rng=seeded_generator(0)
+    )
+    document = training_document(
+        trainer.train([routine] * EPISODES), adl.name
+    )
+    cache.put(key, document, actions=action_space(adl))
+    return document, False
 
 
 @pytest.mark.parametrize(
     "writer,reader", [("sparse", "dense"), ("dense", "sparse")]
 )
 def test_cross_backend_cache_hit(tea_adl, tmp_path, writer, reader):
-    """An entry cached by one backend is hit -- and trusted -- by the other."""
+    """An entry cached by one path is hit -- and trusted -- by the other."""
     cache = PolicyCache(tmp_path / "cache")
-    routine = list(tea_adl.step_ids)
-    first = train_routine_cached(
-        tea_adl, routine, PlanningConfig(q_backend=writer), 0, EPISODES,
-        cache=cache,
-    )
-    assert not first.cache_hit
-    second = train_routine_cached(
-        tea_adl, routine, PlanningConfig(q_backend=reader), 0, EPISODES,
-        cache=cache,
-    )
-    assert second.cache_hit
-    assert second.document == first.document
-    assert second.convergence == first.convergence
+    first, first_hit = _cached_document(writer, tea_adl, cache)
+    assert not first_hit
+    second, second_hit = _cached_document(reader, tea_adl, cache)
+    assert second_hit
+    assert second == first
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +310,7 @@ def test_batched_integer_draws_match_sequential():
 
     ``DynaQLearner._plan`` draws its planning sample indices in one
     batch; this pins the NumPy property that makes the batch consume
-    the bit stream exactly like the sparse backend's scalar draws.
+    the bit stream exactly like the sparse oracle's scalar draws.
     """
     for n in (1, 3, 7, 1000):
         a, b = np.random.default_rng(42), np.random.default_rng(42)
@@ -271,7 +322,7 @@ def test_batched_integer_draws_match_sequential():
 
 
 # ---------------------------------------------------------------------------
-# DenseQTable unit semantics (vs the sparse reference)
+# DenseQTable unit semantics (vs the sparse oracle)
 # ---------------------------------------------------------------------------
 
 
@@ -383,22 +434,9 @@ def test_argmax_prober_tracks_updates_and_growth():
         dense.argmax_prober(states, ())
 
 
-def test_make_qtable_selects_backend():
-    assert type(make_qtable("dense", 0.0)) is DenseQTable
-    assert type(make_qtable("sparse", 0.0)) is QTable
-    with pytest.raises(ValueError):
-        make_qtable("mystery", 0.0)
-
-
 # ---------------------------------------------------------------------------
-# DenseTraces unit semantics (vs the sparse reference)
+# DenseTraces unit semantics (vs the sparse oracle)
 # ---------------------------------------------------------------------------
-
-
-def _reference_traces(kind):
-    from repro.rl.traces import EligibilityTraces
-
-    return EligibilityTraces(kind=kind)
 
 
 @pytest.mark.parametrize(
@@ -406,8 +444,8 @@ def _reference_traces(kind):
 )
 def test_dense_traces_match_sparse(kind):
     dense_q = DenseQTable()
-    dense = make_traces(dense_q, kind)
-    sparse = _reference_traces(kind)
+    dense = DenseTraces(index=dense_q.index, kind=kind)
+    sparse = EligibilityTraces(kind=kind)
     assert type(dense) is DenseTraces
     for traces in (dense, sparse):
         traces.visit("s0", "a")
@@ -426,7 +464,7 @@ def test_dense_traces_match_sparse(kind):
 
 def test_dense_traces_apply_update_and_snapshot():
     q = DenseQTable()
-    traces = make_traces(q, TraceKind.REPLACING)
+    traces = DenseTraces(index=q.index, kind=TraceKind.REPLACING)
     traces.visit("s0", "a")
     traces.decay(0.5)
     traces.visit("s1", "b")

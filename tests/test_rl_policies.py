@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from repro.rl.policies import EpsilonGreedyPolicy, GreedyPolicy, SoftmaxPolicy
-from repro.rl.qtable import QTable
+from repro.rl.dense import DenseQTable
 from repro.rl.schedules import ExponentialDecay
 
 
 @pytest.fixture
 def q():
-    table = QTable()
+    table = DenseQTable()
     table.set("s", "best", 10.0)
     table.set("s", "mid", 5.0)
     table.set("s", "worst", 0.0)
@@ -83,7 +83,7 @@ class TestSoftmax:
         assert picks.count("best") > picks.count("mid") > picks.count("worst")
 
     def test_numerical_stability_with_huge_values(self, rng):
-        table = QTable()
+        table = DenseQTable()
         table.set("s", "a", 1e9)
         table.set("s", "b", 0.0)
         action, _ = SoftmaxPolicy(1.0).select(table, "s", ["a", "b"], rng)

@@ -2,42 +2,43 @@
 
 import pytest
 
-from repro.rl.traces import EligibilityTraces, TraceKind
+from repro.rl.dense import DenseTraces
+from repro.rl.traces import TraceKind
 
 
 class TestVisit:
     def test_replacing_sets_to_one(self):
-        traces = EligibilityTraces(TraceKind.REPLACING)
+        traces = DenseTraces(kind=TraceKind.REPLACING)
         traces.visit("s", "a")
         traces.visit("s", "a")
         assert traces.get("s", "a") == 1.0
 
     def test_accumulating_adds(self):
-        traces = EligibilityTraces(TraceKind.ACCUMULATING)
+        traces = DenseTraces(kind=TraceKind.ACCUMULATING)
         traces.visit("s", "a")
         traces.visit("s", "a")
         assert traces.get("s", "a") == 2.0
 
     def test_unvisited_is_zero(self):
-        assert EligibilityTraces().get("s", "a") == 0.0
+        assert DenseTraces().get("s", "a") == 0.0
 
 
 class TestDecay:
     def test_decay_multiplies(self):
-        traces = EligibilityTraces()
+        traces = DenseTraces()
         traces.visit("s", "a")
         traces.decay(0.5)
         assert traces.get("s", "a") == 0.5
 
     def test_tiny_traces_dropped(self):
-        traces = EligibilityTraces(cutoff=1e-2)
+        traces = DenseTraces(cutoff=1e-2)
         traces.visit("s", "a")
         for _ in range(10):
             traces.decay(0.5)
         assert len(traces) == 0
 
     def test_decay_zero_clears(self):
-        traces = EligibilityTraces()
+        traces = DenseTraces()
         traces.visit("s", "a")
         traces.visit("t", "b")
         traces.decay(0.0)
@@ -46,13 +47,13 @@ class TestDecay:
 
 class TestResetItems:
     def test_reset(self):
-        traces = EligibilityTraces()
+        traces = DenseTraces()
         traces.visit("s", "a")
         traces.reset()
         assert len(traces) == 0
 
     def test_items_snapshot_allows_q_updates(self):
-        traces = EligibilityTraces()
+        traces = DenseTraces()
         traces.visit("s", "a")
         traces.visit("t", "b")
         seen = [key for key, _ in traces.items()]
@@ -60,4 +61,4 @@ class TestResetItems:
 
     def test_negative_cutoff_rejected(self):
         with pytest.raises(ValueError):
-            EligibilityTraces(cutoff=-1.0)
+            DenseTraces(cutoff=-1.0)

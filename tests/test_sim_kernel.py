@@ -2,14 +2,18 @@
 
 import pytest
 
+from oracles.kernel import HeapSimulator
 from repro.sim.kernel import Signal, SimulationError, Simulator
 
+KERNELS = {"heap": HeapSimulator, "calendar": Simulator}
 
-@pytest.fixture(params=["heap", "calendar"])
+
+@pytest.fixture(params=sorted(KERNELS))
 def sim(request) -> Simulator:
-    """Override the shared fixture: every kernel test runs on both
-    backends (they promise identical semantics, so identical tests)."""
-    return Simulator(backend=request.param)
+    """Override the shared fixture: every kernel test runs on the
+    production calendar queue and on the reference heap oracle (they
+    promise identical semantics, so identical tests)."""
+    return KERNELS[request.param]()
 
 
 class TestScheduling:

@@ -1,29 +1,26 @@
-"""Backend equivalence: the calendar queue vs the reference heap.
+"""Queue equivalence: the calendar queue vs the reference heap.
 
-The calendar backend is a speed profile, not a semantics profile: any
+The calendar queue is a speed profile, not a semantics profile: any
 workload -- including randomized schedule/cancel storms, same-instant
 bursts and mid-drain pushes -- must replay event-for-event identically
-to the binary heap.  These tests drive both backends through identical
-operation scripts (seeded via :mod:`repro.sim.random`) and compare the
-fired sequences exactly, then gate the full Figure 1 scenario.
+to the binary heap oracle (``tests/oracles/kernel.py``).  These tests
+drive both through identical operation scripts (seeded via
+:mod:`repro.sim.random`) and compare the fired sequences exactly, then
+gate the full Figure 1 scenario.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.config import CoReDAConfig, SimConfig
-from repro.core.errors import ConfigurationError
+from oracles.kernel import HeapSimulator, calendar_simulator, heap_recorder
 from repro.evalx.scenario import run_tea_scenario
-from repro.sim.kernel import (
-    KERNEL_BACKENDS,
-    SimulationError,
-    Simulator,
-    default_kernel_backend,
-)
+from repro.sim.kernel import SimulationError, Simulator
 from repro.sim.random import seeded_generator
 
-BACKENDS = list(KERNEL_BACKENDS)
+#: Kernel factories by name: ``factory(start_time) -> Simulator``.
+KERNELS = {"heap": HeapSimulator, "calendar": Simulator}
+BACKENDS = ["heap", "calendar"]
 
 #: Deliberately collision-heavy delay grid: repeated values force
 #: same-instant ties, 0.0 forces same-instant pushes mid-drain, and
@@ -46,14 +43,13 @@ def generate_ops(seed: int, count: int = 400):
     return ops
 
 
-def replay(backend: str, ops, bucket_width: float = 0.5):
+def replay(sim: Simulator, ops):
     """Apply one operation script to a fresh kernel; return the fires.
 
     Scheduled callbacks record ``(now, label)`` and some spawn
     children (same-instant and cross-bucket), so the script exercises
     pushes *during* a bucket drain, not just between runs.
     """
-    sim = Simulator(backend=backend, bucket_width=bucket_width)
     fired = []
     handles = []
     next_label = [0]
@@ -87,21 +83,21 @@ class TestRandomizedEquivalence:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_fired_sequences_identical(self, seed):
         ops = generate_ops(seed)
-        reference = replay("heap", ops)
-        assert replay("calendar", ops) == reference
+        reference = replay(HeapSimulator(), ops)
+        assert replay(Simulator(), ops) == reference
         assert len(reference) > 100  # the script actually fires things
 
     @pytest.mark.parametrize("width", [0.05, 0.3, 1.0, 10.0])
     def test_bucket_width_never_changes_the_replay(self, width):
         ops = generate_ops(99)
-        reference = replay("heap", ops)
-        assert replay("calendar", ops, bucket_width=width) == reference
+        reference = replay(HeapSimulator(), ops)
+        assert replay(calendar_simulator(width), ops) == reference
 
 
 class TestSameInstantSemantics:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_push_during_drain_fires_after_earlier_ties(self, backend):
-        sim = Simulator(backend=backend)
+        sim = KERNELS[backend]()
         order = []
 
         def first():
@@ -115,7 +111,7 @@ class TestSameInstantSemantics:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_zero_delay_chain_advances_within_one_instant(self, backend):
-        sim = Simulator(backend=backend)
+        sim = KERNELS[backend]()
         fired = []
 
         def chain(depth):
@@ -132,7 +128,7 @@ class TestSameInstantSemantics:
 class TestCancellationAccounting:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_pending_count_excludes_cancelled(self, backend):
-        sim = Simulator(backend=backend)
+        sim = KERNELS[backend]()
         events = [sim.schedule(float(i + 1), lambda: None) for i in range(10)]
         assert sim.pending_count == 10
         for event in events[::2]:
@@ -145,10 +141,12 @@ class TestCancellationAccounting:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_cancel_storm_in_one_bucket(self, backend):
-        # With bucket_width=100 every event lands in one bucket, so
-        # the calendar's eager compaction must fire repeatedly while
+        # With 100 s buckets every event lands in one bucket, so the
+        # calendar's eager compaction must fire repeatedly while
         # survivors keep their relative order.
-        sim = Simulator(backend=backend, bucket_width=100.0)
+        sim = (
+            HeapSimulator() if backend == "heap" else calendar_simulator(100.0)
+        )
         fired = []
         events = [
             sim.schedule(1.0 + i * 0.01, (lambda i=i: fired.append(i)))
@@ -163,7 +161,7 @@ class TestCancellationAccounting:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_cancel_after_fire_is_harmless(self, backend):
-        sim = Simulator(backend=backend)
+        sim = KERNELS[backend]()
         fired = []
         first = sim.schedule(1.0, lambda: fired.append("a"))
         sim.schedule(2.0, lambda: fired.append("b"))
@@ -176,7 +174,7 @@ class TestCancellationAccounting:
 class TestEventReuse:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_fired_reusable_event_is_recycled(self, backend):
-        sim = Simulator(backend=backend)
+        sim = KERNELS[backend]()
         seen = []
         first = sim.schedule(1.0, lambda: seen.append(1), reusable=True)
         sim.run()
@@ -187,7 +185,7 @@ class TestEventReuse:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_cancelled_reusable_event_is_recycled(self, backend):
-        sim = Simulator(backend=backend)
+        sim = KERNELS[backend]()
         event = sim.schedule(1.0, lambda: None, reusable=True)
         event.cancel()
         sim.run()  # lazy removal releases the carcass
@@ -200,7 +198,7 @@ class TestEventReuse:
         # The recurring-timeout shape (firmware loops, Process
         # timeouts): recycle-before-callback means the immediate
         # reschedule gets the same object back every period.
-        sim = Simulator(backend=backend)
+        sim = KERNELS[backend]()
         fired = []
         identities = set()
 
@@ -216,7 +214,7 @@ class TestEventReuse:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_plain_events_are_not_recycled(self, backend):
-        sim = Simulator(backend=backend)
+        sim = KERNELS[backend]()
         first = sim.schedule(1.0, lambda: None)
         sim.run()
         second = sim.schedule(1.0, lambda: None)
@@ -229,7 +227,7 @@ class TestClockEdges:
         # Bucket keys use floor(), not int() truncation: negative
         # times must still map to the bucket *below*, or the
         # far-future guard would skip due events.
-        sim = Simulator(start_time=-3.7, backend=backend)
+        sim = KERNELS[backend](-3.7)
         fired = []
         sim.schedule(0.5, lambda: fired.append(sim.now))
         sim.schedule_at(-1.0, lambda: fired.append(sim.now))
@@ -238,7 +236,7 @@ class TestClockEdges:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_run_until_across_negative_boundary(self, backend):
-        sim = Simulator(start_time=-2.0, backend=backend)
+        sim = KERNELS[backend](-2.0)
         fired = []
         for delay in (0.5, 1.5, 2.5, 3.5):
             sim.schedule(delay, (lambda d=delay: fired.append(d)))
@@ -249,7 +247,7 @@ class TestClockEdges:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_schedule_at_past_raises(self, backend):
-        sim = Simulator(backend=backend)
+        sim = KERNELS[backend]()
         sim.schedule(5.0, lambda: None)
         sim.run()
         with pytest.raises(SimulationError) as excinfo:
@@ -258,45 +256,18 @@ class TestClockEdges:
         assert "4.0" in str(excinfo.value)
 
 
-class TestBackendSelection:
-    def test_simulator_records_its_backend(self):
-        assert Simulator(backend="heap").backend == "heap"
-        assert Simulator(backend="calendar").backend == "calendar"
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(SimulationError):
-            Simulator(backend="wheel-of-fortune")
-
-    def test_env_override_sets_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "heap")
-        assert default_kernel_backend() == "heap"
-        assert Simulator().backend == "heap"
-        assert SimConfig().kernel_backend == "heap"
-
-    def test_sim_config_validates(self):
-        with pytest.raises(ConfigurationError):
-            SimConfig(kernel_backend="btree")
-        with pytest.raises(ConfigurationError):
-            SimConfig(bucket_width=0.0)
-
-    def test_config_flows_into_system_kernel(self):
-        from repro.adls.tea_making import tea_making_definition
-        from repro.core.system import CoReDA
-
-        config = CoReDAConfig(sim=SimConfig(kernel_backend="heap"))
-        system = CoReDA(tea_making_definition(), config)
-        assert system.sim.backend == "heap"
-
-
 class TestScenarioBackendEquivalence:
     """The tier-1 gate: the full Figure 1 scenario, heap vs calendar,
     identical timelines."""
 
     def test_identical_timelines(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "heap")
-        heap = run_tea_scenario()
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "calendar")
         calendar = run_tea_scenario()
+        built = []
+        monkeypatch.setattr(
+            "repro.core.system.Simulator", heap_recorder(built)
+        )
+        heap = run_tea_scenario()
+        assert built  # the scenario really ran on the heap oracle
         assert calendar.timeline == heap.timeline
         assert calendar.completed == heap.completed
         for field in (
