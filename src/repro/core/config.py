@@ -44,10 +44,11 @@ class SensingConfig:
     #: Refractory period after a detection before the same node may
     #: report again (keeps one physical use = one usage event).
     refractory_period: float = 2.0
-    #: Samples drawn per kernel event by node firmware.  1 = the
-    #: reference per-sample loop; >1 = the block fast path, which is
-    #: byte-identical to the reference (see docs/architecture.md) but
-    #: runs the sensing-bound experiment cells several times faster.
+    #: 1 = the reference per-sample node firmware; >1 = the block fast
+    #: path, byte-identical to the reference (see docs/architecture.md)
+    #: and several times faster.  In the fast path this is the block
+    #: length of an open-ended use only (one ended by ``end_use``);
+    #: idle spans and uses with a known end size their own blocks.
     batch_samples: int = 10
 
     def __post_init__(self) -> None:

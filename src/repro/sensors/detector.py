@@ -121,7 +121,8 @@ class KofNDetector:
                 self._refractory_left = 0
                 m -= refractory_left
             if self._window_sum == 0:
-                window.extend([False] * m)
+                # The deque keeps only the last n flags anyway.
+                window.extend([False] * min(m, n))
             elif m >= n:
                 window.clear()
                 window.extend([False] * n)

@@ -17,11 +17,17 @@ Two firmware implementations coexist, selected by
   kernel event per block of samples, drawn vectorised from the
   :class:`~repro.sensors.signals.SignalSource` and fed to the detector
   in one call, with usage reports scheduled at their exact per-sample
-  timestamps.  When the resident flips the signal regime mid-block,
-  the node rolls the source/detector back to the block start, replays
-  the committed prefix, and resumes sampling from the first
-  uncommitted timestamp -- so the event stream is byte-identical to
-  the reference loop (see ``docs/architecture.md``).
+  timestamps.  The block length follows the source's regime: an idle
+  tool samples :data:`IDLE_BLOCK_SAMPLES` per block, a use with a
+  known end runs to that end (at most :data:`ACTIVE_BLOCK_SAMPLES`),
+  and an open-ended use (ended by ``end_use``) takes
+  ``batch_samples`` per block.  Each block's sample clock is computed
+  once, vectorised and bit-identical to the reference loop's.  When
+  the resident flips the signal regime mid-block, the node rolls the
+  source/detector back to the block start, replays the committed
+  prefix, and resumes sampling from the first uncommitted timestamp
+  -- so the event stream is byte-identical to the reference loop (see
+  ``docs/architecture.md``).
 
 Battery-powered nodes always use the reference loop: the battery
 drains per sample *interleaved* with transmit drains, an ordering a
@@ -31,9 +37,10 @@ pre-drawn block cannot reproduce.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.adl import Tool
 from repro.core.config import SensingConfig
@@ -49,12 +56,24 @@ from repro.sensors.radio import (
     Frame,
     RadioMedium,
 )
-from repro.sensors.signals import SignalSource, SourceState
+from repro.sensors.signals import SignalSource, SourceState, sample_clock
 from repro.sim.kernel import Event, Simulator
 from repro.sim.process import Process, Timeout
 from repro.sim.tracing import TraceRecorder
 
 __all__ = ["Led", "PavenetNode"]
+
+#: Samples per block while the tool is idle.  Longer spans mean fewer
+#: kernel events but more stale draws to discard when a use begins
+#: mid-span; 100-300 measured fastest on a 1000-home fleet, 1000 slower.
+IDLE_BLOCK_SAMPLES = 200
+#: Cap on a block that runs to a use's known expiry; 100 measured
+#: faster than 10 or 600.
+ACTIVE_BLOCK_SAMPLES = 100
+
+_INF = float("inf")
+#: The clock of a node between blocks: no samples, next start 0.
+_NO_CLOCK = np.zeros(1)
 
 
 @dataclass
@@ -154,14 +173,15 @@ class PavenetNode:
         self._block_running = False
         self._block_event: Optional[Event] = None
         self._block_t0: Optional[float] = None
-        self._block_n = 0
-        self._block_last = 0.0
+        #: The current block's clock (see ``_block_sample_times``).
+        self._block_times = _NO_CLOCK
+        self._last_report = -_INF
         self._block_source_state: Optional[SourceState] = None
         self._block_detector_state: Optional[DetectorState] = None
         self._block_agc_state: Optional[Tuple[float, int]] = None
         # (scheduled time, event) pairs: the time rides along because
         # the events are scheduled ``reusable`` -- once one has fired
-        # the kernel may recycle the object, so pruning decisions must
+        # the kernel may recycle the object, so cancel decisions must
         # never read fields off a handle that might be dead.
         self._block_pending: List[Tuple[float, Event]] = []
         source.subscribe_regime(self._on_regime_change)
@@ -191,12 +211,13 @@ class PavenetNode:
             if self._block_event is not None:
                 self._block_event.cancel()
                 self._block_event = None
-            now = self.sim.now
-            for time, event in self._block_pending:
-                if time > now:
-                    event.cancel()
-            self._block_pending = []
+            if self._block_t0 is not None:
+                committed = self._committed(self.sim.now)
+                self._cancel_reports_from(self._block_times.item(committed))
             self._block_t0 = None
+            # Finished fleet homes linger until the cycle collector
+            # runs; dropping their clocks keeps peak memory flat.
+            self._block_times = _NO_CLOCK
 
     @property
     def running(self) -> bool:
@@ -227,49 +248,20 @@ class PavenetNode:
 
     # ----- block fast path ---------------------------------------------
 
-    def _block_sample_times(self, start: float, n: int) -> List[float]:
-        """Sample timestamps of a block, accumulated by repeated float
-        addition exactly like the reference loop's ``Timeout(period)``
-        clock.  Deterministic, so the list is rebuilt on demand (hits
-        and invalidations are rare) instead of per block.
-        """
-        times: List[float] = []
-        append = times.append
-        t = start
-        period = self._period
-        for _ in range(n):
-            append(t)
-            t += period
-        return times
+    def _block_sample_times(self, start: float, n: int) -> np.ndarray:
+        """The block clock: ``n`` sample timestamps from ``start``, then
+        the timestamp that follows them (the next block's start).
 
-    def _truncated_length(self, start: float) -> int:
-        """The next block's sample count, truncated at a known regime
-        expiry so a block never spans one.
-
-        A count of 0 never occurs: when ``start`` is already past the
-        expiry the full block runs (the source expires itself at the
-        first read, so the regime is constant anyway).
+        Bit-identical to the reference loop's ``Timeout(period)`` clock
+        (see :func:`~repro.sensors.signals.sample_clock`).  Entries
+        reach the kernel through ``item``, as plain floats.
         """
-        n = self._batch
-        source = self.source
-        if source.active:
-            until = source.active_until
-            if until != float("inf"):
-                count = 0
-                t = start
-                period = self._period
-                while count < n and t < until:
-                    count += 1
-                    t += period
-                if 0 < count < n:
-                    return count
-        return n
+        return sample_clock(start, self._period, n + 1)
 
     def _process_block(self) -> None:
         sim = self.sim
         source = self.source
         t0 = sim.now
-        n = self._truncated_length(t0)
         # Snapshot everything a mid-block regime change would need to
         # roll back: RNG + regime, detector window, AGC noise tracker.
         self._block_source_state = source.capture()
@@ -277,38 +269,41 @@ class PavenetNode:
         if self.agc is not None:
             tracker = self.agc.tracker
             self._block_agc_state = (tracker.estimate, tracker.observations)
-        values = source.read_block(t0, n, self._hz)
-        if self.agc is None:
-            hits = self.detector.observe_block(values)
+        n = 0
+        if source.active:
+            until = source.active_until
+            if until == _INF:
+                n = self._batch
+                times = self._block_sample_times(t0, n)
+            else:
+                # Run to the known expiry, never across it.  A use that
+                # already expired (n == 0) is idle: the first read ends it.
+                times = self._block_sample_times(t0, ACTIVE_BLOCK_SAMPLES)
+                n = int(times[:ACTIVE_BLOCK_SAMPLES].searchsorted(until))
+                times = times[:n + 1]
+        if n:
+            values = source.read_block_at(times[:n])
         else:
-            hits = self._detect(values)
-        period = self._period
-        self._block_pending = pending = []
-        if hits:
+            n = IDLE_BLOCK_SAMPLES
             times = self._block_sample_times(t0, n)
-            for index in hits:
-                if index == 0:
-                    self._report_usage()
-                else:
-                    time = times[index]
-                    pending.append(
-                        (
-                            time,
-                            sim.schedule_at(
-                                time, self._report_usage, reusable=True
-                            ),
-                        )
-                    )
-            last = times[-1]
-        else:
-            last = t0
-            for _ in range(n - 1):
-                last += period
+            if source.active:
+                values = source.read_block_at(times[:n])
+            else:
+                values = source.read_block(t0, n, self._hz)
+        hits = self._detect(values)
+        self._block_pending = pending = []
+        for index in hits:
+            if index == 0:
+                self._report_usage()
+            else:
+                time = times.item(index)
+                pending.append(
+                    (time, sim.schedule_at(time, self._report_usage, reusable=True))
+                )
         self._block_t0 = t0
-        self._block_n = n
-        self._block_last = last
+        self._block_times = times
         self._block_event = sim.schedule_at(
-            last + period, self._process_block, reusable=True
+            times.item(n), self._process_block, reusable=True
         )
 
     def _detect(self, values) -> Sequence[int]:
@@ -325,35 +320,56 @@ class PavenetNode:
                 hits.append(index)
         return hits
 
+    def _committed(self, now: float) -> int:
+        """How many samples of the current block the clock has passed.
+
+        Samples before ``now`` are committed.  A sample *at* ``now`` is
+        committed only if this node already acted on it at this
+        instant: the block event that drew it fired now, or its usage
+        report did.  Otherwise the change that is running now came
+        first, as a change scheduled ahead of time does in the
+        reference loop.
+        """
+        times = self._block_times
+        n = len(times) - 1
+        j = int(times[:n].searchsorted(now))
+        # times[j] >= now and reports never lie ahead of the clock, so
+        # these ordering tests are ties with ``now``.
+        if j < n and times.item(j) <= now and (j == 0 or self._last_report >= now):
+            j += 1
+        return j
+
+    def _cancel_reports_from(self, time: float) -> None:
+        """Cancel the block's usage reports scheduled at ``time`` or later.
+
+        Every earlier report has already fired, and a fired handle may
+        have been recycled by the kernel, so it is never touched.
+        """
+        for scheduled, event in self._block_pending:
+            if scheduled >= time:
+                event.cancel()
+        self._block_pending = []
+
     def _on_regime_change(self) -> None:
         """Invalidate the pre-drawn block tail after ``begin_use``/``end_use``.
 
-        Samples at ``t <= now`` are *committed* -- the reference loop
-        would have read them before the regime change, and their draws
-        and any usage reports already happened with identical bytes.
-        Samples at ``t > now`` were drawn from the wrong regime: roll
-        the source and detector back to the block start, replay the
-        committed prefix (restoring the exact RNG position and window
-        state), re-apply the new regime, and resume block sampling at
-        the first uncommitted timestamp.
+        Committed samples (see :meth:`_committed`) were read before
+        the change, and their draws and any usage reports already
+        happened with identical bytes.  Later samples were drawn from
+        the wrong regime: roll the source and detector back to the
+        block start, replay the committed prefix (restoring the exact
+        RNG position and window state), re-apply the new regime, and
+        resume block sampling at the first uncommitted timestamp.
         """
-        t0 = self._block_t0
-        if not self._block_running or t0 is None:
+        if not self._block_running or self._block_t0 is None:
             return
-        sim = self.sim
-        now = sim.now
-        if now >= self._block_last:
+        times = self._block_times
+        j = self._committed(self.sim.now)
+        if j == len(times) - 1:
             return  # every sample in this block is already committed
-        times = self._block_sample_times(t0, self._block_n)
-        j = bisect_right(times, now)
+        resume = times.item(j)
         # Usage reports drawn from the stale tail must not fire.
-        kept: List[Tuple[float, Event]] = []
-        for time, event in self._block_pending:
-            if time > now:
-                event.cancel()
-            else:
-                kept.append((time, event))
-        self._block_pending = kept
+        self._cancel_reports_from(resume)
         if self._block_event is not None:
             self._block_event.cancel()
             self._block_event = None
@@ -366,13 +382,13 @@ class PavenetNode:
             tracker = self.agc.tracker
             tracker.estimate, tracker.observations = self._block_agc_state
         if j:
-            # Replay for state only: the committed hits already fired
-            # (or sit in ``kept``), so the indices are discarded.
+            # Replay for state only: the committed hits already fired,
+            # so the indices are discarded.
             self._detect(source.read_block_at(times[:j]))
         source.set_regime(post_active, post_until)
         self._block_t0 = None
-        self._block_event = sim.schedule_at(
-            times[j], self._process_block, reusable=True
+        self._block_event = self.sim.schedule_at(
+            resume, self._process_block, reusable=True
         )
 
     # ----- shared machinery --------------------------------------------
@@ -385,6 +401,7 @@ class PavenetNode:
     def _report_usage(self) -> None:
         sequence = next(self._sequence)
         self.usage_reports += 1
+        self._last_report = self.sim.now
         self.eeprom.append(
             EepromRecord(
                 timestamp=self.rtc.local_time(self.sim.now),

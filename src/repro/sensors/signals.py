@@ -41,10 +41,22 @@ from typing import Any, Callable, List, Tuple
 
 import numpy as np
 
-__all__ = ["SignalProfile", "SignalSource"]
+__all__ = ["SignalProfile", "SignalSource", "sample_clock"]
 
 #: Opaque source state: (bit-generator state, active, active-until).
 SourceState = Tuple[Any, bool, float]
+
+
+def sample_clock(start: float, period: float, n: int) -> np.ndarray:
+    """``n`` sample timestamps from ``start``, one ``period`` apart.
+
+    ``np.add.accumulate`` is a strict left fold, so entry ``k`` is
+    bit-identical to adding ``period`` to ``start`` ``k`` times -- the
+    kernel clock of a firmware loop that sleeps one period per sample.
+    """
+    clock = np.full(n, period)
+    clock[:1] = start
+    return np.add.accumulate(clock, out=clock)
 
 
 @dataclass(frozen=True)
@@ -218,23 +230,16 @@ class SignalSource:
     def read_block(self, now: float, n: int, hz: float) -> np.ndarray:
         """Sample ``n`` readings at ``hz`` starting at ``now``.
 
-        Sample times accumulate by repeated float addition of the
-        period -- matching the kernel clock of a firmware loop that
-        sleeps one period per sample -- so regime-expiry comparisons
-        land on exactly the timestamps the scalar loop would see.
+        Sample times come from :func:`sample_clock`, so regime-expiry
+        comparisons land on exactly the timestamps the scalar loop
+        would see.
         """
         if not self._active:
             # Idle blocks never consult the timestamps; skip building
             # them (this is the hot path of an idle node).
             out = self._rng.normal(0.0, self.profile.noise_sd, n)
             return np.abs(out, out=out)
-        period = 1.0 / hz
-        times = np.empty(n)
-        t = now
-        for i in range(n):
-            times[i] = t
-            t += period
-        return self.read_block_at(times)
+        return self.read_block_at(sample_clock(now, 1.0 / hz, n))
 
     def capture(self) -> SourceState:
         """Snapshot (generator state, regime) for :meth:`restore`."""

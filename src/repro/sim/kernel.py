@@ -45,7 +45,7 @@ __all__ = [
 ]
 
 #: Calendar bucket width in simulated seconds, tuned for the 10 Hz
-#: sampling traffic: one block event per node-second plus millisecond
+#: sampling traffic: node block events seconds apart plus millisecond
 #: radio offsets.  It changes speed only, never the event order.
 BUCKET_WIDTH = 0.5
 

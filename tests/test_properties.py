@@ -2,10 +2,13 @@
 
 import math
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.adl import SensorType, Tool
 from repro.core.bus import EventBus
+from repro.core.config import RadioConfig, SensingConfig
 from repro.core.metrics import rolling_mean, wilson_interval
 from repro.rl.convergence import ConvergenceDetector, convergence_iteration
 from repro.rl.dense import DenseQTable, DenseTraces
@@ -14,6 +17,9 @@ from repro.rl.traces import TraceKind
 from repro.sensing.history import UsageHistory
 from repro.sensors.detector import KofNDetector
 from repro.sensors.eeprom import RECORD_SIZE, EepromLog, EepromRecord
+from repro.sensors.pavenet import IDLE_BLOCK_SAMPLES, PavenetNode
+from repro.sensors.radio import RadioMedium
+from repro.sensors.signals import SignalProfile, SignalSource
 from repro.sim.kernel import Simulator
 
 
@@ -181,6 +187,59 @@ def test_detector_never_fires_without_k_exceedances(samples, k):
 def test_detector_silent_below_threshold(samples):
     detector = KofNDetector(threshold=2.0, k=3, n=10)
     assert detector.observe_trace(samples) == 0
+
+
+@given(
+    st.lists(st.floats(min_value=0.0, max_value=4.0), max_size=30),
+    st.integers(min_value=0, max_value=IDLE_BLOCK_SAMPLES),
+)
+def test_detector_idle_block_matches_per_sample(prefix, idle):
+    # A long all-quiet block after any history leaves the detector
+    # exactly where per-sample observation would.
+    block = KofNDetector(threshold=2.0, k=3, n=10, refractory_samples=4)
+    scalar = KofNDetector(threshold=2.0, k=3, n=10, refractory_samples=4)
+    block.observe_block(prefix)
+    block.observe_block([0.0] * idle)
+    for sample in prefix + [0.0] * idle:
+        scalar.observe(sample)
+    assert block.snapshot() == scalar.snapshot()
+
+
+# ---------------------------------------------------------------------------
+# node block clock
+
+def _scalar_clock(start, steps):
+    """The reference firmware's clock: one ``Timeout(0.1)`` per sample."""
+    times = [start]
+    for _ in range(steps):
+        times.append(times[-1] + 0.1)
+    return times
+
+
+def _node():
+    sim = Simulator()
+    return PavenetNode(
+        sim=sim,
+        tool=Tool(1, "cup", SensorType.ACCELEROMETER),
+        source=SignalSource(SignalProfile(), np.random.default_rng(0)),
+        radio=RadioMedium(sim, RadioConfig(), np.random.default_rng(1)),
+        config=SensingConfig(),
+    )
+
+
+@given(
+    st.floats(min_value=0.0, max_value=7200.0),
+    st.integers(min_value=0, max_value=IDLE_BLOCK_SAMPLES),
+    st.integers(min_value=1, max_value=IDLE_BLOCK_SAMPLES),
+)
+@settings(max_examples=300)
+def test_node_block_clock_is_the_scalar_clock(base, resume, n):
+    # Blocks start on an earlier block's clock (``resume`` periods past
+    # ``base``), which is where a resume after an invalidation lands:
+    # off the k/10 grid.
+    start = _scalar_clock(base, resume)[-1]
+    clock = _node()._block_sample_times(start, n)
+    assert clock.tolist() == _scalar_clock(start, n)
 
 
 # ---------------------------------------------------------------------------

@@ -15,15 +15,30 @@ import pytest
 
 from repro.core.adl import SensorType, Tool
 from repro.core.config import CoReDAConfig, RadioConfig, SensingConfig
+from repro.evalx.ablations import plan_radio_sweep
+from repro.evalx.parallel import run_section
 from repro.evalx.scenario import run_tea_scenario
-from repro.sensors.pavenet import PavenetNode
+from repro.fleet import FleetSpec, run_fleet
+from repro.sensors.agc import ThresholdController
+from repro.sensors.pavenet import (
+    ACTIVE_BLOCK_SAMPLES,
+    IDLE_BLOCK_SAMPLES,
+    PavenetNode,
+)
 from repro.sensors.radio import BASE_STATION_UID, RadioMedium
-from repro.sensors.signals import SignalProfile, SignalSource
+from repro.sensors.signals import SignalProfile, SignalSource, sample_clock
 from repro.sim.kernel import Simulator
 from repro.sim.tracing import TraceRecorder
 
+PERIOD = 0.1
+#: Seconds one idle block spans, and one capped active block.
+IDLE_SPAN = IDLE_BLOCK_SAMPLES * PERIOD
+ACTIVE_SPAN = ACTIVE_BLOCK_SAMPLES * PERIOD
+#: The reference loop's sample timestamps from t=0, exactly.
+CLOCK = sample_clock(0.0, PERIOD, 1200).tolist()
 
-def build_node(batch_samples):
+
+def build_node(batch_samples, agc=False):
     """One complete node world with a deterministic seed."""
     sim = Simulator()
     trace = TraceRecorder()
@@ -40,6 +55,9 @@ def build_node(batch_samples):
         radio=radio,
         config=SensingConfig(batch_samples=batch_samples),
         trace=trace,
+        # A tight margin over a low quantile lets noise trip the
+        # detector, so outputs hinge on the tracked threshold.
+        agc=ThresholdController(quantile=0.9, margin=1.1) if agc else None,
     )
     received = []
     radio.attach(
@@ -51,9 +69,9 @@ def build_node(batch_samples):
     return sim, node, source, trace, received
 
 
-def run_script(batch_samples, script):
+def run_script(batch_samples, script, agc=False):
     """Run one node under ``script``: (time, action, kwargs) tuples."""
-    sim, node, source, trace, received = build_node(batch_samples)
+    sim, node, source, trace, received = build_node(batch_samples, agc)
     node.start()
     for time, action, kwargs in script:
         if action == "begin":
@@ -64,7 +82,7 @@ def run_script(batch_samples, script):
             sim.schedule_at(time, source.end_use)
         elif action == "stop":
             sim.schedule_at(time, node.stop)
-    sim.run_until(20.0)
+    sim.run_until(120.0)
     return {
         "trace": trace.entries(),
         "received": received,
@@ -75,9 +93,9 @@ def run_script(batch_samples, script):
     }
 
 
-def assert_streams_equal(script):
-    scalar = run_script(1, script)
-    batched = run_script(10, script)
+def assert_streams_equal(script, agc=False):
+    scalar = run_script(1, script, agc)
+    batched = run_script(10, script, agc)
     assert batched["trace"] == scalar["trace"]
     assert batched["received"] == scalar["received"]
     assert batched["eeprom"] == scalar["eeprom"]
@@ -94,7 +112,8 @@ class TestNodeEquivalence:
         assert_streams_equal([(0.0, "begin", {"duration": 5.0})])
 
     def test_duration_expiring_mid_block(self):
-        # Expiry at t=1.23 falls inside the second 1 s block.
+        # begin_use lands inside the first idle span; the active block
+        # that resumes at t=0.8 then runs to the expiry at t=1.23.
         assert_streams_equal([(0.73, "begin", {"duration": 0.5})])
 
     def test_end_use_invalidates_block_tail(self):
@@ -128,6 +147,65 @@ class TestNodeEquivalence:
         assert_streams_equal(
             [(0.0, "begin", {}), (3.14, "stop", {})]
         )
+
+    def test_begin_use_after_several_idle_spans(self):
+        assert 2 * IDLE_SPAN < 47.31 < 3 * IDLE_SPAN
+        assert_streams_equal(
+            [(47.31, "begin", {"duration": 3.0}), (88.88, "begin", {}),
+             (93.07, "end", {})]
+        )
+
+    def test_finite_use_longer_than_active_cap(self):
+        # The use spans several capped active blocks, then expires
+        # mid-block.
+        duration = 3.4 * ACTIVE_SPAN
+        assert_streams_equal([(5.55, "begin", {"duration": duration})])
+
+    def test_perseveration_restarts_an_active_finite_use(self):
+        # A second begin_use while the first finite use still runs
+        # moves the known expiry mid-block.
+        assert_streams_equal(
+            [(12.34, "begin", {"duration": 8.0}),
+             (15.67, "begin", {"duration": 6.0}),
+             (16.01, "begin", {"duration": 0.35})]
+        )
+
+    @pytest.mark.parametrize("index", [437, 600, 201])
+    def test_regime_change_exactly_on_a_sample_timestamp(self, index):
+        # The change and the sample share a timestamp bit for bit.
+        # Index 600 falls on an idle block's first sample.
+        start = CLOCK[index]
+        assert_streams_equal(
+            [(start, "begin", {}), (CLOCK[index + 35], "end", {}),
+             (CLOCK[index + 80], "begin", {"duration": 2.0})]
+        )
+
+    def test_change_on_a_due_report_cancels_it(self):
+        # An open-ended use reports at CLOCK[54], mid-block.  Ending the
+        # use at that very instant comes first in the reference loop,
+        # so that sample is idle and the report must never fire.
+        times = [entry.time for entry in
+                 run_script(1, [(0.0, "begin", {})])["trace"]]
+        assert CLOCK[54] in times
+        assert_streams_equal([(0.0, "begin", {}), (CLOCK[54], "end", {})])
+
+    def test_stop_mid_long_idle_block(self):
+        assert_streams_equal(
+            [(2.0, "begin", {"duration": 4.0}), (33.33, "stop", {})]
+        )
+
+    def test_agc_node_across_long_idle_spans(self):
+        assert_streams_equal(
+            [(3.21, "begin", {"duration": 4.0}),
+             (71.7, "begin", {}), (75.55, "end", {})],
+            agc=True,
+        )
+
+    def test_idle_node_fires_one_event_per_span(self):
+        sim, node, _, _, _ = build_node(10)
+        node.start()
+        sim.run_until(120.0)
+        assert sim.events_processed <= 120.0 / IDLE_SPAN + 1
 
     def test_batch_sizes_beyond_default(self):
         script = [(0.42, "begin", {"duration": 3.3}), (7.7, "begin", {}),
@@ -171,6 +249,33 @@ class TestScenarioEquivalence:
         default = run_tea_scenario()
         assert SensingConfig().batch_samples > 1
         assert default.timeline == scalar.timeline
+
+
+class TestFleetEquivalence:
+    def test_high_severity_fleet_identical(self):
+        # High severity: wrong-tool and perseveration uses re-trigger
+        # sources mid-block.
+        spec = FleetSpec(seed=3, homes=24, episodes_per_home=2,
+                         max_severity=1.0, shard_size=8, seed_classes=2)
+        reference = replace(
+            CoReDAConfig(seed=spec.seed),
+            sensing=SensingConfig(batch_samples=1),
+        )
+        assert (
+            run_fleet(spec).to_json()
+            == run_fleet(spec, config=reference).to_json()
+        )
+
+
+class TestRadioSweepEquivalence:
+    def test_radio_ablation_table_identical(self, tea_definition):
+        def table(sensing):
+            return run_section(
+                plan_radio_sweep(tea_definition, samples_per_step=8,
+                                 sensing=sensing)
+            )
+
+        assert table(SensingConfig()) == table(SensingConfig(batch_samples=1))
 
 
 class TestExtractPrecisionEquivalence:

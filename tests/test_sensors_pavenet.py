@@ -8,10 +8,11 @@ from repro.core.config import RadioConfig, SensingConfig
 from repro.sensors.pavenet import Led, PavenetNode
 from repro.sensors.radio import BASE_STATION_UID, Frame, RadioMedium
 from repro.sensors.signals import SignalProfile, SignalSource
+from repro.sim.kernel import Simulator
 
 
-@pytest.fixture
-def setup(sim):
+def build_world(sim):
+    """A mains-powered node on a lossless radio, with the frames it sends."""
     radio = RadioMedium(
         sim, RadioConfig(loss_probability=0.0), np.random.default_rng(0)
     )
@@ -25,6 +26,11 @@ def setup(sim):
     received = []
     radio.attach(BASE_STATION_UID, received.append)
     return node, source, radio, received
+
+
+@pytest.fixture
+def setup(sim):
+    return build_world(sim)
 
 
 class TestFirmwareLoop:
@@ -72,11 +78,15 @@ class TestFirmwareLoop:
         node, _, _, _ = setup
         node.start()
         node.start()
+        twin_sim = Simulator()
+        twin, _, _, _ = build_world(twin_sim)
+        twin.start()
         sim.run_until(1.0)
-        # One firmware: at most two blocks pre-drawn by t=1.0 (the
-        # block sampler draws eagerly, so the counter runs one block
-        # ahead of the clock).  A duplicate firmware would double it.
-        assert node.detector.samples_seen <= 21
+        twin_sim.run_until(1.0)
+        # A duplicate firmware would draw twice as many samples and
+        # keep a second block event queued, whatever the block length.
+        assert node.detector.samples_seen == twin.detector.samples_seen
+        assert sim.pending_count == twin_sim.pending_count == 1
 
 
 class TestLedCommands:
