@@ -10,7 +10,7 @@ lint-sarif:
 	$(PYTHON) -m repro lint src/repro --baseline lint-baseline.json --format sarif > lint.sarif
 
 lint-bench:
-	$(PYTHON) -m pytest benchmarks/test_bench_lint.py --benchmark-only -s
+	$(PYTHON) -m pytest benchmarks/test_bench_lint.py -s
 
 test:
 	$(PYTHON) -m pytest tests/
@@ -18,8 +18,8 @@ test:
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s
 
-# Regenerates BENCH_fleet.json: scaling vs --jobs, the policy-plane
-# section (shm arena vs json reference), and the /dev/shm leak scan.
+# Regenerates BENCH_fleet.json: scaling vs --jobs and the /dev/shm
+# leak scan.
 fleet-bench:
 	$(PYTHON) -m pytest benchmarks/test_bench_fleet.py --benchmark-only -s
 

@@ -1,15 +1,12 @@
 """Bench: fleet-scale population simulation (``repro.fleet``).
 
-Runs a 1000-home fleet serial and with ``--jobs 4`` on both policy
-planes (the zero-copy shared-memory arena and the JSON reference
-path), asserts the aggregate metrics are byte-identical everywhere
-(the fleet inherits the parallel runner's determinism contract; the
-plane is a speed knob, not a semantics knob) and that policy sharing
-trained only the distinct (routine, seed class) combinations, then
-writes the measurements to ``BENCH_fleet.json`` at the repo root:
-homes/sec per mode, the scaling curve vs ``--jobs`` with the
-``parallel_speedup_jobs4`` ratio, a per-plane timing section, the
-shared-memory leak scan (``/dev/shm`` must hold no arena segments
+Runs a 1000-home fleet serial and with ``--jobs 4``, asserts the
+aggregate metrics are byte-identical (the fleet inherits the parallel
+runner's determinism contract) and that policy sharing trained only
+the distinct (routine, seed class) combinations, then writes the
+measurements to ``BENCH_fleet.json`` at the repo root: homes/sec per
+mode, the scaling curve vs ``--jobs`` with the
+``parallel_speedup_jobs4`` ratio, the shared-memory leak scan (``/dev/shm`` must hold no arena segments
 after the runs), parent peak RSS per 1k homes (the streaming reducers
 keep the parent O(1) in fleet size), and the byte-identity flags.
 
@@ -45,11 +42,9 @@ SPEC = FleetSpec(
 )
 
 
-def _timed_fleet(jobs, cache_dir=None, policy_plane="shm"):
+def _timed_fleet(jobs, cache_dir=None):
     start = time.perf_counter()
-    result = run_fleet(
-        SPEC, jobs=jobs, cache_dir=cache_dir, policy_plane=policy_plane
-    )
+    result = run_fleet(SPEC, jobs=jobs, cache_dir=cache_dir)
     return result, time.perf_counter() - start
 
 
@@ -57,23 +52,13 @@ def test_fleet_scale(benchmark, tmp_path):
     definition = default_registry().get(SPEC.adl_name)
     distinct = len(distinct_trainings(SPEC.expand(definition)))
 
-    runs = {
-        (plane, jobs): _timed_fleet(jobs=jobs, policy_plane=plane)
-        for plane in ("shm", "json")
-        for jobs in (1, 4)
-    }
-    serial, serial_s = runs[("shm", 1)]
-    parallel, parallel_s = runs[("shm", 4)]
+    serial, serial_s = _timed_fleet(jobs=1)
+    parallel, parallel_s = _timed_fleet(jobs=4)
 
-    reference = serial.to_json()
-    byte_identical = parallel.to_json() == reference
-    planes_identical = all(
-        result.to_json() == reference for result, _ in runs.values()
-    )
+    byte_identical = parallel.to_json() == serial.to_json()
     assert byte_identical
-    assert planes_identical
 
-    # Arena hygiene: every shared-memory segment the shm runs
+    # Arena hygiene: every shared-memory segment the runs
     # published must be unlinked by the time run_fleet returns.
     leaked = sorted(glob.glob("/dev/shm/rpp*"))
     assert not leaked, f"leaked arena segments: {leaked}"
@@ -118,7 +103,6 @@ def test_fleet_scale(benchmark, tmp_path):
         "cache_hits": serial.metrics.cache_hits,
         "cpu_count": cpu_count,
         "byte_identical_jobs_1_vs_4": byte_identical,
-        "byte_identical_shm_vs_json": planes_identical,
         "parallel_speedup_jobs4": round(speedup, 2),
         "scaling_vs_jobs": {
             "1": {
@@ -129,17 +113,6 @@ def test_fleet_scale(benchmark, tmp_path):
                 "seconds": round(parallel_s, 3),
                 "homes_per_sec": round(_HOMES / parallel_s, 1),
             },
-        },
-        "policy_plane": {
-            plane: {
-                str(jobs): {
-                    "seconds": round(seconds, 3),
-                    "homes_per_sec": round(_HOMES / seconds, 1),
-                }
-                for (run_plane, jobs), (_, seconds) in runs.items()
-                if run_plane == plane
-            }
-            for plane in ("shm", "json")
         },
         "shm_segments_leaked": leaked,
         "parent_peak_rss_mb": round(peak_rss_mb, 1),

@@ -13,10 +13,8 @@ Edges are *resolved where the source is explicit* and
 * ``obj.helper(...)`` -- dynamic dispatch; resolves to *every*
   indexed method named ``helper`` (the by-name fallback).  This
   over-approximation is the right direction for the dataflow rules:
-  VER001 asks "could this call mutate a Q buffer without bumping the
-  version?" and PAR002 asks "could worker code reach a global
-  write?", and both must answer yes unless the graph proves
-  otherwise.
+  PAR002 asks "could worker code reach a global write?", and must
+  answer yes unless the graph proves otherwise.
 
 The graph is demand-built once per lint run and shared by every
 cross-module rule; like the index classes it is registered in the

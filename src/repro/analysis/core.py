@@ -7,7 +7,7 @@ The framework has two passes:
 2. **Whole-program rules** (:class:`ProjectRule`) run once per lint
    invocation against a :class:`repro.analysis.index.ProjectIndex`
    built over *every* module of the run, so they can follow dataflow
-   across module boundaries (helper calls that mutate a Q buffer,
+   across module boundaries (cell callables defined elsewhere,
    worker entry points reaching global writes, ...).
 
 A registry maps rule IDs to singleton rule instances; the driver
@@ -512,8 +512,8 @@ _TERMINATORS = (ast.Return, ast.Raise, ast.Continue, ast.Break)
 class StatementOrder:
     """Structural execution order inside one function body.
 
-    Used by the path-sensitive rules (VER001's "bumps the version on
-    every path", SIM003's "never referenced after recycle").  Each
+    Used by the path-sensitive SIM003 rule ("never referenced after
+    recycle").  Each
     statement gets a *path*: the chain of ``(block, index)`` steps
     from the function body down to it.  Two relations fall out:
 
@@ -528,7 +528,7 @@ class StatementOrder:
     The model ignores exceptions and treats loop bodies as straight-
     line (a statement later in a loop body is "after" an earlier one);
     that is exactly the right fidelity for review-time contract
-    checking, and both rules have fixture tests pinning it.
+    checking, and the rule's fixture tests pin it.
     """
 
     __slots__ = ("_paths", "_blocks", "_owner")
@@ -596,29 +596,6 @@ class StatementOrder:
         block_b, index_b = pb[depth]
         block_a, index_a = pa[depth]
         return block_b == block_a and index_b > index_a
-
-    def covers_before(self, a: ast.stmt, b: ast.stmt) -> bool:
-        """True when ``b`` runs before ``a`` on every path reaching ``a``.
-
-        The mirror of :meth:`covers_after`: ``b`` must sit *earlier*
-        in one of ``a``'s enclosing blocks, so every structural path
-        that reaches ``a`` has already executed ``b`` (a guard before
-        the enclosing ``if``/``else`` covers writes in both branches;
-        a guard in only one branch does not).  Loop bodies are
-        straight-line here, same fidelity as :meth:`covers_after`.
-        """
-        pa = self._paths.get(id(a))
-        pb = self._paths.get(id(b))
-        if pa is None or pb is None:
-            return False
-        depth = len(pb) - 1
-        if depth >= len(pa):
-            return False
-        if pb[:depth] != pa[:depth]:
-            return False
-        block_b, index_b = pb[depth]
-        block_a, index_a = pa[depth]
-        return block_b == block_a and index_b < index_a
 
     def may_follow(self, a: ast.stmt, b: ast.stmt) -> bool:
         """True when ``b`` may execute after ``a`` (fall-through

@@ -1,18 +1,15 @@
 """Pass 1 of the whole-program analyzer: the :class:`ProjectIndex`.
 
-The per-module rules (DET*/SIM001-2/PERF001) see one
-:class:`~repro.analysis.core.ModuleContext` at a time, which is
-exactly what made the PR 8 stale-version bug invisible to them: the
-buffer write sat in one module, the version contract in another.  The
-cross-module rules (VER001, PAR00x) instead run against this index --
-a symbol table over *every* linted module built in a single pass:
+The per-module rules (DET*, SIM*, PERF001, VER001) see one
+:class:`~repro.analysis.core.ModuleContext` at a time.  The
+cross-module rules (PAR001-2) need to follow a callable or a global
+write across imports, so they run against this index -- a symbol
+table over *every* linted module built in a single pass:
 
 * every module's import aliases (``import x as y`` / ``from x import f``),
 * every function and method with its qualified name, nesting and
   owning class,
-* every class with its method table,
-* an attribute-write index (``attr name -> write sites``), which is
-  how VER001 finds Q-buffer mutations without hard-coding modules.
+* every class with its method table.
 
 The index is deliberately *syntactic*: it resolves what the source
 spells out (module-level names, import aliases, ``self.`` methods)
@@ -32,7 +29,6 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from repro.analysis.core import ModuleContext
 
 __all__ = [
-    "AttributeWrite",
     "ClassInfo",
     "FunctionInfo",
     "ModuleSymbols",
@@ -161,36 +157,6 @@ class ClassInfo:
         return f"ClassInfo({self.module_name}.{self.name})"
 
 
-class AttributeWrite:
-    """One mutation site of an instance attribute (``x.attr[...] = v``,
-    ``x.attr.update(...)`` or ``x.attr = v``)."""
-
-    __slots__ = ("attr", "kind", "node", "function")
-
-    def __init__(
-        self,
-        attr: str,
-        kind: str,
-        node: ast.AST,
-        function: Optional[FunctionInfo],
-    ) -> None:
-        self.attr = attr
-        #: "subscript" (item store), "mutate" (mutating method call)
-        #: or "rebind" (whole-attribute assignment).
-        self.kind = kind
-        self.node = node
-        self.function = function
-
-
-#: Method names that mutate a dict/list container in place.  Used by
-#: the attribute-write index so VER001 sees ``q._flat.extend(...)`` the
-#: same way it sees ``q._flat[off] = v``.
-_MUTATING_METHODS = frozenset(
-    {"update", "setdefault", "pop", "popitem", "clear",
-     "append", "extend", "insert", "remove"}
-)
-
-
 class ProjectIndex:
     """The whole-program symbol table (pass 1 of the analyzer).
 
@@ -200,7 +166,6 @@ class ProjectIndex:
     * :attr:`functions` -- ``(module path, qualname) -> FunctionInfo``
     * :attr:`classes` -- ``(module path, class name) -> ClassInfo``
     * :meth:`functions_named` -- conservative by-name lookup
-    * :meth:`attribute_writes` -- every write site of an attribute name
     * :meth:`module_member` -- resolve ``module.symbol`` to a function
     """
 
@@ -211,7 +176,6 @@ class ProjectIndex:
         "classes",
         "_by_name",
         "_by_module_name",
-        "_attr_writes",
         "_callgraph",
     )
 
@@ -224,7 +188,6 @@ class ProjectIndex:
         self.classes: Dict[Tuple[str, str], ClassInfo] = {}
         self._by_name: Dict[str, List[FunctionInfo]] = {}
         self._by_module_name: Dict[str, List[ModuleContext]] = {}
-        self._attr_writes: Dict[str, List[AttributeWrite]] = {}
         self._callgraph = None
         for module in modules:
             self._index_module(module)
@@ -267,7 +230,6 @@ class ProjectIndex:
                 self._by_name.setdefault(stmt.name, []).append(info)
                 if owner is not None and not nested:
                     owner.methods[stmt.name] = info
-                self._collect_attr_writes(stmt, info)
                 self._index_scope(
                     module, dotted, stmt.body, prefix=qualname + ".",
                     owner=None, nested=True,
@@ -292,45 +254,6 @@ class ProjectIndex:
                             module, dotted, [inner], prefix=prefix,
                             owner=owner, nested=nested,
                         )
-
-    def _collect_attr_writes(
-        self, function: ast.AST, info: FunctionInfo
-    ) -> None:
-        """Record every ``x.attr`` mutation inside ``function``'s own
-        body (nested defs record under their own FunctionInfo)."""
-        for node in _own_nodes(function):
-            if isinstance(node, (ast.Assign, ast.AugAssign)):
-                targets = (
-                    node.targets if isinstance(node, ast.Assign)
-                    else [node.target]
-                )
-                for target in targets:
-                    if isinstance(target, ast.Subscript) and isinstance(
-                        target.value, ast.Attribute
-                    ):
-                        self._record_write(
-                            target.value.attr, "subscript", node, info
-                        )
-                    elif isinstance(target, ast.Attribute):
-                        self._record_write(target.attr, "rebind", node, info)
-            elif isinstance(node, ast.Call):
-                func = node.func
-                if (
-                    isinstance(func, ast.Attribute)
-                    and func.attr in _MUTATING_METHODS
-                    and isinstance(func.value, ast.Attribute)
-                ):
-                    self._record_write(
-                        func.value.attr, "mutate", node, info
-                    )
-
-    def _record_write(
-        self, attr: str, kind: str, node: ast.AST,
-        info: Optional[FunctionInfo],
-    ) -> None:
-        self._attr_writes.setdefault(attr, []).append(
-            AttributeWrite(attr, kind, node, info)
-        )
 
     # ------------------------------------------------------------------
     # lookups
@@ -379,10 +302,6 @@ class ProjectIndex:
             ):
                 return info
         return None
-
-    def attribute_writes(self, attr: str) -> List[AttributeWrite]:
-        """Every recorded write site of ``attr`` across the project."""
-        return self._attr_writes.get(attr, [])
 
     def callgraph(self):
         """The (lazily built, cached) conservative call graph."""

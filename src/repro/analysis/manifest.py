@@ -17,12 +17,10 @@ from __future__ import annotations
 from typing import Tuple
 
 __all__ = [
-    "ARENA_BUFFER_ATTRS",
-    "ARENA_FROZEN_FLAG",
-    "ARENA_THAW_ENTRY_POINTS",
-    "ARENA_THAW_METHOD",
     "CELL_CONSTRUCTOR",
     "CELL_MODULES",
+    "DENSE_OWNER_MODULE",
+    "DENSE_PRIVATE_ATTRS",
     "FREE_LIST_RELEASE_FUNCTIONS",
     "FREE_LIST_RELEASE_METHODS",
     "HOT_PATH_CLASSES",
@@ -32,8 +30,6 @@ __all__ = [
     "SCHEDULING_IMPORT_PREFIXES",
     "SUBMIT_METHODS",
     "TIMESTAMP_NAMES",
-    "VERSIONED_BUFFER_ATTRS",
-    "VERSION_COUNTER",
     "WALL_CLOCK_EXEMPT_PARTS",
     "is_rng_module",
     "is_wall_clock_exempt",
@@ -107,13 +103,12 @@ HOT_PATH_CLASSES: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
             "ModuleSymbols",
             "FunctionInfo",
             "ClassInfo",
-            "AttributeWrite",
             "ProjectIndex",
         ),
     ),
     ("repro/analysis/callgraph.py", ("CallSite", "CallGraph")),
     ("repro/analysis/core.py", ("StatementOrder",)),
-    # The zero-copy policy plane (PR 10): one PolicyArtifact per
+    # Zero-copy policy restore: one PolicyArtifact per
     # distinct training per worker process, one HomeRuntime per shard
     # cell, and the arena itself -- all touched once per home
     # resolution on the fleet's hot path.
@@ -122,35 +117,22 @@ HOT_PATH_CLASSES: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
     ("repro/fleet/home.py", ("HomeRuntime",)),
 )
 
-#: Q-table buffer attributes whose element-wise mutation must bump
-#: the monotone ``version`` counter (VER001): the dense flat buffer.
-#: Whole-attribute rebinds (``clone._flat = ...`` in ``copy()``) are
-#: exempt -- a fresh table starts its own counter.
-VERSIONED_BUFFER_ATTRS: Tuple[str, ...] = ("_flat",)
-
-#: The monotone counter attribute every Q-table write path must bump
-#: (VER001).  Policy caches revalidate against it; a write that skips
-#: the bump leaves memoized predictions stale (the PR 8 bug class).
-VERSION_COUNTER = "version"
-
-#: Buffer attributes that may be *frozen* -- backed read-only by a
-#: shared-memory arena segment or an mmap'd artifact (PAR003): the
-#: dense flat Q buffer and the written-mask.  Element-wise writes to
-#: either must be dominated by the copy-on-write guard; an unguarded
-#: write raises at best (read-only NumPy view) and corrupts every
-#: attached process's policy at worst.
-ARENA_BUFFER_ATTRS: Tuple[str, ...] = ("_flat", "_written")
-
-#: The flag marking a table as arena-backed, and the copy-on-write
-#: entry point that clears it (PAR003).  ``if X._frozen: X._thaw()``
-#: before the write -- or a bare ``X._thaw()`` -- is the guard shape
-#: the rule accepts.
-ARENA_FROZEN_FLAG = "_frozen"
-ARENA_THAW_METHOD = "_thaw"
-
-#: Qualified names allowed to touch frozen buffers without a guard
-#: (PAR003): the thaw implementation itself is the guard.
-ARENA_THAW_ENTRY_POINTS: Tuple[str, ...] = ("DenseQTable._thaw",)
+#: The one module that owns ``DenseQTable``'s storage (VER001), and
+#: the private attributes nothing outside it may read or write: the
+#: flat Q buffer and its written-mask, the copy-on-write flag and
+#: thaw, the growth path and its counter, and the given-order gather
+#: lane.  Stores to ``version`` are reserved to the owner too.
+DENSE_OWNER_MODULE = "repro/rl/dense.py"
+DENSE_PRIVATE_ATTRS: Tuple[str, ...] = (
+    "_flat",
+    "_written",
+    "_frozen",
+    "_thaw",
+    "_grow",
+    "_grow_count",
+    "_g0",
+    "_g0_view",
+)
 
 #: Where the picklable work-cell constructor lives (PAR001): a call
 #: resolving to ``Cell`` imported from one of these modules is a

@@ -7,22 +7,20 @@ DET003     warning   no unordered iteration where events/randomness flow
 DET004     error     no float ``==``/``!=`` on simulation timestamps
 PAR001     error     Cell/.submit callables module-level, payloads picklable
 PAR002     error     worker-reachable code writes no module globals
-PAR003     error     frozen arena buffers thawed before element-wise writes
 PERF001    warning   hot-path manifest classes declare ``__slots__``
 SIM001     error     process bodies yield only Timeout/Wait directives
 SIM002     warning   capture/snapshot methods pair with restore methods
 SIM003     error     reusable events recycled before callback, dead after
-VER001     error     Q-buffer mutations bump ``version`` on every path
+VER001     error     only ``rl/dense.py`` touches Q-table storage/``version``
 ========== ========= ====================================================
 
-DET/SIM001-2/PERF are per-module rules; VER001 and the PAR family are
+The DET, SIM, PERF and VER rules are per-module; PAR001-2 are
 whole-program rules running against the
 :class:`~repro.analysis.index.ProjectIndex` (see
 :mod:`repro.analysis.callgraph`).
 """
 
 from repro.analysis.rules import (  # noqa: F401  (import = register)
-    arena,
     determinism,
     parallel,
     performance,
@@ -31,7 +29,6 @@ from repro.analysis.rules import (  # noqa: F401  (import = register)
 )
 
 __all__ = [
-    "arena",
     "determinism",
     "parallel",
     "performance",

@@ -113,12 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--jobs", type=int, default=1, metavar="N",
                        help="worker processes (output is byte-identical "
                        "for every N)")
-    fleet.add_argument("--policy-plane", choices=("shm", "json"),
-                       default="shm",
-                       help="how workers restore trained policies: a "
-                       "zero-copy shared-memory arena (shm, default) or "
-                       "the per-worker JSON reference path; never affects "
-                       "the output bytes")
     fleet.add_argument("--cache", metavar="DIR",
                        help="trained-policy cache directory (default: a "
                        "private per-run directory)")
@@ -317,12 +311,7 @@ def _cmd_fleet(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     except ValueError as exc:
         parser.error(str(exc))
     start = time.perf_counter()  # repro: allow[DET002] timing display only
-    result = run_fleet(
-        spec,
-        jobs=args.jobs,
-        cache_dir=args.cache,
-        policy_plane=args.policy_plane,
-    )
+    result = run_fleet(spec, jobs=args.jobs, cache_dir=args.cache)
     elapsed = time.perf_counter() - start  # repro: allow[DET002] timing display only
     print(result.to_json() if args.json else result.to_text())
     if args.timing:

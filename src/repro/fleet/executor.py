@@ -31,7 +31,7 @@ import shutil
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from repro.adls.library import ADLDefinition, default_registry
 from repro.core.config import CoReDAConfig
@@ -117,7 +117,6 @@ def _shard_cell(
     episodes: int,
     training_episodes: int,
     cache_dir: str,
-    policy_plane: str,
 ) -> Tuple[FleetMetrics, int, int]:
     """Wave-2 worker: simulate one shard of homes.
 
@@ -125,18 +124,13 @@ def _shard_cell(
     cache counters -- the counters are per-process, so without this
     the parent would report zero hits for every parallel run.
 
-    The shard's :class:`~repro.fleet.home.HomeRuntime` carries the
-    policy plane: ``"shm"`` resolves policies through the shared-
-    memory arena installed by the pool initializer (falling back to
-    the mmap'd sidecar, then JSON), ``"json"`` is the byte-identity
-    reference path.
+    The shard's :class:`~repro.fleet.home.HomeRuntime` resolves
+    policies through the shared-memory arena installed by the pool
+    initializer, falling back to the mmap'd sidecar, then JSON.
     """
     definition = default_registry().get(adl_name)
     cache = PolicyCache(cache_dir)
-    runtime = HomeRuntime(
-        definition, config, training_episodes, cache,
-        policy_plane=policy_plane,
-    )
+    runtime = HomeRuntime(definition, config, training_episodes, cache)
     metrics = FleetMetrics()
     for report in simulate_shard(
         definition, homes, config, episodes, training_episodes, cache,
@@ -207,7 +201,6 @@ def run_fleet(
     config: Optional[CoReDAConfig] = None,
     cache_dir: Optional[str] = None,
     window: Optional[int] = None,
-    policy_plane: str = "shm",
 ) -> FleetResult:
     """Run a whole fleet; byte-identical result at any ``jobs``.
 
@@ -216,16 +209,13 @@ def run_fleet(
     created for the run and removed afterwards -- policy sharing
     *within* the fleet works either way.
 
-    ``policy_plane`` selects how wave-2 workers restore trained
-    policies: ``"shm"`` (default) publishes each distinct training's
-    binary artifact into a shared-memory arena once and lets every
-    worker serve it zero-copy; ``"json"`` is the reference path
-    through per-worker JSON decoding.  The plane is a speed knob, not
-    a semantics knob -- metrics and cache accounting are byte-
-    identical either way, and the tests pin both.
+    Between the waves each distinct training's binary artifact is
+    published into a shared-memory arena once, and every wave-2
+    worker serves it zero-copy.  Metrics and cache accounting are
+    byte-identical to restoring every policy from its JSON document
+    (``tests/oracles/fleet.py`` keeps that path, and the tests pin
+    the two against each other).
     """
-    if policy_plane not in ("shm", "json"):
-        raise CoReDAError(f"unknown policy plane {policy_plane!r}")
     definition = default_registry().get(spec.adl_name)
     if config is None:
         config = CoReDAConfig(seed=spec.seed)
@@ -236,27 +226,18 @@ def run_fleet(
     if own_cache:
         cache_dir = tempfile.mkdtemp(prefix="repro-fleet-cache-")
     metrics = FleetMetrics()
-    arena: Optional[PolicyArena] = None
-    pool_kwargs: Dict[str, object] = {}
-    cache_keys: List[str] = []
-    if policy_plane == "shm":
-        cache_keys = _fleet_cache_keys(
-            definition, representatives, config, spec.training_episodes
-        )
-        arena = PolicyArena(
-            tag=f"{os.getpid()}.{next(_ARENA_SEQUENCE)}"
-        )
-        # Segment names are deterministic in the cache keys, so the
-        # worker registry exists before wave 1 trains anything and
-        # rides in the pool initializer -- cell payloads stay scalar.
-        pool_kwargs = {
-            "initializer": install_worker_registry,
-            "initargs": (
-                {key: arena.segment_name(key) for key in cache_keys},
-            ),
-        }
+    cache_keys = _fleet_cache_keys(
+        definition, representatives, config, spec.training_episodes
+    )
+    arena = PolicyArena(tag=f"{os.getpid()}.{next(_ARENA_SEQUENCE)}")
+    # Segment names are deterministic in the cache keys, so the worker
+    # registry exists before wave 1 trains anything and rides in the
+    # pool initializer -- cell payloads stay scalar.
+    registry = {key: arena.segment_name(key) for key in cache_keys}
     try:
-        with WorkerPool(jobs, **pool_kwargs) as pool:
+        with WorkerPool(
+            jobs, initializer=install_worker_registry, initargs=(registry,)
+        ) as pool:
             train_cells = [
                 Cell(
                     _train_cell,
@@ -274,9 +255,8 @@ def run_fleet(
             train_stats, _ = run_cells(
                 train_cells, jobs=jobs, window=window, pool=pool
             )
-            if arena is not None:
-                _publish_policies(arena, cache_dir, cache_keys, definition)
-                activate_local_arena(arena)
+            _publish_policies(arena, cache_dir, cache_keys, definition)
+            activate_local_arena(arena)
             shard_cells = [
                 Cell(
                     _shard_cell,
@@ -287,7 +267,6 @@ def run_fleet(
                         spec.episodes_per_home,
                         spec.training_episodes,
                         cache_dir,
-                        policy_plane,
                     ),
                     label=f"fleet.shard[{index}]",
                 )
@@ -297,9 +276,8 @@ def run_fleet(
                 shard_cells, jobs=jobs, window=window, pool=pool
             )
     finally:
-        if arena is not None:
-            deactivate_local_arena(arena)
-            arena.close()
+        deactivate_local_arena(arena)
+        arena.close()
         if own_cache:
             shutil.rmtree(cache_dir, ignore_errors=True)
     for hits, misses in train_stats:

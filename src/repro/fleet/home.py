@@ -57,17 +57,14 @@ class HomeRuntime:
     homes can share them the way :mod:`repro.rl.dense` interns Q rows;
     the runtime memoizes each by its scalar key.
 
-    ``policy_plane`` selects how the trained policy is restored:
-
-    * ``"json"`` (the byte-identity reference): the canonical path
-      through :func:`train_routine_cached` and the JSON document;
-    * ``"shm"`` (the zero-copy plane): the shared-memory arena first
-      (:func:`repro.planning.shm.arena_artifact`), then the mmap'd
-      binary sidecar, then the JSON fallback.  Every tier serves the
-      same training, so results are byte-identical across planes, and
-      each successful restore counts exactly one cache hit -- the
-      hit/miss accounting cannot depend on the plane or the shard
-      layout.
+    The trained policy is restored from the shared-memory arena first
+    (:func:`repro.planning.shm.arena_artifact`), then the mmap'd
+    binary sidecar, then the canonical JSON document through
+    :func:`train_routine_cached`.  Every tier serves the same
+    training, so results are byte-identical whichever tier answers,
+    and each successful restore counts exactly one cache hit -- the
+    hit/miss accounting cannot depend on the tier or the shard
+    layout.
     """
 
     __slots__ = (
@@ -75,7 +72,6 @@ class HomeRuntime:
         "config",
         "training_episodes",
         "cache",
-        "policy_plane",
         "_routines",
         "_reliable",
         "_compliance",
@@ -90,15 +86,11 @@ class HomeRuntime:
         config: CoReDAConfig,
         training_episodes: int,
         cache: Optional[PolicyCache] = None,
-        policy_plane: str = "json",
     ) -> None:
-        if policy_plane not in ("shm", "json"):
-            raise ValueError(f"unknown policy plane {policy_plane!r}")
         self.definition = definition
         self.config = config
         self.training_episodes = training_episodes
         self.cache = cache
-        self.policy_plane = policy_plane
         self._routines: Dict[Tuple[int, ...], Routine] = {}
         self._reliable: Optional[dict] = None
         self._compliance: Dict[Tuple[float, float, float], ComplianceModel] = {}
@@ -173,21 +165,19 @@ class HomeRuntime:
     def _resolve(self, home: HomeSpec):
         cache = self.cache
         adl = self.definition.adl
-        if self.policy_plane == "shm":
-            key = self.cache_key(home)
-            artifact = arena_artifact(key)
-            if artifact is not None and artifact.matches(adl):
-                if cache is not None:
-                    cache.hits += 1
-                return training_from_artifact(
-                    artifact, self.config.planning
-                ).predictor(adl)
+        key = self.cache_key(home)
+        artifact = arena_artifact(key)
+        if artifact is not None and artifact.matches(adl):
             if cache is not None:
-                artifact = cache.get_artifact(key, adl)
-                if artifact is not None:
-                    return training_from_artifact(
-                        artifact, self.config.planning
-                    ).predictor(adl)
+                cache.hits += 1
+        else:
+            artifact = (
+                cache.get_artifact(key, adl) if cache is not None else None
+            )
+        if artifact is not None:
+            return training_from_artifact(
+                artifact, self.config.planning
+            ).predictor(adl)
         return resolve_home_predictor(
             self.definition, home, self.config, self.training_episodes, cache
         )

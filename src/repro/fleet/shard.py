@@ -220,7 +220,7 @@ class ShardSimulator:
         """One policy restore per distinct training per shard.
 
         The runtime memoizes the decoded policy per training key (one
-        disk/shared-memory restore per shard, whatever the plane) and
+        disk/shared-memory restore per shard) and
         keeps the hit/miss counters shard-layout-independent: memoized
         reuse still counts as a cache hit, because the policy *was*
         served from that cache entry.
@@ -284,10 +284,9 @@ def simulate_shard(
 
     Returns the homes' reports in input order; byte-identical to
     running each home on a private kernel (see the module docstring
-    for why).  ``runtime``
-    lends a caller-owned :class:`~repro.fleet.home.HomeRuntime` (the
-    fleet executor builds one per shard cell, wired to the selected
-    policy plane); without one a private runtime is created.
+    for why).  ``runtime`` lends a caller-owned
+    :class:`~repro.fleet.home.HomeRuntime` (the fleet executor builds
+    one per shard cell); without one a private runtime is created.
     """
     shard = ShardSimulator(config, runtime=runtime)
     for home in homes:

@@ -414,7 +414,7 @@ class CachedTraining:
     document: Optional[dict]
     cache_hit: bool
     #: Set when the training was served from a binary artifact (the
-    #: zero-copy policy plane); ``document`` is ``None`` then.
+    #: zero-copy restore); ``document`` is ``None`` then.
     artifact: Optional[PolicyArtifact] = None
 
     def predictor(self, adl: ADL, criterion: float = 0.95) -> NextStepPredictor:

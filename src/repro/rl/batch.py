@@ -79,7 +79,7 @@ class GreedyPolicyTable:
     def __init__(self, q: DenseQTable, actions: Sequence[Action]) -> None:
         self.q = q
         self.actions: Tuple[Action, ...] = tuple(actions)
-        view = q._view(self.actions)
+        view = q.index.view(self.actions)
         if not view.sorted_ids_list:
             raise ValueError("policy table needs a non-empty action space")
         self._view = view
@@ -92,8 +92,6 @@ class GreedyPolicyTable:
         q = self.q
         view = self._view
         n_states = q.index.n_states
-        if n_states > q._rows or view.max_id >= q._cols:
-            q._grow()
         if n_states:
             block = q.as_array()[:n_states][:, view.sorted_ids]
             self._table = block.argmax(axis=1)

@@ -319,12 +319,12 @@ class DenseQTable:
     def _thaw(self) -> None:
         """Copy-on-write: materialize private, mutable buffers.
 
-        The declared entry point for writes to an arena-backed table
-        -- every element-wise mutation of ``_flat``/``_written`` must
-        be preceded by this guard (the analyzer's PAR003 rule enforces
-        it project-wide).  Idempotent and cheap to probe: the hot
-        paths pay one attribute test when the table is already
-        private.
+        Runs before every element write of an arena-backed table:
+        :meth:`locate`, :meth:`add_at`, :meth:`add_pairs`, :meth:`set`
+        and :meth:`_grow` call it, and no code outside this module
+        touches the buffers (the analyzer's VER001 ownership rule).
+        Idempotent and cheap to probe: the hot paths pay one
+        attribute test when the table is already private.
         """
         if not self._frozen:
             return
@@ -393,9 +393,12 @@ class DenseQTable:
     def as_array(self) -> np.ndarray:
         """The NumPy ``[rows, cols]`` mirror of the flat storage.
 
-        Rebuilt lazily after scalar writes; do not mutate it -- writes
-        go through :meth:`set`/:meth:`add` so both layouts agree.
+        Covers every interned state and action (the buffers grow
+        first if the index outgrew them).  Rebuilt lazily after
+        writes; do not mutate it -- writes go through the write
+        primitives so both layouts agree.
         """
+        self._ensure_capacity()
         arr = self._array
         if arr is None:
             arr = np.asarray(self._flat, dtype=np.float64).reshape(
@@ -420,13 +423,13 @@ class DenseQTable:
         return self._flat[sid * self._cols + aid]
 
     def set(self, state: State, action: Action, value: float) -> None:
-        """Assign Q(s, a)."""
-        sid = self.index.state_id(state)
-        aid = self.index.action_id(action)
-        if sid >= self._rows or aid >= self._cols:
-            self._grow()
-        if self._frozen:
-            self._thaw()
+        """Assign Q(s, a).
+
+        The one element store that is not an add: ``old + (new -
+        old)`` does not reproduce ``new`` bit for bit, so assignment
+        keeps its own write beside :meth:`add_at`.
+        """
+        sid, aid, _, _ = self.locate(state, action)
         off = sid * self._cols + aid
         self._flat[off] = float(value)
         self._written[off] = 1
@@ -435,20 +438,124 @@ class DenseQTable:
 
     def add(self, state: State, action: Action, delta: float) -> None:
         """In-place ``Q(s, a) += delta``."""
+        sid, aid, _, _ = self.locate(state, action)
+        self.add_at(sid, aid, delta)
+
+    # ------------------------------------------------------------------
+    # id-level API: the learners' only way into the storage
+
+    def locate(
+        self,
+        state: State,
+        action: Action,
+        next_state: Optional[State] = None,
+        next_actions: Optional[Sequence[Action]] = None,
+    ) -> Tuple[int, int, int, Optional[_ActionView]]:
+        """Intern one transition and make the table ready to update it.
+
+        Returns ``(sid, aid, next_sid, view)``: the ids of ``state``
+        and ``action``, and -- when ``next_actions`` is given -- the
+        id of ``next_state`` and the :class:`_ActionView` of
+        ``next_actions`` (``-1`` and ``None`` otherwise).  Interning
+        order is state, action, next state, next actions.  One
+        capacity guard then covers every id, and a frozen table thaws
+        here, so the reads feeding the update see the same private
+        floats the write will.
+        """
         sid = self._state_ids.get(state)
         if sid is None:
             sid = self.index.state_id(state)
         aid = self._action_ids.get(action)
         if aid is None:
             aid = self.index.action_id(action)
-        if sid >= self._rows or aid >= self._cols:
+        next_sid = -1
+        view = None
+        if next_actions is not None:
+            next_sid = self._state_ids.get(next_state)
+            if next_sid is None:
+                next_sid = self.index.state_id(next_state)
+            view = self._view(
+                next_actions
+                if type(next_actions) is tuple
+                else tuple(next_actions)
+            )
+        if (
+            sid >= self._rows
+            or next_sid >= self._rows
+            or aid >= self._cols
+            or (view is not None and view.max_id >= self._cols)
+        ):
             self._grow()
+        if self._frozen:
+            self._thaw()
+        return sid, aid, next_sid, view
+
+    def row_values(self, sid: int, view: _ActionView) -> Tuple[float, ...]:
+        """Row ``sid``'s values over ``view``'s actions, in given order.
+
+        Served by the ``_g0`` gather lane, the same one
+        :meth:`max_value` uses.  Ids must be in range (see
+        :meth:`locate`).
+        """
+        if view is self._g0_view:
+            g = self._g0.get(sid)
+        else:
+            self._g0_view = view
+            self._g0 = {}
+            g = None
+        if g is None:
+            ids = view.ids_list
+            if not ids:
+                raise ValueError(
+                    f"no actions available in state "
+                    f"{self.index.states[sid]!r}"
+                )
+            base = sid * self._cols
+            g = _make_gather([base + aid for aid in ids])
+            self._g0[sid] = g
+        return g(self._flat)
+
+    def value_at(self, sid: int, aid: int) -> float:
+        """Q of one in-range cell, by ids."""
+        return self._flat[sid * self._cols + aid]
+
+    def add_at(self, sid: int, aid: int, x: float) -> None:
+        """``Q[sid, aid] += x``: thaw, add, mark written, bump version.
+
+        Ids must be in range (see :meth:`locate`).
+        """
         if self._frozen:
             self._thaw()
         off = sid * self._cols + aid
         flat = self._flat
-        flat[off] = flat[off] + delta
+        flat[off] = flat[off] + x
         self._written[off] = 1
+        self._array = None
+        self.version += 1
+
+    def add_pairs(
+        self,
+        pairs: Sequence[Tuple[int, int]],
+        coef: float,
+        weights: Sequence[float],
+    ) -> None:
+        """``Q[pair] += coef * weight`` per pair, in order; one bump.
+
+        Elementwise multiply-then-add per independent pair --
+        bit-identical to a per-pair :meth:`add_at` loop.
+        """
+        if not pairs:
+            return
+        self._ensure_capacity()
+        if self._frozen:
+            self._thaw()
+        flat = self._flat
+        written = self._written
+        cols = self._cols
+        for (sid, aid), weight in zip(pairs, weights):
+            off = sid * cols + aid
+            flat[off] = flat[off] + coef * weight
+            written[off] = 1
         self._array = None
         self.version += 1
 
@@ -485,25 +592,14 @@ class DenseQTable:
     def max_value(self, state: State, actions: Sequence[Action]) -> float:
         """max_a Q(s, a) over the given actions."""
         view = self._view(actions)
-        ids = view.ids_list
-        if not ids:
+        if not view.ids_list:
             raise ValueError(f"no actions available in state {state!r}")
         sid = self._state_ids.get(state)
         if sid is None:
             sid = self.index.state_id(state)
         if sid >= self._rows or view.max_id >= self._cols:
             self._grow()
-        if view is self._g0_view:
-            g = self._g0.get(sid)
-        else:
-            self._g0_view = view
-            self._g0 = {}
-            g = None
-        if g is None:
-            base = sid * self._cols
-            g = _make_gather([base + aid for aid in ids])
-            self._g0[sid] = g
-        return max(g(self._flat))
+        return max(self.row_values(sid, view))
 
     def greedy_policy(
         self, states_actions: Dict[State, List[Action]]
@@ -783,7 +879,9 @@ class DenseTraces:
         aid = self._action_ids.get(action)
         if aid is None:
             aid = self.index.action_id(action)
-        key = (sid, aid)
+        self._visit((sid, aid))
+
+    def _visit(self, key: Tuple[int, int]) -> None:
         pos = self._slots.get(key)
         if pos is None:
             self._slots[key] = len(self._pairs)
@@ -850,29 +948,29 @@ class DenseTraces:
     def apply_update(self, q, coef: float) -> None:
         """``Q[pair] += coef * e[pair]`` for every active pair.
 
-        Straight into the flat buffer of ``q``, a :class:`DenseQTable`
-        on the same index.  Elementwise multiply-then-add per
-        independent pair, in insertion (first-visit) order --
-        bit-identical to a per-pair ``q.add`` loop.
+        ``q`` is a :class:`DenseQTable` on the same index; the write
+        is one :meth:`DenseQTable.add_pairs` in insertion
+        (first-visit) order -- bit-identical to a per-pair ``q.add``
+        loop.
         """
         if q.index is not self.index:
             raise ValueError("traces and Q-table must share one index")
-        pairs = self._pairs
-        if not pairs:
-            return
-        e = self._e
-        q._ensure_capacity()
-        if q._frozen:
-            q._thaw()
-        flat = q._flat
-        written = q._written
-        cols = q._cols
-        for i, (sid, aid) in enumerate(pairs):
-            off = sid * cols + aid
-            flat[off] = flat[off] + coef * e[i]
-            written[off] = 1
-        q._array = None
-        q.version += 1
+        q.add_pairs(self._pairs, coef, self._e)
+
+    def step(
+        self, q, sid: int, aid: int, coef: float, factor: float
+    ) -> None:
+        """One eligibility-trace TD step on interned ids.
+
+        Visit ``(sid, aid)``, apply ``Q[active] += coef * e[active]``
+        to ``q`` (which must share this index), then decay every
+        trace by ``factor`` (= γλ).  The same per-pair arithmetic and
+        order as :meth:`visit`, :meth:`apply_update` and
+        :meth:`decay` called in turn.
+        """
+        self._visit((sid, aid))
+        q.add_pairs(self._pairs, coef, self._e)
+        self.decay(factor)
 
     def __len__(self) -> int:
         return len(self._pairs)

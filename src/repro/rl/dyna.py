@@ -14,7 +14,7 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.rl.dense import DenseQTable, _make_gather
+from repro.rl.dense import DenseQTable, _ActionView
 from repro.rl.policies import EpsilonGreedyPolicy, Policy
 from repro.rl.schedules import ConstantSchedule, Schedule
 
@@ -22,6 +22,11 @@ __all__ = ["DynaQLearner"]
 
 State = Hashable
 Action = Hashable
+
+#: One model entry: (state id, action id, reward, next state id, next
+#: action view or None when the outcome has no successor actions).
+_Record = Tuple[int, int, float, int, Optional[_ActionView]]
+
 
 class DynaQLearner:
     """Tabular Dyna-Q with a deterministic-latest world model.
@@ -64,10 +69,10 @@ class DynaQLearner:
         # samples by position without re-hashing keys; ``_model`` maps
         # an interned (state_id, action_id) key to its position for
         # deduplication.  Each record carries interned ids and the
-        # cached action view, so every planning update runs against
-        # the flat buffer with no hashing at all.
+        # cached action view, so every planning update runs on the
+        # table's id-level API with no hashing at all.
         self._model: Dict[Tuple[int, int], int] = {}
-        self._outcomes: List[list] = []
+        self._outcomes: List[_Record] = []
         self.updates = 0
         self.planning_updates = 0
         self.episodes = 0
@@ -125,27 +130,15 @@ class DynaQLearner:
         alpha = self._alpha_const
         if alpha is None:
             alpha = self.learning_rate_schedule.value(self.updates)
-        q = self.q
-        index = q.index
-        sid = q._state_ids.get(state)
-        if sid is None:
-            sid = index.state_id(state)
-        aid = q._action_ids.get(action)
-        if aid is None:
-            aid = index.action_id(action)
-        next_sid = q._state_ids.get(next_state)
-        if next_sid is None:
-            next_sid = index.state_id(next_state)
-        # Records are mutable lists [sid, aid, reward, next_sid, view,
-        # done, gather, offset, grow_count]: the last three memoise
-        # the stride-dependent pieces and are revalidated against
-        # ``q._grow_count`` on every use (``gather`` stays None for
-        # terminal/actionless records, whose target is just the
-        # reward).
-        record = [
-            sid, aid, reward, next_sid, q._view(next_tuple), done,
-            None, 0, -1,
-        ]
+        sid, aid, next_sid, view = self.q.locate(
+            state, action, next_state, next_tuple
+        )
+        # ``view`` is None for terminal and actionless records, whose
+        # target is just the reward.
+        record = (
+            sid, aid, reward, next_sid,
+            None if done or not view.ids_list else view,
+        )
         delta = self._q_update(record, alpha)
         # Interned ids hash as plain ints -- much cheaper model keys
         # than (state, action) namedtuple pairs, and nothing reads the
@@ -168,39 +161,15 @@ class DynaQLearner:
         # One batched draw consumes the generator's bit stream exactly
         # like the equivalent sequence of scalar draws (pinned down in
         # tests), so the planning sample sequence is unchanged -- the
-        # updates in between never touch the generator.
-        picks = rng.integers(n, size=self.planning_steps).tolist()
-        # Inlined :meth:`_q_update` minus the capacity guard: every
+        # updates in between never touch the generator.  Every
         # record's ids were in range when its observe ran the guarded
-        # real update, and the table never shrinks, so the sweep can
-        # hold the flat buffer across iterations.  ``written`` needs
-        # no store here: every record's pair was marked written by its
-        # real-step update in observe.
-        q = self.q
-        discount = self.discount
-        if q._frozen:
-            q._thaw()
-        flat = q._flat
-        grows = q._grow_count
-        refresh = self._refresh_record
-        for i in picks:
-            r = outcomes[i]
-            if r[8] != grows:
-                refresh(r)
-            g = r[6]
-            if g is None:
-                target = r[2]
-            else:
-                values = g(flat)
-                target = r[2] + discount * max(values)
-            off = r[7]
-            flat[off] = flat[off] + alpha * (target - flat[off])
-        q._array = None
-        q.version += 1
+        # real update, and the table never shrinks.
+        for i in rng.integers(n, size=self.planning_steps).tolist():
+            self._q_update(outcomes[i], alpha)
         self.planning_updates += self.planning_steps
 
-    def _q_update(self, record: list, alpha: float) -> float:
-        """One Q update straight against the dense flat buffer.
+    def _q_update(self, record: _Record, alpha: float) -> float:
+        """One Q update of a model record, on the table's id-level API.
 
         ``record`` carries interned ids and the cached action view, so
         the update pays no hashing and no repr sorting.  The scalar
@@ -209,44 +178,14 @@ class DynaQLearner:
         ``tests/oracles/rl.py``, so the two are bit-identical.
         """
         q = self.q
-        view = record[4]
-        if (
-            record[0] >= q._rows
-            or record[3] >= q._rows
-            or record[1] >= q._cols
-            or view.max_id >= q._cols
-        ):
-            q._grow()
-        if q._frozen:
-            q._thaw()
-        flat = q._flat
-        if record[8] != q._grow_count:
-            self._refresh_record(record)
-        g = record[6]
-        if g is None:
-            target = record[2]
+        sid, aid, reward, next_sid, view = record
+        if view is None:
+            target = reward
         else:
-            target = record[2] + self.discount * max(g(flat))
-        off = record[7]
-        delta = target - flat[off]
-        flat[off] = flat[off] + alpha * delta
-        q._written[off] = 1
-        q._array = None
-        q.version += 1
+            target = reward + self.discount * max(q.row_values(next_sid, view))
+        delta = target - q.value_at(sid, aid)
+        q.add_at(sid, aid, alpha * delta)
         return delta
-
-    def _refresh_record(self, record: list) -> None:
-        """Recompute a dense record's stride-dependent memo fields."""
-        q = self.q
-        cols = q._cols
-        ids = record[4].ids_list
-        if record[5] or not ids:
-            record[6] = None
-        else:
-            base = record[3] * cols
-            record[6] = _make_gather([base + a for a in ids])
-        record[7] = record[0] * cols + record[1]
-        record[8] = q._grow_count
 
     @property
     def model_size(self) -> int:

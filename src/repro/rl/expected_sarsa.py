@@ -16,7 +16,7 @@ from typing import Hashable, Sequence, Tuple
 
 import numpy as np
 
-from repro.rl.dense import DenseQTable, _make_gather
+from repro.rl.dense import DenseQTable
 from repro.rl.policies import EpsilonGreedyPolicy
 from repro.rl.schedules import ConstantSchedule, Schedule
 
@@ -110,65 +110,25 @@ class ExpectedSarsaLearner:
         alpha = self._alpha_const
         if alpha is None:
             alpha = self.learning_rate_schedule.value(self.updates)
-        # Fused against the dense flat buffer (see
-        # TDLambdaQLearner.observe).  The expectation runs over the
-        # given-order gather -- the same value sequence
-        # q.action_values returns -- with Python's left-to-right
-        # max/sum, so it is bit-identical to the table-API update.
+        # The expectation runs over the given-order row -- the same
+        # value sequence q.action_values returns -- with Python's
+        # left-to-right max/sum, so it is bit-identical to the
+        # table-API update in tests/oracles/rl.py.
         q = self.q
-        index = q.index
-        sid = q._state_ids.get(state)
-        if sid is None:
-            sid = index.state_id(state)
-        aid = q._action_ids.get(action)
-        if aid is None:
-            aid = index.action_id(action)
-        view = None
-        next_sid = -1
-        if not done and next_actions:
-            next_sid = q._state_ids.get(next_state)
-            if next_sid is None:
-                next_sid = index.state_id(next_state)
-            view = q._view(
-                next_actions
-                if type(next_actions) is tuple
-                else tuple(next_actions)
-            )
-        if (
-            sid >= q._rows
-            or next_sid >= q._rows
-            or aid >= q._cols
-            or (view is not None and view.max_id >= q._cols)
-        ):
-            q._grow()
-        if q._frozen:
-            q._thaw()
-        cols = q._cols
-        flat = q._flat
-        if view is None:
+        if done or not next_actions:
+            sid, aid, _, _ = q.locate(state, action)
             target = reward
         else:
-            if view is q._g0_view:
-                g = q._g0.get(next_sid)
-            else:
-                q._g0_view = view
-                q._g0 = {}
-                g = None
-            if g is None:
-                base = next_sid * cols
-                g = _make_gather([base + a for a in view.ids_list])
-                q._g0[next_sid] = g
-            values = g(flat)
+            sid, aid, next_sid, view = q.locate(
+                state, action, next_state, next_actions
+            )
+            values = q.row_values(next_sid, view)
             greedy = max(values)
             uniform = sum(values) / len(values)
             expected = (1.0 - self.epsilon) * greedy + self.epsilon * uniform
             target = reward + self.discount * expected
-        off = sid * cols + aid
-        delta = target - flat[off]
-        flat[off] = flat[off] + alpha * delta
-        q._written[off] = 1
-        q._array = None
-        q.version += 1
+        delta = target - q.value_at(sid, aid)
+        q.add_at(sid, aid, alpha * delta)
         self.updates += 1
         return delta
 

@@ -111,74 +111,19 @@ class SarsaLambdaLearner:
             alpha = self.learning_rate_schedule.value(self.updates)
         if not done and next_action is None:
             raise ValueError("next_action is required for non-terminal updates")
-        # The SARSA(λ) update fused against the dense flat buffer
-        # (see TDLambdaQLearner.observe): the bootstrap is a single
-        # offset read and the trace visit/apply/decay run inline
-        # over the active pairs in first-visit order, so the
-        # arithmetic is exactly the table-API update's.
+        # The bootstrap is a single cell read and the trace
+        # visit/apply/decay run over the active pairs in first-visit
+        # order, so the arithmetic is exactly the table-API update's
+        # in tests/oracles/rl.py.
         q = self.q
-        traces = self.traces
-        index = q.index
-        sid = q._state_ids.get(state)
-        if sid is None:
-            sid = index.state_id(state)
-        aid = q._action_ids.get(action)
-        if aid is None:
-            aid = index.action_id(action)
-        next_sid = -1
-        next_aid = -1
-        if not done:
-            next_sid = q._state_ids.get(next_state)
-            if next_sid is None:
-                next_sid = index.state_id(next_state)
-            next_aid = q._action_ids.get(next_action)
-            if next_aid is None:
-                next_aid = index.action_id(next_action)
-        if (
-            sid >= q._rows
-            or next_sid >= q._rows
-            or aid >= q._cols
-            or next_aid >= q._cols
-        ):
-            q._grow()
-        if q._frozen:
-            q._thaw()
-        cols = q._cols
-        flat = q._flat
-        written = q._written
+        sid, aid, _, _ = q.locate(state, action)
         if done:
             target = reward
         else:
-            target = reward + self.discount * flat[next_sid * cols + next_aid]
-        delta = target - flat[sid * cols + aid]
-        key = (sid, aid)
-        slots = traces._slots
-        pos = slots.get(key)
-        if pos is None:
-            slots[key] = len(traces._pairs)
-            traces._pairs.append(key)
-            traces._e.append(1.0)
-        elif traces.kind is TraceKind.ACCUMULATING:
-            traces._e[pos] += 1.0
-        else:
-            traces._e[pos] = 1.0
-        coef = alpha * delta
-        gl = self._glambda
-        new_e = []
-        push = new_e.append
-        for (psid, paid), ev in zip(traces._pairs, traces._e):
-            poff = psid * cols + paid
-            flat[poff] = flat[poff] + coef * ev
-            written[poff] = 1
-            push(ev * gl)
-        if gl == 0.0:
-            traces.reset()
-        else:
-            traces._e = new_e
-            if min(new_e) < traces.cutoff:
-                traces._compact()
-        q._array = None
-        q.version += 1
+            next_sid, next_aid, _, _ = q.locate(next_state, next_action)
+            target = reward + self.discount * q.value_at(next_sid, next_aid)
+        delta = target - q.value_at(sid, aid)
+        self.traces.step(q, sid, aid, alpha * delta, self._glambda)
         if done:
             self.traces.reset()
         self.updates += 1

@@ -27,7 +27,7 @@ from typing import Hashable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.rl.dense import DenseQTable, DenseTraces, _make_gather
+from repro.rl.dense import DenseQTable, DenseTraces
 from repro.rl.policies import EpsilonGreedyPolicy, Policy
 from repro.rl.schedules import ConstantSchedule, Schedule
 from repro.rl.traces import TraceKind
@@ -121,102 +121,28 @@ class TDLambdaQLearner:
         alpha = self._alpha_const
         if alpha is None:
             alpha = self.learning_rate_schedule.value(self.updates)
-        # The Watkins update fused against the dense flat buffer: each
-        # state/action interned once, one capacity guard, the trace
-        # visit/update applied inline.  The arithmetic (max over
-        # given-order Python floats, per-pair multiply-then-add in
-        # first-visit order) is exactly that of the table-API update
-        # in tests/oracles/rl.py, so the two are bit-identical.
+        # Every state/action interned once, one capacity guard; the
+        # arithmetic (max over given-order Python floats, per-pair
+        # multiply-then-add in first-visit order) is exactly that of
+        # the table-API update in tests/oracles/rl.py, so the two are
+        # bit-identical.
         q = self.q
-        traces = self.traces
-        index = q.index
-        sid = q._state_ids.get(state)
-        if sid is None:
-            sid = index.state_id(state)
-        aid = q._action_ids.get(action)
-        if aid is None:
-            aid = index.action_id(action)
-        view = None
-        next_sid = -1
-        if not done:
-            next_sid = q._state_ids.get(next_state)
-            if next_sid is None:
-                next_sid = index.state_id(next_state)
-            view = q._view(
-                next_actions
-                if type(next_actions) is tuple
-                else tuple(next_actions)
-            )
-        if (
-            sid >= q._rows
-            or next_sid >= q._rows
-            or aid >= q._cols
-            or (view is not None and view.max_id >= q._cols)
-        ):
-            q._grow()
-        if q._frozen:
-            q._thaw()
-        cols = q._cols
-        flat = q._flat
-        written = q._written
         if done:
+            sid, aid, _, _ = q.locate(state, action)
             target = reward
         else:
-            ids = view.ids_list
-            if not ids:
-                raise ValueError(
-                    f"no actions available in state {next_state!r}"
-                )
-            if view is q._g0_view:
-                g = q._g0.get(next_sid)
-            else:
-                q._g0_view = view
-                q._g0 = {}
-                g = None
-            if g is None:
-                base = next_sid * cols
-                g = _make_gather([base + a for a in ids])
-                q._g0[next_sid] = g
-            target = reward + self.discount * max(g(flat))
-        off = sid * cols + aid
-        delta = target - flat[off]
+            sid, aid, next_sid, view = q.locate(
+                state, action, next_state, next_actions
+            )
+            target = reward + self.discount * max(
+                q.row_values(next_sid, view)
+            )
+        delta = target - q.value_at(sid, aid)
         if exploratory:
-            flat[off] = flat[off] + alpha * delta
-            written[off] = 1
-            traces.reset()
+            q.add_at(sid, aid, alpha * delta)
+            self.traces.reset()
         else:
-            key = (sid, aid)
-            slots = traces._slots
-            pos = slots.get(key)
-            if pos is None:
-                slots[key] = len(traces._pairs)
-                traces._pairs.append(key)
-                traces._e.append(1.0)
-            elif traces.kind is TraceKind.ACCUMULATING:
-                traces._e[pos] += 1.0
-            else:
-                traces._e[pos] = 1.0
-            # Apply and decay fused into one pass over the active
-            # pairs: Q[pair] += coef*e (same per-pair arithmetic
-            # and order as traces.apply_update) while building the
-            # decayed trace vector (same multiply as traces.decay).
-            coef = alpha * delta
-            gl = self._glambda
-            new_e = []
-            push = new_e.append
-            for (psid, paid), ev in zip(traces._pairs, traces._e):
-                poff = psid * cols + paid
-                flat[poff] = flat[poff] + coef * ev
-                written[poff] = 1
-                push(ev * gl)
-            if gl == 0.0:
-                traces.reset()
-            else:
-                traces._e = new_e
-                if min(new_e) < traces.cutoff:
-                    traces._compact()
-        q._array = None
-        q.version += 1
+            self.traces.step(q, sid, aid, alpha * delta, self._glambda)
         if done:
             self.traces.reset()
         self.updates += 1

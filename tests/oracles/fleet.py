@@ -7,6 +7,12 @@ kernel, episodes driven by ``run_episode`` -- whose reports the shared
 kernel must reproduce byte for byte.  :func:`per_home_shards` builds a
 drop-in replacement for ``simulate_shard`` so a whole ``run_fleet``
 can execute on the oracle.
+
+Production homes restore their trained policy from the shared-memory
+arena, then the mmap'd binary sidecar, then JSON.
+:class:`JsonHomeRuntime` is the reference restore -- always the
+canonical JSON document -- and :func:`json_restore` swaps it into the
+fleet executor.
 """
 
 from __future__ import annotations
@@ -20,12 +26,39 @@ from repro.fleet.home import (
     build_home_deployment,
     create_home_resident,
     harvest_home_report,
+    resolve_home_predictor,
 )
 from repro.fleet.metrics import HomeReport
 from repro.fleet.spec import HomeSpec
 from repro.planning.store import PolicyCache
 
-__all__ = ["per_home_shards", "simulate_home"]
+__all__ = [
+    "JsonHomeRuntime",
+    "json_restore",
+    "per_home_shards",
+    "simulate_home",
+]
+
+
+class JsonHomeRuntime(HomeRuntime):
+    """A :class:`HomeRuntime` restoring every policy from its JSON
+    document, never from the arena or the binary sidecar."""
+
+    __slots__ = ()
+
+    def _resolve(self, home: HomeSpec):
+        return resolve_home_predictor(
+            self.definition, home, self.config, self.training_episodes,
+            self.cache,
+        )
+
+
+def json_restore(monkeypatch) -> None:
+    """Make ``run_fleet``'s shard cells restore policies from JSON only.
+
+    Forked workers inherit the patch, so it holds at any ``jobs``.
+    """
+    monkeypatch.setattr("repro.fleet.executor.HomeRuntime", JsonHomeRuntime)
 
 
 def simulate_home(

@@ -1,10 +1,10 @@
 """Tests for pass 1 of the whole-program analyzer: the ProjectIndex,
 the conservative call graph, and the file-expansion driver.
 
-The index is what the cross-module rules (VER001, PAR00x) stand on;
-these tests pin its resolution semantics -- qualified names, import
-aliases, the attribute-write kinds, package re-export fallback, and
-the deliberate over-approximation of dynamic dispatch.
+The index is what the cross-module rules (PAR001-2) stand on; these
+tests pin its resolution semantics -- qualified names, import aliases,
+package re-export fallback, and the deliberate over-approximation of
+dynamic dispatch.
 """
 
 import textwrap
@@ -113,40 +113,6 @@ class TestSymbolTable:
         # to the defining submodule.
         info = project.module_member("repro.pkg", "work")
         assert info is not None and info.qualname == "work"
-
-
-class TestAttributeWrites:
-    def test_kinds(self):
-        project = _project((
-            "src/repro/pkg/mod.py",
-            """
-            class Table:
-                def set(self, k, v):
-                    self._q[k] = v
-
-                def merge(self, other):
-                    self._q.update(other)
-
-                def copy(self):
-                    clone = Table()
-                    clone._q = dict(self._q)
-                    return clone
-            """,
-        ))
-        kinds = sorted(w.kind for w in project.attribute_writes("_q"))
-        assert kinds == ["mutate", "rebind", "subscript"]
-
-    def test_writes_attributed_to_their_function(self):
-        project = _project((
-            "src/repro/pkg/mod.py",
-            """
-            class Table:
-                def set(self, k, v):
-                    self._flat[k] = v
-            """,
-        ))
-        (write,) = project.attribute_writes("_flat")
-        assert write.function.qualname == "Table.set"
 
 
 class TestCallGraph:

@@ -39,7 +39,7 @@ class TestRegistry:
 
     def test_family_prefixes_combine_with_exact_ids(self):
         selected = {rule.rule_id for rule in resolve_rules(["PAR", "VER001"])}
-        assert selected == {"PAR001", "PAR002", "PAR003", "VER001"}
+        assert selected == {"PAR001", "PAR002", "VER001"}
 
     def test_unknown_family_names_valid_families(self):
         with pytest.raises(UnknownRuleError) as excinfo:

@@ -15,7 +15,7 @@ import statistics
 
 import pytest
 
-from oracles.fleet import per_home_shards, simulate_home
+from oracles.fleet import json_restore, per_home_shards, simulate_home
 from oracles.inference import ScalarPredictor
 from oracles.kernel import heap_recorder
 from repro.cli import main
@@ -330,19 +330,21 @@ class TestShardModes:
 
 
 class TestPolicyPlanes:
-    """Zero-copy shared-memory arena vs the JSON reference path.
+    """Zero-copy restore vs the JSON reference restore.
 
-    The plane is a speed knob, not a semantics knob: both must
-    produce the same bytes and the same cache accounting at any
-    ``--jobs``, on shared and on private kernels.  (``serial_result``
-    runs on the default plane, which is ``shm`` -- so every
-    byte-identity test in
-    this module already exercises the arena; these pin the reference
-    path against it explicitly.)
+    Production shard cells serve policies from the shared-memory arena
+    (then the mmap'd sidecar, then JSON); ``serial_result`` and every
+    other byte-identity test in this module run that path.  These pin
+    the JSON-only oracle restore of ``tests/oracles/fleet.py`` against
+    it: the same bytes and the same cache accounting at any
+    ``--jobs``, on shared and on private kernels.
     """
 
-    def test_json_plane_byte_identical_serial(self, serial_result):
-        json_plane = run_fleet(SPEC, jobs=1, policy_plane="json")
+    def test_json_plane_byte_identical_serial(
+        self, serial_result, monkeypatch
+    ):
+        json_restore(monkeypatch)
+        json_plane = run_fleet(SPEC, jobs=1)
         assert json_plane.to_json() == serial_result.to_json()
 
     def test_json_plane_byte_identical_parallel_per_home(
@@ -351,15 +353,19 @@ class TestPolicyPlanes:
         monkeypatch.setattr(
             "repro.fleet.executor.simulate_shard", per_home_shards()
         )
-        json_plane = run_fleet(SPEC, jobs=2, policy_plane="json")
+        json_restore(monkeypatch)
+        json_plane = run_fleet(SPEC, jobs=2)
         assert json_plane.to_json() == serial_result.to_json()
 
     def test_shm_plane_byte_identical_parallel(self, serial_result):
-        shm_plane = run_fleet(SPEC, jobs=2, policy_plane="shm")
+        shm_plane = run_fleet(SPEC, jobs=2)
         assert shm_plane.to_json() == serial_result.to_json()
 
-    def test_hit_accounting_is_plane_independent(self, serial_result):
-        json_plane = run_fleet(SPEC, jobs=1, policy_plane="json")
+    def test_hit_accounting_is_plane_independent(
+        self, serial_result, monkeypatch
+    ):
+        json_restore(monkeypatch)
+        json_plane = run_fleet(SPEC, jobs=1)
         assert json_plane.metrics.cache_hits == (
             serial_result.metrics.cache_hits
         )
@@ -370,25 +376,8 @@ class TestPolicyPlanes:
     def test_no_shm_segments_left_behind(self):
         import glob
 
-        run_fleet(SPEC, jobs=2, policy_plane="shm")
+        run_fleet(SPEC, jobs=2)
         assert glob.glob("/dev/shm/rpp*") == []
-
-    def test_unknown_plane_rejected(self):
-        from repro.core.errors import CoReDAError
-
-        with pytest.raises(CoReDAError):
-            run_fleet(SPEC, jobs=1, policy_plane="mmap")
-
-    def test_cli_policy_plane_flag(self, capsys):
-        argv = [
-            "fleet", "--homes", "4", "--train-episodes", "40",
-            "--seed-classes", "2", "--shard-size", "2", "--json",
-        ]
-        assert main(argv + ["--policy-plane", "shm"]) == 0
-        shm_out = capsys.readouterr().out
-        assert main(argv + ["--policy-plane", "json"]) == 0
-        json_out = capsys.readouterr().out
-        assert json.loads(shm_out) == json.loads(json_out)
 
 
 class TestFleetCli:

@@ -25,12 +25,12 @@ def test_source_tree_is_lint_clean():
 
 def test_full_rule_pack_is_active():
     # The gate is only meaningful if every shipped rule participates,
-    # including the whole-program families (VER/PAR) and the
-    # free-list contract.
-    assert set(all_rule_ids()) >= {
+    # including the whole-program PAR family, the storage-ownership
+    # rule and the free-list contract.
+    assert set(all_rule_ids()) == {
         "DET001", "DET002", "DET003", "DET004",
         "SIM001", "SIM002", "SIM003", "PERF001",
-        "VER001", "PAR001", "PAR002", "PAR003",
+        "VER001", "PAR001", "PAR002",
     }
 
 

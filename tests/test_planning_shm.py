@@ -189,7 +189,7 @@ class TestFleetLeakHygiene:
         from repro.fleet.executor import run_fleet
 
         for jobs in (1, 2):
-            run_fleet(SMALL_SPEC, jobs=jobs, policy_plane="shm")
+            run_fleet(SMALL_SPEC, jobs=jobs)
             assert _leaked_segments() == []
 
     @pytest.mark.parametrize("jobs", [1, 2])
@@ -200,5 +200,5 @@ class TestFleetLeakHygiene:
 
         monkeypatch.setattr(executor, "_shard_cell", _boom_cell)
         with pytest.raises(RuntimeError, match="boom"):
-            executor.run_fleet(SMALL_SPEC, jobs=jobs, policy_plane="shm")
+            executor.run_fleet(SMALL_SPEC, jobs=jobs)
         assert _leaked_segments() == []

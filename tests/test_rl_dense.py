@@ -476,3 +476,66 @@ def test_dense_traces_apply_update_and_snapshot():
         traces.visit(state, action)
     traces.reset()
     assert len(traces) == 0 and list(traces.items()) == []
+
+
+# ----------------------------------------------------------------------
+# The write primitives own copy-on-write and the version counter.
+
+FROZEN_STATES = ("s0", "s1", "s2")
+FROZEN_ACTIONS = ("a", "b")
+
+
+def _frozen_table():
+    """A table served over read-only NumPy buffers, plus the buffers."""
+    q2d = np.arange(6, dtype=np.float64).reshape(3, 2) / 4.0
+    written = np.ones(6, dtype=np.uint8)
+    q2d.flags.writeable = False
+    written.flags.writeable = False
+    table = DenseQTable.from_frozen_buffers(
+        0.0, FROZEN_STATES, FROZEN_ACTIONS, q2d, written
+    )
+    return table, q2d, written
+
+
+def _traces_apply_update(q):
+    traces = DenseTraces(index=q.index)
+    traces.visit("s0", "a")
+    traces.apply_update(q, 0.5)
+
+
+def _traces_step(q):
+    DenseTraces(index=q.index).step(q, 0, 1, 0.5, 0.63)
+
+
+def _dyna_planning_sweep(q):
+    # Interns s0, a, s1, b in the frozen table's id order, so the
+    # learner's model records address the same cells of ``q``.
+    learner = DynaQLearner(planning_steps=4)
+    learner.observe("s0", "a", 1.0, "s1", FROZEN_ACTIONS, False)
+    learner.q = q
+    learner._plan(seeded_generator(0), 0.5)
+
+
+WRITE_ENTRY_POINTS = {
+    "set": lambda q: q.set("s1", "b", 9.0),
+    "add": lambda q: q.add("s1", "b", 0.5),
+    "add_at": lambda q: q.add_at(1, 1, 0.5),
+    "add_pairs": lambda q: q.add_pairs([(0, 0), (2, 1)], 0.5, [1.0, 2.0]),
+    "traces.apply_update": _traces_apply_update,
+    "traces.step": _traces_step,
+    "dyna.planning_sweep": _dyna_planning_sweep,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(WRITE_ENTRY_POINTS))
+def test_write_primitives_thaw_and_bump(entry):
+    q, q2d, written = _frozen_table()
+    q2d_before = q2d.copy()
+    written_before = written.copy()
+    version = q.version
+    WRITE_ENTRY_POINTS[entry](q)
+    assert q.version > version
+    assert np.array_equal(q2d, q2d_before)
+    assert np.array_equal(written, written_before)
+    # The write landed in private storage, readable through the API.
+    assert not np.array_equal(q.as_array()[:3, :2], q2d_before)
