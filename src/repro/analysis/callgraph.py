@@ -55,15 +55,14 @@ class CallSite:
 
 
 class CallGraph:
-    """Caller/callee adjacency over every indexed function."""
+    """Call sites and callee adjacency over every indexed function."""
 
-    __slots__ = ("project", "sites", "_callers", "_callees")
+    __slots__ = ("project", "sites", "_callees")
 
     def __init__(self, project: ProjectIndex) -> None:
         self.project = project
         #: Every call site, grouped by calling function.
         self.sites: Dict[FuncKey, List[CallSite]] = {}
-        self._callers: Dict[FuncKey, List[CallSite]] = {}
         self._callees: Dict[FuncKey, List[FuncKey]] = {}
         for info in project.iter_functions():
             self._link_function(info)
@@ -78,7 +77,6 @@ class CallGraph:
             site = CallSite(info, node, callees)
             sites.append(site)
             for callee in callees:
-                self._callers.setdefault(callee.key, []).append(site)
                 self._callees.setdefault(info.key, []).append(callee.key)
         self.sites[info.key] = sites
 
@@ -140,10 +138,6 @@ class CallGraph:
 
     # ------------------------------------------------------------------
     # queries
-
-    def callers_of(self, key: FuncKey) -> List[CallSite]:
-        """Every call site whose resolved callees include ``key``."""
-        return self._callers.get(key, [])
 
     def reachable_from(
         self, roots: Sequence[FunctionInfo]

@@ -513,17 +513,12 @@ class StatementOrder:
     """Structural execution order inside one function body.
 
     Used by the path-sensitive SIM003 rule ("never referenced after
-    recycle").  Each
-    statement gets a *path*: the chain of ``(block, index)`` steps
-    from the function body down to it.  Two relations fall out:
-
-    * :meth:`covers_after` -- ``b`` executes after ``a`` on **every**
-      structural fall-through path (``b`` sits later in one of ``a``'s
-      enclosing blocks, not nested inside a later conditional).
-    * :meth:`may_follow` -- ``b`` **may** execute after ``a`` (``b``
-      or an ancestor of ``b`` sits later in one of ``a``'s enclosing
-      blocks), honouring ``return``/``raise``/``continue``/``break``
-      barriers between ``a`` and the fall-through point.
+    recycle").  Each statement gets a *path*: the chain of ``(block,
+    index)`` steps from the function body down to it.  From it,
+    :meth:`may_follow` answers whether ``b`` **may** execute after
+    ``a`` (``b`` or an ancestor of ``b`` sits later in one of ``a``'s
+    enclosing blocks), honouring ``return``/``raise``/``continue``/
+    ``break`` barriers between ``a`` and the fall-through point.
 
     The model ignores exceptions and treats loop bodies as straight-
     line (a statement later in a loop body is "after" an earlier one);
@@ -581,21 +576,6 @@ class StatementOrder:
         for block in self._blocks.values():
             for stmt in block:
                 yield stmt
-
-    def covers_after(self, a: ast.stmt, b: ast.stmt) -> bool:
-        """True when ``b`` runs after ``a`` on every fall-through path."""
-        pa = self._paths.get(id(a))
-        pb = self._paths.get(id(b))
-        if pa is None or pb is None:
-            return False
-        depth = len(pb) - 1
-        if depth >= len(pa):
-            return False
-        if pb[:depth] != pa[:depth]:
-            return False
-        block_b, index_b = pb[depth]
-        block_a, index_a = pa[depth]
-        return block_b == block_a and index_b > index_a
 
     def may_follow(self, a: ast.stmt, b: ast.stmt) -> bool:
         """True when ``b`` may execute after ``a`` (fall-through

@@ -87,10 +87,7 @@ HOT_PATH_CLASSES: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
     ),
     ("repro/fleet/metrics.py", ("Welford", "HomeReport")),
     ("repro/fleet/shard.py", ("_HomeRun",)),
-    (
-        "repro/rl/batch.py",
-        ("GreedyPolicyTable", "MemoizedGreedyPolicy", "ShardPredictor"),
-    ),
+    ("repro/rl/batch.py", ("GreedyPolicyTable", "ShardPredictor")),
     ("repro/recognition/batch.py", ("BatchedHMM",)),
     ("repro/planning/predictor.py", ("NextStepPredictor",)),
     # The analyzer itself: the whole-program index allocates one

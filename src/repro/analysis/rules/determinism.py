@@ -1,9 +1,10 @@
 """DET00x: rules guarding byte-identical experiment reproduction.
 
 Every experiment in this repository is required to produce identical
-bytes across seeds of the hash randomizer, ``--jobs`` counts and
-``batch_samples`` settings.  These rules encode the coding invariants
-that proof rests on:
+bytes across seeds of the hash randomizer, ``--jobs`` counts and shard
+layouts, and the same bytes as the reference implementations kept as
+test oracles.  These rules encode the coding invariants that proof
+rests on:
 
 * **DET001** -- all randomness flows through named
   :class:`repro.sim.random.RandomStreams` streams (or the sanctioned

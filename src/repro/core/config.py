@@ -44,18 +44,10 @@ class SensingConfig:
     #: Refractory period after a detection before the same node may
     #: report again (keeps one physical use = one usage event).
     refractory_period: float = 2.0
-    #: 1 = the reference per-sample node firmware; >1 = the block fast
-    #: path, byte-identical to the reference (see docs/architecture.md)
-    #: and several times faster.  In the fast path this is the block
-    #: length of an open-ended use only (one ended by ``end_use``);
-    #: idle spans and uses with a known end size their own blocks.
-    batch_samples: int = 10
 
     def __post_init__(self) -> None:
         if self.sampling_hz <= 0:
             raise ConfigurationError("sampling_hz must be positive")
-        if self.batch_samples < 1:
-            raise ConfigurationError("batch_samples must be >= 1")
         if not 1 <= self.threshold_count <= self.window_size:
             raise ConfigurationError(
                 "threshold_count must be within [1, window_size]; got "

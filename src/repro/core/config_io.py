@@ -38,13 +38,14 @@ def _backend_keys(*knobs: str) -> FrozenSet[str]:
 
 
 #: Keys that older files carry for retired speed knobs: the backend
-#: selectors of the event kernel, the Q-table and inference, and the
-#: kernel's bucket width.  None of them ever changed a result, so
-#: loading drops exactly these; ``sim`` held nothing else and is now a
-#: retired section.
+#: selectors of the event kernel, the Q-table and inference, the
+#: kernel's bucket width and the node firmware's block size.  None of
+#: them ever changed a result, so loading drops exactly these; ``sim``
+#: held nothing else and is now a retired section.
 _RETIRED_KEYS: Dict[str, FrozenSet[str]] = {
     "sim": _backend_keys("kernel") | {"bucket_width"},
     "planning": _backend_keys("q", "infer"),
+    "sensing": frozenset({"batch_samples"}),
 }
 
 

@@ -149,10 +149,10 @@ def run_tea_scenario(
 ) -> ScenarioResult:
     """Run the Figure 1 scenario and reconstruct its timeline.
 
-    ``sensing`` overrides the sensing configuration; the fast-path
-    equivalence smoke test replays this scenario with
-    ``batch_samples=1`` vs the default block size and asserts
-    identical trace streams.
+    ``sensing`` overrides the sensing configuration.  The sensing
+    equivalence test replays this scenario on per-sample oracle nodes
+    and on the production block samplers and asserts identical
+    timelines.
     """
     system, resident = build_tea_scenario(seed=seed, sensing=sensing)
     outcome = system.run_episode(resident, horizon=600.0)

@@ -15,7 +15,7 @@ from repro.core.errors import NotConvergedError
 from repro.planning.action import PromptAction
 from repro.planning.state import PlanningState
 from repro.planning.trainer import TrainingResult
-from repro.rl.batch import greedy_policy_for
+from repro.rl.batch import GreedyPolicyTable
 from repro.rl.dense import DenseQTable
 
 __all__ = ["NextStepPredictor"]
@@ -24,17 +24,17 @@ __all__ = ["NextStepPredictor"]
 class NextStepPredictor:
     """Greedy next-step lookup over a trained Q-table.
 
-    Predictions are served from a lazily-built greedy-policy cache (a
-    full argmax table over a dense Q-table, a per-state memo over
-    other versioned tables; see :mod:`repro.rl.batch`) keyed on the
-    Q-table's monotone write counter.  The answers are those of a
-    per-call ``q.best_action`` -- the oracle the tests hold them
-    against.  The version check makes the cache safe under online
-    adaptation: a learner writing through the same table invalidates
-    it instead of leaving stale prompts deployed.
+    Over a :class:`~repro.rl.dense.DenseQTable`, predictions are
+    served from a lazily-built :class:`~repro.rl.batch.GreedyPolicyTable`
+    keyed on the table's monotone write counter, so a learner writing
+    through the same table (online adaptation) invalidates it instead
+    of leaving stale prompts deployed.  Any other table (Double Q's
+    mean view) answers with a fresh ``q.best_action`` per call.  The
+    answers are those of a per-call ``q.best_action`` either way --
+    the oracle the tests hold them against.
     """
 
-    __slots__ = ("q", "actions", "converged", "_cacheable", "_policy")
+    __slots__ = ("q", "actions", "converged", "_policy")
 
     def __init__(
         self,
@@ -47,7 +47,6 @@ class NextStepPredictor:
         self.q = q
         self.actions: Tuple[PromptAction, ...] = tuple(actions)
         self.converged = converged
-        self._cacheable = True
         self._policy = None
 
     @classmethod
@@ -79,14 +78,9 @@ class NextStepPredictor:
         policy = self._policy
         if policy is not None:
             return policy.lookup(state)
-        if self._cacheable:
-            policy = greedy_policy_for(self.q, self.actions)
-            if policy is not None:
-                self._policy = policy
-                return policy.lookup(state)
-            # Unknown table type: no version counter to revalidate
-            # against, so caching would risk stale prompts.
-            self._cacheable = False
+        if type(self.q) is DenseQTable:
+            self._policy = policy = GreedyPolicyTable(self.q, self.actions)
+            return policy.lookup(state)
         if not isinstance(state, PlanningState):
             state = PlanningState(*state)
         return self.q.best_action(state, self.actions)

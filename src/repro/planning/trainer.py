@@ -189,9 +189,6 @@ class RoutineTrainer:
         # episodes for hundreds of iterations, so their PlanningState
         # trajectories are built once per distinct step sequence.
         self._states_cache: Dict[Tuple[int, ...], List[PlanningState]] = {}
-        # The batched greedy probe, resolved once: per-state fallback
-        # for custom learners without ``greedy_actions``.
-        self._greedy_batch = getattr(self.learner, "greedy_actions", None)
 
     def train(
         self,
@@ -253,20 +250,19 @@ class RoutineTrainer:
     def _probe_greedy(self, routine: Routine) -> Tuple[float, float]:
         """Greedy accuracy and minimal-level fraction on the routine.
 
-        Probes all routine states in one batched argmax when the
-        learner supports it (a prebound argmax prober on a dense
-        Q-table); per-state ``greedy_action`` otherwise, so custom
-        learners passed to the trainer keep working unchanged.
+        Probes all routine states with a prebound argmax prober when
+        the learner's ``q`` is a dense Q-table; per-state
+        ``greedy_action`` otherwise (Double Q's mean view, custom
+        learners passed to the trainer).
         """
         key = tuple(routine.step_ids)
         if self._probe_cache is None or self._probe_cache[0] != key:
             states = episode_states(list(key))
             expected = [state.current for state in states[1:]]
             prober = None
-            if self._greedy_batch is not None:
-                q = getattr(self.learner, "q", None)
-                if type(q) is DenseQTable and states[:-1]:
-                    prober = q.argmax_prober(states[:-1], self.actions)
+            q = getattr(self.learner, "q", None)
+            if type(q) is DenseQTable and states[:-1]:
+                prober = q.argmax_prober(states[:-1], self.actions)
             self._probe_cache = (key, states[:-1], expected, prober)
         _, probe_states, expected, prober = self._probe_cache
         total = len(probe_states)
@@ -274,8 +270,6 @@ class RoutineTrainer:
             return 1.0, 1.0
         if prober is not None:
             chosen = prober()
-        elif self._greedy_batch is not None:
-            chosen = self._greedy_batch(probe_states, self.actions)
         else:
             chosen = [
                 self.learner.greedy_action(state, self.actions)

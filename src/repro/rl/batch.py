@@ -1,31 +1,22 @@
-"""Batched greedy-policy inference over trained Q-tables.
+"""Greedy-policy tables: precomputed readouts over a trained Q-table.
 
-Training batches landed in :mod:`repro.rl.dense` (PR 5); this module
-batches the *deployment* side.  A deployed predictor answers the same
-question thousands of times per simulated day -- "greedy action in
-state ⟨previous, current⟩?" -- against a Q-table that no longer
-changes (or changes only at episode boundaries under online
-adaptation).  Recomputing the argmax per call therefore repays the
-same work over and over; the classes here precompute it once and
-revalidate cheaply:
+A deployed predictor answers the same question thousands of times per
+simulated day -- "greedy action in state ⟨previous, current⟩?" --
+against a Q-table that no longer changes (or changes only at episode
+boundaries under online adaptation).  Recomputing the argmax per call
+repays the same work over and over; the classes here compute it once
+and revalidate cheaply:
 
 * :class:`GreedyPolicyTable` -- the full greedy policy of a
   :class:`~repro.rl.dense.DenseQTable` as one ``(n_states,)`` vector
   of action indices, built by a single row-indexed ``argmax`` over
-  the dense buffer's NumPy mirror.  A lookup is one dict probe (state
-  -> interned id) plus one array index.
-* :class:`MemoizedGreedyPolicy` -- the generic fallback: a lazily
-  filled ``state -> action`` dict over any table exposing
-  ``best_action`` and a ``version`` counter (Double Q's mean view).
+  the dense buffer's NumPy mirror and rebuilt whenever the table's
+  monotone ``version`` counter moves.  A lookup is one dict probe
+  (state -> interned id) plus one array index.
 * :class:`ShardPredictor` -- a frozen, shareable predictor facade for
   the fleet's shared-kernel shards: one eagerly-built policy table per
   distinct training per shard, so per-step prediction inside the
   shared kernel is a single array index, not a ``best_action`` call.
-
-Every path revalidates against the table's monotone ``version``
-counter (bumped on every write), so a learner that keeps writing --
-online adaptation -- invalidates the cache instead of being served
-stale prompts.
 
 The contract, as everywhere in this codebase: **byte-identity** with
 a per-call ``best_action``.  ``np.argmax`` returns the first maximum,
@@ -33,23 +24,18 @@ the policy tables argmax over the same repr-sorted action order as
 ``best_action``, and a state the table has never interned maps to the
 first action in repr order -- exactly what ``best_action`` computes
 for an all-initial-value row.  ``tests/test_rl_batch.py`` pins this
-down per table type.
+down.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Optional, Sequence, Tuple
+from typing import Hashable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.rl.dense import DenseQTable
 
-__all__ = [
-    "GreedyPolicyTable",
-    "MemoizedGreedyPolicy",
-    "ShardPredictor",
-    "greedy_policy_for",
-]
+__all__ = ["GreedyPolicyTable", "ShardPredictor"]
 
 State = Hashable
 Action = Hashable
@@ -119,71 +105,19 @@ class GreedyPolicyTable:
         )
 
 
-class MemoizedGreedyPolicy:
-    """Generic greedy memo: ``state -> best_action(state)``.
-
-    Works over any table exposing ``best_action`` and a monotone
-    ``version`` write counter (Double Q's mean view); the memo is
-    cleared whenever the version moves.  ``PlanningState`` is a ``NamedTuple``, so plain
-    ``(previous, current)`` tuples hash and compare equal to it and
-    share one memo entry.
-    """
-
-    __slots__ = ("q", "actions", "_memo", "_version")
-
-    def __init__(self, q, actions: Sequence[Action]) -> None:
-        if not actions:
-            raise ValueError("policy memo needs a non-empty action space")
-        self.q = q
-        self.actions: Tuple[Action, ...] = tuple(actions)
-        self._memo: Dict[State, Action] = {}
-        self._version = q.version
-
-    def lookup(self, state: State) -> Action:
-        """The greedy action for ``state`` (= ``q.best_action``)."""
-        q = self.q
-        if self._version != q.version:
-            self._memo.clear()
-            self._version = q.version
-        action = self._memo.get(state)
-        if action is None:
-            action = q.best_action(state, self.actions)
-            self._memo[state] = action
-        return action
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"MemoizedGreedyPolicy(memoized={len(self._memo)}, "
-            f"actions={len(self.actions)})"
-        )
-
-
-def greedy_policy_for(q, actions: Sequence[Action]):
-    """The fastest greedy-policy cache available for ``q``'s type.
-
-    ``None`` when ``q`` exposes no ``version`` counter -- a custom
-    table the caller must treat as uncacheable (fall back to per-call
-    ``best_action``).
-    """
-    if type(q) is DenseQTable:
-        return GreedyPolicyTable(q, actions)
-    if getattr(q, "version", None) is not None and hasattr(q, "best_action"):
-        return MemoizedGreedyPolicy(q, actions)
-    return None
-
-
 class ShardPredictor:
     """A frozen, shareable next-step predictor for batched shards.
 
     Wraps a trained predictor (anything exposing ``q``, ``actions``
-    and ``converged``) behind an eagerly-built greedy-policy cache:
+    and ``converged``) over a :class:`~repro.rl.dense.DenseQTable`
+    behind an eagerly-built :class:`GreedyPolicyTable`:
     a shared-kernel shard resolves one predictor per distinct
     training key and serves every shard-mate from it, so the policy
     table is computed once per shard and each per-step prediction
     inside the shared kernel is a single array index.
 
     Predictions are byte-identical to the wrapped predictor's -- the
-    cache machinery above guarantees it -- and the wrapped predictor
+    policy table guarantees it -- and the wrapped predictor
     stays reachable via ``inner`` for persistence helpers.
     """
 
@@ -194,24 +128,20 @@ class ShardPredictor:
         self.q = predictor.q
         self.actions: Tuple[Action, ...] = tuple(predictor.actions)
         self.converged = predictor.converged
-        policy = greedy_policy_for(self.q, self.actions)
-        if policy is None:
+        if type(self.q) is not DenseQTable:
             raise TypeError(
                 f"cannot build a shard policy table over {type(self.q).__name__}"
             )
-        self._policy = policy
+        self._policy = GreedyPolicyTable(self.q, self.actions)
 
     def precompute(self) -> "ShardPredictor":
-        """Force-build the policy cache now (off the simulated clock).
+        """Build the full argmax vector now (off the simulated clock).
 
-        Over a dense table this materializes the full argmax vector;
-        for memo policies it is a no-op warm-up hook.
         Returns ``self`` for chaining.
         """
         policy = self._policy
-        if isinstance(policy, GreedyPolicyTable):
-            if policy._version != policy.q.version:
-                policy._rebuild()
+        if policy._version != policy.q.version:
+            policy._rebuild()
         return self
 
     def predict(self, state) -> Action:

@@ -11,15 +11,13 @@ experiment cell.  This module is the Q storage every learner uses:
   integer ids and computes each action set's repr-sort order **once**,
   the deterministic tie-breaking order of a repr-sorted argmax;
 * :class:`DenseQTable` stores Q row-major in one flat buffer indexed
-  by ``state_id * stride + action_id``, with a NumPy ``[n_states,
-  n_actions]`` mirror behind :meth:`as_array` that services the
-  vectorized argmax paths once a batch is large enough to beat the
-  interpreter (``_VECTOR_MIN_ELEMENTS``).  At routine scale (tens of
-  states, a handful of actions) the flat scalar path wins: a Python
+  by ``state_id * stride + action_id``; per-state reads are cached
+  C-speed ``itemgetter`` gathers in two lanes, given order
+  (:meth:`~DenseQTable.row_values`) and repr order
+  (:meth:`~DenseQTable.sorted_row_values`).  At routine scale a Python
   list index costs ~0.05us against ~0.36us for a NumPy scalar
-  ``arr[i, j] += x``, measured on this container -- the dense win
-  comes from interning away repr-sorting and dict hashing, and the
-  NumPy paths take over as the table grows;
+  ``arr[i, j] += x``: the dense win comes from interning away
+  repr-sorting and dict hashing;
 * :class:`DenseTraces` keeps the active eligibility traces as flat
   id-pair vectors so a TD(λ) sweep applies ``Q[active] += coef *
   e[active]`` over precomputed offsets with no hashing and no
@@ -58,13 +56,6 @@ Action = Hashable
 #: (guards against callers that build a fresh actions tuple per call).
 _IDENTITY_CACHE_LIMIT = 256
 
-#: Batched argmax switches from the scalar loop to the NumPy mirror
-#: when ``len(states) * len(actions)`` reaches this.  Below it the
-#: loop is faster (measured crossover ~40 elements on equal terms,
-#: but the mirror may also need an O(table) rebuild when dirty, so
-#: the threshold is set where the rebuild amortizes too).
-_VECTOR_MIN_ELEMENTS = 2048
-
 
 def _make_gather(offsets: List[int]):
     """A C-speed gather: ``flat -> (flat[off] for off in offsets)``.
@@ -86,7 +77,6 @@ class _ActionView:
 
     __slots__ = (
         "actions",
-        "ids",
         "ids_list",
         "sorted_ids",
         "sorted_ids_list",
@@ -105,7 +95,6 @@ class _ActionView:
         self.ids_list = ids_list
         self.sorted_ids_list = sorted_ids_list
         self.sorted_actions = sorted_actions
-        self.ids = np.array(ids_list, dtype=np.intp)
         self.sorted_ids = np.array(sorted_ids_list, dtype=np.intp)
         self.max_id = max(ids_list) if ids_list else -1
 
@@ -204,11 +193,9 @@ class DenseQTable:
     Default initial value, repr-order tie-breaking, loud empty-action
     errors, ``known_pairs`` over the written support.  Values live
     row-major in one flat buffer (``offset = state_id * stride +
-    action_id``);
-    :meth:`as_array` exposes the same data as a NumPy matrix, rebuilt
-    lazily after writes, which :meth:`best_actions` uses for large
-    batches.  Tables may share one :class:`StateActionIndex` (Double
-    Q-learning does).
+    action_id``); :meth:`as_array` exposes the same data as a NumPy
+    matrix, rebuilt lazily after writes.  Tables may share one
+    :class:`StateActionIndex` (Double Q-learning does).
     """
 
     __slots__ = (
@@ -224,7 +211,6 @@ class DenseQTable:
         "_action_ids",
         "_last_actions",
         "_last_view",
-        "_gather",
         "_g0_view",
         "_g0",
         "_g1_view",
@@ -240,9 +226,8 @@ class DenseQTable:
     ) -> None:
         self.initial_value = float(initial_value)
         self.index = index if index is not None else StateActionIndex()
-        #: Monotone write counter, bumped on every write; the
-        #: memoized greedy readouts of :mod:`repro.rl.batch`
-        #: revalidate against it.
+        #: Monotone write counter, bumped on every write; the greedy
+        #: policy tables of :mod:`repro.rl.batch` revalidate against it.
         self.version = 0
         self._flat: List[float] = []
         self._written = bytearray()
@@ -258,15 +243,11 @@ class DenseQTable:
         self._action_ids = self.index._action_ids
         self._last_actions: Optional[Tuple[Action, ...]] = None
         self._last_view: Optional[_ActionView] = None
-        # (state_id, view, sorted?) -> itemgetter over flat offsets.
-        # Offsets bake in the stride, so _grow clears this in place
-        # (hot paths hold a reference to the dict itself) and bumps
-        # ``_grow_count`` so externally cached offsets can revalidate.
-        self._gather: Dict[Tuple[int, _ActionView, int], object] = {}
-        # Single-view fast lanes: almost every hot call uses one
-        # action view, so the per-row gathers for that view live in
+        # The gather lanes: almost every hot call uses one action
+        # view, so the per-row itemgetters for that view live in
         # int-keyed dicts (``_g0`` given order, ``_g1`` repr order),
-        # reset when the view changes or the table grows.
+        # reset when the view changes.  Offsets bake in the stride, so
+        # _grow resets both and bumps ``_grow_count`` for the prober.
         self._g0_view: Optional[_ActionView] = None
         self._g0: Dict[int, object] = {}
         self._g1_view: Optional[_ActionView] = None
@@ -343,6 +324,24 @@ class DenseQTable:
             self._last_view = view
         return view
 
+    def _row(
+        self, state: State, actions: Sequence[Action]
+    ) -> Tuple[int, _ActionView]:
+        """``(sid, view)`` for a per-state read, grown to cover both.
+
+        Raises ``ValueError`` on an empty action sequence -- a state
+        with no actions is a modelling bug we want loud.
+        """
+        view = self._view(actions)
+        if not view.ids_list:
+            raise ValueError(f"no actions available in state {state!r}")
+        sid = self._state_ids.get(state)
+        if sid is None:
+            sid = self.index.state_id(state)
+        if sid >= self._rows or view.max_id >= self._cols:
+            self._grow()
+        return sid, view
+
     # ------------------------------------------------------------------
     # storage
 
@@ -375,7 +374,6 @@ class DenseQTable:
         self._rows = new_rows
         self._cols = new_cols
         self._array = None
-        self._gather.clear()
         self._g0_view = None
         self._g0 = {}
         self._g1_view = None
@@ -515,6 +513,26 @@ class DenseQTable:
             self._g0[sid] = g
         return g(self._flat)
 
+    def sorted_row_values(
+        self, sid: int, view: _ActionView
+    ) -> Tuple[float, ...]:
+        """Row ``sid``'s values over ``view``'s actions, in repr order.
+
+        The ``_g1`` gather lane, the one :meth:`best_action` reads;
+        ``view`` must be non-empty and the ids in range.
+        """
+        if view is self._g1_view:
+            g = self._g1.get(sid)
+        else:
+            self._g1_view = view
+            self._g1 = {}
+            g = None
+        if g is None:
+            base = sid * self._cols
+            g = _make_gather([base + aid for aid in view.sorted_ids_list])
+            self._g1[sid] = g
+        return g(self._flat)
+
     def value_at(self, sid: int, aid: int) -> float:
         """Q of one in-range cell, by ids."""
         return self._flat[sid * self._cols + aid]
@@ -562,35 +580,9 @@ class DenseQTable:
     def best_action(self, state: State, actions: Sequence[Action]) -> Action:
         """Argmax over ``actions``; first maximum in repr order wins.
 
-        Raises ``ValueError`` on an empty action sequence -- a state
-        with no actions is a modelling bug we want loud.
+        Raises ``ValueError`` on an empty action sequence.  The
+        preamble is :meth:`_row` inlined: this is the hottest reader.
         """
-        view = self._view(actions)
-        sorted_ids = view.sorted_ids_list
-        if not sorted_ids:
-            raise ValueError(f"no actions available in state {state!r}")
-        sid = self._state_ids.get(state)
-        if sid is None:
-            sid = self.index.state_id(state)
-        if sid >= self._rows or view.max_id >= self._cols:
-            self._grow()
-        if view is self._g1_view:
-            g = self._g1.get(sid)
-        else:
-            self._g1_view = view
-            self._g1 = {}
-            g = None
-        if g is None:
-            base = sid * self._cols
-            g = _make_gather([base + a for a in sorted_ids])
-            self._g1[sid] = g
-        # index(max(values)) is the first maximum in repr order --
-        # the tie-break -- with every scan in C.
-        values = g(self._flat)
-        return view.sorted_actions[values.index(max(values))]
-
-    def max_value(self, state: State, actions: Sequence[Action]) -> float:
-        """max_a Q(s, a) over the given actions."""
         view = self._view(actions)
         if not view.ids_list:
             raise ValueError(f"no actions available in state {state!r}")
@@ -599,16 +591,14 @@ class DenseQTable:
             sid = self.index.state_id(state)
         if sid >= self._rows or view.max_id >= self._cols:
             self._grow()
-        return max(self.row_values(sid, view))
+        # index(max(values)) is the first maximum in repr order --
+        # the tie-break -- with every scan in C.
+        values = self.sorted_row_values(sid, view)
+        return view.sorted_actions[values.index(max(values))]
 
-    def greedy_policy(
-        self, states_actions: Dict[State, List[Action]]
-    ) -> Dict[State, Action]:
-        """The greedy action for every state in ``states_actions``."""
-        return {
-            state: self.best_action(state, actions)
-            for state, actions in states_actions.items()
-        }
+    def max_value(self, state: State, actions: Sequence[Action]) -> float:
+        """max_a Q(s, a) over the given actions."""
+        return max(self.row_values(*self._row(state, actions)))
 
     def known_pairs(self) -> List[Tuple[State, Action]]:
         """All (state, action) pairs ever written (unordered)."""
@@ -659,84 +649,14 @@ class DenseQTable:
         self, state: State, actions: Sequence[Action]
     ) -> List[float]:
         """``[Q(s, a) for a in actions]`` in the given order."""
-        view = self._view(actions)
-        sid = self._state_ids.get(state)
-        if sid is None:
-            sid = self.index.state_id(state)
-        if sid >= self._rows or view.max_id >= self._cols:
-            self._grow()
-        key = (sid, view, 0)
-        g = self._gather.get(key)
-        if g is None:
-            base = sid * self._cols
-            g = _make_gather([base + aid for aid in view.ids_list])
-            self._gather[key] = g
-        return list(g(self._flat))
+        return list(self.row_values(*self._row(state, actions)))
 
     def action_values_sorted(
         self, state: State, actions: Sequence[Action]
     ) -> Tuple[List[float], Tuple[Action, ...]]:
         """(values, actions), both in the deterministic repr order."""
-        view = self._view(actions)
-        sorted_ids = view.sorted_ids_list
-        if not sorted_ids:
-            raise ValueError(f"no actions available in state {state!r}")
-        sid = self._state_ids.get(state)
-        if sid is None:
-            sid = self.index.state_id(state)
-        if sid >= self._rows or view.max_id >= self._cols:
-            self._grow()
-        key = (sid, view, 1)
-        g = self._gather.get(key)
-        if g is None:
-            base = sid * self._cols
-            g = _make_gather([base + aid for aid in sorted_ids])
-            self._gather[key] = g
-        return list(g(self._flat)), view.sorted_actions
-
-    def best_actions(
-        self, states: Sequence[State], actions: Sequence[Action]
-    ) -> List[Action]:
-        """The greedy action for every state in ``states``.
-
-        One batched NumPy argmax over the mirror for large batches;
-        a scalar first-max loop (the same comparison sequence, so the
-        same ties) below ``_VECTOR_MIN_ELEMENTS``.
-        """
-        view = self._view(actions)
-        sorted_ids = view.sorted_ids_list
-        if not sorted_ids:
-            raise ValueError("no actions available")
-        if not states:
-            return []
-        ids_get = self._state_ids.get
-        intern = self.index.state_id
-        sids = [ids_get(s) for s in states]
-        if None in sids:
-            sids = [intern(s) for s in states]
-        if max(sids) >= self._rows or view.max_id >= self._cols:
-            self._grow()
-        sorted_actions = view.sorted_actions
-        if len(sids) * len(sorted_ids) >= _VECTOR_MIN_ELEMENTS:
-            block = self.as_array()[np.asarray(sids, dtype=np.intp)]
-            block = block[:, view.sorted_ids]
-            return [
-                sorted_actions[i] for i in block.argmax(axis=1).tolist()
-            ]
-        flat = self._flat
-        cols = self._cols
-        gathers = self._gather
-        out = []
-        for sid in sids:
-            key = (sid, view, 1)
-            g = gathers.get(key)
-            if g is None:
-                base = sid * cols
-                g = _make_gather([base + a for a in sorted_ids])
-                gathers[key] = g
-            values = g(flat)
-            out.append(sorted_actions[values.index(max(values))])
-        return out
+        sid, view = self._row(state, actions)
+        return list(self.sorted_row_values(sid, view)), view.sorted_actions
 
     def argmax_prober(self, states: Sequence[State], actions: Sequence[Action]):
         """A prebound, repeatable batched argmax over fixed inputs.
@@ -755,23 +675,10 @@ class _ArgmaxProber:
 
     Built by :meth:`DenseQTable.argmax_prober` for a fixed state and
     action sequence; tie-breaking matches :meth:`DenseQTable.
-    best_action` exactly (first maximum in repr order).  Probes large
-    enough to beat the interpreter (``_VECTOR_MIN_ELEMENTS``) are
-    served by one row-indexed argmax over the NumPy mirror instead of
-    per-state itemgetter chains; ``np.argmax`` also returns the first
-    maximum, so the ties break identically.
+    best_action` exactly (first maximum in repr order).
     """
 
-    __slots__ = (
-        "_q",
-        "_sids",
-        "_max_sid",
-        "_sid_arr",
-        "_vector",
-        "_view",
-        "_gathers",
-        "_grows",
-    )
+    __slots__ = ("_q", "_sids", "_max_sid", "_view", "_gathers", "_grows")
 
     def __init__(
         self,
@@ -787,22 +694,13 @@ class _ArgmaxProber:
         self._view = view
         self._sids = [index.state_id(s) for s in states]
         self._max_sid = max(self._sids) if self._sids else -1
-        self._sid_arr = np.array(self._sids, dtype=np.intp)
-        self._vector = (
-            len(self._sids) * len(view.sorted_ids_list)
-            >= _VECTOR_MIN_ELEMENTS
-        )
         self._gathers: List[object] = []
         self._grows = -1
 
-    def _ensure_capacity(self) -> None:
+    def _rebuild(self) -> None:
         q = self._q
         if self._max_sid >= q._rows or self._view.max_id >= q._cols:
             q._grow()
-
-    def _rebuild(self) -> None:
-        q = self._q
-        self._ensure_capacity()
         cols = q._cols
         ids = self._view.sorted_ids_list
         self._gathers = [
@@ -813,18 +711,10 @@ class _ArgmaxProber:
 
     def __call__(self) -> List[Action]:
         q = self._q
-        view = self._view
-        if self._vector:
-            self._ensure_capacity()
-            block = q.as_array()[self._sid_arr][:, view.sorted_ids]
-            sorted_actions = view.sorted_actions
-            return [
-                sorted_actions[i] for i in block.argmax(axis=1).tolist()
-            ]
         if self._grows != q._grow_count:
             self._rebuild()
         flat = q._flat
-        sorted_actions = view.sorted_actions
+        sorted_actions = self._view.sorted_actions
         out = []
         for g in self._gathers:
             values = g(flat)

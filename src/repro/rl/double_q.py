@@ -73,12 +73,6 @@ class DoubleQLearner:
         """Greedy action under the combined view."""
         return self.q.best_action(state, actions)
 
-    def greedy_actions(
-        self, states: Sequence[State], actions: Sequence[Action]
-    ) -> Sequence[Action]:
-        """Greedy action per state under the combined view."""
-        return self.q.best_actions(states, actions)
-
     def observe(
         self,
         state: State,
@@ -133,12 +127,6 @@ class _MeanQView:
         self._q_a = q_a
         self._q_b = q_b
 
-    @property
-    def version(self) -> int:
-        """Combined write counter, so memoized greedy readouts over
-        this view (:mod:`repro.rl.batch`) see either table change."""
-        return self._q_a.version + self._q_b.version
-
     def value(self, state: State, action: Action) -> float:
         return 0.5 * (self._q_a.value(state, action) + self._q_b.value(state, action))
 
@@ -156,9 +144,6 @@ class _MeanQView:
                 best_value = values[i]
                 best_i = i
         return ordered[best_i]
-
-    def best_actions(self, states, actions):
-        return [self.best_action(state, actions) for state in states]
 
     def max_value(self, state: State, actions) -> float:
         values = [self.value(state, a) for a in actions]

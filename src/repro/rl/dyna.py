@@ -95,12 +95,6 @@ class DynaQLearner:
         """The current greedy action."""
         return self.q.best_action(state, actions)
 
-    def greedy_actions(
-        self, states: Sequence[State], actions: Sequence[Action]
-    ) -> Sequence[Action]:
-        """Greedy action per state (one batched argmax)."""
-        return self.q.best_actions(states, actions)
-
     def observe(
         self,
         state: State,

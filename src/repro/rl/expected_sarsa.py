@@ -76,12 +76,6 @@ class ExpectedSarsaLearner:
         """Current greedy action."""
         return self.q.best_action(state, actions)
 
-    def greedy_actions(
-        self, states: Sequence[State], actions: Sequence[Action]
-    ) -> Sequence[Action]:
-        """Greedy action per state (one batched argmax)."""
-        return self.q.best_actions(states, actions)
-
     def expected_value(self, state: State, actions: Sequence[Action]) -> float:
         """E_π[Q(state, ·)] under the ε-greedy policy.
 

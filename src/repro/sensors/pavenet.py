@@ -7,31 +7,27 @@ other ADLs" -- only the uid differs): a 10 Hz sampling loop feeds the
 as a ``usage`` frame carrying the node uid.  Downlink ``led`` frames
 blink the requested LED.
 
-Two firmware implementations coexist, selected by
-``SensingConfig.batch_samples``:
+Mains-powered nodes run the **block sampler**: one kernel event per
+block of samples, drawn vectorised from the
+:class:`~repro.sensors.signals.SignalSource` and fed to the detector
+in one call, with usage reports scheduled at their exact per-sample
+timestamps.  The block length follows the source's regime: an idle
+tool samples :data:`IDLE_BLOCK_SAMPLES` per block, a use with a known
+end runs to that end (at most :data:`ACTIVE_BLOCK_SAMPLES`), and an
+open-ended use (ended by ``end_use``) takes :data:`OPEN_BLOCK_SAMPLES`
+per block.  Each block's sample clock is computed once, vectorised
+and bit-identical to a per-sample ``Timeout(period)`` loop's.  When
+the resident flips the signal regime mid-block, the node rolls the
+source/detector back to the block start, replays the committed
+prefix, and resumes sampling from the first uncommitted timestamp --
+so the event stream is byte-identical to the per-sample loop kept as
+the oracle in ``tests/oracles/sensing.py`` (see
+``docs/architecture.md``).
 
-* ``batch_samples=1`` (or a battery-powered node): the reference
-  per-sample loop -- one kernel event, one RNG read and one detector
-  step per sample.
-* ``batch_samples>1`` (the default): the **block fast path** -- one
-  kernel event per block of samples, drawn vectorised from the
-  :class:`~repro.sensors.signals.SignalSource` and fed to the detector
-  in one call, with usage reports scheduled at their exact per-sample
-  timestamps.  The block length follows the source's regime: an idle
-  tool samples :data:`IDLE_BLOCK_SAMPLES` per block, a use with a
-  known end runs to that end (at most :data:`ACTIVE_BLOCK_SAMPLES`),
-  and an open-ended use (ended by ``end_use``) takes
-  ``batch_samples`` per block.  Each block's sample clock is computed
-  once, vectorised and bit-identical to the reference loop's.  When
-  the resident flips the signal regime mid-block, the node rolls the
-  source/detector back to the block start, replays the committed
-  prefix, and resumes sampling from the first uncommitted timestamp
-  -- so the event stream is byte-identical to the reference loop (see
-  ``docs/architecture.md``).
-
-Battery-powered nodes always use the reference loop: the battery
-drains per sample *interleaved* with transmit drains, an ordering a
-pre-drawn block cannot reproduce.
+Battery-powered nodes run that per-sample loop (one kernel event, one
+RNG read and one detector step per sample): the battery drains per
+sample *interleaved* with transmit drains, an ordering a pre-drawn
+block cannot reproduce.
 """
 
 from __future__ import annotations
@@ -70,6 +66,9 @@ IDLE_BLOCK_SAMPLES = 200
 #: Cap on a block that runs to a use's known expiry; 100 measured
 #: faster than 10 or 600.
 ACTIVE_BLOCK_SAMPLES = 100
+#: Samples per block during an open-ended use (one ended by
+#: ``end_use``, as in the Table 3 and ablation harnesses).
+OPEN_BLOCK_SAMPLES = 10
 
 _INF = float("inf")
 #: The clock of a node between blocks: no samples, next start 0.
@@ -166,10 +165,9 @@ class PavenetNode:
         #: a ThresholdController self-calibrates against the noise
         #: floor while the node runs.
         self.agc = agc
-        # Block fast path state (see module docstring).
+        # Block sampler state (see module docstring).
         self._hz = config.sampling_hz
         self._period = 1.0 / config.sampling_hz
-        self._batch = config.batch_samples
         self._block_running = False
         self._block_event: Optional[Event] = None
         self._block_t0: Optional[float] = None
@@ -191,7 +189,7 @@ class PavenetNode:
         """Boot the firmware: begin the 10 Hz sampling loop."""
         if self.running:
             return
-        if self.battery is not None or self._batch <= 1:
+        if self.battery is not None:
             self._loop = Process(
                 self.sim, self._firmware_loop(), name=f"node{self.uid}.firmware"
             )
@@ -226,7 +224,7 @@ class PavenetNode:
             return True
         return self._loop is not None and not self._loop.done
 
-    # ----- reference per-sample firmware -------------------------------
+    # ----- per-sample firmware (battery nodes) ------------------------
 
     def _firmware_loop(self):
         period = self._period
@@ -246,13 +244,13 @@ class PavenetNode:
                 self._report_usage()
             yield Timeout(period)
 
-    # ----- block fast path ---------------------------------------------
+    # ----- block sampler -----------------------------------------------
 
     def _block_sample_times(self, start: float, n: int) -> np.ndarray:
         """The block clock: ``n`` sample timestamps from ``start``, then
         the timestamp that follows them (the next block's start).
 
-        Bit-identical to the reference loop's ``Timeout(period)`` clock
+        Bit-identical to the per-sample loop's ``Timeout(period)`` clock
         (see :func:`~repro.sensors.signals.sample_clock`).  Entries
         reach the kernel through ``item``, as plain floats.
         """
@@ -273,7 +271,7 @@ class PavenetNode:
         if source.active:
             until = source.active_until
             if until == _INF:
-                n = self._batch
+                n = OPEN_BLOCK_SAMPLES
                 times = self._block_sample_times(t0, n)
             else:
                 # Run to the known expiry, never across it.  A use that
@@ -328,7 +326,7 @@ class PavenetNode:
         instant: the block event that drew it fired now, or its usage
         report did.  Otherwise the change that is running now came
         first, as a change scheduled ahead of time does in the
-        reference loop.
+        per-sample loop.
         """
         times = self._block_times
         n = len(times) - 1

@@ -13,7 +13,9 @@ it as the oracle:
   per-call ``best_action`` prediction (the batched HMM stack and the
   greedy-policy tables must answer identically);
 * :mod:`oracles.fleet` -- one private kernel per home (the shared
-  shard kernel must report identically).
+  shard kernel must report identically);
+* :mod:`oracles.sensing` -- the per-sample node firmware loop (the
+  block sampler must emit identical traces, frames and EEPROM).
 
 Nothing under ``src/`` imports this package.
 """

@@ -79,12 +79,6 @@ class QTable:
             raise ValueError(f"no actions available in state {state!r}")
         return best
 
-    def best_actions(
-        self, states: Sequence[State], actions: Sequence[Action]
-    ) -> List[Action]:
-        """The greedy action for every state in ``states``."""
-        return [self.best_action(state, actions) for state in states]
-
     def max_value(self, state: State, actions: Iterable[Action]) -> float:
         """max_a Q(s, a) over the given actions."""
         values = [self.value(state, a) for a in actions]
@@ -106,15 +100,6 @@ class QTable:
         if not ordered:
             raise ValueError(f"no actions available in state {state!r}")
         return [self.value(state, a) for a in ordered], ordered
-
-    def greedy_policy(
-        self, states_actions: Dict[State, List[Action]]
-    ) -> Dict[State, Action]:
-        """The greedy action for every state in ``states_actions``."""
-        return {
-            state: self.best_action(state, actions)
-            for state, actions in states_actions.items()
-        }
 
     def known_pairs(self) -> List[Tuple[State, Action]]:
         """All (state, action) pairs ever written."""

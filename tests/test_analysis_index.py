@@ -209,27 +209,6 @@ class TestCallGraph:
         names = [f.qualname for f in graph.reachable_from([root])]
         assert names == ["leaf", "mid", "root"]
 
-    def test_callers_of(self):
-        project = _project((
-            "src/repro/pkg/mod.py",
-            """
-            def helper():
-                return 1
-
-            def a():
-                return helper()
-
-            def b():
-                return helper()
-            """,
-        ))
-        graph = project.callgraph()
-        helper = project.functions[("src/repro/pkg/mod.py", "helper")]
-        callers = sorted(
-            site.caller.qualname for site in graph.callers_of(helper.key)
-        )
-        assert callers == ["a", "b"]
-
 
 class TestStatementOrder:
     def _order(self, source):
@@ -238,34 +217,6 @@ class TestStatementOrder:
         tree = ast.parse(textwrap.dedent(source))
         function = tree.body[0]
         return function, StatementOrder(function)
-
-    def test_covers_after_block_level(self):
-        function, order = self._order(
-            """
-            def f(q, cond):
-                if cond:
-                    q.write()
-                q.bump()
-            """
-        )
-        if_stmt = function.body[0]
-        write = if_stmt.body[0]
-        bump = function.body[1]
-        assert order.covers_after(write, bump)
-        assert not order.covers_after(bump, write)
-
-    def test_bump_inside_one_branch_does_not_cover(self):
-        function, order = self._order(
-            """
-            def f(q, cond):
-                q.write()
-                if cond:
-                    q.bump()
-            """
-        )
-        write = function.body[0]
-        bump = function.body[1].body[0]
-        assert not order.covers_after(write, bump)
 
     def test_fallthrough_stops_at_terminator(self):
         function, order = self._order(

@@ -85,7 +85,8 @@ class TestRetiredKeys:
     """Files saved while the speed knobs existed keep loading."""
 
     #: What ``save_config`` wrote for a default config before the
-    #: kernel, Q-table and inference backends were retired.
+    #: kernel, Q-table and inference backends and the sensing block
+    #: size were retired.
     OLD_FORMAT = {
         "sim": {"kernel_backend": "calendar", "bucket_width": 0.5},
         "sensing": {
@@ -126,6 +127,7 @@ class TestRetiredKeys:
         document["sim"] = {"kernel_backend": "heap", "bucket_width": 2.0}
         document["planning"]["q_backend"] = "sparse"
         document["planning"]["infer_backend"] = "scalar"
+        document["sensing"]["batch_samples"] = 1
         assert config_from_dict(document) == CoReDAConfig(seed=3)
 
     def test_other_unknown_keys_still_rejected(self):

@@ -5,16 +5,11 @@ import pytest
 
 from repro.core.adl import ReminderLevel
 from repro.planning.action import PromptAction
-from repro.rl.batch import (
-    GreedyPolicyTable,
-    MemoizedGreedyPolicy,
-    ShardPredictor,
-    greedy_policy_for,
-)
-from repro.rl.dense import _VECTOR_MIN_ELEMENTS, DenseQTable
+from repro.planning.predictor import NextStepPredictor
+from repro.rl.batch import GreedyPolicyTable, ShardPredictor
+from repro.rl.dense import DenseQTable
 from repro.rl.double_q import DoubleQLearner
 from repro.rl.expected_sarsa import ExpectedSarsaLearner
-from oracles.rl import QTable
 from repro.rl.sarsa import SarsaLambdaLearner
 from repro.rl.tdlambda import TDLambdaQLearner
 
@@ -79,60 +74,10 @@ class TestGreedyPolicyTable:
             GreedyPolicyTable(DenseQTable(0.0), [])
 
 
-class TestMemoizedGreedyPolicy:
-    def test_matches_best_action(self):
-        q = QTable(0.0)
-        q.set((0, 1), "bravo", 4.0)
-        q.set((1, 2), "delta", 2.0)
-        policy = MemoizedGreedyPolicy(q, ACTIONS)
-        for state in ((0, 1), (1, 2), (9, 9)):
-            assert policy.lookup(state) == q.best_action(state, ACTIONS)
-
-    def test_memo_cleared_on_write(self):
-        q = QTable(0.0)
-        q.set("s", "alpha", 1.0)
-        policy = MemoizedGreedyPolicy(q, ACTIONS)
-        assert policy.lookup("s") == "alpha"
-        q.add("s", "charlie", 5.0)
-        assert policy.lookup("s") == "charlie"
-
-    def test_empty_action_space_rejected(self):
-        with pytest.raises(ValueError):
-            MemoizedGreedyPolicy(QTable(0.0), [])
-
-
-class TestGreedyPolicyFor:
-    def test_dense_gets_full_table(self):
-        assert isinstance(
-            greedy_policy_for(DenseQTable(0.0), ACTIONS), GreedyPolicyTable
-        )
-
-    def test_sparse_gets_memo(self):
-        assert isinstance(
-            greedy_policy_for(QTable(0.0), ACTIONS), MemoizedGreedyPolicy
-        )
-
-    def test_double_q_mean_view_gets_memo(self):
-        learner = DoubleQLearner()
-        policy = greedy_policy_for(learner.q, ACTIONS)
-        assert isinstance(policy, MemoizedGreedyPolicy)
-        # Writes to either underlying table invalidate the memo.
-        assert policy.lookup("s") == learner.q.best_action("s", ACTIONS)
-        learner.q_b.set("s", "delta", 99.0)
-        assert policy.lookup("s") == learner.q.best_action("s", ACTIONS)
-
-    def test_unknown_table_type_uncacheable(self):
-        class Opaque:
-            def best_action(self, state, actions):  # pragma: no cover
-                return actions[0]
-
-        assert greedy_policy_for(Opaque(), ACTIONS) is None
-
-
 class TestLearnerWritesBumpVersion:
     """Every learner write path must move the version counter.
 
-    The memoized policies revalidate against it; a fused fast path
+    The greedy policy tables revalidate against it; a fused fast path
     that writes the flat buffer without bumping it would serve stale
     prompts under online adaptation.
     """
@@ -179,9 +124,38 @@ class TestLearnerWritesBumpVersion:
 
     def test_double_q(self):
         learner = DoubleQLearner()
-        before = learner.q.version
+        before = learner.q_a.version + learner.q_b.version
         learner.observe((0, 1), "alpha", 1.0, (1, 2), list(ACTIONS), False)
-        assert learner.q.version > before
+        assert learner.q_a.version + learner.q_b.version > before
+
+
+class TestDoubleQPrediction:
+    def test_predictor_over_mean_view_tracks_learner_writes(self):
+        """Double Q's mean view has no policy table: the predictor
+        answers with a fresh ``best_action``, so learner writes to
+        either table show up at once."""
+        learner = DoubleQLearner()
+        predictor = NextStepPredictor(learner.q, ACTIONS)
+        states = [(prev, cur) for prev in range(3) for cur in range(3)]
+
+        def assert_matches():
+            for state in states:
+                assert predictor.predict(state) == learner.q.best_action(
+                    state, ACTIONS
+                )
+
+        assert_matches()
+        rng = np.random.default_rng(5)
+        for step in range(40):
+            state, nxt = states[step % 9], states[(step * 4 + 1) % 9]
+            action = ACTIONS[int(rng.integers(0, len(ACTIONS)))]
+            learner.observe(
+                state, action, float(rng.integers(-2, 5)), nxt,
+                list(ACTIONS), False, rng=rng,
+            )
+            assert_matches()
+        learner.q_b.set((2, 2), "delta", 99.0)
+        assert predictor.predict((2, 2)) == "delta"
 
 
 class _StubPredictor:
@@ -233,33 +207,3 @@ class TestShardPredictor:
         stub = _StubPredictor(Opaque(), self.prompt_actions())
         with pytest.raises(TypeError):
             ShardPredictor(stub)
-
-
-class TestArgmaxProberVectorPath:
-    def test_vector_and_scalar_paths_agree(self):
-        rng = np.random.default_rng(11)
-        n_states = _VECTOR_MIN_ELEMENTS // len(ACTIONS) + 1
-        q = DenseQTable(0.0)
-        states = list(range(n_states))
-        for s in states:
-            for a in ACTIONS:
-                q.set(s, a, float(rng.integers(0, 6)))
-        big = q.argmax_prober(states, ACTIONS)
-        small = q.argmax_prober(states[:10], ACTIONS)
-        assert big._vector
-        assert not small._vector
-        expected = [q.best_action(s, ACTIONS) for s in states]
-        assert big() == expected
-        assert small() == expected[:10]
-
-    def test_vector_path_tracks_writes(self):
-        q = DenseQTable(0.0)
-        n_states = _VECTOR_MIN_ELEMENTS // len(ACTIONS) + 1
-        states = list(range(n_states))
-        for s in states:
-            q.set(s, "alpha", 1.0)
-        prober = q.argmax_prober(states, ACTIONS)
-        assert prober._vector
-        assert prober() == ["alpha"] * n_states
-        q.set(5, "delta", 7.0)
-        assert prober()[5] == "delta"

@@ -364,9 +364,6 @@ def test_dense_tie_breaking_is_repr_order():
             table.set("s", action, 1.0)
     assert dense.best_action("s", actions) == "alpha"
     assert dense.best_action("s", actions) == sparse.best_action("s", actions)
-    assert dense.greedy_policy({"s": list(actions)}) == sparse.greedy_policy(
-        {"s": list(actions)}
-    )
 
 
 def test_dense_empty_actions_raise():
@@ -375,6 +372,57 @@ def test_dense_empty_actions_raise():
         dense.best_action("s", ())
     with pytest.raises(ValueError):
         dense.max_value("s", ())
+    with pytest.raises(ValueError):
+        dense.action_values("s", ())
+    with pytest.raises(ValueError):
+        dense.action_values_sorted("s", ())
+
+
+def test_gather_lanes_shared_across_readers():
+    """Every per-state reader shares the two gather lanes (given order
+    and repr order).  Interleaving them over alternating action views,
+    with growth in between, must never serve a stale or foreign gather.
+    """
+    sparse, dense = QTable(0.25), DenseQTable(0.25)
+    views = (
+        ("zeta", "alpha", "mid"),
+        ("mid", "beta"),
+        ("beta", "zeta", "alpha", "omega"),
+    )
+    states = [f"s{i}" for i in range(6)]
+    rng = np.random.default_rng(13)
+    for step in range(60):
+        actions = views[step % len(views)]
+        action = actions[int(rng.integers(len(actions)))]
+        value = float(rng.integers(-3, 4))  # small ints: many ties
+        for table in (sparse, dense):
+            table.set(states[step % len(states)], action, value)
+        if step % 15 == 14:
+            # Outgrow rows and columns: every baked-in offset is stale.
+            grow_count = dense._grow_count
+            for i in range(16 << (step // 15)):
+                dense.value(f"grow-{step}-{i}", f"act-{step}-{i % 4}")
+            assert dense._grow_count > grow_count
+        # The next step's view is read last, so its lanes are still
+        # warm when the next step writes (and maybe grows) first.
+        for probe in (actions, views[(step + 1) % len(views)]):
+            for state in states + ["unseen"]:
+                assert dense.best_action(state, probe) == sparse.best_action(
+                    state, probe
+                )
+                assert dense.action_values(
+                    state, probe
+                ) == sparse.action_values(state, probe)
+                assert dense.max_value(state, probe) == sparse.max_value(
+                    state, probe
+                )
+                assert dense.action_values_sorted(
+                    state, probe
+                ) == sparse.action_values_sorted(state, probe)
+                _, _, sid, view = dense.locate(state, probe[0], state, probe)
+                assert dense.row_values(sid, view) == tuple(
+                    sparse.action_values(state, probe)
+                )
 
 
 def test_dense_copy_is_independent():

@@ -56,7 +56,7 @@ class TestArgmax:
         q = DenseQTable()
         q.set("s1", "a", 1.0)
         q.set("s2", "b", 1.0)
-        policy = q.greedy_policy({"s1": ["a", "b"], "s2": ["a", "b"]})
+        policy = {s: q.best_action(s, ["a", "b"]) for s in ("s1", "s2")}
         assert policy == {"s1": "a", "s2": "b"}
 
 

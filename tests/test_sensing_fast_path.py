@@ -1,23 +1,23 @@
-"""Equivalence smoke tests: block fast path vs reference loop.
+"""Equivalence smoke tests: block sampler vs the per-sample oracle.
 
-The block-sampling fast path (``SensingConfig.batch_samples > 1``)
-must be *byte-identical* to the per-sample reference loop -- same
-trace events at the same times, same frames, same EEPROM contents --
-for any resident behaviour, including regime changes that land in the
-middle of a pre-drawn block.  These tests replay identical worlds
-under both firmwares and compare the full observable streams.
+The block sampler every mains-powered node runs must be
+*byte-identical* to the per-sample loop kept in
+``tests/oracles/sensing.py`` -- same trace events at the same times,
+same frames, same EEPROM contents -- for any resident behaviour,
+including regime changes that land in the middle of a pre-drawn
+block.  These tests replay identical worlds under both firmwares and
+compare the full observable streams.
 """
-
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from oracles.sensing import PerSampleNode, per_sample_nodes
 from repro.core.adl import SensorType, Tool
 from repro.core.config import CoReDAConfig, RadioConfig, SensingConfig
 from repro.evalx.ablations import plan_radio_sweep
 from repro.evalx.parallel import run_section
-from repro.evalx.scenario import run_tea_scenario
+from repro.evalx.scenario import build_tea_scenario, run_tea_scenario
 from repro.fleet import FleetSpec, run_fleet
 from repro.sensors.agc import ThresholdController
 from repro.sensors.pavenet import (
@@ -38,7 +38,7 @@ ACTIVE_SPAN = ACTIVE_BLOCK_SAMPLES * PERIOD
 CLOCK = sample_clock(0.0, PERIOD, 1200).tolist()
 
 
-def build_node(batch_samples, agc=False):
+def build_node(node_cls, agc=False):
     """One complete node world with a deterministic seed."""
     sim = Simulator()
     trace = TraceRecorder()
@@ -48,12 +48,12 @@ def build_node(batch_samples, agc=False):
     source = SignalSource(
         SignalProfile(burst_probability=0.7), np.random.default_rng(1)
     )
-    node = PavenetNode(
+    node = node_cls(
         sim=sim,
         tool=Tool(7, "cup", SensorType.ACCELEROMETER),
         source=source,
         radio=radio,
-        config=SensingConfig(batch_samples=batch_samples),
+        config=SensingConfig(),
         trace=trace,
         # A tight margin over a low quantile lets noise trip the
         # detector, so outputs hinge on the tracked threshold.
@@ -69,9 +69,9 @@ def build_node(batch_samples, agc=False):
     return sim, node, source, trace, received
 
 
-def run_script(batch_samples, script, agc=False):
+def run_script(node_cls, script, agc=False):
     """Run one node under ``script``: (time, action, kwargs) tuples."""
-    sim, node, source, trace, received = build_node(batch_samples, agc)
+    sim, node, source, trace, received = build_node(node_cls, agc)
     node.start()
     for time, action, kwargs in script:
         if action == "begin":
@@ -94,12 +94,12 @@ def run_script(batch_samples, script, agc=False):
 
 
 def assert_streams_equal(script, agc=False):
-    scalar = run_script(1, script, agc)
-    batched = run_script(10, script, agc)
-    assert batched["trace"] == scalar["trace"]
-    assert batched["received"] == scalar["received"]
-    assert batched["eeprom"] == scalar["eeprom"]
-    assert batched["reports"] == scalar["reports"]
+    reference = run_script(PerSampleNode, script, agc)
+    blocks = run_script(PavenetNode, script, agc)
+    assert blocks["trace"] == reference["trace"]
+    assert blocks["received"] == reference["received"]
+    assert blocks["eeprom"] == reference["eeprom"]
+    assert blocks["reports"] == reference["reports"]
 
 
 class TestNodeEquivalence:
@@ -185,7 +185,7 @@ class TestNodeEquivalence:
         # use at that very instant comes first in the reference loop,
         # so that sample is idle and the report must never fire.
         times = [entry.time for entry in
-                 run_script(1, [(0.0, "begin", {})])["trace"]]
+                 run_script(PerSampleNode, [(0.0, "begin", {})])["trace"]]
         assert CLOCK[54] in times
         assert_streams_equal([(0.0, "begin", {}), (CLOCK[54], "end", {})])
 
@@ -202,37 +202,44 @@ class TestNodeEquivalence:
         )
 
     def test_idle_node_fires_one_event_per_span(self):
-        sim, node, _, _, _ = build_node(10)
+        sim, node, _, _, _ = build_node(PavenetNode)
         node.start()
         sim.run_until(120.0)
         assert sim.events_processed <= 120.0 / IDLE_SPAN + 1
 
-    def test_batch_sizes_beyond_default(self):
+    def test_batch_sizes_beyond_default(self, monkeypatch):
         script = [(0.42, "begin", {"duration": 3.3}), (7.7, "begin", {}),
                   (9.33, "end", {})]
-        scalar = run_script(1, script)
+        reference = run_script(PerSampleNode, script)
         for batch in (2, 5, 25):
-            batched = run_script(batch, script)
-            assert batched["trace"] == scalar["trace"], f"batch={batch}"
-            assert batched["received"] == scalar["received"]
+            monkeypatch.setattr(
+                "repro.sensors.pavenet.OPEN_BLOCK_SAMPLES", batch
+            )
+            blocks = run_script(PavenetNode, script)
+            assert blocks["trace"] == reference["trace"], f"batch={batch}"
+            assert blocks["received"] == reference["received"]
 
 
 class TestScenarioEquivalence:
-    """The tier-1 gate from the issue: one full Figure 1 scenario,
-    batch_samples=1 vs 10, identical trace event lists."""
+    """One full Figure 1 scenario on per-sample nodes vs block
+    samplers: identical trace event lists."""
 
     @pytest.fixture(scope="class")
     def results(self):
-        scalar = run_tea_scenario(sensing=SensingConfig(batch_samples=1))
-        batched = run_tea_scenario(sensing=SensingConfig(batch_samples=10))
-        return scalar, batched
+        with pytest.MonkeyPatch.context() as patch:
+            per_sample_nodes(patch)
+            system, _ = build_tea_scenario()
+            nodes = system.network.nodes.values()
+            assert {type(node) for node in nodes} == {PerSampleNode}
+            reference = run_tea_scenario()
+        return reference, run_tea_scenario()
 
     def test_identical_timelines(self, results):
-        scalar, batched = results
-        assert batched.timeline == scalar.timeline
+        reference, blocks = results
+        assert blocks.timeline == reference.timeline
 
     def test_identical_anchors(self, results):
-        scalar, batched = results
+        reference, blocks = results
         for field in (
             "completed",
             "wrong_tool_prompt_time",
@@ -242,59 +249,59 @@ class TestScenarioEquivalence:
             "wrong_tool_methods",
             "stall_methods",
         ):
-            assert getattr(batched, field) == getattr(scalar, field), field
+            assert getattr(blocks, field) == getattr(reference, field), field
 
     def test_default_config_uses_fast_path(self, results):
-        scalar, _ = results
-        default = run_tea_scenario()
-        assert SensingConfig().batch_samples > 1
-        assert default.timeline == scalar.timeline
+        reference, _ = results
+        default = run_tea_scenario(sensing=SensingConfig())
+        assert default.timeline == reference.timeline
+        # A mains-powered node samples in blocks, not per sample.
+        _, node, _, _, _ = build_node(PavenetNode)
+        node.start()
+        assert node.running and node._loop is None
 
 
 class TestFleetEquivalence:
-    def test_high_severity_fleet_identical(self):
+    def test_high_severity_fleet_identical(self, monkeypatch):
         # High severity: wrong-tool and perseveration uses re-trigger
         # sources mid-block.
         spec = FleetSpec(seed=3, homes=24, episodes_per_home=2,
                          max_severity=1.0, shard_size=8, seed_classes=2)
-        reference = replace(
-            CoReDAConfig(seed=spec.seed),
-            sensing=SensingConfig(batch_samples=1),
-        )
-        assert (
-            run_fleet(spec).to_json()
-            == run_fleet(spec, config=reference).to_json()
-        )
+        blocks = run_fleet(spec).to_json()
+        per_sample_nodes(monkeypatch)
+        assert run_fleet(spec).to_json() == blocks
 
 
 class TestRadioSweepEquivalence:
-    def test_radio_ablation_table_identical(self, tea_definition):
-        def table(sensing):
+    def test_radio_ablation_table_identical(self, tea_definition, monkeypatch):
+        def table():
             return run_section(
                 plan_radio_sweep(tea_definition, samples_per_step=8,
-                                 sensing=sensing)
+                                 sensing=SensingConfig())
             )
 
-        assert table(SensingConfig()) == table(SensingConfig(batch_samples=1))
+        blocks = table()
+        per_sample_nodes(monkeypatch)
+        assert blocks == table()
 
 
 class TestExtractPrecisionEquivalence:
-    def test_table3_cell_identical(self):
+    def test_table3_cell_identical(self, monkeypatch):
         from repro.adls.tea_making import tea_making_definition
         from repro.evalx.extract_precision import run_extract_precision
 
         definition = tea_making_definition()
 
-        def rows(batch):
-            config = replace(
-                CoReDAConfig(), sensing=SensingConfig(batch_samples=batch)
-            )
+        def rows():
             result = run_extract_precision(
-                [definition], samples_per_step=4, config=config, seed=0
+                [definition], samples_per_step=4, config=CoReDAConfig(),
+                seed=0,
             )
             return [
                 (row.step_name, row.detections, row.trials, row.precision)
                 for row in result.rows
             ]
 
-        assert rows(10) == rows(1)
+        blocks = rows()
+        per_sample_nodes(monkeypatch)
+        assert blocks == rows()
