@@ -15,7 +15,7 @@ below, so they cannot drift apart.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.adls.library import ADLDefinition
 from repro.core.adl import ReminderLevel, Routine
@@ -32,7 +32,9 @@ from repro.planning.store import (
 )
 from repro.resident.compliance import ComplianceModel
 from repro.resident.dementia import DementiaProfile
+from repro.resident.model import EpisodeOutcome
 from repro.sim.kernel import Simulator
+from repro.sim.tracing import TraceRecorder
 
 __all__ = [
     "HomeRuntime",
@@ -245,12 +247,21 @@ def build_home_deployment(
     ``predictor`` skips the per-home cache restore when the caller
     already holds the home's policy (see
     :func:`resolve_home_predictor`).
+
+    The home records no trace: a fleet reads nothing from it, and the
+    report's counts come from the residents' episode outcomes.  Set
+    ``system.trace.enabled`` to record one home in full.
     """
     if predictor is None:
         predictor = resolve_home_predictor(
             definition, home, config, training_episodes, cache
         )
-    system = CoReDA(definition, config.with_seed(home.seed), sim=sim)
+    system = CoReDA(
+        definition,
+        config.with_seed(home.seed),
+        sim=sim,
+        trace=TraceRecorder(enabled=False),
+    )
     system.deploy_predictor(predictor)
     return system
 
@@ -304,13 +315,9 @@ def create_home_resident(
 def harvest_home_report(
     system: CoReDA,
     home: HomeSpec,
-    episodes: int,
-    completed: int,
-    reminders_seen: int,
-    reminders_followed: int,
-    self_recoveries: int,
+    outcomes: Sequence[EpisodeOutcome],
 ) -> HomeReport:
-    """Distill a finished home's session into its report.
+    """Distill a finished home's session and episode outcomes into its report.
 
     Called at the simulated instant the home's last episode completes
     -- on a shared or a private kernel the harvested state is the
@@ -325,15 +332,17 @@ def harvest_home_report(
     return HomeReport(
         home_id=home.home_id,
         severity=home.severity,
-        episodes=episodes,
-        completed=completed,
+        episodes=len(outcomes),
+        completed=sum(int(outcome.completed) for outcome in outcomes),
         reminders=len(session.reminders),
         minimal_reminders=minimal,
         specific_reminders=len(session.reminders) - minimal,
         praises=session.praises,
         caregiver_alerts=system.reminding.caregiver_alerts,
-        errors=system.trace.count("resident.error"),
-        self_recoveries=self_recoveries,
-        reminders_seen=reminders_seen,
-        reminders_followed=reminders_followed,
+        errors=sum(outcome.errors for outcome in outcomes),
+        self_recoveries=sum(outcome.self_recoveries for outcome in outcomes),
+        reminders_seen=sum(outcome.reminders_seen for outcome in outcomes),
+        reminders_followed=sum(
+            outcome.reminders_followed for outcome in outcomes
+        ),
     )

@@ -26,10 +26,28 @@ Byte-identity with a private kernel per home (the oracle in
 The tests cross-check report-for-report equality with the oracle,
 on the production and the reference event queue, and across
 ``--jobs``.
+
+Memory follows the shard's lifetime.  A shard's homes are built
+together, run together and die together, and their object graphs are
+cyclic (bus handlers, processes and subsystems refer to each other),
+so only the cyclic collector can free them.  Left running, it would
+rescan the shard's live homes -- and every earlier shard's dead ones
+-- in each of its generational passes.  :func:`simulate_shard`
+therefore disables it for the shard's lifetime and restores the
+caller's setting when the shard is dropped; the first young-generation
+pass after that frees the whole shard graph at once.
+
+Fleet homes also run untraced (:func:`~repro.fleet.home.
+build_home_deployment`): the report counts errors from the residents'
+episode outcomes, so a trace would only allocate entries nobody
+reads.  For the full trace of one home, run it through the
+``simulate_home`` oracle in ``tests/oracles/fleet.py``, which turns
+tracing back on, or replay a scenario with ``repro scenario``.
 """
 
 from __future__ import annotations
 
+import gc
 from typing import List, Optional, Sequence
 
 from repro.adls.library import ADLDefinition
@@ -44,6 +62,7 @@ from repro.fleet.home import (
 from repro.fleet.metrics import HomeReport
 from repro.fleet.spec import HomeSpec
 from repro.planning.store import PolicyCache
+from repro.resident.model import EpisodeOutcome
 from repro.rl.batch import ShardPredictor
 from repro.sim.kernel import Simulator
 
@@ -62,11 +81,7 @@ class _HomeRun:
         "compliance",
         "episodes",
         "horizon",
-        "episode",
-        "completed",
-        "reminders_seen",
-        "reminders_followed",
-        "self_recoveries",
+        "outcomes",
         "report",
         "profile",
         "_watchdog",
@@ -92,24 +107,21 @@ class _HomeRun:
         self.profile = runtime.profile(home)
         self.episodes = episodes
         self.horizon = horizon
-        self.episode = 0
-        self.completed = 0
-        self.reminders_seen = 0
-        self.reminders_followed = 0
-        self.self_recoveries = 0
+        self.outcomes: List[EpisodeOutcome] = []
         self.report: Optional[HomeReport] = None
         self._watchdog = None
 
     def begin_episode(self) -> None:
         """Start the next guided episode at the current instant."""
         system = self.system
+        episode = len(self.outcomes)
         resident = create_home_resident(
             system,
             self.home,
             self.routine,
             self.compliance,
             self.reliable,
-            self.episode,
+            episode,
             profile=self.profile,
         )
         process = resident.start_episode()
@@ -117,7 +129,7 @@ class _HomeRun:
 
         def on_timeout() -> None:
             raise CoReDAError(
-                f"home {self.home.home_id}: episode {self.episode} did "
+                f"home {self.home.home_id}: episode {episode} did "
                 f"not complete within {self.horizon}s of simulated time"
             )
 
@@ -131,14 +143,9 @@ class _HomeRun:
             # any same-instant later-sequence event fires).
             system.planning.reset_episode()
             system.sensing.reset_episode()
-            outcome = resident.outcome
-            assert outcome is not None
-            self.completed += int(outcome.completed)
-            self.reminders_seen += outcome.reminders_seen
-            self.reminders_followed += outcome.reminders_followed
-            self.self_recoveries += outcome.self_recoveries
-            self.episode += 1
-            if self.episode < self.episodes:
+            assert resident.outcome is not None
+            self.outcomes.append(resident.outcome)
+            if len(self.outcomes) < self.episodes:
                 self.begin_episode()
             else:
                 self._harvest()
@@ -146,15 +153,7 @@ class _HomeRun:
         process.finished.subscribe(on_finished)
 
     def _harvest(self) -> None:
-        self.report = harvest_home_report(
-            self.system,
-            self.home,
-            self.episodes,
-            self.completed,
-            self.reminders_seen,
-            self.reminders_followed,
-            self.self_recoveries,
-        )
+        self.report = harvest_home_report(self.system, self.home, self.outcomes)
         # The home is done; stop its sensor network so its recurring
         # block events stop burning shared-kernel cycles while the
         # shard's slower homes finish.  The report is already
@@ -287,10 +286,22 @@ def simulate_shard(
     for why).  ``runtime`` lends a caller-owned
     :class:`~repro.fleet.home.HomeRuntime` (the fleet executor builds
     one per shard cell); without one a private runtime is created.
+
+    The cyclic collector is paused while the shard lives and restored
+    to its prior state afterwards, also when the shard raises (see
+    the module docstring).
     """
-    shard = ShardSimulator(config, runtime=runtime)
-    for home in homes:
-        shard.load(
-            definition, home, episodes, training_episodes, cache, horizon
-        )
-    return shard.run()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        shard = ShardSimulator(config, runtime=runtime)
+        for home in homes:
+            shard.load(
+                definition, home, episodes, training_episodes, cache, horizon
+            )
+        reports = shard.run()
+        del shard
+    finally:
+        if enabled:
+            gc.enable()
+    return reports

@@ -46,6 +46,7 @@ class EpisodeOutcome:
     reminders_seen: int
     reminders_followed: int
     self_recoveries: int
+    errors: int
 
 
 class Resident:
@@ -100,7 +101,8 @@ class Resident:
         self._reminders_seen = 0
         self._reminders_followed = 0
         self._self_recoveries = 0
-        bus.subscribe(ReminderEvent, self._on_reminder)
+        self._errors = 0
+        self._unsubscribe = bus.subscribe(ReminderEvent, self._on_reminder)
 
     # ------------------------------------------------------------------
     # public API
@@ -144,7 +146,11 @@ class Resident:
             reminders_seen=self._reminders_seen,
             reminders_followed=self._reminders_followed,
             self_recoveries=self._self_recoveries,
+            errors=self._errors,
         )
+        # A finished resident reads no more reminders; leaving it on
+        # the bus would queue every later episode's prompts for it.
+        self._unsubscribe()
         if self._trace is not None:
             self._trace.emit(
                 self.sim.now, "resident.completed", duration=self.outcome.duration
@@ -184,6 +190,7 @@ class Resident:
         return int(candidates[int(self._rng.integers(len(candidates)))])
 
     def _act_out_error(self, error: ScriptedError, expected_step_id: int, previous_tool):
+        self._errors += 1
         if self._trace is not None:
             self._trace.emit(
                 self.sim.now,

@@ -6,7 +6,8 @@ version -- one :class:`~repro.core.system.CoReDA` with a private
 kernel, episodes driven by ``run_episode`` -- whose reports the shared
 kernel must reproduce byte for byte.  :func:`per_home_shards` builds a
 drop-in replacement for ``simulate_shard`` so a whole ``run_fleet``
-can execute on the oracle.
+can execute on the oracle.  Unlike production homes, an oracle home
+records its full trace and counts its errors from it.
 
 Production homes restore their trained policy from the shared-memory
 arena, then the mmap'd binary sidecar, then JSON.
@@ -88,33 +89,24 @@ def simulate_home(
         definition, home, config, training_episodes, cache,
         predictor=predictor,
     )
+    # Production homes run untraced and count errors from their
+    # episode outcomes; the oracle records the full trace and counts
+    # from it, so report equality cross-checks the two counts.
+    system.trace.enabled = True
     routine = runtime.routine(home)
     reliable = runtime.reliable()
     compliance = runtime.compliance(home)
     profile = runtime.profile(home)
-    completed = 0
-    reminders_seen = 0
-    reminders_followed = 0
-    self_recoveries = 0
+    outcomes = []
     for episode in range(episodes):
         resident = create_home_resident(
             system, home, routine, compliance, reliable, episode,
             profile=profile,
         )
-        outcome = system.run_episode(resident, horizon=horizon)
-        completed += int(outcome.completed)
-        reminders_seen += outcome.reminders_seen
-        reminders_followed += outcome.reminders_followed
-        self_recoveries += outcome.self_recoveries
-    return harvest_home_report(
-        system,
-        home,
-        episodes,
-        completed,
-        reminders_seen,
-        reminders_followed,
-        self_recoveries,
-    )
+        outcomes.append(system.run_episode(resident, horizon=horizon))
+    report = harvest_home_report(system, home, outcomes)
+    report.errors = system.trace.count("resident.error")
+    return report
 
 
 def per_home_shards(wrap: Optional[Callable] = None):

@@ -93,3 +93,31 @@ class TestSessionLog:
         system.run_episode(resident)
         assert system.session.completions == 1
         assert system.session.episodes[0].adl_name == "tea-making"
+
+
+class TestResidentLifecycle:
+    def test_finished_residents_leave_the_bus(self, tea_definition):
+        from repro.core.events import ReminderEvent
+        from repro.fleet.home import reliable_handling
+        from repro.resident.dementia import DementiaProfile
+
+        system = CoReDA.build(tea_definition, CoReDAConfig(seed=0))
+        system.train_offline(episodes=120)
+        baseline = system.bus.handler_count(ReminderEvent)
+        counts = []
+        outcomes = []
+        for episode in range(5):
+            resident = system.create_resident(
+                dementia=DementiaProfile.from_severity(1.0),
+                handling_overrides=reliable_handling(tea_definition),
+                error_use_duration=5.0,
+                name=f"resident.{episode}",
+            )
+            outcomes.append(system.run_episode(resident))
+            counts.append(system.bus.handler_count(ReminderEvent))
+        assert counts == [baseline] * 5
+        # Reminders really flowed while old residents were gone.
+        assert sum(outcome.reminders_seen for outcome in outcomes) > 0
+        # Each outcome counts its own errors, exactly as the trace does.
+        errors = sum(outcome.errors for outcome in outcomes)
+        assert errors == system.trace.count("resident.error") > 0

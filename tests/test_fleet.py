@@ -9,9 +9,11 @@ policy per home.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import statistics
+import weakref
 
 import pytest
 
@@ -19,6 +21,8 @@ from oracles.fleet import json_restore, per_home_shards, simulate_home
 from oracles.inference import ScalarPredictor
 from oracles.kernel import heap_recorder
 from repro.cli import main
+from repro.core.config import CoReDAConfig
+from repro.core.errors import CoReDAError
 from repro.fleet import (
     FleetMetrics,
     FleetSpec,
@@ -26,7 +30,9 @@ from repro.fleet import (
     Welford,
     distinct_trainings,
     run_fleet,
+    simulate_shard,
 )
+from repro.planning.store import PolicyCache
 from repro.sim.random import seeded_generator
 
 #: Small but non-trivial: several shards, several seed classes, and
@@ -270,10 +276,6 @@ class TestShardModes:
     def test_simulate_shard_matches_per_home_reports(
         self, tea_fleet_definition, tmp_path
     ):
-        from repro.core.config import CoReDAConfig
-        from repro.fleet import simulate_shard
-        from repro.planning.store import PolicyCache
-
         homes = SPEC.expand(tea_fleet_definition)[:4]
         config = CoReDAConfig(seed=SPEC.seed)
         cache = PolicyCache(str(tmp_path / "cache"))
@@ -291,6 +293,9 @@ class TestShardModes:
         assert [self._report_fields(r) for r in batched] == [
             self._report_fields(r) for r in per_home
         ]
+        # The shard counts errors from episode outcomes, the oracle
+        # from its trace; some home must err for that to mean anything.
+        assert any(report.errors > 0 for report in per_home)
 
     def test_batched_fleet_matches_per_home_fleet(
         self, serial_result, monkeypatch
@@ -327,6 +332,63 @@ class TestShardModes:
         heap = run_fleet(SPEC, jobs=1)
         assert heap.to_json() == serial_result.to_json()
         assert built  # every shard really ran on the heap oracle
+
+
+class TestShardCollector:
+    """``simulate_shard`` pauses the cyclic collector for the shard's
+    lifetime, restores the caller's setting, and leaves the shard's
+    graph to a single young-generation pass."""
+
+    @staticmethod
+    def _shard(definition, tmp_path, horizon=3600.0):
+        return simulate_shard(
+            definition, SPEC.expand(definition)[:3],
+            CoReDAConfig(seed=SPEC.seed), SPEC.episodes_per_home,
+            SPEC.training_episodes, PolicyCache(str(tmp_path / "cache")),
+            horizon=horizon,
+        )
+
+    def test_collector_enabled_after_shard(self, tea_fleet_definition, tmp_path):
+        assert gc.isenabled()
+        self._shard(tea_fleet_definition, tmp_path)
+        assert gc.isenabled()
+
+    def test_collector_enabled_after_watchdog_raises(
+        self, tea_fleet_definition, tmp_path
+    ):
+        with pytest.raises(CoReDAError, match="did not complete"):
+            self._shard(tea_fleet_definition, tmp_path, horizon=1.0)
+        assert gc.isenabled()
+
+    def test_caller_disabled_collector_stays_disabled(
+        self, tea_fleet_definition, tmp_path
+    ):
+        gc.disable()
+        try:
+            self._shard(tea_fleet_definition, tmp_path)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_shard_graph_dies_in_one_young_pass(
+        self, tea_fleet_definition, tmp_path, monkeypatch
+    ):
+        from repro.fleet.home import build_home_deployment
+
+        systems = []
+
+        def recording_build(*args, **kwargs):
+            system = build_home_deployment(*args, **kwargs)
+            systems.append(weakref.ref(system))
+            return system
+
+        monkeypatch.setattr(
+            "repro.fleet.shard.build_home_deployment", recording_build
+        )
+        reports = self._shard(tea_fleet_definition, tmp_path)
+        gc.collect(0)
+        assert len(systems) == len(reports) == 3
+        assert [ref() for ref in systems] == [None] * 3
 
 
 class TestPolicyPlanes:
