@@ -7,7 +7,8 @@ short uses.  k=3 keeps idle false triggers at zero while detecting the
 hardest (towel-profile) step most of the time.
 """
 
-from repro.evalx.ablations import detector_sweep
+from repro.evalx.ablations import plan_detector_sweep
+from repro.evalx.parallel import run_section
 
 
 def _parse(table):
@@ -23,8 +24,8 @@ def _parse(table):
 
 def test_ablation_detector(benchmark):
     table = benchmark.pedantic(
-        detector_sweep,
-        kwargs={"ks": (1, 2, 3, 5), "trials": 400, "seed": 0},
+        run_section,
+        args=(plan_detector_sweep(ks=(1, 2, 3, 5), trials=400, seed=0),),
         rounds=1,
         iterations=1,
     )

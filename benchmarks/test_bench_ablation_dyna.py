@@ -10,15 +10,19 @@ a safe drop-in (100% convergence, same band), and the unit tests
 accelerate value propagation.
 """
 
-from repro.evalx.ablations import dyna_sweep
+from repro.evalx.ablations import plan_dyna_sweep
+from repro.evalx.parallel import run_section
 
 
 def test_ablation_dyna(benchmark, registry):
     adl = registry.get("tea-making").adl
     table = benchmark.pedantic(
-        dyna_sweep,
-        args=(adl,),
-        kwargs={"planning_steps": (0, 5, 20), "seeds": tuple(range(8))},
+        run_section,
+        args=(
+            plan_dyna_sweep(
+                adl, planning_steps=(0, 5, 20), seeds=tuple(range(8))
+            ),
+        ),
         rounds=1,
         iterations=1,
     )

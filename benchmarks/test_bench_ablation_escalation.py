@@ -8,7 +8,8 @@ validates the escalation design on exactly the population it exists
 for.
 """
 
-from repro.evalx.ablations import escalation_ablation
+from repro.evalx.ablations import plan_escalation_ablation
+from repro.evalx.parallel import run_section
 
 
 def _parse(table):
@@ -23,9 +24,8 @@ def _parse(table):
 def test_ablation_escalation(benchmark, registry):
     definition = registry.get("tea-making")
     table = benchmark.pedantic(
-        escalation_ablation,
-        args=(definition,),
-        kwargs={"episodes": 8},
+        run_section,
+        args=(plan_escalation_ablation(definition, episodes=8),),
         rounds=1,
         iterations=1,
     )

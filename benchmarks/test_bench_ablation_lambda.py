@@ -9,7 +9,8 @@ bench asserts robustness: every λ converges within the budget and no
 λ is catastrophically worse.
 """
 
-from repro.evalx.ablations import lambda_sweep
+from repro.evalx.ablations import plan_lambda_sweep
+from repro.evalx.parallel import run_section
 
 LAMBDAS = (0.0, 0.3, 0.7, 0.9)
 
@@ -17,9 +18,8 @@ LAMBDAS = (0.0, 0.3, 0.7, 0.9)
 def test_ablation_lambda(benchmark, registry):
     adl = registry.get("tea-making").adl
     table = benchmark.pedantic(
-        lambda_sweep,
-        args=(adl,),
-        kwargs={"lambdas": LAMBDAS, "seeds": tuple(range(8))},
+        run_section,
+        args=(plan_lambda_sweep(adl, lambdas=LAMBDAS, seeds=tuple(range(8))),),
         rounds=1,
         iterations=1,
     )

@@ -6,7 +6,8 @@ so with 4 attempts even 40% loss leaves ~97% of frames delivered.
 Only extreme loss rates erode the mean extract precision.
 """
 
-from repro.evalx.ablations import radio_sweep
+from repro.evalx.ablations import plan_radio_sweep
+from repro.evalx.parallel import run_section
 
 LOSS_RATES = (0.0, 0.05, 0.4, 0.8)
 
@@ -25,9 +26,12 @@ def _parse(table):
 def test_ablation_radio(benchmark, registry):
     definition = registry.get("tea-making")
     table = benchmark.pedantic(
-        radio_sweep,
-        args=(definition,),
-        kwargs={"loss_rates": LOSS_RATES, "samples_per_step": 25, "seed": 0},
+        run_section,
+        args=(
+            plan_radio_sweep(
+                definition, loss_rates=LOSS_RATES, samples_per_step=25, seed=0
+            ),
+        ),
         rounds=1,
         iterations=1,
     )

@@ -8,15 +8,19 @@ paying wrong prompts like correct ones (100) destroys the learning
 signal entirely.
 """
 
-from repro.evalx.ablations import wrong_reward_sweep
+from repro.evalx.ablations import plan_wrong_reward_sweep
+from repro.evalx.parallel import run_section
 
 
 def test_ablation_wrong_reward(benchmark, registry):
     adl = registry.get("tea-making").adl
     table = benchmark.pedantic(
-        wrong_reward_sweep,
-        args=(adl,),
-        kwargs={"wrong_rewards": (0.0, 50.0, 100.0), "seeds": tuple(range(5))},
+        run_section,
+        args=(
+            plan_wrong_reward_sweep(
+                adl, wrong_rewards=(0.0, 50.0, 100.0), seeds=tuple(range(5))
+            ),
+        ),
         rounds=1,
         iterations=1,
     )

@@ -7,15 +7,15 @@ bleed into correct pairs, so it underperforms on the same logs --
 evidence for the paper's choice of Q-learning.
 """
 
-from repro.evalx.ablations import sarsa_comparison
+from repro.evalx.ablations import plan_sarsa_comparison
+from repro.evalx.parallel import run_section
 
 
 def test_ablation_sarsa(benchmark, registry):
     adl = registry.get("tea-making").adl
     table = benchmark.pedantic(
-        sarsa_comparison,
-        args=(adl,),
-        kwargs={"seeds": tuple(range(8))},
+        run_section,
+        args=(plan_sarsa_comparison(adl, seeds=tuple(range(8))),),
         rounds=1,
         iterations=1,
     )

@@ -6,7 +6,8 @@ far below the 120 of initial training, because the optimistic
 rule-out only has to re-decide the states whose successors changed.
 """
 
-from repro.evalx.ablations import adaptation_speed
+from repro.evalx.ablations import plan_adaptation_speed
+from repro.evalx.parallel import run_section
 
 EPSILONS = (0.05, 0.1, 0.3)
 
@@ -14,9 +15,12 @@ EPSILONS = (0.05, 0.1, 0.3)
 def test_adaptation_speed(benchmark, registry):
     adl = registry.get("tea-making").adl
     table = benchmark.pedantic(
-        adaptation_speed,
-        args=(adl,),
-        kwargs={"epsilons": EPSILONS, "seeds": tuple(range(5))},
+        run_section,
+        args=(
+            plan_adaptation_speed(
+                adl, epsilons=EPSILONS, seeds=tuple(range(5))
+            ),
+        ),
         rounds=1,
         iterations=1,
     )

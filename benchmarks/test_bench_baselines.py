@@ -6,15 +6,19 @@ pre-planned systems (fixed sequence, canonical-model MDP planner) are
 only right for users who happen to match the canonical plan.
 """
 
-from repro.evalx.baseline_compare import run_baseline_comparison
+from repro.evalx.baseline_compare import plan_baseline_comparison
+from repro.evalx.parallel import run_section
 
 
 def test_baseline_comparison(benchmark, registry):
     adl = registry.get("tea-making").adl
     result = benchmark.pedantic(
-        run_baseline_comparison,
-        args=(adl,),
-        kwargs={"n_users": 20, "episodes": 120, "shuffle_probability": 1.0},
+        run_section,
+        args=(
+            plan_baseline_comparison(
+                adl, n_users=20, episodes=120, shuffle_probability=1.0
+            ),
+        ),
         rounds=1,
         iterations=1,
     )

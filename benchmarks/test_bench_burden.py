@@ -6,7 +6,8 @@ errors grow with dementia severity while caregiver interventions stay
 near zero -- the burden-reduction claim of the paper's introduction.
 """
 
-from repro.evalx.burden import run_burden_study
+from repro.evalx.burden import plan_burden_study
+from repro.evalx.parallel import run_section
 
 SEVERITIES = (0.2, 0.5, 0.8)
 
@@ -14,9 +15,10 @@ SEVERITIES = (0.2, 0.5, 0.8)
 def test_burden_study(benchmark, registry):
     definition = registry.get("tea-making")
     result = benchmark.pedantic(
-        run_burden_study,
-        args=(definition,),
-        kwargs={"severities": SEVERITIES, "episodes": 10},
+        run_section,
+        args=(
+            plan_burden_study(definition, severities=SEVERITIES, episodes=10),
+        ),
         rounds=1,
         iterations=1,
     )

@@ -6,13 +6,14 @@ predicts every following step; a single Q-table trained on the mixed
 log cannot serve both routines.
 """
 
-from repro.evalx.ablations import multi_routine_comparison
+from repro.evalx.ablations import plan_multi_routine_comparison
+from repro.evalx.parallel import run_section
 
 
 def test_multi_routine_dressing(benchmark):
     table = benchmark.pedantic(
-        multi_routine_comparison,
-        kwargs={"episodes_per_routine": 60},
+        run_section,
+        args=(plan_multi_routine_comparison(episodes_per_routine=60),),
         rounds=1,
         iterations=1,
     )

@@ -8,7 +8,8 @@ barely matter -- and the paper's "update all the while" setting
 though the greedy policy is perfect.
 """
 
-from repro.evalx.sensitivity import alpha_sweep, epsilon_sweep
+from repro.evalx.parallel import run_section
+from repro.evalx.sensitivity import plan_alpha_sweep, plan_epsilon_sweep
 
 SEEDS = tuple(range(8))
 
@@ -26,7 +27,10 @@ def _rows(table, prefix=None):
 def test_sensitivity_alpha(benchmark, registry):
     adl = registry.get("tea-making").adl
     table = benchmark.pedantic(
-        alpha_sweep, args=(adl,), kwargs={"seeds": SEEDS}, rounds=1, iterations=1
+        run_section,
+        args=(plan_alpha_sweep(adl, seeds=SEEDS),),
+        rounds=1,
+        iterations=1,
     )
     print("\n" + table)
     rows = _rows(table)
@@ -41,7 +45,9 @@ def test_sensitivity_alpha(benchmark, registry):
 def test_sensitivity_epsilon(benchmark, registry):
     adl = registry.get("tea-making").adl
     table = benchmark.pedantic(
-        epsilon_sweep, args=(adl,), kwargs={"seeds": SEEDS}, rounds=1,
+        run_section,
+        args=(plan_epsilon_sweep(adl, seeds=SEEDS),),
+        rounds=1,
         iterations=1,
     )
     print("\n" + table)

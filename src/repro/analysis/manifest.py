@@ -88,7 +88,6 @@ HOT_PATH_CLASSES: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
     ("repro/fleet/metrics.py", ("Welford", "HomeReport")),
     ("repro/fleet/shard.py", ("_HomeRun",)),
     ("repro/rl/batch.py", ("GreedyPolicyTable", "ShardPredictor")),
-    ("repro/recognition/batch.py", ("BatchedHMM",)),
     ("repro/planning/predictor.py", ("NextStepPredictor",)),
     # The analyzer itself: the whole-program index allocates one
     # FunctionInfo/ClassInfo per definition in the tree on every lint

@@ -18,9 +18,10 @@ lint       run the determinism / sim-safety static analyzer
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
-from typing import List, Optional
+from typing import Dict, List, Optional, TextIO
 
 from repro.adls.library import default_registry
 from repro.core.config import CoReDAConfig
@@ -266,16 +267,30 @@ def _cmd_scenario() -> int:
     return 0 if result.structure_ok() else 1
 
 
-def _cmd_report(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    from repro.evalx.runner import (
-        check_cache_dir,
-        print_timings,
-        run_all,
-        write_report,
+def _check_cache_dir(parser: argparse.ArgumentParser, cache: str) -> None:
+    """Exit with a readable error when ``--cache`` cannot be a directory."""
+    if os.path.exists(cache) and not os.path.isdir(cache):
+        parser.error(f"--cache: {cache!r} exists and is not a directory")
+
+
+def _print_timings(
+    timings: Dict[str, float], total_seconds: float, stream: TextIO
+) -> None:
+    """Per-section timing table (stderr by default: never in the report)."""
+    width = max(len(name) for name in timings) if timings else 0
+    stream.write("section timings (cell seconds):\n")
+    for name, seconds in timings.items():
+        stream.write(f"  {name:<{width}}  {seconds:8.2f}s\n")
+    stream.write(
+        f"  {'total wall-clock':<{width}}  {total_seconds:8.2f}s\n"
     )
 
+
+def _cmd_report(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    from repro.evalx.runner import run_all, write_report
+
     if args.cache:
-        check_cache_dir(parser, args.cache)
+        _check_cache_dir(parser, args.cache)
     timings = {}
     start = time.perf_counter()  # repro: allow[DET002] timing display only
     text = run_all(
@@ -288,16 +303,15 @@ def _cmd_report(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     elapsed = time.perf_counter() - start  # repro: allow[DET002] timing display only
     write_report(text, output=args.output)
     if args.timing:
-        print_timings(timings, elapsed, sys.stderr)
+        _print_timings(timings, elapsed, sys.stderr)
     return 0
 
 
 def _cmd_fleet(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    from repro.evalx.runner import check_cache_dir
     from repro.fleet import FleetSpec, run_fleet
 
     if args.cache:
-        check_cache_dir(parser, args.cache)
+        _check_cache_dir(parser, args.cache)
     try:
         spec = FleetSpec(
             adl_name=args.adl,

@@ -15,23 +15,11 @@ One module per artifact:
 ========================  =========================================
 """
 
-from repro.evalx.baseline_compare import (
-    BaselineComparisonResult,
-    BaselineRow,
-    run_baseline_comparison,
-)
-from repro.evalx.burden import BurdenResult, BurdenRow, run_burden_study
-from repro.evalx.extract_precision import (
-    ExtractPrecisionResult,
-    StepPrecision,
-    run_extract_precision,
-)
+from repro.evalx.baseline_compare import BaselineComparisonResult, BaselineRow
+from repro.evalx.burden import BurdenResult, BurdenRow
+from repro.evalx.extract_precision import ExtractPrecisionResult, StepPrecision
 from repro.evalx.hardware_table import table1_hardware, table2_sensor_map
-from repro.evalx.learning_curve import (
-    CurveRun,
-    LearningCurveResult,
-    run_learning_curve,
-)
+from repro.evalx.learning_curve import CurveRun, LearningCurveResult
 from repro.evalx.parallel import (
     Cell,
     Section,
@@ -40,14 +28,9 @@ from repro.evalx.parallel import (
     run_section,
     run_sections,
 )
-from repro.evalx.predict_precision import (
-    PredictPrecisionResult,
-    PredictRow,
-    run_predict_precision,
-)
+from repro.evalx.predict_precision import PredictPrecisionResult, PredictRow
 from repro.evalx.runner import run_all, write_report
 from repro.evalx.scenario import ScenarioResult, TimelineEvent, run_tea_scenario
-from repro.evalx.sensitivity import alpha_sweep, epsilon_sweep
 from repro.evalx.tables import ascii_curve, format_table
 from repro.evalx.timeline import render_timeline, timeline_rows
 
@@ -66,21 +49,14 @@ __all__ = [
     "Section",
     "StepPrecision",
     "TimelineEvent",
-    "alpha_sweep",
     "ascii_curve",
     "cell_seed",
-    "epsilon_sweep",
     "format_table",
     "run_all",
     "run_cells",
     "run_section",
     "run_sections",
     "write_report",
-    "run_baseline_comparison",
-    "run_burden_study",
-    "run_extract_precision",
-    "run_learning_curve",
-    "run_predict_precision",
     "run_tea_scenario",
     "render_timeline",
     "timeline_rows",

@@ -1,26 +1,31 @@
 """Ablation studies over CoReDA's design choices.
 
-Each function regenerates one ablation table:
+Each ``plan_*`` function returns the
+:class:`~repro.evalx.parallel.Section` for one ablation table; run it
+with :func:`~repro.evalx.parallel.run_section`, or let the runner fan
+the cells of every ablation out over worker processes:
 
-* :func:`lambda_sweep` -- eligibility-trace decay λ vs convergence
-  speed (why TD(λ) rather than TD(0));
-* :func:`wrong_reward_sweep` -- the correctness-contingent reward
+* :func:`plan_lambda_sweep` -- eligibility-trace decay λ vs
+  convergence speed (why TD(λ) rather than TD(0));
+* :func:`plan_wrong_reward_sweep` -- the correctness-contingent reward
   interpretation (DESIGN.md) vs paying prompts unconditionally;
-* :func:`detector_sweep` -- the 3-of-10 rule: detection of the
+* :func:`plan_detector_sweep` -- the 3-of-10 rule: detection of the
   hardest step vs idle false triggers as k varies;
-* :func:`dyna_sweep` -- the fast-learning future-work item: Dyna-Q
-  planning steps vs iterations-to-converge;
-* :func:`radio_sweep` -- frame-loss rate vs end-to-end extract
+* :func:`plan_dyna_sweep` -- the fast-learning future-work item:
+  Dyna-Q planning steps vs iterations-to-converge;
+* :func:`plan_radio_sweep` -- frame-loss rate vs end-to-end extract
   precision;
-* :func:`sarsa_comparison` -- on-policy SARSA(λ) vs Watkins Q(λ);
-* :func:`multi_routine_comparison` -- the multi-routine planner vs a
-  single Q-table on a two-routine dressing user.
+* :func:`plan_sarsa_comparison` -- on-policy SARSA(λ) vs Watkins Q(λ);
+* :func:`plan_escalation_ablation` -- prompt escalation for users who
+  miss minimal prompts;
+* :func:`plan_adaptation_speed` -- episodes the always-adapting mode
+  needs to track a changed routine;
+* :func:`plan_multi_routine_comparison` -- the multi-routine planner
+  vs a single Q-table on a two-routine dressing user.
 
 Every sweep is decomposed into pure, picklable cells (one seed of one
-configuration each) with a ``plan_*`` companion returning a
-:class:`~repro.evalx.parallel.Section`, so the runner can fan the
-cells of all ablations out over worker processes and still merge a
-byte-identical report.
+configuration each), so the merged report is byte-identical at any
+``--jobs``.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from repro.core.config import (
     SensingConfig,
 )
 from repro.core.metrics import mean
-from repro.evalx.extract_precision import run_extract_precision
+from repro.evalx.extract_precision import plan_extract_precision
 from repro.evalx.parallel import Cell, Section, run_section
 from repro.evalx.tables import format_table
 from repro.planning.action import action_space
@@ -57,15 +62,6 @@ from repro.sensors.signals import SignalProfile, SignalSource
 from repro.sim.random import seeded_generator
 
 __all__ = [
-    "lambda_sweep",
-    "wrong_reward_sweep",
-    "detector_sweep",
-    "dyna_sweep",
-    "radio_sweep",
-    "sarsa_comparison",
-    "multi_routine_comparison",
-    "adaptation_speed",
-    "escalation_ablation",
     "plan_lambda_sweep",
     "plan_wrong_reward_sweep",
     "plan_detector_sweep",
@@ -166,11 +162,13 @@ def _radio_cell(
     config = CoReDAConfig(radio=RadioConfig(loss_probability=loss))
     if sensing is not None:
         config = replace(config, sensing=sensing)
-    result = run_extract_precision(
-        [definition],
-        samples_per_step=samples_per_step,
-        config=config,
-        seed=seed,
+    result = run_section(
+        plan_extract_precision(
+            [definition],
+            samples_per_step=samples_per_step,
+            config=config,
+            seed=seed,
+        )
     )
     return mean([row.precision for row in result.rows])
 
@@ -368,7 +366,7 @@ def _mean_convergence(
 
 
 # ---------------------------------------------------------------------------
-# Sweeps: plan_* builds the Section, the plain function runs it inline
+# Sweeps: plan_* builds the Section
 # ---------------------------------------------------------------------------
 
 
@@ -403,15 +401,6 @@ def plan_lambda_sweep(
         )
 
     return Section(f"ablation.lambda.{adl.name}", cells, merge)
-
-
-def lambda_sweep(
-    adl: ADL,
-    lambdas: Sequence[float] = (0.0, 0.3, 0.7, 0.9),
-    seeds: Sequence[int] = tuple(range(8)),
-) -> str:
-    """Trace decay λ vs mean iterations to the 95% criterion."""
-    return run_section(plan_lambda_sweep(adl, lambdas, seeds))
 
 
 def plan_wrong_reward_sweep(
@@ -450,18 +439,6 @@ def plan_wrong_reward_sweep(
         )
 
     return Section(f"ablation.wrong-reward.{adl.name}", cells, merge)
-
-
-def wrong_reward_sweep(
-    adl: ADL,
-    wrong_rewards: Sequence[float] = (0.0, 50.0, 100.0),
-    seeds: Sequence[int] = tuple(range(5)),
-    episodes: int = 120,
-) -> str:
-    """Reward for unfollowed prompts vs final greedy accuracy."""
-    return run_section(
-        plan_wrong_reward_sweep(adl, wrong_rewards, seeds, episodes)
-    )
 
 
 def plan_detector_sweep(
@@ -510,23 +487,6 @@ def plan_detector_sweep(
     return Section("ablation.detector", cells, merge)
 
 
-def detector_sweep(
-    ks: Sequence[int] = (1, 2, 3, 5),
-    window: int = 10,
-    trials: int = 300,
-    seed: int = 0,
-    profile: Optional[SignalProfile] = None,
-    handling_duration: float = 1.8,
-    idle_seconds: float = 600.0,
-) -> str:
-    """The k of the k-of-n rule: hard-step detection vs idle noise."""
-    return run_section(
-        plan_detector_sweep(
-            ks, window, trials, seed, profile, handling_duration, idle_seconds
-        )
-    )
-
-
 def plan_dyna_sweep(
     adl: ADL,
     planning_steps: Sequence[int] = (0, 5, 20),
@@ -564,15 +524,6 @@ def plan_dyna_sweep(
     return Section(f"ablation.dyna.{adl.name}", cells, merge)
 
 
-def dyna_sweep(
-    adl: ADL,
-    planning_steps: Sequence[int] = (0, 5, 20),
-    seeds: Sequence[int] = tuple(range(8)),
-) -> str:
-    """Dyna-Q planning steps vs convergence speed (fast learning)."""
-    return run_section(plan_dyna_sweep(adl, planning_steps, seeds))
-
-
 def plan_radio_sweep(
     definition: ADLDefinition,
     loss_rates: Sequence[float] = (0.0, 0.05, 0.4, 0.8),
@@ -608,20 +559,6 @@ def plan_radio_sweep(
         )
 
     return Section(f"ablation.radio.{definition.adl.name}", cells, merge)
-
-
-def radio_sweep(
-    definition: ADLDefinition,
-    loss_rates: Sequence[float] = (0.0, 0.05, 0.4, 0.8),
-    samples_per_step: int = 25,
-    seed: int = 0,
-    sensing: Optional[SensingConfig] = None,
-) -> str:
-    """Frame-loss probability vs mean end-to-end extract precision."""
-    return run_section(
-        plan_radio_sweep(definition, loss_rates, samples_per_step, seed,
-                         sensing)
-    )
 
 
 def plan_sarsa_comparison(
@@ -686,16 +623,6 @@ def plan_sarsa_comparison(
         )
 
     return Section(f"ablation.sarsa.{adl.name}", cells, merge)
-
-
-def sarsa_comparison(
-    adl: ADL,
-    seeds: Sequence[int] = tuple(range(8)),
-    episodes: int = 120,
-    criterion: float = 0.95,
-) -> str:
-    """SARSA(λ) / Expected SARSA vs Watkins Q(λ) on the same logs."""
-    return run_section(plan_sarsa_comparison(adl, seeds, episodes, criterion))
 
 
 def _train_sarsa(
@@ -794,18 +721,6 @@ def plan_escalation_ablation(
     return Section(f"ablation.escalation.{definition.adl.name}", cells, merge)
 
 
-def escalation_ablation(
-    definition: ADLDefinition,
-    minimal_response: float = 0.35,
-    episodes: int = 8,
-    seed: int = 0,
-) -> str:
-    """Does escalation rescue users who miss minimal prompts?"""
-    return run_section(
-        plan_escalation_ablation(definition, minimal_response, episodes, seed)
-    )
-
-
 def plan_adaptation_speed(
     adl: ADL,
     epsilons: Sequence[float] = (0.05, 0.1, 0.3),
@@ -845,18 +760,6 @@ def plan_adaptation_speed(
     return Section(f"extension.adaptation.{adl.name}", cells, merge)
 
 
-def adaptation_speed(
-    adl: ADL,
-    epsilons: Sequence[float] = (0.05, 0.1, 0.3),
-    seeds: Sequence[int] = tuple(range(5)),
-    max_episodes: int = 60,
-) -> str:
-    """Online adaptation: episodes to re-learn a changed routine."""
-    return run_section(
-        plan_adaptation_speed(adl, epsilons, seeds, max_episodes)
-    )
-
-
 def _tracks_routine(learner, actions, step_ids) -> bool:
     states = episode_states(list(step_ids))
     return all(
@@ -887,13 +790,3 @@ def plan_multi_routine_comparison(
         )
 
     return Section("extension.multi-routine", cells, merge)
-
-
-def multi_routine_comparison(
-    episodes_per_routine: int = 60,
-    seed: int = 0,
-) -> str:
-    """Multi-routine planner vs a single Q-table on mixed dressing logs."""
-    return run_section(
-        plan_multi_routine_comparison(episodes_per_routine, seed)
-    )

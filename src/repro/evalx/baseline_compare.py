@@ -31,7 +31,7 @@ from repro.baselines.ngram import NGramPredictor
 from repro.core.adl import ADL, Routine
 from repro.core.config import PlanningConfig
 from repro.core.metrics import mean
-from repro.evalx.parallel import Cell, Section, run_section
+from repro.evalx.parallel import Cell, Section
 from repro.evalx.tables import format_table
 from repro.planning.state import episode_states
 from repro.planning.store import PolicyCache, train_routine_cached
@@ -41,7 +41,6 @@ from repro.sim.random import seeded_generator
 __all__ = [
     "BaselineRow",
     "BaselineComparisonResult",
-    "run_baseline_comparison",
     "plan_baseline_comparison",
 ]
 
@@ -198,28 +197,3 @@ def plan_baseline_comparison(
         return BaselineComparisonResult(adl_name=adl.name, rows=rows)
 
     return Section(f"baseline.{adl.name}", cells, merge)
-
-
-def run_baseline_comparison(
-    adl: ADL,
-    n_users: int = 20,
-    episodes: int = 120,
-    seed: int = 0,
-    config: Optional[PlanningConfig] = None,
-    shuffle_probability: float = 0.8,
-    cache_dir: Optional[str] = None,
-    jobs: int = 1,
-) -> BaselineComparisonResult:
-    """Evaluate all systems over a cohort of personalized routines."""
-    return run_section(
-        plan_baseline_comparison(
-            adl,
-            n_users=n_users,
-            episodes=episodes,
-            seed=seed,
-            config=config,
-            shuffle_probability=shuffle_probability,
-            cache_dir=cache_dir,
-        ),
-        jobs=jobs,
-    )

@@ -22,14 +22,13 @@ from typing import List, Optional, Sequence
 from repro.adls.library import ADLDefinition
 from repro.core.config import CoReDAConfig
 from repro.core.system import CoReDA
-from repro.evalx.parallel import Cell, Section, run_section
+from repro.evalx.parallel import Cell, Section
 from repro.evalx.tables import format_table
 from repro.resident.dementia import DementiaProfile
 
 __all__ = [
     "BurdenRow",
     "BurdenResult",
-    "run_burden_study",
     "plan_burden_study",
 ]
 
@@ -150,16 +149,3 @@ def plan_burden_study(
         return BurdenResult(adl_name=definition.adl.name, rows=list(rows))
 
     return Section(f"burden.{definition.adl.name}", cells, merge)
-
-
-def run_burden_study(
-    definition: ADLDefinition,
-    severities: Sequence[float] = (0.2, 0.5, 0.8),
-    episodes: int = 10,
-    seed: int = 0,
-    jobs: int = 1,
-) -> BurdenResult:
-    """Run the severity sweep for one ADL."""
-    return run_section(
-        plan_burden_study(definition, severities, episodes, seed), jobs=jobs
-    )

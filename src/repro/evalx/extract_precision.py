@@ -22,7 +22,7 @@ from typing import List, Optional, Sequence, Tuple
 from repro.adls.library import ADLDefinition
 from repro.core.config import CoReDAConfig
 from repro.core.metrics import proportion, wilson_interval
-from repro.evalx.parallel import Cell, Section, run_section
+from repro.evalx.parallel import Cell, Section
 from repro.evalx.tables import format_table
 from repro.sensing.subsystem import SensingSubsystem
 from repro.sensors.network import SensorNetwork
@@ -33,7 +33,6 @@ from repro.sim.random import RandomStreams
 __all__ = [
     "StepPrecision",
     "ExtractPrecisionResult",
-    "run_extract_precision",
     "plan_extract_precision",
 ]
 
@@ -149,7 +148,12 @@ def plan_extract_precision(
     config: Optional[CoReDAConfig] = None,
     seed: int = 0,
 ) -> Section:
-    """Table 3 as a section of one cell per ADL."""
+    """Table 3 over ``definitions``, as a section of one cell per ADL.
+
+    The paper's experiment is 40 samples per tool; one *sample* here
+    is one complete handling of the tool at the step's typical
+    handling duration, through the full node-radio-server pipeline.
+    """
     config = config if config is not None else CoReDAConfig()
     cells = [
         Cell(
@@ -167,22 +171,3 @@ def plan_extract_precision(
         return ExtractPrecisionResult(rows=rows)
 
     return Section("table3.extract", cells, merge)
-
-
-def run_extract_precision(
-    definitions: Sequence[ADLDefinition],
-    samples_per_step: int = 40,
-    config: Optional[CoReDAConfig] = None,
-    seed: int = 0,
-    jobs: int = 1,
-) -> ExtractPrecisionResult:
-    """Regenerate Table 3 over ``definitions``.
-
-    The paper's experiment is 40 samples per tool; one *sample* here
-    is one complete handling of the tool at the step's typical
-    handling duration, through the full node-radio-server pipeline.
-    """
-    return run_section(
-        plan_extract_precision(definitions, samples_per_step, config, seed),
-        jobs=jobs,
-    )

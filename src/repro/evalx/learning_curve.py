@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.core.adl import ADL, Routine
 from repro.core.config import PlanningConfig
 from repro.core.metrics import mean, sample_sd
-from repro.evalx.parallel import Cell, Section, run_section
+from repro.evalx.parallel import Cell, Section
 from repro.evalx.tables import ascii_curve, format_table
 from repro.planning.store import PolicyCache, train_routine_cached
 from repro.planning.trainer import LearningCurve
@@ -29,7 +29,6 @@ from repro.sim.random import derive_seed
 __all__ = [
     "CurveRun",
     "LearningCurveResult",
-    "run_learning_curve",
     "plan_learning_curve",
 ]
 
@@ -178,28 +177,3 @@ def plan_learning_curve(
         )
 
     return Section(f"fig4.curve.{adl.name}", cells, merge)
-
-
-def run_learning_curve(
-    adl: ADL,
-    routine: Optional[Routine] = None,
-    episodes: int = 120,
-    seeds: Sequence[int] = tuple(range(10)),
-    criteria: Sequence[float] = (0.95, 0.98),
-    config: Optional[PlanningConfig] = None,
-    cache_dir: Optional[str] = None,
-    jobs: int = 1,
-) -> LearningCurveResult:
-    """Regenerate Figure 4 for one ADL over a seed set."""
-    return run_section(
-        plan_learning_curve(
-            adl,
-            routine=routine,
-            episodes=episodes,
-            seeds=seeds,
-            criteria=criteria,
-            config=config,
-            cache_dir=cache_dir,
-        ),
-        jobs=jobs,
-    )

@@ -25,13 +25,12 @@ from repro.core.config import CoReDAConfig
 from repro.core.events import TriggerReason
 from repro.core.metrics import proportion
 from repro.core.system import CoReDA
-from repro.evalx.parallel import Cell, Section, run_section
+from repro.evalx.parallel import Cell, Section
 from repro.evalx.tables import format_table
 
 __all__ = [
     "PredictRow",
     "PredictPrecisionResult",
-    "run_predict_precision",
     "plan_predict_precision",
 ]
 
@@ -131,22 +130,6 @@ def plan_predict_precision(
         return PredictPrecisionResult(rows=rows)
 
     return Section("table4.predict", cells, merge)
-
-
-def run_predict_precision(
-    definitions: Sequence[ADLDefinition],
-    samples_per_adl: int = 30,
-    config: Optional[CoReDAConfig] = None,
-    training_episodes: int = 120,
-    jobs: int = 1,
-) -> PredictPrecisionResult:
-    """Regenerate Table 4 over ``definitions``."""
-    return run_section(
-        plan_predict_precision(
-            definitions, samples_per_adl, config, training_episodes
-        ),
-        jobs=jobs,
-    )
 
 
 def _evaluate_adl(

@@ -1,8 +1,9 @@
 """One-shot experiment runner: regenerate everything the paper reports.
 
-``python -m repro.evalx.runner`` prints every table and figure
-(Tables 1-4, Figures 1 and 4) plus the ablations, and can write the
-whole report to a file -- EXPERIMENTS.md is generated this way.
+:func:`run_all` (the ``repro report`` CLI) renders every table and
+figure (Tables 1-4, Figures 1 and 4) plus the ablations, and can
+write the whole report to a file -- EXPERIMENTS.md is generated this
+way.
 
 The report is assembled from :class:`~repro.evalx.parallel.Section`
 plans: every sweep decomposes into pure (seed, config) cells, so
@@ -15,10 +16,7 @@ same (ADL, routine, hyper-parameters, seed) cell, skip retraining.
 
 from __future__ import annotations
 
-import argparse
-import os
 import sys
-import time
 from typing import Dict, List, Optional, TextIO
 
 from repro.adls.library import default_registry
@@ -261,74 +259,9 @@ def write_report(
     """Print ``report`` and optionally persist it.
 
     The file is always written UTF-8 so the report's non-ASCII
-    characters survive non-UTF-8 locales; both the CLI ``repro
-    report`` and this module's ``main`` share this path.
+    characters survive non-UTF-8 locales.
     """
     (stream if stream is not None else sys.stdout).write(report)
     if output:
         with open(output, "w", encoding="utf-8") as handle:
             handle.write(report)
-
-
-def check_cache_dir(parser: argparse.ArgumentParser, cache: str) -> None:
-    """Exit with a readable error when ``--cache`` cannot be a directory."""
-    if os.path.exists(cache) and not os.path.isdir(cache):
-        parser.error(f"--cache: {cache!r} exists and is not a directory")
-
-
-def print_timings(
-    timings: Dict[str, float], total_seconds: float, stream: TextIO
-) -> None:
-    """Per-section timing table (stderr by default: never in the report)."""
-    width = max(len(name) for name in timings) if timings else 0
-    stream.write("section timings (cell seconds):\n")
-    for name, seconds in timings.items():
-        stream.write(f"  {name:<{width}}  {seconds:8.2f}s\n")
-    stream.write(
-        f"  {'total wall-clock':<{width}}  {total_seconds:8.2f}s\n"
-    )
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        description="Regenerate every CoReDA paper table and figure."
-    )
-    parser.add_argument("--fast", action="store_true", help="small sample counts")
-    parser.add_argument(
-        "--no-ablations", action="store_true", help="skip the ablation sweeps"
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes (default 1 = serial; output is "
-        "byte-identical either way)",
-    )
-    parser.add_argument(
-        "--cache", metavar="DIR",
-        help="content-addressed trained-policy cache directory",
-    )
-    parser.add_argument(
-        "--timing", action="store_true",
-        help="print per-section timings to stderr",
-    )
-    parser.add_argument("--output", help="also write the report to this file")
-    args = parser.parse_args(argv)
-    if args.cache:
-        check_cache_dir(parser, args.cache)
-    timings: Dict[str, float] = {}
-    start = time.perf_counter()  # repro: allow[DET002] timing display only
-    report = run_all(
-        fast=args.fast,
-        include_ablations=not args.no_ablations,
-        jobs=args.jobs,
-        cache_dir=args.cache,
-        timings=timings,
-    )
-    elapsed = time.perf_counter() - start  # repro: allow[DET002] timing display only
-    write_report(report, output=args.output)
-    if args.timing:
-        print_timings(timings, elapsed, sys.stderr)
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

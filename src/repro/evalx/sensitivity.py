@@ -19,13 +19,11 @@ from typing import List, Optional, Sequence, Tuple
 from repro.core.adl import ADL
 from repro.core.config import PlanningConfig
 from repro.core.metrics import mean
-from repro.evalx.parallel import Cell, Section, run_section
+from repro.evalx.parallel import Cell, Section
 from repro.evalx.tables import format_table
 from repro.planning.store import PolicyCache, train_routine_cached
 
 __all__ = [
-    "alpha_sweep",
-    "epsilon_sweep",
     "plan_alpha_sweep",
     "plan_epsilon_sweep",
 ]
@@ -120,19 +118,6 @@ def plan_alpha_sweep(
     )
 
 
-def alpha_sweep(
-    adl: ADL,
-    alphas: Sequence[float] = (0.05, 0.1, 0.2, 0.5, 1.0),
-    seeds: Sequence[int] = tuple(range(8)),
-    episodes: int = 120,
-    criterion: float = 0.95,
-) -> str:
-    """Learning rate α vs convergence speed and final accuracy."""
-    return run_section(
-        plan_alpha_sweep(adl, alphas, seeds, episodes, criterion)
-    )
-
-
 def plan_epsilon_sweep(
     adl: ADL,
     schedules: Sequence[Tuple[float, float]] = (
@@ -172,22 +157,4 @@ def plan_epsilon_sweep(
          "Final accuracy"],
         f"Sensitivity: exploration schedule ({adl.name})",
         cache_dir=cache_dir,
-    )
-
-
-def epsilon_sweep(
-    adl: ADL,
-    schedules: Sequence[Tuple[float, float]] = (
-        (0.1, 0.978),
-        (0.2, 0.978),
-        (0.4, 0.978),
-        (0.4, 1.0),
-    ),
-    seeds: Sequence[int] = tuple(range(8)),
-    episodes: int = 120,
-    criterion: float = 0.95,
-) -> str:
-    """ε schedule vs convergence (see :func:`plan_epsilon_sweep`)."""
-    return run_section(
-        plan_epsilon_sweep(adl, schedules, seeds, episodes, criterion)
     )

@@ -7,14 +7,12 @@ gappy-log repair against a known routine, and multi-ADL stream
 classification.
 """
 
-from repro.recognition.batch import BatchedHMM
 from repro.recognition.hmm import DiscreteHMM
 from repro.recognition.recognizer import ActivityRecognizer
 from repro.recognition.repair import EpisodeRepairer
 
 __all__ = [
     "ActivityRecognizer",
-    "BatchedHMM",
     "DiscreteHMM",
     "EpisodeRepairer",
 ]

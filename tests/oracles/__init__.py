@@ -9,9 +9,8 @@ it as the oracle:
 * :mod:`oracles.rl` -- the sparse dict Q-table, dict eligibility
   traces and the learners' table-API updates (the fused dense updates
   must train bit-identically);
-* :mod:`oracles.inference` -- the per-model recognizer loop and
-  per-call ``best_action`` prediction (the batched HMM stack and the
-  greedy-policy tables must answer identically);
+* :mod:`oracles.inference` -- per-call ``best_action`` prediction
+  (the greedy-policy tables must answer identically);
 * :mod:`oracles.fleet` -- one private kernel per home (the shared
   shard kernel must report identically);
 * :mod:`oracles.sensing` -- the per-sample node firmware loop (the

@@ -1,39 +1,15 @@
-"""Reference inference: one HMM forward pass per model, one argmax per call.
+"""Reference inference: one ``best_action`` argmax per call.
 
-Production recognition stacks every candidate HMM into one
-:class:`~repro.recognition.batch.BatchedHMM`, and production
-prediction serves precomputed greedy-policy tables
-(:mod:`repro.rl.batch`).  The versions here compute every answer from
-scratch, the way the fast paths must reproduce them.
+Production prediction serves precomputed greedy-policy tables
+(:mod:`repro.rl.batch`).  The version here computes every answer from
+scratch, the way the fast path must reproduce it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
-
 from repro.planning.state import PlanningState
-from repro.recognition.recognizer import ActivityRecognizer
 
-__all__ = ["ScalarPredictor", "ScalarRecognizer", "scalar_predict"]
-
-
-class ScalarRecognizer(ActivityRecognizer):
-    """The recognizer as a loop over each candidate's scalar HMM."""
-
-    def posterior(self, observed: Sequence[int]) -> Dict[str, float]:
-        symbols = self._effective_symbols(observed)
-        if not symbols:
-            uniform = 1.0 / len(self.adls)
-            return {adl.name: uniform for adl in self.adls}
-        values = [
-            self._models[name].log_likelihood(symbols) for name in self._names
-        ]
-        return self._posterior_from_likelihoods(values)
-
-    def posterior_batch(
-        self, streams: Sequence[Sequence[int]]
-    ) -> List[Dict[str, float]]:
-        return [self.posterior(stream) for stream in streams]
+__all__ = ["ScalarPredictor", "scalar_predict"]
 
 
 def scalar_predict(q, actions, state):

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.evalx.burden import BurdenRow, run_burden_study
+from repro.evalx.burden import BurdenRow, plan_burden_study
+from repro.evalx.parallel import run_section
 
 
 class TestBurdenRow:
@@ -25,8 +26,10 @@ class TestBurdenRow:
 class TestStudy:
     @pytest.fixture(scope="class")
     def result(self, registry):
-        return run_burden_study(
-            registry.get("tea-making"), severities=(0.2, 0.7), episodes=4,
+        return run_section(
+            plan_burden_study(
+                registry.get("tea-making"), severities=(0.2, 0.7), episodes=4,
+            )
         )
 
     def test_rows_per_severity(self, result):

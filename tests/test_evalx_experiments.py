@@ -7,11 +7,12 @@ code paths the full benches run.
 
 import pytest
 
-from repro.evalx.baseline_compare import run_baseline_comparison
-from repro.evalx.extract_precision import run_extract_precision
+from repro.evalx.baseline_compare import plan_baseline_comparison
+from repro.evalx.extract_precision import plan_extract_precision
 from repro.evalx.hardware_table import table1_hardware, table2_rows, table2_sensor_map
-from repro.evalx.learning_curve import run_learning_curve
-from repro.evalx.predict_precision import run_predict_precision
+from repro.evalx.learning_curve import plan_learning_curve
+from repro.evalx.parallel import run_section
+from repro.evalx.predict_precision import plan_predict_precision
 from repro.evalx.scenario import run_tea_scenario
 
 
@@ -45,10 +46,12 @@ class TestTable2:
 class TestTable3:
     @pytest.fixture(scope="class")
     def result(self, registry):
-        return run_extract_precision(
-            [registry.get("tooth-brushing"), registry.get("tea-making")],
-            samples_per_step=25,
-            seed=3,
+        return run_section(
+            plan_extract_precision(
+                [registry.get("tooth-brushing"), registry.get("tea-making")],
+                samples_per_step=25,
+                seed=3,
+            )
         )
 
     def test_eight_rows(self, result):
@@ -82,8 +85,10 @@ class TestTable3:
 class TestFigure4:
     @pytest.fixture(scope="class")
     def result(self, registry):
-        return run_learning_curve(
-            registry.get("tea-making").adl, seeds=(0, 1, 2, 3)
+        return run_section(
+            plan_learning_curve(
+                registry.get("tea-making").adl, seeds=(0, 1, 2, 3)
+            )
         )
 
     def test_all_seeds_converge_within_budget(self, result):
@@ -108,9 +113,11 @@ class TestFigure4:
 class TestTable4:
     @pytest.fixture(scope="class")
     def result(self, registry):
-        return run_predict_precision(
-            [registry.get("tooth-brushing"), registry.get("tea-making")],
-            samples_per_adl=12,
+        return run_section(
+            plan_predict_precision(
+                [registry.get("tooth-brushing"), registry.get("tea-making")],
+                samples_per_adl=12,
+            )
         )
 
     def test_first_steps_untestable(self, result):
@@ -154,9 +161,11 @@ class TestFigure1:
 class TestBaselineComparison:
     @pytest.fixture(scope="class")
     def result(self, registry):
-        return run_baseline_comparison(
-            registry.get("tea-making").adl, n_users=8, episodes=60,
-            shuffle_probability=1.0,
+        return run_section(
+            plan_baseline_comparison(
+                registry.get("tea-making").adl, n_users=8, episodes=60,
+                shuffle_probability=1.0,
+            )
         )
 
     def test_learning_systems_perfect(self, result):
@@ -174,10 +183,10 @@ class TestBaselineComparison:
 
 class TestCurveCsv:
     def test_csv_shape(self, registry):
-        from repro.evalx.learning_curve import run_learning_curve
-
-        result = run_learning_curve(
-            registry.get("tea-making").adl, episodes=20, seeds=(0, 1)
+        result = run_section(
+            plan_learning_curve(
+                registry.get("tea-making").adl, episodes=20, seeds=(0, 1)
+            )
         )
         csv = result.to_csv()
         lines = csv.strip().splitlines()

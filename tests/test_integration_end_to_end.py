@@ -102,10 +102,13 @@ class TestGeneralization:
     def test_coffee_switch_short_press_is_weak_spot(self, registry):
         # Generalization carries the same physics: the kettle switch
         # (brief press) misses sometimes, like the paper's pot.
-        from repro.evalx.extract_precision import run_extract_precision
+        from repro.evalx.extract_precision import plan_extract_precision
+        from repro.evalx.parallel import run_section
 
         definition = registry.get("coffee-making")
-        result = run_extract_precision([definition], samples_per_step=30, seed=1)
+        result = run_section(
+            plan_extract_precision([definition], samples_per_step=30, seed=1)
+        )
         switch_row = next(
             row for row in result.rows if "Switch" in row.step_name
         )

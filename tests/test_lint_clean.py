@@ -34,6 +34,21 @@ def test_full_rule_pack_is_active():
     }
 
 
+def test_manifest_modules_exist():
+    # PERF001 reports a missing hot-path class only when its module
+    # exists, and VER001 polices nothing if its owner module is gone:
+    # a manifest entry naming a deleted file would go stale silently.
+    from repro.analysis import manifest
+
+    suffixes = [suffix for suffix, _ in manifest.HOT_PATH_CLASSES]
+    suffixes.append(manifest.DENSE_OWNER_MODULE)
+    missing = [
+        suffix for suffix in suffixes
+        if not (SRC.parent / suffix).is_file()
+    ]
+    assert not missing, f"manifest names files not under src/: {missing}"
+
+
 def test_committed_baseline_is_current():
     # The committed baseline exists so a future rule can land
     # strict-on-new-findings.  Today it must be empty (the tree is

@@ -288,14 +288,17 @@ class TestRadioSweepEquivalence:
 class TestExtractPrecisionEquivalence:
     def test_table3_cell_identical(self, monkeypatch):
         from repro.adls.tea_making import tea_making_definition
-        from repro.evalx.extract_precision import run_extract_precision
+        from repro.evalx.extract_precision import plan_extract_precision
+        from repro.evalx.parallel import run_section
 
         definition = tea_making_definition()
 
         def rows():
-            result = run_extract_precision(
-                [definition], samples_per_step=4, config=CoReDAConfig(),
-                seed=0,
+            result = run_section(
+                plan_extract_precision(
+                    [definition], samples_per_step=4, config=CoReDAConfig(),
+                    seed=0,
+                )
             )
             return [
                 (row.step_name, row.detections, row.trials, row.precision)
