@@ -57,7 +57,6 @@ __all__ = [
     "ModuleContext",
     "ProjectRule",
     "Rule",
-    "StatementOrder",
     "UnknownRuleError",
     "all_rule_ids",
     "dotted_name",
@@ -503,151 +502,3 @@ def dotted_name(node: ast.AST) -> Optional[str]:
         parts.append(node.id)
         return ".".join(reversed(parts))
     return None
-
-
-#: Statements that unconditionally leave the enclosing block.
-_TERMINATORS = (ast.Return, ast.Raise, ast.Continue, ast.Break)
-
-
-class StatementOrder:
-    """Structural execution order inside one function body.
-
-    Used by the path-sensitive SIM003 rule ("never referenced after
-    recycle").  Each statement gets a *path*: the chain of ``(block,
-    index)`` steps from the function body down to it.  From it,
-    :meth:`may_follow` answers whether ``b`` **may** execute after
-    ``a`` (``b`` or an ancestor of ``b`` sits later in one of ``a``'s
-    enclosing blocks), honouring ``return``/``raise``/``continue``/
-    ``break`` barriers between ``a`` and the fall-through point.
-
-    The model ignores exceptions and treats loop bodies as straight-
-    line (a statement later in a loop body is "after" an earlier one);
-    that is exactly the right fidelity for review-time contract
-    checking, and the rule's fixture tests pin it.
-    """
-
-    __slots__ = ("_paths", "_blocks", "_owner")
-
-    def __init__(self, function: ast.AST) -> None:
-        #: id(stmt) -> tuple of (block serial, index) steps.
-        self._paths: Dict[int, Tuple[Tuple[int, int], ...]] = {}
-        #: block serial -> the statement list it stands for.
-        self._blocks: Dict[int, List[ast.stmt]] = {}
-        #: id(any node) -> its innermost enclosing statement.
-        self._owner: Dict[int, ast.stmt] = {}
-        serial = 0
-        stack: List[Tuple[List[ast.stmt], Tuple[Tuple[int, int], ...]]] = []
-        body = getattr(function, "body", None)
-        if isinstance(body, list) and body and isinstance(body[0], ast.stmt):
-            stack.append((body, ()))
-        while stack:
-            block, prefix = stack.pop()
-            serial += 1
-            self._blocks[serial] = block
-            for index, stmt in enumerate(block):
-                path = prefix + ((serial, index),)
-                self._paths[id(stmt)] = path
-                self._claim(stmt)
-                for child in _child_blocks(stmt):
-                    stack.append((child, path))
-
-    def _claim(self, stmt: ast.stmt) -> None:
-        """Map ``stmt``'s non-statement descendants to it."""
-        stack: List[ast.AST] = [stmt]
-        while stack:
-            node = stack.pop()
-            for child in ast.iter_child_nodes(node):
-                if isinstance(child, ast.stmt):
-                    continue  # claimed by its own enclosing statement
-                self._owner[id(child)] = stmt
-                stack.append(child)
-
-    def enclosing(self, node: ast.AST) -> Optional[ast.stmt]:
-        """The innermost statement containing ``node`` (or ``node``)."""
-        if isinstance(node, ast.stmt):
-            return node if id(node) in self._paths else None
-        owner = self._owner.get(id(node))
-        while owner is not None and id(owner) not in self._paths:
-            owner = self._owner.get(id(owner))
-        return owner
-
-    def statements(self) -> Iterator[ast.stmt]:
-        """Every tracked statement (arbitrary order)."""
-        for block in self._blocks.values():
-            for stmt in block:
-                yield stmt
-
-    def may_follow(self, a: ast.stmt, b: ast.stmt) -> bool:
-        """True when ``b`` may execute after ``a`` (fall-through
-        reachability, stopping at terminator statements)."""
-        pa = self._paths.get(id(a))
-        pb = self._paths.get(id(b))
-        if pa is None or pb is None:
-            return False
-        # Walk outward from a's innermost block; at each level, the
-        # statements after a's ancestor are reachable unless a
-        # terminator cuts the block off first.
-        for depth in range(len(pa) - 1, -1, -1):
-            block_serial, index = pa[depth]
-            block = self._blocks[block_serial]
-            for later_index in range(index + 1, len(block)):
-                later = block[later_index]
-                if self._contains(later, pb, depth, block_serial, later_index):
-                    return True
-                if isinstance(later, _TERMINATORS):
-                    return False
-            # The block fell through; if any statement *at or before*
-            # a's ancestor ends in a terminator we would have exited
-            # already.  Keep walking outward.
-        return False
-
-    def _contains(
-        self,
-        stmt: ast.stmt,
-        pb: Tuple[Tuple[int, int], ...],
-        depth: int,
-        block_serial: int,
-        index: int,
-    ) -> bool:
-        """True when path ``pb`` runs through ``stmt``."""
-        return len(pb) > depth and pb[depth] == (block_serial, index)
-
-    def fallthrough(self, a: ast.stmt) -> Iterator[ast.stmt]:
-        """Statements that may execute after ``a``, in fall-through
-        order (innermost block outward).  A terminator statement ends
-        the scan: nothing past a ``return``/``raise``/``continue``/
-        ``break`` on this path is reachable by falling through.
-        Statements are yielded whole -- a later ``if`` arrives as one
-        statement; callers inspect its subtree themselves."""
-        pa = self._paths.get(id(a))
-        if pa is None:
-            return
-        for depth in range(len(pa) - 1, -1, -1):
-            block_serial, index = pa[depth]
-            block = self._blocks[block_serial]
-            for later in block[index + 1:]:
-                yield later
-                if isinstance(later, _TERMINATORS):
-                    return
-
-
-def _child_blocks(node: ast.AST) -> List[List[ast.stmt]]:
-    """The statement lists directly under ``node``.  Nested defs,
-    lambdas and classes own their statements: they contribute no
-    blocks to the enclosing function's order."""
-    if isinstance(
-        node,
-        (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda),
-    ):
-        return []
-    blocks: List[List[ast.stmt]] = []
-    for name in ("body", "orelse", "finalbody"):
-        block = getattr(node, name, None)
-        if isinstance(block, list) and block and isinstance(
-            block[0], ast.stmt
-        ):
-            blocks.append(block)
-    for handler in getattr(node, "handlers", ()):
-        if handler.body:
-            blocks.append(list(handler.body))
-    return blocks

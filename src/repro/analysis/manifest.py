@@ -21,8 +21,6 @@ __all__ = [
     "CELL_MODULES",
     "DENSE_OWNER_MODULE",
     "DENSE_PRIVATE_ATTRS",
-    "FREE_LIST_RELEASE_FUNCTIONS",
-    "FREE_LIST_RELEASE_METHODS",
     "HOT_PATH_CLASSES",
     "ORDERED_WRAPPERS",
     "PROCESS_DIRECTIVES",
@@ -72,7 +70,7 @@ PROCESS_DIRECTIVES = frozenset({"Timeout", "Wait"})
 #: ``Welford`` update per observation.
 #: Each entry is ``(module path suffix, class names in that module)``.
 HOT_PATH_CLASSES: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
-    ("repro/sim/kernel.py", ("Event", "_CalendarQueue")),
+    ("repro/sim/kernel.py", ("Event",)),
     ("repro/sensors/detector.py", ("KofNDetector",)),
     ("repro/sensors/signals.py", ("SignalSource",)),
     (
@@ -103,7 +101,6 @@ HOT_PATH_CLASSES: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
         ),
     ),
     ("repro/analysis/callgraph.py", ("CallSite", "CallGraph")),
-    ("repro/analysis/core.py", ("StatementOrder",)),
     # Zero-copy policy restore: one PolicyArtifact per
     # distinct training per worker process, one HomeRuntime per shard
     # cell, and the arena itself -- all touched once per home
@@ -139,12 +136,6 @@ CELL_CONSTRUCTOR = "Cell"
 #: Executor-style ``.submit(fn, ...)`` method names whose first
 #: argument crosses a process boundary (PAR001).
 SUBMIT_METHODS = frozenset({"submit"})
-
-#: Free-list release spellings (SIM003): the kernel's module-level
-#: ``_release(free, event)`` helper and the method form.  After either
-#: runs on an event, the event belongs to the free list.
-FREE_LIST_RELEASE_FUNCTIONS = frozenset({"_release"})
-FREE_LIST_RELEASE_METHODS = frozenset({"recycle"})
 
 
 def is_rng_module(posix_path: str) -> bool:

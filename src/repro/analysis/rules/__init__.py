@@ -10,7 +10,6 @@ PAR002     error     worker-reachable code writes no module globals
 PERF001    warning   hot-path manifest classes declare ``__slots__``
 SIM001     error     process bodies yield only Timeout/Wait directives
 SIM002     warning   capture/snapshot methods pair with restore methods
-SIM003     error     reusable events recycled before callback, dead after
 VER001     error     only ``rl/dense.py`` touches Q-table storage/``version``
 ========== ========= ====================================================
 

@@ -9,32 +9,17 @@
   ``capture_*``/``snapshot_*`` method without the matching
   ``restore_*`` cannot participate in rollback, which surfaces as a
   silent divergence, not an exception.
-* **SIM003** -- the zero-allocation timeout path (PR 7) recycles
-  ``reusable=True`` events through a free list.  Ownership transfers
-  at ``_release(free, event)``/``event.recycle()``: the event must be
-  recycled *before* its callback runs (the callback may schedule and
-  pop the very same object back off the free list) and must never be
-  referenced afterwards -- a read after recycle observes another
-  timeout's fields.  PR 7 states this contract only in prose; SIM003
-  enforces it structurally, terminator-aware so the kernel's
-  ``release-then-continue`` drain loops stay clean.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional
 
 from repro.analysis import manifest
-from repro.analysis.core import (
-    Finding,
-    ModuleContext,
-    Rule,
-    StatementOrder,
-    register,
-)
+from repro.analysis.core import Finding, ModuleContext, Rule, register
 
-__all__ = ["FreeListOwnership", "NonDirectiveYield", "UnpairedSnapshot"]
+__all__ = ["NonDirectiveYield", "UnpairedSnapshot"]
 
 _SCOPE_NODES = (
     ast.FunctionDef,
@@ -176,201 +161,3 @@ def _expected_restore(method_name: str) -> Optional[str]:
         if method_name.startswith(prefix):
             return "restore_" + method_name[len(prefix):]
     return None
-
-
-@register
-class FreeListOwnership(Rule):
-    rule_id = "SIM003"
-    severity = "error"
-    description = (
-        "reusable kernel events are recycled before their callback "
-        "runs and never referenced after release"
-    )
-
-    def check(self, module: ModuleContext) -> Iterable[Finding]:
-        if (
-            "repro/sim/" not in module.posix_path
-            and not module.imports_prefix("repro.sim")
-        ):
-            return
-        for function in _functions(module.tree):
-            yield from self._check_function(module, function)
-
-    def _check_function(
-        self, module: ModuleContext, function: ast.AST
-    ) -> Iterator[Finding]:
-        releases = list(_release_sites(function))
-        if not releases:
-            return
-        order = StatementOrder(function)
-        bound = _bound_callbacks(function)
-        for call, name in releases:
-            release_stmt = order.enclosing(call)
-            if release_stmt is None:
-                continue
-            yield from self._uses_after_release(
-                module, order, release_stmt, name
-            )
-            yield from self._callback_before_release(
-                module, order, function, release_stmt, name, bound
-            )
-
-    def _uses_after_release(
-        self,
-        module: ModuleContext,
-        order: StatementOrder,
-        release_stmt: ast.stmt,
-        name: str,
-    ) -> Iterator[Finding]:
-        for stmt in order.fallthrough(release_stmt):
-            load = _first_load(stmt, name)
-            if load is not None:
-                yield self.finding(
-                    module,
-                    load,
-                    f"`{name}` referenced after being recycled to the "
-                    "free list; the object may already be another "
-                    "event",
-                )
-                return
-            if _rebinds(stmt, name):
-                return  # fresh object from here on
-
-    def _callback_before_release(
-        self,
-        module: ModuleContext,
-        order: StatementOrder,
-        function: ast.AST,
-        release_stmt: ast.stmt,
-        name: str,
-        bound: List[Tuple[str, str]],
-    ) -> Iterator[Finding]:
-        for node in _own_walk(function):
-            if not isinstance(node, ast.Call):
-                continue
-            invoked = _callback_invocation(node, name, bound)
-            if not invoked:
-                continue
-            call_stmt = order.enclosing(node)
-            if call_stmt is None or call_stmt is release_stmt:
-                continue
-            if order.may_follow(call_stmt, release_stmt):
-                yield self.finding(
-                    module,
-                    node,
-                    f"`{name}.callback` runs before `{name}` is "
-                    "recycled; recycle first so the callback can "
-                    "reuse the event slot",
-                )
-
-
-def _release_sites(function: ast.AST) -> Iterator[Tuple[ast.Call, str]]:
-    """``(call, released local name)`` for every free-list release."""
-    for node in _own_walk(function):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        if (
-            isinstance(func, ast.Name)
-            and func.id in manifest.FREE_LIST_RELEASE_FUNCTIONS
-            and node.args
-            and isinstance(node.args[-1], ast.Name)
-        ):
-            yield node, node.args[-1].id
-        elif (
-            isinstance(func, ast.Attribute)
-            and func.attr in manifest.FREE_LIST_RELEASE_METHODS
-            and isinstance(func.value, ast.Name)
-        ):
-            yield node, func.value.id
-
-
-def _bound_callbacks(function: ast.AST) -> List[Tuple[str, str]]:
-    """``(local name, event name)`` for ``cb = event.callback``."""
-    bound: List[Tuple[str, str]] = []
-    for node in _own_walk(function):
-        if not isinstance(node, ast.Assign):
-            continue
-        value = node.value
-        if not (
-            isinstance(value, ast.Attribute) and value.attr == "callback"
-            and isinstance(value.value, ast.Name)
-        ):
-            continue
-        for target in node.targets:
-            if isinstance(target, ast.Name):
-                bound.append((target.id, value.value.id))
-    return bound
-
-
-def _callback_invocation(
-    call: ast.Call, name: str, bound: List[Tuple[str, str]]
-) -> bool:
-    """True when ``call`` invokes ``name``'s callback (directly or via
-    a local bound from ``name.callback``)."""
-    func = call.func
-    if (
-        isinstance(func, ast.Attribute)
-        and func.attr == "callback"
-        and isinstance(func.value, ast.Name)
-        and func.value.id == name
-    ):
-        return True
-    if isinstance(func, ast.Name):
-        return any(
-            local == func.id and event == name for local, event in bound
-        )
-    return False
-
-
-def _first_load(stmt: ast.stmt, name: str) -> Optional[ast.Name]:
-    """The first ``Load`` of ``name`` anywhere in ``stmt``'s subtree
-    (nested function/class scopes excluded: their loads are deferred
-    past the current dispatch)."""
-    for node in _subtree(stmt):
-        if (
-            isinstance(node, ast.Name)
-            and node.id == name
-            and isinstance(node.ctx, ast.Load)
-        ):
-            return node
-    return None
-
-
-def _rebinds(stmt: ast.stmt, name: str) -> bool:
-    """True when ``stmt`` rebinds ``name`` to a fresh object (plain
-    assignment, loop target or ``del``) -- a barrier for the
-    use-after-recycle scan."""
-    if isinstance(stmt, ast.Assign):
-        return any(
-            isinstance(t, ast.Name) and t.id == name for t in stmt.targets
-        )
-    if isinstance(stmt, (ast.For, ast.AsyncFor)):
-        return isinstance(stmt.target, ast.Name) and stmt.target.id == name
-    if isinstance(stmt, ast.Delete):
-        return any(
-            isinstance(t, ast.Name) and t.id == name for t in stmt.targets
-        )
-    return False
-
-
-def _own_walk(function: ast.AST) -> Iterator[ast.AST]:
-    """Walk ``function`` without entering nested def/class scopes."""
-    stack: List[ast.AST] = list(ast.iter_child_nodes(function))
-    while stack:
-        node = stack.pop()
-        if isinstance(node, _SCOPE_NODES):
-            continue
-        yield node
-        stack.extend(ast.iter_child_nodes(node))
-
-
-def _subtree(stmt: ast.stmt) -> Iterator[ast.AST]:
-    """Every node under ``stmt`` (scopes excluded), ``stmt`` included."""
-    stack: List[ast.AST] = [stmt]
-    while stack:
-        node = stack.pop()
-        yield node
-        for child in ast.iter_child_nodes(node):
-            if not isinstance(child, _SCOPE_NODES):
-                stack.append(child)

@@ -177,11 +177,8 @@ class PavenetNode:
         self._block_source_state: Optional[SourceState] = None
         self._block_detector_state: Optional[DetectorState] = None
         self._block_agc_state: Optional[Tuple[float, int]] = None
-        # (scheduled time, event) pairs: the time rides along because
-        # the events are scheduled ``reusable`` -- once one has fired
-        # the kernel may recycle the object, so cancel decisions must
-        # never read fields off a handle that might be dead.
-        self._block_pending: List[Tuple[float, Event]] = []
+        #: The current block's usage reports, in time order.
+        self._block_pending: List[Event] = []
         source.subscribe_regime(self._on_regime_change)
         radio.attach(self.uid, self._on_frame)
 
@@ -195,9 +192,7 @@ class PavenetNode:
             )
             return
         self._block_running = True
-        self._block_event = self.sim.schedule(
-            0.0, self._process_block, reusable=True
-        )
+        self._block_event = self.sim.schedule(0.0, self._process_block)
 
     def stop(self) -> None:
         """Power the node down (sampling stops, radio stays attached)."""
@@ -294,15 +289,12 @@ class PavenetNode:
             if index == 0:
                 self._report_usage()
             else:
-                time = times.item(index)
                 pending.append(
-                    (time, sim.schedule_at(time, self._report_usage, reusable=True))
+                    sim.schedule_at(times.item(index), self._report_usage)
                 )
         self._block_t0 = t0
         self._block_times = times
-        self._block_event = sim.schedule_at(
-            times.item(n), self._process_block, reusable=True
-        )
+        self._block_event = sim.schedule_at(times.item(n), self._process_block)
 
     def _detect(self, values) -> Sequence[int]:
         """Run the detector over a value block; return detecting indices."""
@@ -340,11 +332,10 @@ class PavenetNode:
     def _cancel_reports_from(self, time: float) -> None:
         """Cancel the block's usage reports scheduled at ``time`` or later.
 
-        Every earlier report has already fired, and a fired handle may
-        have been recycled by the kernel, so it is never touched.
+        Every earlier report has already fired.
         """
-        for scheduled, event in self._block_pending:
-            if scheduled >= time:
+        for event in self._block_pending:
+            if event.time >= time:
                 event.cancel()
         self._block_pending = []
 
@@ -385,9 +376,7 @@ class PavenetNode:
             self._detect(source.read_block_at(times[:j]))
         source.set_regime(post_active, post_until)
         self._block_t0 = None
-        self._block_event = self.sim.schedule_at(
-            resume, self._process_block, reusable=True
-        )
+        self._block_event = self.sim.schedule_at(resume, self._process_block)
 
     # ----- shared machinery --------------------------------------------
 

@@ -76,13 +76,9 @@ class Process:
         self._pending_unsubscribe: Optional[Callable[[], None]] = None
         # One callback object reused for every Timeout resume: the
         # periodic firmware loops schedule one of these per sample, so
-        # a fresh lambda per dispatch is pure allocator churn.  The
-        # events themselves are scheduled ``reusable`` -- the process
-        # owns the handle, clears it before the resume runs, and never
-        # cancels a fired one -- so the kernel recycles one Event
-        # object per process instead of allocating one per sleep.
+        # a fresh lambda per dispatch is pure allocator churn.
         self._timeout_resume = self._resume_from_timeout
-        sim.schedule(delay, self._timeout_resume, reusable=True)
+        sim.schedule(delay, self._timeout_resume)
 
     def interrupt(self) -> None:
         """Stop the process: its generator is closed, ``done`` set.
@@ -107,9 +103,8 @@ class Process:
         self.finished.fire(result)
 
     def _resume_from_timeout(self) -> None:
-        # Drop the handle before advancing: the event just fired and
-        # may already be recycled, so a later interrupt() must not
-        # reach it through a stale reference.
+        # The event just fired: a later interrupt() has nothing to
+        # cancel.
         self._pending_event = None
         self._advance(None)
 
@@ -126,7 +121,7 @@ class Process:
     def _dispatch(self, directive: Directive) -> None:
         if isinstance(directive, Timeout):
             self._pending_event = self.sim.schedule(
-                directive.delay, self._timeout_resume, reusable=True
+                directive.delay, self._timeout_resume
             )
             return
         if isinstance(directive, Wait):

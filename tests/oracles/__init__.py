@@ -1,11 +1,11 @@
 """Reference implementations the production paths are proven against.
 
-Each production layer has one implementation in ``src/repro``; the
-simple version it replaced lives here, where the equivalence tests use
-it as the oracle:
+Each production layer has one implementation in ``src/repro``; where
+that implementation replaced a simpler one, the simple version lives
+here, where the equivalence tests use it as the oracle.  The event
+kernel has none: production is the plain ``heapq``.
 
-* :mod:`oracles.kernel` -- a ``heapq`` event queue (the calendar queue
-  must replay every schedule exactly like it);
+
 * :mod:`oracles.rl` -- the sparse dict Q-table, dict eligibility
   traces and the learners' table-API updates (the fused dense updates
   must train bit-identically);

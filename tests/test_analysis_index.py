@@ -11,12 +11,7 @@ import textwrap
 
 import pytest
 
-from repro.analysis.core import (
-    LintUsageError,
-    ModuleContext,
-    StatementOrder,
-    iter_python_files,
-)
+from repro.analysis.core import LintUsageError, ModuleContext, iter_python_files
 from repro.analysis.index import ProjectIndex, module_dotted_name
 
 
@@ -208,36 +203,6 @@ class TestCallGraph:
         root = project.functions[("src/repro/pkg/mod.py", "root")]
         names = [f.qualname for f in graph.reachable_from([root])]
         assert names == ["leaf", "mid", "root"]
-
-
-class TestStatementOrder:
-    def _order(self, source):
-        import ast
-
-        tree = ast.parse(textwrap.dedent(source))
-        function = tree.body[0]
-        return function, StatementOrder(function)
-
-    def test_fallthrough_stops_at_terminator(self):
-        function, order = self._order(
-            """
-            def f(items):
-                for item in items:
-                    first()
-                    continue
-                    second()
-                after_loop()
-            """
-        )
-        first = function.body[0].body[0]
-        later = [
-            getattr(stmt.value.func, "id", "?")
-            for stmt in order.fallthrough(first)
-            if hasattr(stmt, "value")
-        ]
-        # continue ends the scan: neither the dead statement after it
-        # nor the post-loop statement is reachable by falling through.
-        assert "second" not in later and "after_loop" not in later
 
 
 class TestIterPythonFiles:

@@ -20,7 +20,7 @@ from repro.analysis import (
 )
 
 ALL_RULES = ("DET001", "DET002", "DET003", "DET004",
-             "SIM001", "SIM002", "SIM003", "PERF001",
+             "SIM001", "SIM002", "PERF001",
              "VER001", "PAR001", "PAR002")
 
 
@@ -390,9 +390,6 @@ class TestPerf001Slots:
             @dataclass(slots=True)
             class Event:
                 seq: int
-
-            class _CalendarQueue:
-                __slots__ = ("_buckets",)
             """,
             "PERF001",
             path="src/repro/sim/kernel.py",

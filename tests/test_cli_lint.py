@@ -124,7 +124,7 @@ def test_sarif_format_shape(dirty_file, capsys):
     driver = run["tool"]["driver"]
     assert driver["name"] == "repro-lint"
     declared = {rule["id"] for rule in driver["rules"]}
-    assert {"DET001", "DET004", "VER001", "PAR001", "SIM003"} <= declared
+    assert {"DET001", "DET004", "VER001", "PAR001", "SIM001"} <= declared
     assert "PAR003" not in declared
     results = run["results"]
     assert {result["ruleId"] for result in results} == {"DET001", "DET004"}

@@ -19,7 +19,6 @@ import pytest
 
 from oracles.fleet import json_restore, per_home_shards, simulate_home
 from oracles.inference import ScalarPredictor
-from oracles.kernel import heap_recorder
 from repro.cli import main
 from repro.core.config import CoReDAConfig
 from repro.core.errors import CoReDAError
@@ -323,15 +322,6 @@ class TestShardModes:
         )
         scalar_per_home = run_fleet(SPEC, jobs=2)
         assert scalar_per_home.to_json() == serial_result.to_json()
-
-    def test_kernel_backends_identical_in_batched_mode(
-        self, serial_result, monkeypatch
-    ):
-        built = []
-        monkeypatch.setattr("repro.fleet.shard.Simulator", heap_recorder(built))
-        heap = run_fleet(SPEC, jobs=1)
-        assert heap.to_json() == serial_result.to_json()
-        assert built  # every shard really ran on the heap oracle
 
 
 class TestShardCollector:

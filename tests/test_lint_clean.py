@@ -25,13 +25,30 @@ def test_source_tree_is_lint_clean():
 
 def test_full_rule_pack_is_active():
     # The gate is only meaningful if every shipped rule participates,
-    # including the whole-program PAR family, the storage-ownership
-    # rule and the free-list contract.
+    # including the whole-program PAR family and the storage-ownership
+    # rule.
     assert set(all_rule_ids()) == {
         "DET001", "DET002", "DET003", "DET004",
-        "SIM001", "SIM002", "SIM003", "PERF001",
+        "SIM001", "SIM002", "PERF001",
         "VER001", "PAR001", "PAR002",
     }
+
+
+def test_rule_tables_list_exactly_the_pack():
+    # The rule pack's docstring and docs/architecture.md each carry a
+    # rule table; removing or adding a rule must not leave either one
+    # stale.
+    import re
+
+    from repro.analysis import rules
+
+    docs = SRC.parent.parent / "docs" / "architecture.md"
+    doc_rows = re.findall(
+        r"^\| `([A-Z]+\d{3})` \|", docs.read_text(encoding="utf-8"), re.M
+    )
+    pack_rows = re.findall(r"^([A-Z]+\d{3})\s", rules.__doc__, re.M)
+    assert sorted(doc_rows) == all_rule_ids()
+    assert sorted(pack_rows) == all_rule_ids()
 
 
 def test_manifest_modules_exist():
