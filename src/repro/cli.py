@@ -273,6 +273,12 @@ def _check_cache_dir(parser: argparse.ArgumentParser, cache: str) -> None:
         parser.error(f"--cache: {cache!r} exists and is not a directory")
 
 
+def _check_jobs(parser: argparse.ArgumentParser, jobs: int) -> None:
+    """Exit with a readable error when ``--jobs`` is below 1."""
+    if jobs < 1:
+        parser.error(f"--jobs: must be at least 1, got {jobs}")
+
+
 def _print_timings(
     timings: Dict[str, float], total_seconds: float, stream: TextIO
 ) -> None:
@@ -289,6 +295,7 @@ def _print_timings(
 def _cmd_report(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     from repro.evalx.runner import run_all, write_report
 
+    _check_jobs(parser, args.jobs)
     if args.cache:
         _check_cache_dir(parser, args.cache)
     timings = {}
@@ -310,6 +317,7 @@ def _cmd_report(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
 def _cmd_fleet(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     from repro.fleet import FleetSpec, run_fleet
 
+    _check_jobs(parser, args.jobs)
     if args.cache:
         _check_cache_dir(parser, args.cache)
     try:

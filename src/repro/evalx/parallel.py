@@ -56,7 +56,11 @@ class Cell:
     ``fn`` must be a module-level callable and every argument must be
     picklable: a cell may execute in a worker process.  A cell must
     not read mutable global state -- its result is a function of its
-    arguments only.
+    arguments only.  Transparent memoization does not break this: the
+    report's training memo
+    (:func:`~repro.planning.trainer.training_memo`) hands a cell
+    exactly the result, learner and generator state its own training
+    would have produced.
     """
 
     fn: Callable[..., Any]

@@ -40,6 +40,7 @@ from repro.evalx.parallel import Cell, Section, run_sections
 from repro.evalx.predict_precision import plan_predict_precision
 from repro.evalx.scenario import run_tea_scenario
 from repro.evalx.sensitivity import plan_alpha_sweep, plan_epsilon_sweep
+from repro.planning.trainer import training_memo
 
 __all__ = ["run_all", "build_sections", "write_report"]
 
@@ -240,11 +241,18 @@ def run_all(
     the section cells out over worker processes; the report text is
     byte-identical for every ``jobs`` value.  ``timings``, when
     given, is filled with per-section cell seconds.
+
+    The run opens a :func:`~repro.planning.trainer.training_memo`:
+    several sections ask for the same training (the default
+    tea-making policy alone is requested about ten times), and each
+    distinct one is trained once per run.  ``--jobs`` workers train
+    unshared.
     """
     sections = build_sections(
         fast=fast, include_ablations=include_ablations, cache_dir=cache_dir
     )
-    merged = run_sections(sections, jobs=jobs, timings=timings)
+    with training_memo():
+        merged = run_sections(sections, jobs=jobs, timings=timings)
     blocks: List[str] = []
     for section_blocks in merged:
         blocks.extend(section_blocks)

@@ -18,12 +18,20 @@ that procedure:
   convergence detector is applied;
 * the **greedy accuracy** (probe of the greedy policy against the true
   routine) is also recorded -- it is the quantity behind Table 4.
+
+Inside a :func:`training_memo` scope (the report runner opens one per
+run) a repeat request for an identical training is served from a
+snapshot of the first one instead of replaying the episodes again.
 """
 
 from __future__ import annotations
 
+import copy
+import os
+import pickle
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,7 +53,59 @@ __all__ = [
     "TrainingResult",
     "RoutineTrainer",
     "replay_episode",
+    "training_memo",
 ]
+
+#: The run-scoped training memo: ``{key -> (snapshot, rng state)}``.
+#: Mutated in place, never rebound (PAR002), like the attach memo of
+#: :mod:`repro.planning.shm`.
+_TRAINING_MEMO: Dict[tuple, tuple] = {}
+
+#: The pid of the process that opened the memo scope, while one is
+#: open.  A forked ``--jobs`` worker inherits the list but not the
+#: pid, so its trainings run unshared, exactly as outside the scope.
+_MEMO_OWNER: List[int] = []
+
+
+@contextmanager
+def training_memo() -> Iterator[None]:
+    """Share identical trainings for the duration of the ``with`` block.
+
+    Within the scope, a :class:`RoutineTrainer` that builds its own
+    learner serves the first :meth:`~RoutineTrainer.train` call from
+    the memo when an earlier training had the same ADL, config,
+    generator state, episode log and routine.  The result, the
+    learner and the generator's post-training state equal a replay's
+    exactly.  The memo starts empty and is freed on exit, exceptions
+    included.
+    """
+    _TRAINING_MEMO.clear()
+    _MEMO_OWNER.append(os.getpid())
+    try:
+        yield
+    finally:
+        _MEMO_OWNER.pop()
+        _TRAINING_MEMO.clear()
+
+
+def _snapshot(value):
+    """A private copy of ``value`` for the memo, frozen as pickle bytes.
+
+    The gather of a single-action view is a nested function, which
+    pickle refuses; such values are deep-copied instead (deepcopy
+    shares functions, and the gathers hold no table state).
+    """
+    try:
+        return pickle.dumps(value, pickle.HIGHEST_PROTOCOL)
+    except (AttributeError, pickle.PicklingError):
+        return copy.deepcopy(value)
+
+
+def _fresh_copy(snapshot):
+    """A new copy of a :func:`_snapshot`'s value."""
+    if type(snapshot) is bytes:
+        return pickle.loads(snapshot)
+    return copy.deepcopy(snapshot)
 
 
 def replay_episode(
@@ -167,6 +227,9 @@ class RoutineTrainer:
         self.adl = adl
         self.config = config if config is not None else PlanningConfig()
         self._rng = rng if rng is not None else seeded_generator(0)
+        # Only a learner built here, on its first training, may be
+        # served from the training memo.
+        self._owns_learner = learner is None
         if learner is None:
             policy = EpsilonGreedyPolicy(
                 ExponentialDecay(self.config.epsilon, self.config.epsilon_decay)
@@ -206,16 +269,22 @@ class RoutineTrainer:
             raise ValueError("need at least one training episode")
         if routine is None:
             routine = Routine(self.adl, episodes[0])
-        reward_fn = CoReDAReward(self.config, routine.terminal_step_id)
-        curve = LearningCurve()
-        for iteration, episode in enumerate(episodes):
-            accuracy = self._train_episode(episode, reward_fn, iteration)
-            curve.behaviour_accuracy.append(accuracy)
-            window = curve.behaviour_accuracy[-self.SMOOTHING_WINDOW:]
-            curve.smoothed_accuracy.append(sum(window) / len(window))
-            greedy, minimal = self._probe_greedy(routine)
-            curve.greedy_accuracy.append(greedy)
-            curve.minimal_fraction.append(minimal)
+        key = self._memo_key(episodes, routine)
+        entry = _TRAINING_MEMO.get(key) if key is not None else None
+        if entry is not None:
+            snapshot, rng_state = entry
+            curve, self.learner = _fresh_copy(snapshot)
+            self._rng.bit_generator.state = rng_state
+            self._probe_cache = None
+        else:
+            curve = self._replay(episodes, routine)
+            if key is not None:
+                _TRAINING_MEMO[key] = (
+                    _snapshot((curve, self.learner)),
+                    self._rng.bit_generator.state,
+                )
+        # Convergence is recomputed per request, so the criteria stay
+        # out of the memo key.
         convergence = {
             criterion: convergence_iteration(
                 curve.smoothed_accuracy,
@@ -231,6 +300,50 @@ class RoutineTrainer:
             learner=self.learner,
             actions=self.actions,
         )
+
+    def _memo_key(
+        self, episodes: Sequence[Sequence[int]], routine: Routine
+    ) -> Optional[tuple]:
+        """The training-memo key, or ``None`` when this call is unshared.
+
+        The key covers every input of :meth:`_replay`: ADL, action
+        set, config, generator state, episode log and routine.  Only
+        a fresh learner qualifies: one that has begun no episode and
+        made no update.
+        """
+        if (
+            not self._owns_learner
+            or self.learner.updates
+            or self.learner.episodes
+            or not _MEMO_OWNER
+            or _MEMO_OWNER[-1] != os.getpid()
+        ):
+            return None
+        return (
+            self.adl.name,
+            self.adl.steps,
+            self.actions,
+            self.config,
+            pickle.dumps(self._rng.bit_generator.state),
+            tuple(map(tuple, episodes)),
+            tuple(routine.step_ids),
+        )
+
+    def _replay(
+        self, episodes: Sequence[Sequence[int]], routine: Routine
+    ) -> LearningCurve:
+        """Replay every episode through the learner, recording the curve."""
+        reward_fn = CoReDAReward(self.config, routine.terminal_step_id)
+        curve = LearningCurve()
+        for iteration, episode in enumerate(episodes):
+            accuracy = self._train_episode(episode, reward_fn, iteration)
+            curve.behaviour_accuracy.append(accuracy)
+            window = curve.behaviour_accuracy[-self.SMOOTHING_WINDOW:]
+            curve.smoothed_accuracy.append(sum(window) / len(window))
+            greedy, minimal = self._probe_greedy(routine)
+            curve.greedy_accuracy.append(greedy)
+            curve.minimal_fraction.append(minimal)
+        return curve
 
     def _train_episode(self, episode, reward_fn: CoReDAReward, iteration: int) -> float:
         """One pass over one logged episode; returns behaviour accuracy."""

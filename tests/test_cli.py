@@ -125,6 +125,25 @@ class TestReport:
         assert path.read_bytes().decode("utf-8") == out
 
 
+class TestJobsValidation:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["report", "--fast", "--jobs", "0"],
+            ["report", "--fast", "--jobs", "-2"],
+            ["fleet", "--homes", "2", "--jobs", "0"],
+            ["fleet", "--homes", "2", "--jobs", "-3"],
+        ],
+    )
+    def test_jobs_below_one_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert f"--jobs: must be at least 1, got {argv[-1]}" in captured.err
+        assert captured.out == ""
+
+
 class TestScenario:
     def test_scenario_passes(self, capsys):
         assert main(["scenario"]) == 0

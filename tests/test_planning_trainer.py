@@ -1,13 +1,28 @@
 """Unit tests for the routine trainer (offline TD(λ) training)."""
 
+import json
+import pickle
+
 import numpy as np
 import pytest
 
-from repro.core.adl import Routine
+from repro.adls.library import default_registry
+from repro.core.adl import ADL, ADLStep, Routine, SensorType, Tool
 from repro.core.config import PlanningConfig
 from repro.core.errors import RoutineError
+from repro.core.events import StepEvent
+from repro.evalx.parallel import Cell, run_cells
+from repro.evalx.runner import run_all
+from repro.planning import trainer as trainer_module
+from repro.planning.online import OnlineAdaptation
+from repro.planning.rewards_coreda import CoReDAReward
 from repro.planning.state import episode_states
-from repro.planning.trainer import RoutineTrainer
+from repro.planning.store import training_document
+from repro.planning.trainer import (
+    RoutineTrainer,
+    replay_episode,
+    training_memo,
+)
 from repro.rl.dyna import DynaQLearner
 
 
@@ -132,3 +147,218 @@ class TestAlternativeLearners:
         )
         _, result = train(tea_adl, learner=learner)
         assert result.curve.greedy_accuracy[-1] == 1.0
+
+
+# ---------------------------------------------------------------------------
+# The run-scoped training memo
+# ---------------------------------------------------------------------------
+
+
+def _document_bytes(result, adl):
+    return json.dumps(training_document(result, adl.name), sort_keys=True)
+
+
+def _memo_train(adl, seed=0, config=None, routine=None, criteria=(0.95, 0.98),
+                episodes=60, learner=None):
+    """One training request; ``served`` says if the memo answered it."""
+    rng = np.random.default_rng(seed)
+    trainer = RoutineTrainer(adl, config, learner=learner, rng=rng)
+    built = trainer.learner
+    routine = routine if routine is not None else adl.canonical_routine()
+    result = trainer.train(
+        [list(routine.step_ids)] * episodes, routine=routine, criteria=criteria
+    )
+    return trainer, result, rng, trainer.learner is not built
+
+
+def _served_in_process(seed):
+    """Two identical requests; True when the second was served."""
+    adl = default_registry().get("tea-making").adl
+    _memo_train(adl, seed=seed, episodes=20)
+    return _memo_train(adl, seed=seed, episodes=20)[3]
+
+
+class TestTrainingMemo:
+    def test_hit_equals_a_fresh_training(self, tea_adl):
+        config = PlanningConfig(learning_rate=0.3)
+        criteria = (0.9, 0.99)
+        _, plain, plain_rng, _ = _memo_train(tea_adl, 4, config, criteria=criteria)
+        with training_memo():
+            _memo_train(tea_adl, 4, config)
+            trainer, hit, hit_rng, served = _memo_train(
+                tea_adl, 4, config, criteria=criteria
+            )
+        assert served
+        assert hit.curve == plain.curve
+        assert hit.convergence == plain.convergence
+        assert set(hit.convergence) == set(criteria)
+        assert _document_bytes(hit, tea_adl) == _document_bytes(plain, tea_adl)
+        assert hit_rng.bit_generator.state == plain_rng.bit_generator.state
+        assert hit.learner is trainer.learner
+        assert hit.learner.updates == plain.learner.updates
+
+    def test_any_input_change_misses(self, tea_adl):
+        with training_memo():
+            _memo_train(tea_adl, seed=1)
+            assert not _memo_train(tea_adl, seed=2)[3]
+            assert not _memo_train(
+                tea_adl, seed=1, config=PlanningConfig(trace_decay=0.5)
+            )[3]
+            assert not _memo_train(tea_adl, seed=1, episodes=59)[3]
+            assert not _memo_train(
+                tea_adl, seed=1, routine=Routine(tea_adl, [1, 3, 2, 4])
+            )[3]
+            assert _memo_train(tea_adl, seed=1)[3]
+
+    def test_mutating_a_served_learner_leaves_later_hits_fresh(self, tea_adl):
+        _, plain, _, _ = _memo_train(tea_adl, seed=5)
+        drifted = [1, 3, 2, 4]
+        with training_memo():
+            for _ in range(3):
+                _, result, _, _ = _memo_train(tea_adl, seed=5)
+                assert _document_bytes(result, tea_adl) == _document_bytes(
+                    plain, tea_adl
+                )
+                adaptation = OnlineAdaptation(
+                    tea_adl, result.learner, rng=np.random.default_rng(9)
+                )
+                before = _document_bytes(result, tea_adl)
+                for step in drifted * 5:
+                    adaptation.on_step(
+                        StepEvent(time=0.0, step_id=step, previous_step_id=0)
+                    )
+                assert _document_bytes(result, tea_adl) != before
+
+    def test_nothing_is_shared_outside_the_scope(self, tea_adl):
+        _memo_train(tea_adl, seed=6)
+        assert not _memo_train(tea_adl, seed=6)[3]
+        with training_memo():
+            _memo_train(tea_adl, seed=6)
+        assert not _memo_train(tea_adl, seed=6)[3]
+
+    def test_the_scope_frees_the_memo_on_exceptions(self, tea_adl):
+        with pytest.raises(RuntimeError):
+            with training_memo():
+                _memo_train(tea_adl, seed=7)
+                raise RuntimeError("section failed")
+        assert not _memo_train(tea_adl, seed=7)[3]
+        with training_memo():
+            assert not _memo_train(tea_adl, seed=7)[3]
+
+    def test_custom_learners_are_never_shared(self, tea_adl):
+        def dyna():
+            return DynaQLearner(
+                learning_rate=0.2, discount=0.9, planning_steps=2,
+                initial_q=1000.0,
+            )
+
+        with training_memo():
+            _, first, _, _ = _memo_train(tea_adl, seed=8, learner=dyna())
+            _, second, _, served = _memo_train(tea_adl, seed=8, learner=dyna())
+            assert not served
+            assert second.curve == first.curve
+            # A default-learner request with the same inputs is a
+            # different training and is not answered by the Dyna run.
+            assert not _memo_train(tea_adl, seed=8)[3]
+
+    def test_an_already_trained_learner_is_never_shared(self, tea_adl):
+        routine = tea_adl.canonical_routine()
+        log = [list(routine.step_ids)] * 30
+        reward_fn = CoReDAReward(PlanningConfig(), routine.terminal_step_id)
+
+        def pretrained_request():
+            # The learner has seen one episode, yet the trainer's own
+            # generator is still at its seed state.
+            trainer = RoutineTrainer(tea_adl, rng=np.random.default_rng(10))
+            learner = trainer.learner
+            replay_episode(
+                learner, trainer.actions, [1, 3, 2, 4], reward_fn,
+                np.random.default_rng(99),
+            )
+            result = trainer.train(log, routine=routine)
+            return result, trainer.learner is not learner
+
+        plain, _ = pretrained_request()
+        with training_memo():
+            RoutineTrainer(tea_adl, rng=np.random.default_rng(10)).train(
+                log, routine=routine
+            )
+            result, served = pretrained_request()
+        assert not served
+        assert _document_bytes(result, tea_adl) == _document_bytes(
+            plain, tea_adl
+        )
+
+    def test_single_action_view_is_snapshotted(self):
+        tools = [Tool(71, "a", SensorType.ACCELEROMETER),
+                 Tool(72, "b", SensorType.ACCELEROMETER),
+                 Tool(73, "c", SensorType.ACCELEROMETER)]
+        adl = ADL("one-prompt", [ADLStep(t.name, t) for t in tools])
+        routine = adl.canonical_routine()
+        log = [list(routine.step_ids)] * 20
+
+        def one_action_training():
+            trainer = RoutineTrainer(adl, rng=np.random.default_rng(11))
+            trainer.actions = trainer.actions[:1]
+            built = trainer.learner
+            return trainer.train(log, routine=routine), trainer.learner is not built
+
+        plain, _ = one_action_training()
+        # The table's gather for a one-action view is a nested
+        # function, which pickle refuses.
+        with pytest.raises((AttributeError, pickle.PicklingError)):
+            pickle.dumps(plain.learner)
+        with training_memo():
+            full = RoutineTrainer(adl, rng=np.random.default_rng(11))
+            full.train(log, routine=routine)
+            first, served = one_action_training()
+            assert not served
+            hit, served = one_action_training()
+            assert served
+        assert hit.curve == plain.curve
+        assert _document_bytes(hit, adl) == _document_bytes(plain, adl)
+
+    def test_the_probe_reads_the_served_table(self, tea_adl):
+        routine = tea_adl.canonical_routine()
+        log = [list(routine.step_ids)] * 60
+        with training_memo():
+            RoutineTrainer(tea_adl, rng=np.random.default_rng(12)).train(
+                log, routine=routine
+            )
+            trainer = RoutineTrainer(tea_adl, rng=np.random.default_rng(12))
+            # Binds the probe to the untrained table.
+            untrained = trainer._probe_greedy(routine)
+            result = trainer.train(log, routine=routine)
+        trained = (result.curve.greedy_accuracy[-1],
+                   result.curve.minimal_fraction[-1])
+        assert untrained != trained
+        assert trainer._probe_greedy(routine) == trained
+
+    def test_worker_processes_train_unshared(self):
+        with training_memo():
+            assert _served_in_process(13)
+            served, _ = run_cells(
+                [Cell(_served_in_process, (14,)),
+                 Cell(_served_in_process, (15,))],
+                jobs=2,
+            )
+        assert served == [False, False]
+
+    def test_fast_report_trains_each_distinct_policy_once(self, monkeypatch):
+        counts = {"train": 0, "replay": 0}
+        train, replay = RoutineTrainer.train, RoutineTrainer._replay
+
+        def counting_train(self, *args, **kwargs):
+            counts["train"] += 1
+            return train(self, *args, **kwargs)
+
+        def counting_replay(self, *args, **kwargs):
+            counts["replay"] += 1
+            return replay(self, *args, **kwargs)
+
+        monkeypatch.setattr(RoutineTrainer, "train", counting_train)
+        monkeypatch.setattr(RoutineTrainer, "_replay", counting_replay)
+        run_all(fast=True)
+        assert counts == {"train": 73, "replay": 54}
+        # The memo is freed when the run ends.
+        assert not trainer_module._TRAINING_MEMO
