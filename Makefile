@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: lint lint-sarif lint-bench test bench fleet-bench report
+.PHONY: lint lint-sarif lint-bench test bench fleet-bench report ziggurat-tables
 
 lint:
 	$(PYTHON) -m repro lint src/repro --baseline lint-baseline.json
@@ -25,3 +25,8 @@ fleet-bench:
 
 report:
 	$(PYTHON) -m repro report
+
+# Re-derives src/repro/sim/ziggurat.py from the installed numpy; run it
+# when tests/test_sim_ziggurat.py reports that numpy's ziggurat changed.
+ziggurat-tables:
+	$(PYTHON) -m tests.oracles.ziggurat

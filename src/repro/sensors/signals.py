@@ -20,12 +20,16 @@ Two read paths exist and are draw-for-draw identical:
 * :meth:`SignalSource.read` -- one scalar sample (the reference
   per-sample firmware loop);
 * :meth:`SignalSource.read_block` / :meth:`SignalSource.read_block_at`
-  -- a whole block at once, with idle stretches drawn as one
-  vectorised ``normal`` call.  The draw *sequence* is preserved
-  exactly (one uniform then one normal per active sample, one normal
-  per inactive sample), so a block read leaves the generator in the
-  same state as the equivalent scalar reads and produces the same
-  bytes.
+  -- a whole block at once.  Idle stretches are one vectorised
+  ``normal`` call.  Active stretches decode raw PCG64 words: the scalar
+  loop's one uniform then one normal per sample is two generator words
+  whenever the normal takes numpy's one-word ziggurat fast path (about
+  98% of words), so a block takes its words with one ``random_raw``
+  call and decodes them with the tables of :mod:`repro.sim.ziggurat`.
+  At the first word that leaves the fast path the generator is rewound
+  to it and that one sample is drawn by ``normal`` itself.  Either way
+  a block read leaves the generator in the same state as the
+  equivalent scalar reads and produces the same bytes.
 
 A monotonically increasing :attr:`SignalSource.epoch` is bumped on
 every regime transition, and regime listeners (the node firmware's
@@ -36,15 +40,28 @@ pre-drew past the change (see ``docs/architecture.md``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, List, Tuple
 
 import numpy as np
 
+from repro.sim.ziggurat import KI, WI
+
 __all__ = ["SignalProfile", "SignalSource", "sample_clock"]
 
 #: Opaque source state: (bit-generator state, active, active-until).
 SourceState = Tuple[Any, bool, float]
+
+#: Ziggurat tables indexed by ``word & 511``: index and sign bit
+#: together, so the sign is folded into ``WI``.
+_KI_SIGNED = KI + KI
+_WI_SIGNED = WI + tuple(-w for w in WI)
+_RABS_MASK = (1 << 52) - 1
+#: Active samples decoded per ``random_raw`` call.  A slow word
+#: discards the rest of its chunk, so the cap keeps a long active read
+#: linear instead of quadratic in its slow words.
+_CHUNK_SAMPLES = 128
 
 
 def sample_clock(start: float, period: float, n: int) -> np.ndarray:
@@ -75,10 +92,15 @@ class SignalProfile:
     noise_sd: float = 0.18
 
     def __post_init__(self) -> None:
+        for name in ("burst_probability", "burst_mean", "burst_sd", "noise_sd"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not 0.0 < self.burst_probability <= 1.0:
             raise ValueError("burst_probability must be in (0, 1]")
         if self.burst_mean <= 0:
             raise ValueError("burst_mean must be positive")
+        if self.burst_sd < 0:
+            raise ValueError("burst_sd must be >= 0")
         if self.noise_sd < 0:
             raise ValueError("noise_sd must be >= 0")
 
@@ -90,11 +112,15 @@ class SignalSource:
     active regime until :meth:`end_use` (or until ``duration`` elapses
     if one was given).  Reads are pure draws -- the sampling loop owns
     the 10 Hz cadence.
+
+    ``rng`` must be a generator over :class:`numpy.random.PCG64`: block
+    reads decode its raw words and rewind it with ``advance``.
     """
 
     __slots__ = (
         "profile",
         "_rng",
+        "_bitgen",
         "_active",
         "_active_until",
         "epoch",
@@ -102,8 +128,15 @@ class SignalSource:
     )
 
     def __init__(self, profile: SignalProfile, rng: np.random.Generator) -> None:
+        bitgen = getattr(rng, "bit_generator", None)
+        if not isinstance(bitgen, np.random.PCG64):
+            raise TypeError(
+                "SignalSource needs a PCG64 generator, got "
+                f"{type(bitgen).__name__}"
+            )
         self.profile = profile
         self._rng = rng
+        self._bitgen = bitgen
         self._active = False
         self._active_until: float = float("inf")
         #: Monotonic regime-transition counter; compare before/after
@@ -176,7 +209,8 @@ class SignalSource:
         Exactly equivalent to ``[self.read(t) for t in times]`` --
         same values, same generator state afterwards, same automatic
         expiry of a finite ``begin_use`` duration -- but idle
-        stretches are drawn with one vectorised ``normal`` call.
+        stretches are drawn with one vectorised ``normal`` call and
+        active ones are decoded from raw words (:meth:`_read_active`).
         """
         rng = self._rng
         profile = self.profile
@@ -200,23 +234,7 @@ class SignalSource:
                     if m == 0:
                         self._expire()
                         continue
-                # The scalar draw sequence per active sample is one
-                # uniform then one normal; numpy's ziggurat normals
-                # consume a data-dependent number of generator words,
-                # so this interleaving cannot be split into two array
-                # draws without changing the stream.
-                p = profile.burst_probability
-                burst_mean = profile.burst_mean
-                burst_sd = profile.burst_sd
-                noise_sd = profile.noise_sd
-                random = rng.random
-                normal = rng.normal
-                for i in range(pos, pos + m):
-                    if random() < p:
-                        burst = normal(burst_mean, burst_sd)
-                        out[i] = burst if burst > 0.0 else 0.0
-                    else:
-                        out[i] = abs(normal(0.0, noise_sd))
+                out[pos : pos + m] = self._read_active(m)
                 pos += m
                 if pos < n:
                     self._expire()
@@ -226,6 +244,68 @@ class SignalSource:
                 out[pos:] = np.abs(rng.normal(0.0, profile.noise_sd, n - pos))
                 pos = n
         return out
+
+    def _read_active(self, m: int) -> List[float]:
+        """``m`` active-regime reads, decoded from raw generator words.
+
+        A scalar active read is ``random()`` then ``normal()``: one
+        word ``u`` decides the burst, since ``random()`` is
+        ``(u >> 11) * 2**-53``, and the normal's first word ``w``
+        decodes to ``rabs * WI[idx]`` when ``rabs < KI[idx]``.  A
+        chunk of ``c`` samples draws its ``2c`` words at once; at the
+        first slow ``w`` the generator is rewound to just before it
+        and ``normal`` draws that sample from the live stream, which
+        consumes however many words its slow path needs.
+        """
+        profile = self.profile
+        # u < cut  <=>  (u >> 11) * 2**-53 < burst_probability.
+        cut = math.ceil(profile.burst_probability * 2.0**53) << 11
+        burst_mean = profile.burst_mean
+        burst_sd = profile.burst_sd
+        noise_sd = profile.noise_sd
+        bitgen = self._bitgen
+        random_raw = bitgen.random_raw
+        ki = _KI_SIGNED
+        wi = _WI_SIGNED
+        rabs_mask = _RABS_MASK
+        values: List[float] = []
+        append = values.append
+        done = 0
+        while done < m:
+            c = min(m - done, _CHUNK_SAMPLES)
+            words = iter(random_raw(2 * c).tolist())
+            # Per sample: the burst uniform's word, then the normal's.
+            # A fast normal is ``rabs * WI[idx]`` with the sign folded
+            # into the ``word & 511`` index.
+            for u, w in zip(words, words):
+                j = w & 511
+                rabs = (w >> 9) & rabs_mask
+                if rabs >= ki[j]:
+                    break
+                if u < cut:
+                    burst = burst_mean + burst_sd * (rabs * wi[j])
+                    append(burst if burst > 0.0 else 0.0)
+                else:
+                    append(abs(noise_sd * (rabs * wi[j])))
+            else:
+                done += c
+                continue
+            # Slow word: rewind to the normal word of sample k.
+            # ``advance`` also drops a buffered 32-bit half, which no
+            # word draw touches, so put it back.
+            k = len(values) - done
+            buffered = bitgen.state
+            bitgen.advance(2 * k + 1 - 2 * c)
+            if buffered["has_uint32"]:
+                buffered["state"] = bitgen.state["state"]
+                bitgen.state = buffered
+            if u < cut:
+                burst = self._rng.normal(burst_mean, burst_sd)
+                append(burst if burst > 0.0 else 0.0)
+            else:
+                append(abs(self._rng.normal(0.0, noise_sd)))
+            done += k + 1
+        return values
 
     def read_block(self, now: float, n: int, hz: float) -> np.ndarray:
         """Sample ``n`` readings at ``hz`` starting at ``now``.

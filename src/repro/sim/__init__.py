@@ -10,6 +10,8 @@ on:
   processes (``yield Timeout(dt)`` / ``yield Wait(signal)``).
 * :class:`~repro.sim.random.RandomStreams` -- named, reproducible
   per-subsystem random-number streams derived from one master seed.
+* :mod:`repro.sim.ziggurat` -- numpy's standard-normal ziggurat
+  tables, which sensing block reads decode raw generator words with.
 * :class:`~repro.sim.tracing.TraceRecorder` -- a structured event
   trace used by the evaluation harness to reconstruct timelines such
   as the paper's Figure 1 scenario.

@@ -14,7 +14,10 @@ kernel has none: production is the plain ``heapq``.
 * :mod:`oracles.fleet` -- one private kernel per home (the shared
   shard kernel must report identically);
 * :mod:`oracles.sensing` -- the per-sample node firmware loop (the
-  block sampler must emit identical traces, frames and EEPROM).
+  block sampler must emit identical traces, frames and EEPROM);
+* :mod:`oracles.ziggurat` -- numpy's normal ziggurat read back from
+  its own generator (the literal tables the block sampler decodes raw
+  words with must match it bit for bit).
 
 Nothing under ``src/`` imports this package.
 """
