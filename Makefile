@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: lint lint-sarif lint-bench test bench fleet-bench report ziggurat-tables
+.PHONY: lint lint-sarif test report ziggurat-tables
 
 lint:
 	$(PYTHON) -m repro lint src/repro --baseline lint-baseline.json
@@ -9,19 +9,8 @@ lint:
 lint-sarif:
 	$(PYTHON) -m repro lint src/repro --baseline lint-baseline.json --format sarif > lint.sarif
 
-lint-bench:
-	$(PYTHON) -m pytest benchmarks/test_bench_lint.py -s
-
 test:
 	$(PYTHON) -m pytest tests/
-
-bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s
-
-# Regenerates BENCH_fleet.json: scaling vs --jobs and the /dev/shm
-# leak scan.
-fleet-bench:
-	$(PYTHON) -m pytest benchmarks/test_bench_fleet.py --benchmark-only -s
 
 report:
 	$(PYTHON) -m repro report

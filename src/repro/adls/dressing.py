@@ -88,7 +88,7 @@ def make_dressing() -> ADL:
 
 
 def dressing_routines(adl: ADL) -> List[Routine]:
-    """The two personal routines used by the multi-routine benches.
+    """The two personal routines used by the multi-routine extension.
 
     Routine A dresses top-down (socks after trousers); routine B puts
     socks on first.  Both end with the jacket.

@@ -15,8 +15,8 @@ The index is deliberately *syntactic*: it resolves what the source
 spells out (module-level names, import aliases, ``self.`` methods)
 and leaves dynamic dispatch to the conservative by-name fallback in
 :mod:`repro.analysis.callgraph`.  These classes are allocated per
-function/class of the tree on every lint run (the tier-1 gate and the
-``BENCH_lint`` budget both lint the full tree), so they are
+function/class of the tree on every lint run (the tier-1 gate lints
+the full tree and holds it to a wall-clock budget), so they are
 registered in the PERF001 hot-path manifest and declare
 ``__slots__``.
 """

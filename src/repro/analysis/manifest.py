@@ -2,10 +2,9 @@
 
 The rules in :mod:`repro.analysis.rules` are generic AST checks; this
 module pins them to the concrete invariants of this repository -- the
-one module allowed to construct random generators, the directories
-allowed to read wall clocks, the classes on the simulation hot path
-that must declare ``__slots__``, and the identifier names the float
-timestamp rule treats as simulation times.
+one module allowed to construct random generators, the classes on the
+simulation hot path that must declare ``__slots__``, and the
+identifier names the float timestamp rule treats as simulation times.
 
 Keeping the policy in one place means a reviewer can audit "what does
 the linter actually enforce?" without reading any visitor code, and a
@@ -28,9 +27,7 @@ __all__ = [
     "SCHEDULING_IMPORT_PREFIXES",
     "SUBMIT_METHODS",
     "TIMESTAMP_NAMES",
-    "WALL_CLOCK_EXEMPT_PARTS",
     "is_rng_module",
-    "is_wall_clock_exempt",
 ]
 
 #: The only module that may construct ``numpy`` generators directly
@@ -38,10 +35,6 @@ __all__ = [
 #: :class:`repro.sim.random.RandomStreams` or
 #: :func:`repro.sim.random.seeded_generator`.
 RNG_MODULE_SUFFIXES: Tuple[str, ...] = ("repro/sim/random.py",)
-
-#: Path segments whose files may read wall clocks (DET002).  The
-#: benchmark harnesses measure real elapsed time by design.
-WALL_CLOCK_EXEMPT_PARTS: Tuple[str, ...] = ("benchmarks",)
 
 #: Modules importing any of these packages are considered to schedule
 #: kernel events or draw randomness, and therefore fall under the
@@ -89,8 +82,7 @@ HOT_PATH_CLASSES: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
     ("repro/planning/predictor.py", ("NextStepPredictor",)),
     # The analyzer itself: the whole-program index allocates one
     # FunctionInfo/ClassInfo per definition in the tree on every lint
-    # run, and the tier-1 gate plus BENCH_lint both lint all of
-    # src/repro.
+    # run, and the tier-1 gate lints all of src/repro.
     (
         "repro/analysis/index.py",
         (
@@ -141,9 +133,3 @@ SUBMIT_METHODS = frozenset({"submit"})
 def is_rng_module(posix_path: str) -> bool:
     """True for the module sanctioned to construct generators."""
     return posix_path.endswith(RNG_MODULE_SUFFIXES)
-
-
-def is_wall_clock_exempt(posix_path: str) -> bool:
-    """True when ``posix_path`` sits under a wall-clock-exempt part."""
-    return any(part in WALL_CLOCK_EXEMPT_PARTS
-               for part in posix_path.split("/"))

@@ -2,7 +2,7 @@
 
 ========== ========= ====================================================
 DET001     error     randomness only via ``repro.sim.random``
-DET002     error     no wall-clock reads outside ``benchmarks/``
+DET002     error     no wall-clock reads in simulation code
 DET003     warning   no unordered iteration where events/randomness flow
 DET004     error     no float ``==``/``!=`` on simulation timestamps
 PAR001     error     Cell/.submit callables module-level, payloads picklable

@@ -11,7 +11,8 @@ rests on:
   :func:`repro.sim.random.seeded_generator` shim), so adding a
   component never perturbs another component's draws.
 * **DET002** -- simulation code reads the kernel clock, never the
-  wall clock; only the benchmark harnesses measure real time.
+  wall clock; only the ``bench/`` harness, outside ``src/repro``,
+  measures real time.
 * **DET003** -- code that schedules kernel events or draws randomness
   never iterates an unordered collection: ``set`` iteration order
   depends on ``PYTHONHASHSEED``.
@@ -138,12 +139,10 @@ class WallClockRead(Rule):
     severity = "error"
     description = (
         "no wall-clock reads in simulation code: simulated time comes from "
-        "Simulator.now; real time belongs in benchmarks/ only"
+        "Simulator.now; real time is measured outside src/repro"
     )
 
     def check(self, module: ModuleContext) -> Iterable[Finding]:
-        if manifest.is_wall_clock_exempt(module.posix_path):
-            return
         for node in ast.walk(module.tree):
             if isinstance(node, ast.ImportFrom):
                 if (node.module or "") == "time":
@@ -153,7 +152,7 @@ class WallClockRead(Rule):
                                 module,
                                 node,
                                 f"import of time.{alias.name}: wall-clock "
-                                "reads are restricted to benchmarks/",
+                                "reads do not belong in simulation code",
                             )
             elif isinstance(node, ast.Call):
                 dotted = dotted_name(node.func)
@@ -169,7 +168,7 @@ class WallClockRead(Rule):
                         module,
                         node,
                         f"{dotted}() reads the wall clock; use the kernel "
-                        "clock (Simulator.now) or move to benchmarks/",
+                        "clock (Simulator.now)",
                     )
                 elif parts[-1] in _DATETIME_ATTRS and any(
                     part in ("datetime", "date") for part in parts[:-1]

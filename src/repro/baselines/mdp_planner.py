@@ -9,11 +9,11 @@ build an explicit MDP of the guidance problem -- states are the same
 user follows a correct prompt with a compliance probability -- and
 solve it exactly with value iteration.
 
-The contrast the benches draw: the MDP planner needs the full model
-up front (no personalization without re-engineering), whereas CoReDA
-*learns* the routine from observations.  Given matching models, both
-produce the same guidance -- which is itself a useful validation of
-the Q-learner.
+The contrast the baseline comparison draws: the MDP planner needs the
+full model up front (no personalization without re-engineering),
+whereas CoReDA *learns* the routine from observations.  Given
+matching models, both produce the same guidance -- which is itself a
+useful validation of the Q-learner.
 """
 
 from __future__ import annotations

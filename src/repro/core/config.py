@@ -66,7 +66,7 @@ class RadioConfig:
     #: Probability an individual frame is lost in the air.
     loss_probability: float = 0.02
     #: One-way latency, seconds (sub-millisecond on the real CC1000;
-    #: kept configurable for stress benches).
+    #: kept configurable for stress tests).
     latency: float = 0.005
     #: Link-layer retransmissions before a frame is dropped for good.
     max_retries: int = 3

@@ -534,8 +534,9 @@ def plan_radio_sweep(
     """Frame-loss probability vs mean end-to-end extract precision.
 
     ``sensing`` overrides the sensing configuration (the sensing
-    benches use it to time the reference loop against the block fast
-    path); cell argument tuples are unchanged when it is ``None``.
+    fast-path tests use it to run the sweep under a given
+    configuration); cell argument tuples are unchanged when it is
+    ``None``.
     """
     cells = [
         Cell(

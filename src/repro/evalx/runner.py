@@ -17,7 +17,8 @@ same (ADL, routine, hyper-parameters, seed) cell, skip retraining.
 from __future__ import annotations
 
 import sys
-from typing import Dict, List, Optional, TextIO
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional, TextIO
 
 from repro.adls.library import default_registry
 from repro.evalx.ablations import (
@@ -42,19 +43,37 @@ from repro.evalx.scenario import run_tea_scenario
 from repro.evalx.sensitivity import plan_alpha_sweep, plan_epsilon_sweep
 from repro.planning.trainer import training_memo
 
-__all__ = ["run_all", "build_sections", "write_report"]
+__all__ = ["ReportMerge", "run_all", "build_sections", "write_report"]
+
+
+@dataclass(frozen=True)
+class ReportMerge:
+    """A report section's merge: ``fold`` the cell results, ``render`` blocks.
+
+    Calling it is the composition, which is all :func:`run_all` needs;
+    the two halves stay reachable so a caller holding a section's cell
+    results can also read the result object behind its blocks.
+    """
+
+    fold: Callable[[List[Any]], Any]
+    render: Callable[[Any], List[str]]
+
+    def __call__(self, results: List[Any]) -> List[str]:
+        return self.render(self.fold(results))
 
 
 def _blocks(section: Section, render) -> Section:
     """Wrap ``section`` so its merge yields the report blocks."""
-    inner = section.merge
     return Section(
-        section.name, section.cells, lambda results: render(inner(results))
+        section.name, section.cells, ReportMerge(section.merge, render)
     )
 
 
-def _scenario_blocks(results) -> List[str]:
-    scenario = results[0]
+def _only(results: List[Any]) -> Any:
+    return results[0]
+
+
+def _scenario_blocks(scenario) -> List[str]:
     return [
         scenario.to_table(),
         f"Scenario structure check: "
@@ -69,8 +88,9 @@ def build_sections(
 ) -> List[Section]:
     """The full report as an ordered list of section plans.
 
-    Every section's merge returns the list of report blocks it
-    contributes; the blocks, joined in section order, are the report.
+    Every section's merge is a :class:`ReportMerge` returning the list
+    of report blocks it contributes; the blocks, joined in section
+    order, are the report.
     """
     registry = default_registry()
     paper_adls = [registry.get("tooth-brushing"), registry.get("tea-making")]
@@ -80,15 +100,24 @@ def build_sections(
     seeds = tuple(range(3)) if fast else tuple(range(10))
     sections: List[Section] = []
 
+    one_block = lambda table: [table]  # noqa: E731 - tiny adapter
     sections.append(
-        Section("table1.hardware", [Cell(table1_hardware, label="table1")],
-                lambda results: [results[0]])
+        _blocks(
+            Section(
+                "table1.hardware", [Cell(table1_hardware, label="table1")],
+                _only,
+            ),
+            one_block,
+        )
     )
     sections.append(
-        Section(
-            "table2.sensors",
-            [Cell(table2_sensor_map, (paper_adls,), label="table2")],
-            lambda results: [results[0]],
+        _blocks(
+            Section(
+                "table2.sensors",
+                [Cell(table2_sensor_map, (paper_adls,), label="table2")],
+                _only,
+            ),
+            one_block,
         )
     )
     sections.append(
@@ -115,9 +144,11 @@ def build_sections(
         )
     )
     sections.append(
-        Section(
-            "fig1.scenario",
-            [Cell(run_tea_scenario, label="scenario")],
+        _blocks(
+            Section(
+                "fig1.scenario", [Cell(run_tea_scenario, label="scenario")],
+                _only,
+            ),
             _scenario_blocks,
         )
     )
@@ -141,7 +172,6 @@ def build_sections(
 
     if include_ablations:
         ablation_seeds = tuple(range(2)) if fast else tuple(range(8))
-        one_block = lambda table: [table]  # noqa: E731 - tiny adapter
         sections.append(
             _blocks(
                 plan_lambda_sweep(

@@ -13,7 +13,7 @@ resident, runs the full pipeline, and reconstructs the timeline from
 the trace.  Exact second marks differ from the paper's (13 s / 23 s /
 71 s) because our step pacing is synthetic; the *structure* --
 ordering, trigger reasons, LED colours, praise -- is asserted by the
-tests and benches.
+tests.
 """
 
 from __future__ import annotations

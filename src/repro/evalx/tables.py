@@ -1,6 +1,6 @@
 """Plain-text table and sparkline rendering for experiment output.
 
-The benches print the same rows the paper's tables report; these
+The report prints the same rows the paper's tables report; these
 helpers keep that output aligned and diff-friendly.
 """
 

@@ -6,7 +6,7 @@
 Blink commands travel down the same radio as uplink frames; the
 controller therefore goes through the base station rather than poking
 node objects directly, so a lossy link affects guidance too (one of
-the ablation benches measures exactly that).
+the ablations measures exactly that).
 """
 
 from __future__ import annotations

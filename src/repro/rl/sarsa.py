@@ -1,6 +1,6 @@
 """SARSA(λ): the on-policy companion to Watkins Q(λ).
 
-Provided for the ablation benches: on short deterministic routines
+Provided for the on/off-policy ablation: on short deterministic routines
 SARSA(λ) and Q(λ) converge to the same greedy policy, but their
 learning curves differ under exploration -- a useful sanity check on
 the paper's algorithm choice.

@@ -33,8 +33,8 @@ class EepromLog:
 
     ``capacity_bytes`` defaults to the PAVENET's 16 KB.  Writes beyond
     capacity silently evict the oldest record (ring semantics);
-    :attr:`overwrites` counts how many were lost, which the radio
-    benches use to show when a lossy link backs the log up.
+    :attr:`overwrites` counts how many were lost, which shows when a
+    lossy link backs the log up.
     """
 
     def __init__(self, capacity_bytes: int = 16 * 1024) -> None:

@@ -2,7 +2,7 @@
 
 The real PAVENET talks over a ChipCon CC1000 transceiver.  For the
 reproduction what matters is that frames can be *lost*, which erodes
-end-to-end extraction precision (one of the ablation benches sweeps
+end-to-end extraction precision (the radio-loss ablation sweeps
 the loss rate).  The model:
 
 * every transmission attempt is lost with ``loss_probability`` on the
@@ -16,7 +16,7 @@ the loss rate).  The model:
   Receivers must deduplicate by (source uid, sequence); the base
   station does.
 
-Statistics are kept for the benches: attempts, losses, deliveries,
+Statistics are kept for reporting: attempts, losses, deliveries,
 duplicates, permanent drops.
 """
 
@@ -56,7 +56,7 @@ class Frame:
 
 @dataclass
 class RadioStats:
-    """Counters the radio benches report on."""
+    """Counters the radio reports on."""
 
     attempts: int = 0
     losses: int = 0

@@ -1,50 +1,32 @@
-"""Function-level tests for the ablation sections (small parameters).
+"""Table-construction tests for the ablation and extension sections.
 
-The benches run these at paper scale; here each section is exercised
-quickly so a regression in table construction or parsing surfaces in
-the unit suite, not only under --benchmark-only.
+Each table is read from the shared full-report run (the
+``full_report`` fixture), so a regression in table construction
+surfaces here; the claims the numbers carry are pinned in
+``tests/test_experiment_claims.py``.
 """
 
 import pytest
 
-from repro.evalx.ablations import (
-    plan_adaptation_speed,
-    plan_detector_sweep,
-    plan_dyna_sweep,
-    plan_escalation_ablation,
-    plan_lambda_sweep,
-    plan_multi_routine_comparison,
-    plan_sarsa_comparison,
-    plan_wrong_reward_sweep,
-)
-from repro.evalx.parallel import run_section
-from repro.evalx.sensitivity import plan_alpha_sweep, plan_epsilon_sweep
+from repro.evalx.ablations import plan_adaptation_speed
 
 
 class TestSweepTables:
-    def test_lambda_sweep_rows(self, tea_adl):
-        table = run_section(
-            plan_lambda_sweep(tea_adl, lambdas=(0.0, 0.7), seeds=(0, 1))
-        )
+    def test_lambda_sweep_rows(self, full_report):
+        table = full_report["ablation.lambda.tea-making"].result
         assert "0.0" in table and "0.7" in table
         assert "Mean iterations" in table
 
-    def test_wrong_reward_sweep_shows_collapse(self, tea_adl):
-        table = run_section(
-            plan_wrong_reward_sweep(
-                tea_adl, wrong_rewards=(0.0, 100.0), seeds=(0,)
-            )
-        )
+    def test_wrong_reward_sweep_shows_collapse(self, full_report):
+        table = full_report["ablation.wrong-reward.tea-making"].result
         lines = table.splitlines()
         zero_row = next(line for line in lines if line.startswith("0 "))
         hundred_row = next(line for line in lines if line.startswith("100"))
         assert "100.0%" in zero_row
         assert "100.0%" not in hundred_row
 
-    def test_detector_sweep_monotone(self):
-        table = run_section(
-            plan_detector_sweep(ks=(1, 3, 5), trials=60, seed=0)
-        )
+    def test_detector_sweep_monotone(self, full_report):
+        table = full_report["ablation.detector"].result
         rates = []
         for line in table.splitlines():
             cells = [cell.strip() for cell in line.split("|")]
@@ -52,30 +34,22 @@ class TestSweepTables:
                 rates.append(float(cells[1].rstrip("%")))
         assert rates == sorted(rates, reverse=True)
 
-    def test_dyna_sweep_has_reference_row(self, tea_adl):
-        table = run_section(
-            plan_dyna_sweep(tea_adl, planning_steps=(0,), seeds=(0, 1))
-        )
+    def test_dyna_sweep_has_reference_row(self, full_report):
+        table = full_report["ablation.dyna.tea-making"].result
         assert "TD(lambda) Q" in table
         assert "Dyna-Q (0 planning steps)" in table
 
-    def test_sarsa_comparison_rows(self, tea_adl):
-        table = run_section(plan_sarsa_comparison(tea_adl, seeds=(0, 1)))
+    def test_sarsa_comparison_rows(self, full_report):
+        table = full_report["ablation.sarsa.tea-making"].result
         assert "Watkins Q(lambda)" in table
         assert "SARSA(lambda)" in table
 
-    def test_alpha_sweep_all_converge(self, tea_adl):
-        table = run_section(
-            plan_alpha_sweep(tea_adl, alphas=(0.2, 0.5), seeds=(0, 1))
-        )
-        assert table.count("100%") >= 2
+    def test_alpha_sweep_all_converge(self, full_report):
+        table = full_report["sensitivity.alpha.tea-making"].result
+        assert table.count("100%") >= 5
 
-    def test_epsilon_sweep_constant_never_converges(self, tea_adl):
-        table = run_section(
-            plan_epsilon_sweep(
-                tea_adl, schedules=((0.2, 0.978), (0.4, 1.0)), seeds=(0, 1)
-            )
-        )
+    def test_epsilon_sweep_constant_never_converges(self, full_report):
+        table = full_report["sensitivity.epsilon.tea-making"].result
         always_row = next(
             line for line in table.splitlines() if "decay=1.0" in line
         )
@@ -83,16 +57,12 @@ class TestSweepTables:
 
 
 class TestExtensionTables:
-    def test_multi_routine_table(self):
-        table = run_section(
-            plan_multi_routine_comparison(episodes_per_routine=10, seed=0)
-        )
+    def test_multi_routine_table(self, full_report):
+        table = full_report["extension.multi-routine"].result
         assert "routine A" in table and "routine B" in table
 
-    def test_adaptation_speed_small(self, tea_adl):
-        table = run_section(
-            plan_adaptation_speed(tea_adl, epsilons=(0.1,), seeds=(0,))
-        )
+    def test_adaptation_speed_small(self, full_report):
+        table = full_report["extension.adaptation.tea-making"].result
         assert "0.10" in table
 
     def test_adaptation_speed_needs_three_steps(self, registry):
@@ -111,9 +81,7 @@ class TestExtensionTables:
 
 
 class TestEscalationAblation:
-    def test_table_shape(self, registry):
-        table = run_section(
-            plan_escalation_ablation(registry.get("tea-making"), episodes=2)
-        )
+    def test_table_shape(self, full_report):
+        table = full_report["ablation.escalation.tea-making"].result
         assert "never escalate" in table
         assert "Reminders/episode" in table

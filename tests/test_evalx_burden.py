@@ -1,9 +1,12 @@
-"""Unit tests for the caregiver-burden study (small parameters)."""
+"""Unit tests for the caregiver-burden study.
+
+``BurdenRow`` arithmetic is checked directly; the study's table is
+read from the shared full-report run (the ``full_report`` fixture).
+"""
 
 import pytest
 
-from repro.evalx.burden import BurdenRow, plan_burden_study
-from repro.evalx.parallel import run_section
+from repro.evalx.burden import BurdenRow
 
 
 class TestBurdenRow:
@@ -25,21 +28,17 @@ class TestBurdenRow:
 
 class TestStudy:
     @pytest.fixture(scope="class")
-    def result(self, registry):
-        return run_section(
-            plan_burden_study(
-                registry.get("tea-making"), severities=(0.2, 0.7), episodes=4,
-            )
-        )
+    def result(self, full_report):
+        return full_report["burden.tea-making"].result
 
     def test_rows_per_severity(self, result):
-        assert [row.severity for row in result.rows] == [0.2, 0.7]
+        assert [row.severity for row in result.rows] == [0.2, 0.5, 0.8]
 
     def test_all_episodes_complete_under_guidance(self, result):
         assert all(row.completed == row.episodes for row in result.rows)
 
     def test_severity_increases_errors(self, result):
-        mild, severe = result.rows
+        mild, _, severe = result.rows
         assert severe.errors >= mild.errors
 
     def test_render(self, result):

@@ -1,19 +1,16 @@
-"""Tests for the paper-experiment harness (reduced sample counts).
+"""Tests for the paper-experiment sections: structure and rendering.
 
-These are the executable claims of the reproduction: each test pins
-the *shape* the paper reports, on a fast configuration of the same
-code paths the full benches run.
+Each section is read from the shared full-report run (the
+``full_report`` fixture) rather than re-run at reduced sample counts;
+the numbers themselves are pinned in ``tests/test_paper_numbers.py``
+and ``tests/test_experiment_claims.py``.
 """
 
 import pytest
 
-from repro.evalx.baseline_compare import plan_baseline_comparison
-from repro.evalx.extract_precision import plan_extract_precision
 from repro.evalx.hardware_table import table1_hardware, table2_rows, table2_sensor_map
 from repro.evalx.learning_curve import plan_learning_curve
 from repro.evalx.parallel import run_section
-from repro.evalx.predict_precision import plan_predict_precision
-from repro.evalx.scenario import run_tea_scenario
 
 
 class TestTable1:
@@ -45,14 +42,8 @@ class TestTable2:
 
 class TestTable3:
     @pytest.fixture(scope="class")
-    def result(self, registry):
-        return run_section(
-            plan_extract_precision(
-                [registry.get("tooth-brushing"), registry.get("tea-making")],
-                samples_per_step=25,
-                seed=3,
-            )
-        )
+    def result(self, full_report):
+        return full_report["table3.extract"].result
 
     def test_eight_rows(self, result):
         assert len(result.rows) == 8
@@ -84,12 +75,8 @@ class TestTable3:
 
 class TestFigure4:
     @pytest.fixture(scope="class")
-    def result(self, registry):
-        return run_section(
-            plan_learning_curve(
-                registry.get("tea-making").adl, seeds=(0, 1, 2, 3)
-            )
-        )
+    def result(self, full_report):
+        return full_report["fig4.curve.tea-making"].result
 
     def test_all_seeds_converge_within_budget(self, result):
         assert result.convergence_rate(0.95) == 1.0
@@ -112,13 +99,8 @@ class TestFigure4:
 
 class TestTable4:
     @pytest.fixture(scope="class")
-    def result(self, registry):
-        return run_section(
-            plan_predict_precision(
-                [registry.get("tooth-brushing"), registry.get("tea-making")],
-                samples_per_adl=12,
-            )
-        )
+    def result(self, full_report):
+        return full_report["table4.predict"].result
 
     def test_first_steps_untestable(self, result):
         for name in ("Put toothpaste on the brush", "Put tea-leaf into kettle"):
@@ -135,8 +117,8 @@ class TestTable4:
 
 class TestFigure1:
     @pytest.fixture(scope="class")
-    def scenario(self):
-        return run_tea_scenario()
+    def scenario(self, full_report):
+        return full_report["fig1.scenario"].result
 
     def test_structure(self, scenario):
         assert scenario.structure_ok()
@@ -160,13 +142,8 @@ class TestFigure1:
 
 class TestBaselineComparison:
     @pytest.fixture(scope="class")
-    def result(self, registry):
-        return run_section(
-            plan_baseline_comparison(
-                registry.get("tea-making").adl, n_users=8, episodes=60,
-                shuffle_probability=1.0,
-            )
-        )
+    def result(self, full_report):
+        return full_report["baseline.tea-making"].result
 
     def test_learning_systems_perfect(self, result):
         assert result.row_for("CoReDA (TD-lambda Q)").mean_accuracy == 1.0

@@ -95,6 +95,23 @@ class TestFleetSpec:
         homes = SPEC.expand(tea_fleet_definition)
         assert len({home.train_seed for home in homes}) <= SPEC.seed_classes
 
+    def test_thousand_homes_train_at_most_eight_routines_per_class(
+        self, tea_fleet_definition
+    ):
+        # A 1000-home fleet trains its distinct routines, not one
+        # policy per home.
+        spec = FleetSpec(
+            adl_name="tea-making",
+            homes=1000,
+            seed=0,
+            episodes_per_home=1,
+            training_episodes=120,
+            seed_classes=4,
+            shard_size=50,
+        )
+        distinct = len(distinct_trainings(spec.expand(tea_fleet_definition)))
+        assert distinct <= spec.seed_classes * 8
+
     def test_distinct_trainings_dedupe_and_preserve_order(
         self, tea_fleet_definition
     ):

@@ -5,17 +5,34 @@ the ``repro lint`` CLI (and the Makefile ``lint`` target) would, and
 fails on any non-suppressed finding.  Keeping this in the tier-1
 suite means a determinism hazard cannot land without either a fix or
 an explicit, justified ``# repro: allow[RULE]`` comment.
+
+The tree is linted once per module; that one run also holds the
+linter to its wall-clock budget, since every tier-1 run pays for it.
 """
 
+import time
 from pathlib import Path
+
+import pytest
 
 from repro.analysis import all_rule_ids, lint_paths
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
+#: Wall-clock ceiling for one full-tree lint (all rules, both passes).
+FULL_TREE_BUDGET_S = 5.0
 
-def test_source_tree_is_lint_clean():
+
+@pytest.fixture(scope="module")
+def tree_lint():
+    """One full-tree lint of ``src/repro``: ``(report, seconds)``."""
+    start = time.perf_counter()
     report = lint_paths([str(SRC)])
+    return report, time.perf_counter() - start
+
+
+def test_source_tree_is_lint_clean(tree_lint):
+    report, _ = tree_lint
     assert report.files_checked > 50
     offenders = "\n".join(
         f"{f.location}: {f.rule}: {f.message}" for f in report.active
@@ -66,7 +83,14 @@ def test_manifest_modules_exist():
     assert not missing, f"manifest names files not under src/: {missing}"
 
 
-def test_committed_baseline_is_current():
+def test_full_tree_lint_within_budget(tree_lint):
+    _, seconds = tree_lint
+    assert seconds < FULL_TREE_BUDGET_S, (
+        f"full-tree lint took {seconds:.2f}s, budget {FULL_TREE_BUDGET_S}s"
+    )
+
+
+def test_committed_baseline_is_current(tree_lint):
     # The committed baseline exists so a future rule can land
     # strict-on-new-findings.  Today it must be empty (the tree is
     # clean) and never stale: every entry must correspond to a live
@@ -76,7 +100,7 @@ def test_committed_baseline_is_current():
     baseline_file = SRC.parent.parent / "lint-baseline.json"
     assert baseline_file.is_file(), "lint-baseline.json must be committed"
     baseline = Baseline.load(str(baseline_file))
-    report = lint_paths([str(SRC)])
+    report, _ = tree_lint
     stale = baseline.stale_entries(report)
     assert not stale, f"stale baseline entries (debt already paid): {stale}"
     assert len(baseline) == 0, (

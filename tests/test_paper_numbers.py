@@ -1,16 +1,19 @@
 """The paper's evaluation, pinned by what its numbers mean.
 
 ``tests/test_golden.py`` pins the bytes of the report; this module
-pins the claims those bytes carry, at the paper's sample sizes:
+pins the claims those bytes carry for the paper's own Tables 1-4 and
+Figures 1 and 4, read from the shared full-report run (the
+``full_report`` fixture, at the report's sample sizes):
 
-* the shape of Tables 3-4 and Figures 1 and 4 (which steps are
-  weakest, that every seed converges, which prompts use how many
-  methods), as the paper states them;
+* the shape of each table and figure (which steps are weakest, that
+  every seed converges, which prompts use how many methods), as the
+  paper states them;
 * the exact seed-0 cells that EXPERIMENTS.md quotes.
 
-A refactor that moves both the fast path and its oracle together
-fails here.  A pinned cell changes only by hand, together with
-EXPERIMENTS.md.
+``tests/test_experiment_claims.py`` does the same for every other
+section of EXPERIMENTS.md.  A refactor that moves both the fast path
+and its oracle together fails here.  A pinned cell changes only by
+hand, together with EXPERIMENTS.md.
 """
 
 from __future__ import annotations
@@ -19,10 +22,9 @@ import pytest
 
 from repro.core.metrics import mean
 from repro.evalx.extract_precision import plan_extract_precision
-from repro.evalx.learning_curve import plan_learning_curve
+from repro.evalx.hardware_table import table2_rows
 from repro.evalx.parallel import run_section
-from repro.evalx.predict_precision import plan_predict_precision
-from repro.evalx.scenario import run_tea_scenario
+from repro.sensors.hardware import PAVENET_SPEC
 
 SHORT_STEPS = ("Pour hot water into kettle", "Dry with a towel")
 FIRST_STEPS = ("Put toothpaste on the brush", "Put tea-leaf into kettle")
@@ -47,6 +49,10 @@ FIG4_SEEDS_0_9 = {
     ("tea-making", 0.98): ("51.0", 27, 86),
 }
 
+#: Figure 4: the largest and smallest per-seed ratio of iterations to
+#: 98% over iterations to 95%, over both ADLs.
+FIG4_SINGLE_RUN_RATIOS = ("1.0", "3.4")
+
 
 @pytest.fixture(scope="module")
 def paper_adls(registry):
@@ -55,20 +61,38 @@ def paper_adls(registry):
 
 
 @pytest.fixture(scope="module")
-def fig4(paper_adls):
+def fig4(full_report):
     return [
-        run_section(
-            plan_learning_curve(
-                definition.adl, episodes=120, seeds=tuple(range(10))
-            )
-        )
-        for definition in paper_adls
+        full_report[f"fig4.curve.{adl}"].result
+        for adl in ("tooth-brushing", "tea-making")
     ]
 
 
 @pytest.fixture(scope="module")
-def scenario():
-    return run_tea_scenario()
+def scenario(full_report):
+    return full_report["fig1.scenario"].result
+
+
+class TestTable1Hardware:
+    def test_table1_hardware(self, full_report):
+        table = full_report["table1.hardware"].result
+        assert "Microchip PIC18LF4620" in table
+        assert "ChipCon CC1000" in table
+        assert PAVENET_SPEC.eeprom_bytes == 16 * 1024
+        assert PAVENET_SPEC.led_count == 4
+
+
+class TestTable2SensorMap:
+    def test_table2_sensor_map(self, paper_adls):
+        rows = table2_rows(paper_adls)
+        # Eight steps over the two evaluation ADLs, pressure only on the
+        # electronic-pot -- exactly the paper's mapping.
+        assert len(rows) == 8
+        pressure_rows = [row for row in rows if row[2].startswith("Pressure")]
+        assert pressure_rows == [
+            ("tea-making", "Pour hot water into kettle",
+             "Pressure on electronic-pot")
+        ]
 
 
 class TestTable3ExtractPrecision:
@@ -91,10 +115,8 @@ class TestTable3ExtractPrecision:
         assert 0.6 <= pour < 1.0
         assert 0.6 <= towel < 1.0
 
-    def test_seed0_cells(self, paper_adls):
-        result = run_section(
-            plan_extract_precision(paper_adls, samples_per_step=40, seed=0)
-        )
+    def test_seed0_cells(self, full_report):
+        result = full_report["table3.extract"].result
         assert [
             (row.step_name, row.detections, row.trials) for row in result.rows
         ] == [(step, hits, 40) for step, hits in TABLE3_SEED0]
@@ -128,13 +150,21 @@ class TestFig4LearningCurve:
                 )
         assert measured == FIG4_SEEDS_0_9
 
+    def test_single_run_ratios(self, fig4):
+        ratios = [
+            run.convergence[0.98] / run.convergence[0.95]
+            for result in fig4
+            for run in result.runs
+        ]
+        assert (f"{min(ratios):.1f}", f"{max(ratios):.1f}") == (
+            FIG4_SINGLE_RUN_RATIOS
+        )
+
 
 class TestTable4PredictPrecision:
-    def test_every_testable_step_is_exact(self, paper_adls):
+    def test_every_testable_step_is_exact(self, full_report):
         # Paper: 100% on every step but the untestable first one.
-        result = run_section(
-            plan_predict_precision(paper_adls, samples_per_adl=30)
-        )
+        result = full_report["table4.predict"].result
         assert len(result.rows) == 8
         for row in result.rows:
             if row.step_name in FIRST_STEPS:

@@ -2,6 +2,7 @@
 
 from repro.core.adl import ReminderLevel
 from repro.planning.action import PromptAction, action_space
+from repro.planning.state import episode_states
 
 
 class TestPromptAction:
@@ -34,3 +35,9 @@ class TestActionSpace:
 
     def test_deterministic_order(self, tea_adl):
         assert action_space(tea_adl) == action_space(tea_adl)
+
+    def test_largest_adl_sizes(self, registry):
+        adl = registry.get("dressing").adl  # the largest ADL (6 steps)
+        assert len(action_space(adl)) + len(episode_states(adl.step_ids)) == (
+            12 + 6
+        )

@@ -17,7 +17,7 @@ from repro.planning import trainer as trainer_module
 from repro.planning.online import OnlineAdaptation
 from repro.planning.rewards_coreda import CoReDAReward
 from repro.planning.state import episode_states
-from repro.planning.store import training_document
+from repro.planning.store import PolicyCache, training_document
 from repro.planning.trainer import (
     RoutineTrainer,
     replay_episode,
@@ -362,3 +362,45 @@ class TestTrainingMemo:
         assert counts == {"train": 73, "replay": 54}
         # The memo is freed when the run ends.
         assert not trainer_module._TRAINING_MEMO
+
+    def test_warm_cache_replays_no_cached_training(
+        self, monkeypatch, tmp_path
+    ):
+        # A replay is "cached" when it trains behind a missed cache
+        # lookup; the sections that take no cache (Table 4, the
+        # scenario, burden, the SARSA variants, multi-routine and
+        # adaptation) replay "uncached".
+        counts = {"cached": 0, "uncached": 0, "misses": 0}
+        pending = []  # keys whose lookup missed and are not yet stored
+        replay, get, put = (
+            RoutineTrainer._replay, PolicyCache.get, PolicyCache.put
+        )
+
+        def counting_get(self, key):
+            document = get(self, key)
+            if document is None:
+                counts["misses"] += 1
+                pending.append(key)
+            return document
+
+        def counting_put(self, key, *args, **kwargs):
+            pending.remove(key)
+            return put(self, key, *args, **kwargs)
+
+        def counting_replay(self, *args, **kwargs):
+            counts["cached" if pending else "uncached"] += 1
+            return replay(self, *args, **kwargs)
+
+        monkeypatch.setattr(PolicyCache, "get", counting_get)
+        monkeypatch.setattr(PolicyCache, "put", counting_put)
+        monkeypatch.setattr(RoutineTrainer, "_replay", counting_replay)
+        cache = str(tmp_path / "policy-cache")
+        run_all(fast=True, cache_dir=cache)
+        cold = dict(counts)
+        counts.update(cached=0, uncached=0, misses=0)
+        run_all(fast=True, cache_dir=cache)
+        # Cold, two uncached trainings are served by the memo from a
+        # cached section's replay; warm, that replay is gone, so they
+        # replay themselves.
+        assert cold == {"cached": 43, "uncached": 11, "misses": 43}
+        assert counts == {"cached": 0, "uncached": 13, "misses": 0}

@@ -62,6 +62,19 @@ class TestSingleUpdates:
         learner.observe("s", "right", 1.0, "t", ACTIONS, done=True)
         assert learner.updates == 1
 
+    def test_thousand_transition_stream_updates(self):
+        learner = TDLambdaQLearner(
+            learning_rate=0.1, discount=0.9, trace_decay=0.7
+        )
+        actions = list(range(8))
+        for i in range(1_000):
+            state = (i % 5, (i + 1) % 5)
+            next_state = ((i + 1) % 5, (i + 2) % 5)
+            learner.observe(
+                state, i % 8, 1.0, next_state, actions, done=(i % 4 == 3)
+            )
+        assert learner.updates > 0
+
 
 class TestEpisodes:
     def test_begin_episode_clears_traces_and_counts(self):

@@ -144,6 +144,14 @@ class TestObserveBlock:
         assert det.observe_block([]) == []
         assert det.samples_seen == 0
 
+    def test_silent_over_100k_sub_threshold_samples(self):
+        import numpy as np
+
+        rng = np.random.default_rng(0)
+        samples = rng.random(100_000) * 0.8  # below threshold
+        det = KofNDetector(threshold=1.0, k=3, n=10)
+        assert det.observe_trace(samples) == 0
+
 
 class TestSnapshotRestore:
     def test_roundtrip_replays_identically(self):

@@ -92,6 +92,19 @@ class TestScheduling:
         sim.run()
         assert fired == [1.0, 2.0, 3.0]
 
+    def test_ten_thousand_chained_events_all_fire(self):
+        sim = Simulator()
+        count = [0]
+
+        def tick():
+            count[0] += 1
+            if count[0] < 10_000:
+                sim.schedule(0.1, tick)
+
+        sim.schedule(0.1, tick)
+        sim.run()
+        assert count[0] == 10_000
+
 
 class TestCancellation:
     def test_cancelled_event_does_not_fire(self, sim):
