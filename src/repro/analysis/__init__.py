@@ -26,7 +26,6 @@ from repro.analysis.core import (
     LintReport,
     LintUsageError,
     ModuleContext,
-    ProjectRule,
     Rule,
     UnknownRuleError,
     all_rule_ids,
@@ -45,7 +44,6 @@ __all__ = [
     "LintReport",
     "LintUsageError",
     "ModuleContext",
-    "ProjectRule",
     "Rule",
     "UnknownRuleError",
     "all_rule_ids",

@@ -1,14 +1,7 @@
 """Visitor core of the determinism / sim-safety static analyzer.
 
-The framework has two passes:
-
-1. **Per-module rules** (:class:`Rule`) walk one parsed module
-   (:class:`ModuleContext`) and yield :class:`Finding` s.
-2. **Whole-program rules** (:class:`ProjectRule`) run once per lint
-   invocation against a :class:`repro.analysis.index.ProjectIndex`
-   built over *every* module of the run, so they can follow dataflow
-   across module boundaries (cell callables defined elsewhere,
-   worker entry points reaching global writes, ...).
+Every rule (:class:`Rule`) walks one parsed module
+(:class:`ModuleContext`) and yields :class:`Finding` s.
 
 A registry maps rule IDs to singleton rule instances; the driver
 functions (:func:`lint_source`, :func:`lint_paths`) apply inline
@@ -55,7 +48,6 @@ __all__ = [
     "LintReport",
     "LintUsageError",
     "ModuleContext",
-    "ProjectRule",
     "Rule",
     "UnknownRuleError",
     "all_rule_ids",
@@ -253,35 +245,6 @@ class Rule:
             message=message,
         )
 
-    def finding_at(
-        self, path: str, node: ast.AST, message: str
-    ) -> Finding:
-        """Like :meth:`finding` for rules that span modules."""
-        return Finding(
-            path=path,
-            line=getattr(node, "lineno", 1),
-            column=getattr(node, "col_offset", 0) + 1,
-            rule=self.rule_id,
-            severity=self.severity,
-            message=message,
-        )
-
-
-class ProjectRule(Rule):
-    """A whole-program rule: runs once against the project index.
-
-    ``check`` is a no-op (pass 1 skips project rules); subclasses
-    implement :meth:`check_project` against the
-    :class:`repro.analysis.index.ProjectIndex` built over every module
-    of the lint invocation.
-    """
-
-    def check(self, module: ModuleContext) -> Iterable[Finding]:
-        return ()
-
-    def check_project(self, project) -> Iterable[Finding]:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class LintReport:
@@ -343,7 +306,7 @@ def all_rule_ids() -> List[str]:
 
 def rule_families() -> List[str]:
     """The registered rule families (leading-letter prefixes), sorted:
-    ``["DET", "PAR", "PERF", "SIM", "VER"]`` for the shipped pack."""
+    ``["DET", "PERF", "SIM", "VER"]`` for the shipped pack."""
     _load_rules()
     families = set()
     for rule_id in _REGISTRY:
@@ -393,36 +356,19 @@ def lint_modules(
     modules: Sequence[ModuleContext],
     rule_ids: Optional[Sequence[str]] = None,
 ) -> List[Finding]:
-    """The two-pass driver: per-module rules, then project rules.
+    """Apply every selected rule to each module; returns sorted findings.
 
-    Pass 1 applies every plain :class:`Rule` to each module; pass 2
-    builds one :class:`~repro.analysis.index.ProjectIndex` over the
-    whole module set and applies every :class:`ProjectRule` to it.
     Suppressions are resolved per finding against the module that
-    reported it.  Returns sorted findings.
+    reported it.
     """
     rules = resolve_rules(rule_ids)
-    module_rules = [r for r in rules if not isinstance(r, ProjectRule)]
-    project_rules = [r for r in rules if isinstance(r, ProjectRule)]
-    findings: List[Finding] = []
-    for module in modules:
-        for rule in module_rules:
-            findings.extend(rule.check(module))
-    if project_rules:
-        from repro.analysis.index import ProjectIndex
-
-        project = ProjectIndex(modules)
-        for rule in project_rules:
-            findings.extend(rule.check_project(project))
-    by_path = {module.path: module for module in modules}
     out: List[Finding] = []
-    for found in findings:
-        module = by_path.get(found.path)
-        if module is not None and found.rule in module.suppressed_rules(
-            found.line
-        ):
-            found = replace(found, suppressed=True)
-        out.append(found)
+    for module in modules:
+        for rule in rules:
+            for found in rule.check(module):
+                if found.rule in module.suppressed_rules(found.line):
+                    found = replace(found, suppressed=True)
+                out.append(found)
     return sorted(out, key=Finding.sort_key)
 
 
@@ -431,11 +377,7 @@ def lint_source(
     path: str = "<string>",
     rule_ids: Optional[Sequence[str]] = None,
 ) -> List[Finding]:
-    """Lint one module given as a string; returns sorted findings.
-
-    Project rules run against a single-module index, so cross-module
-    rule fixtures can be exercised from one source string.
-    """
+    """Lint one module given as a string; returns sorted findings."""
     return lint_modules([ModuleContext(path, source)], rule_ids)
 
 
@@ -472,11 +414,7 @@ def lint_paths(
     paths: Sequence[str],
     rule_ids: Optional[Sequence[str]] = None,
 ) -> LintReport:
-    """Lint files/directories; returns the aggregate report.
-
-    All modules are parsed up front so the whole-program pass sees
-    every file of the invocation at once.
-    """
+    """Lint files/directories; returns the aggregate report."""
     files = iter_python_files(paths)
     modules = [
         ModuleContext(str(file), file.read_text("utf-8")) for file in files

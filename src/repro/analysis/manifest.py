@@ -16,8 +16,6 @@ from __future__ import annotations
 from typing import Tuple
 
 __all__ = [
-    "CELL_CONSTRUCTOR",
-    "CELL_MODULES",
     "DENSE_OWNER_MODULE",
     "DENSE_PRIVATE_ATTRS",
     "HOT_PATH_CLASSES",
@@ -25,7 +23,6 @@ __all__ = [
     "PROCESS_DIRECTIVES",
     "RNG_MODULE_SUFFIXES",
     "SCHEDULING_IMPORT_PREFIXES",
-    "SUBMIT_METHODS",
     "TIMESTAMP_NAMES",
     "is_rng_module",
 ]
@@ -80,19 +77,6 @@ HOT_PATH_CLASSES: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
     ("repro/fleet/shard.py", ("_HomeRun",)),
     ("repro/rl/batch.py", ("GreedyPolicyTable", "ShardPredictor")),
     ("repro/planning/predictor.py", ("NextStepPredictor",)),
-    # The analyzer itself: the whole-program index allocates one
-    # FunctionInfo/ClassInfo per definition in the tree on every lint
-    # run, and the tier-1 gate lints all of src/repro.
-    (
-        "repro/analysis/index.py",
-        (
-            "ModuleSymbols",
-            "FunctionInfo",
-            "ClassInfo",
-            "ProjectIndex",
-        ),
-    ),
-    ("repro/analysis/callgraph.py", ("CallSite", "CallGraph")),
     # Zero-copy policy restore: one PolicyArtifact per
     # distinct training per worker process, one HomeRuntime per shard
     # cell, and the arena itself -- all touched once per home
@@ -118,17 +102,6 @@ DENSE_PRIVATE_ATTRS: Tuple[str, ...] = (
     "_g0",
     "_g0_view",
 )
-
-#: Where the picklable work-cell constructor lives (PAR001): a call
-#: resolving to ``Cell`` imported from one of these modules is a
-#: parallel submission site.
-CELL_MODULES: Tuple[str, ...] = ("repro.evalx.parallel", "repro.evalx")
-CELL_CONSTRUCTOR = "Cell"
-
-#: Executor-style ``.submit(fn, ...)`` method names whose first
-#: argument crosses a process boundary (PAR001).
-SUBMIT_METHODS = frozenset({"submit"})
-
 
 def is_rng_module(posix_path: str) -> bool:
     """True for the module sanctioned to construct generators."""

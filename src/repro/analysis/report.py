@@ -15,8 +15,8 @@ integrations can consume it::
       "baselined": [ ...same shape... ]
     }
 
-Version history: v1 had no ``baselined`` section/count; v2 (the
-whole-program analyzer PR) adds both.
+Version history: v1 had no ``baselined`` section/count; v2 adds
+both.
 
 ``render_sarif`` emits SARIF 2.1.0 (the static-analysis interchange
 format GitHub code scanning and most editors ingest): one ``run``

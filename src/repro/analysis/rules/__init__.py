@@ -5,23 +5,17 @@ DET001     error     randomness only via ``repro.sim.random``
 DET002     error     no wall-clock reads in simulation code
 DET003     warning   no unordered iteration where events/randomness flow
 DET004     error     no float ``==``/``!=`` on simulation timestamps
-PAR001     error     Cell/.submit callables module-level, payloads picklable
-PAR002     error     worker-reachable code writes no module globals
 PERF001    warning   hot-path manifest classes declare ``__slots__``
 SIM001     error     process bodies yield only Timeout/Wait directives
 SIM002     warning   capture/snapshot methods pair with restore methods
 VER001     error     only ``rl/dense.py`` touches Q-table storage/``version``
 ========== ========= ====================================================
 
-The DET, SIM, PERF and VER rules are per-module; PAR001-2 are
-whole-program rules running against the
-:class:`~repro.analysis.index.ProjectIndex` (see
-:mod:`repro.analysis.callgraph`).
+Every rule checks one module at a time.
 """
 
 from repro.analysis.rules import (  # noqa: F401  (import = register)
     determinism,
-    parallel,
     performance,
     simulation,
     versioning,
@@ -29,7 +23,6 @@ from repro.analysis.rules import (  # noqa: F401  (import = register)
 
 __all__ = [
     "determinism",
-    "parallel",
     "performance",
     "simulation",
     "versioning",

@@ -26,6 +26,7 @@ from typing import Dict, List, Optional, TextIO
 from repro.adls.library import default_registry
 from repro.core.config import CoReDAConfig
 from repro.core.config_io import load_config
+from repro.core.errors import ConfigurationError, UnknownADLError
 from repro.core.adl import Routine
 from repro.core.system import CoReDA
 from repro.evalx.tables import ascii_curve, format_table
@@ -125,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint = commands.add_parser(
         "lint",
         help="statically check sources against the determinism rules",
-        description="Run the repro.analysis rule pack (DET*/SIM*/PERF*) "
+        description="Run the repro.analysis rule pack (DET*/PERF*/SIM*/VER*) "
         "over python sources.  Exit codes: 0 clean, 1 findings, 2 usage "
         "error.",
     )
@@ -136,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="output format (default: text)")
     lint.add_argument("--rules", metavar="IDS",
                       help="comma-separated rule IDs or family prefixes "
-                      "to run, e.g. DET001,PAR (default: all)")
+                      "to run, e.g. DET001,VER (default: all)")
     lint.add_argument("--baseline", metavar="FILE",
                       help="committed baseline of known findings; only "
                       "findings absent from it fail the gate")
@@ -164,9 +165,23 @@ def _cmd_list_adls() -> int:
     return 0
 
 
-def _resolve_config(args: argparse.Namespace) -> CoReDAConfig:
-    if getattr(args, "config", None):
-        return load_config(args.config).with_seed(args.seed)
+def _definition(parser: argparse.ArgumentParser, name: str):
+    """The registered ADL ``name``, or exit with a usage error."""
+    try:
+        return default_registry().get(name)
+    except UnknownADLError as exc:
+        parser.error(exc.args[0])
+
+
+def _resolve_config(
+    args: argparse.Namespace, parser: argparse.ArgumentParser
+) -> CoReDAConfig:
+    if args.config:
+        try:
+            config = load_config(args.config)
+        except (OSError, ValueError, ConfigurationError) as exc:
+            parser.error(f"--config: {args.config}: {exc}")
+        return config.with_seed(args.seed)
     return CoReDAConfig(seed=args.seed)
 
 
@@ -199,9 +214,9 @@ def _parse_routine(
 
 
 def _cmd_train(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    registry = default_registry()
-    definition = registry.get(args.adl)
-    system = CoReDA.build(definition, _resolve_config(args))
+    definition = _definition(parser, args.adl)
+    _check_count(parser, "--episodes", args.episodes)
+    system = CoReDA.build(definition, _resolve_config(args, parser))
     routine = None
     if args.routine:
         routine = _parse_routine(parser, definition, args.routine)
@@ -221,10 +236,14 @@ def _cmd_train(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     return 0
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    registry = default_registry()
-    definition = registry.get(args.adl)
-    system = CoReDA.build(definition, _resolve_config(args))
+def _cmd_simulate(
+    args: argparse.Namespace, parser: argparse.ArgumentParser
+) -> int:
+    definition = _definition(parser, args.adl)
+    _check_count(parser, "--episodes", args.episodes)
+    if not 0.0 <= args.severity <= 1.0:
+        parser.error(f"--severity: must be in [0, 1], got {args.severity}")
+    system = CoReDA.build(definition, _resolve_config(args, parser))
     system.train_offline()
     if args.adapt:
         system.enable_online_adaptation()
@@ -273,10 +292,12 @@ def _check_cache_dir(parser: argparse.ArgumentParser, cache: str) -> None:
         parser.error(f"--cache: {cache!r} exists and is not a directory")
 
 
-def _check_jobs(parser: argparse.ArgumentParser, jobs: int) -> None:
-    """Exit with a readable error when ``--jobs`` is below 1."""
-    if jobs < 1:
-        parser.error(f"--jobs: must be at least 1, got {jobs}")
+def _check_count(
+    parser: argparse.ArgumentParser, option: str, value: int
+) -> None:
+    """Exit with a readable error when a count option is below 1."""
+    if value < 1:
+        parser.error(f"{option}: must be at least 1, got {value}")
 
 
 def _print_timings(
@@ -295,7 +316,7 @@ def _print_timings(
 def _cmd_report(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     from repro.evalx.runner import run_all, write_report
 
-    _check_jobs(parser, args.jobs)
+    _check_count(parser, "--jobs", args.jobs)
     if args.cache:
         _check_cache_dir(parser, args.cache)
     timings = {}
@@ -317,7 +338,8 @@ def _cmd_report(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
 def _cmd_fleet(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     from repro.fleet import FleetSpec, run_fleet
 
-    _check_jobs(parser, args.jobs)
+    _definition(parser, args.adl)
+    _check_count(parser, "--jobs", args.jobs)
     if args.cache:
         _check_cache_dir(parser, args.cache)
     try:
@@ -391,7 +413,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "train":
         return _cmd_train(args, parser)
     if args.command == "simulate":
-        return _cmd_simulate(args)
+        return _cmd_simulate(args, parser)
     if args.command == "scenario":
         return _cmd_scenario()
     if args.command == "report":

@@ -133,57 +133,6 @@ class CareHome:
             outcomes.append((activity.adl_name, outcome))
         return DayResult(outcomes=outcomes)
 
-    def run_concurrently(
-        self,
-        adl_names: Sequence[str],
-        dementia: Optional[DementiaProfile] = None,
-        compliance: Optional[ComplianceModel] = None,
-        horizon: float = 3600.0,
-    ) -> DayResult:
-        """Run one episode of each named ADL *simultaneously*.
-
-        Models a shared home: different residents (or rooms) perform
-        different activities at the same simulated time.  Each
-        deployment's bus and radio are private, so guidance streams
-        cannot cross-talk -- which the concurrency tests assert.
-        """
-        if any(system.training is None
-               for system in list(self.systems.values())):
-            raise CoReDAError("train_all must run before concurrent episodes")
-        processes = []
-        for index, adl_name in enumerate(adl_names):
-            system = self.system(adl_name)
-            system.start()
-            reliable = {
-                step.step_id: max(step.handling_duration, 5.0)
-                for step in system.adl.steps
-            }
-            resident = system.create_resident(
-                dementia=dementia,
-                compliance=compliance,
-                handling_overrides=reliable,
-                name=f"concurrent.{index}.{adl_name}",
-            )
-            processes.append((adl_name, resident, resident.start_episode()))
-        deadline = self.sim.now + horizon
-        while any(not process.done for *_, process in processes):
-            next_time = self.sim.peek()
-            if next_time is None or next_time > deadline:
-                break
-            self.sim.step()
-        outcomes: List[Tuple[str, EpisodeOutcome]] = []
-        for adl_name, resident, process in processes:
-            if not process.done or resident.outcome is None:
-                raise CoReDAError(
-                    f"concurrent episode of {adl_name!r} did not finish "
-                    f"within {horizon}s"
-                )
-            system = self.system(adl_name)
-            system.planning.reset_episode()
-            system.sensing.reset_episode()
-            outcomes.append((adl_name, resident.outcome))
-        return DayResult(outcomes=outcomes)
-
     def caregiver_reports(self) -> List[CaregiverReport]:
         """One report per deployed ADL, in ADL-name order."""
         reports = []

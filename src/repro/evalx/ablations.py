@@ -344,27 +344,6 @@ def _convergence_row(
     return label, mean_text, f"{len(iterations) / len(results):.0%}"
 
 
-def _mean_convergence(
-    adl: ADL,
-    config: PlanningConfig,
-    seeds: Sequence[int],
-    episodes: int = 120,
-    criterion: float = 0.95,
-    learner_spec: Optional[Tuple] = None,
-    cache_dir: Optional[str] = None,
-) -> Tuple[Optional[float], float]:
-    """(mean iterations among converged seeds, converged fraction)."""
-    results = [
-        _convergence_cell(
-            adl, config, seed, episodes, criterion, learner_spec, cache_dir
-        )
-        for seed in seeds
-    ]
-    iterations = [r for r in results if r is not None]
-    rate = len(iterations) / len(seeds)
-    return (mean(iterations) if iterations else None), rate
-
-
 # ---------------------------------------------------------------------------
 # Sweeps: plan_* builds the Section
 # ---------------------------------------------------------------------------

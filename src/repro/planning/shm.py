@@ -214,9 +214,8 @@ class PolicyArena:
 # ---------------------------------------------------------------------------
 
 #: ``{cache key -> segment name}`` installed by the pool initializer.
-#: Mutated in place, never rebound: rebinding a module global from a
-#: worker-reachable function is exactly the cross-process state leak
-#: PAR002 exists to flag.
+#: Mutated in place, never rebound: a module global rebound in a
+#: worker changes that worker's copy only, never the parent's.
 _WORKER_REGISTRY: Dict[str, str] = {}
 
 #: Per-process attach memo: segment mapped and decoded at most once.

@@ -10,7 +10,7 @@ episode -- before the first tool is touched the user was doing nothing
 
 from __future__ import annotations
 
-from typing import Iterable, List, NamedTuple, Sequence
+from typing import List, NamedTuple, Sequence
 
 from repro.core.adl import ADL, IDLE_STEP_ID
 
@@ -59,8 +59,3 @@ def episode_states(step_ids: Sequence[int]) -> List[PlanningState]:
         states.append(PlanningState(previous, current))
         previous = current
     return states
-
-
-def routine_states(step_ids: Iterable[int]) -> List[PlanningState]:
-    """Alias of :func:`episode_states` for readability at call sites."""
-    return episode_states(list(step_ids))

@@ -360,7 +360,7 @@ class PolicyCache:
         # The ``.part`` suffix keeps in-flight temps out of ``*.json``
         # globs (pathlib's ``*`` matches a leading dot, so a crashed
         # writer's ``.tmp-*.json`` leftover used to inflate __len__).
-        for attempt in range(2):
+        while True:
             fd, tmp = tempfile.mkstemp(
                 dir=str(self.root), prefix=".tmp-", suffix=".part"
             )
@@ -371,10 +371,11 @@ class PolicyCache:
                 return
             except FileNotFoundError:
                 # A concurrent __init__ swept our temp between write
-                # and rename; one retry always wins (the sweeper only
-                # runs once per cache construction).
-                if attempt:
-                    raise
+                # and rename.  Every worker cell constructs its own
+                # cache, so more than one sweep can race one write;
+                # each sweep runs once, so retrying with a fresh temp
+                # ends.  (A vanished directory fails ``mkstemp``.)
+                continue
             except BaseException:
                 try:
                     os.unlink(tmp)

@@ -57,7 +57,7 @@ __all__ = [
 ]
 
 #: The run-scoped training memo: ``{key -> (snapshot, rng state)}``.
-#: Mutated in place, never rebound (PAR002), like the attach memo of
+#: Mutated in place, never rebound, like the attach memo of
 #: :mod:`repro.planning.shm`.
 _TRAINING_MEMO: Dict[tuple, tuple] = {}
 

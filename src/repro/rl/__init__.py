@@ -21,7 +21,7 @@ from repro.rl.policies import (
     Policy,
     SoftmaxPolicy,
 )
-from repro.rl.rewards import CallableReward, RewardFunction, TabularReward
+from repro.rl.rewards import RewardFunction
 from repro.rl.sarsa import SarsaLambdaLearner
 from repro.rl.schedules import (
     ConstantSchedule,
@@ -40,7 +40,6 @@ from repro.rl.value_iteration import (
 )
 
 __all__ = [
-    "CallableReward",
     "ConstantSchedule",
     "ConvergenceDetector",
     "DenseQTable",
@@ -61,7 +60,6 @@ __all__ = [
     "SoftmaxPolicy",
     "StateActionIndex",
     "TabularMDP",
-    "TabularReward",
     "TDLambdaQLearner",
     "TraceKind",
     "Transition",

@@ -3,15 +3,15 @@
 A reward function maps ``(state, action, next_state)`` to a scalar, as
 in the paper's Figure 3 learning loop ("Reward Function" box).  The
 CoReDA-specific instantiation (1000 / 100 / 50 / 0) lives in
-``repro.planning.rewards_coreda``; here are the generic pieces.
+``repro.planning.rewards_coreda``; here is the interface it implements.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Callable, Dict, Hashable, Tuple
+from typing import Hashable
 
-__all__ = ["RewardFunction", "CallableReward", "TabularReward"]
+__all__ = ["RewardFunction"]
 
 State = Hashable
 Action = Hashable
@@ -26,31 +26,3 @@ class RewardFunction(ABC):
 
     def __call__(self, state: State, action: Action, next_state: State) -> float:
         return self.reward(state, action, next_state)
-
-
-class CallableReward(RewardFunction):
-    """Adapts a plain function to the RewardFunction interface."""
-
-    def __init__(self, fn: Callable[[State, Action, State], float]) -> None:
-        self._fn = fn
-
-    def reward(self, state: State, action: Action, next_state: State) -> float:
-        return float(self._fn(state, action, next_state))
-
-
-class TabularReward(RewardFunction):
-    """Rewards looked up in an explicit table, with a default."""
-
-    def __init__(
-        self,
-        table: Dict[Tuple[State, Action, State], float],
-        default: float = 0.0,
-    ) -> None:
-        self._table = dict(table)
-        self.default = float(default)
-
-    def reward(self, state: State, action: Action, next_state: State) -> float:
-        return self._table.get((state, action, next_state), self.default)
-
-    def __len__(self) -> int:
-        return len(self._table)

@@ -7,7 +7,6 @@ the node firmware tying them together.  ``SensorNetwork`` deploys one
 node per tool of an ADL plus the base station.
 """
 
-from repro.sensors.agc import QuantileTracker, ThresholdController
 from repro.sensors.battery import Battery, PowerProfile, estimate_lifetime_days
 from repro.sensors.clock import RealTimeClock
 from repro.sensors.detector import KofNDetector
@@ -30,8 +29,6 @@ __all__ = [
     "Battery",
     "DuplicateFilter",
     "PowerProfile",
-    "QuantileTracker",
-    "ThresholdController",
     "estimate_lifetime_days",
     "EepromLog",
     "EepromRecord",

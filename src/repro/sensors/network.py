@@ -15,7 +15,6 @@ from typing import Dict, Optional
 from repro.core.adl import ADL
 from repro.core.config import RadioConfig, SensingConfig
 from repro.core.events import SensorFrameEvent
-from repro.sensors.agc import ThresholdController
 from repro.sensors.pavenet import PavenetNode
 from repro.sensors.radio import (
     BASE_STATION_UID,
@@ -101,7 +100,6 @@ class SensorNetwork:
         streams: RandomStreams,
         trace: Optional[TraceRecorder] = None,
         profiles: Optional[Dict[int, SignalProfile]] = None,
-        adaptive_thresholds: bool = False,
     ) -> None:
         self.sim = sim
         self.adl = adl
@@ -125,9 +123,6 @@ class SensorNetwork:
                 radio=self.medium,
                 config=sensing_config,
                 trace=trace,
-                # Self-calibrating thresholds replace the paper's
-                # hand-set per-sensor constants when requested.
-                agc=ThresholdController() if adaptive_thresholds else None,
             )
             self.sources[tool.tool_id] = source
             self.nodes[tool.tool_id] = node

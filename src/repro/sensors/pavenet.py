@@ -34,13 +34,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.core.adl import Tool
 from repro.core.config import SensingConfig
-from repro.sensors.agc import ThresholdController
 from repro.sensors.battery import Battery, PowerProfile
 from repro.sensors.clock import RealTimeClock
 from repro.sensors.detector import DetectorState, KofNDetector
@@ -132,7 +131,6 @@ class PavenetNode:
         spec: HardwareSpec = PAVENET_SPEC,
         battery: Optional[Battery] = None,
         power_profile: Optional[PowerProfile] = None,
-        agc: Optional[ThresholdController] = None,
     ) -> None:
         self.sim = sim
         self.tool = tool
@@ -161,10 +159,6 @@ class PavenetNode:
         self.power_profile = (
             power_profile if power_profile is not None else PowerProfile()
         )
-        #: None = fixed (pre-calibrated) threshold, as in the paper;
-        #: a ThresholdController self-calibrates against the noise
-        #: floor while the node runs.
-        self.agc = agc
         # Block sampler state (see module docstring).
         self._hz = config.sampling_hz
         self._period = 1.0 / config.sampling_hz
@@ -176,7 +170,6 @@ class PavenetNode:
         self._last_report = -_INF
         self._block_source_state: Optional[SourceState] = None
         self._block_detector_state: Optional[DetectorState] = None
-        self._block_agc_state: Optional[Tuple[float, int]] = None
         #: The current block's usage reports, in time order.
         self._block_pending: List[Event] = []
         source.subscribe_regime(self._on_regime_change)
@@ -232,10 +225,7 @@ class PavenetNode:
                     self._trace.emit(self.sim.now, "node.battery_dead",
                                      uid=self.uid)
                 return  # the node dies in place
-            sample = self.source.read(self.sim.now)
-            if self.agc is not None:
-                self.detector.threshold = self.agc.observe(sample)
-            if self.detector.observe(sample):
+            if self.detector.observe(self.source.read(self.sim.now)):
                 self._report_usage()
             yield Timeout(period)
 
@@ -256,12 +246,9 @@ class PavenetNode:
         source = self.source
         t0 = sim.now
         # Snapshot everything a mid-block regime change would need to
-        # roll back: RNG + regime, detector window, AGC noise tracker.
+        # roll back: RNG + regime and the detector window.
         self._block_source_state = source.capture()
         self._block_detector_state = self.detector.snapshot()
-        if self.agc is not None:
-            tracker = self.agc.tracker
-            self._block_agc_state = (tracker.estimate, tracker.observations)
         n = 0
         if source.active:
             until = source.active_until
@@ -283,7 +270,7 @@ class PavenetNode:
                 values = source.read_block_at(times[:n])
             else:
                 values = source.read_block(t0, n, self._hz)
-        hits = self._detect(values)
+        hits = self.detector.observe_block(values)
         self._block_pending = pending = []
         for index in hits:
             if index == 0:
@@ -295,20 +282,6 @@ class PavenetNode:
         self._block_t0 = t0
         self._block_times = times
         self._block_event = sim.schedule_at(times.item(n), self._process_block)
-
-    def _detect(self, values) -> Sequence[int]:
-        """Run the detector over a value block; return detecting indices."""
-        if self.agc is None:
-            return self.detector.observe_block(values)
-        hits: List[int] = []
-        detector = self.detector
-        agc = self.agc
-        for index, value in enumerate(values):
-            sample = float(value)
-            detector.threshold = agc.observe(sample)
-            if detector.observe(sample):
-                hits.append(index)
-        return hits
 
     def _committed(self, now: float) -> int:
         """How many samples of the current block the clock has passed.
@@ -367,13 +340,10 @@ class PavenetNode:
         post_until = source.active_until
         source.restore(self._block_source_state)
         self.detector.restore(self._block_detector_state)
-        if self.agc is not None and self._block_agc_state is not None:
-            tracker = self.agc.tracker
-            tracker.estimate, tracker.observations = self._block_agc_state
         if j:
             # Replay for state only: the committed hits already fired,
             # so the indices are discarded.
-            self._detect(source.read_block_at(times[:j]))
+            self.detector.observe_block(source.read_block_at(times[:j]))
         source.set_regime(post_active, post_until)
         self._block_t0 = None
         self._block_event = self.sim.schedule_at(resume, self._process_block)

@@ -20,8 +20,7 @@ from repro.analysis import (
 )
 
 ALL_RULES = ("DET001", "DET002", "DET003", "DET004",
-             "SIM001", "SIM002", "PERF001",
-             "VER001", "PAR001", "PAR002")
+             "SIM001", "SIM002", "PERF001", "VER001")
 
 
 def findings_for(source, rule, path="repro/somewhere/module.py"):
@@ -38,14 +37,14 @@ class TestRegistry:
         assert selected == {"DET001", "DET002", "DET003", "DET004"}
 
     def test_family_prefixes_combine_with_exact_ids(self):
-        selected = {rule.rule_id for rule in resolve_rules(["PAR", "VER001"])}
-        assert selected == {"PAR001", "PAR002", "VER001"}
+        selected = {rule.rule_id for rule in resolve_rules(["SIM", "VER001"])}
+        assert selected == {"SIM001", "SIM002", "VER001"}
 
     def test_unknown_family_names_valid_families(self):
         with pytest.raises(UnknownRuleError) as excinfo:
             resolve_rules(["NOPE"])
         message = str(excinfo.value)
-        for family in ("DET", "PAR", "PERF", "SIM", "VER"):
+        for family in ("DET", "PERF", "SIM", "VER"):
             assert family in message
 
     def test_unknown_rule_rejected(self):

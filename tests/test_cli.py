@@ -74,11 +74,11 @@ class TestTrain:
         assert main(["train", "tea-making", "--plot"]) == 0
         assert "*" in capsys.readouterr().out
 
-    def test_unknown_adl_raises(self):
-        from repro.core.errors import UnknownADLError
-
-        with pytest.raises(UnknownADLError):
+    def test_unknown_adl_raises(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
             main(["train", "cooking"])
+        assert excinfo.value.code == 2
+        assert "unknown ADL 'cooking'" in capsys.readouterr().err
 
     def test_routine_with_non_integer_exits_cleanly(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -141,6 +141,43 @@ class TestJobsValidation:
         assert excinfo.value.code == 2
         captured = capsys.readouterr()
         assert f"--jobs: must be at least 1, got {argv[-1]}" in captured.err
+        assert captured.out == ""
+
+
+class TestUsageErrors:
+    """Bad arguments exit 2 with one ``repro: error:`` line, never a
+    traceback or a silent run."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "tea-making", "--severity", "1.5"],
+            ["simulate", "tea-making", "--severity", "nan"],
+            ["train", "tea-making", "--episodes", "0"],
+            ["simulate", "tea-making", "--episodes", "0"],
+            ["simulate", "tea-making", "--episodes", "-1"],
+            ["simulate", "nope"],
+            ["train", "nope"],
+            ["fleet", "--adl", "nope", "--homes", "2"],
+            ["train", "tea-making", "--config", "{missing}"],
+            ["train", "tea-making", "--config", "{malformed}"],
+            ["simulate", "tea-making", "--config", "{invalid}"],
+        ],
+    )
+    def test_exits_2_without_traceback(self, argv, tmp_path, capsys):
+        (tmp_path / "malformed.json").write_text("{not json")
+        (tmp_path / "invalid.json").write_text('{"sensing": {"sampling_hz": -1}}')
+        files = {
+            name: str(tmp_path / f"{name}.json")
+            for name in ("missing", "malformed", "invalid")
+        }
+        argv = [arg.format(**files) for arg in argv]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert captured.err.splitlines()[-1].startswith("repro: error: ")
         assert captured.out == ""
 
 

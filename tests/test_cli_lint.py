@@ -111,8 +111,15 @@ def test_unknown_family_usage_error_names_families(dirty_file, capsys):
         main(["lint", "--rules", "XYZ", str(dirty_file)])
     assert excinfo.value.code == 2
     err = capsys.readouterr().err
-    for family in ("DET", "PAR", "PERF", "SIM", "VER"):
+    for family in ("DET", "PERF", "SIM", "VER"):
         assert family in err
+
+
+def test_retired_par_family_is_unknown(dirty_file, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["lint", "--rules", "PAR", str(dirty_file)])
+    assert excinfo.value.code == 2
+    assert "PAR" in capsys.readouterr().err
 
 
 def test_sarif_format_shape(dirty_file, capsys):
@@ -124,8 +131,8 @@ def test_sarif_format_shape(dirty_file, capsys):
     driver = run["tool"]["driver"]
     assert driver["name"] == "repro-lint"
     declared = {rule["id"] for rule in driver["rules"]}
-    assert {"DET001", "DET004", "VER001", "PAR001", "SIM001"} <= declared
-    assert "PAR003" not in declared
+    assert {"DET001", "DET004", "VER001", "SIM001"} <= declared
+    assert not {"PAR001", "PAR002", "PAR003"} & declared
     results = run["results"]
     assert {result["ruleId"] for result in results} == {"DET001", "DET004"}
     for result in results:

@@ -83,21 +83,14 @@ class TestReports:
         assert all(report.episodes_completed >= 1 for report in reports)
 
 
-class TestConcurrency:
-    def test_two_activities_run_simultaneously(self, home):
-        start = home.sim.now
-        result = home.run_concurrently(["tooth-brushing", "tea-making"])
-        assert result.completed == 2
-        # Both finished within one shared wall-clock window: total
-        # elapsed is far less than the sum of two sequential episodes.
-        durations = [outcome.duration for _, outcome in result.outcomes]
-        elapsed = home.sim.now - start
-        assert elapsed < sum(durations)
-
+class TestIsolation:
     def test_no_cross_talk_between_deployments(self, home):
         tooth_before = len(home.system("tooth-brushing").sensing.history)
         tea_before = len(home.system("tea-making").sensing.history)
-        home.run_concurrently(["tooth-brushing", "tea-making"])
+        home.run_day([
+            ScheduledActivity("tooth-brushing"),
+            ScheduledActivity("tea-making"),
+        ])
         tooth = home.system("tooth-brushing")
         tea = home.system("tea-making")
         # Each history only ever contains its own ADL's tools.
@@ -111,10 +104,3 @@ class TestConcurrency:
         )
         assert len(tooth.sensing.history) > tooth_before
         assert len(tea.sensing.history) > tea_before
-
-    def test_concurrency_requires_training(self, registry):
-        from repro.core.config import CoReDAConfig
-
-        fresh = CareHome([registry.get("tea-making")], CoReDAConfig(seed=2))
-        with pytest.raises(CoReDAError):
-            fresh.run_concurrently(["tea-making"])

@@ -7,6 +7,9 @@ at three levels -- the cell pool, one real section, and the full fast
 report.
 """
 
+import pickle
+import sys
+
 import pytest
 
 from repro.evalx.learning_curve import plan_learning_curve
@@ -19,7 +22,8 @@ from repro.evalx.parallel import (
     run_section,
     run_sections,
 )
-from repro.evalx.runner import run_all, write_report
+from repro.evalx.runner import build_sections, run_all, write_report
+from repro.fleet import FleetSpec, run_fleet
 
 
 def _square(value):
@@ -219,3 +223,52 @@ class TestWriteReport:
         write_report("hello\n")
         assert capsys.readouterr().out == "hello\n"
         assert list(tmp_path.iterdir()) == []
+
+
+class TestCellsCrossProcesses:
+    """Every cell a ``--jobs N`` run can ship to a worker pickles: its
+    ``fn`` is a module-level function (no lambda, nested def or bound
+    method) and the whole cell survives a ``pickle`` round trip."""
+
+    @staticmethod
+    def assert_shippable(cell):
+        fn = cell.fn
+        module = sys.modules[fn.__module__]
+        assert fn.__qualname__ == fn.__name__, cell.label
+        assert getattr(module, fn.__name__) is fn, cell.label
+        clone = pickle.loads(pickle.dumps(cell))
+        assert clone.fn is fn
+        assert clone.label == cell.label
+        assert len(clone.args) == len(cell.args)
+        assert clone.kwargs.keys() == cell.kwargs.keys()
+
+    def test_fast_report_cells(self):
+        cells = [
+            cell for section in build_sections(fast=True)
+            for cell in section.cells
+        ]
+        assert len(cells) > 50
+        for cell in cells:
+            self.assert_shippable(cell)
+
+    def test_fleet_wave_cells(self, monkeypatch, tmp_path):
+        import repro.fleet.executor as executor
+
+        waves = []
+
+        def recording_run_cells(cells, *args, **kwargs):
+            waves.append(list(cells))
+            return run_cells(cells, *args, **kwargs)
+
+        monkeypatch.setattr(executor, "run_cells", recording_run_cells)
+        run_fleet(
+            FleetSpec(homes=10, shard_size=4, training_episodes=20),
+            cache_dir=str(tmp_path),
+        )
+        # One training wave, then 3 shards of at most 4 homes.
+        labels = [[cell.label.split("[")[0] for cell in wave] for wave in waves]
+        assert waves[0]
+        assert labels == [["fleet.train"] * len(waves[0]), ["fleet.shard"] * 3]
+        for wave in waves:
+            for cell in wave:
+                self.assert_shippable(cell)

@@ -42,12 +42,10 @@ def test_source_tree_is_lint_clean(tree_lint):
 
 def test_full_rule_pack_is_active():
     # The gate is only meaningful if every shipped rule participates,
-    # including the whole-program PAR family and the storage-ownership
-    # rule.
+    # including the storage-ownership rule.
     assert set(all_rule_ids()) == {
         "DET001", "DET002", "DET003", "DET004",
-        "SIM001", "SIM002", "PERF001",
-        "VER001", "PAR001", "PAR002",
+        "SIM001", "SIM002", "PERF001", "VER001",
     }
 
 

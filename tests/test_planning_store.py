@@ -190,6 +190,30 @@ class TestPolicyCache:
         assert sorted(p.name for p in root.iterdir()) == ["keep.json"]
         assert len(cache) == 1
 
+    def test_put_survives_repeated_sweeps_of_its_temp(self, tmp_path, monkeypatch):
+        """Regression: each worker cell builds its own cache, so two
+        constructions can sweep one writer's temps in a row; ``put``
+        used to give up after the second and raise FileNotFoundError
+        (a flaky ``--jobs 2`` report)."""
+        import repro.planning.store as store
+
+        cache = PolicyCache(tmp_path / "cache")
+        replace = store.os.replace
+        swept = []
+
+        def replace_after_sweeps(src, dst):
+            if len(swept) < 3:
+                swept.append(src)
+                PolicyCache(cache.root)  # a racing construction sweeps
+            return replace(src, dst)
+
+        monkeypatch.setattr(store.os, "replace", replace_after_sweeps)
+        cache.put("key", {"format": 1})
+        monkeypatch.undo()
+        assert len(swept) == 3
+        assert cache.get("key") == {"format": 1}
+        assert [p.name for p in cache.root.iterdir()] == ["key.json"]
+
     def test_put_leaves_no_temp_files(self, tmp_path):
         cache = PolicyCache(tmp_path / "cache")
         for index in range(3):

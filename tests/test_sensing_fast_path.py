@@ -19,7 +19,6 @@ from repro.evalx.ablations import plan_radio_sweep
 from repro.evalx.parallel import run_section
 from repro.evalx.scenario import build_tea_scenario, run_tea_scenario
 from repro.fleet import FleetSpec, run_fleet
-from repro.sensors.agc import ThresholdController
 from repro.sensors.pavenet import (
     ACTIVE_BLOCK_SAMPLES,
     IDLE_BLOCK_SAMPLES,
@@ -38,7 +37,7 @@ ACTIVE_SPAN = ACTIVE_BLOCK_SAMPLES * PERIOD
 CLOCK = sample_clock(0.0, PERIOD, 1200).tolist()
 
 
-def build_node(node_cls, agc=False):
+def build_node(node_cls):
     """One complete node world with a deterministic seed."""
     sim = Simulator()
     trace = TraceRecorder()
@@ -55,9 +54,6 @@ def build_node(node_cls, agc=False):
         radio=radio,
         config=SensingConfig(),
         trace=trace,
-        # A tight margin over a low quantile lets noise trip the
-        # detector, so outputs hinge on the tracked threshold.
-        agc=ThresholdController(quantile=0.9, margin=1.1) if agc else None,
     )
     received = []
     radio.attach(
@@ -69,9 +65,9 @@ def build_node(node_cls, agc=False):
     return sim, node, source, trace, received
 
 
-def run_script(node_cls, script, agc=False):
+def run_script(node_cls, script):
     """Run one node under ``script``: (time, action, kwargs) tuples."""
-    sim, node, source, trace, received = build_node(node_cls, agc)
+    sim, node, source, trace, received = build_node(node_cls)
     node.start()
     for time, action, kwargs in script:
         if action == "begin":
@@ -93,9 +89,9 @@ def run_script(node_cls, script, agc=False):
     }
 
 
-def assert_streams_equal(script, agc=False):
-    reference = run_script(PerSampleNode, script, agc)
-    blocks = run_script(PavenetNode, script, agc)
+def assert_streams_equal(script):
+    reference = run_script(PerSampleNode, script)
+    blocks = run_script(PavenetNode, script)
     assert blocks["trace"] == reference["trace"]
     assert blocks["received"] == reference["received"]
     assert blocks["eeprom"] == reference["eeprom"]
@@ -192,13 +188,6 @@ class TestNodeEquivalence:
     def test_stop_mid_long_idle_block(self):
         assert_streams_equal(
             [(2.0, "begin", {"duration": 4.0}), (33.33, "stop", {})]
-        )
-
-    def test_agc_node_across_long_idle_spans(self):
-        assert_streams_equal(
-            [(3.21, "begin", {"duration": 4.0}),
-             (71.7, "begin", {}), (75.55, "end", {})],
-            agc=True,
         )
 
     def test_idle_node_fires_one_event_per_span(self):

@@ -65,41 +65,3 @@ class TestDownlink:
         sim.run()
         assert network.node(1).leds["red"].total_blinks == 0
         assert network.node(2).leds["red"].total_blinks == 5
-
-
-class TestAdaptiveThresholds:
-    def test_agc_attached_when_requested(self, sim, tea_definition):
-        from repro.sim.random import RandomStreams
-
-        network = SensorNetwork(
-            sim=sim,
-            adl=tea_definition.adl,
-            sensing_config=SensingConfig(),
-            radio_config=RadioConfig(loss_probability=0.0),
-            streams=RandomStreams(0),
-            adaptive_thresholds=True,
-        )
-        assert all(node.agc is not None for node in network.nodes.values())
-
-    def test_default_is_fixed_thresholds(self, network):
-        assert all(node.agc is None for node in network.nodes.values())
-
-    def test_adaptive_network_still_detects_usage(self, sim, tea_definition):
-        from repro.sim.random import RandomStreams
-
-        network = SensorNetwork(
-            sim=sim,
-            adl=tea_definition.adl,
-            sensing_config=SensingConfig(),
-            radio_config=RadioConfig(loss_probability=0.0),
-            streams=RandomStreams(0),
-            profiles=tea_definition.signal_profiles,
-            adaptive_thresholds=True,
-        )
-        frames = []
-        network.base_station.frames.subscribe(frames.append)
-        network.start()
-        sim.run_until(30.0)  # settle
-        network.source(3).begin_use(sim.now, duration=5.0)
-        sim.run_until(sim.now + 6.0)
-        assert frames
