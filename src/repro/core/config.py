@@ -14,6 +14,7 @@ Defaults are taken from the paper wherever it states a number:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 from repro.core.errors import ConfigurationError
@@ -134,6 +135,17 @@ class PlanningConfig:
             raise ConfigurationError("trace_decay must be in [0, 1]")
         if not 0.0 <= self.epsilon <= 1.0:
             raise ConfigurationError("epsilon must be in [0, 1]")
+        if not 0.0 < self.epsilon_decay <= 1.0:
+            raise ConfigurationError("epsilon_decay must be in (0, 1]")
+        for name in (
+            "initial_q",
+            "terminal_reward",
+            "minimal_reward",
+            "specific_reward",
+            "wrong_prompt_reward",
+        ):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigurationError(f"{name} must be finite")
         if not 0.0 < self.convergence_criterion <= 1.0:
             raise ConfigurationError("convergence_criterion must be in (0, 1]")
         if self.convergence_patience < 1:

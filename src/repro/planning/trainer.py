@@ -41,11 +41,11 @@ from repro.planning.action import PromptAction, action_space
 from repro.planning.rewards_coreda import CoReDAReward
 from repro.planning.state import PlanningState, episode_states
 from repro.rl.convergence import convergence_iteration
-from repro.rl.dense import DenseQTable
+from repro.rl.dense import DenseQTable, replay_watkins
 from repro.rl.dyna import DynaQLearner
 from repro.rl.policies import EpsilonGreedyPolicy
 from repro.rl.schedules import ExponentialDecay
-from repro.rl.tdlambda import TDLambdaQLearner
+from repro.rl.tdlambda import TDLambdaQLearner, replays_fused
 from repro.sim.random import seeded_generator
 
 __all__ = [
@@ -108,6 +108,23 @@ def _fresh_copy(snapshot):
     return copy.deepcopy(snapshot)
 
 
+def _episode_plan(
+    states: Sequence[PlanningState],
+    actions: Sequence[PromptAction],
+    reward_fn: CoReDAReward,
+) -> tuple:
+    """One episode for :func:`replay_watkins`, every prompt pre-scored."""
+    steps = list(zip(states, states[1:]))
+    return (
+        states,
+        [[reward_fn.reward(state, action, after) for action in actions]
+         for state, after in steps],
+        [[action.tool_id == after.current for action in actions]
+         for _, after in steps],
+        [after.current == reward_fn.terminal_step_id for _, after in steps],
+    )
+
+
 def replay_episode(
     learner,
     actions: Sequence[PromptAction],
@@ -130,10 +147,17 @@ def replay_episode(
     every iteration.
 
     Shared by offline training (:class:`RoutineTrainer`) and online
-    adaptation (:class:`repro.planning.online.OnlineAdaptation`).
+    adaptation (:class:`repro.planning.online.OnlineAdaptation`);
+    :func:`~repro.rl.tdlambda.replays_fused` learners take the kernel.
     """
     if states is None:
         states = episode_states(list(episode))
+    if replays_fused(learner):
+        plan = _episode_plan(states, actions, reward_fn)
+        ((correct, total, _, _),) = replay_watkins(
+            learner, actions, [plan], rng, iteration
+        )
+        return correct, total
     learner.begin_episode()
     correct = 0
     total = 0
@@ -334,31 +358,90 @@ class RoutineTrainer:
     ) -> LearningCurve:
         """Replay every episode through the learner, recording the curve."""
         reward_fn = CoReDAReward(self.config, routine.terminal_step_id)
-        curve = LearningCurve()
-        for iteration, episode in enumerate(episodes):
-            accuracy = self._train_episode(episode, reward_fn, iteration)
-            curve.behaviour_accuracy.append(accuracy)
-            window = curve.behaviour_accuracy[-self.SMOOTHING_WINDOW:]
-            curve.smoothed_accuracy.append(sum(window) / len(window))
-            greedy, minimal = self._probe_greedy(routine)
-            curve.greedy_accuracy.append(greedy)
-            curve.minimal_fraction.append(minimal)
-        return curve
+        if replays_fused(self.learner):
+            scores = self._replay_fused(episodes, routine, reward_fn)
+        else:
+            scores = self._replay_per_step(episodes, routine, reward_fn)
+        scores = list(scores)
+        behaviour = [accuracy for accuracy, _, _ in scores]
+        window = self.SMOOTHING_WINDOW
+        return LearningCurve(
+            behaviour_accuracy=behaviour,
+            # The rolling mean over each prefix's last ``window`` values.
+            smoothed_accuracy=[
+                sum(behaviour[max(0, end - window):end]) / min(end, window)
+                for end in range(1, len(behaviour) + 1)
+            ],
+            greedy_accuracy=[greedy for _, greedy, _ in scores],
+            minimal_fraction=[minimal for _, _, minimal in scores],
+        )
 
-    def _train_episode(self, episode, reward_fn: CoReDAReward, iteration: int) -> float:
-        """One pass over one logged episode; returns behaviour accuracy."""
-        key = tuple(episode)
+    def _replay_fused(
+        self,
+        episodes: Sequence[Sequence[int]],
+        routine: Routine,
+        reward_fn: CoReDAReward,
+    ) -> Iterator[Tuple[float, float, float]]:
+        """The whole replay and probe in one :func:`replay_watkins` call."""
+        plans: Dict[Tuple[int, ...], tuple] = {}
+        for episode in episodes:
+            key = tuple(episode)
+            if key not in plans:
+                plans[key] = _episode_plan(
+                    self._episode_states(key), self.actions, reward_fn
+                )
+        probe = self._probe_rows(routine)
+        size = len(probe[0])
+        counts = replay_watkins(
+            self.learner,
+            self.actions,
+            [plans[tuple(episode)] for episode in episodes],
+            self._rng,
+            probe=probe if size else None,
+        )
+        for followed, total, hits, marks in counts:
+            yield (
+                followed / total if total else 1.0,
+                hits / size if size else 1.0,
+                marks / size if size else 1.0,
+            )
+
+    def _replay_per_step(
+        self,
+        episodes: Sequence[Sequence[int]],
+        routine: Routine,
+        reward_fn: CoReDAReward,
+    ) -> Iterator[Tuple[float, float, float]]:
+        """Per-transition replay and probe, for every other learner."""
+        for iteration, episode in enumerate(episodes):
+            correct, total = replay_episode(
+                self.learner, self.actions, episode, reward_fn, self._rng,
+                iteration, states=self._episode_states(tuple(episode)),
+            )
+            yield (correct / total if total else 1.0,
+                   *self._probe_greedy(routine))
+
+    def _episode_states(self, key: Tuple[int, ...]) -> List[PlanningState]:
+        """The cached state trajectory of one logged episode."""
         states = self._states_cache.get(key)
         if states is None:
             states = episode_states(key)
             self._states_cache[key] = states
-        correct, total = replay_episode(
-            self.learner, self.actions, episode, reward_fn, self._rng,
-            iteration, states=states,
+        return states
+
+    def _probe_rows(self, routine: Routine) -> tuple:
+        """``(states, hits, marks)``: per probe state and action, the
+        prompt names the routine's next tool / is MINIMAL."""
+        states = episode_states(list(routine.step_ids))
+        minimal = [
+            action.level is ReminderLevel.MINIMAL for action in self.actions
+        ]
+        return (
+            states[:-1],
+            [[action.tool_id == after.current for action in self.actions]
+             for after in states[1:]],
+            [minimal] * (len(states) - 1),
         )
-        if total == 0:
-            return 1.0
-        return correct / total
 
     def _probe_greedy(self, routine: Routine) -> Tuple[float, float]:
         """Greedy accuracy and minimal-level fraction on the routine.
@@ -370,30 +453,26 @@ class RoutineTrainer:
         """
         key = tuple(routine.step_ids)
         if self._probe_cache is None or self._probe_cache[0] != key:
-            states = episode_states(list(key))
-            expected = [state.current for state in states[1:]]
+            probe = self._probe_rows(routine)
             prober = None
             q = getattr(self.learner, "q", None)
-            if type(q) is DenseQTable and states[:-1]:
-                prober = q.argmax_prober(states[:-1], self.actions)
-            self._probe_cache = (key, states[:-1], expected, prober)
-        _, probe_states, expected, prober = self._probe_cache
-        total = len(probe_states)
+            if type(q) is DenseQTable and probe[0]:
+                prober = q.argmax_prober(probe[0], self.actions)
+            self._probe_cache = (key, probe, prober)
+        _, (states, hits, marks), prober = self._probe_cache
+        total = len(states)
         if total <= 0:
             return 1.0, 1.0
         if prober is not None:
             chosen = prober()
         else:
             chosen = [
-                self.learner.greedy_action(state, self.actions)
-                for state in probe_states
+                self.actions.index(
+                    self.learner.greedy_action(state, self.actions)
+                )
+                for state in states
             ]
-        correct = 0
-        minimal = 0
-        wants_minimal = ReminderLevel.MINIMAL
-        for action, expected_step in zip(chosen, expected):
-            if action.tool_id == expected_step:
-                correct += 1
-            if action.level is wants_minimal:
-                minimal += 1
-        return correct / total, minimal / total
+        return (
+            sum(hit[j] for hit, j in zip(hits, chosen)) / total,
+            sum(mark[j] for mark, j in zip(marks, chosen)) / total,
+        )

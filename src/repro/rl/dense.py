@@ -21,7 +21,11 @@ experiment cell.  This module is the Q storage every learner uses:
 * :class:`DenseTraces` keeps the active eligibility traces as flat
   id-pair vectors so a TD(λ) sweep applies ``Q[active] += coef *
   e[active]`` over precomputed offsets with no hashing and no
-  snapshot copy.
+  snapshot copy;
+* :func:`replay_watkins` fuses a Watkins Q(λ) learner's whole
+  episode -- ε-greedy selection, TD update, trace sweep -- and the
+  trainer's greedy probe into one loop over interned ids.  It lives
+  here because only this module may touch the table's buffers.
 
 The contract: training on these tables is **byte-identical** to the
 plain dict Q-table and table-API learner updates kept as the oracle in
@@ -47,6 +51,7 @@ __all__ = [
     "StateActionIndex",
     "DenseQTable",
     "DenseTraces",
+    "replay_watkins",
 ]
 
 State = Hashable
@@ -81,6 +86,7 @@ class _ActionView:
         "sorted_ids",
         "sorted_ids_list",
         "sorted_actions",
+        "sorted_order",
         "max_id",
     )
 
@@ -88,11 +94,14 @@ class _ActionView:
         self,
         actions: Tuple[Action, ...],
         ids_list: List[int],
-        sorted_ids_list: List[int],
+        sorted_order: List[int],
         sorted_actions: Tuple[Action, ...],
     ) -> None:
         self.actions = actions
         self.ids_list = ids_list
+        #: Given-order position of each repr-order position.
+        self.sorted_order = sorted_order
+        sorted_ids_list = [ids_list[i] for i in sorted_order]
         self.sorted_ids_list = sorted_ids_list
         self.sorted_actions = sorted_actions
         self.sorted_ids = np.array(sorted_ids_list, dtype=np.intp)
@@ -170,9 +179,8 @@ class StateActionIndex:
             ids = [self.action_id(a) for a in key]
             # Stable sort by repr = the argmax tie-break order.
             order = sorted(range(len(key)), key=lambda i: repr(key[i]))
-            sorted_ids = [ids[i] for i in order]
             sorted_actions = tuple(key[i] for i in order)
-            view = _ActionView(key, ids, sorted_ids, sorted_actions)
+            view = _ActionView(key, ids, order, sorted_actions)
             self._views[key] = view
         if type(actions) is tuple:
             if len(self._views_by_identity) >= _IDENTITY_CACHE_LIMIT:
@@ -665,7 +673,8 @@ class DenseQTable:
         action set every iteration; the returned zero-argument
         callable bakes their flat offsets in (revalidating against
         ``_grow_count``) so the per-call work is one C gather, one
-        ``max`` and one ``index`` per state.
+        ``max`` and one ``index`` per state.  It returns each greedy
+        action's position in ``actions``.
         """
         return _ArgmaxProber(self, states, actions)
 
@@ -709,16 +718,17 @@ class _ArgmaxProber:
         ]
         self._grows = q._grow_count
 
-    def __call__(self) -> List[Action]:
+    def __call__(self) -> List[int]:
+        """The greedy action's given-order position, per state."""
         q = self._q
         if self._grows != q._grow_count:
             self._rebuild()
         flat = q._flat
-        sorted_actions = self._view.sorted_actions
+        order = self._view.sorted_order
         out = []
         for g in self._gathers:
             values = g(flat)
-            out.append(sorted_actions[values.index(max(values))])
+            out.append(order[values.index(max(values))])
         return out
 
 
@@ -867,3 +877,158 @@ class DenseTraces:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"DenseTraces({self.kind.value}, active={len(self._pairs)})"
+
+
+def _bind(q: DenseQTable, view: _ActionView, plan: tuple) -> List[tuple]:
+    """Intern ``plan``'s states into ``q`` in per-transition order and
+    lay out its transitions for ``q``'s stride.  A terminal last
+    transition never reads, so never interns, its next state."""
+    states, rewards, followed, dones = plan
+    n = len(dones)
+    sids = [q.index.state_id(s) for s in states[: n if dones[-1] else n + 1]]
+    if max(sids) >= q._rows or view.max_id >= q._cols:
+        q._grow()
+    bases = [sid * q._cols for sid in sids]
+    return [
+        (
+            _make_gather([bases[i] + a for a in view.sorted_ids_list]),
+            None if dones[i]
+            else _make_gather([bases[i + 1] + a for a in view.ids_list]),
+            bases[i], rewards[i], followed[i], dones[i],
+        )
+        for i in range(n)
+    ]
+
+
+def replay_watkins(
+    learner,
+    actions: Sequence[Action],
+    plans: Sequence[tuple],
+    rng: np.random.Generator,
+    first_step: int = 0,
+    probe: Optional[tuple] = None,
+) -> List[Tuple[int, int, int, int]]:
+    """Replay episode plans through a Watkins Q(λ) learner in one loop.
+
+    ``learner`` is one :func:`~repro.rl.tdlambda.replays_fused` holds
+    for.  A plan is ``(states, rewards, followed, dones)``; transition
+    ``i`` (``states[i] -> states[i + 1]``) scores action ``j`` of
+    ``actions`` by ``rewards[i][j]`` and ``followed[i][j]``.  Episode
+    ``k`` runs at policy step ``first_step + k``.  Each transition is
+    ``select_action`` then ``observe`` over interned ids, with the
+    same RNG draws, interning order and float operations.  After each
+    episode, ``probe = (states, hits, marks)`` scores every probe
+    state's greedy action ``j`` by ``hits[k][j]`` and ``marks[k][j]``.
+    Returns ``(followed, transitions, hits, marks)`` per episode.
+    """
+    q = learner.q
+    traces = learner.traces
+    epsilon_at = learner.policy.epsilon_schedule.value
+    alpha = learner._alpha_const
+    discount = learner.discount
+    factor = learner._glambda
+    accumulating = traces.kind is TraceKind.ACCUMULATING
+    cutoff = traces.cutoff
+    random = rng.random
+    integers = rng.integers
+    n_actions = len(actions)
+    view: Optional[_ActionView] = None
+    prober: Optional[_ArgmaxProber] = None
+    # id(plan) -> (the table's grow count, the plan's steps).
+    bound: Dict[int, tuple] = {}
+    trace_cols = q._cols
+    updates = 0
+    results = []
+    for step, plan in enumerate(plans, first_step):
+        # begin_episode.  The traces are flat offsets and values in
+        # first-visit order.
+        offs: List[int] = []
+        e: List[float] = []
+        learner.episodes += 1
+        n = len(plan[3])
+        followed_count = 0
+        if n:
+            if view is None:
+                if not actions:
+                    raise ValueError(
+                        f"no actions available in state {plan[0][0]!r}"
+                    )
+                view = q._view(actions)
+                ids = view.ids_list
+                sorted_ids = view.sorted_ids_list
+                order = view.sorted_order
+            entry = bound.get(id(plan))
+            if entry is None or entry[0] != q._grow_count:
+                steps = _bind(q, view, plan)
+                entry = bound[id(plan)] = (q._grow_count, steps)
+            if q._frozen:
+                q._thaw()
+            flat = q._flat
+            written = q._written
+            trace_cols = q._cols
+            epsilon = epsilon_at(step)
+            for greedy, nxt, base, reward_row, followed_row, done in entry[1]:
+                # select_action: the first maximum in repr order, then ε.
+                values = greedy(flat)
+                g = values.index(max(values))
+                if random() < epsilon:
+                    j = int(integers(n_actions))
+                    aid = ids[j]
+                    exploratory = aid != sorted_ids[g]
+                else:
+                    j = order[g]
+                    aid = sorted_ids[g]
+                    exploratory = False
+                followed = followed_row[j]
+                followed_count += followed
+                # observe: the target's max runs over the given order.
+                if done:
+                    target = reward_row[j]
+                else:
+                    target = reward_row[j] + discount * max(nxt(flat))
+                off = base + aid
+                coef = alpha * (target - flat[off])
+                if exploratory or not followed:
+                    # Off-target: this pair only, then the strict cut.
+                    flat[off] = flat[off] + coef
+                    written[off] = 1
+                    offs, e = [], []
+                    continue
+                if off not in offs:
+                    offs.append(off)
+                    e.append(1.0)
+                elif accumulating:
+                    e[offs.index(off)] += 1.0
+                else:
+                    e[offs.index(off)] = 1.0
+                for o, weight in zip(offs, e):
+                    flat[o] = flat[o] + coef * weight
+                written[off] = 1
+                if done or factor == 0.0:
+                    # A terminal transition resets what it would decay.
+                    offs, e = [], []
+                else:
+                    e = [v * factor for v in e]
+                    if min(e) < cutoff:
+                        keep = [k for k, v in enumerate(e) if v >= cutoff]
+                        offs = [offs[k] for k in keep]
+                        e = [e[k] for k in keep]
+            updates += n
+        hits = marks = 0
+        if probe is not None:
+            if prober is None:
+                prober = _ArgmaxProber(q, probe[0], actions)
+            for j, hit, mark in zip(prober(), probe[1], probe[2]):
+                hits += hit[j]
+                marks += mark[j]
+        results.append((followed_count, n, hits, marks))
+    if results:
+        pairs = [divmod(off, trace_cols) for off in offs]
+        traces._slots = {pair: k for k, pair in enumerate(pairs)}
+        traces._pairs = pairs
+        traces._e = e
+    if updates:
+        learner.updates += updates
+        q.version += updates
+        q._array = None
+    return results

@@ -69,13 +69,6 @@ class EpsilonGreedyPolicy(Policy):
             if not 0.0 <= value <= 1.0:
                 raise ValueError("epsilon must be in [0, 1]")
             self.epsilon_schedule = ConstantSchedule(value)
-        # Constant ε (the common case) skips the schedule call on
-        # every selection.
-        self._eps_const = (
-            self.epsilon_schedule.constant
-            if type(self.epsilon_schedule) is ConstantSchedule
-            else None
-        )
 
     def select(
         self,
@@ -88,10 +81,7 @@ class EpsilonGreedyPolicy(Policy):
         if not actions:
             raise ValueError(f"no actions available in state {state!r}")
         greedy = q.best_action(state, actions)
-        epsilon = self._eps_const
-        if epsilon is None:
-            epsilon = self.epsilon_schedule.value(step)
-        if rng.random() < epsilon:
+        if rng.random() < self.epsilon_schedule.value(step):
             choice = actions[int(rng.integers(len(actions)))]
             return choice, choice != greedy
         return greedy, False

@@ -42,14 +42,7 @@ class ConstantSchedule(Schedule):
 
 
 class ExponentialDecay(Schedule):
-    """``initial * decay**step``, floored at ``minimum``.
-
-    The last ``(step, value)`` pair is memoised: training evaluates
-    the schedule once per transition but the step only advances once
-    per episode, so most calls repeat the previous step.  The memo is
-    keyed on ``step`` alone -- mutating ``initial``/``decay`` after
-    construction is not supported.
-    """
+    """``initial * decay**step``, floored at ``minimum``."""
 
     def __init__(self, initial: float, decay: float, minimum: float = 0.0) -> None:
         if not 0.0 < decay <= 1.0:
@@ -57,16 +50,9 @@ class ExponentialDecay(Schedule):
         self.initial = float(initial)
         self.decay = float(decay)
         self.minimum = float(minimum)
-        self._memo_step = -1
-        self._memo_value = 0.0
 
     def value(self, step: int) -> float:
-        if step == self._memo_step:
-            return self._memo_value
-        value = max(self.initial * self.decay**step, self.minimum)
-        self._memo_step = step
-        self._memo_value = value
-        return value
+        return max(self.initial * self.decay**step, self.minimum)
 
 
 class LinearDecay(Schedule):

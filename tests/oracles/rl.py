@@ -9,6 +9,12 @@ whose ``observe`` goes through the table API only.  Each subclass
 keeps its production parent's policy, schedules and greedy readouts,
 so a test can train both through the same trainer and compare curves,
 RNG draws and Q-values exactly.
+
+:func:`per_step_replay_episode` and :func:`per_step_replay` are the
+per-transition training loop -- ``select_action`` then ``observe`` for
+every transition, the greedy probe after every episode -- that
+:func:`repro.rl.dense.replay_watkins` fuses for the production
+:class:`~repro.rl.tdlambda.TDLambdaQLearner`.
 """
 
 from __future__ import annotations
@@ -17,6 +23,9 @@ from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence,
 
 import numpy as np
 
+from repro.planning.rewards_coreda import CoReDAReward
+from repro.planning.state import episode_states
+from repro.planning.trainer import LearningCurve
 from repro.rl.double_q import DoubleQLearner, _MeanQView
 from repro.rl.dyna import DynaQLearner
 from repro.rl.expected_sarsa import ExpectedSarsaLearner
@@ -32,6 +41,8 @@ __all__ = [
     "SparseExpectedSarsaLearner",
     "SparseSarsaLambdaLearner",
     "SparseTDLambdaQLearner",
+    "per_step_replay",
+    "per_step_replay_episode",
 ]
 
 State = Hashable
@@ -384,3 +395,54 @@ class SparseDoubleQLearner(DoubleQLearner):
         self.q_a = QTable(initial_q)
         self.q_b = QTable(initial_q)
         self.q = _MeanQView(self.q_a, self.q_b)
+
+
+def per_step_replay_episode(
+    learner, actions, episode, reward_fn, rng, iteration: int = 0
+) -> Tuple[int, int]:
+    """One logged episode through ``select_action`` and ``observe``.
+
+    The per-transition form of ``repro.planning.trainer.
+    replay_episode``; returns ``(followed prompts, prompts)``.
+    """
+    states = episode_states(list(episode))
+    learner.begin_episode()
+    correct = 0
+    total = 0
+    for state, next_state in zip(states, states[1:]):
+        action, exploratory = learner.select_action(
+            state, actions, rng, step=iteration
+        )
+        reward = reward_fn.reward(state, action, next_state)
+        followed = action.tool_id == next_state.current
+        done = next_state.current == reward_fn.terminal_step_id
+        learner.observe(
+            state, action, reward, next_state, actions, done,
+            exploratory=exploratory or not followed,
+        )
+        total += 1
+        correct += followed
+    return correct, total
+
+
+def per_step_replay(trainer, episodes, routine) -> LearningCurve:
+    """``RoutineTrainer._replay`` through :func:`per_step_replay_episode`.
+
+    Install it on a trainer instance with ``trainer._replay =
+    functools.partial(per_step_replay, trainer)``; ``train`` then
+    runs the per-transition loop whatever the learner.
+    """
+    reward_fn = CoReDAReward(trainer.config, routine.terminal_step_id)
+    curve = LearningCurve()
+    for iteration, episode in enumerate(episodes):
+        correct, total = per_step_replay_episode(
+            trainer.learner, trainer.actions, episode, reward_fn,
+            trainer._rng, iteration,
+        )
+        curve.behaviour_accuracy.append(correct / total if total else 1.0)
+        window = curve.behaviour_accuracy[-trainer.SMOOTHING_WINDOW:]
+        curve.smoothed_accuracy.append(sum(window) / len(window))
+        greedy, minimal = trainer._probe_greedy(routine)
+        curve.greedy_accuracy.append(greedy)
+        curve.minimal_fraction.append(minimal)
+    return curve

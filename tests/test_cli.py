@@ -162,14 +162,18 @@ class TestUsageErrors:
             ["train", "tea-making", "--config", "{missing}"],
             ["train", "tea-making", "--config", "{malformed}"],
             ["simulate", "tea-making", "--config", "{invalid}"],
+            ["train", "tea-making", "--config", "{bad_decay}"],
         ],
     )
     def test_exits_2_without_traceback(self, argv, tmp_path, capsys):
         (tmp_path / "malformed.json").write_text("{not json")
         (tmp_path / "invalid.json").write_text('{"sensing": {"sampling_hz": -1}}')
+        (tmp_path / "bad_decay.json").write_text(
+            '{"planning": {"epsilon_decay": 1.5}}'
+        )
         files = {
             name: str(tmp_path / f"{name}.json")
-            for name in ("missing", "malformed", "invalid")
+            for name in ("missing", "malformed", "invalid", "bad_decay")
         }
         argv = [arg.format(**files) for arg in argv]
         with pytest.raises(SystemExit) as excinfo:

@@ -73,6 +73,33 @@ class TestPlanningConfig:
         with pytest.raises(ConfigurationError):
             PlanningConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("epsilon_decay", float("nan")),
+            ("epsilon_decay", 0.0),
+            ("epsilon_decay", 1.5),
+            ("epsilon_decay", float("inf")),
+        ]
+        + [
+            (field, value)
+            for field in (
+                "initial_q",
+                "terminal_reward",
+                "minimal_reward",
+                "specific_reward",
+                "wrong_prompt_reward",
+            )
+            for value in (float("nan"), float("inf"), float("-inf"))
+        ],
+    )
+    def test_non_finite_or_out_of_range_names_the_field(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            PlanningConfig(**{field: value})
+
+    def test_epsilon_decay_bounds_are_inclusive_of_one(self):
+        assert PlanningConfig(epsilon_decay=1.0).epsilon_decay == 1.0
+
 
 class TestRemindingConfig:
     def test_minimal_blinks_fewer_than_specific(self):

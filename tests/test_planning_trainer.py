@@ -13,6 +13,7 @@ from repro.core.errors import RoutineError
 from repro.core.events import StepEvent
 from repro.evalx.parallel import Cell, run_cells
 from repro.evalx.runner import run_all
+from repro.fleet import FleetSpec, run_fleet
 from repro.planning import trainer as trainer_module
 from repro.planning.online import OnlineAdaptation
 from repro.planning.rewards_coreda import CoReDAReward
@@ -24,6 +25,7 @@ from repro.planning.trainer import (
     training_memo,
 )
 from repro.rl.dyna import DynaQLearner
+from repro.rl.tdlambda import TDLambdaQLearner
 
 
 def train(adl, episodes=120, seed=0, routine=None, config=None, learner=None):
@@ -301,11 +303,16 @@ class TestTrainingMemo:
             trainer = RoutineTrainer(adl, rng=np.random.default_rng(11))
             trainer.actions = trainer.actions[:1]
             built = trainer.learner
+            # A greedy read caches the table's gather for the
+            # one-action view, a nested function, which pickle
+            # refuses.  The learner has made no update, so its first
+            # training still goes through the memo.
+            built.greedy_action(
+                episode_states(routine.step_ids)[0], trainer.actions
+            )
             return trainer.train(log, routine=routine), trainer.learner is not built
 
         plain, _ = one_action_training()
-        # The table's gather for a one-action view is a nested
-        # function, which pickle refuses.
         with pytest.raises((AttributeError, pickle.PicklingError)):
             pickle.dumps(plain.learner)
         with training_memo():
@@ -404,3 +411,45 @@ class TestTrainingMemo:
         # replay themselves.
         assert cold == {"cached": 43, "uncached": 11, "misses": 43}
         assert counts == {"cached": 0, "uncached": 13, "misses": 0}
+
+
+class TestFusedReplay:
+    """Every trainer-built TD(λ) learner replays through the fused kernel.
+
+    A count, not a timing: ``TDLambdaQLearner.observe`` is the
+    per-transition path, so any call to it during the report or a
+    cold fleet means some TD(λ) training silently fell back.
+    """
+
+    def _count(self, monkeypatch):
+        counts = {"observe": 0, "kernel": 0}
+        observe = TDLambdaQLearner.observe
+        kernel = trainer_module.replay_watkins
+
+        def counting_observe(self, *args, **kwargs):
+            counts["observe"] += 1
+            return observe(self, *args, **kwargs)
+
+        def counting_kernel(*args, **kwargs):
+            counts["kernel"] += 1
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(TDLambdaQLearner, "observe", counting_observe)
+        monkeypatch.setattr(trainer_module, "replay_watkins", counting_kernel)
+        return counts
+
+    def test_fast_report_never_observes_per_transition(self, monkeypatch):
+        counts = self._count(monkeypatch)
+        run_all(fast=True)
+        assert counts["observe"] == 0
+        assert counts["kernel"] > 0
+
+    def test_cold_fleet_never_observes_per_transition(self, monkeypatch):
+        counts = self._count(monkeypatch)
+        spec = FleetSpec(
+            adl_name="tea-making", homes=10, seed=0, episodes_per_home=1,
+            training_episodes=40, seed_classes=10, shard_size=5,
+        )
+        run_fleet(spec, jobs=1)
+        assert counts["observe"] == 0
+        assert counts["kernel"] > 0

@@ -10,10 +10,15 @@ reordering in the fused dense paths shows up here as a float mismatch.
 
 from __future__ import annotations
 
+import copy
+import functools
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oracles.rl import (
     EligibilityTraces,
@@ -23,9 +28,15 @@ from oracles.rl import (
     SparseExpectedSarsaLearner,
     SparseSarsaLambdaLearner,
     SparseTDLambdaQLearner,
+    per_step_replay,
+    per_step_replay_episode,
 )
+from repro.adls.library import default_registry
+from repro.core.adl import Routine
 from repro.core.config import PlanningConfig
 from repro.core.config_io import config_from_dict
+from repro.core.events import StepEvent
+from repro.planning import online as online_module
 from repro.planning.action import action_space
 from repro.planning.rewards_coreda import CoReDAReward
 from repro.planning.state import episode_states
@@ -35,16 +46,23 @@ from repro.planning.store import (
     training_cache_key,
     training_document,
 )
-from repro.planning.trainer import RoutineTrainer
-from repro.rl.dense import DenseQTable, DenseTraces, StateActionIndex
+from repro.planning.online import OnlineAdaptation
+from repro.planning.trainer import RoutineTrainer, replay_episode
+from repro.rl.dense import (
+    DenseQTable,
+    DenseTraces,
+    StateActionIndex,
+    replay_watkins,
+)
 from repro.rl.double_q import DoubleQLearner
 from repro.rl.dyna import DynaQLearner
 from repro.rl.expected_sarsa import ExpectedSarsaLearner
 from repro.rl.policies import EpsilonGreedyPolicy, SoftmaxPolicy
 from repro.rl.sarsa import SarsaLambdaLearner
 from repro.rl.schedules import ExponentialDecay
-from repro.rl.tdlambda import TDLambdaQLearner
+from repro.rl.tdlambda import TDLambdaQLearner, replays_fused
 from repro.rl.traces import TraceKind
+from repro.resident.routines import noisy_episodes
 from repro.sim.random import seeded_generator
 
 EPISODES = 60
@@ -466,16 +484,16 @@ def test_argmax_prober_tracks_updates_and_growth():
     states = ["s0", "s1", "s2"]
     actions = ("a", "b", "c")
     prober = dense.argmax_prober(states, actions)
-    assert prober() == [
+    assert [actions[j] for j in prober()] == [
         dense.best_action(state, actions) for state in states
     ]
     dense.set("s1", "c", 9.0)
-    assert prober()[1] == "c"
+    assert actions[prober()[1]] == "c"
     # Force a table grow; the prober must revalidate its offsets.
     for i in range(200):
         dense.set(f"grow-{i}", "a", 0.0)
     dense.set("s2", "b", 4.0)
-    assert prober() == [
+    assert [actions[j] for j in prober()] == [
         dense.best_action(state, actions) for state in states
     ]
     with pytest.raises(ValueError):
@@ -564,6 +582,17 @@ def _dyna_planning_sweep(q):
     learner._plan(seeded_generator(0), 0.5)
 
 
+def _watkins_replay(q):
+    learner = TDLambdaQLearner(policy=EpsilonGreedyPolicy(0.0))
+    learner.q = q
+    learner.traces = DenseTraces(index=q.index)
+    plan = (
+        list(FROZEN_STATES), [[1.0, 2.0], [3.0, 4.0]],
+        [[True, True], [True, True]], [False, True],
+    )
+    replay_watkins(learner, FROZEN_ACTIONS, [plan], seeded_generator(0))
+
+
 WRITE_ENTRY_POINTS = {
     "set": lambda q: q.set("s1", "b", 9.0),
     "add": lambda q: q.add("s1", "b", 0.5),
@@ -572,6 +601,7 @@ WRITE_ENTRY_POINTS = {
     "traces.apply_update": _traces_apply_update,
     "traces.step": _traces_step,
     "dyna.planning_sweep": _dyna_planning_sweep,
+    "replay_watkins": _watkins_replay,
 }
 
 
@@ -587,3 +617,240 @@ def test_write_primitives_thaw_and_bump(entry):
     assert np.array_equal(written, written_before)
     # The write landed in private storage, readable through the API.
     assert not np.array_equal(q.as_array()[:3, :2], q2d_before)
+
+
+# ---------------------------------------------------------------------------
+# The fused Watkins Q(λ) kernel against the per-transition loop
+# ---------------------------------------------------------------------------
+
+def _routines(name: str):
+    """(adl, canonical ids, reordered ids, hand-made episodes)."""
+    adl = default_registry().get(name).adl
+    ids = list(adl.step_ids)
+    body, terminal = ids[:-1], ids[-1]
+    tour = [body[0]]
+    for first in body:  # every ordered pair of non-terminal steps
+        for second in body:
+            if first != second:
+                tour += [step for step in (first, second) if step != tour[-1]]
+    specials = [  # logs the noisy generator never produces
+        [ids[0]],  # one state: no transition at all
+        [ids[0], terminal],  # two states
+        ids[:2] + [terminal] + ids[1:],  # a terminal step mid-episode
+        body,  # no terminal step: the last state is read, not done
+        body * 32 + [terminal],  # long enough to compact the traces
+        tour + [terminal],  # on dressing, outgrows the table's rows
+    ]
+    return adl, ids, [ids[0]] + body[1:][::-1] + [terminal], specials
+
+
+def _log(draw, adl, routine, specials):
+    episodes = noisy_episodes(
+        Routine(adl, routine),
+        draw(st.integers(1, 6)),
+        np.random.default_rng(draw(st.integers(0, 2**16))),
+        miss_probability=draw(st.sampled_from([0.0, 0.3])),
+    )
+    for special in draw(st.lists(st.sampled_from(specials), max_size=3)):
+        episodes.insert(draw(st.integers(0, len(episodes))), list(special))
+    return episodes
+
+
+@st.composite
+def _replay_cases(draw):
+    name = draw(st.sampled_from(["tea-making", "dressing"]))
+    adl, ids, reordered, specials = _routines(name)
+    return {
+        "adl": name,
+        "trace_decay": draw(st.sampled_from([0.0, 0.7, 1.0])),
+        "trace_kind": draw(st.sampled_from(list(TraceKind))),
+        "epsilon": draw(
+            st.sampled_from([0.0, 0.3, ExponentialDecay(0.5, 0.9)])
+        ),
+        # A high cutoff compacts the traces within a few steps; the
+        # default one needs a long on-target streak.
+        "cutoff": draw(st.sampled_from([1e-4, 0.3])),
+        "initial_q": draw(st.sampled_from([0.0, 1000.0])),
+        "seed": draw(st.integers(0, 2**16)),
+        "logs": [
+            _log(draw, adl, ids, specials),
+            _log(draw, adl, reordered, specials),
+        ],
+        "online": draw(
+            st.lists(st.sampled_from([ids, reordered, [ids[0], ids[-1]]]),
+                     min_size=1, max_size=4)
+        ),
+    }
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+def _replay_case(case, path: str) -> dict:
+    """Train, train again, adapt online; return every observable.
+
+    ``path`` is ``"fused"`` (production dispatch), ``"per-step"`` (the
+    production learner through the per-transition loop of
+    ``tests/oracles/rl.py``) or ``"sparse"`` (the dict oracle).
+    """
+    adl, ids, reordered, _ = _routines(case["adl"])
+    config = PlanningConfig(initial_q=case["initial_q"])
+    kwargs = dict(
+        learning_rate=config.learning_rate, discount=config.discount,
+        trace_decay=case["trace_decay"],
+        policy=EpsilonGreedyPolicy(copy.deepcopy(case["epsilon"])),
+        trace_kind=case["trace_kind"], initial_q=config.initial_q,
+    )
+    learner = (
+        SparseTDLambdaQLearner(**kwargs) if path == "sparse"
+        else TDLambdaQLearner(**kwargs)
+    )
+    learner.traces.cutoff = case["cutoff"]
+    trainer = RoutineTrainer(
+        adl, config, learner=learner, rng=seeded_generator(case["seed"])
+    )
+    if path == "per-step":
+        trainer._replay = functools.partial(per_step_replay, trainer)
+    curves, documents = [], []
+    for log, routine in zip(case["logs"], (ids, reordered)):
+        result = trainer.train(log, routine=Routine(adl, routine))
+        curves.append(copy.deepcopy(result.curve))
+        if path != "sparse":
+            documents.append(
+                json.dumps(training_document(result, adl.name), sort_keys=True)
+            )
+    adaptation = OnlineAdaptation(
+        adl, learner, config, rng=seeded_generator(case["seed"] + 1),
+        epsilon=0.2,
+    )
+    replay = per_step_replay_episode if path == "per-step" else replay_episode
+    with mock.patch.object(online_module, "replay_episode", replay):
+        for episode in case["online"]:
+            previous = 0
+            for step in episode:
+                adaptation.on_step(StepEvent(0.0, step, previous))
+                previous = step
+    observed = {
+        "curves": curves,
+        "rng": (
+            trainer._rng.bit_generator.state,
+            adaptation._rng.bit_generator.state,
+        ),
+        "counters": (learner.updates, learner.episodes, learner.q.version),
+        "online": (adaptation.episodes_learned, adaptation.recent_accuracy),
+    }
+    if path == "sparse":
+        return observed
+    q, traces = learner.q, learner.traces
+    observed.update(
+        documents=documents,
+        states=list(q.index.states),
+        actions=list(q.index.actions),
+        array=(q.as_array().shape, q.as_array().tobytes()),
+        written=bytes(q._written),
+        traces=(list(traces._slots.items()), list(traces._pairs),
+                _bits(traces._e)),
+    )
+    return observed
+
+
+_TEA_IDS = _routines("tea-making")[1]
+_DRESSING = _routines("dressing")
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_replay_cases())
+@example(
+    # Greedy replays of the long episode: accumulating traces revisit
+    # live pairs.
+    case={
+        "adl": "tea-making", "trace_decay": 0.7,
+        "trace_kind": TraceKind.ACCUMULATING, "epsilon": 0.0,
+        "cutoff": 1e-4, "initial_q": 1000.0, "seed": 0,
+        "logs": [[_TEA_IDS[:-1] * 32 + [_TEA_IDS[-1]]] * 4, [_TEA_IDS]],
+        "online": [_TEA_IDS],
+    }
+)
+@example(
+    # A high cutoff: greedy replays of the long episode compact.
+    case={
+        "adl": "tea-making", "trace_decay": 0.7,
+        "trace_kind": TraceKind.REPLACING, "epsilon": 0.0,
+        "cutoff": 0.3, "initial_q": 1000.0, "seed": 0,
+        "logs": [[_TEA_IDS[:-1] * 32 + [_TEA_IDS[-1]]] * 4, [_TEA_IDS]],
+        "online": [_TEA_IDS],
+    }
+)
+@example(
+    # The tour grows the table past the plan bound before it.
+    case={
+        "adl": "dressing", "trace_decay": 0.7,
+        "trace_kind": TraceKind.REPLACING, "epsilon": 0.3,
+        "cutoff": 1e-4, "initial_q": 1000.0, "seed": 1,
+        "logs": [[_DRESSING[1], _DRESSING[3][-1], _DRESSING[1]],
+                 [_DRESSING[2]]],
+        "online": [_DRESSING[1]],
+    }
+)
+def test_fused_kernel_equals_the_per_step_loop(case):
+    fused = _replay_case(case, "fused")
+    per_step = _replay_case(case, "per-step")
+    assert fused == per_step
+    sparse = _replay_case(case, "sparse")
+    assert sparse["curves"] == fused["curves"]
+    assert sparse["rng"] == fused["rng"]
+
+
+def _per_step_plans(learner, actions, plans, rng) -> None:
+    """``select_action`` + ``observe`` over ``replay_watkins`` plans."""
+    for step, (states, rewards, followed, dones) in enumerate(plans):
+        learner.begin_episode()
+        for i, done in enumerate(dones):
+            action, exploratory = learner.select_action(
+                states[i], actions, rng, step=step
+            )
+            j = actions.index(action)
+            learner.observe(
+                states[i], action, rewards[i][j], states[i + 1], actions,
+                done, exploratory=exploratory or not followed[i][j],
+            )
+
+
+def test_fused_kernel_rebinds_when_the_stride_grows():
+    """A frozen table's stride is its action count, so the growth that
+    new states force widens it: plans bound before must re-gather."""
+    short = (
+        list(FROZEN_STATES), [[1.0, 2.0], [3.0, 4.0]],
+        [[True, False], [False, True]], [False, True],
+    )
+    fresh = [f"n{i}" for i in range(20)]
+    long = (fresh, [[0.5, 1.5]] * 19, [[True, True]] * 19, [False] * 19)
+    observed = []
+    for fused in (True, False):
+        q, _, _ = _frozen_table()
+        learner = TDLambdaQLearner(policy=EpsilonGreedyPolicy(0.3))
+        learner.q = q
+        learner.traces = DenseTraces(index=q.index)
+        rng = seeded_generator(5)
+        plans = [short, long, short, short]
+        if fused:
+            replay_watkins(learner, FROZEN_ACTIONS, plans, rng)
+        else:
+            _per_step_plans(learner, FROZEN_ACTIONS, plans, rng)
+        observed.append((
+            q.as_array().tobytes(), bytes(q._written), q.index.states,
+            list(learner.traces._pairs), _bits(learner.traces._e),
+            learner.updates, q.version, rng.bit_generator.state,
+        ))
+    assert observed[0] == observed[1]
+
+
+def test_fused_dispatch_is_on_exact_types():
+    assert replays_fused(TDLambdaQLearner())
+    assert not replays_fused(SparseTDLambdaQLearner())
+    assert not replays_fused(TDLambdaQLearner(policy=SoftmaxPolicy(1.0)))
+    assert not replays_fused(
+        TDLambdaQLearner(learning_rate=ExponentialDecay(0.5, 0.9))
+    )
+    assert not replays_fused(DynaQLearner())
