@@ -28,6 +28,14 @@ __all__ = [
 ]
 
 
+def _require_finite(config, *names: str) -> None:
+    """Reject a NaN or infinite value in any of ``config``'s ``names``
+    fields, naming the field."""
+    for name in names:
+        if not math.isfinite(getattr(config, name)):
+            raise ConfigurationError(f"{name} must be finite")
+
+
 @dataclass(frozen=True)
 class SensingConfig:
     """Sensing-subsystem parameters (paper section 2.1)."""
@@ -47,6 +55,10 @@ class SensingConfig:
     refractory_period: float = 2.0
 
     def __post_init__(self) -> None:
+        _require_finite(
+            self, "sampling_hz", "usage_threshold", "idle_timeout",
+            "refractory_period",
+        )
         if self.sampling_hz <= 0:
             raise ConfigurationError("sampling_hz must be positive")
         if not 1 <= self.threshold_count <= self.window_size:
@@ -77,10 +89,13 @@ class RadioConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.loss_probability < 1.0:
             raise ConfigurationError("loss_probability must be in [0, 1)")
+        _require_finite(self, "latency", "retry_interval")
         if self.latency < 0:
             raise ConfigurationError("latency must be >= 0")
         if self.max_retries < 0:
             raise ConfigurationError("max_retries must be >= 0")
+        if self.retry_interval < 0:
+            raise ConfigurationError("retry_interval must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -137,15 +152,10 @@ class PlanningConfig:
             raise ConfigurationError("epsilon must be in [0, 1]")
         if not 0.0 < self.epsilon_decay <= 1.0:
             raise ConfigurationError("epsilon_decay must be in (0, 1]")
-        for name in (
-            "initial_q",
-            "terminal_reward",
-            "minimal_reward",
-            "specific_reward",
-            "wrong_prompt_reward",
-        ):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigurationError(f"{name} must be finite")
+        _require_finite(
+            self, "initial_q", "terminal_reward", "minimal_reward",
+            "specific_reward", "wrong_prompt_reward",
+        )
         if not 0.0 < self.convergence_criterion <= 1.0:
             raise ConfigurationError("convergence_criterion must be in (0, 1]")
         if self.convergence_patience < 1:
@@ -186,8 +196,11 @@ class RemindingConfig:
     user_title: str = "Mr. Tanaka"
 
     def __post_init__(self) -> None:
+        _require_finite(self, "stall_timeout", "stall_sd_factor")
         if self.stall_timeout <= 0:
             raise ConfigurationError("stall_timeout must be positive")
+        if self.stall_sd_factor < 0:
+            raise ConfigurationError("stall_sd_factor must be >= 0")
         if self.minimal_blinks <= 0 or self.specific_blinks <= 0:
             raise ConfigurationError("blink counts must be positive")
         if self.minimal_blinks >= self.specific_blinks:

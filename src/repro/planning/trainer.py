@@ -41,17 +41,18 @@ from repro.planning.action import PromptAction, action_space
 from repro.planning.rewards_coreda import CoReDAReward
 from repro.planning.state import PlanningState, episode_states
 from repro.rl.convergence import convergence_iteration
-from repro.rl.dense import DenseQTable, replay_watkins
+from repro.rl.dense import DenseQTable, replay_dyna, replay_watkins
 from repro.rl.dyna import DynaQLearner
 from repro.rl.policies import EpsilonGreedyPolicy
 from repro.rl.schedules import ExponentialDecay
-from repro.rl.tdlambda import TDLambdaQLearner, replays_fused
+from repro.rl.tdlambda import TDLambdaQLearner
 from repro.sim.random import seeded_generator
 
 __all__ = [
     "LearningCurve",
     "TrainingResult",
     "RoutineTrainer",
+    "fused_kernel",
     "replay_episode",
     "training_memo",
 ]
@@ -113,7 +114,7 @@ def _episode_plan(
     actions: Sequence[PromptAction],
     reward_fn: CoReDAReward,
 ) -> tuple:
-    """One episode for :func:`replay_watkins`, every prompt pre-scored."""
+    """One episode for a :func:`fused_kernel`, every prompt pre-scored."""
     steps = list(zip(states, states[1:]))
     return (
         states,
@@ -123,6 +124,32 @@ def _episode_plan(
          for _, after in steps],
         [after.current == reward_fn.terminal_step_id for _, after in steps],
     )
+
+
+def fused_kernel(learner):
+    """The fused episode kernel that replays ``learner``, or ``None``.
+
+    :func:`~repro.rl.dense.replay_watkins` for a ``TDLambdaQLearner``,
+    :func:`~repro.rl.dense.replay_dyna` for a ``DynaQLearner``.  The
+    kernels inline ``observe``, :class:`EpsilonGreedyPolicy` and a
+    constant α, so dispatch is on exact types: the sparse oracle
+    subclasses, other policies, scheduled α and every other learner
+    keep the per-transition calls.  The kernel is looked up per call,
+    so a test may wrap the module-level name.
+    """
+    kind = type(learner)
+    if kind is TDLambdaQLearner:
+        kernel = replay_watkins
+    elif kind is DynaQLearner:
+        kernel = replay_dyna
+    else:
+        return None
+    if (
+        type(learner.policy) is EpsilonGreedyPolicy
+        and learner._alpha_const is not None
+    ):
+        return kernel
+    return None
 
 
 def replay_episode(
@@ -148,13 +175,15 @@ def replay_episode(
 
     Shared by offline training (:class:`RoutineTrainer`) and online
     adaptation (:class:`repro.planning.online.OnlineAdaptation`);
-    :func:`~repro.rl.tdlambda.replays_fused` learners take the kernel.
+    a learner with a :func:`fused_kernel` takes the kernel.  A Dyna-Q
+    learner without one still plans: its ``observe`` gets ``rng``.
     """
     if states is None:
         states = episode_states(list(episode))
-    if replays_fused(learner):
+    kernel = fused_kernel(learner)
+    if kernel is not None:
         plan = _episode_plan(states, actions, reward_fn)
-        ((correct, total, _, _),) = replay_watkins(
+        ((correct, total, _, _),) = kernel(
             learner, actions, [plan], rng, iteration
         )
         return correct, total
@@ -165,30 +194,17 @@ def replay_episode(
     observe = learner.observe
     score = reward_fn.reward
     terminal = reward_fn.terminal_step_id
-    is_dyna = isinstance(learner, DynaQLearner)
+    planning = {"rng": rng} if isinstance(learner, DynaQLearner) else {}
     for index in range(len(states) - 1):
         state, next_state = states[index], states[index + 1]
         action, exploratory = select(state, actions, rng, step=iteration)
         reward = score(state, action, next_state)
         followed = action.tool_id == next_state.current
         done = next_state.current == terminal
-        off_target = exploratory or not followed
-        if is_dyna:
-            observe(
-                state,
-                action,
-                reward,
-                next_state,
-                actions,
-                done,
-                rng=rng,
-                exploratory=off_target,
-            )
-        else:
-            observe(
-                state, action, reward, next_state, actions, done,
-                exploratory=off_target,
-            )
+        observe(
+            state, action, reward, next_state, actions, done,
+            exploratory=exploratory or not followed, **planning,
+        )
         total += 1
         if followed:
             correct += 1
@@ -358,8 +374,9 @@ class RoutineTrainer:
     ) -> LearningCurve:
         """Replay every episode through the learner, recording the curve."""
         reward_fn = CoReDAReward(self.config, routine.terminal_step_id)
-        if replays_fused(self.learner):
-            scores = self._replay_fused(episodes, routine, reward_fn)
+        kernel = fused_kernel(self.learner)
+        if kernel is not None:
+            scores = self._replay_fused(kernel, episodes, routine, reward_fn)
         else:
             scores = self._replay_per_step(episodes, routine, reward_fn)
         scores = list(scores)
@@ -378,11 +395,13 @@ class RoutineTrainer:
 
     def _replay_fused(
         self,
+        kernel,
         episodes: Sequence[Sequence[int]],
         routine: Routine,
         reward_fn: CoReDAReward,
     ) -> Iterator[Tuple[float, float, float]]:
-        """The whole replay and probe in one :func:`replay_watkins` call."""
+        """The whole replay and probe in one call of the learner's
+        :func:`fused_kernel`."""
         plans: Dict[Tuple[int, ...], tuple] = {}
         for episode in episodes:
             key = tuple(episode)
@@ -392,7 +411,7 @@ class RoutineTrainer:
                 )
         probe = self._probe_rows(routine)
         size = len(probe[0])
-        counts = replay_watkins(
+        counts = kernel(
             self.learner,
             self.actions,
             [plans[tuple(episode)] for episode in episodes],

@@ -71,9 +71,27 @@ def convergence_iteration(
 
     Returns the 1-based iteration where accuracy first reached
     ``criterion`` and held for ``patience`` iterations, or ``None`` if
-    it never did.
+    it never did.  Equal to feeding the curve through a
+    :class:`ConvergenceDetector`, errors included: the streak stops
+    counting at the first stable run, but every value is still
+    range-checked, in one pass.
     """
-    detector = ConvergenceDetector(criterion=criterion, patience=patience)
-    for accuracy in accuracies:
-        detector.update(accuracy)
-    return detector.converged_at
+    # The detector validates the arguments, with its own messages.
+    ConvergenceDetector(criterion=criterion, patience=patience)
+    values = iter(accuracies)
+    streak = 0
+    for iteration, accuracy in enumerate(values, 1):
+        if not 0.0 <= accuracy <= 1.0:
+            raise ValueError(f"accuracy must be in [0, 1], got {accuracy}")
+        if accuracy < criterion:
+            streak = 0
+            continue
+        streak += 1
+        if streak == patience:
+            for accuracy in values:
+                if not 0.0 <= accuracy <= 1.0:
+                    raise ValueError(
+                        f"accuracy must be in [0, 1], got {accuracy}"
+                    )
+            return iteration - patience + 1
+    return None

@@ -24,8 +24,13 @@ experiment cell.  This module is the Q storage every learner uses:
   snapshot copy;
 * :func:`replay_watkins` fuses a Watkins Q(λ) learner's whole
   episode -- ε-greedy selection, TD update, trace sweep -- and the
-  trainer's greedy probe into one loop over interned ids.  It lives
-  here because only this module may touch the table's buffers.
+  trainer's greedy probe into one loop over interned ids;
+  :func:`replay_dyna` does the same for Dyna-Q -- ε-greedy selection,
+  one-step update, model write, planning sweep.  They live here
+  because only this module may touch the table's buffers, and draw
+  through :func:`repro.sim.random.generator_draws`, which decodes a
+  PCG64 generator's raw words rather than pay numpy's dispatch per
+  draw.
 
 The contract: training on these tables is **byte-identical** to the
 plain dict Q-table and table-API learner updates kept as the oracle in
@@ -46,11 +51,13 @@ from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.rl.traces import TraceKind
+from repro.sim.random import generator_draws
 
 __all__ = [
     "StateActionIndex",
     "DenseQTable",
     "DenseTraces",
+    "replay_dyna",
     "replay_watkins",
 ]
 
@@ -879,13 +886,18 @@ class DenseTraces:
         return f"DenseTraces({self.kind.value}, active={len(self._pairs)})"
 
 
-def _bind(q: DenseQTable, view: _ActionView, plan: tuple) -> List[tuple]:
+def _bind(
+    q: DenseQTable, view: _ActionView, plan: tuple, every_state: bool = False
+) -> List[tuple]:
     """Intern ``plan``'s states into ``q`` in per-transition order and
-    lay out its transitions for ``q``'s stride.  A terminal last
-    transition never reads, so never interns, its next state."""
+    lay out its transitions for ``q``'s stride.  Watkins never reads,
+    so never interns, the next state of a terminal last transition
+    (its id is then ``-1``); Dyna's model records it
+    (``every_state``)."""
     states, rewards, followed, dones = plan
     n = len(dones)
-    sids = [q.index.state_id(s) for s in states[: n if dones[-1] else n + 1]]
+    last = n + 1 if every_state or not dones[-1] else n
+    sids = [q.index.state_id(s) for s in states[:last]] + [-1] * (n + 1 - last)
     if max(sids) >= q._rows or view.max_id >= q._cols:
         q._grow()
     bases = [sid * q._cols for sid in sids]
@@ -894,7 +906,8 @@ def _bind(q: DenseQTable, view: _ActionView, plan: tuple) -> List[tuple]:
             _make_gather([bases[i] + a for a in view.sorted_ids_list]),
             None if dones[i]
             else _make_gather([bases[i + 1] + a for a in view.ids_list]),
-            bases[i], rewards[i], followed[i], dones[i],
+            bases[i], sids[i], sids[i + 1],
+            rewards[i], followed[i], dones[i],
         )
         for i in range(n)
     ]
@@ -910,8 +923,10 @@ def replay_watkins(
 ) -> List[Tuple[int, int, int, int]]:
     """Replay episode plans through a Watkins Q(λ) learner in one loop.
 
-    ``learner`` is one :func:`~repro.rl.tdlambda.replays_fused` holds
-    for.  A plan is ``(states, rewards, followed, dones)``; transition
+    ``learner`` is an exact ``TDLambdaQLearner`` with an exact
+    ``EpsilonGreedyPolicy`` and a constant α (the dispatch of
+    :func:`repro.planning.trainer.fused_kernel`).  A plan is
+    ``(states, rewards, followed, dones)``; transition
     ``i`` (``states[i] -> states[i + 1]``) scores action ``j`` of
     ``actions`` by ``rewards[i][j]`` and ``followed[i][j]``.  Episode
     ``k`` runs at policy step ``first_step + k``.  Each transition is
@@ -929,8 +944,6 @@ def replay_watkins(
     factor = learner._glambda
     accumulating = traces.kind is TraceKind.ACCUMULATING
     cutoff = traces.cutoff
-    random = rng.random
-    integers = rng.integers
     n_actions = len(actions)
     view: Optional[_ActionView] = None
     prober: Optional[_ArgmaxProber] = None
@@ -939,89 +952,94 @@ def replay_watkins(
     trace_cols = q._cols
     updates = 0
     results = []
-    for step, plan in enumerate(plans, first_step):
-        # begin_episode.  The traces are flat offsets and values in
-        # first-visit order.
-        offs: List[int] = []
-        e: List[float] = []
-        learner.episodes += 1
-        n = len(plan[3])
-        followed_count = 0
-        if n:
-            if view is None:
-                if not actions:
-                    raise ValueError(
-                        f"no actions available in state {plan[0][0]!r}"
-                    )
-                view = q._view(actions)
-                ids = view.ids_list
-                sorted_ids = view.sorted_ids_list
-                order = view.sorted_order
-            entry = bound.get(id(plan))
-            if entry is None or entry[0] != q._grow_count:
-                steps = _bind(q, view, plan)
-                entry = bound[id(plan)] = (q._grow_count, steps)
-            if q._frozen:
-                q._thaw()
-            flat = q._flat
-            written = q._written
-            trace_cols = q._cols
-            epsilon = epsilon_at(step)
-            for greedy, nxt, base, reward_row, followed_row, done in entry[1]:
-                # select_action: the first maximum in repr order, then ε.
-                values = greedy(flat)
-                g = values.index(max(values))
-                if random() < epsilon:
-                    j = int(integers(n_actions))
-                    aid = ids[j]
-                    exploratory = aid != sorted_ids[g]
-                else:
-                    j = order[g]
-                    aid = sorted_ids[g]
-                    exploratory = False
-                followed = followed_row[j]
-                followed_count += followed
-                # observe: the target's max runs over the given order.
-                if done:
-                    target = reward_row[j]
-                else:
-                    target = reward_row[j] + discount * max(nxt(flat))
-                off = base + aid
-                coef = alpha * (target - flat[off])
-                if exploratory or not followed:
-                    # Off-target: this pair only, then the strict cut.
-                    flat[off] = flat[off] + coef
+    draws = generator_draws(rng, sum(len(plan[3]) for plan in plans))
+    random = draws.random
+    bounded = draws.integers
+    try:
+        for step, plan in enumerate(plans, first_step):
+            # begin_episode.  The traces are flat offsets and values in
+            # first-visit order.
+            offs: List[int] = []
+            e: List[float] = []
+            learner.episodes += 1
+            n = len(plan[3])
+            followed_count = 0
+            if n:
+                if view is None:
+                    if not actions:
+                        raise ValueError(
+                            f"no actions available in state {plan[0][0]!r}"
+                        )
+                    view = q._view(actions)
+                    ids = view.ids_list
+                    sorted_ids = view.sorted_ids_list
+                    order = view.sorted_order
+                entry = bound.get(id(plan))
+                if entry is None or entry[0] != q._grow_count:
+                    steps = _bind(q, view, plan)
+                    entry = bound[id(plan)] = (q._grow_count, steps)
+                if q._frozen:
+                    q._thaw()
+                flat = q._flat
+                written = q._written
+                trace_cols = q._cols
+                epsilon = epsilon_at(step)
+                for (greedy, nxt, base, _, _,
+                     reward_row, followed_row, done) in entry[1]:
+                    # select_action: the first maximum in repr order, then ε.
+                    values = greedy(flat)
+                    g = values.index(max(values))
+                    if random() < epsilon:
+                        (j,) = bounded(n_actions, 1)
+                        aid = ids[j]
+                        exploratory = aid != sorted_ids[g]
+                    else:
+                        j = order[g]
+                        aid = sorted_ids[g]
+                        exploratory = False
+                    followed = followed_row[j]
+                    followed_count += followed
+                    # observe: the target's max runs over the given order.
+                    if done:
+                        target = reward_row[j]
+                    else:
+                        target = reward_row[j] + discount * max(nxt(flat))
+                    off = base + aid
+                    coef = alpha * (target - flat[off])
+                    if exploratory or not followed:
+                        # Off-target: this pair only, then the strict cut.
+                        flat[off] = flat[off] + coef
+                        written[off] = 1
+                        offs, e = [], []
+                        continue
+                    if off not in offs:
+                        offs.append(off)
+                        e.append(1.0)
+                    elif accumulating:
+                        e[offs.index(off)] += 1.0
+                    else:
+                        e[offs.index(off)] = 1.0
+                    for o, weight in zip(offs, e):
+                        flat[o] = flat[o] + coef * weight
                     written[off] = 1
-                    offs, e = [], []
-                    continue
-                if off not in offs:
-                    offs.append(off)
-                    e.append(1.0)
-                elif accumulating:
-                    e[offs.index(off)] += 1.0
-                else:
-                    e[offs.index(off)] = 1.0
-                for o, weight in zip(offs, e):
-                    flat[o] = flat[o] + coef * weight
-                written[off] = 1
-                if done or factor == 0.0:
-                    # A terminal transition resets what it would decay.
-                    offs, e = [], []
-                else:
-                    e = [v * factor for v in e]
-                    if min(e) < cutoff:
-                        keep = [k for k, v in enumerate(e) if v >= cutoff]
-                        offs = [offs[k] for k in keep]
-                        e = [e[k] for k in keep]
-            updates += n
-        hits = marks = 0
-        if probe is not None:
-            if prober is None:
-                prober = _ArgmaxProber(q, probe[0], actions)
-            for j, hit, mark in zip(prober(), probe[1], probe[2]):
-                hits += hit[j]
-                marks += mark[j]
-        results.append((followed_count, n, hits, marks))
+                    if done or factor == 0.0:
+                        # A terminal transition resets what it would decay.
+                        offs, e = [], []
+                    else:
+                        e = [v * factor for v in e]
+                        if min(e) < cutoff:
+                            keep = [k for k, v in enumerate(e) if v >= cutoff]
+                            offs = [offs[k] for k in keep]
+                            e = [e[k] for k in keep]
+                updates += n
+            hits = marks = 0
+            if probe is not None:
+                if prober is None:
+                    prober = _ArgmaxProber(q, probe[0], actions)
+                hits, marks = _score_probe(prober, probe)
+            results.append((followed_count, n, hits, marks))
+    finally:
+        draws.close()
     if results:
         pairs = [divmod(off, trace_cols) for off in offs]
         traces._slots = {pair: k for k, pair in enumerate(pairs)}
@@ -1032,3 +1050,152 @@ def replay_watkins(
         q.version += updates
         q._array = None
     return results
+
+
+def replay_dyna(
+    learner,
+    actions: Sequence[Action],
+    plans: Sequence[tuple],
+    rng: np.random.Generator,
+    first_step: int = 0,
+    probe: Optional[tuple] = None,
+) -> List[Tuple[int, int, int, int]]:
+    """Replay episode plans through a Dyna-Q learner in one loop.
+
+    ``learner`` is an exact ``DynaQLearner`` with an exact
+    ``EpsilonGreedyPolicy`` and a constant α.  Plans, ``first_step``,
+    ``probe`` and the result are those of :func:`replay_watkins`.
+    Each transition is ``select_action`` then ``observe(...,
+    rng=rng)`` over interned ids: the ε-greedy pick, the one-step
+    update, the model write (the same id-and-view record ``observe``
+    writes) and ``planning_steps`` updates of uniformly drawn model
+    records, with the same RNG draws, interning order and float
+    operations.
+    """
+    q = learner.q
+    epsilon_at = learner.policy.epsilon_schedule.value
+    alpha = learner._alpha_const
+    discount = learner.discount
+    k = learner.planning_steps
+    model = learner._model
+    outcomes = learner._outcomes
+    n_actions = len(actions)
+    view: Optional[_ActionView] = None
+    prober: Optional[_ArgmaxProber] = None
+    # id(plan) -> (the table's grow count, the plan's steps).
+    bound: Dict[int, tuple] = {}
+    # Parallel to ``outcomes``: (flat offset, reward, next-row gather
+    # or None for a reward-only target), laid out for the stride of
+    # grow count ``sweep_grows``.
+    sweep: List[tuple] = []
+    sweep_grows = -1
+    updates = 0
+    results = []
+    transitions = sum(len(plan[3]) for plan in plans)
+    draws = generator_draws(rng, transitions + (transitions * k + 1) // 2)
+    random = draws.random
+    bounded = draws.integers
+    try:
+        for step, plan in enumerate(plans, first_step):
+            learner.episodes += 1
+            n = len(plan[3])
+            followed_count = 0
+            if n:
+                if view is None:
+                    if not actions:
+                        raise ValueError(
+                            f"no actions available in state {plan[0][0]!r}"
+                        )
+                    view = q._view(actions)
+                    ids = view.ids_list
+                    sorted_ids = view.sorted_ids_list
+                    order = view.sorted_order
+                entry = bound.get(id(plan))
+                if entry is None or entry[0] != q._grow_count:
+                    steps = _bind(q, view, plan, every_state=True)
+                    entry = bound[id(plan)] = (q._grow_count, steps)
+                if sweep_grows != q._grow_count:
+                    cols = q._cols
+                    sweep = [
+                        (
+                            sid * cols + aid, reward,
+                            None if next_view is None else _make_gather(
+                                [next_sid * cols + a
+                                 for a in next_view.ids_list]
+                            ),
+                        )
+                        for sid, aid, reward, next_sid, next_view in outcomes
+                    ]
+                    sweep_grows = q._grow_count
+                if q._frozen:
+                    q._thaw()
+                flat = q._flat
+                written = q._written
+                epsilon = epsilon_at(step)
+                for (greedy, nxt, base, sid, next_sid,
+                     reward_row, followed_row, done) in entry[1]:
+                    # select_action: the first maximum in repr order, then ε.
+                    values = greedy(flat)
+                    g = values.index(max(values))
+                    if random() < epsilon:
+                        (j,) = bounded(n_actions, 1)
+                        aid = ids[j]
+                    else:
+                        j = order[g]
+                        aid = sorted_ids[g]
+                    followed_count += followed_row[j]
+                    # observe: the target's max runs over the given order.
+                    reward = reward_row[j]
+                    if done:
+                        target = reward
+                    else:
+                        target = reward + discount * max(nxt(flat))
+                    off = base + aid
+                    flat[off] = flat[off] + alpha * (target - flat[off])
+                    written[off] = 1
+                    record = (
+                        sid, aid, reward, next_sid, None if done else view
+                    )
+                    pos = model.get((sid, aid))
+                    if pos is None:
+                        model[(sid, aid)] = len(outcomes)
+                        outcomes.append(record)
+                        sweep.append((off, reward, nxt))
+                    else:
+                        outcomes[pos] = record
+                        sweep[pos] = (off, reward, nxt)
+                    if k:
+                        # The planning sweep: the draws of _plan's one
+                        # batched rng.integers call.
+                        for i in bounded(len(outcomes), k):
+                            cell, value, row = sweep[i]
+                            if row is not None:
+                                value = value + discount * max(row(flat))
+                            flat[cell] = (
+                                flat[cell] + alpha * (value - flat[cell])
+                            )
+                            written[cell] = 1
+                updates += n
+            hits = marks = 0
+            if probe is not None:
+                if prober is None:
+                    prober = _ArgmaxProber(q, probe[0], actions)
+                hits, marks = _score_probe(prober, probe)
+            results.append((followed_count, n, hits, marks))
+    finally:
+        draws.close()
+    if updates:
+        learner.updates += updates
+        learner.planning_updates += k * updates
+        q.version += updates * (1 + k)
+        q._array = None
+    return results
+
+
+def _score_probe(prober: _ArgmaxProber, probe: tuple) -> Tuple[int, int]:
+    """``(hits, marks)`` of the probe states' greedy actions."""
+    hits = marks = 0
+    for j, hit, mark in zip(prober(), probe[1], probe[2]):
+        hits += hit[j]
+        marks += mark[j]
+    return hits, marks

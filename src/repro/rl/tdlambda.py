@@ -32,7 +32,7 @@ from repro.rl.policies import EpsilonGreedyPolicy, Policy
 from repro.rl.schedules import ConstantSchedule, Schedule
 from repro.rl.traces import TraceKind
 
-__all__ = ["TDLambdaQLearner", "replays_fused"]
+__all__ = ["TDLambdaQLearner"]
 
 State = Hashable
 Action = Hashable
@@ -147,15 +147,3 @@ class TDLambdaQLearner:
             f"TDLambdaQLearner(lambda={self.trace_decay}, "
             f"gamma={self.discount}, updates={self.updates})"
         )
-
-
-def replays_fused(learner) -> bool:
-    """True when ``learner`` replays episodes through
-    :func:`repro.rl.dense.replay_watkins`, which inlines ``observe``,
-    :class:`EpsilonGreedyPolicy` and a constant α: so exact types only
-    (the sparse oracle subclass keeps the per-transition calls)."""
-    return (
-        type(learner) is TDLambdaQLearner
-        and type(learner.policy) is EpsilonGreedyPolicy
-        and learner._alpha_const is not None
-    )

@@ -13,8 +13,10 @@ RNG draws and Q-values exactly.
 :func:`per_step_replay_episode` and :func:`per_step_replay` are the
 per-transition training loop -- ``select_action`` then ``observe`` for
 every transition, the greedy probe after every episode -- that
-:func:`repro.rl.dense.replay_watkins` fuses for the production
-:class:`~repro.rl.tdlambda.TDLambdaQLearner`.
+:func:`repro.rl.dense.replay_watkins` and :func:`repro.rl.dense.
+replay_dyna` fuse for the production
+:class:`~repro.rl.tdlambda.TDLambdaQLearner` and
+:class:`~repro.rl.dyna.DynaQLearner`.
 """
 
 from __future__ import annotations
@@ -403,9 +405,11 @@ def per_step_replay_episode(
     """One logged episode through ``select_action`` and ``observe``.
 
     The per-transition form of ``repro.planning.trainer.
-    replay_episode``; returns ``(followed prompts, prompts)``.
+    replay_episode``, Dyna-Q planning on ``rng`` included; returns
+    ``(followed prompts, prompts)``.
     """
     states = episode_states(list(episode))
+    planning = {"rng": rng} if isinstance(learner, DynaQLearner) else {}
     learner.begin_episode()
     correct = 0
     total = 0
@@ -418,7 +422,7 @@ def per_step_replay_episode(
         done = next_state.current == reward_fn.terminal_step_id
         learner.observe(
             state, action, reward, next_state, actions, done,
-            exploratory=exploratory or not followed,
+            exploratory=exploratory or not followed, **planning,
         )
         total += 1
         correct += followed

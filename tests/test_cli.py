@@ -163,6 +163,7 @@ class TestUsageErrors:
             ["train", "tea-making", "--config", "{malformed}"],
             ["simulate", "tea-making", "--config", "{invalid}"],
             ["train", "tea-making", "--config", "{bad_decay}"],
+            ["simulate", "tea-making", "--config", "{bad_retry}"],
         ],
     )
     def test_exits_2_without_traceback(self, argv, tmp_path, capsys):
@@ -171,9 +172,14 @@ class TestUsageErrors:
         (tmp_path / "bad_decay.json").write_text(
             '{"planning": {"epsilon_decay": 1.5}}'
         )
+        (tmp_path / "bad_retry.json").write_text(
+            '{"radio": {"retry_interval": -1}}'
+        )
         files = {
             name: str(tmp_path / f"{name}.json")
-            for name in ("missing", "malformed", "invalid", "bad_decay")
+            for name in (
+                "missing", "malformed", "invalid", "bad_decay", "bad_retry"
+            )
         }
         argv = [arg.format(**files) for arg in argv]
         with pytest.raises(SystemExit) as excinfo:

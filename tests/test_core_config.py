@@ -11,6 +11,8 @@ from repro.core.config import (
 )
 from repro.core.errors import ConfigurationError
 
+NON_FINITE = (float("nan"), float("inf"), float("-inf"))
+
 
 class TestSensingConfig:
     def test_paper_defaults(self):
@@ -34,6 +36,23 @@ class TestSensingConfig:
         with pytest.raises(ConfigurationError):
             SensingConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            (field, value)
+            for field in (
+                "sampling_hz",
+                "usage_threshold",
+                "idle_timeout",
+                "refractory_period",
+            )
+            for value in NON_FINITE
+        ],
+    )
+    def test_non_finite_names_the_field(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            SensingConfig(**{field: value})
+
 
 class TestRadioConfig:
     @pytest.mark.parametrize(
@@ -44,6 +63,22 @@ class TestRadioConfig:
     def test_invalid_values_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
             RadioConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("retry_interval", -1.0)]
+        + [
+            (field, value)
+            for field in ("latency", "retry_interval")
+            for value in NON_FINITE
+        ],
+    )
+    def test_non_finite_or_out_of_range_names_the_field(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            RadioConfig(**{field: value})
+
+    def test_immediate_retries_allowed(self):
+        assert RadioConfig(retry_interval=0.0).retry_interval == 0.0
 
 
 class TestPlanningConfig:
@@ -118,6 +153,19 @@ class TestRemindingConfig:
     def test_invalid_values_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
             RemindingConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("stall_sd_factor", -1.0)]
+        + [
+            (field, value)
+            for field in ("stall_timeout", "stall_sd_factor")
+            for value in NON_FINITE
+        ],
+    )
+    def test_non_finite_or_out_of_range_names_the_field(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            RemindingConfig(**{field: value})
 
 
 class TestCoReDAConfig:

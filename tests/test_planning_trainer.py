@@ -414,28 +414,32 @@ class TestTrainingMemo:
 
 
 class TestFusedReplay:
-    """Every trainer-built TD(λ) learner replays through the fused kernel.
+    """Every trainer-built TD(λ) and Dyna-Q learner replays through its
+    fused kernel.
 
-    A count, not a timing: ``TDLambdaQLearner.observe`` is the
-    per-transition path, so any call to it during the report or a
-    cold fleet means some TD(λ) training silently fell back.
+    A count, not a timing: ``TDLambdaQLearner.observe`` and
+    ``DynaQLearner.observe`` are the per-transition paths, so any call
+    to them during the report or a cold fleet means some training
+    silently fell back.
     """
 
     def _count(self, monkeypatch):
-        counts = {"observe": 0, "kernel": 0}
-        observe = TDLambdaQLearner.observe
-        kernel = trainer_module.replay_watkins
-
-        def counting_observe(self, *args, **kwargs):
-            counts["observe"] += 1
-            return observe(self, *args, **kwargs)
-
-        def counting_kernel(*args, **kwargs):
-            counts["kernel"] += 1
-            return kernel(*args, **kwargs)
-
-        monkeypatch.setattr(TDLambdaQLearner, "observe", counting_observe)
-        monkeypatch.setattr(trainer_module, "replay_watkins", counting_kernel)
+        counts = dict.fromkeys(
+            ("observe", "kernel", "dyna_observe", "dyna_kernel"), 0
+        )
+        for learner, key in (
+            (TDLambdaQLearner, "observe"), (DynaQLearner, "dyna_observe")
+        ):
+            monkeypatch.setattr(
+                learner, "observe", _counting(learner.observe, counts, key)
+            )
+        for name, key in (
+            ("replay_watkins", "kernel"), ("replay_dyna", "dyna_kernel")
+        ):
+            monkeypatch.setattr(
+                trainer_module, name,
+                _counting(getattr(trainer_module, name), counts, key),
+            )
         return counts
 
     def test_fast_report_never_observes_per_transition(self, monkeypatch):
@@ -443,6 +447,8 @@ class TestFusedReplay:
         run_all(fast=True)
         assert counts["observe"] == 0
         assert counts["kernel"] > 0
+        assert counts["dyna_observe"] == 0
+        assert counts["dyna_kernel"] > 0
 
     def test_cold_fleet_never_observes_per_transition(self, monkeypatch):
         counts = self._count(monkeypatch)
@@ -453,3 +459,14 @@ class TestFusedReplay:
         run_fleet(spec, jobs=1)
         assert counts["observe"] == 0
         assert counts["kernel"] > 0
+        assert counts["dyna_observe"] == 0
+
+
+def _counting(function, counts, key):
+    """``function``, counting its calls in ``counts[key]``."""
+
+    def counted(*args, **kwargs):
+        counts[key] += 1
+        return function(*args, **kwargs)
+
+    return counted

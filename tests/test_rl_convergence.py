@@ -1,6 +1,8 @@
 """Unit tests for convergence detection."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.rl.convergence import ConvergenceDetector, convergence_iteration
 
@@ -64,3 +66,53 @@ class TestOfflineHelper:
 
     def test_one_based_indexing(self):
         assert convergence_iteration([0.99], 0.95, patience=1) == 1
+
+
+def _streaming(accuracies, criterion, patience):
+    """``convergence_iteration`` through the streaming detector: the
+    result, or the ``ValueError`` message."""
+    try:
+        detector = ConvergenceDetector(criterion=criterion, patience=patience)
+        for accuracy in accuracies:
+            detector.update(accuracy)
+    except ValueError as error:
+        return "error", str(error)
+    return "result", detector.converged_at
+
+
+def _offline(accuracies, criterion, patience):
+    try:
+        return "result", convergence_iteration(accuracies, criterion, patience)
+    except ValueError as error:
+        return "error", str(error)
+
+
+# Mostly in-range values near the criteria, so streaks form; rarely a
+# value outside [0, 1] (NaN and infinities included) anywhere.
+_ACCURACIES = st.lists(
+    st.one_of(
+        st.sampled_from([0.9, 0.95, 0.97, 0.98, 1.0]),
+        st.floats(0.0, 1.0),
+        st.sampled_from([-0.1, 1.5, float("nan"), float("inf")]),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    accuracies=_ACCURACIES,
+    criterion=st.sampled_from([0.0, 0.5, 0.95, 0.98, 1.0, 1.2]),
+    patience=st.integers(0, 5),
+)
+def test_offline_helper_equals_the_streaming_detector(
+    accuracies, criterion, patience
+):
+    assert _offline(accuracies, criterion, patience) == _streaming(
+        accuracies, criterion, patience
+    )
+
+
+def test_a_bad_value_after_convergence_is_still_rejected():
+    with pytest.raises(ValueError, match="got 1.5"):
+        convergence_iteration([0.99, 0.99, 0.99, 0.5, 1.5], 0.95)

@@ -47,11 +47,12 @@ from repro.planning.store import (
     training_document,
 )
 from repro.planning.online import OnlineAdaptation
-from repro.planning.trainer import RoutineTrainer, replay_episode
+from repro.planning.trainer import RoutineTrainer, fused_kernel, replay_episode
 from repro.rl.dense import (
     DenseQTable,
     DenseTraces,
     StateActionIndex,
+    replay_dyna,
     replay_watkins,
 )
 from repro.rl.double_q import DoubleQLearner
@@ -60,7 +61,7 @@ from repro.rl.expected_sarsa import ExpectedSarsaLearner
 from repro.rl.policies import EpsilonGreedyPolicy, SoftmaxPolicy
 from repro.rl.sarsa import SarsaLambdaLearner
 from repro.rl.schedules import ExponentialDecay
-from repro.rl.tdlambda import TDLambdaQLearner, replays_fused
+from repro.rl.tdlambda import TDLambdaQLearner
 from repro.rl.traces import TraceKind
 from repro.resident.routines import noisy_episodes
 from repro.sim.random import seeded_generator
@@ -582,15 +583,24 @@ def _dyna_planning_sweep(q):
     learner._plan(seeded_generator(0), 0.5)
 
 
+#: A two-transition plan over the frozen table's states.
+FROZEN_PLAN = (
+    list(FROZEN_STATES), [[1.0, 2.0], [3.0, 4.0]],
+    [[True, True], [True, True]], [False, True],
+)
+
+
 def _watkins_replay(q):
     learner = TDLambdaQLearner(policy=EpsilonGreedyPolicy(0.0))
     learner.q = q
     learner.traces = DenseTraces(index=q.index)
-    plan = (
-        list(FROZEN_STATES), [[1.0, 2.0], [3.0, 4.0]],
-        [[True, True], [True, True]], [False, True],
-    )
-    replay_watkins(learner, FROZEN_ACTIONS, [plan], seeded_generator(0))
+    replay_watkins(learner, FROZEN_ACTIONS, [FROZEN_PLAN], seeded_generator(0))
+
+
+def _dyna_replay(q):
+    learner = DynaQLearner(planning_steps=2, policy=EpsilonGreedyPolicy(0.0))
+    learner.q = q
+    replay_dyna(learner, FROZEN_ACTIONS, [FROZEN_PLAN], seeded_generator(0))
 
 
 WRITE_ENTRY_POINTS = {
@@ -602,6 +612,7 @@ WRITE_ENTRY_POINTS = {
     "traces.step": _traces_step,
     "dyna.planning_sweep": _dyna_planning_sweep,
     "replay_watkins": _watkins_replay,
+    "replay_dyna": _dyna_replay,
 }
 
 
@@ -803,7 +814,8 @@ def test_fused_kernel_equals_the_per_step_loop(case):
 
 
 def _per_step_plans(learner, actions, plans, rng) -> None:
-    """``select_action`` + ``observe`` over ``replay_watkins`` plans."""
+    """``select_action`` + ``observe`` over fused-kernel plans."""
+    planning = {"rng": rng} if isinstance(learner, DynaQLearner) else {}
     for step, (states, rewards, followed, dones) in enumerate(plans):
         learner.begin_episode()
         for i, done in enumerate(dones):
@@ -814,43 +826,229 @@ def _per_step_plans(learner, actions, plans, rng) -> None:
             learner.observe(
                 states[i], action, rewards[i][j], states[i + 1], actions,
                 done, exploratory=exploratory or not followed[i][j],
+                **planning,
             )
+
+
+def _dyna_model(learner) -> tuple:
+    """A Dyna learner's model, each record's action view as its tuple."""
+    return (
+        list(learner._model.items()),
+        [
+            (sid, aid, reward, next_sid, None if view is None else view.actions)
+            for sid, aid, reward, next_sid, view in learner._outcomes
+        ],
+    )
+
+
+def _kernel_vs_per_step(kind, make_table, plans, make_rng) -> None:
+    """Replay ``plans`` through a fresh ``kind`` learner on
+    ``make_table()`` with the fused kernel and with the per-transition
+    calls; assert every observable equal."""
+    observed = []
+    for fused in (True, False):
+        q = make_table()
+        learner = kind(policy=EpsilonGreedyPolicy(0.3))
+        learner.q = q
+        if kind is TDLambdaQLearner:
+            learner.traces = DenseTraces(index=q.index)
+        rng = make_rng()
+        if fused:
+            fused_kernel(learner)(learner, FROZEN_ACTIONS, plans, rng)
+        else:
+            _per_step_plans(learner, FROZEN_ACTIONS, plans, rng)
+        learned = (
+            (list(learner.traces._pairs), _bits(learner.traces._e))
+            if kind is TDLambdaQLearner
+            else (_dyna_model(learner), learner.planning_updates)
+        )
+        observed.append((
+            q.as_array().tobytes(), bytes(q._written), q.index.states,
+            learned, learner.updates, q.version,
+            # Where the generator stands, its buffered 32-bit half
+            # included (an MT19937 state holds arrays).
+            rng.integers(1 << 30, size=3).tolist(), rng.random(3).tolist(),
+        ))
+    assert observed[0] == observed[1], kind.__name__
+
+
+#: A two-transition plan whose prompts are sometimes not followed.
+SHORT_PLAN = (
+    list(FROZEN_STATES), [[1.0, 2.0], [3.0, 4.0]],
+    [[True, False], [False, True]], [False, True],
+)
 
 
 def test_fused_kernel_rebinds_when_the_stride_grows():
     """A frozen table's stride is its action count, so the growth that
-    new states force widens it: plans bound before must re-gather."""
-    short = (
-        list(FROZEN_STATES), [[1.0, 2.0], [3.0, 4.0]],
-        [[True, False], [False, True]], [False, True],
-    )
+    new states force widens it: plans bound before must re-gather, and
+    Dyna's model records be laid out again."""
     fresh = [f"n{i}" for i in range(20)]
     long = (fresh, [[0.5, 1.5]] * 19, [[True, True]] * 19, [False] * 19)
-    observed = []
-    for fused in (True, False):
-        q, _, _ = _frozen_table()
-        learner = TDLambdaQLearner(policy=EpsilonGreedyPolicy(0.3))
-        learner.q = q
-        learner.traces = DenseTraces(index=q.index)
-        rng = seeded_generator(5)
-        plans = [short, long, short, short]
-        if fused:
-            replay_watkins(learner, FROZEN_ACTIONS, plans, rng)
-        else:
-            _per_step_plans(learner, FROZEN_ACTIONS, plans, rng)
-        observed.append((
-            q.as_array().tobytes(), bytes(q._written), q.index.states,
-            list(learner.traces._pairs), _bits(learner.traces._e),
-            learner.updates, q.version, rng.bit_generator.state,
-        ))
-    assert observed[0] == observed[1]
+    for kind in (TDLambdaQLearner, DynaQLearner):
+        _kernel_vs_per_step(
+            kind, lambda: _frozen_table()[0],
+            [SHORT_PLAN, long, SHORT_PLAN, SHORT_PLAN],
+            lambda: seeded_generator(5),
+        )
+
+
+def test_fused_kernels_take_any_bit_generator():
+    """The kernels decode a PCG64 generator's words themselves; any
+    other bit generator keeps numpy's calls, to the same effect."""
+    for kind in (TDLambdaQLearner, DynaQLearner):
+        _kernel_vs_per_step(
+            kind, DenseQTable, [SHORT_PLAN] * 30,
+            lambda: np.random.Generator(np.random.MT19937(6)),
+        )
 
 
 def test_fused_dispatch_is_on_exact_types():
-    assert replays_fused(TDLambdaQLearner())
-    assert not replays_fused(SparseTDLambdaQLearner())
-    assert not replays_fused(TDLambdaQLearner(policy=SoftmaxPolicy(1.0)))
-    assert not replays_fused(
-        TDLambdaQLearner(learning_rate=ExponentialDecay(0.5, 0.9))
+    assert fused_kernel(TDLambdaQLearner()) is replay_watkins
+    assert fused_kernel(DynaQLearner()) is replay_dyna
+    for learner in (
+        SparseTDLambdaQLearner(),
+        SparseDynaQLearner(),
+        TDLambdaQLearner(policy=SoftmaxPolicy(1.0)),
+        DynaQLearner(policy=SoftmaxPolicy(1.0)),
+        TDLambdaQLearner(learning_rate=ExponentialDecay(0.5, 0.9)),
+        DynaQLearner(learning_rate=ExponentialDecay(0.5, 0.9)),
+        SarsaLambdaLearner(),
+        ExpectedSarsaLearner(),
+        DoubleQLearner(),
+    ):
+        assert fused_kernel(learner) is None, learner
+
+
+# ---------------------------------------------------------------------------
+# The fused Dyna-Q kernel against the per-transition loop
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _dyna_cases(draw):
+    name = draw(st.sampled_from(["tea-making", "dressing"]))
+    adl, ids, reordered, specials = _routines(name)
+    return {
+        "adl": name,
+        "planning_steps": draw(st.sampled_from([0, 1, 5, 20])),
+        "epsilon": draw(
+            st.sampled_from([0.0, 0.3, ExponentialDecay(0.5, 0.9)])
+        ),
+        "initial_q": draw(st.sampled_from([0.0, 1000.0])),
+        "seed": draw(st.integers(0, 2**16)),
+        "logs": [
+            _log(draw, adl, ids, specials),
+            _log(draw, adl, reordered, specials),
+        ],
+        "online": draw(
+            st.lists(st.sampled_from([ids, reordered, [ids[0], ids[-1]]]),
+                     min_size=1, max_size=4)
+        ),
+    }
+
+
+def _dyna_case(case, path: str) -> dict:
+    """Train twice, adapt online; return every observable.
+
+    ``path`` is ``"fused"``, ``"per-step"`` or ``"sparse"``, as in
+    :func:`_replay_case`.  The sparse oracle's table and model are
+    keyed by states and actions, so the dense ones are mapped to the
+    same form for the comparison.
+    """
+    adl, ids, reordered, _ = _routines(case["adl"])
+    config = PlanningConfig(initial_q=case["initial_q"])
+    kwargs = dict(
+        learning_rate=config.learning_rate, discount=config.discount,
+        planning_steps=case["planning_steps"],
+        policy=EpsilonGreedyPolicy(copy.deepcopy(case["epsilon"])),
+        initial_q=config.initial_q,
     )
-    assert not replays_fused(DynaQLearner())
+    learner = (
+        SparseDynaQLearner(**kwargs) if path == "sparse"
+        else DynaQLearner(**kwargs)
+    )
+    trainer = RoutineTrainer(
+        adl, config, learner=learner, rng=seeded_generator(case["seed"])
+    )
+    if path == "per-step":
+        trainer._replay = functools.partial(per_step_replay, trainer)
+    curves = [
+        copy.deepcopy(trainer.train(log, routine=Routine(adl, routine)).curve)
+        for log, routine in zip(case["logs"], (ids, reordered))
+    ]
+    adaptation = OnlineAdaptation(
+        adl, learner, config, rng=seeded_generator(case["seed"] + 1),
+        epsilon=0.2,
+    )
+    replay = per_step_replay_episode if path == "per-step" else replay_episode
+    with mock.patch.object(online_module, "replay_episode", replay):
+        for episode in case["online"]:
+            previous = 0
+            for step in episode:
+                adaptation.on_step(StepEvent(0.0, step, previous))
+                previous = step
+    q = learner.q
+    if path == "sparse":
+        cells = dict(q._q)
+        model = [
+            (pair, outcome[:3])
+            for pair, outcome in zip(learner._known_pairs, learner._outcomes)
+        ]
+    else:
+        states, actions, cols = q.index.states, q.index.actions, q._cols
+        cells = {
+            (states[off // cols], actions[off % cols]): q._flat[off]
+            for off, flag in enumerate(q._written) if flag
+        }
+        model = [
+            (
+                (states[sid], actions[aid]),
+                (reward, states[next_sid], view is None),
+            )
+            for sid, aid, reward, next_sid, view in learner._outcomes
+        ]
+    observed = {
+        "curves": curves,
+        "rng": (
+            trainer._rng.bit_generator.state,
+            adaptation._rng.bit_generator.state,
+        ),
+        "counters": (
+            learner.updates, learner.planning_updates, learner.episodes,
+            q.version,
+        ),
+        "online": (adaptation.episodes_learned, adaptation.recent_accuracy),
+        "cells": cells,
+        "model": model,
+    }
+    if path != "sparse":
+        observed.update(
+            states=list(q.index.states),
+            actions=list(q.index.actions),
+            flat=_bits(q._flat),
+            written=bytes(q._written),
+            records=_dyna_model(learner),
+        )
+    return observed
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=_dyna_cases())
+@example(
+    # The tour grows the table past the plan bound before it, with a
+    # planning sweep over the records laid out for the old rows.
+    case={
+        "adl": "dressing", "planning_steps": 5, "epsilon": 0.3,
+        "initial_q": 1000.0, "seed": 1,
+        "logs": [[_DRESSING[1], _DRESSING[3][-1], _DRESSING[1]],
+                 [_DRESSING[2]]],
+        "online": [_DRESSING[1]],
+    }
+)
+def test_fused_dyna_kernel_equals_the_per_step_loop(case):
+    fused = _dyna_case(case, "fused")
+    per_step = _dyna_case(case, "per-step")
+    assert fused == per_step
+    sparse = _dyna_case(case, "sparse")
+    assert {key: fused[key] for key in sparse} == sparse

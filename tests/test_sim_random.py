@@ -1,6 +1,16 @@
-"""Unit tests for named random streams."""
+"""Unit tests for named random streams and decoded generator draws."""
 
-from repro.sim.random import RandomStreams, derive_seed
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.sim.random import (
+    Pcg64Draws,
+    RandomStreams,
+    derive_seed,
+    generator_draws,
+)
 
 
 class TestDeriveSeed:
@@ -56,3 +66,92 @@ class TestRandomStreams:
         streams.get("b")
         streams.get("a")
         assert streams.spawned() == 2
+
+
+# Ranges: one value (draws nothing), small ones, one that rejects about
+# half its attempts, and the full 32-bit range.
+_RANGES = st.sampled_from([1, 2, 3, 8, 13, 1000, 2**31 + 1, 2**32 - 1, 2**32])
+_OPS = st.lists(
+    st.one_of(
+        st.just(("random",)),
+        st.tuples(st.just("integers"), _RANGES, st.integers(0, 70)),
+    ),
+    max_size=30,
+)
+
+
+def _replay(draws, ops):
+    out = []
+    for op in ops:
+        if op[0] == "random":
+            out.append(draws.random())
+        else:
+            out.append(draws.integers(op[1], op[2]))
+    return out
+
+
+class _Numpy:
+    """The reference: numpy's own calls."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def random(self):
+        return self.rng.random()
+
+    def integers(self, n, k):
+        return self.rng.integers(n, size=k).tolist()
+
+
+class TestGeneratorDraws:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32),
+        # An odd number of 32-bit draws leaves a half buffered.
+        lead=st.integers(0, 3),
+        reserve=st.sampled_from([0, 1, 5, 200]),
+        ops=_OPS,
+    )
+    def test_pcg64_draws_replay_numpy_and_its_end_state(
+        self, seed, lead, reserve, ops
+    ):
+        expected_rng = np.random.default_rng(seed)
+        decoded_rng = np.random.default_rng(seed)
+        for rng in (expected_rng, decoded_rng):
+            rng.integers(7, size=lead)
+        draws = generator_draws(decoded_rng, reserve)
+        assert type(draws) is Pcg64Draws
+        decoded = _replay(draws, ops)
+        draws.close()
+        assert decoded == _replay(_Numpy(expected_rng), ops)
+        assert (
+            decoded_rng.bit_generator.state
+            == expected_rng.bit_generator.state
+        )
+
+    def test_other_bit_generators_take_numpy_calls(self):
+        ops = [("random",), ("integers", 9, 5), ("integers", 1, 3)]
+        expected = np.random.Generator(np.random.MT19937(4))
+        rng = np.random.Generator(np.random.MT19937(4))
+        draws = generator_draws(rng, 10)
+        assert not isinstance(draws, Pcg64Draws)
+        assert _replay(draws, ops) == _replay(_Numpy(expected), ops)
+        draws.close()
+        # Both generators continue alike (MT19937's state holds arrays).
+        assert rng.random(5).tolist() == expected.random(5).tolist()
+
+    def test_close_rewinds_an_unused_draw_ahead(self):
+        rng = np.random.default_rng(3)
+        before = rng.bit_generator.state
+        generator_draws(rng, 500).close()
+        assert rng.bit_generator.state == before
+
+    @pytest.mark.parametrize("n", [2, 2**31 + 1])
+    def test_a_long_run_outlasts_the_reserve(self, n):
+        expected = np.random.default_rng(8)
+        rng = np.random.default_rng(8)
+        draws = generator_draws(rng, 1)
+        expected_values = expected.integers(n, size=300).tolist()
+        assert draws.integers(n, 300) == expected_values
+        draws.close()
+        assert rng.bit_generator.state == expected.bit_generator.state
