@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Sequence
 
 from repro.adls.library import ADLDefinition
-from repro.core.adl import Routine
+from repro.core.adl import ADL, Routine
 from repro.core.bus import EventBus
 from repro.core.config import CoReDAConfig
 from repro.core.errors import CoReDAError
@@ -47,7 +47,12 @@ from repro.sim.kernel import Simulator
 from repro.sim.random import RandomStreams
 from repro.sim.tracing import TraceRecorder
 
-__all__ = ["CoReDA"]
+__all__ = ["CoReDA", "system_streams"]
+
+
+def system_streams(streams: RandomStreams, adl: ADL) -> RandomStreams:
+    """The stream family of ``adl``'s deployment under ``streams``."""
+    return streams.fork(f"system.{adl.name}")
 
 
 class CoReDA:
@@ -74,7 +79,7 @@ class CoReDA:
         self.sim = sim if sim is not None else Simulator()
         if streams is None:
             streams = RandomStreams(self.config.seed)
-        self.streams = streams.fork(f"system.{self.adl.name}")
+        self.streams = system_streams(streams, self.adl)
         self.trace = trace if trace is not None else TraceRecorder()
         self.bus = EventBus()
         self.network = SensorNetwork(

@@ -41,6 +41,7 @@ from repro.evalx.parallel import Cell, Section, run_sections
 from repro.evalx.predict_precision import plan_predict_precision
 from repro.evalx.scenario import run_tea_scenario
 from repro.evalx.sensitivity import plan_alpha_sweep, plan_epsilon_sweep
+from repro.planning.store import PolicyCache
 from repro.planning.trainer import training_memo
 
 __all__ = ["ReportMerge", "run_all", "build_sections", "write_report"]
@@ -276,8 +277,11 @@ def run_all(
     several sections ask for the same training (the default
     tea-making policy alone is requested about ten times), and each
     distinct one is trained once per run.  ``--jobs`` workers train
-    unshared.
+    unshared.  With ``cache_dir``, temps left by writers that died
+    mid-put are swept once, here; cells never sweep.
     """
+    if cache_dir is not None:
+        PolicyCache(cache_dir).sweep_stale_temps()
     sections = build_sections(
         fast=fast, include_ablations=include_ablations, cache_dir=cache_dir
     )

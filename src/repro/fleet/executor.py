@@ -31,13 +31,13 @@ import shutil
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.adls.library import ADLDefinition, default_registry
 from repro.core.config import CoReDAConfig
 from repro.core.errors import CoReDAError
 from repro.evalx.parallel import Cell, WorkerPool, run_cells
-from repro.fleet.home import HomeRuntime, train_home_policy
+from repro.fleet.home import HomeRuntime, restore_memo, train_home_policy
 from repro.fleet.metrics import FleetMetrics
 from repro.fleet.shard import simulate_shard
 from repro.fleet.spec import FleetSpec, HomeSpec, distinct_trainings
@@ -102,11 +102,14 @@ def _train_cell(
     config: CoReDAConfig,
     training_episodes: int,
     cache_dir: str,
+    cache_key: str,
 ) -> Tuple[int, int]:
     """Wave-1 worker: train one distinct routine into the cache."""
     definition = default_registry().get(adl_name)
     cache = PolicyCache(cache_dir)
-    train_home_policy(definition, home, config, training_episodes, cache)
+    train_home_policy(
+        definition, home, config, training_episodes, cache, key=cache_key
+    )
     return cache.stats()
 
 
@@ -117,6 +120,7 @@ def _shard_cell(
     episodes: int,
     training_episodes: int,
     cache_dir: str,
+    cache_keys: Dict[tuple, str],
 ) -> Tuple[FleetMetrics, int, int]:
     """Wave-2 worker: simulate one shard of homes.
 
@@ -127,10 +131,14 @@ def _shard_cell(
     The shard's :class:`~repro.fleet.home.HomeRuntime` resolves
     policies through the shared-memory arena installed by the pool
     initializer, falling back to the mmap'd sidecar, then JSON.
+    ``cache_keys`` maps each training key of the fleet to its cache
+    key, computed once in the parent.
     """
     definition = default_registry().get(adl_name)
     cache = PolicyCache(cache_dir)
-    runtime = HomeRuntime(definition, config, training_episodes, cache)
+    runtime = HomeRuntime(
+        definition, config, training_episodes, cache, cache_keys=cache_keys
+    )
     metrics = FleetMetrics()
     for report in simulate_shard(
         definition, homes, config, episodes, training_episodes, cache,
@@ -214,7 +222,8 @@ def run_fleet(
     worker serves it zero-copy.  Metrics and cache accounting are
     byte-identical to restoring every policy from its JSON document
     (``tests/oracles/fleet.py`` keeps that path, and the tests pin
-    the two against each other).
+    the two against each other).  Each process restores a distinct
+    training once per run (:func:`~repro.fleet.home.restore_memo`).
     """
     definition = default_registry().get(spec.adl_name)
     if config is None:
@@ -225,17 +234,27 @@ def run_fleet(
     own_cache = cache_dir is None
     if own_cache:
         cache_dir = tempfile.mkdtemp(prefix="repro-fleet-cache-")
+    else:
+        # The run's one sweep for temps of writers that died mid-put;
+        # cells never sweep.
+        PolicyCache(cache_dir).sweep_stale_temps()
     metrics = FleetMetrics()
     cache_keys = _fleet_cache_keys(
         definition, representatives, config, spec.training_episodes
     )
+    keys_by_training = {
+        home.training_key: key
+        for home, key in zip(representatives, cache_keys)
+    }
     arena = PolicyArena(tag=f"{os.getpid()}.{next(_ARENA_SEQUENCE)}")
     # Segment names are deterministic in the cache keys, so the worker
     # registry exists before wave 1 trains anything and rides in the
     # pool initializer -- cell payloads stay scalar.
     registry = {key: arena.segment_name(key) for key in cache_keys}
     try:
-        with WorkerPool(
+        # The memo opens before the pool forks, so each worker process
+        # fills its own copy for this run.
+        with restore_memo(), WorkerPool(
             jobs, initializer=install_worker_registry, initargs=(registry,)
         ) as pool:
             train_cells = [
@@ -247,10 +266,13 @@ def run_fleet(
                         config,
                         spec.training_episodes,
                         cache_dir,
+                        key,
                     ),
                     label=f"fleet.train[{index}]",
                 )
-                for index, home in enumerate(representatives)
+                for index, (home, key) in enumerate(
+                    zip(representatives, cache_keys)
+                )
             ]
             train_stats, _ = run_cells(
                 train_cells, jobs=jobs, window=window, pool=pool
@@ -267,6 +289,7 @@ def run_fleet(
                         spec.episodes_per_home,
                         spec.training_episodes,
                         cache_dir,
+                        keys_by_training,
                     ),
                     label=f"fleet.shard[{index}]",
                 )

@@ -15,12 +15,13 @@ below, so they cannot drift apart.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from contextlib import contextmanager
+from typing import Callable, Dict, Iterator, Optional, Sequence, Tuple
 
 from repro.adls.library import ADLDefinition
 from repro.core.adl import ReminderLevel, Routine
 from repro.core.config import CoReDAConfig
-from repro.core.system import CoReDA
+from repro.core.system import CoReDA, system_streams
 from repro.fleet.metrics import HomeReport
 from repro.fleet.spec import HomeSpec
 from repro.planning.shm import arena_artifact
@@ -34,10 +35,13 @@ from repro.resident.compliance import ComplianceModel
 from repro.resident.dementia import DementiaProfile
 from repro.resident.model import EpisodeOutcome
 from repro.sim.kernel import Simulator
+from repro.sim.random import RandomStreams, StreamBatch
 from repro.sim.tracing import TraceRecorder
 
 __all__ = [
     "HomeRuntime",
+    "home_stream_batch",
+    "restore_memo",
     "train_home_policy",
     "resolve_home_predictor",
     "build_home_deployment",
@@ -66,7 +70,14 @@ class HomeRuntime:
     training, so results are byte-identical whichever tier answers,
     and each successful restore counts exactly one cache hit -- the
     hit/miss accounting cannot depend on the tier or the shard
-    layout.
+    layout.  A runtime built inside :func:`restore_memo` shares its
+    restored policies with the other shards of the run in this
+    process.
+
+    ``cache_keys`` maps training keys to their content-addressed
+    cache keys when the caller already computed them (the fleet
+    executor does, once per distinct training); a missing key is
+    computed here.
     """
 
     __slots__ = (
@@ -88,6 +99,7 @@ class HomeRuntime:
         config: CoReDAConfig,
         training_episodes: int,
         cache: Optional[PolicyCache] = None,
+        cache_keys: Optional[Dict[tuple, str]] = None,
     ) -> None:
         self.definition = definition
         self.config = config
@@ -97,8 +109,9 @@ class HomeRuntime:
         self._reliable: Optional[dict] = None
         self._compliance: Dict[Tuple[float, float, float], ComplianceModel] = {}
         self._profiles: Dict[float, DementiaProfile] = {}
-        self._predictors: dict = {}
-        self._cache_keys: Dict[tuple, str] = {}
+        # The run's memo when one is open, so shards share restores.
+        self._predictors: dict = _RESTORED if _RESTORED is not None else {}
+        self._cache_keys: Dict[tuple, str] = dict(cache_keys or {})
 
     def routine(self, home: HomeSpec) -> Routine:
         """The home's routine (immutable, shared across homes)."""
@@ -146,22 +159,27 @@ class HomeRuntime:
             self._cache_keys[home.training_key] = key
         return key
 
-    def predictor(self, home: HomeSpec):
-        """The home's restored policy, decoded once per training key.
+    def predictor(self, home: HomeSpec, wrap: Optional[Callable] = None):
+        """The home's restored policy, decoded once per training key --
+        once per run in this process inside :func:`restore_memo`.
 
+        ``wrap`` (a module-level callable) is applied once to the
+        restored policy, and the wrapped policy is what is shared.
         Memoized reuse still counts as a cache hit -- the policy *was*
         served from that cache entry, and the counters must not depend
         on how homes were grouped (see
         :meth:`~repro.planning.store.PolicyCache.stats`).
         """
-        key = home.training_key
+        key = (self.cache_key(home), wrap)
         predictor = self._predictors.get(key)
-        if predictor is not None:
-            if self.cache is not None:
-                self.cache.hits += 1
-            return predictor
-        predictor = self._resolve(home)
-        self._predictors[key] = predictor
+        if predictor is None:
+            # A restore counts its own hit or miss.
+            predictor = self._resolve(home)
+            if wrap is not None:
+                predictor = wrap(predictor)
+            self._predictors[key] = predictor
+        elif self.cache is not None:
+            self.cache.hits += 1
         return predictor
 
     def _resolve(self, home: HomeSpec):
@@ -181,8 +199,61 @@ class HomeRuntime:
                 artifact, self.config.planning
             ).predictor(adl)
         return resolve_home_predictor(
-            self.definition, home, self.config, self.training_episodes, cache
+            self.definition, home, self.config, self.training_episodes, cache,
+            key=key,
         )
+
+
+#: Restored policies by (cache key, wrap) for the run in progress in
+#: this process (see :func:`restore_memo`); ``None`` outside a run.
+_RESTORED: Optional[Dict[tuple, object]] = None
+
+
+@contextmanager
+def restore_memo() -> Iterator[None]:
+    """Restore each distinct training once per process for the block.
+
+    A :class:`HomeRuntime` built in the block keeps its restored
+    policies in the memo, so :meth:`HomeRuntime.predictor` serves
+    every shard after the first from it, counting the same cache hit
+    a restore would.  The
+    fleet executor opens one per run before its workers start, so a
+    forked worker fills its own copy; the memo is dropped on exit, so
+    the next run restores afresh (and no policy outlives the arena
+    that may back it).
+    """
+    global _RESTORED
+    outer = _RESTORED
+    _RESTORED = {}
+    try:
+        yield
+    finally:
+        _RESTORED = outer
+
+
+def _resident_name(home: HomeSpec, episode: int) -> str:
+    return f"home-{home.home_id}.{episode}"
+
+
+def home_stream_batch(
+    definition: ADLDefinition, homes: Sequence[HomeSpec], episodes: int
+) -> StreamBatch:
+    """Every random stream of ``homes`` and their residents, seeded in
+    one batch: each home's radio, one signal per tool, and one
+    resident per episode (``tests/test_fleet.py`` checks the list is
+    complete; a stream it missed would still be seeded exactly, on
+    its own)."""
+    adl = definition.adl
+    names = ["radio"] + [f"signal.{tool.tool_id}" for tool in adl.tools]
+    requests = []
+    for home in homes:
+        master = system_streams(RandomStreams(home.seed), adl).master_seed
+        requests.extend((master, name) for name in names)
+        requests.extend(
+            (master, f"resident.{_resident_name(home, episode)}")
+            for episode in range(episodes)
+        )
+    return StreamBatch(requests)
 
 
 def train_home_policy(
@@ -191,6 +262,7 @@ def train_home_policy(
     config: CoReDAConfig,
     training_episodes: int,
     cache: Optional[PolicyCache],
+    key: Optional[str] = None,
 ):
     """Resolve the home's trained policy via the content cache.
 
@@ -198,6 +270,7 @@ def train_home_policy(
     the same key, so only the first resolver trains; the executor
     pre-warms the cache with one wave over the distinct trainings to
     make that first resolver a dedicated cell rather than a race.
+    ``key`` is the training's cache key, when the caller has it.
     """
     return train_routine_cached(
         definition.adl,
@@ -206,6 +279,7 @@ def train_home_policy(
         home.train_seed,
         training_episodes,
         cache=cache,
+        key=key,
     )
 
 
@@ -215,6 +289,7 @@ def resolve_home_predictor(
     config: CoReDAConfig,
     training_episodes: int,
     cache: Optional[PolicyCache],
+    key: Optional[str] = None,
 ):
     """The home's deployed policy, restored through the cache.
 
@@ -224,7 +299,7 @@ def resolve_home_predictor(
     (a shared-kernel shard does) without perturbing a single byte.
     """
     cached = train_home_policy(
-        definition, home, config, training_episodes, cache
+        definition, home, config, training_episodes, cache, key=key
     )
     return cached.predictor(definition.adl)
 
@@ -237,6 +312,7 @@ def build_home_deployment(
     cache: Optional[PolicyCache],
     sim: Optional[Simulator] = None,
     predictor=None,
+    streams: Optional[StreamBatch] = None,
 ) -> CoReDA:
     """One home's live deployment, policy resolved and deployed.
 
@@ -246,7 +322,9 @@ def build_home_deployment(
     event *content* is identical -- only the queue it shares differs.
     ``predictor`` skips the per-home cache restore when the caller
     already holds the home's policy (see
-    :func:`resolve_home_predictor`).
+    :func:`resolve_home_predictor`).  ``streams`` seeds the home's
+    random streams from a batch (:func:`home_stream_batch`); the draws
+    are the same without one.
 
     The home records no trace: a fleet reads nothing from it, and the
     report's counts come from the residents' episode outcomes.  Set
@@ -260,6 +338,7 @@ def build_home_deployment(
         definition,
         config.with_seed(home.seed),
         sim=sim,
+        streams=RandomStreams(home.seed, streams),
         trace=TraceRecorder(enabled=False),
     )
     system.deploy_predictor(predictor)
@@ -308,7 +387,7 @@ def create_home_resident(
         compliance=compliance,
         handling_overrides=reliable,
         error_use_duration=5.0,
-        name=f"home-{home.home_id}.{episode}",
+        name=_resident_name(home, episode),
     )
 
 

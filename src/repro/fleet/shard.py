@@ -58,6 +58,7 @@ from repro.fleet.home import (
     build_home_deployment,
     create_home_resident,
     harvest_home_report,
+    home_stream_batch,
 )
 from repro.fleet.metrics import HomeReport
 from repro.fleet.spec import HomeSpec
@@ -65,6 +66,7 @@ from repro.planning.store import PolicyCache
 from repro.resident.model import EpisodeOutcome
 from repro.rl.batch import ShardPredictor
 from repro.sim.kernel import Simulator
+from repro.sim.random import StreamBatch
 
 __all__ = ["ShardSimulator", "simulate_shard"]
 
@@ -162,13 +164,28 @@ class _HomeRun:
         self.shard._finished(self)
 
 
+def _shard_predictor(predictor) -> ShardPredictor:
+    """The shard-wide form of a restored policy.
+
+    :meth:`HomeRuntime.predictor` applies it once per distinct
+    training (per run, inside the executor's restore memo), so the
+    full greedy-policy table is precomputed off the simulated clock
+    and every per-step prediction inside the shared kernel is a
+    single array index (byte-identical answers; see
+    docs/architecture.md).
+    """
+    return ShardPredictor(predictor).precompute()
+
+
 class ShardSimulator:
     """All homes of one fleet shard on a single event kernel.
 
     Build it, :meth:`load` every home, then :meth:`run`.  Reports
     come back in load order regardless of which home finishes first,
     so the shard's Welford merge order -- and therefore the fleet
-    metrics -- match a home-by-home run byte for byte.
+    metrics -- match a home-by-home run byte for byte.  ``streams``
+    seeds the homes' random streams in one batch
+    (:func:`~repro.fleet.home.home_stream_batch`).
     """
 
     #: Simulated seconds per fused ``run_until`` segment of :meth:`run`.
@@ -181,13 +198,14 @@ class ShardSimulator:
         self,
         config: CoReDAConfig,
         runtime: Optional[HomeRuntime] = None,
+        streams: Optional[StreamBatch] = None,
     ) -> None:
         self.config = config
         self.sim = Simulator()
         self._runs: List[_HomeRun] = []
         self._active = 0
         self._runtime = runtime
-        self._predictors: dict = {}
+        self._streams = streams
 
     def load(
         self,
@@ -204,39 +222,16 @@ class ShardSimulator:
             runtime = self._runtime = HomeRuntime(
                 definition, self.config, training_episodes, cache
             )
-        predictor = self._resolve_predictor(runtime, home)
+        predictor = runtime.predictor(home, wrap=_shard_predictor)
         system = build_home_deployment(
             definition, home, self.config, training_episodes, cache,
-            sim=self.sim, predictor=predictor,
+            sim=self.sim, predictor=predictor, streams=self._streams,
         )
         system.start()
         run = _HomeRun(self, home, system, episodes, horizon, runtime)
         self._runs.append(run)
         self._active += 1
         run.begin_episode()
-
-    def _resolve_predictor(self, runtime: HomeRuntime, home: HomeSpec):
-        """One policy restore per distinct training per shard.
-
-        The runtime memoizes the decoded policy per training key (one
-        disk/shared-memory restore per shard) and
-        keeps the hit/miss counters shard-layout-independent: memoized
-        reuse still counts as a cache hit, because the policy *was*
-        served from that cache entry.
-
-        The shared predictor is wrapped in a :class:`~repro.rl.batch.
-        ShardPredictor`: its full greedy-policy table is precomputed
-        here, once per distinct training per shard, so every per-step
-        prediction inside the shared kernel is a single array index
-        (byte-identical answers; see docs/architecture.md).
-        """
-        predictor = runtime.predictor(home)
-        key = home.training_key
-        wrapped = self._predictors.get(key)
-        if wrapped is None:
-            wrapped = ShardPredictor(predictor).precompute()
-            self._predictors[key] = wrapped
-        return wrapped
 
     def _finished(self, run: _HomeRun) -> None:
         self._active -= 1
@@ -294,7 +289,11 @@ def simulate_shard(
     enabled = gc.isenabled()
     gc.disable()
     try:
-        shard = ShardSimulator(config, runtime=runtime)
+        shard = ShardSimulator(
+            config,
+            runtime=runtime,
+            streams=home_stream_batch(definition, homes, episodes),
+        )
         for home in homes:
             shard.load(
                 definition, home, episodes, training_episodes, cache, horizon

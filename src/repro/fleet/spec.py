@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from repro.adls.library import ADLDefinition
-from repro.resident.population import generate_population
+from repro.resident.population import check_cohort_bounds, generate_population
 from repro.sim.random import RandomStreams, derive_seed
 
 __all__ = ["HomeSpec", "FleetSpec", "distinct_trainings"]
@@ -86,6 +86,7 @@ class FleetSpec:
             raise ValueError("seed_classes must be positive")
         if self.shard_size <= 0:
             raise ValueError("shard_size must be positive")
+        check_cohort_bounds(self.min_age, self.max_age, self.max_severity)
 
     def home_seed(self, home_id: int) -> int:
         """The live-simulation seed of home ``home_id``.

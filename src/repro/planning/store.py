@@ -228,9 +228,12 @@ class PolicyCache:
     """A directory of training documents addressed by content key.
 
     Safe under concurrent writers (the parallel runner's worker
-    processes): documents are written to a temporary file and moved
-    into place atomically, and two workers racing on the same key
-    write identical bytes anyway.
+    processes): documents are written to a temporary file named after
+    the writing process and moved into place atomically, and two
+    workers racing on the same key write identical bytes anyway.  A
+    temp is left behind only by a writer that died mid-put;
+    :meth:`sweep_stale_temps` removes those, and never a live
+    writer's.
     """
 
     def __init__(self, root: Union[str, Path]) -> None:
@@ -249,16 +252,17 @@ class PolicyCache:
         # (same-content rewrites are the norm, but correctness must
         # not rely on that).
         self._memo: Dict[str, Tuple[Tuple[int, int, int], dict]] = {}
-        self._sweep_stale_temps()
 
-    def _sweep_stale_temps(self) -> None:
-        """Remove temp files left behind by a writer that crashed mid-put.
+    def sweep_stale_temps(self) -> None:
+        """Remove temp files left behind by writers that died mid-put.
 
-        A temp is only visible here if ``put`` died between ``mkstemp``
-        and ``os.replace``; a racing live writer loses its temp at
-        worst, and ``put`` recovers by retrying with a fresh one.
+        A temp is named ``.tmp-<pid>-*``; one whose process is still
+        alive belongs to a live writer and is kept.  Runs call this
+        once, in the parent, before their first wave.
         """
         for stale in sorted(self.root.glob(".tmp-*")):
+            if _writer_alive(stale.name):
+                continue
             try:
                 stale.unlink()
             except OSError:
@@ -360,28 +364,19 @@ class PolicyCache:
         # The ``.part`` suffix keeps in-flight temps out of ``*.json``
         # globs (pathlib's ``*`` matches a leading dot, so a crashed
         # writer's ``.tmp-*.json`` leftover used to inflate __len__).
-        while True:
-            fd, tmp = tempfile.mkstemp(
-                dir=str(self.root), prefix=".tmp-", suffix=".part"
-            )
+        fd, tmp = tempfile.mkstemp(
+            dir=str(self.root), prefix=f".tmp-{os.getpid()}-", suffix=".part"
+        )
+        try:
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(blob)
+            os.replace(tmp, path)
+        except BaseException:
             try:
-                with os.fdopen(fd, "wb") as handle:
-                    handle.write(blob)
-                os.replace(tmp, path)
-                return
-            except FileNotFoundError:
-                # A concurrent __init__ swept our temp between write
-                # and rename.  Every worker cell constructs its own
-                # cache, so more than one sweep can race one write;
-                # each sweep runs once, so retrying with a fresh temp
-                # ends.  (A vanished directory fails ``mkstemp``.)
-                continue
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
 
     def stats(self) -> Tuple[int, int]:
         """This process's ``(hits, misses)`` counters.
@@ -399,6 +394,20 @@ class PolicyCache:
             for path in self.root.glob("*.json")
             if not path.name.startswith(".")
         )
+
+
+def _writer_alive(name: str) -> bool:
+    """Whether the process named in temp file ``name`` still runs."""
+    pid = name[len(".tmp-"):].partition("-")[0]
+    if not pid.isdigit() or int(pid) == 0:
+        return False
+    try:
+        os.kill(int(pid), 0)
+    except ProcessLookupError:
+        return False
+    except OSError:
+        return True  # alive, but another user's
+    return True
 
 
 @dataclass
@@ -498,19 +507,24 @@ def train_routine_cached(
     criteria: Sequence[float] = (0.95, 0.98),
     cache: Optional[PolicyCache] = None,
     learner_spec: Optional[Tuple] = None,
+    key: Optional[str] = None,
 ) -> CachedTraining:
     """Train a routine -- or reuse the cached, identical training.
 
     The cache key covers every input the training depends on; on a
     hit the convergence map is recomputed from the cached smoothed
     curve with the same detector the trainer uses, so any criteria
-    can be asked of a shared entry.
+    can be asked of a shared entry.  ``key`` passes in the
+    :func:`training_cache_key` of these inputs when the caller
+    already computed it.
     """
     routine_ids = [int(step) for step in routine_ids]
     learner, learner_key = _build_learner(config, learner_spec)
-    key = training_cache_key(
-        adl.name, routine_ids, config, rng_seed, episodes, learner=learner_key
-    )
+    if key is None:
+        key = training_cache_key(
+            adl.name, routine_ids, config, rng_seed, episodes,
+            learner=learner_key,
+        )
     document = cache.get(key) if cache is not None else None
     if document is None:
         trainer = RoutineTrainer(

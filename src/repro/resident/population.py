@@ -18,7 +18,7 @@ from repro.resident.dementia import DementiaProfile
 from repro.resident.routines import personalized_routine
 from repro.sim.random import RandomStreams
 
-__all__ = ["ResidentProfile", "generate_population"]
+__all__ = ["ResidentProfile", "check_cohort_bounds", "generate_population"]
 
 
 @dataclass(frozen=True)
@@ -31,6 +31,19 @@ class ResidentProfile:
     routine: Routine
     dementia: DementiaProfile
     compliance: ComplianceModel
+
+
+def check_cohort_bounds(min_age: int, max_age: int, max_severity: float) -> None:
+    """Raise ``ValueError`` unless :func:`generate_population` accepts
+    these cohort bounds."""
+    if not 0.1 <= max_severity <= 1.0:
+        raise ValueError(
+            f"max_severity must be in [0.1, 1.0], got {max_severity}"
+        )
+    if min_age > max_age:
+        raise ValueError(
+            f"min_age ({min_age}) must not exceed max_age ({max_age})"
+        )
 
 
 def generate_population(
@@ -49,14 +62,7 @@ def generate_population(
     """
     if count <= 0:
         raise ValueError("count must be positive")
-    if not 0.1 <= max_severity <= 1.0:
-        raise ValueError(
-            f"max_severity must be in [0.1, 1.0], got {max_severity}"
-        )
-    if min_age > max_age:
-        raise ValueError(
-            f"min_age ({min_age}) must not exceed max_age ({max_age})"
-        )
+    check_cohort_bounds(min_age, max_age, max_severity)
     rng = streams.get("population")
     profiles = []
     for index in range(count):

@@ -21,7 +21,9 @@ mid-block regime change invalidates part of a block.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
+from itertools import repeat
 from typing import Deque, List, Tuple
 
 import numpy as np
@@ -100,64 +102,60 @@ class KofNDetector:
         """Process a whole sample block; return the detecting indices.
 
         Exactly equivalent to calling :meth:`observe` on each sample
-        in order (the fast-path equivalence tests pin this down); the
-        thresholding is vectorised and the window logic runs over
-        plain bools.
+        in order (the fast-path equivalence tests pin this down).  The
+        thresholding is vectorised, and the window logic walks only the
+        exceedances: a run of sub-threshold samples between two of them
+        is applied at once (only its last ``n`` flags can stay in the
+        window), and after a detection the walk jumps straight past the
+        refractory samples.
         """
         exceed = np.asarray(samples, dtype=float) > self.threshold
+        m = exceed.shape[0]
+        self.samples_seen += m
         window = self._window
         n = self.n
-        if not np.count_nonzero(exceed):
-            # Dominant case while the tool is idle: nothing exceeds,
-            # so nothing can detect (the standing window sum is < k by
-            # invariant and only decreases under all-False appends).
-            m = int(exceed.shape[0])
-            self.samples_seen += m
-            refractory_left = self._refractory_left
-            if refractory_left:
-                if refractory_left >= m:
-                    self._refractory_left = refractory_left - m
-                    return []
-                self._refractory_left = 0
-                m -= refractory_left
-            if self._window_sum == 0:
-                # The deque keeps only the last n flags anyway.
-                window.extend([False] * min(m, n))
-            elif m >= n:
-                window.clear()
-                window.extend([False] * n)
-                self._window_sum = 0
-            else:
-                window_sum = self._window_sum
-                for _ in range(m):
-                    if len(window) == n and window[0]:
-                        window_sum -= 1
-                    window.append(False)
-                self._window_sum = window_sum
-            return []
-        flags = exceed.tolist()
-        hits: List[int] = []
-        k = self.k
         window_sum = self._window_sum
-        refractory_left = self._refractory_left
-        for index, flag in enumerate(flags):
-            if refractory_left > 0:
-                refractory_left -= 1
-                continue
-            if len(window) == n:
-                window_sum -= window[0]
-            window.append(flag)
-            if flag:
+        # The first sample the window takes; earlier ones are refractory.
+        resume = self._refractory_left
+        hits: List[int] = []
+        positions = exceed.nonzero()[0]
+        if positions.shape[0]:
+            positions = positions.tolist()
+            k = self.k
+            refractory = self.refractory_samples
+            count = len(positions)
+            i = bisect_left(positions, resume) if resume else 0
+            while i < count:
+                index = positions[i]
+                gap = index - resume
+                if gap:
+                    window.extend(repeat(False, gap if gap < n else n))
+                    if window_sum:
+                        window_sum = window.count(True)
+                if len(window) == n and window[0]:
+                    window_sum -= 1
+                window.append(True)
                 window_sum += 1
-            if window_sum >= k:
-                window.clear()
-                window_sum = 0
-                refractory_left = self.refractory_samples
-                self.detections += 1
-                hits.append(index)
-        self.samples_seen += len(flags)
+                if window_sum >= k:
+                    window.clear()
+                    window_sum = 0
+                    hits.append(index)
+                    resume = index + 1 + refractory
+                    i = bisect_left(positions, resume, i + 1)
+                else:
+                    resume = index + 1
+                    i += 1
+            self.detections += len(hits)
+        # The sub-threshold rest of the block.
+        gap = m - resume
+        if gap > 0:
+            window.extend(repeat(False, gap if gap < n else n))
+            if window_sum:
+                window_sum = window.count(True)
+            self._refractory_left = 0
+        else:
+            self._refractory_left = -gap
         self._window_sum = window_sum
-        self._refractory_left = refractory_left
         return hits
 
     def observe_trace(self, samples) -> int:

@@ -13,16 +13,18 @@ block of samples, drawn vectorised from the
 in one call, with usage reports scheduled at their exact per-sample
 timestamps.  The block length follows the source's regime: an idle
 tool samples :data:`IDLE_BLOCK_SAMPLES` per block, a use with a known
-end runs to that end (at most :data:`ACTIVE_BLOCK_SAMPLES`), and an
-open-ended use (ended by ``end_use``) takes :data:`OPEN_BLOCK_SAMPLES`
-per block.  Each block's sample clock is computed once, vectorised
-and bit-identical to a per-sample ``Timeout(period)`` loop's.  When
-the resident flips the signal regime mid-block, the node rolls the
-source/detector back to the block start, replays the committed
-prefix, and resumes sampling from the first uncommitted timestamp --
-so the event stream is byte-identical to the per-sample loop kept as
-the oracle in ``tests/oracles/sensing.py`` (see
-``docs/architecture.md``).
+end reads straight through that end into :data:`IDLE_BLOCK_SAMPLES`
+idle samples (one block per use), and an open-ended use (ended by
+``end_use``) takes :data:`OPEN_BLOCK_SAMPLES` per block.  Each block's
+sample clock is computed once, vectorised and bit-identical to a
+per-sample ``Timeout(period)`` loop's.  When the resident flips the
+signal regime mid-block, the node rolls the source/detector back to
+the block start, replays the committed prefix, and resumes sampling
+from the first uncommitted timestamp -- unless the change leaves every
+uncommitted sample in the regime it was drawn in (an ``end_use`` after
+the use expired), which needs no replay.  The event stream is
+byte-identical to the per-sample loop kept as the oracle in
+``tests/oracles/sensing.py`` (see ``docs/architecture.md``).
 
 Battery-powered nodes run that per-sample loop (one kernel event, one
 RNG read and one detector step per sample): the battery drains per
@@ -58,20 +60,23 @@ from repro.sim.tracing import TraceRecorder
 
 __all__ = ["Led", "PavenetNode"]
 
-#: Samples per block while the tool is idle.  Longer spans mean fewer
-#: kernel events but more stale draws to discard when a use begins
-#: mid-span; 100-300 measured fastest on a 1000-home fleet, 1000 slower.
+#: Samples per block while the tool is idle, and the idle tail of a
+#: block that reads through a use's known expiry.  Longer spans mean
+#: fewer kernel events but more stale draws to discard when a use
+#: begins mid-span; 100-300 measured fastest on a 1000-home fleet, 1000
+#: slower, and with one block per use 100-600 time alike.
 IDLE_BLOCK_SAMPLES = 200
-#: Cap on a block that runs to a use's known expiry; 100 measured
-#: faster than 10 or 600.
-ACTIVE_BLOCK_SAMPLES = 100
 #: Samples per block during an open-ended use (one ended by
 #: ``end_use``, as in the Table 3 and ablation harnesses).
 OPEN_BLOCK_SAMPLES = 10
 
 _INF = float("inf")
-#: The clock of a node between blocks: no samples, next start 0.
+#: The default costs, shared by every node (the profile is frozen).
+_POWER_PROFILE = PowerProfile()
+#: The clock and samples of a node between blocks: no samples, next
+#: start 0.
 _NO_CLOCK = np.zeros(1)
+_NO_SAMPLES = np.zeros(0)
 
 
 @dataclass
@@ -157,7 +162,7 @@ class PavenetNode:
         #: Battery makes the node mortal.
         self.battery = battery
         self.power_profile = (
-            power_profile if power_profile is not None else PowerProfile()
+            power_profile if power_profile is not None else _POWER_PROFILE
         )
         # Block sampler state (see module docstring).
         self._hz = config.sampling_hz
@@ -167,6 +172,10 @@ class PavenetNode:
         self._block_t0: Optional[float] = None
         #: The current block's clock (see ``_block_sample_times``).
         self._block_times = _NO_CLOCK
+        #: The current block's samples, and the index of its first idle
+        #: one (its length when the whole block is active).
+        self._block_values = _NO_SAMPLES
+        self._block_idle_from = 0
         self._last_report = -_INF
         self._block_source_state: Optional[SourceState] = None
         self._block_detector_state: Optional[DetectorState] = None
@@ -204,6 +213,7 @@ class PavenetNode:
             # Finished fleet homes linger until the cycle collector
             # runs; dropping their clocks keeps peak memory flat.
             self._block_times = _NO_CLOCK
+            self._block_values = _NO_SAMPLES
 
     @property
     def running(self) -> bool:
@@ -249,27 +259,28 @@ class PavenetNode:
         # roll back: RNG + regime and the detector window.
         self._block_source_state = source.capture()
         self._block_detector_state = self.detector.snapshot()
-        n = 0
-        if source.active:
+        if not source.active:
+            n = IDLE_BLOCK_SAMPLES
+            idle_from = 0
+            times = self._block_sample_times(t0, n)
+            values = source.read_block(t0, n, self._hz)
+        else:
             until = source.active_until
             if until == _INF:
-                n = OPEN_BLOCK_SAMPLES
+                n = idle_from = OPEN_BLOCK_SAMPLES
                 times = self._block_sample_times(t0, n)
             else:
-                # Run to the known expiry, never across it.  A use that
-                # already expired (n == 0) is idle: the first read ends it.
-                times = self._block_sample_times(t0, ACTIVE_BLOCK_SAMPLES)
-                n = int(times[:ACTIVE_BLOCK_SAMPLES].searchsorted(until))
+                # Read through the known expiry (the read expires the
+                # use itself) into an idle block's worth of samples.  A
+                # use longer than an idle block spans whole active
+                # blocks first, so no expiry sizes a block on its own.
+                times = self._block_sample_times(t0, 2 * IDLE_BLOCK_SAMPLES)
+                idle_from = int(times[:IDLE_BLOCK_SAMPLES].searchsorted(until))
+                n = IDLE_BLOCK_SAMPLES
+                if idle_from < n:
+                    n += idle_from
                 times = times[:n + 1]
-        if n:
             values = source.read_block_at(times[:n])
-        else:
-            n = IDLE_BLOCK_SAMPLES
-            times = self._block_sample_times(t0, n)
-            if source.active:
-                values = source.read_block_at(times[:n])
-            else:
-                values = source.read_block(t0, n, self._hz)
         hits = self.detector.observe_block(values)
         self._block_pending = pending = []
         for index in hits:
@@ -281,6 +292,8 @@ class PavenetNode:
                 )
         self._block_t0 = t0
         self._block_times = times
+        self._block_values = values
+        self._block_idle_from = idle_from
         self._block_event = sim.schedule_at(times.item(n), self._process_block)
 
     def _committed(self, now: float) -> int:
@@ -318,10 +331,12 @@ class PavenetNode:
         Committed samples (see :meth:`_committed`) were read before
         the change, and their draws and any usage reports already
         happened with identical bytes.  Later samples were drawn from
-        the wrong regime: roll the source and detector back to the
-        block start, replay the committed prefix (restoring the exact
-        RNG position and window state), re-apply the new regime, and
-        resume block sampling at the first uncommitted timestamp.
+        the wrong regime: roll the detector back to the block start and
+        feed it the committed samples again, redraw the committed
+        samples from the block start -- or, past a use's expiry, from
+        the source's checkpoint at the first idle sample -- to restore
+        the exact RNG position, re-apply the new regime, and resume
+        block sampling at the first uncommitted timestamp.
         """
         if not self._block_running or self._block_t0 is None:
             return
@@ -329,21 +344,31 @@ class PavenetNode:
         j = self._committed(self.sim.now)
         if j == len(times) - 1:
             return  # every sample in this block is already committed
+        source = self.source
+        if j >= self._block_idle_from and not source.active:
+            # The tail was drawn idle and the tool is idle (an
+            # ``end_use`` after the use expired): nothing to redraw.
+            return
         resume = times.item(j)
         # Usage reports drawn from the stale tail must not fire.
         self._cancel_reports_from(resume)
         if self._block_event is not None:
             self._block_event.cancel()
             self._block_event = None
-        source = self.source
         post_active = source.active
         post_until = source.active_until
-        source.restore(self._block_source_state)
         self.detector.restore(self._block_detector_state)
-        if j:
-            # Replay for state only: the committed hits already fired,
-            # so the indices are discarded.
-            self.detector.observe_block(source.read_block_at(times[:j]))
+        # Replay for state only: the committed hits already fired, so
+        # the indices are discarded.
+        self.detector.observe_block(self._block_values[:j])
+        start = self._block_idle_from
+        if 0 < start < j:
+            source.restore(source.checkpoint)
+        else:
+            start = 0
+            source.restore(self._block_source_state)
+        if j > start:
+            source.read_block_at(times[start:j])
         source.set_regime(post_active, post_until)
         self._block_t0 = None
         self._block_event = self.sim.schedule_at(resume, self._process_block)

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, List, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -71,7 +71,8 @@ def sample_clock(start: float, period: float, n: int) -> np.ndarray:
     bit-identical to adding ``period`` to ``start`` ``k`` times -- the
     kernel clock of a firmware loop that sleeps one period per sample.
     """
-    clock = np.full(n, period)
+    clock = np.empty(n)
+    clock.fill(period)
     clock[:1] = start
     return np.add.accumulate(clock, out=clock)
 
@@ -125,6 +126,7 @@ class SignalSource:
         "_active_until",
         "epoch",
         "_regime_listeners",
+        "checkpoint",
     )
 
     def __init__(self, profile: SignalProfile, rng: np.random.Generator) -> None:
@@ -143,6 +145,11 @@ class SignalSource:
         #: to detect that pre-drawn samples may be stale.
         self.epoch = 0
         self._regime_listeners: List[Callable[[], None]] = []
+        #: The :meth:`capture` of the source at the first idle sample
+        #: of the last block read that a use's expiry split (a use
+        #: sampled first).  The node replays from here, not from the
+        #: block start, when a change lands in the idle tail.
+        self.checkpoint: Optional[SourceState] = None
 
     @property
     def active(self) -> bool:
@@ -230,7 +237,7 @@ class SignalSource:
                     m = n - pos
                 else:
                     # Samples at t >= until belong to the expired regime.
-                    m = int(np.searchsorted(times[pos:], until, side="left"))
+                    m = int(times[pos:].searchsorted(until))
                     if m == 0:
                         self._expire()
                         continue
@@ -238,6 +245,7 @@ class SignalSource:
                 pos += m
                 if pos < n:
                     self._expire()
+                    self.checkpoint = self.capture()
             else:
                 # One normal per inactive sample: an array draw is
                 # bit-identical to the same number of scalar draws.

@@ -50,7 +50,7 @@ class JsonHomeRuntime(HomeRuntime):
     def _resolve(self, home: HomeSpec):
         return resolve_home_predictor(
             self.definition, home, self.config, self.training_episodes,
-            self.cache,
+            self.cache, key=self.cache_key(home),
         )
 
 

@@ -9,6 +9,7 @@ policy per home.
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import json
 import math
@@ -31,8 +32,15 @@ from repro.fleet import (
     run_fleet,
     simulate_shard,
 )
+import repro.fleet.executor as executor_module
+import repro.fleet.home as home_module
+import repro.fleet.shard as shard_module
+import repro.planning.store as store_module
+from repro.fleet.home import HomeRuntime, train_home_policy
 from repro.planning.store import PolicyCache
-from repro.sim.random import seeded_generator
+from repro.sensors.pavenet import PavenetNode
+from repro.sensors.signals import SignalSource
+from repro.sim.random import StreamBatch, seeded_generator
 
 #: Small but non-trivial: several shards, several seed classes, and
 #: enough homes that routines repeat (so policy sharing is exercised).
@@ -135,6 +143,21 @@ class TestFleetSpec:
     )
     def test_invalid_specs_rejected(self, kwargs):
         with pytest.raises(ValueError):
+            FleetSpec(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"max_severity": math.nan}, r"max_severity must be in \[0\.1, 1\.0\], got nan"),
+            ({"max_severity": 2.0}, r"max_severity must be in \[0\.1, 1\.0\], got 2\.0"),
+            ({"max_severity": -0.5}, r"max_severity must be in \[0\.1, 1\.0\], got -0\.5"),
+            ({"min_age": 90, "max_age": 70}, r"min_age \(90\) must not exceed max_age \(70\)"),
+        ],
+    )
+    def test_cohort_bounds_rejected_at_construction(self, kwargs, message):
+        # The same messages generate_population raises, but before
+        # run_fleet trains or simulates anything.
+        with pytest.raises(ValueError, match=message):
             FleetSpec(**kwargs)
 
 
@@ -447,6 +470,125 @@ class TestPolicyPlanes:
 
         run_fleet(SPEC, jobs=2)
         assert glob.glob("/dev/shm/rpp*") == []
+
+
+class TestWarmFleetCounts:
+    """Counts, not timings: what a warm fleet home costs to build and
+    sample.
+
+    A warm run restores each distinct training once per run in this
+    process and computes each training's cache key once; every home
+    draws only streams its shard seeded in one batch; and a seeded
+    shard fires no more sensing blocks than pinned.
+    """
+
+    @pytest.fixture(scope="class")
+    def warm_cache(self, tmp_path_factory):
+        cache_dir = str(tmp_path_factory.mktemp("warm-fleet"))
+        run_fleet(SPEC, jobs=1, cache_dir=cache_dir)
+        return cache_dir
+
+    def test_each_training_restores_once_per_run(
+        self, warm_cache, monkeypatch, tea_fleet_definition
+    ):
+        counts = dict.fromkeys(("restore", "wrap", "key"), 0)
+        monkeypatch.setattr(
+            HomeRuntime, "_resolve",
+            _counting(HomeRuntime._resolve, counts, "restore"),
+        )
+        monkeypatch.setattr(
+            shard_module, "_shard_predictor",
+            _counting(shard_module._shard_predictor, counts, "wrap"),
+        )
+        for module in (executor_module, home_module, store_module):
+            monkeypatch.setattr(
+                module, "training_cache_key",
+                _counting(module.training_cache_key, counts, "key"),
+            )
+        homes = SPEC.expand(tea_fleet_definition)
+        distinct = len(distinct_trainings(homes))
+        # More shard-level restores than trainings without the memo.
+        assert sum(
+            len({home.training_key for home in shard})
+            for shard in SPEC.shards(homes)
+        ) > distinct
+        first = run_fleet(SPEC, jobs=1, cache_dir=warm_cache)
+        assert counts == {"restore": distinct, "wrap": distinct, "key": distinct}
+        # Every home still counts one hit, as does each train cell.
+        assert first.metrics.cache_hits == SPEC.homes + distinct
+        assert first.metrics.cache_misses == 0
+        # The next run restores afresh, as a fresh process would.
+        second = run_fleet(SPEC, jobs=1, cache_dir=warm_cache)
+        assert counts["restore"] == 2 * distinct
+        assert second.to_json() == first.to_json()
+
+    def test_homes_draw_only_batched_streams(self, warm_cache, monkeypatch):
+        batches, unbatched = [], []
+        make = shard_module.home_stream_batch
+        take = StreamBatch.take
+
+        def recording(*args):
+            batches.append(make(*args))
+            return batches[-1]
+
+        def checked(batch, master_seed, name):
+            rng = take(batch, master_seed, name)
+            if rng is None:
+                unbatched.append(name)
+            return rng
+
+        monkeypatch.setattr(shard_module, "home_stream_batch", recording)
+        monkeypatch.setattr(StreamBatch, "take", checked)
+        spec = dataclasses.replace(SPEC, episodes_per_home=2)
+        result = run_fleet(spec, jobs=1, cache_dir=warm_cache)
+        assert unbatched == []
+        assert len(batches) == result.shards
+        assert [len(batch) for batch in batches] == [0] * result.shards
+
+    def test_seeded_shard_fires_no_more_blocks_than_pinned(
+        self, monkeypatch, tea_fleet_definition, tmp_path
+    ):
+        # 25 high-severity homes, 2 episodes each: wrong tools and
+        # perseveration re-begin uses inside merged blocks.  Reading
+        # each use through its expiry fires 580 blocks here; a separate
+        # block per use end (as before) fired 786.  The replays stay.
+        spec = FleetSpec(
+            seed=7, homes=25, shard_size=25, seed_classes=2,
+            training_episodes=40, episodes_per_home=2, max_severity=1.0,
+        )
+        homes = spec.expand(tea_fleet_definition)
+        cache = PolicyCache(str(tmp_path / "cache"))
+        config = CoReDAConfig(seed=spec.seed)
+        for home in distinct_trainings(homes):
+            train_home_policy(
+                tea_fleet_definition, home, config, spec.training_episodes,
+                cache,
+            )
+        counts = dict.fromkeys(("blocks", "replays"), 0)
+        monkeypatch.setattr(
+            PavenetNode, "_process_block",
+            _counting(PavenetNode._process_block, counts, "blocks"),
+        )
+        monkeypatch.setattr(
+            SignalSource, "restore",
+            _counting(SignalSource.restore, counts, "replays"),
+        )
+        simulate_shard(
+            tea_fleet_definition, homes, config, spec.episodes_per_home,
+            spec.training_episodes, cache,
+        )
+        assert counts["blocks"] <= 580
+        assert counts["replays"] <= 229
+
+
+def _counting(function, counts, key):
+    """``function``, counting its calls in ``counts[key]``."""
+
+    def counted(*args, **kwargs):
+        counts[key] += 1
+        return function(*args, **kwargs)
+
+    return counted
 
 
 class TestFleetCli:

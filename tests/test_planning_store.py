@@ -1,6 +1,9 @@
 """Unit tests for policy persistence."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -19,6 +22,34 @@ from repro.planning.store import (
     training_cache_key,
 )
 from repro.planning.trainer import RoutineTrainer
+
+
+#: Keys each stress writer puts (every writer puts all of them).
+_STRESS_KEYS = 40
+
+
+def _stress_document(index):
+    return {"format": 1, "index": index, "payload": [index] * 500}
+
+
+def _put_many(root, writer):
+    cache = PolicyCache(root)
+    for step in range(_STRESS_KEYS):
+        index = (step + writer * 7) % _STRESS_KEYS
+        cache.put(f"key{index}", _stress_document(index))
+
+
+def _sweep_many(root):
+    cache = PolicyCache(root)
+    for _ in range(200):
+        cache.sweep_stale_temps()
+
+
+def _dead_pid():
+    """The pid of a process that has exited and been reaped."""
+    process = subprocess.Popen([sys.executable, "-c", "pass"])
+    process.wait()
+    return process.pid
 
 
 @pytest.fixture
@@ -180,21 +211,30 @@ class TestPolicyCache:
         (cache.root / ".tmp-x.json").write_text("{}", encoding="utf-8")
         assert len(cache) == 1
 
-    def test_init_sweeps_stale_temp_files(self, tmp_path):
+    def test_sweep_removes_stale_temp_files(self, tmp_path):
         root = tmp_path / "cache"
         root.mkdir()
+        dead = _dead_pid()
         (root / ".tmp-old.part").write_text("{}", encoding="utf-8")
         (root / ".tmp-old.json").write_text("{}", encoding="utf-8")
+        (root / f".tmp-{dead}-x.part").write_text("{}", encoding="utf-8")
+        live = root / f".tmp-{os.getpid()}-x.part"
+        live.write_text("{}", encoding="utf-8")
         (root / "keep.json").write_text('{"format": 1}', encoding="utf-8")
         cache = PolicyCache(root)
-        assert sorted(p.name for p in root.iterdir()) == ["keep.json"]
+        # Construction never sweeps: only a run's parent does, once.
+        assert len(list(root.glob(".tmp-*"))) == 4
+        cache.sweep_stale_temps()
+        assert sorted(p.name for p in root.iterdir()) == [
+            live.name, "keep.json"
+        ]
         assert len(cache) == 1
 
     def test_put_survives_repeated_sweeps_of_its_temp(self, tmp_path, monkeypatch):
-        """Regression: each worker cell builds its own cache, so two
-        constructions can sweep one writer's temps in a row; ``put``
-        used to give up after the second and raise FileNotFoundError
-        (a flaky ``--jobs 2`` report)."""
+        """Regression: a sweep between a writer's temp write and its
+        rename used to delete the live temp, and ``put`` raised
+        FileNotFoundError (a flaky ``--jobs 2`` report).  A sweep now
+        keeps every temp whose writer is alive."""
         import repro.planning.store as store
 
         cache = PolicyCache(tmp_path / "cache")
@@ -204,15 +244,39 @@ class TestPolicyCache:
         def replace_after_sweeps(src, dst):
             if len(swept) < 3:
                 swept.append(src)
-                PolicyCache(cache.root)  # a racing construction sweeps
+                cache.sweep_stale_temps()  # a racing sweep
             return replace(src, dst)
 
         monkeypatch.setattr(store.os, "replace", replace_after_sweeps)
         cache.put("key", {"format": 1})
         monkeypatch.undo()
-        assert len(swept) == 3
+        assert len(swept) == 1  # one write, one rename: no retry
         assert cache.get("key") == {"format": 1}
         assert [p.name for p in cache.root.iterdir()] == ["key.json"]
+
+    def test_concurrent_puts_lose_and_tear_nothing(self, tmp_path):
+        # Several processes put overlapping keys into one directory
+        # while another sweeps it over and over.
+        import multiprocessing
+
+        root = str(tmp_path / "cache")
+        PolicyCache(root)
+        context = multiprocessing.get_context("fork")
+        writers = [
+            context.Process(target=_put_many, args=(root, writer))
+            for writer in range(3)
+        ]
+        sweeper = context.Process(target=_sweep_many, args=(root,))
+        for process in writers + [sweeper]:
+            process.start()
+        for process in writers + [sweeper]:
+            process.join(60)
+            assert process.exitcode == 0
+        cache = PolicyCache(root)
+        for index in range(_STRESS_KEYS):
+            assert cache.get(f"key{index}") == _stress_document(index)
+        assert len(cache) == _STRESS_KEYS
+        assert list(cache.root.glob(".tmp-*")) == []
 
     def test_put_leaves_no_temp_files(self, tmp_path):
         cache = PolicyCache(tmp_path / "cache")

@@ -19,20 +19,15 @@ from repro.evalx.ablations import plan_radio_sweep
 from repro.evalx.parallel import run_section
 from repro.evalx.scenario import build_tea_scenario, run_tea_scenario
 from repro.fleet import FleetSpec, run_fleet
-from repro.sensors.pavenet import (
-    ACTIVE_BLOCK_SAMPLES,
-    IDLE_BLOCK_SAMPLES,
-    PavenetNode,
-)
+from repro.sensors.pavenet import IDLE_BLOCK_SAMPLES, PavenetNode
 from repro.sensors.radio import BASE_STATION_UID, RadioMedium
 from repro.sensors.signals import SignalProfile, SignalSource, sample_clock
 from repro.sim.kernel import Simulator
 from repro.sim.tracing import TraceRecorder
 
 PERIOD = 0.1
-#: Seconds one idle block spans, and one capped active block.
+#: Seconds one idle block spans.
 IDLE_SPAN = IDLE_BLOCK_SAMPLES * PERIOD
-ACTIVE_SPAN = ACTIVE_BLOCK_SAMPLES * PERIOD
 #: The reference loop's sample timestamps from t=0, exactly.
 CLOCK = sample_clock(0.0, PERIOD, 1200).tolist()
 
@@ -151,10 +146,10 @@ class TestNodeEquivalence:
              (93.07, "end", {})]
         )
 
-    def test_finite_use_longer_than_active_cap(self):
-        # The use spans several capped active blocks, then expires
-        # mid-block.
-        duration = 3.4 * ACTIVE_SPAN
+    def test_finite_use_longer_than_an_idle_block(self):
+        # The use spans several whole active blocks, then expires
+        # mid-block and reads on into that block's idle tail.
+        duration = 3.4 * IDLE_SPAN
         assert_streams_equal([(5.55, "begin", {"duration": duration})])
 
     def test_perseveration_restarts_an_active_finite_use(self):
@@ -188,6 +183,69 @@ class TestNodeEquivalence:
     def test_stop_mid_long_idle_block(self):
         assert_streams_equal(
             [(2.0, "begin", {"duration": 4.0}), (33.33, "stop", {})]
+        )
+
+    def test_begin_use_in_a_merged_blocks_idle_tail(self):
+        # The block read through the first use's expiry at t=2.55; the
+        # second use lands in its idle tail, so the replay starts at
+        # the source's checkpoint on the first idle sample.
+        assert_streams_equal(
+            [(0.55, "begin", {"duration": 2.0}),
+             (9.07, "begin", {"duration": 1.5})]
+        )
+
+    @pytest.mark.parametrize("offset", [0, 1, 2])
+    def test_begin_use_on_the_first_idle_samples(self, offset):
+        # The change lands on the expiry sample itself or just after
+        # it: the checkpoint and the committed prefix meet there.
+        assert_streams_equal(
+            [(CLOCK[3], "begin", {"duration": 2.0}),
+             (CLOCK[23 + offset], "begin", {"duration": 0.8})]
+        )
+
+    @pytest.mark.parametrize("action", ["begin", "end"])
+    @pytest.mark.parametrize("index", [20, 21, 22, 23, 24])
+    def test_changes_around_the_expiry(self, action, index):
+        # The use's last active samples sit at CLOCK[3..22]; a change
+        # just after CLOCK[index] commits samples up to it, so the
+        # replay starts at the block start, on the checkpoint, or
+        # (an idle end) not at all.
+        kwargs = {"duration": 1.0} if action == "begin" else {}
+        assert_streams_equal(
+            [(CLOCK[3], "begin", {"duration": 2.0}),
+             (CLOCK[index] + 0.05, action, kwargs)]
+        )
+
+    def test_end_use_after_expiry_needs_no_replay(self, monkeypatch):
+        # The Table 3 pattern: a finite use, then ``end_use`` once it
+        # has expired.  The tail was drawn idle and stays idle, so the
+        # ``end_use`` rolls nothing back.
+        use = [(1.0, "begin", {"duration": 3.0})]
+        ended = use + [(6.55, "end", {})]
+        restores = []
+        restore = SignalSource.restore
+        monkeypatch.setattr(
+            SignalSource, "restore",
+            lambda source, state: restores.append(state) or restore(
+                source, state
+            ),
+        )
+        run_script(PavenetNode, use)
+        replays = len(restores)
+        assert replays == 1  # the begin_use, mid idle block
+        assert_streams_equal(ended)
+        assert len(restores) == 2 * replays
+
+    def test_back_to_back_uses(self):
+        # Each use begins as (or just after) the previous one expires,
+        # and one ends early by ``end_use``.
+        assert_streams_equal(
+            [(0.42, "begin", {"duration": 1.5}),
+             (1.92, "begin", {"duration": 2.0}),
+             (3.95, "begin", {"duration": 0.3}),
+             (4.25, "begin", {}),
+             (5.1, "end", {}),
+             (5.1, "begin", {"duration": 1.0})]
         )
 
     def test_idle_node_fires_one_event_per_span(self):

@@ -1,6 +1,8 @@
 """Unit tests for the 3-of-10 usage detector."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sensors.detector import KofNDetector
 
@@ -151,6 +153,30 @@ class TestObserveBlock:
         samples = rng.random(100_000) * 0.8  # below threshold
         det = KofNDetector(threshold=1.0, k=3, n=10)
         assert det.observe_trace(samples) == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 12).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(1, n))
+    ),
+    st.integers(0, 25),
+    st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]), max_size=150),
+    st.lists(st.integers(0, 150), max_size=4),
+)
+def test_block_walk_equals_scalar_observe(window, refractory, samples, cuts):
+    # The exceedance walk (gap runs applied at once, refractory jumps)
+    # must equal per-sample observation for any rule, any refractory
+    # period and any split into blocks, state included.
+    n, k = window
+    block = detector(k=k, n=n, refractory_samples=refractory)
+    scalar = detector(k=k, n=n, refractory_samples=refractory)
+    hits, start = [], 0
+    for cut in sorted(min(cut, len(samples)) for cut in cuts) + [len(samples)]:
+        hits.extend(start + hit for hit in block.observe_block(samples[start:cut]))
+        start = cut
+    assert hits == [i for i, s in enumerate(samples) if scalar.observe(s)]
+    assert block.snapshot() == scalar.snapshot()
 
 
 class TestSnapshotRestore:

@@ -2,14 +2,16 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.sim.random import (
     Pcg64Draws,
     RandomStreams,
+    StreamBatch,
     derive_seed,
     generator_draws,
+    seed_sequence_words,
 )
 
 
@@ -66,6 +68,47 @@ class TestRandomStreams:
         streams.get("b")
         streams.get("a")
         assert streams.spawned() == 2
+
+
+class TestStreamBatch:
+    @given(st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=8))
+    @example([0])
+    @example([2**32 - 1])
+    @example([2**32])
+    @example([2**63 - 1])
+    @example([0, 2**32 - 1, 2**32, 2**63 - 1])
+    def test_words_and_generators_equal_numpys_seeding(self, seeds):
+        words = seed_sequence_words(seeds)
+        assert words.shape == (len(seeds), 4)
+        assert words.dtype == np.uint64
+        batch = StreamBatch((seed, "s") for seed in seeds)
+        for seed, row in zip(seeds, words):
+            expected = np.random.SeedSequence(seed).generate_state(4, np.uint64)
+            assert row.tolist() == expected.tolist()
+            rng = batch.take(seed, "s")
+            reference = np.random.default_rng(derive_seed(seed, "s"))
+            if rng is not None:  # a repeated seed is handed out once
+                assert rng.bit_generator.state == reference.bit_generator.state
+                assert rng.random(3).tolist() == reference.random(3).tolist()
+
+    def test_streams_take_from_the_batch_then_seed_on_their_own(self):
+        fork = RandomStreams(7).fork("home")
+        batch = StreamBatch([(fork.master_seed, "radio")])
+        batched = RandomStreams(7, batch).fork("home")
+        assert batched.get("radio") is batched.get("radio")
+        assert len(batch) == 0
+        for name in ("radio", "signal.1"):
+            assert (
+                batched.get(name).bit_generator.state
+                == RandomStreams(7).fork("home").get(name).bit_generator.state
+            )
+
+    def test_batched_generators_pickle(self):
+        import pickle
+
+        rng = StreamBatch([(1, "a")]).take(1, "a")
+        copy = pickle.loads(pickle.dumps(rng))
+        assert copy.random(4).tolist() == rng.random(4).tolist()
 
 
 # Ranges: one value (draws nothing), small ones, one that rejects about
