@@ -179,7 +179,7 @@ def _resolve_config(
     if args.config:
         try:
             config = load_config(args.config)
-        except (OSError, ValueError, ConfigurationError) as exc:
+        except (OSError, ConfigurationError) as exc:
             parser.error(f"--config: {args.config}: {exc}")
         return config.with_seed(args.seed)
     return CoReDAConfig(seed=args.seed)
@@ -213,6 +213,18 @@ def _parse_routine(
         parser.error(f"--routine: {exc}")
 
 
+def _not_converged(
+    parser: argparse.ArgumentParser, result, consequence: str
+) -> int:
+    """Report a training that missed its first criterion; exit code 1."""
+    sys.stderr.write(
+        f"{parser.prog}: error: training did not reach the "
+        f"{min(result.convergence):.0%} criterion in "
+        f"{len(result.curve.behaviour_accuracy)} episodes; {consequence}\n"
+    )
+    return 1
+
+
 def _cmd_train(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     definition = _definition(parser, args.adl)
     _check_count(parser, "--episodes", args.episodes)
@@ -220,7 +232,9 @@ def _cmd_train(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     routine = None
     if args.routine:
         routine = _parse_routine(parser, definition, args.routine)
-    result = system.train_offline(routine=routine, episodes=args.episodes)
+    result = system.train_offline(
+        routine=routine, episodes=args.episodes, require_converged=False
+    )
     print(f"trained {args.adl} on {args.episodes} episodes "
           f"(routine {list(result.routine.step_ids)})")
     for criterion, iteration in sorted(result.convergence.items()):
@@ -230,6 +244,8 @@ def _cmd_train(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     if args.plot:
         print(ascii_curve(result.curve.smoothed_accuracy,
                           title="smoothed behaviour accuracy"))
+    if not system.predictor.converged:
+        return _not_converged(parser, result, "no policy saved")
     if args.save:
         save_predictor(system.predictor, args.save, definition.adl.name)
         print(f"policy saved to {args.save}")
@@ -244,7 +260,9 @@ def _cmd_simulate(
     if not 0.0 <= args.severity <= 1.0:
         parser.error(f"--severity: must be in [0, 1], got {args.severity}")
     system = CoReDA.build(definition, _resolve_config(args, parser))
-    system.train_offline()
+    result = system.train_offline(require_converged=False)
+    if not system.predictor.converged:
+        return _not_converged(parser, result, "nothing simulated")
     if args.adapt:
         system.enable_online_adaptation()
     reliable = {
@@ -352,7 +370,7 @@ def _cmd_fleet(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
             seed_classes=args.seed_classes,
             shard_size=args.shard_size,
         )
-    except ValueError as exc:
+    except ConfigurationError as exc:
         parser.error(str(exc))
     start = time.perf_counter()  # repro: allow[DET002] timing display only
     result = run_fleet(spec, jobs=args.jobs, cache_dir=args.cache)

@@ -14,8 +14,10 @@ Defaults are taken from the paper wherever it states a number:
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
+import sys
+from dataclasses import Field, dataclass, field, fields, replace
+from numbers import Integral, Real
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.core.errors import ConfigurationError
 
@@ -25,15 +27,85 @@ __all__ = [
     "PlanningConfig",
     "RemindingConfig",
     "CoReDAConfig",
+    "check_domains",
+    "domain",
 ]
 
 
-def _require_finite(config, *names: str) -> None:
-    """Reject a NaN or infinite value in any of ``config``'s ``names``
-    fields, naming the field."""
-    for name in names:
-        if not math.isfinite(getattr(config, name)):
-            raise ConfigurationError(f"{name} must be finite")
+def domain(default: Any, interval: Optional[str] = None) -> Any:
+    """A dataclass field with a declared domain.
+
+    The type is the field's annotation: ``float`` takes any finite
+    real but a bool, ``int`` any integer but a bool, ``bool`` only a
+    bool and ``str`` only a str.  Nothing is converted.  A number must
+    also lie in ``interval``, written the way errors and the docs
+    print it, e.g. ``"(0, 1]"`` or ``"[0, inf)"``.  The class's
+    ``__post_init__`` enforces it with :func:`check_domains`.
+    """
+    return field(default=default, metadata={"domain": interval})
+
+
+#: A finite real beyond this cannot become a float: arithmetic on it
+#: would overflow, so a float field refuses it.
+_FLOAT_MAX = sys.float_info.max
+
+#: Annotation -> (the type accepted at a glance, the check any other
+#: value's type gets, what an error says the value must be).
+_KINDS: Dict[str, Tuple[type, Callable[[Any], bool], str]] = {
+    "float": (
+        float,
+        lambda v: isinstance(v, Real) and not isinstance(v, bool)
+        and -_FLOAT_MAX <= v <= _FLOAT_MAX,
+        "",
+    ),
+    "int": (
+        int,
+        lambda v: isinstance(v, Integral) and not isinstance(v, bool),
+        "an integer ",
+    ),
+    "bool": (bool, lambda v: False, "a bool"),
+    "str": (str, lambda v: isinstance(v, str), "a string"),
+}
+
+#: Class -> its check plan, built at the class's first check.
+_PLANS: Dict[type, Tuple[tuple, ...]] = {}
+
+
+def _plan_entry(spec: Field) -> tuple:
+    exact, accepts, expected = _KINDS[spec.type]
+    interval = spec.metadata["domain"]
+    if interval is None:
+        return spec.name, exact, accepts, None, None, False, False, expected
+    low, high = (float(bound) for bound in interval[1:-1].split(","))
+    return (
+        spec.name, exact, accepts, low, high, interval[0] == "(",
+        interval[-1] == ")", f"{expected}in {interval}",
+    )
+
+
+def check_domains(instance: Any) -> None:
+    """Raise :class:`ConfigurationError` naming the first field of the
+    dataclass ``instance`` whose value lies outside its :func:`domain`.
+    """
+    plan = _PLANS.get(type(instance))
+    if plan is None:
+        plan = _PLANS[type(instance)] = tuple(
+            _plan_entry(spec)
+            for spec in fields(instance)
+            if "domain" in spec.metadata
+        )
+    for name, exact, accepts, low, high, low_open, high_open, expected in plan:
+        value = getattr(instance, name)
+        if (type(value) is not exact and not accepts(value)) or (
+            low is not None
+            and not (
+                (low < value if low_open else low <= value)
+                and (value < high if high_open else value <= high)
+            )
+        ):
+            raise ConfigurationError(
+                f"{name} must be {expected}, got {value!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -41,35 +113,26 @@ class SensingConfig:
     """Sensing-subsystem parameters (paper section 2.1)."""
 
     #: Samples per second taken by each node ("10 times in one second").
-    sampling_hz: float = 10.0
+    sampling_hz: float = domain(10.0, "[0.1, 1000]")
     #: Window length for the usage rule (the "10" of 3-of-10).
-    window_size: int = 10
+    window_size: int = domain(10, "[1, 1000]")
     #: Samples that must surpass the threshold ("three of these 10").
-    threshold_count: int = 3
+    threshold_count: int = domain(3, "[1, inf)")
     #: Signal magnitude a sample must exceed to count as activity.
-    usage_threshold: float = 1.0
+    usage_threshold: float = domain(1.0, "(-inf, inf)")
     #: Seconds without any tool usage before StepID 0 (idle) is emitted.
-    idle_timeout: float = 30.0
+    idle_timeout: float = domain(30.0, "(0, inf)")
     #: Refractory period after a detection before the same node may
     #: report again (keeps one physical use = one usage event).
-    refractory_period: float = 2.0
+    refractory_period: float = domain(2.0, "[0, 3600]")
 
     def __post_init__(self) -> None:
-        _require_finite(
-            self, "sampling_hz", "usage_threshold", "idle_timeout",
-            "refractory_period",
-        )
-        if self.sampling_hz <= 0:
-            raise ConfigurationError("sampling_hz must be positive")
-        if not 1 <= self.threshold_count <= self.window_size:
+        check_domains(self)
+        if self.threshold_count > self.window_size:
             raise ConfigurationError(
-                "threshold_count must be within [1, window_size]; got "
-                f"{self.threshold_count} of {self.window_size}"
+                f"threshold_count ({self.threshold_count}) must not exceed "
+                f"window_size ({self.window_size})"
             )
-        if self.idle_timeout <= 0:
-            raise ConfigurationError("idle_timeout must be positive")
-        if self.refractory_period < 0:
-            raise ConfigurationError("refractory_period must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -77,25 +140,17 @@ class RadioConfig:
     """CC1000-like radio model parameters."""
 
     #: Probability an individual frame is lost in the air.
-    loss_probability: float = 0.02
+    loss_probability: float = domain(0.02, "[0, 1)")
     #: One-way latency, seconds (sub-millisecond on the real CC1000;
     #: kept configurable for stress tests).
-    latency: float = 0.005
+    latency: float = domain(0.005, "[0, inf)")
     #: Link-layer retransmissions before a frame is dropped for good.
-    max_retries: int = 3
+    max_retries: int = domain(3, "[0, 255]")
     #: Delay between retransmissions, seconds.
-    retry_interval: float = 0.05
+    retry_interval: float = domain(0.05, "[0, inf)")
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.loss_probability < 1.0:
-            raise ConfigurationError("loss_probability must be in [0, 1)")
-        _require_finite(self, "latency", "retry_interval")
-        if self.latency < 0:
-            raise ConfigurationError("latency must be >= 0")
-        if self.max_retries < 0:
-            raise ConfigurationError("max_retries must be >= 0")
-        if self.retry_interval < 0:
-            raise ConfigurationError("retry_interval must be >= 0")
+        check_domains(self)
 
 
 @dataclass(frozen=True)
@@ -110,56 +165,39 @@ class PlanningConfig:
     """
 
     #: Learning rate α.
-    learning_rate: float = 0.2
+    learning_rate: float = domain(0.2, "(0, 1]")
     #: Discount factor (the paper's "converge factor" β).
-    discount: float = 0.9
+    discount: float = domain(0.9, "[0, 1)")
     #: Eligibility-trace decay λ of TD(λ).
-    trace_decay: float = 0.7
+    trace_decay: float = domain(0.7, "[0, 1]")
     #: ε of the ε-greedy behaviour policy during training.
-    epsilon: float = 0.2
+    epsilon: float = domain(0.2, "[0, 1]")
     #: Multiplicative ε decay applied per training iteration.  The
     #: default lands the paper's Figure 4 numbers: the behaviour
     #: accuracy crosses 95% near iteration 50 and 98% near 90.
-    epsilon_decay: float = 0.978
+    epsilon_decay: float = domain(0.978, "(0, 1]")
     #: Reward for completing the ADL (terminal step reached).
-    terminal_reward: float = 1000.0
+    terminal_reward: float = domain(1000.0, "(-inf, inf)")
     #: Reward for a correct *minimal* prompt on an intermediate step.
-    minimal_reward: float = 100.0
+    minimal_reward: float = domain(100.0, "(-inf, inf)")
     #: Reward for a correct *specific* prompt on an intermediate step.
-    specific_reward: float = 50.0
+    specific_reward: float = domain(50.0, "(-inf, inf)")
     #: Reward when the prompted tool does not match the next step.
-    wrong_prompt_reward: float = 0.0
+    wrong_prompt_reward: float = domain(0.0, "(-inf, inf)")
     #: Default convergence criterion (fraction of correct predictions).
-    convergence_criterion: float = 0.95
+    convergence_criterion: float = domain(0.95, "(0, 1]")
     #: Consecutive iterations at/above the criterion to declare converged.
-    convergence_patience: int = 3
+    convergence_patience: int = domain(3, "[1, inf)")
     #: Optimistic initial Q value.  Initialising at the terminal
     #: reward makes untried prompts look as good as the best known
     #: one, so the greedy policy systematically rules actions out
     #: instead of waiting for ε-exploration to stumble on the correct
     #: tool (8 actions × rare ε hits would need far more than the
     #: paper's 120 samples).
-    initial_q: float = 1000.0
+    initial_q: float = domain(1000.0, "(-inf, inf)")
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.learning_rate <= 1.0:
-            raise ConfigurationError("learning_rate must be in (0, 1]")
-        if not 0.0 <= self.discount < 1.0:
-            raise ConfigurationError("discount must be in [0, 1)")
-        if not 0.0 <= self.trace_decay <= 1.0:
-            raise ConfigurationError("trace_decay must be in [0, 1]")
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ConfigurationError("epsilon must be in [0, 1]")
-        if not 0.0 < self.epsilon_decay <= 1.0:
-            raise ConfigurationError("epsilon_decay must be in (0, 1]")
-        _require_finite(
-            self, "initial_q", "terminal_reward", "minimal_reward",
-            "specific_reward", "wrong_prompt_reward",
-        )
-        if not 0.0 < self.convergence_criterion <= 1.0:
-            raise ConfigurationError("convergence_criterion must be in (0, 1]")
-        if self.convergence_patience < 1:
-            raise ConfigurationError("convergence_patience must be >= 1")
+        check_domains(self)
         if self.minimal_reward < self.specific_reward:
             raise ConfigurationError(
                 "minimal_reward must be >= specific_reward (the paper "
@@ -172,45 +210,35 @@ class RemindingConfig:
     """Reminding-subsystem parameters (paper section 2.3)."""
 
     #: Fallback stall timeout in seconds (Figure 1 uses 30 s).
-    stall_timeout: float = 30.0
+    stall_timeout: float = domain(30.0, "[1, inf)")
     #: If True, the stall timeout for a step is derived from the
     #: statistics of how long the user usually takes, as the paper's
     #: footnote 1 prescribes: mean + ``stall_sd_factor`` * sd.
-    statistical_timeout: bool = True
+    statistical_timeout: bool = domain(True)
     #: Standard deviations above the mean step duration before a
     #: stall prompt fires (only with ``statistical_timeout``).
-    stall_sd_factor: float = 3.0
+    stall_sd_factor: float = domain(3.0, "[0, inf)")
     #: LED blink counts: "minimal gives ... less blinks".
-    minimal_blinks: int = 3
+    minimal_blinks: int = domain(3, "[1, inf)")
     #: "specific gives ... more blinks".
-    specific_blinks: int = 8
+    specific_blinks: int = domain(8, "[1, inf)")
     #: Escalate minimal -> specific after this many unanswered
     #: reminders for the same step.
-    escalate_after: int = 2
+    escalate_after: int = domain(2, "[1, inf)")
     #: Hard cap on reminders per step before giving up (a caregiver
     #: would be alerted in a deployed system).
-    max_reminders_per_step: int = 5
+    max_reminders_per_step: int = domain(5, "[1, inf)")
     #: Whether to praise the user after a correctly followed prompt.
-    praise_enabled: bool = True
+    praise_enabled: bool = domain(True)
     #: Name used in specific prompts ("Mr. Kim, use the ...").
-    user_title: str = "Mr. Tanaka"
+    user_title: str = domain("Mr. Tanaka")
 
     def __post_init__(self) -> None:
-        _require_finite(self, "stall_timeout", "stall_sd_factor")
-        if self.stall_timeout <= 0:
-            raise ConfigurationError("stall_timeout must be positive")
-        if self.stall_sd_factor < 0:
-            raise ConfigurationError("stall_sd_factor must be >= 0")
-        if self.minimal_blinks <= 0 or self.specific_blinks <= 0:
-            raise ConfigurationError("blink counts must be positive")
+        check_domains(self)
         if self.minimal_blinks >= self.specific_blinks:
             raise ConfigurationError(
                 "minimal prompts must blink less than specific prompts"
             )
-        if self.escalate_after < 1:
-            raise ConfigurationError("escalate_after must be >= 1")
-        if self.max_reminders_per_step < 1:
-            raise ConfigurationError("max_reminders_per_step must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -222,7 +250,10 @@ class CoReDAConfig:
     planning: PlanningConfig = field(default_factory=PlanningConfig)
     reminding: RemindingConfig = field(default_factory=RemindingConfig)
     #: Master seed for all random streams.
-    seed: int = 0
+    seed: int = domain(0, "(-inf, inf)")
+
+    def __post_init__(self) -> None:
+        check_domains(self)
 
     @classmethod
     def elderly_friendly(cls, user_title: str = "Mr. Tanaka") -> "CoReDAConfig":

@@ -54,13 +54,18 @@ def config_to_dict(config: CoReDAConfig) -> Dict[str, Any]:
     return asdict(config)
 
 
-def config_from_dict(data: Dict[str, Any]) -> CoReDAConfig:
+def config_from_dict(data: Any) -> CoReDAConfig:
     """Rebuild a :class:`CoReDAConfig` from :func:`config_to_dict` output.
 
     Sections and keys may be omitted (defaults apply); unknown
-    sections or keys raise :class:`ConfigurationError`.  Keys of
-    retired knobs (``_RETIRED_KEYS``) are dropped.
+    sections or keys, and values outside their fields' declared
+    domains, raise :class:`ConfigurationError`.  Keys of retired knobs
+    (``_RETIRED_KEYS``) are dropped.
     """
+    if not isinstance(data, dict):
+        raise ConfigurationError(
+            f"a configuration must be an object, got {type(data).__name__}"
+        )
     known_top = set(_SECTIONS) | set(_RETIRED_KEYS) | {"seed"}
     unknown = set(data) - known_top
     if unknown:
@@ -68,7 +73,7 @@ def config_from_dict(data: Dict[str, Any]) -> CoReDAConfig:
     kwargs: Dict[str, Any] = {}
     for section, section_data in data.items():
         if section == "seed":
-            kwargs["seed"] = int(section_data)
+            kwargs["seed"] = section_data
             continue
         if not isinstance(section_data, dict):
             raise ConfigurationError(
@@ -101,8 +106,12 @@ def save_config(config: CoReDAConfig, path: Union[str, Path]) -> None:
 def load_config(path: Union[str, Path]) -> CoReDAConfig:
     """Read a configuration previously written by :func:`save_config`.
 
-    Hand-edited files get full validation: structural errors raise
-    :class:`ConfigurationError`; value errors raise through the
-    dataclasses' own ``__post_init__`` checks.
+    Hand-edited files get full validation: a structural error or a
+    value outside its field's domain raises :class:`ConfigurationError`,
+    and so does a file that is not JSON.
     """
-    return config_from_dict(json.loads(Path(path).read_text()))
+    try:
+        document = json.loads(Path(path).read_text())
+    except (ValueError, RecursionError) as exc:
+        raise ConfigurationError(f"not a JSON document: {exc}") from exc
+    return config_from_dict(document)

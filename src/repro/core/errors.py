@@ -21,7 +21,7 @@ class CoReDAError(Exception):
     """Base class for all library errors."""
 
 
-class ConfigurationError(CoReDAError):
+class ConfigurationError(CoReDAError, ValueError):
     """An invalid or inconsistent configuration value."""
 
 

@@ -28,7 +28,8 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from repro.adls.library import ADLDefinition
-from repro.resident.population import check_cohort_bounds, generate_population
+from repro.core.config import check_domains, domain
+from repro.resident.population import CohortBounds, generate_population
 from repro.sim.random import RandomStreams, derive_seed
 
 __all__ = ["HomeSpec", "FleetSpec", "distinct_trainings"]
@@ -64,29 +65,21 @@ class HomeSpec:
 class FleetSpec:
     """The declarative description of one fleet run."""
 
-    adl_name: str = "tea-making"
-    homes: int = 1000
-    seed: int = 0
-    episodes_per_home: int = 1
-    training_episodes: int = 120
-    seed_classes: int = 4
-    shard_size: int = 25
+    adl_name: str = domain("tea-making")
+    homes: int = domain(1000, "[1, inf)")
+    seed: int = domain(0, "(-inf, inf)")
+    episodes_per_home: int = domain(1, "[1, inf)")
+    training_episodes: int = domain(120, "[1, inf)")
+    seed_classes: int = domain(4, "[1, inf)")
+    shard_size: int = domain(25, "[1, inf)")
+    #: The cohort bounds, declared and checked by :class:`CohortBounds`.
     min_age: int = 72
     max_age: int = 91
     max_severity: float = 0.8
 
     def __post_init__(self) -> None:
-        if self.homes <= 0:
-            raise ValueError("homes must be positive")
-        if self.episodes_per_home <= 0:
-            raise ValueError("episodes_per_home must be positive")
-        if self.training_episodes <= 0:
-            raise ValueError("training_episodes must be positive")
-        if self.seed_classes <= 0:
-            raise ValueError("seed_classes must be positive")
-        if self.shard_size <= 0:
-            raise ValueError("shard_size must be positive")
-        check_cohort_bounds(self.min_age, self.max_age, self.max_severity)
+        check_domains(self)
+        CohortBounds(self.min_age, self.max_age, self.max_severity)
 
     def home_seed(self, home_id: int) -> int:
         """The live-simulation seed of home ``home_id``.

@@ -241,17 +241,6 @@ class PolicyCache:
         self.root.mkdir(parents=True, exist_ok=True)
         self.hits = 0
         self.misses = 0
-        #: Documents actually parsed from JSON by this process --
-        #: ``hits - memo-served`` lookups.  Purely observational (the
-        #: memoization satellite's test hook); never part of
-        #: :meth:`stats`, which must stay shard-layout-independent.
-        self.json_decodes = 0
-        # key -> ((st_mtime_ns, st_size, st_ino), document): a worker
-        # restoring the same training twice decodes once.  The stat
-        # signature invalidates the memo when the entry is replaced
-        # (same-content rewrites are the norm, but correctness must
-        # not rely on that).
-        self._memo: Dict[str, Tuple[Tuple[int, int, int], dict]] = {}
 
     def sweep_stale_temps(self) -> None:
         """Remove temp files left behind by writers that died mid-put.
@@ -276,34 +265,15 @@ class PolicyCache:
         return self.root / f"{key}{ARTIFACT_SUFFIX}"
 
     def get(self, key: str) -> Optional[dict]:
-        """The cached document for ``key``, or ``None``.
-
-        Decoded documents are memoized per key: restoring the same
-        training twice in one process parses the JSON once.  The
-        hit/miss counters are unaffected by the memo -- a memo-served
-        lookup *is* a cache hit, so :meth:`stats` cannot depend on
-        how homes were grouped into shards or workers.
-        """
-        path = self.path_for(key)
+        """The cached document for ``key``, or ``None`` (a missing or
+        unreadable entry counts as a miss)."""
         try:
-            stat = path.stat()
-        except OSError:
-            self._memo.pop(key, None)
-            self.misses += 1
-            return None
-        signature = (stat.st_mtime_ns, stat.st_size, stat.st_ino)
-        memo = self._memo.get(key)
-        if memo is not None and memo[0] == signature:
-            self.hits += 1
-            return memo[1]
-        try:
-            document = json.loads(path.read_text(encoding="utf-8"))
+            document = json.loads(
+                self.path_for(key).read_text(encoding="utf-8")
+            )
         except (OSError, ValueError):
-            self._memo.pop(key, None)
             self.misses += 1
             return None
-        self.json_decodes += 1
-        self._memo[key] = (signature, document)
         self.hits += 1
         return document
 
@@ -355,7 +325,6 @@ class PolicyCache:
         uses the same atomic temp-and-rename protocol.
         """
         self._write_atomic(self.path_for(key), json.dumps(document).encode("utf-8"))
-        self._memo.pop(key, None)
         if actions is not None:
             blob = pack_policy_artifact(document, actions)
             self._write_atomic(self.artifact_path_for(key), blob)

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.adl import ReminderLevel
+from repro.core.config import check_domains, domain
+from repro.core.errors import ConfigurationError
 
 __all__ = ["ComplianceModel"]
 
@@ -22,25 +24,21 @@ class ComplianceModel:
     """Per-level response behaviour of one resident."""
 
     #: Probability a MINIMAL reminder is acted on.
-    minimal_response: float = 0.85
+    minimal_response: float = domain(0.85, "[0, 1]")
     #: Probability a SPECIFIC reminder is acted on.
-    specific_response: float = 0.97
+    specific_response: float = domain(0.97, "[0, 1]")
     #: Mean seconds between noticing a reminder and acting.
-    delay_mean: float = 4.0
+    delay_mean: float = domain(4.0, "(0, inf)")
     #: Delay spread (truncated normal; never below delay_floor).
-    delay_sd: float = 1.5
-    delay_floor: float = 0.5
+    delay_sd: float = domain(1.5, "[0, inf)")
+    delay_floor: float = domain(0.5, "(0, inf)")
 
     def __post_init__(self) -> None:
-        for p in (self.minimal_response, self.specific_response):
-            if not 0.0 <= p <= 1.0:
-                raise ValueError("response probabilities must be in [0, 1]")
+        check_domains(self)
         if self.minimal_response > self.specific_response:
-            raise ValueError(
+            raise ConfigurationError(
                 "specific prompts must be at least as effective as minimal"
             )
-        if self.delay_mean <= 0 or self.delay_floor <= 0:
-            raise ValueError("delays must be positive")
 
     def responds(self, level: ReminderLevel, rng: np.random.Generator) -> bool:
         """Does the resident act on a reminder of this level?"""

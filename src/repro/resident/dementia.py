@@ -16,6 +16,9 @@ from typing import Optional
 
 import numpy as np
 
+from repro.core.config import check_domains, domain
+from repro.core.errors import ConfigurationError
+
 __all__ = ["ErrorKind", "DementiaProfile", "ScriptedError"]
 
 
@@ -51,25 +54,19 @@ class ScriptedError:
 class DementiaProfile:
     """Per-step error probabilities of one resident."""
 
-    stall_probability: float = 0.1
-    wrong_tool_probability: float = 0.1
-    perseveration_probability: float = 0.0
+    stall_probability: float = domain(0.1, "[0, 1]")
+    wrong_tool_probability: float = domain(0.1, "[0, 1]")
+    perseveration_probability: float = domain(0.0, "[0, 1]")
 
     def __post_init__(self) -> None:
+        check_domains(self)
         total = (
             self.stall_probability
             + self.wrong_tool_probability
             + self.perseveration_probability
         )
         if total > 1.0:
-            raise ValueError(f"error probabilities sum to {total} > 1")
-        for value in (
-            self.stall_probability,
-            self.wrong_tool_probability,
-            self.perseveration_probability,
-        ):
-            if value < 0:
-                raise ValueError("error probabilities must be >= 0")
+            raise ConfigurationError(f"error probabilities sum to {total} > 1")
 
     @classmethod
     def from_severity(cls, severity: float) -> "DementiaProfile":

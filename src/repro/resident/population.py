@@ -13,12 +13,14 @@ from dataclasses import dataclass
 from typing import List
 
 from repro.core.adl import ADL, Routine
+from repro.core.config import check_domains, domain
+from repro.core.errors import ConfigurationError
 from repro.resident.compliance import ComplianceModel
 from repro.resident.dementia import DementiaProfile
 from repro.resident.routines import personalized_routine
 from repro.sim.random import RandomStreams
 
-__all__ = ["ResidentProfile", "check_cohort_bounds", "generate_population"]
+__all__ = ["ResidentProfile", "CohortBounds", "generate_population"]
 
 
 @dataclass(frozen=True)
@@ -33,17 +35,23 @@ class ResidentProfile:
     compliance: ComplianceModel
 
 
-def check_cohort_bounds(min_age: int, max_age: int, max_severity: float) -> None:
-    """Raise ``ValueError`` unless :func:`generate_population` accepts
-    these cohort bounds."""
-    if not 0.1 <= max_severity <= 1.0:
-        raise ValueError(
-            f"max_severity must be in [0.1, 1.0], got {max_severity}"
-        )
-    if min_age > max_age:
-        raise ValueError(
-            f"min_age ({min_age}) must not exceed max_age ({max_age})"
-        )
+@dataclass(frozen=True)
+class CohortBounds:
+    """The ranges :func:`generate_population` draws a cohort from;
+    constructing one checks them."""
+
+    min_age: int = domain(72, "[0, inf)")
+    max_age: int = domain(91, "[0, inf)")
+    #: Severity is uniform in [0.1, ``max_severity``].
+    max_severity: float = domain(0.8, "[0.1, 1.0]")
+
+    def __post_init__(self) -> None:
+        check_domains(self)
+        if self.min_age > self.max_age:
+            raise ConfigurationError(
+                f"min_age ({self.min_age}) must not exceed max_age "
+                f"({self.max_age})"
+            )
 
 
 def generate_population(
@@ -62,7 +70,7 @@ def generate_population(
     """
     if count <= 0:
         raise ValueError("count must be positive")
-    check_cohort_bounds(min_age, max_age, max_severity)
+    CohortBounds(min_age, max_age, max_severity)
     rng = streams.get("population")
     profiles = []
     for index in range(count):

@@ -13,7 +13,6 @@ from repro.rl.dense import DenseQTable, DenseTraces, StateActionIndex
 from repro.rl.double_q import DoubleQLearner
 from repro.rl.dyna import DynaQLearner
 from repro.rl.expected_sarsa import ExpectedSarsaLearner
-from repro.rl.experience import ReplayBuffer, Transition
 from repro.rl.mdp import TabularMDP, TransitionOutcome
 from repro.rl.policies import (
     EpsilonGreedyPolicy,
@@ -53,7 +52,6 @@ __all__ = [
     "HarmonicDecay",
     "LinearDecay",
     "Policy",
-    "ReplayBuffer",
     "RewardFunction",
     "SarsaLambdaLearner",
     "Schedule",
@@ -62,7 +60,6 @@ __all__ = [
     "TabularMDP",
     "TDLambdaQLearner",
     "TraceKind",
-    "Transition",
     "TransitionOutcome",
     "ValueIterationResult",
     "convergence_iteration",

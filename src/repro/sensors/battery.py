@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.config import check_domains, domain
+
 __all__ = ["PowerProfile", "Battery", "estimate_lifetime_days"]
 
 
@@ -25,23 +27,16 @@ class PowerProfile:
     """Energy cost of node operations, in millijoules."""
 
     #: One ADC sample + detector update.
-    sample_cost_mj: float = 0.05
+    sample_cost_mj: float = domain(0.05, "[0, inf)")
     #: One radio transmission attempt (data + ack listen).
-    tx_attempt_cost_mj: float = 1.0
+    tx_attempt_cost_mj: float = domain(1.0, "[0, inf)")
     #: One LED flash.
-    led_blink_cost_mj: float = 5.0
+    led_blink_cost_mj: float = domain(5.0, "[0, inf)")
     #: Sleep-mode draw per second.
-    idle_cost_mj_per_s: float = 0.01
+    idle_cost_mj_per_s: float = domain(0.01, "[0, inf)")
 
     def __post_init__(self) -> None:
-        for value in (
-            self.sample_cost_mj,
-            self.tx_attempt_cost_mj,
-            self.led_blink_cost_mj,
-            self.idle_cost_mj_per_s,
-        ):
-            if value < 0:
-                raise ValueError("energy costs must be >= 0")
+        check_domains(self)
 
 
 #: Two AA alkaline cells, usable energy (~20 kJ), in millijoules.

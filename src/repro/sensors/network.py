@@ -29,6 +29,9 @@ from repro.sim.tracing import TraceRecorder
 
 __all__ = ["BaseStation", "SensorNetwork"]
 
+#: The profile of a tool its ADL gives none (frozen, so shared).
+_DEFAULT_PROFILE = SignalProfile()
+
 
 class BaseStation:
     """The server-side radio endpoint (uid 0).
@@ -112,7 +115,7 @@ class SensorNetwork:
         self.nodes: Dict[int, PavenetNode] = {}
         profiles = profiles or {}
         for tool in adl.tools:
-            profile = profiles.get(tool.tool_id, SignalProfile())
+            profile = profiles.get(tool.tool_id, _DEFAULT_PROFILE)
             source = SignalSource(
                 profile, streams.get(f"signal.{tool.tool_id}")
             )

@@ -46,6 +46,7 @@ from typing import Any, Callable, List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.config import check_domains, domain
 from repro.sim.ziggurat import KI, WI
 
 __all__ = ["SignalProfile", "SignalSource", "sample_clock"]
@@ -87,23 +88,13 @@ class SignalProfile:
     ``noise_sd``: half-normal baseline noise magnitude.
     """
 
-    burst_probability: float = 0.6
-    burst_mean: float = 2.0
-    burst_sd: float = 0.35
-    noise_sd: float = 0.18
+    burst_probability: float = domain(0.6, "(0, 1]")
+    burst_mean: float = domain(2.0, "(0, inf)")
+    burst_sd: float = domain(0.35, "[0, inf)")
+    noise_sd: float = domain(0.18, "[0, inf)")
 
     def __post_init__(self) -> None:
-        for name in ("burst_probability", "burst_mean", "burst_sd", "noise_sd"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if not 0.0 < self.burst_probability <= 1.0:
-            raise ValueError("burst_probability must be in (0, 1]")
-        if self.burst_mean <= 0:
-            raise ValueError("burst_mean must be positive")
-        if self.burst_sd < 0:
-            raise ValueError("burst_sd must be >= 0")
-        if self.noise_sd < 0:
-            raise ValueError("noise_sd must be >= 0")
+        check_domains(self)
 
 
 class SignalSource:

@@ -74,6 +74,19 @@ class TestTrain:
         assert main(["train", "tea-making", "--plot"]) == 0
         assert "*" in capsys.readouterr().out
 
+    def test_not_converged_exits_1_without_traceback(self, tmp_path, capsys):
+        path = tmp_path / "policy.json"
+        argv = ["train", "tea-making", "--episodes", "3", "--save", str(path)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "95% criterion: iteration not reached" in captured.out
+        assert "Traceback" not in captured.err
+        assert captured.err.splitlines() == [
+            "repro: error: training did not reach the 95% criterion in 3 "
+            "episodes; no policy saved"
+        ]
+        assert not path.exists()
+
     def test_unknown_adl_raises(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["train", "cooking"])
@@ -98,6 +111,17 @@ class TestTrain:
 
 
 class TestSimulate:
+    def test_not_converged_exits_1_without_traceback(self, tmp_path, capsys):
+        path = tmp_path / "coreda.json"
+        path.write_text('{"planning": {"terminal_reward": 0.0}}')
+        assert main(["simulate", "tea-making", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "repro: error: training did not reach the 95% criterion in 120 "
+            "episodes; nothing simulated"
+        ]
+
     def test_simulate_prints_report(self, capsys):
         assert main(
             ["simulate", "tea-making", "--episodes", "2", "--severity", "0.3"]
@@ -148,6 +172,24 @@ class TestUsageErrors:
     """Bad arguments exit 2 with one ``repro: error:`` line, never a
     traceback or a silent run."""
 
+    #: ``--config`` files by name; ``missing`` is never written.
+    CONFIG_FILES = {
+        "malformed": "{not json",
+        "invalid": '{"sensing": {"sampling_hz": -1}}',
+        "bad_decay": '{"planning": {"epsilon_decay": 1.5}}',
+        "bad_retry": '{"radio": {"retry_interval": -1}}',
+        "string_epsilon": '{"planning": {"epsilon": "0.2"}}',
+        "float_window": '{"sensing": {"window_size": 2.5, "threshold_count": 2}}',
+        "float_retries": '{"radio": {"max_retries": 2.5}}',
+        "float_seed": '{"seed": 1.5}',
+        "null_seed": '{"seed": null}',
+        "null_document": "null",
+        "number_document": "5",
+        "number_title": '{"reminding": {"user_title": 5}}',
+        "string_flag": '{"reminding": {"statistical_timeout": "no"}}',
+        "deep_document": "[" * 100_000,
+    }
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -164,22 +206,24 @@ class TestUsageErrors:
             ["simulate", "tea-making", "--config", "{invalid}"],
             ["train", "tea-making", "--config", "{bad_decay}"],
             ["simulate", "tea-making", "--config", "{bad_retry}"],
+            ["train", "tea-making", "--config", "{string_epsilon}"],
+            ["train", "tea-making", "--config", "{float_window}"],
+            ["simulate", "tea-making", "--config", "{float_retries}"],
+            ["train", "tea-making", "--config", "{float_seed}"],
+            ["train", "tea-making", "--config", "{null_seed}"],
+            ["train", "tea-making", "--config", "{null_document}"],
+            ["train", "tea-making", "--config", "{number_document}"],
+            ["simulate", "tea-making", "--config", "{number_title}"],
+            ["simulate", "tea-making", "--config", "{string_flag}"],
+            ["train", "tea-making", "--config", "{deep_document}"],
         ],
     )
     def test_exits_2_without_traceback(self, argv, tmp_path, capsys):
-        (tmp_path / "malformed.json").write_text("{not json")
-        (tmp_path / "invalid.json").write_text('{"sensing": {"sampling_hz": -1}}')
-        (tmp_path / "bad_decay.json").write_text(
-            '{"planning": {"epsilon_decay": 1.5}}'
-        )
-        (tmp_path / "bad_retry.json").write_text(
-            '{"radio": {"retry_interval": -1}}'
-        )
+        for name, text in self.CONFIG_FILES.items():
+            (tmp_path / f"{name}.json").write_text(text)
         files = {
             name: str(tmp_path / f"{name}.json")
-            for name in (
-                "missing", "malformed", "invalid", "bad_decay", "bad_retry"
-            )
+            for name in ("missing", *self.CONFIG_FILES)
         }
         argv = [arg.format(**files) for arg in argv]
         with pytest.raises(SystemExit) as excinfo:

@@ -1,5 +1,9 @@
 """Unit tests for configuration validation and profiles."""
 
+import math
+from dataclasses import fields
+from pathlib import Path
+
 import pytest
 
 from repro.core.config import (
@@ -9,7 +13,10 @@ from repro.core.config import (
     RemindingConfig,
     SensingConfig,
 )
-from repro.core.errors import ConfigurationError
+from repro.core.errors import ConfigurationError, CoReDAError
+from repro.resident.compliance import ComplianceModel
+from repro.resident.dementia import DementiaProfile
+from repro.sensors.battery import PowerProfile
 
 NON_FINITE = (float("nan"), float("inf"), float("-inf"))
 
@@ -30,6 +37,12 @@ class TestSensingConfig:
             {"threshold_count": 11},
             {"idle_timeout": 0},
             {"refractory_period": -1},
+            {"window_size": 2.5, "threshold_count": 2},
+            {"window_size": 10.0},
+            {"window_size": 10**30},
+            {"sampling_hz": 1e300},
+            {"refractory_period": 1e308},
+            {"sampling_hz": True},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
@@ -58,7 +71,8 @@ class TestRadioConfig:
     @pytest.mark.parametrize(
         "kwargs",
         [{"loss_probability": 1.0}, {"loss_probability": -0.1}, {"latency": -1},
-         {"max_retries": -1}],
+         {"max_retries": -1}, {"max_retries": 2.5}, {"max_retries": 10**9},
+         {"loss_probability": "0.5"}],
     )
     def test_invalid_values_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
@@ -102,6 +116,9 @@ class TestPlanningConfig:
             {"epsilon": -0.1},
             {"convergence_criterion": 0.0},
             {"convergence_patience": 0},
+            {"epsilon": "0.2"},
+            {"convergence_patience": True},
+            {"terminal_reward": None},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
@@ -148,6 +165,10 @@ class TestRemindingConfig:
             {"minimal_blinks": 0},
             {"escalate_after": 0},
             {"max_reminders_per_step": 0},
+            {"user_title": 5},
+            {"statistical_timeout": "no"},
+            {"praise_enabled": 1},
+            {"stall_timeout": 1e-300},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
@@ -186,3 +207,96 @@ class TestCoReDAConfig:
         config = CoReDAConfig()
         with pytest.raises(AttributeError):
             config.seed = 5
+
+    @pytest.mark.parametrize("seed", [1.5, 2.0, None, True, "3"])
+    def test_seed_must_be_an_integer(self, seed):
+        with pytest.raises(ConfigurationError, match="seed must be an integer"):
+            CoReDAConfig(seed=seed)
+        with pytest.raises(ConfigurationError, match="seed"):
+            CoReDAConfig().with_seed(seed)
+
+    def test_values_are_never_converted(self):
+        config = SensingConfig(sampling_hz=10, idle_timeout=30)
+        assert type(config.sampling_hz) is int
+        assert type(config.idle_timeout) is int
+        assert CoReDAConfig(seed=2**70).seed == 2**70
+
+
+class TestOneErrorType:
+    def test_configuration_error_is_also_a_value_error(self):
+        assert issubclass(ConfigurationError, CoReDAError)
+        assert issubclass(ConfigurationError, ValueError)
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: PlanningConfig(epsilon="0.2"),
+             "epsilon must be in [0, 1], got '0.2'"),
+            (lambda: PlanningConfig(epsilon=1.5),
+             "epsilon must be in [0, 1], got 1.5"),
+            (lambda: SensingConfig(window_size=2.5),
+             "window_size must be an integer in [1, 1000], got 2.5"),
+            (lambda: RemindingConfig(user_title=5),
+             "user_title must be a string, got 5"),
+            (lambda: RemindingConfig(praise_enabled="yes"),
+             "praise_enabled must be a bool, got 'yes'"),
+        ],
+    )
+    def test_message_names_field_domain_and_value(self, build, message):
+        with pytest.raises(ConfigurationError) as excinfo:
+            build()
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize(
+        "cls, field, value",
+        [
+            (DementiaProfile, "stall_probability", math.nan),
+            (DementiaProfile, "wrong_tool_probability", -0.1),
+            (ComplianceModel, "delay_mean", math.nan),
+            (ComplianceModel, "delay_mean", math.inf),
+            (ComplianceModel, "delay_sd", math.nan),
+            (ComplianceModel, "delay_sd", -1.0),
+            (ComplianceModel, "minimal_response", 1.5),
+            (PowerProfile, "sample_cost_mj", math.nan),
+            (PowerProfile, "led_blink_cost_mj", -1.0),
+        ],
+    )
+    def test_model_profiles_refuse_values_outside_their_domain(
+        self, cls, field, value
+    ):
+        with pytest.raises(ConfigurationError, match=field):
+            cls(**{field: value})
+
+
+#: The sections of a ``--config`` document, in the order the docs list them.
+SECTIONS = (
+    ("sensing", SensingConfig),
+    ("radio", RadioConfig),
+    ("planning", PlanningConfig),
+    ("reminding", RemindingConfig),
+    ("top level", CoReDAConfig),
+)
+
+
+def render_domain_table():
+    """The domain table of every declared configuration field."""
+    lines = ["| Section | Field | Type | Domain |", "| --- | --- | --- | --- |"]
+    for section, cls in SECTIONS:
+        for spec in fields(cls):
+            if "domain" in spec.metadata:
+                interval = spec.metadata["domain"] or "any"
+                lines.append(
+                    f"| {section} | `{spec.name}` | {spec.type} | {interval} |"
+                )
+    return "\n".join(lines) + "\n"
+
+
+class TestDomainTable:
+    def test_every_field_is_declared(self):
+        for _, cls in SECTIONS[:-1]:
+            for spec in fields(cls):
+                assert "domain" in spec.metadata, spec.name
+
+    def test_extending_doc_prints_the_table(self):
+        doc = Path(__file__).resolve().parent.parent / "docs" / "extending.md"
+        assert render_domain_table() in doc.read_text(encoding="utf-8")

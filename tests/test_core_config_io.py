@@ -1,10 +1,25 @@
-"""Unit tests for configuration persistence."""
+"""Unit tests for configuration persistence, and the domain contract
+of every loaded configuration and fleet spec."""
 
+import contextlib
+import io
 import json
+import math
+import re
+from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.config import CoReDAConfig, RemindingConfig
+from repro.cli import main
+from repro.core.config import (
+    CoReDAConfig,
+    PlanningConfig,
+    RadioConfig,
+    RemindingConfig,
+    SensingConfig,
+)
 from repro.core.config_io import (
     config_from_dict,
     config_to_dict,
@@ -12,6 +27,8 @@ from repro.core.config_io import (
     save_config,
 )
 from repro.core.errors import ConfigurationError
+from repro.fleet import FleetSpec
+from repro.resident.population import CohortBounds
 
 
 class TestRoundTrip:
@@ -80,6 +97,37 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             config_from_dict({"planning": {"learning_rate": 5.0}})
 
+    @pytest.mark.parametrize(
+        "document, field",
+        [
+            ({"seed": 1.5}, "seed"),
+            ({"seed": None}, "seed"),
+            ({"seed": "7"}, "seed"),
+            ({"planning": {"epsilon": "0.2"}}, "epsilon"),
+            ({"sensing": {"window_size": 2.5, "threshold_count": 2}},
+             "window_size"),
+            ({"radio": {"max_retries": 2.5}}, "max_retries"),
+            ({"reminding": {"user_title": 5}}, "user_title"),
+            ({"reminding": {"statistical_timeout": "no"}},
+             "statistical_timeout"),
+            ({"planning": {"terminal_reward": 10**400}}, "terminal_reward"),
+        ],
+    )
+    def test_value_outside_its_domain_names_the_field(self, document, field):
+        with pytest.raises(ConfigurationError, match=field):
+            config_from_dict(document)
+
+    @pytest.mark.parametrize("document", [None, 5, "text", [1, 2], True])
+    def test_document_must_be_an_object(self, document):
+        with pytest.raises(ConfigurationError, match="must be an object"):
+            config_from_dict(document)
+
+    def test_file_that_is_not_json_is_a_configuration_error(self, tmp_path):
+        path = tmp_path / "broken.json"
+        path.write_text("{not json")
+        with pytest.raises(ConfigurationError, match="not a JSON document"):
+            load_config(path)
+
 
 class TestRetiredKeys:
     """Files saved while the speed knobs existed keep loading."""
@@ -145,3 +193,161 @@ class TestRetiredKeys:
         assert "sim" not in document
         assert "q_backend" not in document["planning"]
         assert "infer_backend" not in document["planning"]
+
+
+# ---------------------------------------------------------------------------
+# The domain contract: every input either raises ConfigurationError or
+# yields an object whose every declared field lies in its domain.
+
+SECTIONS = {
+    "sensing": SensingConfig,
+    "radio": RadioConfig,
+    "planning": PlanningConfig,
+    "reminding": RemindingConfig,
+}
+
+INTERVAL = re.compile(r"([\[(])(\S+), (\S+)([\])])")
+
+
+def assert_in_declared_domains(instance):
+    """Check each declared field of ``instance`` by its own reading of
+    the declaration (not through the checker under test)."""
+    for spec in fields(instance):
+        if "domain" not in spec.metadata:
+            continue
+        value = getattr(instance, spec.name)
+        if spec.type == "bool":
+            assert type(value) is bool, spec.name
+            continue
+        if spec.type == "str":
+            assert isinstance(value, str), spec.name
+            continue
+        assert not isinstance(value, bool), spec.name
+        if spec.type == "int":
+            assert isinstance(value, int), spec.name
+        else:
+            assert isinstance(value, (int, float)), spec.name
+            assert math.isfinite(float(value)), spec.name
+        opening, low, high, closing = INTERVAL.fullmatch(
+            spec.metadata["domain"]
+        ).groups()
+        low, high = float(low), float(high)
+        assert low < value if opening == "(" else low <= value, spec.name
+        assert value < high if closing == ")" else value <= high, spec.name
+
+
+#: JSON scalars, the wild values included.  Small numbers come up
+#: often enough that many documents load and reach the domain asserts.
+json_scalars = st.one_of(
+    st.integers(min_value=-1, max_value=12),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.integers(min_value=1, max_value=100),
+    st.floats(min_value=0.0, max_value=100.0),
+    st.integers(),
+    st.floats(),
+    st.sampled_from([1e308, -1e308, math.inf, -math.inf, math.nan]),
+    st.booleans(),
+    st.text(max_size=4),
+    st.none(),
+)
+json_values = st.one_of(
+    json_scalars,
+    st.lists(json_scalars, max_size=2),
+    st.dictionaries(st.text(max_size=3), json_scalars, max_size=2),
+)
+
+
+def _some_of(values):
+    """Dictionaries of up to three of ``values``' keys, each with a
+    value drawn from its strategy."""
+    keys = st.lists(st.sampled_from(sorted(values)), max_size=3, unique=True)
+    return keys.flatmap(
+        lambda chosen: st.fixed_dictionaries({key: values[key] for key in chosen})
+    )
+
+
+def _section(cls, *extra_keys):
+    """A section document: real field names, each holding its default
+    (so that many documents load) or any JSON value, and the
+    ``extra_keys``."""
+    return _some_of(
+        {
+            **{
+                spec.name: st.one_of(st.just(spec.default), json_values)
+                for spec in fields(cls)
+            },
+            **{key: json_values for key in extra_keys},
+        }
+    )
+
+
+#: Configuration documents: real sections and keys, then unknown
+#: sections, keys and shapes, then documents that are not objects.
+documents = st.one_of(
+    _some_of(
+        {
+            **{name: _section(cls) for name, cls in SECTIONS.items()},
+            "seed": st.one_of(st.integers(), json_values),
+        }
+    ),
+    _some_of(
+        {
+            **{
+                name: st.one_of(_section(cls, "unknown"), json_values)
+                for name, cls in SECTIONS.items()
+            },
+            "seed": json_values,
+            "sim": json_values,
+            "other": json_values,
+        }
+    ),
+    st.sampled_from([None, 5, 1.5, math.nan, "text", [], [{}], True]),
+)
+
+
+class TestDomainContract:
+    @given(documents)
+    @settings(max_examples=300, deadline=None)
+    def test_config_from_dict_refuses_or_stays_in_domain(self, document):
+        try:
+            config = config_from_dict(document)
+        except ConfigurationError:
+            return
+        assert_in_declared_domains(config)
+        for section in SECTIONS:
+            assert_in_declared_domains(getattr(config, section))
+
+    @given(
+        _some_of(
+            {
+                spec.name: st.one_of(st.just(spec.default), json_values)
+                for spec in fields(FleetSpec)
+            }
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_fleet_spec_refuses_or_stays_in_domain(self, kwargs):
+        try:
+            spec = FleetSpec(**kwargs)
+        except ConfigurationError:
+            return
+        assert_in_declared_domains(spec)
+        assert_in_declared_domains(
+            CohortBounds(spec.min_age, spec.max_age, spec.max_severity)
+        )
+
+    @given(documents)
+    @settings(max_examples=25, deadline=None)
+    def test_train_exits_0_1_or_2(self, tmp_path_factory, document):
+        path = tmp_path_factory.mktemp("config") / "coreda.json"
+        path.write_text(json.dumps(document))
+        argv = ["train", "tea-making", "--episodes", "3", "--config", str(path)]
+        stderr = io.StringIO()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(stderr):
+                code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code in (0, 1, 2)
+        assert "Traceback" not in stderr.getvalue()

@@ -619,7 +619,7 @@ class TestFleetCli:
         with pytest.raises(SystemExit) as excinfo:
             main(["fleet", "--homes", "0"])
         assert excinfo.value.code == 2
-        assert "homes must be positive" in capsys.readouterr().err
+        assert "homes must be an integer in [1, inf), got 0" in capsys.readouterr().err
 
     def test_timing_goes_to_stderr_not_stdout(self, capsys):
         code = main([
