@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: lint lint-sarif test report ziggurat-tables
+.PHONY: lint lint-sarif test report reach ziggurat-tables
 
 lint:
 	$(PYTHON) -m repro lint src/repro --baseline lint-baseline.json
@@ -14,6 +14,11 @@ test:
 
 report:
 	$(PYTHON) -m repro report
+
+# Lists the src/repro functions that no report, fleet, CLI verb or
+# example calls (about 45 s); it never edits the tree.
+reach:
+	$(PYTHON) -m tests.reach
 
 # Re-derives src/repro/sim/ziggurat.py from the installed numpy; run it
 # when tests/test_sim_ziggurat.py reports that numpy's ziggurat changed.

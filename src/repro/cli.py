@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, TextIO
 from repro.adls.library import default_registry
 from repro.core.config import CoReDAConfig
 from repro.core.config_io import load_config
-from repro.core.errors import ConfigurationError, UnknownADLError
+from repro.core.errors import ConfigurationError, RoutineError, UnknownADLError
 from repro.core.adl import Routine
 from repro.core.system import CoReDA
 from repro.evalx.tables import ascii_curve, format_table
@@ -209,7 +209,7 @@ def _parse_routine(
         )
     try:
         return Routine(definition.adl, step_ids)
-    except ValueError as exc:
+    except RoutineError as exc:
         parser.error(f"--routine: {exc}")
 
 

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import math
-from typing import List, Sequence, Tuple
+from typing import Sequence
 
-__all__ = ["proportion", "mean", "sample_sd", "rolling_mean", "wilson_interval"]
+__all__ = ["proportion", "mean", "sample_sd"]
 
 
 def proportion(successes: int, trials: int) -> float:
@@ -32,42 +32,3 @@ def sample_sd(values: Sequence[float]) -> float:
     mu = mean(values)
     return math.sqrt(sum((v - mu) ** 2 for v in values) / (n - 1))
 
-
-def rolling_mean(values: Sequence[float], window: int) -> List[float]:
-    """Trailing rolling mean (shorter prefix windows at the start)."""
-    if window <= 0:
-        raise ValueError("window must be positive")
-    out: List[float] = []
-    for index in range(len(values)):
-        chunk = values[max(0, index - window + 1) : index + 1]
-        out.append(sum(chunk) / len(chunk))
-    return out
-
-
-def wilson_interval(
-    successes: int, trials: int, z: float = 1.96
-) -> Tuple[float, float]:
-    """Wilson score interval for a binomial proportion.
-
-    Used when reporting extract/predict precision so small-sample
-    rows (the paper's 30-40 samples per step) carry honest error bars.
-    """
-    if trials <= 0:
-        raise ValueError("trials must be positive")
-    p = successes / trials
-    denominator = 1 + z**2 / trials
-    centre = (p + z**2 / (2 * trials)) / denominator
-    margin = (
-        z
-        * math.sqrt(p * (1 - p) / trials + z**2 / (4 * trials**2))
-        / denominator
-    )
-    low = max(0.0, centre - margin)
-    high = min(1.0, centre + margin)
-    # At the boundaries the exact bound coincides with p; floating
-    # point may land an epsilon on the wrong side of it.
-    if successes == 0:
-        low = 0.0
-    if successes == trials:
-        high = 1.0
-    return (low, high)

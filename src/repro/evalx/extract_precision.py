@@ -17,11 +17,11 @@ finding ("the duration of these two steps are relatively shorter").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.adls.library import ADLDefinition
 from repro.core.config import CoReDAConfig
-from repro.core.metrics import proportion, wilson_interval
+from repro.core.metrics import proportion
 from repro.evalx.parallel import Cell, Section
 from repro.evalx.tables import format_table
 from repro.sensing.subsystem import SensingSubsystem
@@ -53,10 +53,6 @@ class StepPrecision:
     @property
     def precision(self) -> float:
         return proportion(self.detections, self.trials)
-
-    @property
-    def interval(self) -> Tuple[float, float]:
-        return wilson_interval(self.detections, self.trials)
 
 
 @dataclass

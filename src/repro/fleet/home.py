@@ -55,13 +55,13 @@ __all__ = [
 class HomeRuntime:
     """Per-shard interning context: N homes share one decoded instance.
 
-    Everything a home needs that is a pure function of its scalar spec
-    -- the routine, the compliance model, the dementia profile, the
-    reliable handling overrides and above all the restored policy
-    predictor -- used to be rebuilt per home (and the profile per
-    *episode*).  All of these objects are immutable or stateless, so
-    homes can share them the way :mod:`repro.rl.dense` interns Q rows;
-    the runtime memoizes each by its scalar key.
+    The routine, the reliable handling overrides and above all the
+    restored policy predictor are pure functions of a few keys that
+    many homes share, and are immutable or stateless, so homes share
+    them the way :mod:`repro.rl.dense` interns Q rows; the runtime
+    memoizes each by its key.  (Each home's compliance model and
+    dementia profile are keyed by continuous draws, so no two homes
+    share one; the home builds its own.)
 
     The trained policy is restored from the shared-memory arena first
     (:func:`repro.planning.shm.arena_artifact`), then the mmap'd
@@ -87,8 +87,6 @@ class HomeRuntime:
         "cache",
         "_routines",
         "_reliable",
-        "_compliance",
-        "_profiles",
         "_predictors",
         "_cache_keys",
     )
@@ -107,8 +105,6 @@ class HomeRuntime:
         self.cache = cache
         self._routines: Dict[Tuple[int, ...], Routine] = {}
         self._reliable: Optional[dict] = None
-        self._compliance: Dict[Tuple[float, float, float], ComplianceModel] = {}
-        self._profiles: Dict[float, DementiaProfile] = {}
         # The run's memo when one is open, so shards share restores.
         self._predictors: dict = _RESTORED if _RESTORED is not None else {}
         self._cache_keys: Dict[tuple, str] = dict(cache_keys or {})
@@ -127,23 +123,6 @@ class HomeRuntime:
         if self._reliable is None:
             self._reliable = reliable_handling(self.definition)
         return self._reliable
-
-    def compliance(self, home: HomeSpec) -> ComplianceModel:
-        """The home's compliance model (frozen, stateless)."""
-        key = (home.minimal_response, home.specific_response, home.delay_mean)
-        model = self._compliance.get(key)
-        if model is None:
-            model = home_compliance(home)
-            self._compliance[key] = model
-        return model
-
-    def profile(self, home: HomeSpec) -> DementiaProfile:
-        """The home's dementia profile (frozen; was rebuilt per episode)."""
-        profile = self._profiles.get(home.severity)
-        if profile is None:
-            profile = DementiaProfile.from_severity(home.severity)
-            self._profiles[home.severity] = profile
-        return profile
 
     def cache_key(self, home: HomeSpec) -> str:
         """The home's content-addressed training key (memoized)."""
@@ -245,15 +224,19 @@ def home_stream_batch(
     its own)."""
     adl = definition.adl
     names = ["radio"] + [f"signal.{tool.tool_id}" for tool in adl.tools]
+    batch = StreamBatch()
     requests = []
     for home in homes:
-        master = system_streams(RandomStreams(home.seed), adl).master_seed
+        # Forking under the batch keeps the derived seed for the
+        # deployment's own fork of the home's streams.
+        master = system_streams(RandomStreams(home.seed, batch), adl).master_seed
         requests.extend((master, name) for name in names)
         requests.extend(
             (master, f"resident.{_resident_name(home, episode)}")
             for episode in range(episodes)
         )
-    return StreamBatch(requests)
+    batch.seed(requests)
+    return batch
 
 
 def train_home_policy(
@@ -370,17 +353,11 @@ def create_home_resident(
     compliance: ComplianceModel,
     reliable: dict,
     episode: int,
-    profile: Optional[DementiaProfile] = None,
+    profile: DementiaProfile,
 ):
-    """The resident for one of the home's guided episodes.
-
-    ``profile`` shares one frozen :class:`DementiaProfile` across
-    episodes (and homes of the same severity, via
-    :class:`HomeRuntime`); left ``None``, the profile is rebuilt from
-    the home's severity -- the two are value-equal by construction.
-    """
-    if profile is None:
-        profile = DementiaProfile.from_severity(home.severity)
+    """The resident for one of the home's guided episodes (``profile``
+    and ``compliance`` are built once per home and shared by its
+    episodes)."""
     return system.create_resident(
         routine=routine,
         dementia=profile,

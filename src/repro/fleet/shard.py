@@ -58,11 +58,13 @@ from repro.fleet.home import (
     build_home_deployment,
     create_home_resident,
     harvest_home_report,
+    home_compliance,
     home_stream_batch,
 )
 from repro.fleet.metrics import HomeReport
 from repro.fleet.spec import HomeSpec
 from repro.planning.store import PolicyCache
+from repro.resident.dementia import DementiaProfile
 from repro.resident.model import EpisodeOutcome
 from repro.rl.batch import ShardPredictor
 from repro.sim.kernel import Simulator
@@ -101,12 +103,12 @@ class _HomeRun:
         self.shard = shard
         self.home = home
         self.system = system
-        # Interned through the shard runtime: shard-mates share one
-        # routine/compliance/profile instance per distinct scalar key.
+        # Shard-mates share one routine per distinct routine; the
+        # compliance model and profile are this home's own.
         self.routine = runtime.routine(home)
         self.reliable = runtime.reliable()
-        self.compliance = runtime.compliance(home)
-        self.profile = runtime.profile(home)
+        self.compliance = home_compliance(home)
+        self.profile = DementiaProfile.from_severity(home.severity)
         self.episodes = episodes
         self.horizon = horizon
         self.outcomes: List[EpisodeOutcome] = []

@@ -89,14 +89,11 @@ class FleetSpec:
         """
         return derive_seed(self.seed, f"fleet.home[{home_id}]")
 
-    def train_seed(self, home_id: int) -> int:
-        """The training seed class assigned to home ``home_id``."""
-        return derive_seed(
-            self.seed, f"fleet.train[{home_id % self.seed_classes}]"
-        )
-
     def expand(self, definition: ADLDefinition) -> List[HomeSpec]:
-        """Expand the cohort into one :class:`HomeSpec` per home."""
+        """Expand the cohort into one :class:`HomeSpec` per home.
+
+        Home ``i`` trains with the seed of class ``i % seed_classes``.
+        """
         profiles = generate_population(
             definition.adl,
             self.homes,
@@ -105,6 +102,10 @@ class FleetSpec:
             max_age=self.max_age,
             max_severity=self.max_severity,
         )
+        train_seeds = [
+            derive_seed(self.seed, f"fleet.train[{seed_class}]")
+            for seed_class in range(min(self.seed_classes, self.homes))
+        ]
         return [
             HomeSpec(
                 home_id=home_id,
@@ -114,11 +115,11 @@ class FleetSpec:
                 ),
                 severity=profile.severity,
                 age=profile.age,
-                minimal_response=profile.compliance.minimal_response,
-                specific_response=profile.compliance.specific_response,
-                delay_mean=profile.compliance.delay_mean,
+                minimal_response=profile.minimal_response,
+                specific_response=profile.specific_response,
+                delay_mean=profile.delay_mean,
                 seed=self.home_seed(home_id),
-                train_seed=self.train_seed(home_id),
+                train_seed=train_seeds[home_id % self.seed_classes],
             )
             for home_id, profile in enumerate(profiles)
         ]

@@ -5,7 +5,7 @@ from repro.planning.multi_routine import MultiRoutinePlanner, RoutineCluster
 from repro.planning.online import OnlineAdaptation
 from repro.planning.predictor import NextStepPredictor
 from repro.planning.rewards_coreda import CoReDAReward
-from repro.planning.state import PlanningState, episode_states, state_space
+from repro.planning.state import PlanningState, episode_states
 from repro.planning.store import load_predictor, save_predictor
 from repro.planning.subsystem import PlanningSubsystem
 from repro.planning.trainer import (
@@ -32,5 +32,4 @@ __all__ = [
     "load_predictor",
     "replay_episode",
     "save_predictor",
-    "state_space",
 ]

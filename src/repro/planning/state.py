@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from typing import List, NamedTuple, Sequence
 
-from repro.core.adl import ADL, IDLE_STEP_ID
+from repro.core.adl import IDLE_STEP_ID
 
-__all__ = ["PlanningState", "state_space", "episode_states"]
+__all__ = ["PlanningState", "episode_states"]
 
 
 class PlanningState(NamedTuple):
@@ -25,26 +25,6 @@ class PlanningState(NamedTuple):
 
     def __repr__(self) -> str:
         return f"<{self.previous},{self.current}>"
-
-
-def state_space(adl: ADL, include_idle: bool = True) -> List[PlanningState]:
-    """Every syntactically possible state of an ADL.
-
-    The full product space: previous ∈ steps ∪ {idle}, current ∈
-    steps ∪ {idle}, excluding self-loops of real steps (the extractor
-    never emits the same StepID twice in a row) and the idle-idle
-    state.  Deterministic ordering for reproducible iteration.
-    """
-    ids = list(adl.step_ids)
-    if include_idle:
-        ids = [IDLE_STEP_ID] + ids
-    states = []
-    for previous in ids:
-        for current in ids:
-            if previous == current:
-                continue
-            states.append(PlanningState(previous, current))
-    return states
 
 
 def episode_states(step_ids: Sequence[int]) -> List[PlanningState]:

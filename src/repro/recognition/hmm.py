@@ -2,13 +2,12 @@
 
 The paper's related work (Philipose et al., "Inferring activities
 from interactions with objects") recognizes ADLs with probabilistic
-inference over object-touch observations.  This module provides that
-substrate: a classic discrete HMM with forward filtering, sequence
-log-likelihood and Viterbi decoding, numerically stable in log space.
+inference over object-touch observations.  This module provides the
+part CoReDA uses: a classic discrete HMM with Viterbi decoding, in
+log space.
 
 Used by :mod:`repro.recognition.repair` (fixing sensing dropouts in
-training logs) and :mod:`repro.recognition.recognizer` (identifying
-which ADL a usage stream belongs to).
+training logs).
 """
 
 from __future__ import annotations
@@ -70,20 +69,6 @@ class DiscreteHMM:
     # ------------------------------------------------------------------
     # inference
 
-    def log_likelihood(self, observations: Sequence[int]) -> float:
-        """log P(observations) under the model (0-length -> 0.0)."""
-        alpha = self._forward(observations)
-        if alpha is None:
-            return 0.0
-        return float(_logsumexp(alpha))
-
-    def filter(self, observations: Sequence[int]) -> np.ndarray:
-        """P(state_T | observations) -- the filtering distribution."""
-        alpha = self._forward(observations)
-        if alpha is None:
-            return np.exp(self._log_prior - _logsumexp(self._log_prior))
-        return np.exp(alpha - _logsumexp(alpha))
-
     def viterbi(self, observations: Sequence[int]) -> Tuple[List[int], float]:
         """Most likely state path and its log probability."""
         observations = self._check_symbols(observations)
@@ -107,27 +92,6 @@ class DiscreteHMM:
     # ------------------------------------------------------------------
     # internals
 
-    def _forward(self, observations: Sequence[int]):
-        """The final forward row ``alpha_T`` (``None`` for no data).
-
-        Rolling two-row recursion: filtering and likelihood only need
-        the last row, so the full ``(T, n_states)`` trellis is never
-        materialized (Viterbi keeps its own, for backtracking).  The
-        per-step emission columns are gathered once up front.
-        """
-        observations = self._check_symbols(observations)
-        if observations is None:
-            return None
-        emission = self._log_emission[:, observations]
-        alpha = self._log_prior + emission[:, 0]
-        transition = self._log_transition
-        for t in range(1, observations.shape[0]):
-            alpha = (
-                _logsumexp_matrix(alpha[:, None] + transition)
-                + emission[:, t]
-            )
-        return alpha
-
     def _check_symbols(self, observations: Sequence[int]):
         """Validate and return ``observations`` as an int array.
 
@@ -147,17 +111,3 @@ class DiscreteHMM:
                 f"observation {symbol} outside [0, {self.n_symbols})"
             )
         return arr
-
-
-def _logsumexp(values: np.ndarray) -> float:
-    peak = values.max()
-    if np.isneginf(peak):
-        return float("-inf")
-    return float(peak + np.log(np.exp(values - peak).sum()))
-
-
-def _logsumexp_matrix(matrix: np.ndarray) -> np.ndarray:
-    """Column-wise logsumexp of a (states, states) score matrix."""
-    peak = matrix.max(axis=0)
-    safe = np.where(np.isneginf(peak), 0.0, peak)
-    return safe + np.log(np.exp(matrix - safe[None, :]).sum(axis=0))

@@ -25,14 +25,26 @@ __all__ = ["ResidentProfile", "CohortBounds", "generate_population"]
 
 @dataclass(frozen=True)
 class ResidentProfile:
-    """The static description of one cohort member."""
+    """The static description of one cohort member, as drawn."""
 
     name: str
     age: int
     severity: float
     routine: Routine
-    dementia: DementiaProfile
-    compliance: ComplianceModel
+    minimal_response: float
+    specific_response: float
+    delay_mean: float
+
+    @property
+    def dementia(self) -> DementiaProfile:
+        return DementiaProfile.from_severity(self.severity)
+
+    @property
+    def compliance(self) -> ComplianceModel:
+        return ComplianceModel(
+            self.minimal_response, self.specific_response, self.delay_mean,
+            delay_sd=1.0,
+        )
 
 
 @dataclass(frozen=True)
@@ -66,7 +78,8 @@ def generate_population(
 
     Ages are uniform over the NPO cohort's range; severity is uniform
     in [0.1, ``max_severity``]; roughly half the cohort uses a
-    personalized (non-canonical) routine.
+    personalized (non-canonical) routine.  A profile builds its
+    dementia and compliance models when asked.
     """
     if count <= 0:
         raise ValueError("count must be positive")
@@ -74,21 +87,16 @@ def generate_population(
     rng = streams.get("population")
     profiles = []
     for index in range(count):
-        severity = float(rng.uniform(0.1, max_severity))
-        compliance = ComplianceModel(
-            minimal_response=float(rng.uniform(0.7, 0.95)),
-            specific_response=float(rng.uniform(0.95, 1.0)),
-            delay_mean=float(rng.uniform(2.0, 6.0)),
-            delay_sd=1.0,
-        )
+        # Keyword arguments evaluate in the order written: the draw order.
         profiles.append(
             ResidentProfile(
                 name=f"resident-{index:02d}",
+                severity=float(rng.uniform(0.1, max_severity)),
+                minimal_response=float(rng.uniform(0.7, 0.95)),
+                specific_response=float(rng.uniform(0.95, 1.0)),
+                delay_mean=float(rng.uniform(2.0, 6.0)),
                 age=int(rng.integers(min_age, max_age + 1)),
-                severity=severity,
                 routine=personalized_routine(adl, rng),
-                dementia=DementiaProfile.from_severity(severity),
-                compliance=compliance,
             )
         )
     return profiles

@@ -10,11 +10,9 @@ these statistics.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional
 
 __all__ = ["UsageRecord", "DwellStats", "UsageHistory"]
 
@@ -63,24 +61,6 @@ class UsageHistory:
         """All records for one tool."""
         return [r for r in self._records if r.tool_id == tool_id]
 
-    def last_time(self) -> Optional[float]:
-        """Time of the most recent detection, or ``None`` if empty."""
-        if not self._records:
-            return None
-        return self._records[-1].time
-
-    def step_sequence(self) -> List[int]:
-        """Tool ids with consecutive duplicates collapsed.
-
-        This is the StepID sequence in the paper's sense: repeated
-        detections of the same tool belong to one step.
-        """
-        sequence: List[int] = []
-        for record in self._records:
-            if not sequence or sequence[-1] != record.tool_id:
-                sequence.append(record.tool_id)
-        return sequence
-
     def dwell_stats(self) -> Dict[int, DwellStats]:
         """Per-tool statistics of time spent before the next step.
 
@@ -110,19 +90,6 @@ class UsageHistory:
                 variance = 0.0
             stats[tool_id] = DwellStats(count=count, mean=mean, sd=math.sqrt(variance))
         return stats
-
-    def save(self, path: Union[str, Path]) -> None:
-        """Persist the history as JSON."""
-        data = [{"time": r.time, "tool_id": r.tool_id} for r in self._records]
-        Path(path).write_text(json.dumps(data, indent=2))
-
-    @classmethod
-    def load(cls, path: Union[str, Path]) -> "UsageHistory":
-        """Restore a history previously written by :meth:`save`."""
-        history = cls()
-        for item in json.loads(Path(path).read_text()):
-            history.append(item["time"], item["tool_id"])
-        return history
 
     def __len__(self) -> int:
         return len(self._records)

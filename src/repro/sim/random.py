@@ -272,11 +272,19 @@ class StreamBatch:
     draw-for-draw the ``default_rng(derive_seed(master, name))`` that
     :meth:`RandomStreams.get` builds without a batch, at a fraction of
     the cost of seeding it through ``SeedSequence`` one at a time.
+
+    :attr:`forks` keeps the seed of each :meth:`RandomStreams.fork`
+    made under the batch, so a fork made again derives nothing.
     """
 
-    __slots__ = ("_rows", "_words")
+    __slots__ = ("_rows", "_words", "forks")
 
-    def __init__(self, requests: Iterable[Tuple[int, str]]) -> None:
+    def __init__(self, requests: Iterable[Tuple[int, str]] = ()) -> None:
+        self.forks: Dict[Tuple[int, str], int] = {}
+        self.seed(requests)
+
+    def seed(self, requests: Iterable[Tuple[int, str]]) -> None:
+        """Seed ``requests``, replacing the streams not yet taken."""
         rows: Dict[Tuple[int, str], int] = {}
         seeds = []
         for master, name in requests:
@@ -337,9 +345,11 @@ class RandomStreams:
         Useful for running many residents or trials, each with a fully
         independent family of streams.
         """
-        return RandomStreams(
-            derive_seed(self.master_seed, f"fork:{name}"), self._batch
-        )
+        key = (self.master_seed, name)
+        forks = self._batch.forks if self._batch is not None else {}
+        if key not in forks:
+            forks[key] = derive_seed(self.master_seed, f"fork:{name}")
+        return RandomStreams(forks[key], self._batch)
 
     def spawned(self) -> int:
         """Number of distinct streams created so far."""

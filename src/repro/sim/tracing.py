@@ -9,10 +9,8 @@ simple so any subsystem can emit them without coupling.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Callable, Dict, Iterator, List, Optional, Union
+from typing import Any, Callable, Dict, Iterator, List, Optional
 
 __all__ = ["TraceEntry", "TraceRecorder"]
 
@@ -82,20 +80,6 @@ class TraceRecorder:
             if start <= e.time <= end
         ]
 
-    def first(self, prefix: str) -> Optional[TraceEntry]:
-        """Earliest entry under ``prefix``, or ``None``."""
-        for entry in self._entries:
-            if entry.matches(prefix):
-                return entry
-        return None
-
-    def last(self, prefix: str) -> Optional[TraceEntry]:
-        """Latest entry under ``prefix``, or ``None``."""
-        for entry in reversed(self._entries):
-            if entry.matches(prefix):
-                return entry
-        return None
-
     def count(self, prefix: str) -> int:
         """Number of entries under ``prefix``."""
         return sum(1 for e in self._entries if e.matches(prefix))
@@ -103,42 +87,6 @@ class TraceRecorder:
     def clear(self) -> None:
         """Drop all recorded entries (listeners stay registered)."""
         self._entries.clear()
-
-    def save_jsonl(self, path: Union[str, Path]) -> int:
-        """Write the trace as JSON lines; returns entries written.
-
-        One ``{"time": ..., "category": ..., **payload-as-"payload"}``
-        object per line -- the format offline analysis tooling (and
-        plain ``jq``) expects.
-        """
-        with Path(path).open("w") as handle:
-            for entry in self._entries:
-                handle.write(
-                    json.dumps(
-                        {
-                            "time": entry.time,
-                            "category": entry.category,
-                            "payload": entry.payload,
-                        }
-                    )
-                )
-                handle.write("\n")
-        return len(self._entries)
-
-    @classmethod
-    def load_jsonl(cls, path: Union[str, Path]) -> "TraceRecorder":
-        """Restore a recorder from a :meth:`save_jsonl` file."""
-        recorder = cls()
-        with Path(path).open() as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                item = json.loads(line)
-                recorder.emit(
-                    item["time"], item["category"], **item.get("payload", {})
-                )
-        return recorder
 
     def __len__(self) -> int:
         return len(self._entries)

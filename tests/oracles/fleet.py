@@ -27,11 +27,13 @@ from repro.fleet.home import (
     build_home_deployment,
     create_home_resident,
     harvest_home_report,
+    home_compliance,
     resolve_home_predictor,
 )
 from repro.fleet.metrics import HomeReport
 from repro.fleet.spec import HomeSpec
 from repro.planning.store import PolicyCache
+from repro.resident.dementia import DementiaProfile
 
 __all__ = [
     "JsonHomeRuntime",
@@ -76,7 +78,7 @@ def simulate_home(
     """Run one home's guided episodes on a private kernel.
 
     ``runtime`` lends a shard-wide :class:`HomeRuntime` so shard-mates
-    share decoded policies and interned spec objects; without one, a
+    share decoded policies and routines; without one, a
     private runtime is built (same values, nothing shared).  ``wrap``
     optionally wraps the resolved predictor (e.g. in a scalar oracle).
     """
@@ -95,8 +97,8 @@ def simulate_home(
     system.trace.enabled = True
     routine = runtime.routine(home)
     reliable = runtime.reliable()
-    compliance = runtime.compliance(home)
-    profile = runtime.profile(home)
+    compliance = home_compliance(home)
+    profile = DementiaProfile.from_severity(home.severity)
     outcomes = []
     for episode in range(episodes):
         resident = create_home_resident(

@@ -216,6 +216,7 @@ class TestUsageErrors:
             ["simulate", "tea-making", "--config", "{number_title}"],
             ["simulate", "tea-making", "--config", "{string_flag}"],
             ["train", "tea-making", "--config", "{deep_document}"],
+            ["train", "tea-making", "--routine", "1,1"],
         ],
     )
     def test_exits_2_without_traceback(self, argv, tmp_path, capsys):

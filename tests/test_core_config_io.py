@@ -339,15 +339,30 @@ class TestDomainContract:
     @given(documents)
     @settings(max_examples=25, deadline=None)
     def test_train_exits_0_1_or_2(self, tmp_path_factory, document):
-        path = tmp_path_factory.mktemp("config") / "coreda.json"
-        path.write_text(json.dumps(document))
-        argv = ["train", "tea-making", "--episodes", "3", "--config", str(path)]
-        stderr = io.StringIO()
-        try:
-            with contextlib.redirect_stdout(io.StringIO()), \
-                    contextlib.redirect_stderr(stderr):
-                code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
-        assert code in (0, 1, 2)
-        assert "Traceback" not in stderr.getvalue()
+        _assert_cli_contract(
+            tmp_path_factory, document, ["train", "tea-making", "--episodes", "3"]
+        )
+
+    @given(documents)
+    @settings(max_examples=25, deadline=None)
+    def test_simulate_exits_0_1_or_2(self, tmp_path_factory, document):
+        _assert_cli_contract(
+            tmp_path_factory, document,
+            ["simulate", "tea-making", "--episodes", "1"],
+        )
+
+
+def _assert_cli_contract(tmp_path_factory, document, argv):
+    """``argv --config <document>`` exits 0, 1 or 2 and raises nothing
+    else."""
+    path = tmp_path_factory.mktemp("config") / "coreda.json"
+    path.write_text(json.dumps(document))
+    stderr = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(stderr):
+            code = main(argv + ["--config", str(path)])
+    except SystemExit as exc:
+        code = exc.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in stderr.getvalue()

@@ -4,13 +4,7 @@ import math
 
 import pytest
 
-from repro.core.metrics import (
-    mean,
-    proportion,
-    rolling_mean,
-    sample_sd,
-    wilson_interval,
-)
+from repro.core.metrics import mean, proportion, sample_sd
 
 
 class TestProportion:
@@ -42,35 +36,3 @@ class TestMeanSd:
     def test_sample_sd_single_value(self):
         assert sample_sd([5.0]) == 0.0
 
-
-class TestRollingMean:
-    def test_window_prefix(self):
-        assert rolling_mean([1, 2, 3, 4], 2) == [1.0, 1.5, 2.5, 3.5]
-
-    def test_window_larger_than_series(self):
-        assert rolling_mean([2, 4], 10) == [2.0, 3.0]
-
-    def test_bad_window(self):
-        with pytest.raises(ValueError):
-            rolling_mean([1], 0)
-
-
-class TestWilson:
-    def test_interval_contains_proportion(self):
-        low, high = wilson_interval(36, 40)
-        assert low < 0.9 < high
-
-    def test_bounds_clamped(self):
-        low, high = wilson_interval(40, 40)
-        assert high == 1.0
-        low, high = wilson_interval(0, 40)
-        assert low == 0.0
-
-    def test_wider_for_fewer_trials(self):
-        small = wilson_interval(9, 10)
-        large = wilson_interval(90, 100)
-        assert (small[1] - small[0]) > (large[1] - large[0])
-
-    def test_zero_trials_rejected(self):
-        with pytest.raises(ValueError):
-            wilson_interval(0, 0)

@@ -545,6 +545,35 @@ class TestWarmFleetCounts:
         assert len(batches) == result.shards
         assert [len(batch) for batch in batches] == [0] * result.shards
 
+    def test_each_home_builds_its_models_and_derives_each_seed_once(
+        self, warm_cache, monkeypatch, tea_fleet_definition
+    ):
+        import repro.fleet.spec as spec_module
+        import repro.sim.random as random_module
+        from repro.resident.compliance import ComplianceModel
+        from repro.resident.dementia import DementiaProfile
+
+        counts = dict.fromkeys(("compliance", "profile", "seed"), 0)
+        for cls, key in ((ComplianceModel, "compliance"),
+                         (DementiaProfile, "profile")):
+            monkeypatch.setattr(
+                cls, "__post_init__", _counting(cls.__post_init__, counts, key)
+            )
+        counting = _counting(random_module.derive_seed, counts, "seed")
+        for module in (random_module, spec_module):
+            monkeypatch.setattr(module, "derive_seed", counting)
+        run_fleet(SPEC, jobs=1, cache_dir=warm_cache)
+        tools = len(tea_fleet_definition.adl.tools)
+        # Per home: its seed, its deployment's fork, and its radio,
+        # signal and resident streams.  Per run: the cohort's seed, its
+        # population stream and one training seed per seed class.
+        per_home = 2 + 1 + tools + SPEC.episodes_per_home
+        assert counts == {
+            "compliance": SPEC.homes,
+            "profile": SPEC.homes,
+            "seed": SPEC.homes * per_home + 2 + SPEC.seed_classes,
+        }
+
     def test_seeded_shard_fires_no_more_blocks_than_pinned(
         self, monkeypatch, tea_fleet_definition, tmp_path
     ):

@@ -1,7 +1,6 @@
 """Unit tests for the planning state space."""
 
-from repro.core.adl import IDLE_STEP_ID
-from repro.planning.state import PlanningState, episode_states, state_space
+from repro.planning.state import PlanningState, episode_states
 
 
 class TestPlanningState:
@@ -16,26 +15,6 @@ class TestPlanningState:
 
     def test_hashable(self):
         assert len({PlanningState(1, 2), PlanningState(1, 2)}) == 1
-
-
-class TestStateSpace:
-    def test_size_with_idle(self, tea_adl):
-        # 5 ids (4 steps + idle), minus 5 self-loops = 20.
-        assert len(state_space(tea_adl)) == 20
-
-    def test_size_without_idle(self, tea_adl):
-        assert len(state_space(tea_adl, include_idle=False)) == 12
-
-    def test_no_self_loops(self, tea_adl):
-        assert all(s.previous != s.current for s in state_space(tea_adl))
-
-    def test_deterministic_order(self, tea_adl):
-        assert state_space(tea_adl) == state_space(tea_adl)
-
-    def test_contains_initial_states(self, tea_adl):
-        states = state_space(tea_adl)
-        for step_id in tea_adl.step_ids:
-            assert PlanningState(IDLE_STEP_ID, step_id) in states
 
 
 class TestEpisodeStates:

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from repro.core.adl import SensorType, Tool
 from repro.core.bus import EventBus
 from repro.core.config import RadioConfig, SensingConfig
-from repro.core.metrics import rolling_mean, wilson_interval
 from repro.rl.convergence import ConvergenceDetector, convergence_iteration
 from repro.rl.dense import DenseQTable, DenseTraces
 from repro.rl.schedules import ExponentialDecay, HarmonicDecay, LinearDecay
@@ -249,21 +248,6 @@ def test_node_block_clock_is_the_scalar_clock(base, resume, n):
     st.lists(
         st.tuples(st.floats(min_value=0.0, max_value=1e4),
                   st.integers(min_value=1, max_value=6)),
-        max_size=100,
-    )
-)
-def test_history_step_sequence_has_no_adjacent_duplicates(entries):
-    history = UsageHistory()
-    for time, tool in sorted(entries, key=lambda e: e[0]):
-        history.append(time, tool)
-    sequence = history.step_sequence()
-    assert all(a != b for a, b in zip(sequence, sequence[1:]))
-
-
-@given(
-    st.lists(
-        st.tuples(st.floats(min_value=0.0, max_value=1e4),
-                  st.integers(min_value=1, max_value=6)),
         max_size=60,
     )
 )
@@ -292,26 +276,6 @@ def test_eeprom_never_exceeds_capacity(capacity_records, writes):
     # The retained records are always the most recent ones, in order.
     kept = [r.sequence for r in log.records()]
     assert kept == list(range(max(0, writes - capacity_records), writes))
-
-
-# ---------------------------------------------------------------------------
-# metrics
-
-@given(st.integers(min_value=0, max_value=500),
-       st.integers(min_value=1, max_value=500))
-def test_wilson_interval_brackets_the_point_estimate(successes, extra):
-    trials = successes + extra
-    low, high = wilson_interval(successes, trials)
-    assert 0.0 <= low <= successes / trials <= high <= 1.0
-
-
-@given(st.lists(st.floats(min_value=-100, max_value=100), min_size=1,
-                max_size=100),
-       st.integers(min_value=1, max_value=20))
-def test_rolling_mean_bounded_by_series_extremes(values, window):
-    smoothed = rolling_mean(values, window)
-    assert len(smoothed) == len(values)
-    assert all(min(values) - 1e-9 <= s <= max(values) + 1e-9 for s in smoothed)
 
 
 # ---------------------------------------------------------------------------

@@ -29,23 +29,6 @@ class TestAppend:
         assert len(history.of_tool(1)) == 2
         assert history.of_tool(9) == []
 
-    def test_last_time(self):
-        history = UsageHistory()
-        assert history.last_time() is None
-        history.append(3.0, 1)
-        assert history.last_time() == 3.0
-
-
-class TestStepSequence:
-    def test_collapses_consecutive_duplicates(self):
-        history = UsageHistory()
-        for time, tool in enumerate([1, 1, 1, 2, 2, 3, 1]):
-            history.append(float(time), tool)
-        assert history.step_sequence() == [1, 2, 3, 1]
-
-    def test_empty(self):
-        assert UsageHistory().step_sequence() == []
-
 
 class TestDwellStats:
     def test_single_run_durations(self):
@@ -80,13 +63,3 @@ class TestDwellStats:
         stats = history.dwell_stats()[1]
         assert stats.timeout(3.0) == pytest.approx(12.0 + 3.0 * stats.sd)
 
-
-class TestPersistence:
-    def test_save_load_roundtrip(self, tmp_path):
-        history = UsageHistory()
-        for time, tool in [(1.0, 1), (2.5, 2)]:
-            history.append(time, tool)
-        path = tmp_path / "history.json"
-        history.save(path)
-        restored = UsageHistory.load(path)
-        assert restored.records() == history.records()

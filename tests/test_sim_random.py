@@ -103,6 +103,22 @@ class TestStreamBatch:
                 == RandomStreams(7).fork("home").get(name).bit_generator.state
             )
 
+    def test_a_fork_under_the_batch_derives_its_seed_once(self, monkeypatch):
+        import repro.sim.random as random_module
+
+        expected = RandomStreams(7).fork("home").master_seed
+        calls = []
+        derive = random_module.derive_seed
+        monkeypatch.setattr(
+            random_module, "derive_seed",
+            lambda *args: calls.append(args) or derive(*args),
+        )
+        batch = StreamBatch()
+        first = RandomStreams(7, batch).fork("home")
+        again = RandomStreams(7, batch).fork("home")
+        assert first.master_seed == again.master_seed == expected
+        assert calls == [(7, "fork:home")]
+
     def test_batched_generators_pickle(self):
         import pickle
 

@@ -60,12 +60,6 @@ class TestQueries:
         entries = trace.between(2.0, 3.0)
         assert [e.category for e in entries] == ["sensing.step", "reminder.praise"]
 
-    def test_first_and_last(self, trace):
-        assert trace.first("reminder.prompt").time == 1.0
-        assert trace.last("reminder.prompt").time == 4.0
-        assert trace.first("nothing") is None
-        assert trace.last("nothing") is None
-
     def test_count(self, trace):
         assert trace.count("reminder.prompt") == 2
         assert trace.count("nothing") == 0
@@ -96,33 +90,3 @@ class TestTraceEntry:
         assert entry.matches("radio.delivered")
         assert not entry.matches("radio.dropped")
 
-
-class TestPersistence:
-    def test_jsonl_roundtrip(self, tmp_path):
-        trace = TraceRecorder()
-        trace.emit(1.0, "sensing.step", step_id=3, previous=0)
-        trace.emit(2.5, "reminder.prompt", tool_id=2, level="minimal")
-        path = tmp_path / "trace.jsonl"
-        assert trace.save_jsonl(path) == 2
-        restored = TraceRecorder.load_jsonl(path)
-        assert len(restored) == 2
-        assert restored.entries() == trace.entries()
-
-    def test_jsonl_lines_are_parseable(self, tmp_path):
-        import json
-
-        trace = TraceRecorder()
-        trace.emit(1.0, "a", x=1)
-        path = tmp_path / "trace.jsonl"
-        trace.save_jsonl(path)
-        lines = path.read_text().strip().splitlines()
-        assert json.loads(lines[0]) == {
-            "time": 1.0,
-            "category": "a",
-            "payload": {"x": 1},
-        }
-
-    def test_empty_trace_roundtrip(self, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        TraceRecorder().save_jsonl(path)
-        assert len(TraceRecorder.load_jsonl(path)) == 0
