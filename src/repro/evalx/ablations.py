@@ -54,9 +54,7 @@ from repro.planning.rewards_coreda import CoReDAReward
 from repro.planning.state import episode_states
 from repro.planning.store import PolicyCache, train_routine_cached
 from repro.planning.trainer import RoutineTrainer
-from repro.rl.policies import EpsilonGreedyPolicy
 from repro.rl.sarsa import SarsaLambdaLearner
-from repro.rl.schedules import ExponentialDecay
 from repro.sensors.detector import KofNDetector
 from repro.sensors.signals import SignalProfile, SignalSource
 from repro.sim.random import seeded_generator
@@ -179,13 +177,9 @@ def _expected_sarsa_cell(adl: ADL, seed: int, episodes: int) -> float:
 
     routine = adl.canonical_routine()
     log = [list(routine.step_ids)] * episodes
-    config = PlanningConfig()
-    learner = ExpectedSarsaLearner(
-        learning_rate=config.learning_rate,
-        discount=config.discount,
-        epsilon=0.1,
-        initial_q=config.initial_q,
-    )
+    # A constant ε of 0.1: behaviour and bootstrap explore alike.
+    config = PlanningConfig(epsilon=0.1, epsilon_decay=1.0)
+    learner = ExpectedSarsaLearner(config)
     trainer = RoutineTrainer(
         adl, config, learner=learner, rng=seeded_generator(seed)
     )
@@ -613,15 +607,7 @@ def _train_sarsa(
 ) -> float:
     """Train SARSA(λ) on logged episodes; return final greedy accuracy."""
     actions = tuple(action_space(adl))
-    learner = SarsaLambdaLearner(
-        learning_rate=config.learning_rate,
-        discount=config.discount,
-        trace_decay=config.trace_decay,
-        policy=EpsilonGreedyPolicy(
-            ExponentialDecay(config.epsilon, config.epsilon_decay)
-        ),
-        initial_q=config.initial_q,
-    )
+    learner = SarsaLambdaLearner(config)
     routine_steps = list(log[0])
     reward_fn = CoReDAReward(config, routine_steps[-1])
     for iteration, episode in enumerate(log):

@@ -108,7 +108,7 @@ class LearningCurveResult:
         lines = ["seed,iteration,behaviour,smoothed,greedy,minimal"]
         for run in self.runs:
             curve = run.curve
-            for index in range(curve.iterations()):
+            for index in range(len(curve.behaviour_accuracy)):
                 lines.append(
                     f"{run.seed},{index + 1},"
                     f"{curve.behaviour_accuracy[index]:.6f},"

@@ -22,6 +22,7 @@ routines deteriorate).
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import replace
 from typing import Deque, List, Optional, Tuple
 
 import numpy as np
@@ -34,7 +35,6 @@ from repro.planning.action import PromptAction, action_space
 from repro.planning.rewards_coreda import CoReDAReward
 from repro.planning.state import episode_states
 from repro.planning.trainer import replay_episode
-from repro.rl.policies import EpsilonGreedyPolicy
 from repro.sim.random import seeded_generator
 
 __all__ = ["OnlineAdaptation"]
@@ -46,9 +46,8 @@ class OnlineAdaptation:
     ``learner`` must be the learner behind the deployed predictor
     (after ``CoReDA.train_offline`` that is ``system.training.learner``)
     so that adaptation is visible to guidance immediately.  The
-    learner's behaviour policy is replaced with a constant-ε policy:
-    a decayed-to-zero schedule would freeze the rule-out dynamics the
-    adaptation relies on.
+    learner then explores at a constant ``epsilon``: an ε decayed to
+    zero would freeze the rule-out dynamics the adaptation relies on.
     """
 
     def __init__(
@@ -70,7 +69,9 @@ class OnlineAdaptation:
         # action set by tuple identity, so replaying every episode
         # with the same tuple keeps the argmax path allocation-free.
         self.actions: Tuple[PromptAction, ...] = tuple(action_space(adl))
-        learner.policy = EpsilonGreedyPolicy(epsilon)
+        # The config's domain table checks ε.
+        learner.epsilon = replace(self.config, epsilon=epsilon).epsilon
+        learner.epsilon_decay = 1.0
         self._current_episode: List[int] = []
         self._recent_hits: Deque[bool] = deque(maxlen=drift_window)
         self.episodes_learned = 0

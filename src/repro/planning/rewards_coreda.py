@@ -25,12 +25,11 @@ from repro.core.adl import ReminderLevel
 from repro.core.config import PlanningConfig
 from repro.planning.action import PromptAction
 from repro.planning.state import PlanningState
-from repro.rl.rewards import RewardFunction
 
 __all__ = ["CoReDAReward"]
 
 
-class CoReDAReward(RewardFunction):
+class CoReDAReward:
     """R(⟨·,·⟩, ⟨tool, level⟩, ⟨·, next⟩) per the paper's scheme."""
 
     def __init__(self, config: PlanningConfig, terminal_step_id: int) -> None:
@@ -43,6 +42,7 @@ class CoReDAReward(RewardFunction):
         action: PromptAction,
         next_state: PlanningState,
     ) -> float:
+        """The scalar reward of the transition."""
         if action.tool_id != next_state.current:
             return self.config.wrong_prompt_reward
         if next_state.current == self.terminal_step_id:

@@ -42,6 +42,7 @@ from repro.planning.state import PlanningState
 from repro.planning.trainer import LearningCurve, RoutineTrainer, TrainingResult
 from repro.rl.convergence import convergence_iteration
 from repro.rl.dense import DenseQTable
+from repro.rl.dyna import DynaQLearner
 from repro.sim.random import seeded_generator
 
 __all__ = [
@@ -449,21 +450,8 @@ def _build_learner(config: PlanningConfig, learner_spec):
         return None, ("tdlambda-q",)
     kind = learner_spec[0]
     if kind == "dyna":
-        from repro.rl.dyna import DynaQLearner
-        from repro.rl.policies import EpsilonGreedyPolicy
-        from repro.rl.schedules import ExponentialDecay
-
-        steps = int(learner_spec[1])
-        learner = DynaQLearner(
-            learning_rate=config.learning_rate,
-            discount=config.discount,
-            planning_steps=steps,
-            policy=EpsilonGreedyPolicy(
-                ExponentialDecay(config.epsilon, config.epsilon_decay)
-            ),
-            initial_q=config.initial_q,
-        )
-        return learner, ("dyna-q", steps)
+        learner = DynaQLearner(config, learner_spec[1])
+        return learner, ("dyna-q", learner.planning_steps)
     raise ValueError(f"unknown learner spec {learner_spec!r}")
 
 

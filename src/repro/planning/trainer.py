@@ -26,7 +26,6 @@ snapshot of the first one instead of replaying the episodes again.
 
 from __future__ import annotations
 
-import copy
 import os
 import pickle
 from contextlib import contextmanager
@@ -43,8 +42,6 @@ from repro.planning.state import PlanningState, episode_states
 from repro.rl.convergence import convergence_iteration
 from repro.rl.dense import DenseQTable, replay_dyna, replay_watkins
 from repro.rl.dyna import DynaQLearner
-from repro.rl.policies import EpsilonGreedyPolicy
-from repro.rl.schedules import ExponentialDecay
 from repro.rl.tdlambda import TDLambdaQLearner
 from repro.sim.random import seeded_generator
 
@@ -89,26 +86,6 @@ def training_memo() -> Iterator[None]:
         _TRAINING_MEMO.clear()
 
 
-def _snapshot(value):
-    """A private copy of ``value`` for the memo, frozen as pickle bytes.
-
-    The gather of a single-action view is a nested function, which
-    pickle refuses; such values are deep-copied instead (deepcopy
-    shares functions, and the gathers hold no table state).
-    """
-    try:
-        return pickle.dumps(value, pickle.HIGHEST_PROTOCOL)
-    except (AttributeError, pickle.PicklingError):
-        return copy.deepcopy(value)
-
-
-def _fresh_copy(snapshot):
-    """A new copy of a :func:`_snapshot`'s value."""
-    if type(snapshot) is bytes:
-        return pickle.loads(snapshot)
-    return copy.deepcopy(snapshot)
-
-
 def _episode_plan(
     states: Sequence[PlanningState],
     actions: Sequence[PromptAction],
@@ -131,24 +108,16 @@ def fused_kernel(learner):
 
     :func:`~repro.rl.dense.replay_watkins` for a ``TDLambdaQLearner``,
     :func:`~repro.rl.dense.replay_dyna` for a ``DynaQLearner``.  The
-    kernels inline ``observe``, :class:`EpsilonGreedyPolicy` and a
-    constant α, so dispatch is on exact types: the sparse oracle
-    subclasses, other policies, scheduled α and every other learner
-    keep the per-transition calls.  The kernel is looked up per call,
-    so a test may wrap the module-level name.
+    kernels inline ``select_action`` and ``observe``, so dispatch is
+    on exact types: the sparse oracle subclasses and every other
+    learner keep the per-transition calls.  The kernel is looked up
+    per call, so a test may wrap the module-level name.
     """
     kind = type(learner)
     if kind is TDLambdaQLearner:
-        kernel = replay_watkins
-    elif kind is DynaQLearner:
-        kernel = replay_dyna
-    else:
-        return None
-    if (
-        type(learner.policy) is EpsilonGreedyPolicy
-        and learner._alpha_const is not None
-    ):
-        return kernel
+        return replay_watkins
+    if kind is DynaQLearner:
+        return replay_dyna
     return None
 
 
@@ -175,8 +144,7 @@ def replay_episode(
 
     Shared by offline training (:class:`RoutineTrainer`) and online
     adaptation (:class:`repro.planning.online.OnlineAdaptation`);
-    a learner with a :func:`fused_kernel` takes the kernel.  A Dyna-Q
-    learner without one still plans: its ``observe`` gets ``rng``.
+    a learner with a :func:`fused_kernel` takes the kernel.
     """
     if states is None:
         states = episode_states(list(episode))
@@ -194,7 +162,6 @@ def replay_episode(
     observe = learner.observe
     score = reward_fn.reward
     terminal = reward_fn.terminal_step_id
-    planning = {"rng": rng} if isinstance(learner, DynaQLearner) else {}
     for index in range(len(states) - 1):
         state, next_state = states[index], states[index + 1]
         action, exploratory = select(state, actions, rng, step=iteration)
@@ -203,7 +170,7 @@ def replay_episode(
         done = next_state.current == terminal
         observe(
             state, action, reward, next_state, actions, done,
-            exploratory=exploratory or not followed, **planning,
+            exploratory=exploratory or not followed,
         )
         total += 1
         if followed:
@@ -223,10 +190,6 @@ class LearningCurve:
     greedy_accuracy: List[float] = field(default_factory=list)
     #: Fraction of greedy prompts at MINIMAL level, per episode.
     minimal_fraction: List[float] = field(default_factory=list)
-
-    def iterations(self) -> int:
-        """Number of training iterations recorded."""
-        return len(self.behaviour_accuracy)
 
 
 @dataclass
@@ -248,10 +211,9 @@ class TrainingResult:
 class RoutineTrainer:
     """Trains a learner on logged ADL episodes, recording the curve.
 
-    ``learner`` defaults to Watkins TD(λ) Q-learning configured from
-    ``config`` with an exponentially decaying ε-greedy behaviour
-    policy; a :class:`~repro.rl.dyna.DynaQLearner` may be passed for
-    the fast-learning ablation.
+    ``learner`` defaults to Watkins TD(λ) Q-learning built from
+    ``config``; a :class:`~repro.rl.dyna.DynaQLearner` may be passed
+    for the fast-learning ablation.
     """
 
     #: Rolling-mean window applied before convergence detection.
@@ -271,16 +233,7 @@ class RoutineTrainer:
         # served from the training memo.
         self._owns_learner = learner is None
         if learner is None:
-            policy = EpsilonGreedyPolicy(
-                ExponentialDecay(self.config.epsilon, self.config.epsilon_decay)
-            )
-            learner = TDLambdaQLearner(
-                learning_rate=self.config.learning_rate,
-                discount=self.config.discount,
-                trace_decay=self.config.trace_decay,
-                policy=policy,
-                initial_q=self.config.initial_q,
-            )
+            learner = TDLambdaQLearner(self.config)
         self.learner = learner
         self.actions: Tuple[PromptAction, ...] = tuple(action_space(adl))
         # Probe-state cache: the greedy probe runs once per training
@@ -313,16 +266,16 @@ class RoutineTrainer:
         entry = _TRAINING_MEMO.get(key) if key is not None else None
         if entry is not None:
             snapshot, rng_state = entry
-            curve, self.learner = _fresh_copy(snapshot)
+            curve, self.learner = pickle.loads(snapshot)
             self._rng.bit_generator.state = rng_state
             self._probe_cache = None
         else:
             curve = self._replay(episodes, routine)
             if key is not None:
-                _TRAINING_MEMO[key] = (
-                    _snapshot((curve, self.learner)),
-                    self._rng.bit_generator.state,
+                snapshot = pickle.dumps(
+                    (curve, self.learner), pickle.HIGHEST_PROTOCOL
                 )
+                _TRAINING_MEMO[key] = (snapshot, self._rng.bit_generator.state)
         # Convergence is recomputed per request, so the criteria stay
         # out of the memo key.
         convergence = {

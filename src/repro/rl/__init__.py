@@ -2,10 +2,11 @@
 
 This package replaces the paper's dependency on RL Toolbox 2.0.  It
 provides the TD(λ) Q-learning algorithm the planning subsystem runs
-on, plus the companions needed for baselines, ablations and the
-paper's future-work extensions: SARSA(λ), Dyna-Q, value iteration,
-behaviour policies, schedules, eligibility traces and convergence
-detection.
+on, plus the companions needed for baselines and ablations: SARSA(λ),
+Expected SARSA, Dyna-Q, Double Q-learning, value iteration and
+convergence detection.  Every learner is built from a
+:class:`~repro.core.config.PlanningConfig` and explores ε-greedily
+(:class:`~repro.rl.learner.TabularLearner`).
 """
 
 from repro.rl.convergence import ConvergenceDetector, convergence_iteration
@@ -13,24 +14,10 @@ from repro.rl.dense import DenseQTable, DenseTraces, StateActionIndex
 from repro.rl.double_q import DoubleQLearner
 from repro.rl.dyna import DynaQLearner
 from repro.rl.expected_sarsa import ExpectedSarsaLearner
+from repro.rl.learner import TabularLearner
 from repro.rl.mdp import TabularMDP, TransitionOutcome
-from repro.rl.policies import (
-    EpsilonGreedyPolicy,
-    GreedyPolicy,
-    Policy,
-    SoftmaxPolicy,
-)
-from repro.rl.rewards import RewardFunction
 from repro.rl.sarsa import SarsaLambdaLearner
-from repro.rl.schedules import (
-    ConstantSchedule,
-    ExponentialDecay,
-    HarmonicDecay,
-    LinearDecay,
-    Schedule,
-)
 from repro.rl.tdlambda import TDLambdaQLearner
-from repro.rl.traces import TraceKind
 from repro.rl.value_iteration import (
     ValueIterationResult,
     extract_policy,
@@ -39,27 +26,17 @@ from repro.rl.value_iteration import (
 )
 
 __all__ = [
-    "ConstantSchedule",
     "ConvergenceDetector",
     "DenseQTable",
     "DenseTraces",
     "DoubleQLearner",
     "DynaQLearner",
-    "EpsilonGreedyPolicy",
     "ExpectedSarsaLearner",
-    "ExponentialDecay",
-    "GreedyPolicy",
-    "HarmonicDecay",
-    "LinearDecay",
-    "Policy",
-    "RewardFunction",
     "SarsaLambdaLearner",
-    "Schedule",
-    "SoftmaxPolicy",
     "StateActionIndex",
+    "TabularLearner",
     "TabularMDP",
     "TDLambdaQLearner",
-    "TraceKind",
     "TransitionOutcome",
     "ValueIterationResult",
     "convergence_iteration",

@@ -39,18 +39,17 @@ whose regrouping is value-exact (elementwise multiply/add per
 independent pair, first-max argmax over the same repr order), so
 Q-values, learning curves, convergence iterations, RNG draw sequences
 and cached training documents come out bit-for-bit equal.
-``tests/test_rl_dense.py`` pins that down per learner, trace kind and
-seed.
+``tests/test_rl_dense.py`` pins that down per learner and seed.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from operator import itemgetter
 from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.rl.traces import TraceKind
 from repro.sim.random import generator_draws
 
 __all__ = [
@@ -69,18 +68,20 @@ Action = Hashable
 _IDENTITY_CACHE_LIMIT = 256
 
 
+def _gather_one(offset: int, seq: Sequence[float]) -> Tuple[float]:
+    return (seq[offset],)
+
+
 def _make_gather(offsets: List[int]):
     """A C-speed gather: ``flat -> (flat[off] for off in offsets)``.
 
     ``operator.itemgetter`` replaces the per-element interpreter loop
-    with one C call; the single-offset case is wrapped so callers
-    always get a tuple back.
+    with one C call; a single offset is bound to a module-level
+    function instead, so callers always get a tuple back and every
+    gather pickles.
     """
     if len(offsets) == 1:
-        def gather(seq, _off=offsets[0]):
-            return (seq[_off],)
-
-        return gather
+        return partial(_gather_one, offsets[0])
     return itemgetter(*offsets)
 
 
@@ -146,10 +147,6 @@ class StateActionIndex:
     @property
     def n_states(self) -> int:
         return len(self.states)
-
-    @property
-    def n_actions(self) -> int:
-        return len(self.actions)
 
     def state_id(self, state: State) -> int:
         """The dense id of ``state``, interning it on first sight."""
@@ -742,14 +739,13 @@ class _ArgmaxProber:
 class DenseTraces:
     """Eligibility traces over interned pair ids, as flat vectors.
 
-    Accumulating or replacing visits, decay with a cutoff drop and a
-    snapshot ``items()``, with the whole TD(λ) sweep exposed as
+    Replacing visits, decay with a cutoff drop and a snapshot
+    ``items()``, with the whole TD(λ) sweep exposed as
     :meth:`apply_update`: ``Q[active] += coef * e[active]`` over
     precomputed flat offsets, no hashing, no snapshot copy.
     """
 
     __slots__ = (
-        "kind",
         "cutoff",
         "index",
         "_slots",
@@ -762,12 +758,10 @@ class DenseTraces:
     def __init__(
         self,
         index: Optional[StateActionIndex] = None,
-        kind: TraceKind = TraceKind.REPLACING,
         cutoff: float = 1e-4,
     ) -> None:
         if cutoff < 0:
             raise ValueError("cutoff must be >= 0")
-        self.kind = kind
         self.cutoff = cutoff
         self.index = index if index is not None else StateActionIndex()
         #: (state_id, action_id) -> position in the parallel vectors.
@@ -794,8 +788,6 @@ class DenseTraces:
             self._slots[key] = len(self._pairs)
             self._pairs.append(key)
             self._e.append(1.0)
-        elif self.kind is TraceKind.ACCUMULATING:
-            self._e[pos] += 1.0
         else:
             self._e[pos] = 1.0
 
@@ -883,7 +875,7 @@ class DenseTraces:
         return len(self._pairs)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"DenseTraces({self.kind.value}, active={len(self._pairs)})"
+        return f"DenseTraces(active={len(self._pairs)})"
 
 
 def _bind(
@@ -923,8 +915,7 @@ def replay_watkins(
 ) -> List[Tuple[int, int, int, int]]:
     """Replay episode plans through a Watkins Q(λ) learner in one loop.
 
-    ``learner`` is an exact ``TDLambdaQLearner`` with an exact
-    ``EpsilonGreedyPolicy`` and a constant α (the dispatch of
+    ``learner`` is an exact ``TDLambdaQLearner`` (the dispatch of
     :func:`repro.planning.trainer.fused_kernel`).  A plan is
     ``(states, rewards, followed, dones)``; transition
     ``i`` (``states[i] -> states[i + 1]``) scores action ``j`` of
@@ -938,11 +929,9 @@ def replay_watkins(
     """
     q = learner.q
     traces = learner.traces
-    epsilon_at = learner.policy.epsilon_schedule.value
-    alpha = learner._alpha_const
+    alpha = learner.learning_rate
     discount = learner.discount
     factor = learner._glambda
-    accumulating = traces.kind is TraceKind.ACCUMULATING
     cutoff = traces.cutoff
     n_actions = len(actions)
     view: Optional[_ActionView] = None
@@ -983,7 +972,7 @@ def replay_watkins(
                 flat = q._flat
                 written = q._written
                 trace_cols = q._cols
-                epsilon = epsilon_at(step)
+                epsilon = learner.epsilon_at(step)
                 for (greedy, nxt, base, _, _,
                      reward_row, followed_row, done) in entry[1]:
                     # select_action: the first maximum in repr order, then ε.
@@ -1015,8 +1004,6 @@ def replay_watkins(
                     if off not in offs:
                         offs.append(off)
                         e.append(1.0)
-                    elif accumulating:
-                        e[offs.index(off)] += 1.0
                     else:
                         e[offs.index(off)] = 1.0
                     for o, weight in zip(offs, e):
@@ -1062,8 +1049,7 @@ def replay_dyna(
 ) -> List[Tuple[int, int, int, int]]:
     """Replay episode plans through a Dyna-Q learner in one loop.
 
-    ``learner`` is an exact ``DynaQLearner`` with an exact
-    ``EpsilonGreedyPolicy`` and a constant α.  Plans, ``first_step``,
+    ``learner`` is an exact ``DynaQLearner``.  Plans, ``first_step``,
     ``probe`` and the result are those of :func:`replay_watkins`.
     Each transition is ``select_action`` then ``observe(...,
     rng=rng)`` over interned ids: the ε-greedy pick, the one-step
@@ -1073,8 +1059,7 @@ def replay_dyna(
     operations.
     """
     q = learner.q
-    epsilon_at = learner.policy.epsilon_schedule.value
-    alpha = learner._alpha_const
+    alpha = learner.learning_rate
     discount = learner.discount
     k = learner.planning_steps
     model = learner._model
@@ -1131,7 +1116,7 @@ def replay_dyna(
                     q._thaw()
                 flat = q._flat
                 written = q._written
-                epsilon = epsilon_at(step)
+                epsilon = learner.epsilon_at(step)
                 for (greedy, nxt, base, sid, next_sid,
                      reward_row, followed_row, done) in entry[1]:
                     # select_action: the first maximum in repr order, then ε.

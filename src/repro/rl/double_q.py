@@ -13,13 +13,13 @@ demonstrating the bias on the classic two-state counterexample.
 
 from __future__ import annotations
 
-from typing import Hashable, Optional, Sequence, Tuple
+from typing import Hashable, Optional, Sequence
 
 import numpy as np
 
-from repro.rl.dense import DenseQTable, StateActionIndex
-from repro.rl.policies import EpsilonGreedyPolicy, Policy
-from repro.rl.schedules import ConstantSchedule, Schedule
+from repro.core.config import PlanningConfig
+from repro.rl.dense import DenseQTable
+from repro.rl.learner import TabularLearner
 
 __all__ = ["DoubleQLearner"]
 
@@ -27,51 +27,17 @@ State = Hashable
 Action = Hashable
 
 
-class DoubleQLearner:
+class DoubleQLearner(TabularLearner):
     """Tabular Double Q-learning over two cross-evaluating tables."""
 
-    def __init__(
-        self,
-        learning_rate=0.2,
-        discount: float = 0.9,
-        policy: Optional[Policy] = None,
-        initial_q: float = 0.0,
-    ) -> None:
-        if not 0.0 <= discount < 1.0:
-            raise ValueError("discount must be in [0, 1)")
-        if isinstance(learning_rate, Schedule):
-            self.learning_rate_schedule: Schedule = learning_rate
-        else:
-            self.learning_rate_schedule = ConstantSchedule(float(learning_rate))
-        self.discount = float(discount)
-        self.policy: Policy = policy if policy is not None else EpsilonGreedyPolicy(0.2)
+    def __init__(self, config: PlanningConfig) -> None:
+        super().__init__(config)
         # Both tables share one index so states, actions and cached
         # action views are interned exactly once.
-        index = StateActionIndex()
-        self.q_a = DenseQTable(initial_q, index=index)
-        self.q_b = DenseQTable(initial_q, index=index)
+        self.q_a = self.q
+        self.q_b = DenseQTable(config.initial_q, index=self.q_a.index)
         # The behaviour-facing combined table (mean of both).
         self.q = _MeanQView(self.q_a, self.q_b)
-        self.updates = 0
-        self.episodes = 0
-
-    def begin_episode(self) -> None:
-        """Episode boundary (interface symmetry with the other learners)."""
-        self.episodes += 1
-
-    def select_action(
-        self,
-        state: State,
-        actions: Sequence[Action],
-        rng: np.random.Generator,
-        step: int = 0,
-    ) -> Tuple[Action, bool]:
-        """Behaviour action from the combined value view."""
-        return self.policy.select(self.q, state, actions, rng, step=step)
-
-    def greedy_action(self, state: State, actions: Sequence[Action]) -> Action:
-        """Greedy action under the combined view."""
-        return self.q.best_action(state, actions)
 
     def observe(
         self,
@@ -102,8 +68,7 @@ class DoubleQLearner:
             best = update_table.best_action(next_state, next_actions)
             target = reward + self.discount * eval_table.value(next_state, best)
         delta = target - update_table.value(state, action)
-        alpha = self.learning_rate_schedule.value(self.updates)
-        update_table.add(state, action, alpha * delta)
+        update_table.add(state, action, self.learning_rate * delta)
         self.updates += 1
         return delta
 
@@ -144,9 +109,3 @@ class _MeanQView:
                 best_value = values[i]
                 best_i = i
         return ordered[best_i]
-
-    def max_value(self, state: State, actions) -> float:
-        values = [self.value(state, a) for a in actions]
-        if not values:
-            raise ValueError(f"no actions available in state {state!r}")
-        return max(values)

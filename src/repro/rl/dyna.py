@@ -10,13 +10,15 @@ The ablation bench shows the reduction in iterations-to-converge.
 
 from __future__ import annotations
 
+from numbers import Integral
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.rl.dense import DenseQTable, _ActionView
-from repro.rl.policies import EpsilonGreedyPolicy, Policy
-from repro.rl.schedules import ConstantSchedule, Schedule
+from repro.core.config import PlanningConfig
+from repro.core.errors import ConfigurationError
+from repro.rl.dense import _ActionView
+from repro.rl.learner import TabularLearner
 
 __all__ = ["DynaQLearner"]
 
@@ -28,7 +30,7 @@ Action = Hashable
 _Record = Tuple[int, int, float, int, Optional[_ActionView]]
 
 
-class DynaQLearner:
+class DynaQLearner(TabularLearner):
     """Tabular Dyna-Q with a deterministic-latest world model.
 
     The model stores, per (state, action), the most recent observed
@@ -39,32 +41,19 @@ class DynaQLearner:
     """
 
     def __init__(
-        self,
-        learning_rate=0.2,
-        discount: float = 0.9,
-        planning_steps: int = 10,
-        policy: Optional[Policy] = None,
-        initial_q: float = 0.0,
+        self, config: PlanningConfig, planning_steps: int = 10
     ) -> None:
-        if not 0.0 <= discount < 1.0:
-            raise ValueError("discount must be in [0, 1)")
-        if planning_steps < 0:
-            raise ValueError("planning_steps must be >= 0")
-        if isinstance(learning_rate, Schedule):
-            self.learning_rate_schedule: Schedule = learning_rate
-        else:
-            self.learning_rate_schedule = ConstantSchedule(float(learning_rate))
-        # Constant learning rates (the common case) skip the schedule
-        # call on every transition.
-        self._alpha_const = (
-            self.learning_rate_schedule.constant
-            if type(self.learning_rate_schedule) is ConstantSchedule
-            else None
-        )
-        self.discount = float(discount)
+        if (
+            not isinstance(planning_steps, Integral)
+            or isinstance(planning_steps, bool)
+            or planning_steps < 0
+        ):
+            raise ConfigurationError(
+                "planning_steps must be an integer in [0, inf), "
+                f"got {planning_steps!r}"
+            )
+        super().__init__(config)
         self.planning_steps = int(planning_steps)
-        self.policy: Policy = policy if policy is not None else EpsilonGreedyPolicy(0.2)
-        self.q = DenseQTable(initial_q)
         # The model is a list of outcome records so the planning sweep
         # samples by position without re-hashing keys; ``_model`` maps
         # an interned (state_id, action_id) key to its position for
@@ -73,27 +62,7 @@ class DynaQLearner:
         # table's id-level API with no hashing at all.
         self._model: Dict[Tuple[int, int], int] = {}
         self._outcomes: List[_Record] = []
-        self.updates = 0
         self.planning_updates = 0
-        self.episodes = 0
-
-    def begin_episode(self) -> None:
-        """Episode boundary (kept for learner-interface symmetry)."""
-        self.episodes += 1
-
-    def select_action(
-        self,
-        state: State,
-        actions: Sequence[Action],
-        rng: np.random.Generator,
-        step: int = 0,
-    ) -> Tuple[Action, bool]:
-        """Behaviour-policy action for ``state``."""
-        return self.policy.select(self.q, state, actions, rng, step=step)
-
-    def greedy_action(self, state: State, actions: Sequence[Action]) -> Action:
-        """The current greedy action."""
-        return self.q.best_action(state, actions)
 
     def observe(
         self,
@@ -117,13 +86,6 @@ class DynaQLearner:
             if type(next_actions) is tuple
             else tuple(next_actions)
         )
-        # The step counter advances once per observed transition, so
-        # the schedule value is shared by the real update and every
-        # planning update of this transition (schedules are pure
-        # functions of the step).
-        alpha = self._alpha_const
-        if alpha is None:
-            alpha = self.learning_rate_schedule.value(self.updates)
         sid, aid, next_sid, view = self.q.locate(
             state, action, next_state, next_tuple
         )
@@ -133,7 +95,7 @@ class DynaQLearner:
             sid, aid, reward, next_sid,
             None if done or not view.ids_list else view,
         )
-        delta = self._q_update(record, alpha)
+        delta = self._q_update(record)
         # Interned ids hash as plain ints -- much cheaper model keys
         # than (state, action) namedtuple pairs, and nothing reads the
         # model's keys back.
@@ -145,11 +107,11 @@ class DynaQLearner:
         else:
             self._outcomes[pos] = record
         if rng is not None and self.planning_steps > 0:
-            self._plan(rng, alpha)
+            self._plan(rng)
         self.updates += 1
         return delta
 
-    def _plan(self, rng: np.random.Generator, alpha: float) -> None:
+    def _plan(self, rng: np.random.Generator) -> None:
         outcomes = self._outcomes
         n = len(outcomes)
         # One batched draw consumes the generator's bit stream exactly
@@ -159,10 +121,10 @@ class DynaQLearner:
         # record's ids were in range when its observe ran the guarded
         # real update, and the table never shrinks.
         for i in rng.integers(n, size=self.planning_steps).tolist():
-            self._q_update(outcomes[i], alpha)
+            self._q_update(outcomes[i])
         self.planning_updates += self.planning_steps
 
-    def _q_update(self, record: _Record, alpha: float) -> float:
+    def _q_update(self, record: _Record) -> float:
         """One Q update of a model record, on the table's id-level API.
 
         ``record`` carries interned ids and the cached action view, so
@@ -178,7 +140,7 @@ class DynaQLearner:
         else:
             target = reward + self.discount * max(q.row_values(next_sid, view))
         delta = target - q.value_at(sid, aid)
-        q.add_at(sid, aid, alpha * delta)
+        q.add_at(sid, aid, self.learning_rate * delta)
         return delta
 
     @property

@@ -12,13 +12,9 @@ with Q-learning, which the tests pin down.
 
 from __future__ import annotations
 
-from typing import Hashable, Sequence, Tuple
+from typing import Hashable, Sequence
 
-import numpy as np
-
-from repro.rl.dense import DenseQTable
-from repro.rl.policies import EpsilonGreedyPolicy
-from repro.rl.schedules import ConstantSchedule, Schedule
+from repro.rl.learner import TabularLearner
 
 __all__ = ["ExpectedSarsaLearner"]
 
@@ -26,55 +22,13 @@ State = Hashable
 Action = Hashable
 
 
-class ExpectedSarsaLearner:
-    """Tabular Expected SARSA with an ε-greedy behaviour policy."""
+class ExpectedSarsaLearner(TabularLearner):
+    """Tabular Expected SARSA with an ε-greedy behaviour policy.
 
-    def __init__(
-        self,
-        learning_rate=0.2,
-        discount: float = 0.9,
-        epsilon: float = 0.2,
-        initial_q: float = 0.0,
-    ) -> None:
-        if not 0.0 <= discount < 1.0:
-            raise ValueError("discount must be in [0, 1)")
-        if not 0.0 <= epsilon <= 1.0:
-            raise ValueError("epsilon must be in [0, 1]")
-        if isinstance(learning_rate, Schedule):
-            self.learning_rate_schedule: Schedule = learning_rate
-        else:
-            self.learning_rate_schedule = ConstantSchedule(float(learning_rate))
-        # Constant learning rates (the common case) skip the schedule
-        # call on every transition.
-        self._alpha_const = (
-            self.learning_rate_schedule.constant
-            if type(self.learning_rate_schedule) is ConstantSchedule
-            else None
-        )
-        self.discount = float(discount)
-        self.epsilon = float(epsilon)
-        self.policy = EpsilonGreedyPolicy(epsilon)
-        self.q = DenseQTable(initial_q)
-        self.updates = 0
-        self.episodes = 0
-
-    def begin_episode(self) -> None:
-        """Episode boundary (interface symmetry)."""
-        self.episodes += 1
-
-    def select_action(
-        self,
-        state: State,
-        actions: Sequence[Action],
-        rng: np.random.Generator,
-        step: int = 0,
-    ) -> Tuple[Action, bool]:
-        """ε-greedy behaviour action."""
-        return self.policy.select(self.q, state, actions, rng, step=step)
-
-    def greedy_action(self, state: State, actions: Sequence[Action]) -> Action:
-        """Current greedy action."""
-        return self.q.best_action(state, actions)
+    The bootstrap's expectation is under ``config.epsilon``; with an
+    ``epsilon_decay`` of 1 that is also the behaviour policy's ε at
+    every iteration.
+    """
 
     def expected_value(self, state: State, actions: Sequence[Action]) -> float:
         """E_π[Q(state, ·)] under the ε-greedy policy.
@@ -101,9 +55,6 @@ class ExpectedSarsaLearner:
         exploratory: bool = False,
     ) -> float:
         """One Expected SARSA update; returns the TD error."""
-        alpha = self._alpha_const
-        if alpha is None:
-            alpha = self.learning_rate_schedule.value(self.updates)
         # The expectation runs over the given-order row -- the same
         # value sequence q.action_values returns -- with Python's
         # left-to-right max/sum, so it is bit-identical to the
@@ -122,7 +73,7 @@ class ExpectedSarsaLearner:
             expected = (1.0 - self.epsilon) * greedy + self.epsilon * uniform
             target = reward + self.discount * expected
         delta = target - q.value_at(sid, aid)
-        q.add_at(sid, aid, alpha * delta)
+        q.add_at(sid, aid, self.learning_rate * delta)
         self.updates += 1
         return delta
 

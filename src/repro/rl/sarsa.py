@@ -13,14 +13,11 @@ Update, per (s, a, r, s', a'):
 
 from __future__ import annotations
 
-from typing import Hashable, Optional, Sequence, Tuple
+from typing import Hashable, Optional
 
-import numpy as np
-
-from repro.rl.dense import DenseQTable, DenseTraces
-from repro.rl.policies import EpsilonGreedyPolicy, Policy
-from repro.rl.schedules import ConstantSchedule, Schedule
-from repro.rl.traces import TraceKind
+from repro.core.config import PlanningConfig
+from repro.rl.dense import DenseTraces
+from repro.rl.learner import TabularLearner
 
 __all__ = ["SarsaLambdaLearner"]
 
@@ -28,63 +25,22 @@ State = Hashable
 Action = Hashable
 
 
-class SarsaLambdaLearner:
-    """Tabular SARSA(λ) with replacing or accumulating traces."""
+class SarsaLambdaLearner(TabularLearner):
+    """Tabular SARSA(λ) with replacing traces."""
 
-    def __init__(
-        self,
-        learning_rate=0.2,
-        discount: float = 0.9,
-        trace_decay: float = 0.7,
-        policy: Optional[Policy] = None,
-        trace_kind: TraceKind = TraceKind.REPLACING,
-        initial_q: float = 0.0,
-    ) -> None:
-        if not 0.0 <= discount < 1.0:
-            raise ValueError("discount must be in [0, 1)")
-        if not 0.0 <= trace_decay <= 1.0:
-            raise ValueError("trace_decay must be in [0, 1]")
-        if isinstance(learning_rate, Schedule):
-            self.learning_rate_schedule: Schedule = learning_rate
-        else:
-            self.learning_rate_schedule = ConstantSchedule(float(learning_rate))
-        # Constant learning rates (the common case) skip the schedule
-        # call on every transition.
-        self._alpha_const = (
-            self.learning_rate_schedule.constant
-            if type(self.learning_rate_schedule) is ConstantSchedule
-            else None
-        )
-        self.discount = float(discount)
-        self.trace_decay = float(trace_decay)
+    def __init__(self, config: PlanningConfig) -> None:
+        super().__init__(config)
+        self.trace_decay = float(config.trace_decay)
         # γλ, computed once -- the per-transition trace decay factor.
         self._glambda = self.discount * self.trace_decay
-        self.policy: Policy = policy if policy is not None else EpsilonGreedyPolicy(0.2)
-        self.q = DenseQTable(initial_q)
         # One shared index, so interned ids mean the same thing in the
         # table and the traces.
-        self.traces = DenseTraces(index=self.q.index, kind=trace_kind)
-        self.updates = 0
-        self.episodes = 0
+        self.traces = DenseTraces(index=self.q.index)
 
     def begin_episode(self) -> None:
         """Reset traces at an episode boundary."""
         self.traces.reset()
         self.episodes += 1
-
-    def select_action(
-        self,
-        state: State,
-        actions: Sequence[Action],
-        rng: np.random.Generator,
-        step: int = 0,
-    ) -> Tuple[Action, bool]:
-        """Behaviour-policy action for ``state``."""
-        return self.policy.select(self.q, state, actions, rng, step=step)
-
-    def greedy_action(self, state: State, actions: Sequence[Action]) -> Action:
-        """The current greedy action."""
-        return self.q.best_action(state, actions)
 
     def observe(
         self,
@@ -100,9 +56,6 @@ class SarsaLambdaLearner:
         ``next_action`` is the action the behaviour policy *will* take
         in ``next_state`` (ignored when ``done``).
         """
-        alpha = self._alpha_const
-        if alpha is None:
-            alpha = self.learning_rate_schedule.value(self.updates)
         if not done and next_action is None:
             raise ValueError("next_action is required for non-terminal updates")
         # The bootstrap is a single cell read and the trace
@@ -117,7 +70,9 @@ class SarsaLambdaLearner:
             next_sid, next_aid, _, _ = q.locate(next_state, next_action)
             target = reward + self.discount * q.value_at(next_sid, next_aid)
         delta = target - q.value_at(sid, aid)
-        self.traces.step(q, sid, aid, alpha * delta, self._glambda)
+        self.traces.step(
+            q, sid, aid, self.learning_rate * delta, self._glambda
+        )
         if done:
             self.traces.reset()
         self.updates += 1

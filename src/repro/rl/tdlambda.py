@@ -23,14 +23,11 @@ episodes) and query the greedy action.
 
 from __future__ import annotations
 
-from typing import Hashable, Optional, Sequence, Tuple
+from typing import Hashable, Sequence
 
-import numpy as np
-
-from repro.rl.dense import DenseQTable, DenseTraces
-from repro.rl.policies import EpsilonGreedyPolicy, Policy
-from repro.rl.schedules import ConstantSchedule, Schedule
-from repro.rl.traces import TraceKind
+from repro.core.config import PlanningConfig
+from repro.rl.dense import DenseTraces
+from repro.rl.learner import TabularLearner
 
 __all__ = ["TDLambdaQLearner"]
 
@@ -38,63 +35,22 @@ State = Hashable
 Action = Hashable
 
 
-class TDLambdaQLearner:
+class TDLambdaQLearner(TabularLearner):
     """Watkins Q(λ) over a tabular Q function."""
 
-    def __init__(
-        self,
-        learning_rate=0.2,
-        discount: float = 0.9,
-        trace_decay: float = 0.7,
-        policy: Optional[Policy] = None,
-        trace_kind: TraceKind = TraceKind.REPLACING,
-        initial_q: float = 0.0,
-    ) -> None:
-        if not 0.0 <= discount < 1.0:
-            raise ValueError("discount must be in [0, 1)")
-        if not 0.0 <= trace_decay <= 1.0:
-            raise ValueError("trace_decay must be in [0, 1]")
-        if isinstance(learning_rate, Schedule):
-            self.learning_rate_schedule: Schedule = learning_rate
-        else:
-            self.learning_rate_schedule = ConstantSchedule(float(learning_rate))
-        # Constant learning rates (the common case) skip the schedule
-        # call on every transition.
-        self._alpha_const = (
-            self.learning_rate_schedule.constant
-            if type(self.learning_rate_schedule) is ConstantSchedule
-            else None
-        )
-        self.discount = float(discount)
-        self.trace_decay = float(trace_decay)
+    def __init__(self, config: PlanningConfig) -> None:
+        super().__init__(config)
+        self.trace_decay = float(config.trace_decay)
         # γλ, computed once -- the per-transition trace decay factor.
         self._glambda = self.discount * self.trace_decay
-        self.policy: Policy = policy if policy is not None else EpsilonGreedyPolicy(0.2)
-        self.q = DenseQTable(initial_q)
         # One shared index, so interned ids mean the same thing in the
         # table and the traces.
-        self.traces = DenseTraces(index=self.q.index, kind=trace_kind)
-        self.updates = 0
-        self.episodes = 0
+        self.traces = DenseTraces(index=self.q.index)
 
     def begin_episode(self) -> None:
         """Reset traces at an episode boundary."""
         self.traces.reset()
         self.episodes += 1
-
-    def select_action(
-        self,
-        state: State,
-        actions: Sequence[Action],
-        rng: np.random.Generator,
-        step: int = 0,
-    ) -> Tuple[Action, bool]:
-        """Behaviour-policy action for ``state``; see Policy.select."""
-        return self.policy.select(self.q, state, actions, rng, step=step)
-
-    def greedy_action(self, state: State, actions: Sequence[Action]) -> Action:
-        """The current greedy (target-policy) action."""
-        return self.q.best_action(state, actions)
 
     def observe(
         self,
@@ -112,9 +68,7 @@ class TDLambdaQLearner:
         the target (greedy) policy.  Such updates touch only the
         executed pair and reset the traces (strict Watkins cut).
         """
-        alpha = self._alpha_const
-        if alpha is None:
-            alpha = self.learning_rate_schedule.value(self.updates)
+        alpha = self.learning_rate
         # Every state/action interned once, one capacity guard; the
         # arithmetic (max over given-order Python floats, per-pair
         # multiply-then-add in first-visit order) is exactly that of

@@ -148,13 +148,13 @@ class Simulator:
         return sum(1 for _, _, event in self._heap if not event.cancelled)
 
     def schedule(self, delay: float, callback: Callable[[], None]) -> Event:
-        """Schedule ``callback`` to fire ``delay`` seconds from now."""
+        """Fire ``callback`` ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         return self.schedule_at(self._now + delay, callback)
 
     def schedule_at(self, time: float, callback: Callable[[], None]) -> Event:
-        """Schedule ``callback`` at an absolute simulated time.
+        """Fire ``callback`` at an absolute simulated time.
 
         Scheduling before :attr:`now` or at a non-finite time raises
         :class:`SimulationError` -- such an event could never fire in

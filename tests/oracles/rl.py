@@ -6,17 +6,20 @@ classes here are the plain versions those updates must reproduce bit
 for bit: :class:`QTable` and :class:`EligibilityTraces` keyed by
 ``(state, action)`` tuples, and one ``Sparse*`` subclass per learner
 whose ``observe`` goes through the table API only.  Each subclass
-keeps its production parent's policy, schedules and greedy readouts,
-so a test can train both through the same trainer and compare curves,
-RNG draws and Q-values exactly.
+keeps its production parent's settings, ε-greedy exploration and
+greedy readouts, so a test can train both through the same trainer
+and compare curves, RNG draws and Q-values exactly.
 
 :func:`per_step_replay_episode` and :func:`per_step_replay` are the
 per-transition training loop -- ``select_action`` then ``observe`` for
-every transition, the greedy probe after every episode -- that
-:func:`repro.rl.dense.replay_watkins` and :func:`repro.rl.dense.
-replay_dyna` fuse for the production
+every transition, Dyna-Q planning included, the greedy probe after
+every episode -- that :func:`repro.rl.dense.replay_watkins` and
+:func:`repro.rl.dense.replay_dyna` fuse for the production
 :class:`~repro.rl.tdlambda.TDLambdaQLearner` and
 :class:`~repro.rl.dyna.DynaQLearner`.
+
+:func:`learner_config` is a :class:`PlanningConfig` with Q starting
+at 0 and a constant ε, the settings the unit tests reason with.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence,
 
 import numpy as np
 
+from repro.core.config import PlanningConfig
 from repro.planning.rewards_coreda import CoReDAReward
 from repro.planning.state import episode_states
 from repro.planning.trainer import LearningCurve
@@ -33,7 +37,6 @@ from repro.rl.dyna import DynaQLearner
 from repro.rl.expected_sarsa import ExpectedSarsaLearner
 from repro.rl.sarsa import SarsaLambdaLearner
 from repro.rl.tdlambda import TDLambdaQLearner
-from repro.rl.traces import TraceKind
 
 __all__ = [
     "EligibilityTraces",
@@ -43,12 +46,19 @@ __all__ = [
     "SparseExpectedSarsaLearner",
     "SparseSarsaLambdaLearner",
     "SparseTDLambdaQLearner",
+    "learner_config",
     "per_step_replay",
     "per_step_replay_episode",
 ]
 
 State = Hashable
 Action = Hashable
+
+
+def learner_config(**fields) -> PlanningConfig:
+    """A :class:`PlanningConfig` with ``initial_q`` 0 and a constant ε
+    (``epsilon_decay`` 1), overridden by ``fields``."""
+    return PlanningConfig(**{"initial_q": 0.0, "epsilon_decay": 1.0, **fields})
 
 
 class QTable:
@@ -139,28 +149,21 @@ class QTable:
 
 
 class EligibilityTraces:
-    """A sparse trace vector over (state, action) pairs.
+    """A sparse replacing-trace vector over (state, action) pairs.
 
-    Accumulating traces add 1 on a visit, replacing traces reset to 1;
-    entries decaying below ``cutoff`` are dropped.
+    A visit sets the trace to 1; entries decaying below ``cutoff`` are
+    dropped.
     """
 
-    def __init__(
-        self, kind: TraceKind = TraceKind.REPLACING, cutoff: float = 1e-4
-    ) -> None:
+    def __init__(self, cutoff: float = 1e-4) -> None:
         if cutoff < 0:
             raise ValueError("cutoff must be >= 0")
-        self.kind = kind
         self.cutoff = cutoff
         self._traces: Dict[Tuple[State, Action], float] = {}
 
     def visit(self, state: State, action: Action) -> None:
         """Mark (s, a) as just visited."""
-        key = (state, action)
-        if self.kind is TraceKind.ACCUMULATING:
-            self._traces[key] = self._traces.get(key, 0.0) + 1.0
-        else:
-            self._traces[key] = 1.0
+        self._traces[(state, action)] = 1.0
 
     def decay(self, factor: float) -> None:
         """Multiply every trace by ``factor`` (= γλ), dropping tiny ones."""
@@ -198,22 +201,13 @@ class EligibilityTraces:
         return len(self._traces)
 
 
-def _alpha(learner) -> float:
-    alpha = learner._alpha_const
-    if alpha is None:
-        alpha = learner.learning_rate_schedule.value(learner.updates)
-    return alpha
-
-
 class SparseTDLambdaQLearner(TDLambdaQLearner):
     """Watkins Q(λ) through the table API, on the sparse table."""
 
-    def __init__(self, **kwargs) -> None:
-        super().__init__(**kwargs)
-        self.q = QTable(kwargs.get("initial_q", 0.0))
-        self.traces = EligibilityTraces(
-            kind=kwargs.get("trace_kind", TraceKind.REPLACING)
-        )
+    def __init__(self, config: PlanningConfig) -> None:
+        super().__init__(config)
+        self.q = QTable(config.initial_q)
+        self.traces = EligibilityTraces()
 
     def observe(
         self,
@@ -225,7 +219,7 @@ class SparseTDLambdaQLearner(TDLambdaQLearner):
         done: bool,
         exploratory: bool = False,
     ) -> float:
-        alpha = _alpha(self)
+        alpha = self.learning_rate
         if done:
             target = reward
         else:
@@ -249,12 +243,10 @@ class SparseTDLambdaQLearner(TDLambdaQLearner):
 class SparseSarsaLambdaLearner(SarsaLambdaLearner):
     """SARSA(λ) through the table API, on the sparse table."""
 
-    def __init__(self, **kwargs) -> None:
-        super().__init__(**kwargs)
-        self.q = QTable(kwargs.get("initial_q", 0.0))
-        self.traces = EligibilityTraces(
-            kind=kwargs.get("trace_kind", TraceKind.REPLACING)
-        )
+    def __init__(self, config: PlanningConfig) -> None:
+        super().__init__(config)
+        self.q = QTable(config.initial_q)
+        self.traces = EligibilityTraces()
 
     def observe(
         self,
@@ -265,7 +257,7 @@ class SparseSarsaLambdaLearner(SarsaLambdaLearner):
         next_action: Optional[Action],
         done: bool,
     ) -> float:
-        alpha = _alpha(self)
+        alpha = self.learning_rate
         if not done and next_action is None:
             raise ValueError("next_action is required for non-terminal updates")
         if done:
@@ -287,9 +279,9 @@ class SparseSarsaLambdaLearner(SarsaLambdaLearner):
 class SparseExpectedSarsaLearner(ExpectedSarsaLearner):
     """Expected SARSA through the table API, on the sparse table."""
 
-    def __init__(self, **kwargs) -> None:
-        super().__init__(**kwargs)
-        self.q = QTable(kwargs.get("initial_q", 0.0))
+    def __init__(self, config: PlanningConfig) -> None:
+        super().__init__(config)
+        self.q = QTable(config.initial_q)
 
     def observe(
         self,
@@ -301,7 +293,7 @@ class SparseExpectedSarsaLearner(ExpectedSarsaLearner):
         done: bool,
         exploratory: bool = False,
     ) -> float:
-        alpha = _alpha(self)
+        alpha = self.learning_rate
         if done or not next_actions:
             target = reward
         else:
@@ -323,9 +315,11 @@ class SparseDynaQLearner(DynaQLearner):
     scalar draw at a time.
     """
 
-    def __init__(self, **kwargs) -> None:
-        super().__init__(**kwargs)
-        self.q = QTable(kwargs.get("initial_q", 0.0))
+    def __init__(
+        self, config: PlanningConfig, planning_steps: int = 10
+    ) -> None:
+        super().__init__(config, planning_steps)
+        self.q = QTable(config.initial_q)
         self._known_pairs: List[Tuple[State, Action]] = []
 
     def observe(
@@ -340,7 +334,7 @@ class SparseDynaQLearner(DynaQLearner):
         exploratory: bool = False,
     ) -> float:
         next_tuple = tuple(next_actions)
-        alpha = _alpha(self)
+        alpha = self.learning_rate
         delta = self._table_update(
             state, action, reward, next_state, next_tuple, done, alpha
         )
@@ -391,11 +385,10 @@ class SparseDynaQLearner(DynaQLearner):
 class SparseDoubleQLearner(DoubleQLearner):
     """Double Q-learning over two sparse tables."""
 
-    def __init__(self, **kwargs) -> None:
-        super().__init__(**kwargs)
-        initial_q = kwargs.get("initial_q", 0.0)
-        self.q_a = QTable(initial_q)
-        self.q_b = QTable(initial_q)
+    def __init__(self, config: PlanningConfig) -> None:
+        super().__init__(config)
+        self.q_a = QTable(config.initial_q)
+        self.q_b = QTable(config.initial_q)
         self.q = _MeanQView(self.q_a, self.q_b)
 
 

@@ -6,7 +6,7 @@ import pytest
 from repro.core.adl import IDLE_STEP_ID, Routine
 from repro.core.bus import EventBus
 from repro.core.config import CoReDAConfig
-from repro.core.errors import CoReDAError
+from repro.core.errors import ConfigurationError, CoReDAError
 from repro.core.events import StepEvent
 from repro.core.system import CoReDA
 from repro.planning.online import OnlineAdaptation
@@ -57,6 +57,13 @@ class TestEpisodeCollection:
         learner = trained_learner(tea_adl, tea_adl.canonical_routine())
         with pytest.raises(ValueError):
             OnlineAdaptation(tea_adl, learner, drift_window=0)
+
+    def test_explores_at_a_constant_epsilon(self, tea_adl):
+        learner = trained_learner(tea_adl, tea_adl.canonical_routine())
+        OnlineAdaptation(tea_adl, learner, epsilon=0.3)
+        assert learner.epsilon_at(0) == learner.epsilon_at(500) == 0.3
+        with pytest.raises(ConfigurationError, match="epsilon must be in"):
+            OnlineAdaptation(tea_adl, learner, epsilon=1.5)
 
 
 class TestAdaptationToNewRoutine:

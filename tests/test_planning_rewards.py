@@ -21,33 +21,33 @@ class TestPaperScheme:
         state = PlanningState(2, 3)
         action = PromptAction(TERMINAL, ReminderLevel.MINIMAL)
         next_state = PlanningState(3, TERMINAL)
-        assert reward(state, action, next_state) == 1000.0
+        assert reward.reward(state, action, next_state) == 1000.0
 
     def test_terminal_pays_1000_regardless_of_level(self, reward):
         state = PlanningState(2, 3)
         next_state = PlanningState(3, TERMINAL)
         specific = PromptAction(TERMINAL, ReminderLevel.SPECIFIC)
-        assert reward(state, specific, next_state) == 1000.0
+        assert reward.reward(state, specific, next_state) == 1000.0
 
     def test_intermediate_minimal_pays_100(self, reward):
         state = PlanningState(1, 2)
         action = PromptAction(3, ReminderLevel.MINIMAL)
-        assert reward(state, action, PlanningState(2, 3)) == 100.0
+        assert reward.reward(state, action, PlanningState(2, 3)) == 100.0
 
     def test_intermediate_specific_pays_50(self, reward):
         state = PlanningState(1, 2)
         action = PromptAction(3, ReminderLevel.SPECIFIC)
-        assert reward(state, action, PlanningState(2, 3)) == 50.0
+        assert reward.reward(state, action, PlanningState(2, 3)) == 50.0
 
     def test_unfollowed_prompt_pays_wrong_reward(self, reward):
         state = PlanningState(1, 2)
         action = PromptAction(1, ReminderLevel.MINIMAL)  # prompts tool 1
-        assert reward(state, action, PlanningState(2, 3)) == 0.0
+        assert reward.reward(state, action, PlanningState(2, 3)) == 0.0
 
     def test_unfollowed_terminal_prompt_not_rewarded(self, reward):
         state = PlanningState(2, 3)
         action = PromptAction(1, ReminderLevel.MINIMAL)
-        assert reward(state, action, PlanningState(3, TERMINAL)) == 0.0
+        assert reward.reward(state, action, PlanningState(3, TERMINAL)) == 0.0
 
 
 class TestConfigurable:
@@ -55,7 +55,8 @@ class TestConfigurable:
         config = PlanningConfig(wrong_prompt_reward=-10.0)
         reward = CoReDAReward(config, TERMINAL)
         action = PromptAction(1, ReminderLevel.MINIMAL)
-        assert reward(PlanningState(1, 2), action, PlanningState(2, 3)) == -10.0
+        after = PlanningState(2, 3)
+        assert reward.reward(PlanningState(1, 2), action, after) == -10.0
 
     def test_custom_reward_magnitudes(self):
         config = PlanningConfig(
@@ -63,4 +64,5 @@ class TestConfigurable:
         )
         reward = CoReDAReward(config, TERMINAL)
         minimal = PromptAction(3, ReminderLevel.MINIMAL)
-        assert reward(PlanningState(1, 2), minimal, PlanningState(2, 3)) == 20.0
+        after = PlanningState(2, 3)
+        assert reward.reward(PlanningState(1, 2), minimal, after) == 20.0

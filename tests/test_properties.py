@@ -6,13 +6,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles.rl import learner_config
 from repro.core.adl import SensorType, Tool
 from repro.core.bus import EventBus
 from repro.core.config import RadioConfig, SensingConfig
 from repro.rl.convergence import ConvergenceDetector, convergence_iteration
 from repro.rl.dense import DenseQTable, DenseTraces
-from repro.rl.schedules import ExponentialDecay, HarmonicDecay, LinearDecay
-from repro.rl.traces import TraceKind
+from repro.rl.learner import TabularLearner
 from repro.sensing.history import UsageHistory
 from repro.sensors.detector import KofNDetector
 from repro.sensors.eeprom import RECORD_SIZE, EepromLog, EepromRecord
@@ -102,7 +102,7 @@ def test_qtable_copy_equivalence_and_independence(writes):
     st.floats(min_value=0.0, max_value=0.99),
 )
 def test_traces_bounded_for_replacing_kind(visits, decay):
-    traces = DenseTraces(kind=TraceKind.REPLACING)
+    traces = DenseTraces()
     for state, action in visits:
         traces.visit(state, action)
         traces.decay(decay)
@@ -111,7 +111,7 @@ def test_traces_bounded_for_replacing_kind(visits, decay):
 
 @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=50))
 def test_traces_reset_always_empties(visits):
-    traces = DenseTraces(kind=TraceKind.ACCUMULATING)
+    traces = DenseTraces()
     for state, action in visits:
         traces.visit(state, action)
     traces.reset()
@@ -119,26 +119,14 @@ def test_traces_reset_always_empties(visits):
 
 
 # ---------------------------------------------------------------------------
-# schedules
+# the ε schedule
 
 @given(st.integers(min_value=0, max_value=1000),
        st.integers(min_value=0, max_value=1000))
 def test_exponential_decay_is_monotone(a, b):
-    schedule = ExponentialDecay(1.0, 0.95, minimum=0.01)
+    learner = TabularLearner(learner_config(epsilon=1.0, epsilon_decay=0.95))
     early, late = sorted([a, b])
-    assert schedule.value(early) >= schedule.value(late) >= 0.01
-
-
-@given(st.integers(min_value=0, max_value=10_000))
-def test_harmonic_decay_positive_and_bounded(step):
-    schedule = HarmonicDecay(0.5, half_life=7.0)
-    assert 0.0 < schedule.value(step) <= 0.5
-
-
-@given(st.integers(min_value=0, max_value=10_000))
-def test_linear_decay_stays_in_range(step):
-    schedule = LinearDecay(0.9, 0.1, span=100)
-    assert 0.1 <= schedule.value(step) <= 0.9
+    assert learner.epsilon_at(early) >= learner.epsilon_at(late) >= 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles.rl import learner_config
 from repro.core.adl import ReminderLevel
 from repro.planning.action import PromptAction
 from repro.planning.predictor import NextStepPredictor
@@ -98,22 +99,22 @@ class TestLearnerWritesBumpVersion:
         assert learner.q.version > before
 
     def test_tdlambda(self):
-        self.run_learner(TDLambdaQLearner())
+        self.run_learner(TDLambdaQLearner(learner_config()))
 
     def test_sarsa(self):
-        learner = SarsaLambdaLearner()
+        learner = SarsaLambdaLearner(learner_config())
         before = learner.q.version
         learner.observe((0, 1), "alpha", 1.0, (1, 2), "bravo", False)
         learner.observe((1, 2), "bravo", 1.0, (2, 3), None, True)
         assert learner.q.version > before
 
     def test_expected_sarsa(self):
-        self.run_learner(ExpectedSarsaLearner())
+        self.run_learner(ExpectedSarsaLearner(learner_config()))
 
     def test_dyna(self):
         from repro.rl.dyna import DynaQLearner
 
-        learner = DynaQLearner(planning_steps=3)
+        learner = DynaQLearner(learner_config(), planning_steps=3)
         before = learner.q.version
         rng = np.random.default_rng(0)
         actions = list(ACTIONS)
@@ -123,7 +124,7 @@ class TestLearnerWritesBumpVersion:
         assert learner.q.version > before
 
     def test_double_q(self):
-        learner = DoubleQLearner()
+        learner = DoubleQLearner(learner_config())
         before = learner.q_a.version + learner.q_b.version
         learner.observe((0, 1), "alpha", 1.0, (1, 2), list(ACTIONS), False)
         assert learner.q_a.version + learner.q_b.version > before
@@ -134,7 +135,7 @@ class TestDoubleQPrediction:
         """Double Q's mean view has no policy table: the predictor
         answers with a fresh ``best_action``, so learner writes to
         either table show up at once."""
-        learner = DoubleQLearner()
+        learner = DoubleQLearner(learner_config())
         predictor = NextStepPredictor(learner.q, ACTIONS)
         states = [(prev, cur) for prev in range(3) for cur in range(3)]
 

@@ -28,6 +28,7 @@ from oracles.rl import (
     SparseExpectedSarsaLearner,
     SparseSarsaLambdaLearner,
     SparseTDLambdaQLearner,
+    learner_config,
     per_step_replay,
     per_step_replay_episode,
 )
@@ -58,11 +59,8 @@ from repro.rl.dense import (
 from repro.rl.double_q import DoubleQLearner
 from repro.rl.dyna import DynaQLearner
 from repro.rl.expected_sarsa import ExpectedSarsaLearner
-from repro.rl.policies import EpsilonGreedyPolicy, SoftmaxPolicy
 from repro.rl.sarsa import SarsaLambdaLearner
-from repro.rl.schedules import ExponentialDecay
 from repro.rl.tdlambda import TDLambdaQLearner
-from repro.rl.traces import TraceKind
 from repro.resident.routines import noisy_episodes
 from repro.sim.random import seeded_generator
 
@@ -78,54 +76,22 @@ CLASSES = {
 }
 
 
-def _learner(kind: str, backend: str, **kwargs):
+def _learner(kind: str, backend: str, *args):
     dense, sparse = CLASSES[kind]
-    return (dense if backend == "dense" else sparse)(**kwargs)
+    return (dense if backend == "dense" else sparse)(*args)
 
 
 #: learner name -> factory(backend, config); covers every learner the
-#: evaluation suite trains, in both trace flavours where applicable.
+#: evaluation suite trains.
 LEARNERS = {
-    "tdlambda-replacing": lambda backend, c: _learner(
-        "tdlambda", backend,
-        learning_rate=c.learning_rate, discount=c.discount,
-        trace_decay=c.trace_decay, policy=_decay_policy(c),
-        trace_kind=TraceKind.REPLACING, initial_q=c.initial_q,
-    ),
-    "tdlambda-accumulating": lambda backend, c: _learner(
-        "tdlambda", backend,
-        learning_rate=c.learning_rate, discount=c.discount,
-        trace_decay=c.trace_decay, policy=_decay_policy(c),
-        trace_kind=TraceKind.ACCUMULATING, initial_q=c.initial_q,
-    ),
-    "tdlambda-softmax": lambda backend, c: _learner(
-        "tdlambda", backend,
-        learning_rate=c.learning_rate, discount=c.discount,
-        trace_decay=c.trace_decay, policy=SoftmaxPolicy(50.0),
-        initial_q=c.initial_q,
-    ),
-    "dyna": lambda backend, c: _learner(
-        "dyna", backend,
-        learning_rate=c.learning_rate, discount=c.discount,
-        planning_steps=10, policy=_decay_policy(c), initial_q=c.initial_q,
-    ),
-    "double-q": lambda backend, c: _learner(
-        "double-q", backend,
-        learning_rate=c.learning_rate, discount=c.discount,
-        policy=_decay_policy(c), initial_q=c.initial_q,
-    ),
+    "tdlambda-replacing": lambda backend, c: _learner("tdlambda", backend, c),
+    "dyna": lambda backend, c: _learner("dyna", backend, c, 10),
+    "double-q": lambda backend, c: _learner("double-q", backend, c),
     "expected-sarsa": lambda backend, c: _learner(
         "expected-sarsa", backend,
-        learning_rate=c.learning_rate, discount=c.discount,
-        epsilon=0.2, initial_q=c.initial_q,
+        PlanningConfig(epsilon=0.2, epsilon_decay=1.0),
     ),
 }
-
-
-def _decay_policy(config: PlanningConfig) -> EpsilonGreedyPolicy:
-    return EpsilonGreedyPolicy(
-        ExponentialDecay(config.epsilon, config.epsilon_decay)
-    )
 
 
 def _train(adl, learner_name: str, backend: str, seed: int):
@@ -134,6 +100,9 @@ def _train(adl, learner_name: str, backend: str, seed: int):
     trainer = RoutineTrainer(
         adl, config, learner=learner, rng=seeded_generator(seed)
     )
+    if backend == "sparse":
+        # The oracle's per-transition loop, Dyna-Q planning included.
+        trainer._replay = functools.partial(per_step_replay, trainer)
     return trainer.train([list(adl.step_ids)] * EPISODES)
 
 
@@ -165,21 +134,13 @@ def test_backends_train_identically(tea_adl, learner_name, seed):
     assert _sup_norm(sparse.learner, dense.learner) == 0.0
 
 
-@pytest.mark.parametrize(
-    "trace_kind", [TraceKind.REPLACING, TraceKind.ACCUMULATING]
-)
-def test_sarsa_backends_train_identically(tea_adl, trace_kind):
+def test_sarsa_backends_train_identically(tea_adl):
     """Naive SARSA(λ), trained the way the ablation bench trains it."""
 
     def run(backend):
         config = PlanningConfig()
         actions = tuple(action_space(tea_adl))
-        learner = _learner(
-            "sarsa", backend,
-            learning_rate=config.learning_rate, discount=config.discount,
-            trace_decay=config.trace_decay, policy=_decay_policy(config),
-            trace_kind=trace_kind, initial_q=config.initial_q,
-        )
+        learner = _learner("sarsa", backend, config)
         rng = seeded_generator(0)
         routine = tea_adl.canonical_routine()
         log = [list(routine.step_ids)] * EPISODES
@@ -220,23 +181,6 @@ def test_sarsa_backends_train_identically(tea_adl, trace_kind):
     assert deltas_s == deltas_d
     assert greedy_s == greedy_d
     assert sparse.q.max_abs_difference(dense.q) == 0.0
-
-
-def test_softmax_selections_identical_across_backends(tea_adl):
-    """SoftmaxPolicy consumes the RNG identically over both tables."""
-    result = {}
-    for backend in ("sparse", "dense"):
-        trained = _train(tea_adl, "tdlambda-softmax", backend, 1)
-        rng = seeded_generator(99)
-        actions = tuple(action_space(tea_adl))
-        states = episode_states(list(tea_adl.step_ids))
-        policy = SoftmaxPolicy(10.0)
-        result[backend] = [
-            policy.select(trained.learner.q, state, actions, rng)
-            for state in states[:-1]
-            for _ in range(5)
-        ]
-    assert result["sparse"] == result["dense"]
 
 
 # ---------------------------------------------------------------------------
@@ -290,12 +234,7 @@ def _cached_document(backend: str, adl, cache: PolicyCache):
     document = cache.get(key)
     if document is not None:
         return document, True
-    learner = _learner(
-        "tdlambda", "sparse",
-        learning_rate=config.learning_rate, discount=config.discount,
-        trace_decay=config.trace_decay, policy=_decay_policy(config),
-        initial_q=config.initial_q,
-    )
+    learner = _learner("tdlambda", "sparse", config)
     trainer = RoutineTrainer(
         adl, config, learner=learner, rng=seeded_generator(0)
     )
@@ -506,17 +445,14 @@ def test_argmax_prober_tracks_updates_and_growth():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "kind", [TraceKind.REPLACING, TraceKind.ACCUMULATING]
-)
-def test_dense_traces_match_sparse(kind):
+def test_dense_traces_match_sparse():
     dense_q = DenseQTable()
-    dense = DenseTraces(index=dense_q.index, kind=kind)
-    sparse = EligibilityTraces(kind=kind)
+    dense = DenseTraces(index=dense_q.index)
+    sparse = EligibilityTraces()
     assert type(dense) is DenseTraces
     for traces in (dense, sparse):
         traces.visit("s0", "a")
-        traces.visit("s0", "a")  # replacing pins to 1, accumulating sums
+        traces.visit("s0", "a")  # a revisit pins the trace to 1
         traces.visit("s1", "b")
         traces.decay(0.5)
     assert dense.get("s0", "a") == sparse.get("s0", "a")
@@ -531,7 +467,7 @@ def test_dense_traces_match_sparse(kind):
 
 def test_dense_traces_apply_update_and_snapshot():
     q = DenseQTable()
-    traces = DenseTraces(index=q.index, kind=TraceKind.REPLACING)
+    traces = DenseTraces(index=q.index)
     traces.visit("s0", "a")
     traces.decay(0.5)
     traces.visit("s1", "b")
@@ -577,10 +513,10 @@ def _traces_step(q):
 def _dyna_planning_sweep(q):
     # Interns s0, a, s1, b in the frozen table's id order, so the
     # learner's model records address the same cells of ``q``.
-    learner = DynaQLearner(planning_steps=4)
+    learner = DynaQLearner(learner_config(learning_rate=0.5), planning_steps=4)
     learner.observe("s0", "a", 1.0, "s1", FROZEN_ACTIONS, False)
     learner.q = q
-    learner._plan(seeded_generator(0), 0.5)
+    learner._plan(seeded_generator(0))
 
 
 #: A two-transition plan over the frozen table's states.
@@ -591,14 +527,14 @@ FROZEN_PLAN = (
 
 
 def _watkins_replay(q):
-    learner = TDLambdaQLearner(policy=EpsilonGreedyPolicy(0.0))
+    learner = TDLambdaQLearner(learner_config(epsilon=0.0))
     learner.q = q
     learner.traces = DenseTraces(index=q.index)
     replay_watkins(learner, FROZEN_ACTIONS, [FROZEN_PLAN], seeded_generator(0))
 
 
 def _dyna_replay(q):
-    learner = DynaQLearner(planning_steps=2, policy=EpsilonGreedyPolicy(0.0))
+    learner = DynaQLearner(learner_config(epsilon=0.0), planning_steps=2)
     learner.q = q
     replay_dyna(learner, FROZEN_ACTIONS, [FROZEN_PLAN], seeded_generator(0))
 
@@ -674,10 +610,8 @@ def _replay_cases(draw):
     return {
         "adl": name,
         "trace_decay": draw(st.sampled_from([0.0, 0.7, 1.0])),
-        "trace_kind": draw(st.sampled_from(list(TraceKind))),
-        "epsilon": draw(
-            st.sampled_from([0.0, 0.3, ExponentialDecay(0.5, 0.9)])
-        ),
+        # (ε, its decay): constant and decaying exploration.
+        "epsilon": draw(st.sampled_from([(0.0, 1.0), (0.3, 1.0), (0.5, 0.9)])),
         # A high cutoff compacts the traces within a few steps; the
         # default one needs a long on-target streak.
         "cutoff": draw(st.sampled_from([1e-4, 0.3])),
@@ -706,16 +640,14 @@ def _replay_case(case, path: str) -> dict:
     ``tests/oracles/rl.py``) or ``"sparse"`` (the dict oracle).
     """
     adl, ids, reordered, _ = _routines(case["adl"])
-    config = PlanningConfig(initial_q=case["initial_q"])
-    kwargs = dict(
-        learning_rate=config.learning_rate, discount=config.discount,
-        trace_decay=case["trace_decay"],
-        policy=EpsilonGreedyPolicy(copy.deepcopy(case["epsilon"])),
-        trace_kind=case["trace_kind"], initial_q=config.initial_q,
+    epsilon, decay = case["epsilon"]
+    config = PlanningConfig(
+        trace_decay=case["trace_decay"], epsilon=epsilon,
+        epsilon_decay=decay, initial_q=case["initial_q"],
     )
     learner = (
-        SparseTDLambdaQLearner(**kwargs) if path == "sparse"
-        else TDLambdaQLearner(**kwargs)
+        SparseTDLambdaQLearner(config) if path == "sparse"
+        else TDLambdaQLearner(config)
     )
     learner.traces.cutoff = case["cutoff"]
     trainer = RoutineTrainer(
@@ -773,11 +705,9 @@ _DRESSING = _routines("dressing")
 @settings(max_examples=40, deadline=None)
 @given(case=_replay_cases())
 @example(
-    # Greedy replays of the long episode: accumulating traces revisit
-    # live pairs.
+    # Greedy replays of the long episode revisit live pairs.
     case={
-        "adl": "tea-making", "trace_decay": 0.7,
-        "trace_kind": TraceKind.ACCUMULATING, "epsilon": 0.0,
+        "adl": "tea-making", "trace_decay": 0.7, "epsilon": (0.0, 1.0),
         "cutoff": 1e-4, "initial_q": 1000.0, "seed": 0,
         "logs": [[_TEA_IDS[:-1] * 32 + [_TEA_IDS[-1]]] * 4, [_TEA_IDS]],
         "online": [_TEA_IDS],
@@ -786,8 +716,7 @@ _DRESSING = _routines("dressing")
 @example(
     # A high cutoff: greedy replays of the long episode compact.
     case={
-        "adl": "tea-making", "trace_decay": 0.7,
-        "trace_kind": TraceKind.REPLACING, "epsilon": 0.0,
+        "adl": "tea-making", "trace_decay": 0.7, "epsilon": (0.0, 1.0),
         "cutoff": 0.3, "initial_q": 1000.0, "seed": 0,
         "logs": [[_TEA_IDS[:-1] * 32 + [_TEA_IDS[-1]]] * 4, [_TEA_IDS]],
         "online": [_TEA_IDS],
@@ -796,8 +725,7 @@ _DRESSING = _routines("dressing")
 @example(
     # The tour grows the table past the plan bound before it.
     case={
-        "adl": "dressing", "trace_decay": 0.7,
-        "trace_kind": TraceKind.REPLACING, "epsilon": 0.3,
+        "adl": "dressing", "trace_decay": 0.7, "epsilon": (0.3, 1.0),
         "cutoff": 1e-4, "initial_q": 1000.0, "seed": 1,
         "logs": [[_DRESSING[1], _DRESSING[3][-1], _DRESSING[1]],
                  [_DRESSING[2]]],
@@ -848,7 +776,7 @@ def _kernel_vs_per_step(kind, make_table, plans, make_rng) -> None:
     observed = []
     for fused in (True, False):
         q = make_table()
-        learner = kind(policy=EpsilonGreedyPolicy(0.3))
+        learner = kind(learner_config(epsilon=0.3))
         learner.q = q
         if kind is TDLambdaQLearner:
             learner.traces = DenseTraces(index=q.index)
@@ -904,19 +832,17 @@ def test_fused_kernels_take_any_bit_generator():
 
 
 def test_fused_dispatch_is_on_exact_types():
-    assert fused_kernel(TDLambdaQLearner()) is replay_watkins
-    assert fused_kernel(DynaQLearner()) is replay_dyna
-    for learner in (
-        SparseTDLambdaQLearner(),
-        SparseDynaQLearner(),
-        TDLambdaQLearner(policy=SoftmaxPolicy(1.0)),
-        DynaQLearner(policy=SoftmaxPolicy(1.0)),
-        TDLambdaQLearner(learning_rate=ExponentialDecay(0.5, 0.9)),
-        DynaQLearner(learning_rate=ExponentialDecay(0.5, 0.9)),
-        SarsaLambdaLearner(),
-        ExpectedSarsaLearner(),
-        DoubleQLearner(),
+    config = PlanningConfig()
+    assert fused_kernel(TDLambdaQLearner(config)) is replay_watkins
+    assert fused_kernel(DynaQLearner(config)) is replay_dyna
+    for kind in (
+        SparseTDLambdaQLearner,
+        SparseDynaQLearner,
+        SarsaLambdaLearner,
+        ExpectedSarsaLearner,
+        DoubleQLearner,
     ):
+        learner = kind(config)
         assert fused_kernel(learner) is None, learner
 
 
@@ -932,9 +858,7 @@ def _dyna_cases(draw):
     return {
         "adl": name,
         "planning_steps": draw(st.sampled_from([0, 1, 5, 20])),
-        "epsilon": draw(
-            st.sampled_from([0.0, 0.3, ExponentialDecay(0.5, 0.9)])
-        ),
+        "epsilon": draw(st.sampled_from([(0.0, 1.0), (0.3, 1.0), (0.5, 0.9)])),
         "initial_q": draw(st.sampled_from([0.0, 1000.0])),
         "seed": draw(st.integers(0, 2**16)),
         "logs": [
@@ -957,21 +881,17 @@ def _dyna_case(case, path: str) -> dict:
     same form for the comparison.
     """
     adl, ids, reordered, _ = _routines(case["adl"])
-    config = PlanningConfig(initial_q=case["initial_q"])
-    kwargs = dict(
-        learning_rate=config.learning_rate, discount=config.discount,
-        planning_steps=case["planning_steps"],
-        policy=EpsilonGreedyPolicy(copy.deepcopy(case["epsilon"])),
-        initial_q=config.initial_q,
+    epsilon, decay = case["epsilon"]
+    config = PlanningConfig(
+        epsilon=epsilon, epsilon_decay=decay, initial_q=case["initial_q"]
     )
-    learner = (
-        SparseDynaQLearner(**kwargs) if path == "sparse"
-        else DynaQLearner(**kwargs)
+    learner = (SparseDynaQLearner if path == "sparse" else DynaQLearner)(
+        config, case["planning_steps"]
     )
     trainer = RoutineTrainer(
         adl, config, learner=learner, rng=seeded_generator(case["seed"])
     )
-    if path == "per-step":
+    if path != "fused":
         trainer._replay = functools.partial(per_step_replay, trainer)
     curves = [
         copy.deepcopy(trainer.train(log, routine=Routine(adl, routine)).curve)
@@ -981,7 +901,7 @@ def _dyna_case(case, path: str) -> dict:
         adl, learner, config, rng=seeded_generator(case["seed"] + 1),
         epsilon=0.2,
     )
-    replay = per_step_replay_episode if path == "per-step" else replay_episode
+    replay = replay_episode if path == "fused" else per_step_replay_episode
     with mock.patch.object(online_module, "replay_episode", replay):
         for episode in case["online"]:
             previous = 0
@@ -1039,7 +959,7 @@ def _dyna_case(case, path: str) -> dict:
     # The tour grows the table past the plan bound before it, with a
     # planning sweep over the records laid out for the old rows.
     case={
-        "adl": "dressing", "planning_steps": 5, "epsilon": 0.3,
+        "adl": "dressing", "planning_steps": 5, "epsilon": (0.3, 1.0),
         "initial_q": 1000.0, "seed": 1,
         "logs": [[_DRESSING[1], _DRESSING[3][-1], _DRESSING[1]],
                  [_DRESSING[2]]],

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from oracles.rl import learner_config
+from repro.core.errors import ConfigurationError
 from repro.rl.double_q import DoubleQLearner
-from repro.rl.policies import EpsilonGreedyPolicy
 from repro.rl.tdlambda import TDLambdaQLearner
 
 ACTIONS = ["left", "right"]
@@ -12,7 +13,7 @@ ACTIONS = ["left", "right"]
 
 class TestUpdates:
     def test_terminal_update(self, rng):
-        learner = DoubleQLearner(learning_rate=0.5)
+        learner = DoubleQLearner(learner_config(learning_rate=0.5))
         learner.observe("s", "right", 10.0, "t", ACTIONS, done=True, rng=rng)
         # Exactly one table got the update; the combined view averages.
         assert learner.q.value("s", "right") == 2.5
@@ -21,7 +22,7 @@ class TestUpdates:
         assert values == {0.0, 5.0}
 
     def test_cross_evaluation(self):
-        learner = DoubleQLearner(learning_rate=1.0, discount=0.5)
+        learner = DoubleQLearner(learner_config(learning_rate=1.0, discount=0.5))
         # Table A thinks "left" is best at s2; B holds its value.
         learner.q_a.set("s2", "left", 10.0)
         learner.q_b.set("s2", "left", 4.0)
@@ -31,7 +32,7 @@ class TestUpdates:
         assert learner.q_a.value("s1", "right") == pytest.approx(2.0)
 
     def test_greedy_uses_mean_view(self):
-        learner = DoubleQLearner()
+        learner = DoubleQLearner(learner_config())
         learner.q_a.set("s", "left", 10.0)
         learner.q_b.set("s", "left", 0.0)
         learner.q_a.set("s", "right", 4.0)
@@ -39,8 +40,8 @@ class TestUpdates:
         assert learner.greedy_action("s", ACTIONS) == "left"
 
     def test_discount_bounds(self):
-        with pytest.raises(ValueError):
-            DoubleQLearner(discount=1.0)
+        with pytest.raises(ConfigurationError, match="discount"):
+            DoubleQLearner(learner_config(discount=1.0))
 
 
 class TestMaximizationBias:
@@ -84,12 +85,12 @@ class TestMaximizationBias:
 
     def test_double_q_less_biased_than_q(self):
         double = DoubleQLearner(
-            learning_rate=0.1, discount=0.99,
-            policy=EpsilonGreedyPolicy(0.3),
+            learner_config(learning_rate=0.1, discount=0.99, epsilon=0.3)
         )
         plain = TDLambdaQLearner(
-            learning_rate=0.1, discount=0.99, trace_decay=0.0,
-            policy=EpsilonGreedyPolicy(0.3),
+            learner_config(
+                learning_rate=0.1, discount=0.99, trace_decay=0.0, epsilon=0.3
+            )
         )
         self._run(double, np.random.default_rng(7))
         self._run(plain, np.random.default_rng(7))
@@ -99,7 +100,7 @@ class TestMaximizationBias:
 
     def test_double_q_learns_simple_chain(self, rng):
         learner = DoubleQLearner(
-            learning_rate=0.3, discount=0.9, policy=EpsilonGreedyPolicy(0.3)
+            learner_config(learning_rate=0.3, discount=0.9, epsilon=0.3)
         )
         for _ in range(400):
             learner.begin_episode()

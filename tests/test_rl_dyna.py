@@ -3,31 +3,32 @@
 import numpy as np
 import pytest
 
+from oracles.rl import learner_config
+from repro.core.errors import ConfigurationError
 from repro.rl.dyna import DynaQLearner
-from repro.rl.policies import EpsilonGreedyPolicy
 
 ACTIONS = ["left", "right"]
 
 
 class TestModel:
     def test_model_records_transitions(self, rng):
-        learner = DynaQLearner(planning_steps=0)
+        learner = DynaQLearner(learner_config(), planning_steps=0)
         learner.observe("s", "right", 1.0, "t", ACTIONS, done=True, rng=rng)
         assert learner.model_size == 1
 
     def test_model_keeps_latest_outcome(self, rng):
-        learner = DynaQLearner(planning_steps=0)
+        learner = DynaQLearner(learner_config(), planning_steps=0)
         learner.observe("s", "right", 1.0, "t1", ACTIONS, done=False, rng=rng)
         learner.observe("s", "right", 2.0, "t2", ACTIONS, done=False, rng=rng)
         assert learner.model_size == 1
 
     def test_planning_updates_counted(self, rng):
-        learner = DynaQLearner(planning_steps=7)
+        learner = DynaQLearner(learner_config(), planning_steps=7)
         learner.observe("s", "right", 1.0, "t", ACTIONS, done=True, rng=rng)
         assert learner.planning_updates == 7
 
     def test_no_planning_without_rng(self):
-        learner = DynaQLearner(planning_steps=7)
+        learner = DynaQLearner(learner_config(), planning_steps=7)
         learner.observe("s", "right", 1.0, "t", ACTIONS, done=True)
         assert learner.planning_updates == 0
 
@@ -39,7 +40,8 @@ class TestLearning:
         def run(planning_steps, seed):
             rng = np.random.default_rng(seed)
             learner = DynaQLearner(
-                learning_rate=0.5, discount=0.9, planning_steps=planning_steps
+                learner_config(learning_rate=0.5, discount=0.9),
+                planning_steps=planning_steps,
             )
             chain = [("s1", "s2", 0.0, False), ("s2", "s3", 0.0, False),
                      ("s3", "t", 10.0, True)]
@@ -54,10 +56,8 @@ class TestLearning:
 
     def test_learns_optimal_policy(self, rng):
         learner = DynaQLearner(
-            learning_rate=0.3,
-            discount=0.9,
+            learner_config(learning_rate=0.3, discount=0.9, epsilon=0.3),
             planning_steps=10,
-            policy=EpsilonGreedyPolicy(0.3),
         )
         for _ in range(150):
             learner.begin_episode()
@@ -82,9 +82,9 @@ class TestLearning:
 
 class TestValidation:
     def test_negative_planning_steps(self):
-        with pytest.raises(ValueError):
-            DynaQLearner(planning_steps=-1)
+        with pytest.raises(ConfigurationError, match="planning_steps"):
+            DynaQLearner(learner_config(), planning_steps=-1)
 
     def test_discount_bounds(self):
-        with pytest.raises(ValueError):
-            DynaQLearner(discount=1.0)
+        with pytest.raises(ConfigurationError, match="discount"):
+            DynaQLearner(learner_config(discount=1.0))

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from oracles.rl import learner_config
+from repro.core.errors import ConfigurationError
 from repro.rl.expected_sarsa import ExpectedSarsaLearner
 
 ACTIONS = ["left", "right"]
@@ -10,39 +12,39 @@ ACTIONS = ["left", "right"]
 
 class TestExpectedValue:
     def test_mixture_of_greedy_and_uniform(self):
-        learner = ExpectedSarsaLearner(epsilon=0.2)
+        learner = ExpectedSarsaLearner(learner_config(epsilon=0.2))
         learner.q.set("s", "left", 10.0)
         learner.q.set("s", "right", 0.0)
         expected = 0.8 * 10.0 + 0.2 * 5.0
         assert learner.expected_value("s", ACTIONS) == pytest.approx(expected)
 
     def test_epsilon_zero_equals_max(self):
-        learner = ExpectedSarsaLearner(epsilon=0.0)
+        learner = ExpectedSarsaLearner(learner_config(epsilon=0.0))
         learner.q.set("s", "left", 3.0)
         learner.q.set("s", "right", 7.0)
         assert learner.expected_value("s", ACTIONS) == 7.0
 
     def test_epsilon_one_equals_mean(self):
-        learner = ExpectedSarsaLearner(epsilon=1.0)
+        learner = ExpectedSarsaLearner(learner_config(epsilon=1.0))
         learner.q.set("s", "left", 2.0)
         learner.q.set("s", "right", 6.0)
         assert learner.expected_value("s", ACTIONS) == 4.0
 
     def test_empty_actions_rejected(self):
         with pytest.raises(ValueError):
-            ExpectedSarsaLearner().expected_value("s", [])
+            ExpectedSarsaLearner(learner_config()).expected_value("s", [])
 
 
 class TestUpdates:
     def test_terminal_update(self):
-        learner = ExpectedSarsaLearner(learning_rate=0.5)
+        learner = ExpectedSarsaLearner(learner_config(learning_rate=0.5))
         delta = learner.observe("s", "right", 10.0, "t", ACTIONS, done=True)
         assert delta == 10.0
         assert learner.q.value("s", "right") == 5.0
 
     def test_bootstrap_uses_expectation(self):
         learner = ExpectedSarsaLearner(
-            learning_rate=1.0, discount=0.5, epsilon=0.2
+            learner_config(learning_rate=1.0, discount=0.5, epsilon=0.2)
         )
         learner.q.set("s2", "left", 10.0)
         learner.q.set("s2", "right", 0.0)
@@ -54,7 +56,7 @@ class TestUpdates:
 
     def test_epsilon_zero_matches_q_learning_target(self):
         learner = ExpectedSarsaLearner(
-            learning_rate=1.0, discount=0.5, epsilon=0.0
+            learner_config(learning_rate=1.0, discount=0.5, epsilon=0.0)
         )
         learner.q.set("s2", "left", 4.0)
         learner.q.set("s2", "right", 8.0)
@@ -62,16 +64,16 @@ class TestUpdates:
         assert learner.q.value("s1", "left") == pytest.approx(1.0 + 0.5 * 8.0)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            ExpectedSarsaLearner(discount=1.0)
-        with pytest.raises(ValueError):
-            ExpectedSarsaLearner(epsilon=1.5)
+        with pytest.raises(ConfigurationError, match="discount"):
+            ExpectedSarsaLearner(learner_config(discount=1.0))
+        with pytest.raises(ConfigurationError, match="epsilon"):
+            ExpectedSarsaLearner(learner_config(epsilon=1.5))
 
 
 class TestConvergence:
     def test_learns_chain(self, rng):
         learner = ExpectedSarsaLearner(
-            learning_rate=0.3, discount=0.9, epsilon=0.3
+            learner_config(learning_rate=0.3, discount=0.9, epsilon=0.3)
         )
         for _ in range(400):
             learner.begin_episode()

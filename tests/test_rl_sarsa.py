@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.rl.policies import EpsilonGreedyPolicy
+from oracles.rl import learner_config
+from repro.core.errors import ConfigurationError
 from repro.rl.sarsa import SarsaLambdaLearner
 
 ACTIONS = ["left", "right"]
@@ -10,14 +11,15 @@ ACTIONS = ["left", "right"]
 
 class TestUpdates:
     def test_terminal_update(self):
-        learner = SarsaLambdaLearner(learning_rate=0.5)
+        learner = SarsaLambdaLearner(learner_config(learning_rate=0.5))
         delta = learner.observe("s", "right", 10.0, "t", None, done=True)
         assert delta == 10.0
         assert learner.q.value("s", "right") == 5.0
 
     def test_bootstrap_uses_next_action_not_max(self):
-        learner = SarsaLambdaLearner(learning_rate=1.0, discount=0.5,
-                                     trace_decay=0.0)
+        learner = SarsaLambdaLearner(
+            learner_config(learning_rate=1.0, discount=0.5, trace_decay=0.0)
+        )
         learner.q.set("s2", "left", 4.0)
         learner.q.set("s2", "right", 8.0)
         # On-policy: target uses the action actually chosen ("left"),
@@ -26,20 +28,21 @@ class TestUpdates:
         assert learner.q.value("s1", "left") == pytest.approx(1.0 + 0.5 * 4.0)
 
     def test_missing_next_action_rejected(self):
-        learner = SarsaLambdaLearner()
+        learner = SarsaLambdaLearner(learner_config())
         with pytest.raises(ValueError):
             learner.observe("s", "left", 0.0, "s2", None, done=False)
 
     def test_traces_propagate_along_chain(self):
-        learner = SarsaLambdaLearner(learning_rate=0.5, discount=0.99,
-                                     trace_decay=1.0)
+        learner = SarsaLambdaLearner(
+            learner_config(learning_rate=0.5, discount=0.99, trace_decay=1.0)
+        )
         learner.begin_episode()
         learner.observe("s1", "right", 0.0, "s2", "right", done=False)
         learner.observe("s2", "right", 10.0, "t", None, done=True)
         assert learner.q.value("s1", "right") > 0.0
 
     def test_terminal_resets_traces(self):
-        learner = SarsaLambdaLearner()
+        learner = SarsaLambdaLearner(learner_config())
         learner.observe("s", "right", 1.0, "t", None, done=True)
         assert len(learner.traces) == 0
 
@@ -47,10 +50,9 @@ class TestUpdates:
 class TestConvergence:
     def test_learns_chain_on_policy(self, rng):
         learner = SarsaLambdaLearner(
-            learning_rate=0.3,
-            discount=0.9,
-            trace_decay=0.5,
-            policy=EpsilonGreedyPolicy(0.2),
+            learner_config(
+                learning_rate=0.3, discount=0.9, trace_decay=0.5, epsilon=0.2
+            )
         )
         for _ in range(400):
             learner.begin_episode()
@@ -77,9 +79,9 @@ class TestConvergence:
 
 class TestValidation:
     def test_discount_bounds(self):
-        with pytest.raises(ValueError):
-            SarsaLambdaLearner(discount=1.0)
+        with pytest.raises(ConfigurationError, match="discount"):
+            SarsaLambdaLearner(learner_config(discount=1.0))
 
     def test_trace_decay_bounds(self):
-        with pytest.raises(ValueError):
-            SarsaLambdaLearner(trace_decay=-0.1)
+        with pytest.raises(ConfigurationError, match="trace_decay"):
+            SarsaLambdaLearner(learner_config(trace_decay=-0.1))

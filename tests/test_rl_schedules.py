@@ -1,79 +1,40 @@
-"""Unit tests for parameter schedules."""
+"""Unit tests for the ε schedule: ε at iteration k is ε·decay^k."""
 
 import pytest
 
-from repro.rl.schedules import (
-    ConstantSchedule,
-    ExponentialDecay,
-    HarmonicDecay,
-    LinearDecay,
-)
+from oracles.rl import learner_config
+from repro.core.errors import ConfigurationError
+from repro.rl.learner import TabularLearner
+
+
+def _epsilon_at(epsilon: float, decay: float, step: int) -> float:
+    learner = TabularLearner(
+        learner_config(epsilon=epsilon, epsilon_decay=decay)
+    )
+    return learner.epsilon_at(step)
 
 
 class TestConstant:
     def test_value_everywhere(self):
-        schedule = ConstantSchedule(0.3)
-        assert schedule.value(0) == 0.3
-        assert schedule.value(10_000) == 0.3
-
-    def test_callable(self):
-        assert ConstantSchedule(0.5)(3) == 0.5
+        assert _epsilon_at(0.3, 1.0, 0) == 0.3
+        assert _epsilon_at(0.3, 1.0, 10_000) == 0.3
 
 
 class TestExponential:
     def test_decay(self):
-        schedule = ExponentialDecay(1.0, 0.5)
-        assert schedule.value(0) == 1.0
-        assert schedule.value(2) == 0.25
+        assert _epsilon_at(1.0, 0.5, 0) == 1.0
+        assert _epsilon_at(1.0, 0.5, 2) == 0.25
 
     def test_minimum_floor(self):
-        schedule = ExponentialDecay(1.0, 0.5, minimum=0.1)
-        assert schedule.value(100) == 0.1
+        # ε never drops below 0: a long decay underflows to exactly 0.
+        assert _epsilon_at(1.0, 0.5, 100) > 0.0
+        assert _epsilon_at(1.0, 0.5, 2000) == 0.0
 
     def test_decay_bounds(self):
-        with pytest.raises(ValueError):
-            ExponentialDecay(1.0, 0.0)
-        with pytest.raises(ValueError):
-            ExponentialDecay(1.0, 1.5)
+        with pytest.raises(ConfigurationError, match="epsilon_decay"):
+            _epsilon_at(1.0, 0.0, 0)
+        with pytest.raises(ConfigurationError, match="epsilon_decay"):
+            _epsilon_at(1.0, 1.5, 0)
 
     def test_decay_of_one_is_constant(self):
-        schedule = ExponentialDecay(0.7, 1.0)
-        assert schedule.value(500) == 0.7
-
-
-class TestLinear:
-    def test_endpoints(self):
-        schedule = LinearDecay(1.0, 0.0, span=10)
-        assert schedule.value(0) == 1.0
-        assert schedule.value(10) == 0.0
-        assert schedule.value(50) == 0.0
-
-    def test_midpoint(self):
-        schedule = LinearDecay(1.0, 0.0, span=10)
-        assert schedule.value(5) == pytest.approx(0.5)
-
-    def test_rising_ramp_allowed(self):
-        schedule = LinearDecay(0.0, 1.0, span=4)
-        assert schedule.value(2) == pytest.approx(0.5)
-
-    def test_span_positive(self):
-        with pytest.raises(ValueError):
-            LinearDecay(1.0, 0.0, span=0)
-
-
-class TestHarmonic:
-    def test_initial(self):
-        assert HarmonicDecay(1.0, half_life=10.0).value(0) == 1.0
-
-    def test_half_at_half_life(self):
-        assert HarmonicDecay(1.0, half_life=10.0).value(10) == pytest.approx(0.5)
-
-    def test_robbins_monro_shape(self):
-        schedule = HarmonicDecay(1.0, half_life=1.0)
-        values = [schedule.value(t) for t in range(1, 1000)]
-        assert sum(values) > 5.0  # diverging sum (log growth)
-        assert sum(v * v for v in values) < 3.0  # converging square sum
-
-    def test_half_life_positive(self):
-        with pytest.raises(ValueError):
-            HarmonicDecay(1.0, half_life=0.0)
+        assert _epsilon_at(0.7, 1.0, 500) == 0.7

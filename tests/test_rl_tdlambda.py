@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.rl.policies import EpsilonGreedyPolicy, GreedyPolicy
+from oracles.rl import learner_config
+from repro.core.errors import ConfigurationError
 from repro.rl.tdlambda import TDLambdaQLearner
 
 ACTIONS = ["left", "right"]
@@ -11,20 +12,24 @@ ACTIONS = ["left", "right"]
 
 class TestSingleUpdates:
     def test_terminal_update_moves_toward_reward(self):
-        learner = TDLambdaQLearner(learning_rate=0.5, discount=0.9)
+        learner = TDLambdaQLearner(learner_config(learning_rate=0.5, discount=0.9))
         delta = learner.observe("s", "right", 10.0, "t", ACTIONS, done=True)
         assert delta == 10.0
         assert learner.q.value("s", "right") == 5.0
 
     def test_bootstrap_uses_max_next(self):
-        learner = TDLambdaQLearner(learning_rate=1.0, discount=0.5, trace_decay=0.0)
+        learner = TDLambdaQLearner(
+            learner_config(learning_rate=1.0, discount=0.5, trace_decay=0.0)
+        )
         learner.q.set("s2", "left", 4.0)
         learner.q.set("s2", "right", 8.0)
         learner.observe("s1", "left", 1.0, "s2", ACTIONS, done=False)
         assert learner.q.value("s1", "left") == pytest.approx(1.0 + 0.5 * 8.0)
 
     def test_exploratory_updates_only_own_pair(self):
-        learner = TDLambdaQLearner(learning_rate=0.5, discount=0.9, trace_decay=0.9)
+        learner = TDLambdaQLearner(
+            learner_config(learning_rate=0.5, discount=0.9, trace_decay=0.9)
+        )
         # Build an active trace on (s1, right).
         learner.observe("s1", "right", 0.0, "s2", ACTIONS, done=False)
         before = learner.q.value("s1", "right")
@@ -37,15 +42,16 @@ class TestSingleUpdates:
         assert learner.q.value("s2", "left") < 0
 
     def test_exploratory_resets_traces(self):
-        learner = TDLambdaQLearner()
+        learner = TDLambdaQLearner(learner_config())
         learner.observe("s1", "right", 0.0, "s2", ACTIONS, done=False)
         learner.observe("s2", "left", 0.0, "s3", ACTIONS, done=False,
                         exploratory=True)
         assert len(learner.traces) == 0
 
     def test_greedy_chain_propagates_via_traces(self):
-        learner = TDLambdaQLearner(learning_rate=0.5, discount=0.99,
-                                   trace_decay=1.0)
+        learner = TDLambdaQLearner(
+            learner_config(learning_rate=0.5, discount=0.99, trace_decay=1.0)
+        )
         learner.begin_episode()
         learner.observe("s1", "right", 0.0, "s2", ACTIONS, done=False)
         learner.observe("s2", "right", 10.0, "t", ACTIONS, done=True)
@@ -53,18 +59,18 @@ class TestSingleUpdates:
         assert learner.q.value("s1", "right") > 0.0
 
     def test_terminal_resets_traces(self):
-        learner = TDLambdaQLearner()
+        learner = TDLambdaQLearner(learner_config())
         learner.observe("s", "right", 1.0, "t", ACTIONS, done=True)
         assert len(learner.traces) == 0
 
     def test_update_counter(self):
-        learner = TDLambdaQLearner()
+        learner = TDLambdaQLearner(learner_config())
         learner.observe("s", "right", 1.0, "t", ACTIONS, done=True)
         assert learner.updates == 1
 
     def test_thousand_transition_stream_updates(self):
         learner = TDLambdaQLearner(
-            learning_rate=0.1, discount=0.9, trace_decay=0.7
+            learner_config(learning_rate=0.1, discount=0.9, trace_decay=0.7)
         )
         actions = list(range(8))
         for i in range(1_000):
@@ -78,7 +84,7 @@ class TestSingleUpdates:
 
 class TestEpisodes:
     def test_begin_episode_clears_traces_and_counts(self):
-        learner = TDLambdaQLearner()
+        learner = TDLambdaQLearner(learner_config())
         learner.observe("s", "right", 0.0, "s2", ACTIONS, done=False)
         learner.begin_episode()
         assert len(learner.traces) == 0
@@ -87,13 +93,13 @@ class TestEpisodes:
 
 class TestPolicyIntegration:
     def test_select_action_uses_policy(self, rng):
-        learner = TDLambdaQLearner(policy=GreedyPolicy())
+        learner = TDLambdaQLearner(learner_config(epsilon=0.0))
         learner.q.set("s", "right", 1.0)
         action, exploratory = learner.select_action("s", ACTIONS, rng)
         assert action == "right" and not exploratory
 
     def test_greedy_action(self):
-        learner = TDLambdaQLearner()
+        learner = TDLambdaQLearner(learner_config())
         learner.q.set("s", "left", 2.0)
         assert learner.greedy_action("s", ACTIONS) == "left"
 
@@ -102,10 +108,9 @@ class TestConvergence:
     def test_learns_two_state_chain_optimal_policy(self, rng):
         # s1 --right--> s2 --right--> goal(+10); "left" loops with 0.
         learner = TDLambdaQLearner(
-            learning_rate=0.3,
-            discount=0.9,
-            trace_decay=0.5,
-            policy=EpsilonGreedyPolicy(0.3),
+            learner_config(
+                learning_rate=0.3, discount=0.9, trace_decay=0.5, epsilon=0.3
+            )
         )
         for _ in range(300):
             learner.begin_episode()
@@ -131,9 +136,9 @@ class TestConvergence:
 
 class TestValidation:
     def test_discount_bounds(self):
-        with pytest.raises(ValueError):
-            TDLambdaQLearner(discount=1.0)
+        with pytest.raises(ConfigurationError, match="discount"):
+            TDLambdaQLearner(learner_config(discount=1.0))
 
     def test_trace_decay_bounds(self):
-        with pytest.raises(ValueError):
-            TDLambdaQLearner(trace_decay=1.5)
+        with pytest.raises(ConfigurationError, match="trace_decay"):
+            TDLambdaQLearner(learner_config(trace_decay=1.5))

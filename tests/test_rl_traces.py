@@ -3,21 +3,14 @@
 import pytest
 
 from repro.rl.dense import DenseTraces
-from repro.rl.traces import TraceKind
 
 
 class TestVisit:
     def test_replacing_sets_to_one(self):
-        traces = DenseTraces(kind=TraceKind.REPLACING)
+        traces = DenseTraces()
         traces.visit("s", "a")
         traces.visit("s", "a")
         assert traces.get("s", "a") == 1.0
-
-    def test_accumulating_adds(self):
-        traces = DenseTraces(kind=TraceKind.ACCUMULATING)
-        traces.visit("s", "a")
-        traces.visit("s", "a")
-        assert traces.get("s", "a") == 2.0
 
     def test_unvisited_is_zero(self):
         assert DenseTraces().get("s", "a") == 0.0
