@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: lint lint-sarif test report reach ziggurat-tables
+.PHONY: lint lint-sarif test report bench reach ziggurat-tables
 
 lint:
 	$(PYTHON) -m repro lint src/repro --baseline lint-baseline.json
@@ -14,6 +14,11 @@ test:
 
 report:
 	$(PYTHON) -m repro report
+
+# Runs the four benchmark workloads of BENCHMARK.json end to end and
+# layer by layer (a few minutes); results go to bench/out/.
+bench:
+	$(PYTHON) -m bench run --seed 0
 
 # Lists the src/repro functions that no report, fleet, CLI verb or
 # example calls (about 45 s); it never edits the tree.

@@ -29,7 +29,6 @@ class EventBus:
 
     def __init__(self) -> None:
         self._handlers: Dict[type, List[Callable[[Any], None]]] = defaultdict(list)
-        self._published = 0
 
     def subscribe(
         self, event_type: Type[E], handler: Callable[[E], None]
@@ -55,13 +54,7 @@ class EventBus:
         handlers = list(self._handlers.get(type(event), ()))
         for handler in handlers:
             handler(event)
-        self._published += 1
         return len(handlers)
-
-    @property
-    def events_published(self) -> int:
-        """Total number of publish calls (for diagnostics)."""
-        return self._published
 
     def handler_count(self, event_type: type) -> int:
         """How many handlers are registered for ``event_type``."""

@@ -301,7 +301,7 @@ class CoReDA:
         cfg = self.config.reminding
         if not cfg.statistical_timeout:
             return cfg.stall_timeout
-        stats = self.sensing.history.dwell_stats().get(step_id)
+        stats = self.sensing.history.dwell(step_id)
         if stats is not None and stats.count >= 5:
             return max(stats.timeout(cfg.stall_sd_factor), 5.0)
         if self.adl.has_step(step_id):

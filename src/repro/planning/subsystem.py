@@ -170,7 +170,7 @@ class PlanningSubsystem:
             reason=reason,
             wrong_tool_id=wrong_tool_id,
         )
-        if self._trace is not None:
+        if self._trace is not None and self._trace.enabled:
             self._trace.emit(
                 self.sim.now,
                 "planning.prompt_request",
@@ -186,7 +186,7 @@ class PlanningSubsystem:
         praise = PraiseEvent(
             time=self.sim.now, step_id=event.step_id, message="Excellent!"
         )
-        if self._trace is not None:
+        if self._trace is not None and self._trace.enabled:
             self._trace.emit(self.sim.now, "planning.praise", step_id=event.step_id)
         self.bus.publish(praise)
 
@@ -199,7 +199,7 @@ class PlanningSubsystem:
             steps_taken=self._episode_steps,
             reminders_issued=self._episode_prompts,
         )
-        if self._trace is not None:
+        if self._trace is not None and self._trace.enabled:
             self._trace.emit(self.sim.now, "planning.completed", adl=self.adl.name)
         self.bus.publish(completed)
         self._state = None
@@ -207,9 +207,11 @@ class PlanningSubsystem:
         self._outstanding_prompt = False
 
     def _arm_stall_timer(self, dwelling_step_id: int) -> None:
-        self._disarm_stall_timer()
         timeout = self.stall_timeout_for(dwelling_step_id)
-        self._stall_event = self.sim.schedule(timeout, self._on_stall)
+        if self._stall_event is None:
+            self._stall_event = self.sim.schedule(timeout, self._on_stall)
+        else:
+            self.sim.reschedule(self._stall_event, self.sim.now + timeout)
 
     def _disarm_stall_timer(self) -> None:
         if self._stall_event is not None:

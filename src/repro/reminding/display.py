@@ -36,7 +36,7 @@ class Display:
         """Render ``text`` (and optionally a tool ``picture``)."""
         event = DisplayEvent(time=self.sim.now, text=text, picture=picture)
         self.history.append(event)
-        if self._trace is not None:
+        if self._trace is not None and self._trace.enabled:
             self._trace.emit(self.sim.now, "display.show", text=text, picture=picture)
         if self.bus is not None:
             self.bus.publish(event)

@@ -62,7 +62,7 @@ class RemindingSubsystem:
         decision = self.escalation.decide(request.tool_id, request.level)
         if decision.give_up:
             self.caregiver_alerts += 1
-            if self._trace is not None:
+            if self._trace is not None and self._trace.enabled:
                 self._trace.emit(
                     self.sim.now,
                     "reminder.gave_up",
@@ -90,7 +90,7 @@ class RemindingSubsystem:
             wrong_tool_id=request.wrong_tool_id,
         )
         self.reminders.append(reminder)
-        if self._trace is not None:
+        if self._trace is not None and self._trace.enabled:
             self._trace.emit(
                 self.sim.now,
                 "reminder.prompt",
@@ -109,7 +109,7 @@ class RemindingSubsystem:
         self.praises_rendered += 1
         self.display.show(praise.message)
         self.escalation.reset()
-        if self._trace is not None:
+        if self._trace is not None and self._trace.enabled:
             self._trace.emit(self.sim.now, "reminder.praise", step_id=praise.step_id)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

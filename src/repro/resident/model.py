@@ -151,7 +151,7 @@ class Resident:
         # A finished resident reads no more reminders; leaving it on
         # the bus would queue every later episode's prompts for it.
         self._unsubscribe()
-        if self._trace is not None:
+        if self._trace is not None and self._trace.enabled:
             self._trace.emit(
                 self.sim.now, "resident.completed", duration=self.outcome.duration
             )
@@ -191,7 +191,7 @@ class Resident:
 
     def _act_out_error(self, error: ScriptedError, expected_step_id: int, previous_tool):
         self._errors += 1
-        if self._trace is not None:
+        if self._trace is not None and self._trace.enabled:
             self._trace.emit(
                 self.sim.now,
                 "resident.error",
@@ -218,7 +218,7 @@ class Resident:
                     # No (answerable) guidance came: the resident
                     # eventually remembers on their own.
                     self._self_recoveries += 1
-                    if self._trace is not None:
+                    if self._trace is not None and self._trace.enabled:
                         self._trace.emit(self.sim.now, "resident.self_recovery")
                     return
                 continue
@@ -240,7 +240,7 @@ class Resident:
             )
         handling = self.handling_overrides.get(step_id, step.handling_duration)
         handling = min(handling, dwell - 0.2)
-        if self._trace is not None:
+        if self._trace is not None and self._trace.enabled:
             self._trace.emit(
                 self.sim.now,
                 "resident.step",

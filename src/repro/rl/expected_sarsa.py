@@ -2,7 +2,8 @@
 
 On-policy like SARSA but bootstraps from the *expectation* of the
 next action under the behaviour policy rather than the sampled next
-action, cutting update variance.  With an ε-greedy policy:
+action, cutting update variance.  With an ε-greedy policy exploring
+at ε in the current iteration:
 
     target = r + γ [ (1-ε) max_a Q(s',a) + ε · mean_a Q(s',a) ]
 
@@ -12,8 +13,11 @@ with Q-learning, which the tests pin down.
 
 from __future__ import annotations
 
-from typing import Hashable, Sequence
+from typing import Hashable, Sequence, Tuple
 
+import numpy as np
+
+from repro.core.config import PlanningConfig
 from repro.rl.learner import TabularLearner
 
 __all__ = ["ExpectedSarsaLearner"]
@@ -25,13 +29,30 @@ Action = Hashable
 class ExpectedSarsaLearner(TabularLearner):
     """Tabular Expected SARSA with an ε-greedy behaviour policy.
 
-    The bootstrap's expectation is under ``config.epsilon``; with an
-    ``epsilon_decay`` of 1 that is also the behaviour policy's ε at
-    every iteration.
+    The bootstrap's expectation is under the behaviour policy of the
+    current iteration: ``select_action(step=k)`` explores at
+    ``epsilon_at(k)`` and keeps it as :attr:`behaviour_epsilon`, which
+    :meth:`observe` and :meth:`expected_value` then use.  Before any
+    selection it is ``epsilon_at(0)``, the config's ε.
     """
 
+    def __init__(self, config: PlanningConfig) -> None:
+        super().__init__(config)
+        self.behaviour_epsilon = self.epsilon
+
+    def select_action(
+        self,
+        state: State,
+        actions: Sequence[Action],
+        rng: np.random.Generator,
+        step: int = 0,
+    ) -> Tuple[Action, bool]:
+        """ε-greedy at iteration ``step``; the ε is kept to bootstrap."""
+        self.behaviour_epsilon = self.epsilon_at(step)
+        return super().select_action(state, actions, rng, step)
+
     def expected_value(self, state: State, actions: Sequence[Action]) -> float:
-        """E_π[Q(state, ·)] under the ε-greedy policy.
+        """E_π[Q(state, ·)] under the ε-greedy behaviour policy.
 
         The mean is taken with Python's left-to-right ``sum``, as in
         :meth:`observe` -- NumPy's pairwise summation rounds
@@ -42,7 +63,8 @@ class ExpectedSarsaLearner(TabularLearner):
         values = self.q.action_values(state, actions)
         greedy = max(values)
         uniform = sum(values) / len(values)
-        return (1.0 - self.epsilon) * greedy + self.epsilon * uniform
+        epsilon = self.behaviour_epsilon
+        return (1.0 - epsilon) * greedy + epsilon * uniform
 
     def observe(
         self,
@@ -70,7 +92,8 @@ class ExpectedSarsaLearner(TabularLearner):
             values = q.row_values(next_sid, view)
             greedy = max(values)
             uniform = sum(values) / len(values)
-            expected = (1.0 - self.epsilon) * greedy + self.epsilon * uniform
+            epsilon = self.behaviour_epsilon
+            expected = (1.0 - epsilon) * greedy + epsilon * uniform
             target = reward + self.discount * expected
         delta = target - q.value_at(sid, aid)
         q.add_at(sid, aid, self.learning_rate * delta)

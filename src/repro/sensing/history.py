@@ -39,10 +39,19 @@ class DwellStats:
 
 
 class UsageHistory:
-    """Chronological store of usage records with dwell statistics."""
+    """Chronological store of usage records with dwell statistics.
+
+    Dwell samples are appended as records arrive, and each tool's
+    :class:`DwellStats` is kept until its samples change, so reading
+    one tool's statistics costs no pass over the history.
+    """
 
     def __init__(self) -> None:
         self._records: List[UsageRecord] = []
+        #: First record of the run of same-tool detections in progress.
+        self._run_start: Optional[UsageRecord] = None
+        self._samples: Dict[int, List[float]] = {}
+        self._stats: Dict[int, DwellStats] = {}
 
     def append(self, time: float, tool_id: int) -> None:
         """Record one detection (times must be non-decreasing)."""
@@ -51,7 +60,17 @@ class UsageHistory:
                 f"usage recorded out of order: t={time} after "
                 f"t={self._records[-1].time}"
             )
-        self._records.append(UsageRecord(time=float(time), tool_id=int(tool_id)))
+        record = UsageRecord(time=float(time), tool_id=int(tool_id))
+        self._records.append(record)
+        start = self._run_start
+        if start is None:
+            self._run_start = record
+        elif record.tool_id != start.tool_id:
+            self._samples.setdefault(start.tool_id, []).append(
+                record.time - start.time
+            )
+            self._stats.pop(start.tool_id, None)
+            self._run_start = record
 
     def records(self) -> List[UsageRecord]:
         """All records, oldest first."""
@@ -61,34 +80,21 @@ class UsageHistory:
         """All records for one tool."""
         return [r for r in self._records if r.tool_id == tool_id]
 
-    def dwell_stats(self) -> Dict[int, DwellStats]:
-        """Per-tool statistics of time spent before the next step.
+    def dwell(self, tool_id: int) -> Optional[DwellStats]:
+        """Statistics of time spent with ``tool_id`` before the next step.
 
         A dwell sample for tool T is the gap between the first
         detection of T in a run and the first detection of the next
         distinct tool.  Tools that never hand over (e.g. the last
-        detection in the history) contribute no sample.
+        detection in the history) contribute no sample; ``None`` when
+        ``tool_id`` has none.
         """
-        samples: Dict[int, List[float]] = {}
-        run_start: Optional[UsageRecord] = None
-        for record in self._records:
-            if run_start is None:
-                run_start = record
-                continue
-            if record.tool_id != run_start.tool_id:
-                samples.setdefault(run_start.tool_id, []).append(
-                    record.time - run_start.time
-                )
-                run_start = record
-        stats: Dict[int, DwellStats] = {}
-        for tool_id, durations in samples.items():
-            count = len(durations)
-            mean = sum(durations) / count
-            if count > 1:
-                variance = sum((d - mean) ** 2 for d in durations) / (count - 1)
-            else:
-                variance = 0.0
-            stats[tool_id] = DwellStats(count=count, mean=mean, sd=math.sqrt(variance))
+        stats = self._stats.get(tool_id)
+        if stats is None:
+            durations = self._samples.get(tool_id)
+            if durations is None:
+                return None
+            stats = self._stats[tool_id] = _summarise(durations)
         return stats
 
     def __len__(self) -> int:
@@ -96,3 +102,14 @@ class UsageHistory:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"UsageHistory(records={len(self._records)})"
+
+
+def _summarise(durations: List[float]) -> DwellStats:
+    """Mean and sample sd, by left-to-right ``sum`` and two passes."""
+    count = len(durations)
+    mean = sum(durations) / count
+    if count > 1:
+        variance = sum((d - mean) ** 2 for d in durations) / (count - 1)
+    else:
+        variance = 0.0
+    return DwellStats(count=count, mean=mean, sd=math.sqrt(variance))

@@ -80,10 +80,14 @@ class StepExtractor:
         self._transition(IDLE_STEP_ID)
 
     def _rearm_idle_timer(self) -> None:
-        self._disarm_idle_timer()
-        self._idle_event = self.sim.schedule(
-            self.idle_timeout, self._on_idle_timeout
-        )
+        if self._idle_event is None:
+            self._idle_event = self.sim.schedule(
+                self.idle_timeout, self._on_idle_timeout
+            )
+        else:
+            # Moved in place: a later deadline pushes no heap entry.
+            deadline = self.sim.now + self.idle_timeout
+            self.sim.reschedule(self._idle_event, deadline)
 
     def _disarm_idle_timer(self) -> None:
         if self._idle_event is not None:

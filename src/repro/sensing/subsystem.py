@@ -75,13 +75,13 @@ class SensingSubsystem:
         now = self.sim.now
         self.history.append(now, tool_id)
         usage = ToolUsageEvent(time=now, tool_id=tool_id)
-        if self._trace is not None:
+        if self._trace is not None and self._trace.enabled:
             self._trace.emit(now, "sensing.tool_usage", tool_id=tool_id)
         self.bus.publish(usage)
         self.extractor.observe_tool(tool_id)
 
     def _publish_step(self, event: StepEvent) -> None:
-        if self._trace is not None:
+        if self._trace is not None and self._trace.enabled:
             self._trace.emit(
                 event.time,
                 "sensing.step",

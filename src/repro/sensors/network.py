@@ -67,7 +67,7 @@ class BaseStation:
         event = SensorFrameEvent(
             time=self.sim.now, node_uid=frame.src_uid, sequence=frame.sequence
         )
-        if self._trace is not None:
+        if self._trace is not None and self._trace.enabled:
             self._trace.emit(
                 self.sim.now, "base.frame", uid=frame.src_uid, sequence=frame.sequence
             )

@@ -231,7 +231,7 @@ class PavenetNode:
                 self.power_profile.sample_cost_mj
                 + self.power_profile.idle_cost_mj_per_s * period
             ):
-                if self._trace is not None:
+                if self._trace is not None and self._trace.enabled:
                     self._trace.emit(self.sim.now, "node.battery_dead",
                                      uid=self.uid)
                 return  # the node dies in place
@@ -391,7 +391,7 @@ class PavenetNode:
                 sequence=sequence,
             )
         )
-        if self._trace is not None:
+        if self._trace is not None and self._trace.enabled:
             self._trace.emit(
                 self.sim.now, "node.usage_detected", uid=self.uid, sequence=sequence
             )
@@ -419,7 +419,7 @@ class PavenetNode:
         if not self._drain(blinks * self.power_profile.led_blink_cost_mj):
             return
         led.blink(self.sim.now, blinks)
-        if self._trace is not None:
+        if self._trace is not None and self._trace.enabled:
             self._trace.emit(
                 self.sim.now,
                 "node.led",

@@ -164,7 +164,7 @@ class RadioMedium:
         if tries_left - 1 <= 0:
             if not state["delivered_once"]:
                 self.stats.dropped += 1
-                if self._trace is not None:
+                if self._trace is not None and self._trace.enabled:
                     self._trace.emit(
                         self.sim.now,
                         "radio.dropped",
@@ -182,7 +182,7 @@ class RadioMedium:
         self.stats.delivered += 1
         if duplicate:
             self.stats.duplicates += 1
-        if self._trace is not None:
+        if self._trace is not None and self._trace.enabled:
             self._trace.emit(
                 self.sim.now,
                 "radio.delivered",

@@ -9,7 +9,10 @@ The queue is a plain ``heapq`` of ``(time, seq, event)`` tuples held
 by the :class:`Simulator` itself.  ``seq`` is unique, so the heap never
 compares two events and the ``(time, seq)`` key fully fixes the firing
 order.  Cancelling an event only flags it; the kernel drops it when it
-reaches the head of the heap (see ``docs/architecture.md``).
+reaches the head of the heap.  :meth:`Simulator.reschedule` moves an
+event to a later key without a push: the heap entry keeps the old key,
+and the kernel re-queues it under the event's own key when that stale
+entry reaches the head (see ``docs/architecture.md``).
 """
 
 from __future__ import annotations
@@ -45,12 +48,18 @@ class Event:
     simulator so that simultaneous events keep FIFO order.  An event
     can be cancelled before it fires, in which case the kernel skips
     it (the heap entry is left in place and discarded lazily).
+
+    ``queued`` is the ``seq`` of the one heap entry that carries the
+    event, or ``None`` once no entry does (it fired, or was dropped
+    cancelled).  After :meth:`Simulator.reschedule` to a later key it
+    differs from ``seq``; any other entry naming the event is stale.
     """
 
     time: float
     seq: int
     callback: Callable[[], None] = field(compare=False)
     cancelled: bool = field(default=False, compare=False)
+    queued: Optional[int] = field(default=None, compare=False, repr=False)
 
     def cancel(self) -> None:
         """Prevent this event from firing.
@@ -118,19 +127,16 @@ class Simulator:
 
     The simulator never advances past the horizon given to
     :meth:`run_until`, and :attr:`now` is exact (no floating-point
-    drift is introduced by the kernel itself).
+    drift is introduced by the kernel itself).  :attr:`now` is a plain
+    attribute for speed; only the kernel writes it.
     """
 
     def __init__(self, start_time: float = 0.0) -> None:
         self._heap: List[Tuple[float, int, Event]] = []
-        self._now = float(start_time)
+        #: Current simulated time in seconds.
+        self.now = float(start_time)
         self._seq = itertools.count()
         self._event_count = 0
-
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
 
     @property
     def events_processed(self) -> int:
@@ -141,17 +147,22 @@ class Simulator:
     def pending_count(self) -> int:
         """Live (not cancelled) events awaiting their turn.
 
-        Cancelled events linger in the heap until they reach its head;
-        they are *not* counted here, so introspection reflects what
-        will actually fire.  A diagnostic: it scans the whole heap.
+        Cancelled events and stale entries linger in the heap until
+        they reach its head; they are *not* counted here, so
+        introspection reflects what will actually fire.  A diagnostic:
+        it scans the whole heap.
         """
-        return sum(1 for _, _, event in self._heap if not event.cancelled)
+        return sum(
+            1
+            for _, seq, event in self._heap
+            if seq == event.queued and not event.cancelled
+        )
 
     def schedule(self, delay: float, callback: Callable[[], None]) -> Event:
         """Fire ``callback`` ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        return self.schedule_at(self._now + delay, callback)
+        return self.schedule_at(self.now + delay, callback)
 
     def schedule_at(self, time: float, callback: Callable[[], None]) -> Event:
         """Fire ``callback`` at an absolute simulated time.
@@ -161,36 +172,91 @@ class Simulator:
         order, so catching it at the call site beats a silently
         corrupted timeline.
         """
+        # The checks of _checked, inlined: this is the kernel's hottest
+        # entry point.
         time = float(time)
         if not isfinite(time):
             raise SimulationError(f"cannot schedule at non-finite time t={time}")
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule at t={time} before current time t={self._now}"
+                f"cannot schedule at t={time} before current time t={self.now}"
             )
         seq = next(self._seq)
-        event = Event(time, seq, callback)
+        event = Event(time, seq, callback, False, seq)
         heapq.heappush(self._heap, (time, seq, event))
         return event
+
+    def reschedule(self, event: Event, time: float) -> Event:
+        """Move ``event`` to fire at ``time`` instead; returns ``event``.
+
+        Equivalent to ``event.cancel()`` then ``schedule_at(time,
+        event.callback)``: the event takes a fresh ``seq`` now, so it
+        gets the same ``(time, seq)`` key and fires in the same order.
+        When ``time`` is not earlier than the key it is queued under,
+        nothing is pushed: the kernel re-queues the entry when its
+        stale key reaches the heap head.  A move to an earlier time
+        pushes a fresh entry, as does a fired event or a cancelled one
+        whose entry the kernel already dropped (a cancelled event still
+        in the heap is revived on its entry).
+        """
+        time = self._checked(time)
+        seq = next(self._seq)
+        push = event.queued is None or time < event.time
+        event.time = time
+        event.seq = seq
+        event.cancelled = False
+        if push:
+            event.queued = seq
+            heapq.heappush(self._heap, (time, seq, event))
+        return event
+
+    def _checked(self, time: float) -> float:
+        time = float(time)
+        if not isfinite(time):
+            raise SimulationError(f"cannot schedule at non-finite time t={time}")
+        if time < self.now:
+            raise SimulationError(
+                f"cannot schedule at t={time} before current time t={self.now}"
+            )
+        return time
+
+    def _settle(self, seq: int, event: Event) -> None:
+        """Deal with a popped head entry that must not fire.
+
+        It is either an event's carrier that was moved later (pushed
+        again under the event's key), a cancelled event's carrier
+        (which then has none), or an entry that a move to an earlier
+        time superseded (dropped).
+        """
+        if seq != event.queued:
+            return
+        if event.cancelled:
+            event.queued = None
+        else:
+            event.queued = event.seq
+            heapq.heappush(self._heap, (event.time, event.seq, event))
 
     def peek(self) -> Optional[float]:
         """Return the time of the next pending event, or ``None``."""
         heap = self._heap
         while heap:
-            time, _, event = heap[0]
-            if not event.cancelled:
+            time, seq, event = heap[0]
+            if seq == event.seq and not event.cancelled:
                 return time
             heapq.heappop(heap)
+            self._settle(seq, event)
         return None
 
     def step(self) -> bool:
         """Fire the single next event.  Returns ``False`` if none remain."""
         heap = self._heap
         while heap:
-            time, _, event = heapq.heappop(heap)
-            if event.cancelled:
+            time, seq, event = heapq.heappop(heap)
+            if seq != event.seq or event.cancelled:
+                self._settle(seq, event)
                 continue
-            self._now = time
+            event.queued = None
+            self.now = time
             self._event_count += 1
             event.callback()
             return True
@@ -219,29 +285,29 @@ class Simulator:
         """
         if isnan(horizon):
             raise SimulationError("horizon must be a number, got nan")
-        if horizon < self._now:
+        if horizon < self.now:
             raise SimulationError(
-                f"horizon t={horizon} is before current time t={self._now}"
+                f"horizon t={horizon} is before current time t={self.now}"
             )
         heap = self._heap
         pop = heapq.heappop
         fired = 0
-        while heap:
-            time, _, event = heap[0]
-            if event.cancelled:
-                pop(heap)
+        # A carrier's key is never later than its event's, so once the
+        # head is past the horizon, so is every event still queued.
+        while heap and heap[0][0] <= horizon:
+            time, seq, event = pop(heap)
+            if seq != event.seq or event.cancelled:
+                self._settle(seq, event)
                 continue
-            if time > horizon:
-                break
-            pop(heap)
-            self._now = time
+            event.queued = None
+            self.now = time
             self._event_count += 1
             event.callback()
             fired += 1
-        self._now = float(horizon)
+        self.now = float(horizon)
         return fired
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"Simulator(now={self._now:.3f}, pending={self.pending_count})"
+            f"Simulator(now={self.now:.3f}, pending={self.pending_count})"
         )

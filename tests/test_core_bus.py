@@ -69,8 +69,7 @@ class TestDispatch:
     def test_counters(self):
         bus = EventBus()
         bus.subscribe(Ping, lambda e: None)
-        bus.publish(Ping(1))
-        bus.publish(Pong(2))
-        assert bus.events_published == 2
+        assert bus.publish(Ping(1)) == 1
+        assert bus.publish(Pong(2)) == 0
         assert bus.handler_count(Ping) == 1
         assert bus.handler_count(Pong) == 0

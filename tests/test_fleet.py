@@ -574,6 +574,85 @@ class TestWarmFleetCounts:
             "seed": SPEC.homes * per_home + 2 + SPEC.seed_classes,
         }
 
+    def test_detections_move_their_deadlines_in_place(
+        self, warm_cache, monkeypatch
+    ):
+        # Every detection re-arms the idle deadline and most steps the
+        # stall deadline.  A later deadline moves the queued event
+        # instead of pushing a new heap entry (the kernel re-queues a
+        # moved entry at most once per move, when its stale key comes
+        # up), and a stall arm reads one tool's dwell statistics
+        # instead of rebuilding every tool's from the whole history.
+        import heapq
+        import types
+
+        import repro.sensing.history as history_module
+        import repro.sim.kernel as kernel_module
+        from repro.planning.subsystem import PlanningSubsystem
+        from repro.sensing.history import UsageHistory
+        from repro.sensing.step_extractor import StepExtractor
+
+        counts = dict.fromkeys(
+            ("idle", "stall", "idle_pushes", "stall_pushes", "requeues",
+             "dwell", "summaries"),
+            0,
+        )
+        arming = []
+        timers = {"_on_idle_timeout", "_on_stall"}
+
+        def heappush(heap, entry):
+            if arming:
+                counts[arming[-1] + "_pushes"] += 1
+            elif getattr(entry[2].callback, "__name__", "") in timers:
+                counts["requeues"] += 1
+            heapq.heappush(heap, entry)
+
+        def arm(function, kind):
+            def armed(*args, **kwargs):
+                counts[kind] += 1
+                arming.append(kind)
+                try:
+                    return function(*args, **kwargs)
+                finally:
+                    arming.pop()
+
+            return armed
+
+        monkeypatch.setattr(
+            kernel_module, "heapq",
+            types.SimpleNamespace(heappush=heappush, heappop=heapq.heappop),
+        )
+        for cls, name, kind in (
+            (StepExtractor, "_rearm_idle_timer", "idle"),
+            (PlanningSubsystem, "_arm_stall_timer", "stall"),
+        ):
+            monkeypatch.setattr(cls, name, arm(getattr(cls, name), kind))
+        monkeypatch.setattr(
+            UsageHistory, "dwell",
+            _counting(UsageHistory.dwell, counts, "dwell"),
+        )
+        monkeypatch.setattr(
+            history_module, "_summarise",
+            _counting(history_module._summarise, counts, "summaries"),
+        )
+        run_fleet(
+            dataclasses.replace(SPEC, episodes_per_home=3),
+            jobs=1, cache_dir=warm_cache,
+        )
+        # One idle arm per detection; cancel + push made one entry each.
+        assert counts["idle"] > 200
+        assert counts["idle_pushes"] * 4 < counts["idle"]
+        assert counts["stall_pushes"] * 2 < counts["stall"]
+        moves = (
+            counts["idle"] - counts["idle_pushes"]
+            + counts["stall"] - counts["stall_pushes"]
+        )
+        assert counts["requeues"] <= moves
+        # Each arm reads one tool, summarised again only if its
+        # samples changed since.
+        assert counts["dwell"] == counts["stall"]
+        assert 0 < counts["summaries"] < counts["stall"]
+
     def test_seeded_shard_fires_no_more_blocks_than_pinned(
         self, monkeypatch, tea_fleet_definition, tmp_path
     ):

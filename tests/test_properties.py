@@ -13,7 +13,7 @@ from repro.core.config import RadioConfig, SensingConfig
 from repro.rl.convergence import ConvergenceDetector, convergence_iteration
 from repro.rl.dense import DenseQTable, DenseTraces
 from repro.rl.learner import TabularLearner
-from repro.sensing.history import UsageHistory
+from repro.sensing.history import DwellStats, UsageHistory
 from repro.sensors.detector import KofNDetector
 from repro.sensors.eeprom import RECORD_SIZE, EepromLog, EepromRecord
 from repro.sensors.pavenet import IDLE_BLOCK_SAMPLES, PavenetNode
@@ -243,10 +243,58 @@ def test_history_dwell_stats_are_finite_and_positive(entries):
     history = UsageHistory()
     for time, tool in sorted(entries, key=lambda e: e[0]):
         history.append(time, tool)
-    for stats in history.dwell_stats().values():
+    for stats in filter(None, map(history.dwell, range(1, 7))):
         assert stats.count >= 1
         assert stats.mean >= 0.0
         assert math.isfinite(stats.sd)
+
+
+def _dwell_stats_from_records(records):
+    """Per-tool dwell statistics recomputed from the whole history."""
+    samples = {}
+    run_start = None
+    for record in records:
+        if run_start is None:
+            run_start = record
+        elif record.tool_id != run_start.tool_id:
+            samples.setdefault(run_start.tool_id, []).append(
+                record.time - run_start.time
+            )
+            run_start = record
+    stats = {}
+    for tool_id, durations in samples.items():
+        count = len(durations)
+        mean = sum(durations) / count
+        variance = (
+            sum((d - mean) ** 2 for d in durations) / (count - 1)
+            if count > 1 else 0.0
+        )
+        stats[tool_id] = DwellStats(count, mean, math.sqrt(variance))
+    return stats
+
+
+def _bits(stats):
+    return None if stats is None else (
+        stats.count, stats.mean.hex(), stats.sd.hex()
+    )
+
+
+@given(
+    st.lists(
+        st.tuples(st.floats(min_value=0.0, max_value=1e4),
+                  st.integers(min_value=1, max_value=4)),
+        max_size=60,
+    )
+)
+def test_history_dwell_equals_a_recount_after_every_append(entries):
+    # Appended samples and cached stats give the bit-same DwellStats
+    # as a pass over every record, for each tool, after each append.
+    history = UsageHistory()
+    for time, tool in sorted(entries, key=lambda e: e[0]):
+        history.append(time, tool)
+        expected = _dwell_stats_from_records(history.records())
+        for tool_id in range(6):
+            assert _bits(history.dwell(tool_id)) == _bits(expected.get(tool_id))
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,25 @@ class TestUpdates:
         learner.observe("s1", "left", 1.0, "s2", ACTIONS, done=False)
         assert learner.q.value("s1", "left") == pytest.approx(1.0 + 0.5 * 8.0)
 
+    def test_bootstrap_explores_at_the_iterations_epsilon(self):
+        # ε 0.5 decaying by half per iteration: iteration 3 explores at
+        # 0.0625, and the expectation must be under that same ε, not
+        # the config's 0.5.
+        learner = ExpectedSarsaLearner(
+            learner_config(
+                learning_rate=1.0, discount=0.5, epsilon=0.5,
+                epsilon_decay=0.5,
+            )
+        )
+        learner.q.set("s2", "left", 10.0)
+        learner.q.set("s2", "right", 0.0)
+        learner.select_action("s1", ACTIONS, np.random.default_rng(0), step=3)
+        assert learner.behaviour_epsilon == learner.epsilon_at(3) == 0.0625
+        expected_next = 0.9375 * 10.0 + 0.0625 * 5.0
+        assert learner.expected_value("s2", ACTIONS) == expected_next
+        learner.observe("s1", "left", 1.0, "s2", ACTIONS, done=False)
+        assert learner.q.value("s1", "left") == 1.0 + 0.5 * expected_next
+
     def test_validation(self):
         with pytest.raises(ConfigurationError, match="discount"):
             ExpectedSarsaLearner(learner_config(discount=1.0))

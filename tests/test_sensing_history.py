@@ -39,10 +39,9 @@ class TestDwellStats:
         history.append(4.0, 1)
         history.append(10.0, 2)
         history.append(16.0, 3)
-        stats = history.dwell_stats()
-        assert stats[1].mean == pytest.approx(10.0)
-        assert stats[2].mean == pytest.approx(6.0)
-        assert 3 not in stats
+        assert history.dwell(1).mean == pytest.approx(10.0)
+        assert history.dwell(2).mean == pytest.approx(6.0)
+        assert history.dwell(3) is None
 
     def test_multiple_runs_mean_and_sd(self):
         history = UsageHistory()
@@ -50,16 +49,27 @@ class TestDwellStats:
         points = [(0.0, 1), (10.0, 2), (12.0, 1), (26.0, 2)]
         for time, tool in points:
             history.append(time, tool)
-        stats = history.dwell_stats()
-        assert stats[1].count == 2
-        assert stats[1].mean == pytest.approx(12.0)
-        assert stats[1].sd == pytest.approx(2.8284, rel=1e-3)
+        stats = history.dwell(1)
+        assert stats.count == 2
+        assert stats.mean == pytest.approx(12.0)
+        assert stats.sd == pytest.approx(2.8284, rel=1e-3)
 
     def test_timeout_formula(self):
         history = UsageHistory()
         points = [(0.0, 1), (10.0, 2), (12.0, 1), (26.0, 2)]
         for time, tool in points:
             history.append(time, tool)
-        stats = history.dwell_stats()[1]
+        stats = history.dwell(1)
         assert stats.timeout(3.0) == pytest.approx(12.0 + 3.0 * stats.sd)
+
+    def test_dwell_is_kept_until_its_samples_change(self):
+        history = UsageHistory()
+        for time, tool in [(0.0, 1), (10.0, 2), (12.0, 1)]:
+            history.append(time, tool)
+        first = history.dwell(1)
+        history.append(13.0, 1)  # same run: no new sample
+        assert history.dwell(1) is first
+        history.append(20.0, 2)  # tool 1 hands over again
+        assert history.dwell(1).count == 2
+        assert history.dwell(2).count == 1
 

@@ -1,9 +1,10 @@
 """Unit tests for the discrete-event kernel.
 
 The kernel is a plain ``heapq`` of ``(time, seq)`` keys.  Besides the
-unit tests, randomized schedule/cancel scripts replay on it and on a
-brute-force reference written here (:class:`ScanKernel`), which must
-fire exactly the same sequence.
+unit tests, randomized schedule/cancel/reschedule scripts replay on it
+and on a brute-force reference written here (:class:`ScanKernel`),
+which must fire exactly the same sequence; a reschedule must also
+match ``cancel`` + ``schedule_at`` on the kernel itself.
 """
 
 import math
@@ -389,6 +390,114 @@ class TestCancellationAccounting:
         assert fired == ["a", "b"]
 
 
+class TestReschedule:
+    """``reschedule`` equals ``cancel`` + ``schedule_at`` on the same key."""
+
+    def test_later_time_moves_in_place(self, sim):
+        fired = []
+        event = sim.schedule(1.0, lambda: fired.append(sim.now))
+        sim.schedule(2.0, lambda: fired.append("b"))
+        entries = len(sim._heap)
+        assert sim.reschedule(event, 3.0) is event
+        assert len(sim._heap) == entries  # nothing pushed
+        assert (event.time, sim.pending_count) == (3.0, 2)
+        assert sim.peek() == 2.0
+        assert sim.run_until(2.5) == 1
+        assert sim.run() == 1
+        assert fired == ["b", 3.0]
+        assert sim.events_processed == 2
+
+    def test_equal_time_fires_after_later_ties(self, sim):
+        fired = []
+        event = sim.schedule(1.0, lambda: fired.append("moved"))
+        sim.schedule(1.0, lambda: fired.append("tie"))
+        sim.reschedule(event, 1.0)
+        sim.run()
+        assert fired == ["tie", "moved"]
+
+    def test_earlier_time_pushes_and_fires_once(self, sim):
+        fired = []
+        event = sim.schedule(5.0, lambda: fired.append(sim.now))
+        sim.reschedule(event, 2.0)
+        assert sim.pending_count == 1
+        assert sim.run() == 1
+        assert fired == [2.0]
+
+    def test_earlier_then_later_fires_once_at_the_last_time(self, sim):
+        fired = []
+        event = sim.schedule(5.0, lambda: fired.append(sim.now))
+        sim.reschedule(event, 2.0)
+        sim.reschedule(event, 6.0)
+        assert sim.pending_count == 1
+        assert sim.run() == 1
+        assert fired == [6.0]
+
+    def test_fired_event_is_queued_afresh(self, sim):
+        fired = []
+        event = sim.schedule(1.0, lambda: fired.append(sim.now))
+        sim.run_until(1.5)
+        sim.reschedule(event, 2.0)
+        assert sim.run() == 1
+        assert fired == [1.0, 2.0]
+
+    def test_cancelled_event_is_revived(self, sim):
+        fired = []
+        event = sim.schedule(1.0, lambda: fired.append(sim.now))
+        event.cancel()
+        sim.reschedule(event, 1.0)
+        assert not event.cancelled
+        assert sim.pending_count == 1
+        assert sim.run() == 1
+        assert fired == [1.0]
+
+    def test_dropped_cancelled_event_is_queued_afresh(self, sim):
+        fired = []
+        event = sim.schedule(1.0, lambda: fired.append(sim.now))
+        event.cancel()
+        sim.run_until(2.0)  # the cancelled entry leaves the heap
+        sim.reschedule(event, 3.0)
+        assert sim.run() == 1
+        assert fired == [3.0]
+
+    def test_cancelled_after_move_does_not_fire(self, sim):
+        event = sim.schedule(1.0, lambda: None)
+        sim.reschedule(event, 4.0)
+        event.cancel()
+        assert sim.peek() is None
+        assert sim.run() == 0
+
+    def test_step_requeues_without_firing(self, sim):
+        fired = []
+        event = sim.schedule(1.0, lambda: fired.append("moved"))
+        sim.schedule(2.0, lambda: fired.append("b"))
+        sim.reschedule(event, 3.0)
+        assert sim.step()
+        assert (fired, sim.now, sim.events_processed) == (["b"], 2.0, 1)
+        assert sim.step()
+        assert not sim.step()
+        assert fired == ["b", "moved"]
+
+    def test_move_within_own_callback(self, sim):
+        fired = []
+
+        def tick():
+            fired.append(sim.now)
+            if len(fired) < 3:
+                sim.reschedule(event, sim.now + 1.0)
+
+        event = sim.schedule(1.0, tick)
+        assert sim.run() == 3
+        assert fired == [1.0, 2.0, 3.0]
+
+    def test_past_and_non_finite_times_rejected(self, sim):
+        event = sim.schedule(5.0, lambda: None)
+        sim.run_until(2.0)
+        for time in (1.0, math.nan, math.inf):
+            with pytest.raises(SimulationError):
+                sim.reschedule(event, time)
+        assert (event.time, sim.pending_count) == (5.0, 1)
+
+
 class TestClockEdges:
     def test_negative_start_time(self, kernel):
         sim = kernel(-3.7)
@@ -423,11 +532,15 @@ class ScanKernel:
 
     def __init__(self) -> None:
         self.now = 0.0
+        self.events_processed = 0
         self._pending = []
         self._seq = 0
 
     def schedule(self, delay, callback):
-        event = Event(self.now + delay, self._seq, callback)
+        return self.schedule_at(self.now + delay, callback)
+
+    def schedule_at(self, time, callback):
+        event = Event(time, self._seq, callback)
         self._seq += 1
         self._pending.append(event)
         return event
@@ -443,15 +556,17 @@ class ScanKernel:
         return head
 
     def run_until(self, horizon):
+        fired = 0
         while (event := self._pop_due(horizon)) is not None:
             self.now = event.time
+            self.events_processed += 1
+            fired += 1
             event.callback()
         self.now = horizon
+        return fired
 
     def run(self):
-        while (event := self._pop_due(math.inf)) is not None:
-            self.now = event.time
-            event.callback()
+        return self.run_until(math.inf)
 
 
 #: Deliberately collision-heavy delay grid: repeated values force
@@ -460,28 +575,51 @@ DELAY_GRID = (0.0, 0.05, 0.1, 0.25, 0.5, 0.5, 1.0, 2.5)
 
 
 def generate_ops(seed: int, count: int = 400):
-    """One operation script: (kind, argument) tuples."""
+    """One operation script: (kind, argument) tuples.
+
+    A ``reschedule`` names a handle and either a grid delay or
+    ``None``: the handle's own time when that is not in the past,
+    which moves it to an equal time.  Its handle may already have
+    fired or been cancelled.
+    """
     rng = seeded_generator(seed)
     ops = []
     for _ in range(count):
         roll = float(rng.random())
-        if roll < 0.55:
+        if roll < 0.45:
             ops.append(("schedule", int(rng.integers(len(DELAY_GRID)))))
-        elif roll < 0.85:
+        elif roll < 0.65:
             ops.append(("cancel", int(rng.integers(1 << 30))))
+        elif roll < 0.85:
+            delay = int(rng.integers(len(DELAY_GRID) + 1))
+            ops.append((
+                "reschedule",
+                (int(rng.integers(1 << 30)),
+                 delay if delay < len(DELAY_GRID) else None),
+            ))
         else:
             ops.append(("run", float(rng.uniform(0.0, 2.0))))
     return ops
 
 
-def replay(sim, ops):
-    """Apply one operation script to a fresh kernel; return the fires.
+def cancel_then_schedule(sim, event, time):
+    """The reference ``reschedule``: a fresh event on the same callback."""
+    event.cancel()
+    return sim.schedule_at(time, event.callback)
 
-    Scheduled callbacks record ``(now, label)`` and some spawn
-    children (same-instant and later), so the script exercises pushes
-    *during* a drain, not just between runs.
+
+def replay(sim, ops, move=cancel_then_schedule):
+    """Apply one operation script to a fresh kernel.
+
+    Returns the fires, each ``run_until``'s return value and the
+    final ``events_processed``.  Scheduled callbacks record ``(now,
+    label)`` and some spawn children (same-instant and later), so the
+    script exercises pushes *during* a drain, not just between runs.
+    ``move(sim, handle, time)`` performs a ``reschedule`` op and
+    returns the handle to keep.
     """
     fired = []
+    runs = []
     handles = []
     next_label = [0]
 
@@ -504,10 +642,21 @@ def replay(sim, ops):
             spawn(DELAY_GRID[arg])
         elif kind == "cancel" and handles:
             handles[arg % len(handles)].cancel()
+        elif kind == "reschedule" and handles:
+            pick, delay = arg
+            index = pick % len(handles)
+            time = handles[index].time
+            if delay is not None or time < sim.now:
+                time = sim.now + DELAY_GRID[delay or 0]
+            handles[index] = move(sim, handles[index], time)
         elif kind == "run":
-            sim.run_until(sim.now + arg)
-    sim.run()
-    return fired
+            runs.append(sim.run_until(sim.now + arg))
+    runs.append(sim.run())
+    return fired, runs, sim.events_processed
+
+
+def reschedule_in_place(sim, event, time):
+    return sim.reschedule(event, time)
 
 
 class TestRandomizedEquivalence:
@@ -516,4 +665,11 @@ class TestRandomizedEquivalence:
         ops = generate_ops(seed)
         reference = replay(ScanKernel(), ops)
         assert replay(Simulator(), ops) == reference
-        assert len(reference) > 100  # the script actually fires things
+        assert len(reference[0]) > 100  # the script actually fires things
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5, 6, 7])
+    def test_reschedule_equals_cancel_then_schedule(self, seed):
+        ops = generate_ops(seed)
+        reference = replay(Simulator(), ops)
+        assert replay(Simulator(), ops, reschedule_in_place) == reference
+        assert replay(ScanKernel(), ops) == reference
