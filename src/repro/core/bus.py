@@ -10,8 +10,7 @@ prompt requests and publishes reminders / LED commands.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Any, Callable, Dict, List, Type, TypeVar
+from typing import Any, Callable, Dict, Tuple, Type, TypeVar
 
 __all__ = ["EventBus"]
 
@@ -23,24 +22,28 @@ class EventBus:
 
     Exact-type dispatch only (no subclass walking): event types here
     are flat dataclasses, and exactness keeps dispatch O(1) and
-    unambiguous.  Handlers registered while an event is being
-    published do not receive that event.
+    unambiguous.  Each type's handler roster is a tuple that
+    :meth:`subscribe` and unsubscribing replace, so a publish walks the
+    roster it started with: handlers registered while an event is
+    being published do not receive that event, and handlers
+    unsubscribed meanwhile still do.
     """
 
     def __init__(self) -> None:
-        self._handlers: Dict[type, List[Callable[[Any], None]]] = defaultdict(list)
+        self._handlers: Dict[type, Tuple[Callable[[Any], None], ...]] = {}
 
     def subscribe(
         self, event_type: Type[E], handler: Callable[[E], None]
     ) -> Callable[[], None]:
         """Register ``handler`` for ``event_type``; returns unsubscriber."""
-        self._handlers[event_type].append(handler)
+        handlers = self._handlers
+        handlers[event_type] = handlers.get(event_type, ()) + (handler,)
 
         def unsubscribe() -> None:
-            try:
-                self._handlers[event_type].remove(handler)
-            except ValueError:
-                pass
+            roster = handlers.get(event_type, ())
+            if handler in roster:
+                i = roster.index(handler)
+                handlers[event_type] = roster[:i] + roster[i + 1:]
 
         return unsubscribe
 
@@ -51,7 +54,7 @@ class EventBus:
         assert wiring (a published-but-unheard event usually means a
         subsystem was not connected).
         """
-        handlers = list(self._handlers.get(type(event), ()))
+        handlers = self._handlers.get(type(event), ())
         for handler in handlers:
             handler(event)
         return len(handlers)

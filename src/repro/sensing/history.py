@@ -17,7 +17,7 @@ from typing import Dict, List, Optional
 __all__ = ["UsageRecord", "DwellStats", "UsageHistory"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UsageRecord:
     """One tool-usage detection as seen by the server."""
 

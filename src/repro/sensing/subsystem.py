@@ -74,10 +74,12 @@ class SensingSubsystem:
     def _accept_usage(self, tool_id: int) -> None:
         now = self.sim.now
         self.history.append(now, tool_id)
-        usage = ToolUsageEvent(time=now, tool_id=tool_id)
         if self._trace is not None and self._trace.enabled:
             self._trace.emit(now, "sensing.tool_usage", tool_id=tool_id)
-        self.bus.publish(usage)
+        # No production subsystem listens for raw usages; build the
+        # event only for a handler that does.
+        if self.bus.handler_count(ToolUsageEvent):
+            self.bus.publish(ToolUsageEvent(time=now, tool_id=tool_id))
         self.extractor.observe_tool(tool_id)
 
     def _publish_step(self, event: StepEvent) -> None:

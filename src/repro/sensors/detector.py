@@ -16,7 +16,9 @@ append/evict) rather than summed on every sample, and
 call -- both feed the node firmware's block-sampling fast path (see
 ``docs/architecture.md``), which also relies on
 :meth:`snapshot`/:meth:`restore` to roll the detector back when a
-mid-block regime change invalidates part of a block.
+mid-block regime change invalidates part of a block, and on
+:meth:`advance_quiet` to replay a committed prefix that holds no
+exceedance in O(1).
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ class KofNDetector:
         "_refractory_left",
         "detections",
         "samples_seen",
+        "first_exceedance",
     )
 
     def __init__(
@@ -76,6 +79,9 @@ class KofNDetector:
         self._refractory_left = 0
         self.detections = 0
         self.samples_seen = 0
+        #: Index of the first above-threshold sample of the last
+        #: :meth:`observe_block` call (its length when there was none).
+        self.first_exceedance = 0
 
     def observe(self, sample: float) -> bool:
         """Process one sample; return ``True`` on a new detection."""
@@ -121,6 +127,7 @@ class KofNDetector:
         positions = exceed.nonzero()[0]
         if positions.shape[0]:
             positions = positions.tolist()
+            self.first_exceedance = positions[0]
             k = self.k
             refractory = self.refractory_samples
             count = len(positions)
@@ -146,9 +153,33 @@ class KofNDetector:
                     resume = index + 1
                     i += 1
             self.detections += len(hits)
+        else:
+            self.first_exceedance = m
         # The sub-threshold rest of the block.
-        gap = m - resume
+        self._quiet_tail(m - resume, window_sum)
+        return hits
+
+    def advance_quiet(self, m: int) -> None:
+        """Process ``m`` sub-threshold samples in O(1).
+
+        Exactly :meth:`observe_block` over ``m`` samples none of which
+        exceeds the threshold: the node's block sampler uses it to
+        replay a committed prefix that lies before the block's first
+        exceedance without touching the samples.
+        """
+        self.samples_seen += m
+        self._quiet_tail(m - self._refractory_left, self._window_sum)
+
+    def _quiet_tail(self, gap: int, window_sum: int) -> None:
+        """Finish a run of sub-threshold samples.
+
+        ``gap`` counts the run's samples past the refractory ones (a
+        negative ``gap`` leaves that many refractory samples), and
+        ``window_sum`` is the window's population before the run.
+        """
         if gap > 0:
+            window = self._window
+            n = self.n
             window.extend(repeat(False, gap if gap < n else n))
             if window_sum:
                 window_sum = window.count(True)
@@ -156,7 +187,6 @@ class KofNDetector:
         else:
             self._refractory_left = -gap
         self._window_sum = window_sum
-        return hits
 
     def observe_trace(self, samples) -> int:
         """Feed a whole trace; return the number of detections."""
@@ -183,14 +213,6 @@ class KofNDetector:
         self.detections = detections
         self.samples_seen = seen
         self.threshold = threshold
-
-    def reset(self) -> None:
-        """Clear window, refractory state and counters."""
-        self._window.clear()
-        self._window_sum = 0
-        self._refractory_left = 0
-        self.detections = 0
-        self.samples_seen = 0
 
     @property
     def exceedances_in_window(self) -> int:

@@ -19,7 +19,7 @@ __all__ = ["EepromRecord", "EepromLog"]
 RECORD_SIZE = 8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EepromRecord:
     """One detection record persisted on the node."""
 

@@ -15,14 +15,17 @@ timestamps.  The block length follows the source's regime: an idle
 tool samples :data:`IDLE_BLOCK_SAMPLES` per block, a use with a known
 end reads straight through that end into :data:`IDLE_BLOCK_SAMPLES`
 idle samples (one block per use), and an open-ended use (ended by
-``end_use``) takes :data:`OPEN_BLOCK_SAMPLES` per block.  Each block's
-sample clock is computed once, vectorised and bit-identical to a
-per-sample ``Timeout(period)`` loop's.  When the resident flips the
-signal regime mid-block, the node rolls the source/detector back to
-the block start, replays the committed prefix, and resumes sampling
-from the first uncommitted timestamp -- unless the change leaves every
-uncommitted sample in the regime it was drawn in (an ``end_use`` after
-the use expired), which needs no replay.  The event stream is
+``end_use``) takes :data:`OPEN_BLOCK_SAMPLES` per block.  Every block
+reads its sample clock as a window of one :class:`ClockLine` per
+kernel, boot time and period, bit-identical to a per-sample
+``Timeout(period)`` loop's; the node keeps only its index on the
+line.  When the resident flips the signal regime mid-block, the node
+rolls the source/detector back to the block start, replays the
+committed prefix (in O(1) on the detector when it holds no
+exceedance), and resumes sampling from the first uncommitted
+timestamp -- unless the change leaves every uncommitted sample in the
+regime it was drawn in (an ``end_use`` after the use expired), which
+needs no replay.  The event stream is
 byte-identical to the per-sample loop kept as the oracle in
 ``tests/oracles/sensing.py`` (see ``docs/architecture.md``).
 
@@ -53,7 +56,7 @@ from repro.sensors.radio import (
     Frame,
     RadioMedium,
 )
-from repro.sensors.signals import SignalSource, SourceState, sample_clock
+from repro.sensors.signals import ClockLine, SignalSource, SourceState
 from repro.sim.kernel import Event, Simulator
 from repro.sim.process import Process, Timeout
 from repro.sim.tracing import TraceRecorder
@@ -94,6 +97,8 @@ class Led:
     scenario harness reads these back to verify e.g. "Red LED on
     teacup" fired at the wrong-tool moment.
     """
+
+    __slots__ = ("color", "history", "_total_blinks")
 
     def __init__(self, color: str) -> None:
         self.color = color
@@ -153,7 +158,7 @@ class PavenetNode:
         )
         self.eeprom = EepromLog(spec.eeprom_bytes)
         self.rtc = RealTimeClock(drift_ppm=20.0 + (self.uid % 7) * 5.0)
-        self.leds: Dict[str, Led] = {color: Led(color) for color in LED_COLORS}
+        self._leds: Optional[Dict[str, Led]] = None
         self._sequence = itertools.count(1)
         self._loop: Optional[Process] = None
         self.usage_reports = 0
@@ -169,7 +174,12 @@ class PavenetNode:
         self._period = 1.0 / config.sampling_hz
         self._block_running = False
         self._block_event: Optional[Event] = None
-        self._block_t0: Optional[float] = None
+        #: The clock line this node booted on, the line index of the
+        #: next block's first sample, and that of the current block's
+        #: (None between an invalidation or stop and the next block).
+        self._clock: Optional[ClockLine] = None
+        self._clock_index = 0
+        self._block_index: Optional[int] = None
         #: The current block's clock (see ``_block_sample_times``).
         self._block_times = _NO_CLOCK
         #: The current block's samples, and the index of its first idle
@@ -184,6 +194,14 @@ class PavenetNode:
         source.subscribe_regime(self._on_regime_change)
         radio.attach(self.uid, self._on_frame)
 
+    @property
+    def leds(self) -> Dict[str, Led]:
+        """The node's LEDs by colour, built on first access."""
+        leds = self._leds
+        if leds is None:
+            leds = self._leds = {color: Led(color) for color in LED_COLORS}
+        return leds
+
     def start(self) -> None:
         """Boot the firmware: begin the 10 Hz sampling loop."""
         if self.running:
@@ -194,6 +212,13 @@ class PavenetNode:
             )
             return
         self._block_running = True
+        # Every node that boots now on this kernel reads one line.
+        key = (self.sim.now, self._period)
+        line = self.sim.clock_lines.get(key)
+        if line is None:
+            line = self.sim.clock_lines[key] = ClockLine(*key)
+        self._clock = line
+        self._clock_index = 0
         self._block_event = self.sim.schedule(0.0, self._process_block)
 
     def stop(self) -> None:
@@ -206,12 +231,12 @@ class PavenetNode:
             if self._block_event is not None:
                 self._block_event.cancel()
                 self._block_event = None
-            if self._block_t0 is not None:
+            if self._block_index is not None:
                 committed = self._committed(self.sim.now)
                 self._cancel_reports_from(self._block_times.item(committed))
-            self._block_t0 = None
+            self._block_index = None
             # Finished fleet homes linger until the cycle collector
-            # runs; dropping their clocks keeps peak memory flat.
+            # runs; dropping their samples keeps peak memory flat.
             self._block_times = _NO_CLOCK
             self._block_values = _NO_SAMPLES
 
@@ -241,15 +266,17 @@ class PavenetNode:
 
     # ----- block sampler -----------------------------------------------
 
-    def _block_sample_times(self, start: float, n: int) -> np.ndarray:
-        """The block clock: ``n`` sample timestamps from ``start``, then
-        the timestamp that follows them (the next block's start).
+    def _block_sample_times(self, n: int) -> np.ndarray:
+        """The block clock: ``n`` sample timestamps from the node's
+        index on its clock line, then the timestamp that follows them
+        (the next block's start).
 
-        Bit-identical to the per-sample loop's ``Timeout(period)`` clock
+        A read-only window of the node's clock line, so bit-identical
+        to the per-sample loop's ``Timeout(period)`` clock from boot
         (see :func:`~repro.sensors.signals.sample_clock`).  Entries
         reach the kernel through ``item``, as plain floats.
         """
-        return sample_clock(start, self._period, n + 1)
+        return self._clock.window(self._clock_index, n + 1)
 
     def _process_block(self) -> None:
         sim = self.sim
@@ -262,19 +289,19 @@ class PavenetNode:
         if not source.active:
             n = IDLE_BLOCK_SAMPLES
             idle_from = 0
-            times = self._block_sample_times(t0, n)
+            times = self._block_sample_times(n)
             values = source.read_block(t0, n, self._hz)
         else:
             until = source.active_until
             if until == _INF:
                 n = idle_from = OPEN_BLOCK_SAMPLES
-                times = self._block_sample_times(t0, n)
+                times = self._block_sample_times(n)
             else:
                 # Read through the known expiry (the read expires the
                 # use itself) into an idle block's worth of samples.  A
                 # use longer than an idle block spans whole active
                 # blocks first, so no expiry sizes a block on its own.
-                times = self._block_sample_times(t0, 2 * IDLE_BLOCK_SAMPLES)
+                times = self._block_sample_times(2 * IDLE_BLOCK_SAMPLES)
                 idle_from = int(times[:IDLE_BLOCK_SAMPLES].searchsorted(until))
                 n = IDLE_BLOCK_SAMPLES
                 if idle_from < n:
@@ -290,7 +317,8 @@ class PavenetNode:
                 pending.append(
                     sim.schedule_at(times.item(index), self._report_usage)
                 )
-        self._block_t0 = t0
+        self._block_index = self._clock_index
+        self._clock_index += n
         self._block_times = times
         self._block_values = values
         self._block_idle_from = idle_from
@@ -332,13 +360,15 @@ class PavenetNode:
         the change, and their draws and any usage reports already
         happened with identical bytes.  Later samples were drawn from
         the wrong regime: roll the detector back to the block start and
-        feed it the committed samples again, redraw the committed
-        samples from the block start -- or, past a use's expiry, from
-        the source's checkpoint at the first idle sample -- to restore
-        the exact RNG position, re-apply the new regime, and resume
-        block sampling at the first uncommitted timestamp.
+        feed it the committed samples again (or just count them, when
+        none exceeds the threshold), redraw the committed samples from
+        the block start -- or, past a use's expiry, from the source's
+        checkpoint at the first idle sample -- to restore the exact RNG
+        position, re-apply the new regime, and resume block sampling at
+        the first uncommitted timestamp.
         """
-        if not self._block_running or self._block_t0 is None:
+        block_index = self._block_index
+        if not self._block_running or block_index is None:
             return
         times = self._block_times
         j = self._committed(self.sim.now)
@@ -357,10 +387,17 @@ class PavenetNode:
             self._block_event = None
         post_active = source.active
         post_until = source.active_until
-        self.detector.restore(self._block_detector_state)
-        # Replay for state only: the committed hits already fired, so
-        # the indices are discarded.
-        self.detector.observe_block(self._block_values[:j])
+        detector = self.detector
+        # The detector has observed nothing since this block's read, so
+        # its first exceedance is still the block's.
+        quiet = j <= detector.first_exceedance
+        detector.restore(self._block_detector_state)
+        if quiet:
+            detector.advance_quiet(j)
+        else:
+            # Replay for state only: the committed hits already fired,
+            # so the indices are discarded.
+            detector.observe_block(self._block_values[:j])
         start = self._block_idle_from
         if 0 < start < j:
             source.restore(source.checkpoint)
@@ -370,7 +407,8 @@ class PavenetNode:
         if j > start:
             source.read_block_at(times[start:j])
         source.set_regime(post_active, post_until)
-        self._block_t0 = None
+        self._block_index = None
+        self._clock_index = block_index + j
         self._block_event = self.sim.schedule_at(resume, self._process_block)
 
     # ----- shared machinery --------------------------------------------

@@ -100,10 +100,6 @@ class DuplicateFilter:
         self._highest[key] = frame.sequence
         return True
 
-    def reset(self) -> None:
-        """Forget all sequence state (e.g. after a node reboot)."""
-        self._highest.clear()
-
 
 class RadioMedium:
     """The shared wireless medium connecting nodes and base station.
@@ -131,10 +127,6 @@ class RadioMedium:
         if uid in self._receivers:
             raise ValueError(f"uid {uid} already attached to the medium")
         self._receivers[uid] = receiver
-
-    def detach(self, uid: int) -> None:
-        """Remove the handler for ``uid`` (unknown uid is a no-op)."""
-        self._receivers.pop(uid, None)
 
     def transmit(self, frame: Frame) -> None:
         """Send ``frame`` with stop-and-wait ARQ."""

@@ -49,7 +49,7 @@ import numpy as np
 from repro.core.config import check_domains, domain
 from repro.sim.ziggurat import KI, WI
 
-__all__ = ["SignalProfile", "SignalSource", "sample_clock"]
+__all__ = ["ClockLine", "SignalProfile", "SignalSource", "sample_clock"]
 
 #: Opaque source state: (bit-generator state, active, active-until).
 SourceState = Tuple[Any, bool, float]
@@ -76,6 +76,46 @@ def sample_clock(start: float, period: float, n: int) -> np.ndarray:
     clock.fill(period)
     clock[:1] = start
     return np.add.accumulate(clock, out=clock)
+
+
+class ClockLine:
+    """One sample clock shared by every node booted at ``start``.
+
+    Entry ``k`` is ``start`` with ``period`` added ``k`` times, so a
+    block that begins on entry ``k`` reads its clock as the window
+    ``[k, k + n]`` instead of folding its own: a fold started from
+    entry ``k`` gives the same floats.  The line grows on demand by
+    continuing the fold from its last entry (at least doubling, so a
+    line of ``m`` entries is built in ``O(log m)`` folds), and its
+    windows are read-only views.
+    """
+
+    __slots__ = ("period", "_times")
+
+    #: Entries of a new line: a few minutes of 10 Hz samples.
+    INITIAL_ENTRIES = 1024
+
+    def __init__(self, start: float, period: float) -> None:
+        self.period = period
+        self._times = sample_clock(start, period, self.INITIAL_ENTRIES)
+        self._times.flags.writeable = False
+
+    def window(self, k: int, n: int) -> np.ndarray:
+        """Entries ``k`` to ``k + n - 1``, as a read-only view."""
+        end = k + n
+        times = self._times
+        if end > times.shape[0]:
+            times = self._extend(end)
+        return times[k:end]
+
+    def _extend(self, end: int) -> np.ndarray:
+        times = self._times
+        size = times.shape[0]
+        grown = max(end, 2 * size)
+        tail = sample_clock(times.item(-1), self.period, grown - size + 1)
+        times = self._times = np.concatenate((times, tail[1:]))
+        times.flags.writeable = False
+        return times
 
 
 @dataclass(frozen=True)
@@ -152,23 +192,14 @@ class SignalSource:
         """Simulated time the active regime auto-expires (inf = never)."""
         return self._active_until
 
-    def subscribe_regime(self, callback: Callable[[], None]) -> Callable[[], None]:
+    def subscribe_regime(self, callback: Callable[[], None]) -> None:
         """Call ``callback`` after every external regime change.
 
         Fires on public :meth:`begin_use` / :meth:`end_use` only --
         *not* on the automatic duration expiry a read performs itself,
-        which the reader by construction already observes.  Returns an
-        unsubscribe function.
+        which the reader by construction already observes.
         """
         self._regime_listeners.append(callback)
-
-        def unsubscribe() -> None:
-            try:
-                self._regime_listeners.remove(callback)
-            except ValueError:
-                pass
-
-        return unsubscribe
 
     def begin_use(self, now: float = 0.0, duration: float = float("inf")) -> None:
         """Enter the active regime (optionally for ``duration`` seconds)."""

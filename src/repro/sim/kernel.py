@@ -21,7 +21,7 @@ import heapq
 import itertools
 from dataclasses import dataclass, field
 from math import isfinite, isnan
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 __all__ = [
     "Event",
@@ -137,6 +137,10 @@ class Simulator:
         self.now = float(start_time)
         self._seq = itertools.count()
         self._event_count = 0
+        #: Sample clocks shared by the processes of this kernel that
+        #: started at the same time with the same period, keyed by
+        #: ``(start, period)``; they live as long as the kernel.
+        self.clock_lines: Dict[Tuple[float, float], Any] = {}
 
     @property
     def events_processed(self) -> int:

@@ -66,6 +66,31 @@ class TestDispatch:
         bus.publish(Ping(1))
         assert seen == ["first"]
 
+    def test_handler_removed_during_publish_still_called(self):
+        bus = EventBus()
+        seen = []
+
+        def first(event):
+            seen.append(("first", event.value))
+            unsubscribe_second()
+
+        bus.subscribe(Ping, first)
+        unsubscribe_second = bus.subscribe(
+            Ping, lambda e: seen.append(("second", e.value))
+        )
+        assert bus.publish(Ping(1)) == 2
+        assert bus.publish(Ping(2)) == 1
+        assert seen == [("first", 1), ("second", 1), ("first", 2)]
+
+    def test_unsubscribe_removes_one_registration(self):
+        bus = EventBus()
+        seen = []
+        bus.subscribe(Ping, seen.append)
+        unsubscribe = bus.subscribe(Ping, seen.append)
+        unsubscribe()
+        assert bus.publish(Ping(1)) == 1
+        assert seen == [Ping(1)]
+
     def test_counters(self):
         bus = EventBus()
         bus.subscribe(Ping, lambda e: None)

@@ -660,18 +660,6 @@ class TestWarmFleetCounts:
         # perseveration re-begin uses inside merged blocks.  Reading
         # each use through its expiry fires 580 blocks here; a separate
         # block per use end (as before) fired 786.  The replays stay.
-        spec = FleetSpec(
-            seed=7, homes=25, shard_size=25, seed_classes=2,
-            training_episodes=40, episodes_per_home=2, max_severity=1.0,
-        )
-        homes = spec.expand(tea_fleet_definition)
-        cache = PolicyCache(str(tmp_path / "cache"))
-        config = CoReDAConfig(seed=spec.seed)
-        for home in distinct_trainings(homes):
-            train_home_policy(
-                tea_fleet_definition, home, config, spec.training_episodes,
-                cache,
-            )
         counts = dict.fromkeys(("blocks", "replays"), 0)
         monkeypatch.setattr(
             PavenetNode, "_process_block",
@@ -681,12 +669,69 @@ class TestWarmFleetCounts:
             SignalSource, "restore",
             _counting(SignalSource.restore, counts, "replays"),
         )
-        simulate_shard(
-            tea_fleet_definition, homes, config, spec.episodes_per_home,
-            spec.training_episodes, cache,
-        )
+        _run_seeded_shard(tea_fleet_definition, tmp_path)
         assert counts["blocks"] <= 580
         assert counts["replays"] <= 229
+
+    def test_seeded_shard_blocks_share_clocks_and_replay_quietly(
+        self, monkeypatch, tea_fleet_definition, tmp_path
+    ):
+        # Every node of the shard boots at t=0, so every block reads
+        # its clock from one line, built in a few folds rather than
+        # one per block.  Most invalidations land before the block's
+        # first exceedance and skip the detector replay.
+        import repro.sensors.signals as signals_module
+        from repro.sensors.detector import KofNDetector
+
+        counts = dict.fromkeys(("blocks", "folds", "restores", "observed"), 0)
+        clocks = {}
+        process_block = PavenetNode._process_block
+
+        def processed(node):
+            counts["blocks"] += 1
+            process_block(node)
+            times = node._block_times
+            line = times if times.base is None else times.base
+            clocks[id(line)] = line
+
+        monkeypatch.setattr(PavenetNode, "_process_block", processed)
+        monkeypatch.setattr(
+            signals_module, "sample_clock",
+            _counting(signals_module.sample_clock, counts, "folds"),
+        )
+        for name, key in (("restore", "restores"), ("observe_block", "observed")):
+            monkeypatch.setattr(
+                KofNDetector, name,
+                _counting(getattr(KofNDetector, name), counts, key),
+            )
+        _run_seeded_shard(tea_fleet_definition, tmp_path)
+        assert counts["blocks"] > 500
+        assert counts["folds"] <= 4
+        assert len(clocks) <= 4
+        # One restore per replaying invalidation; only the loud ones
+        # observe the committed prefix again.
+        loud = counts["observed"] - counts["blocks"]
+        assert counts["restores"] > 100
+        assert loud * 5 < counts["restores"]
+
+
+def _run_seeded_shard(definition, tmp_path):
+    """Simulate 25 high-severity homes, 2 episodes each, on one shard."""
+    spec = FleetSpec(
+        seed=7, homes=25, shard_size=25, seed_classes=2,
+        training_episodes=40, episodes_per_home=2, max_severity=1.0,
+    )
+    homes = spec.expand(definition)
+    cache = PolicyCache(str(tmp_path / "cache"))
+    config = CoReDAConfig(seed=spec.seed)
+    for home in distinct_trainings(homes):
+        train_home_policy(
+            definition, home, config, spec.training_episodes, cache
+        )
+    simulate_shard(
+        definition, homes, config, spec.episodes_per_home,
+        spec.training_episodes, cache,
+    )
 
 
 def _counting(function, counts, key):

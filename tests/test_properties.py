@@ -18,7 +18,7 @@ from repro.sensors.detector import KofNDetector
 from repro.sensors.eeprom import RECORD_SIZE, EepromLog, EepromRecord
 from repro.sensors.pavenet import IDLE_BLOCK_SAMPLES, PavenetNode
 from repro.sensors.radio import RadioMedium
-from repro.sensors.signals import SignalProfile, SignalSource
+from repro.sensors.signals import ClockLine, SignalProfile, SignalSource
 from repro.sim.kernel import Simulator
 
 
@@ -192,6 +192,29 @@ def test_detector_idle_block_matches_per_sample(prefix, idle):
     assert block.snapshot() == scalar.snapshot()
 
 
+@given(
+    st.lists(st.booleans(), max_size=10),
+    st.integers(min_value=0, max_value=30),
+    st.integers(min_value=0, max_value=1000),
+    st.lists(st.floats(min_value=0.0, max_value=2.0), max_size=60),
+)
+def test_detector_advance_quiet_is_a_sub_threshold_block(
+    window, refractory_left, seen, quiet
+):
+    # From any window and refractory count, skipping ``len(quiet)``
+    # sub-threshold samples (``> threshold`` is an exceedance, so 2.0
+    # is not one) leaves every field where observing them does.
+    state = (tuple(window), sum(window), refractory_left, 7, seen, 2.0)
+    skipped = KofNDetector(threshold=2.0, k=3, n=10, refractory_samples=20)
+    observed = KofNDetector(threshold=2.0, k=3, n=10, refractory_samples=20)
+    skipped.restore(state)
+    observed.restore(state)
+    skipped.advance_quiet(len(quiet))
+    assert observed.observe_block(quiet) == []
+    assert observed.first_exceedance == len(quiet)
+    assert skipped.snapshot() == observed.snapshot()
+
+
 # ---------------------------------------------------------------------------
 # node block clock
 
@@ -203,8 +226,8 @@ def _scalar_clock(start, steps):
     return times
 
 
-def _node():
-    sim = Simulator()
+def _node(boot=0.0):
+    sim = Simulator(boot)
     return PavenetNode(
         sim=sim,
         tool=Tool(1, "cup", SensorType.ACCELEROMETER),
@@ -216,17 +239,32 @@ def _node():
 
 @given(
     st.floats(min_value=0.0, max_value=7200.0),
-    st.integers(min_value=0, max_value=IDLE_BLOCK_SAMPLES),
-    st.integers(min_value=1, max_value=IDLE_BLOCK_SAMPLES),
+    st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=3 * ClockLine.INITIAL_ENTRIES),
+            st.integers(min_value=1, max_value=2 * IDLE_BLOCK_SAMPLES),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
 )
 @settings(max_examples=300)
-def test_node_block_clock_is_the_scalar_clock(base, resume, n):
-    # Blocks start on an earlier block's clock (``resume`` periods past
-    # ``base``), which is where a resume after an invalidation lands:
-    # off the k/10 grid.
-    start = _scalar_clock(base, resume)[-1]
-    clock = _node()._block_sample_times(start, n)
-    assert clock.tolist() == _scalar_clock(start, n)
+def test_node_block_clock_is_the_scalar_clock(boot, blocks):
+    # A node booted at ``boot`` reads every block clock from its line:
+    # a block at line index ``k`` (a resume after an invalidation
+    # lands off the k/10 grid) is the scalar fold from boot, also when
+    # the window extends the line, and windows read before the line
+    # grew keep their entries.
+    node = _node(boot)
+    node.start()
+    scalar = _scalar_clock(boot, max(k + n for k, n in blocks))
+    windows = []
+    for k, n in blocks:
+        node._clock_index = k
+        windows.append(node._block_sample_times(n))
+        assert windows[-1].tolist() == scalar[k:k + n + 1]
+    for (k, n), window in zip(blocks, windows):
+        assert window.tolist() == scalar[k:k + n + 1]
 
 
 # ---------------------------------------------------------------------------

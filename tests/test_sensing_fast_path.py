@@ -236,6 +236,23 @@ class TestNodeEquivalence:
         assert_streams_equal(ended)
         assert len(restores) == 2 * replays
 
+    @pytest.mark.parametrize("kwargs", [{}, {"duration": 2.0}])
+    def test_changes_around_the_first_exceedance(self, kwargs):
+        # The use's block starts on CLOCK[1] (the begin_use at t=0
+        # invalidates the idle block the node had just drawn), and its
+        # first exceedance is CLOCK[3].  A change just after CLOCK[2]
+        # replays its committed prefix quietly; one just after CLOCK[3]
+        # must feed that exceedance to the detector again.
+        use = [(0.0, "begin", {"duration": 3.0})]
+        sim, node, source, _, _ = build_node(PavenetNode)
+        node.start()
+        sim.schedule_at(0.0, lambda: source.begin_use(0.0, duration=3.0))
+        sim.run_until(CLOCK[2])
+        assert node._block_index == 1
+        assert node.detector.first_exceedance == 2
+        for index in (1, 2, 3, 4):
+            assert_streams_equal(use + [(CLOCK[index] + 0.05, "begin", kwargs)])
+
     def test_back_to_back_uses(self):
         # Each use begins as (or just after) the previous one expires,
         # and one ends early by ``end_use``.

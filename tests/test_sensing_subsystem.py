@@ -43,6 +43,30 @@ class TestInjection:
         assert len(subsystem.history) == 0
 
 
+class TestUsageEvents:
+    def test_built_only_for_a_listener(self, sim, tea_adl, monkeypatch):
+        built = []
+        init = ToolUsageEvent.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ToolUsageEvent, "__init__", counted)
+        bus = EventBus()
+        sensing = SensingSubsystem(
+            sim=sim, adl=tea_adl, bus=bus, config=SensingConfig()
+        )
+        sensing.inject_usage(1)
+        assert built == []
+        assert len(sensing.history) == 1
+        usages = []
+        bus.subscribe(ToolUsageEvent, usages.append)
+        sensing.inject_usage(2)
+        assert built == [1]
+        assert usages == [ToolUsageEvent(time=sim.now, tool_id=2)]
+
+
 class TestFrames:
     def test_frame_handled_like_usage(self, sim, subsystem):
         subsystem.on_frame(SensorFrameEvent(time=0.0, node_uid=2, sequence=1))

@@ -65,16 +65,6 @@ class TestRefractory:
         assert det.samples_seen == 6
 
 
-class TestReset:
-    def test_reset_clears_everything(self):
-        det = detector(refractory_samples=10)
-        det.observe_trace([2.0] * 3)
-        det.reset()
-        assert det.detections == 0
-        assert det.samples_seen == 0
-        assert det.observe_trace([2.0] * 3) == 1
-
-
 class TestValidation:
     def test_k_bounds(self):
         with pytest.raises(ValueError):

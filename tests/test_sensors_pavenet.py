@@ -127,6 +127,40 @@ class TestLedCommands:
         assert all(led.total_blinks == 0 for led in node.leds.values())
 
 
+class TestBlockClock:
+    def test_window_is_read_only(self, sim, setup):
+        node, _, _, _ = setup
+        node.start()
+        sim.run_until(30.0)
+        window = node._block_times
+        assert not window.flags.writeable
+        with pytest.raises(ValueError):
+            window[0] = 0.0
+
+    def test_nodes_booted_together_share_a_line(self, sim, setup):
+        node, _, radio, _ = setup
+
+        def booted(uid):
+            other = PavenetNode(
+                sim=sim, tool=Tool(uid, "pot", SensorType.ACCELEROMETER),
+                source=SignalSource(SignalProfile(), np.random.default_rng(2)),
+                radio=radio, config=SensingConfig(),
+            )
+            other.start()
+            return other
+
+        node.start()
+        twin = booted(8)
+        sim.run_until(5.0)
+        late = booted(9)
+        sim.run_until(30.0)
+        # Idle since boot, so on the same block of the same line.
+        assert node._clock is twin._clock
+        assert np.shares_memory(node._block_times, twin._block_times)
+        assert late._clock is not node._clock
+        assert late._block_times.item(0) == late._clock.window(200, 1).item(0)
+
+
 class TestLed:
     def test_blink_history(self):
         led = Led("red")
@@ -148,3 +182,10 @@ class TestIdentity:
     def test_four_leds(self, setup):
         node, _, _, _ = setup
         assert set(node.leds) == {"green", "red", "yellow", "orange"}
+
+    def test_leds_built_on_first_access(self, sim, setup):
+        node, _, _, _ = setup
+        node.start()
+        sim.run_until(60.0)
+        assert node._leds is None
+        assert node.leds is node.leds

@@ -51,12 +51,6 @@ class TestDelivery:
         with pytest.raises(ValueError):
             radio.attach(1, lambda f: None)
 
-    def test_detach_then_reattach(self, sim):
-        radio = medium(sim)
-        radio.attach(1, lambda f: None)
-        radio.detach(1)
-        radio.attach(1, lambda f: None)
-
 
 class TestLoss:
     def test_total_loss_drops_after_retries(self, sim):
@@ -155,11 +149,3 @@ class TestDuplicateFilter:
         dedupe = DuplicateFilter()
         assert dedupe.is_fresh(frame(3))
         assert not dedupe.is_fresh(frame(2))
-
-    def test_reset_forgets(self):
-        from repro.sensors.radio import DuplicateFilter
-
-        dedupe = DuplicateFilter()
-        dedupe.is_fresh(frame(4))
-        dedupe.reset()
-        assert dedupe.is_fresh(frame(1))

@@ -229,15 +229,6 @@ class TestRegimeEpoch:
         assert src.epoch == before + 1
         assert len(calls) == 1  # no notification for self-observed expiry
 
-    def test_unsubscribe(self):
-        src = source()
-        calls = []
-        unsubscribe = src.subscribe_regime(lambda: calls.append(1))
-        src.begin_use(0.0)
-        unsubscribe()
-        src.end_use()
-        assert calls == [1]
-
 
 class TestCaptureRestore:
     def test_restore_replays_identical_draws(self):
