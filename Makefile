@@ -1,13 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: lint lint-sarif test report bench bench-pairs reach ziggurat-tables
-
-lint:
-	$(PYTHON) -m repro lint src/repro --baseline lint-baseline.json
-
-lint-sarif:
-	$(PYTHON) -m repro lint src/repro --baseline lint-baseline.json --format sarif > lint.sarif
+.PHONY: test report bench bench-pairs reach ziggurat-tables
 
 test:
 	$(PYTHON) -m pytest tests/

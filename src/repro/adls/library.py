@@ -26,10 +26,6 @@ class ADLDefinition:
     adl: ADL
     signal_profiles: Dict[int, SignalProfile] = field(default_factory=dict)
 
-    @property
-    def name(self) -> str:
-        return self.adl.name
-
 
 class ADLRegistry:
     """Name -> definition lookup with lazy construction."""

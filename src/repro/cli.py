@@ -11,7 +11,6 @@ simulate   run live guided episodes against a simulated resident and
 scenario   replay the paper's Figure 1 tea-making scenario
 report     regenerate every paper table/figure (evalx runner)
 fleet      simulate a fleet of resident-homes (repro.fleet)
-lint       run the determinism / sim-safety static analyzer
 ========== ==========================================================
 """
 
@@ -20,7 +19,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
 from typing import Dict, List, Optional, TextIO
 
 from repro.adls.library import default_registry
@@ -29,6 +27,7 @@ from repro.core.config_io import load_config
 from repro.core.errors import ConfigurationError, RoutineError, UnknownADLError
 from repro.core.adl import Routine
 from repro.core.system import CoReDA
+from repro.evalx.parallel import timed
 from repro.evalx.tables import ascii_curve, format_table
 from repro.planning.store import save_predictor
 from repro.reporting.caregiver import CaregiverReport
@@ -123,27 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--timing", action="store_true",
                        help="print wall-clock and homes/sec to stderr")
 
-    lint = commands.add_parser(
-        "lint",
-        help="statically check sources against the determinism rules",
-        description="Run the repro.analysis rule pack (DET*/PERF*/SIM*/VER*) "
-        "over python sources.  Exit codes: 0 clean, 1 findings, 2 usage "
-        "error.",
-    )
-    lint.add_argument("paths", nargs="+", metavar="PATH",
-                      help="files or directories to analyze")
-    lint.add_argument("--format", choices=("text", "json", "sarif"),
-                      default="text",
-                      help="output format (default: text)")
-    lint.add_argument("--rules", metavar="IDS",
-                      help="comma-separated rule IDs or family prefixes "
-                      "to run, e.g. DET001,VER (default: all)")
-    lint.add_argument("--baseline", metavar="FILE",
-                      help="committed baseline of known findings; only "
-                      "findings absent from it fail the gate")
-    lint.add_argument("--write-baseline", metavar="FILE",
-                      help="record the current unsuppressed findings "
-                      "into FILE and exit 0")
     return parser
 
 
@@ -338,15 +316,14 @@ def _cmd_report(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     if args.cache:
         _check_cache_dir(parser, args.cache)
     timings = {}
-    start = time.perf_counter()  # repro: allow[DET002] timing display only
-    text = run_all(
+    text, elapsed = timed(
+        run_all,
         fast=args.fast,
         include_ablations=not args.no_ablations,
         jobs=args.jobs,
         cache_dir=args.cache,
         timings=timings,
     )
-    elapsed = time.perf_counter() - start  # repro: allow[DET002] timing display only
     write_report(text, output=args.output)
     if args.timing:
         _print_timings(timings, elapsed, sys.stderr)
@@ -372,9 +349,9 @@ def _cmd_fleet(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         )
     except ConfigurationError as exc:
         parser.error(str(exc))
-    start = time.perf_counter()  # repro: allow[DET002] timing display only
-    result = run_fleet(spec, jobs=args.jobs, cache_dir=args.cache)
-    elapsed = time.perf_counter() - start  # repro: allow[DET002] timing display only
+    result, elapsed = timed(
+        run_fleet, spec, jobs=args.jobs, cache_dir=args.cache
+    )
     print(result.to_json() if args.json else result.to_text())
     if args.timing:
         rate = args.homes / elapsed if elapsed > 0 else float("inf")
@@ -383,43 +360,6 @@ def _cmd_fleet(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
             f"jobs={args.jobs})\n"
         )
     return 0
-
-
-def _cmd_lint(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    from repro.analysis import (
-        Baseline,
-        LintUsageError,
-        lint_paths,
-        render_json,
-        render_sarif,
-        render_text,
-    )
-
-    rule_ids = None
-    if args.rules:
-        rule_ids = [part.strip() for part in args.rules.split(",")
-                    if part.strip()]
-        if not rule_ids:
-            parser.error("--rules: expected comma-separated rule IDs")
-    try:
-        report = lint_paths(args.paths, rule_ids)
-        if args.write_baseline:
-            Baseline.from_findings(report.findings).save(args.write_baseline)
-            print(f"baseline written: {args.write_baseline} "
-                  f"({len(report.active)} finding(s) recorded)")
-            return 0
-        if args.baseline:
-            report = Baseline.load(args.baseline).apply(report)
-    except LintUsageError as exc:
-        parser.error(str(exc))
-    if args.format == "json":
-        rendered = render_json(report)
-    elif args.format == "sarif":
-        rendered = render_sarif(report)
-    else:
-        rendered = render_text(report)
-    print(rendered)
-    return 1 if report.active else 0
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -438,8 +378,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_report(args, parser)
     if args.command == "fleet":
         return _cmd_fleet(args, parser)
-    if args.command == "lint":
-        return _cmd_lint(args, parser)
     raise AssertionError(f"unhandled command {args.command!r}")
 
 

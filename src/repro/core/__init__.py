@@ -24,7 +24,6 @@ from repro.core.errors import (
     RoutineError,
     UnknownADLError,
     UnknownStepError,
-    UnknownToolError,
 )
 from repro.core.events import (
     DisplayEvent,
@@ -78,5 +77,4 @@ __all__ = [
     "TriggerReason",
     "UnknownADLError",
     "UnknownStepError",
-    "UnknownToolError",
 ]

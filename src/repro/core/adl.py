@@ -18,7 +18,7 @@ import enum
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.errors import RoutineError, UnknownStepError, UnknownToolError
+from repro.core.errors import RoutineError, UnknownStepError
 
 __all__ = [
     "IDLE_STEP_ID",
@@ -121,7 +121,6 @@ class ADL:
         self.name = name
         self.steps: Tuple[ADLStep, ...] = tuple(steps)
         self._by_step_id: Dict[int, ADLStep] = {}
-        self._by_tool_name: Dict[str, ADLStep] = {}
         for step in self.steps:
             if step.step_id in self._by_step_id:
                 raise RoutineError(
@@ -129,7 +128,6 @@ class ADL:
                     f"({step.name!r} vs {self._by_step_id[step.step_id].name!r})"
                 )
             self._by_step_id[step.step_id] = step
-            self._by_tool_name[step.tool.name] = step
 
     @property
     def tools(self) -> List[Tool]:
@@ -158,15 +156,6 @@ class ADL:
     def tool(self, tool_id: int) -> Tool:
         """Look a tool up by ToolID (== StepID)."""
         return self.step(tool_id).tool
-
-    def tool_by_name(self, name: str) -> Tool:
-        """Look a tool up by its human-readable name."""
-        try:
-            return self._by_tool_name[name].tool
-        except KeyError:
-            raise UnknownToolError(
-                f"ADL {self.name!r} has no tool named {name!r}"
-            ) from None
 
     def has_step(self, step_id: int) -> bool:
         """True if ``step_id`` belongs to this ADL."""

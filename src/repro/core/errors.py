@@ -9,7 +9,6 @@ from __future__ import annotations
 __all__ = [
     "CoReDAError",
     "ConfigurationError",
-    "UnknownToolError",
     "UnknownADLError",
     "UnknownStepError",
     "NotConvergedError",
@@ -23,10 +22,6 @@ class CoReDAError(Exception):
 
 class ConfigurationError(CoReDAError, ValueError):
     """An invalid or inconsistent configuration value."""
-
-
-class UnknownToolError(CoReDAError, KeyError):
-    """A tool id / name that is not registered for the ADL in question."""
 
 
 class UnknownADLError(CoReDAError, KeyError):

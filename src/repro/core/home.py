@@ -92,8 +92,9 @@ class CareHome:
         """Learn the (canonical) routine of every deployed ADL.
 
         Training runs in deployment (insertion) order -- made explicit
-        with ``list`` per DET003.  Order cannot leak between systems
-        anyway: each forks its own stream family off the ADL name.
+        with ``list`` per the DET003 source invariant.  Order cannot
+        leak between systems anyway: each forks its own stream family
+        off the ADL name.
         """
         for system in list(self.systems.values()):
             system.train_offline(episodes=episodes)

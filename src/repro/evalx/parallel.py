@@ -35,6 +35,7 @@ __all__ = [
     "run_cells",
     "run_section",
     "run_sections",
+    "timed",
 ]
 
 
@@ -81,11 +82,23 @@ class Section:
     merge: Callable[[List[Any]], Any]
 
 
+def timed(
+    fn: Callable[..., Any], *args: Any, **kwargs: Any
+) -> Tuple[Any, float]:
+    """``(fn(*args, **kwargs), seconds)``: the one wall-clock read in
+    ``src/repro``.
+
+    The seconds only ever reach a timing display, never a result, so
+    the outputs stay a function of the seeds alone.
+    """
+    start = time.perf_counter()
+    result = fn(*args, **kwargs)
+    return result, time.perf_counter() - start
+
+
 def _timed_cell(cell: Cell) -> Tuple[Any, float]:
     """Worker entry point: run one cell, returning (result, seconds)."""
-    start = time.perf_counter()  # repro: allow[DET002] timing display only
-    result = cell.run()
-    return result, time.perf_counter() - start  # repro: allow[DET002] timing display only
+    return timed(cell.run)
 
 
 class WorkerPool:
@@ -246,10 +259,8 @@ def run_sections(
     results, seconds = run_cells(flat, jobs=jobs)
     merged: List[Any] = []
     for section, (start, stop) in zip(sections, spans):
-        merge_start = time.perf_counter()  # repro: allow[DET002] timing display only
-        merged.append(section.merge(results[start:stop]))
+        result, merge_seconds = timed(section.merge, results[start:stop])
+        merged.append(result)
         if timings is not None:
-            timings[section.name] = sum(seconds[start:stop]) + (
-                time.perf_counter() - merge_start  # repro: allow[DET002] timing display only
-            )
+            timings[section.name] = sum(seconds[start:stop]) + merge_seconds
     return merged

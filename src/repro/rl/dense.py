@@ -315,7 +315,7 @@ class DenseQTable:
         Runs before every element write of an arena-backed table:
         :meth:`locate`, :meth:`add_at`, :meth:`add_pairs`, :meth:`set`
         and :meth:`_grow` call it, and no code outside this module
-        touches the buffers (the analyzer's VER001 ownership rule).
+        touches the buffers (the VER001 source invariant).
         Idempotent and cheap to probe: the hot paths pay one
         attribute test when the table is already private.
         """

@@ -134,8 +134,9 @@ class SensorNetwork:
         """Boot every node's firmware loop.
 
         Boot order is the ADL's tool order (an explicit sequence, per
-        DET003): it decides the kernel sequence numbers of the t=0
-        sampling events, hence the event stream's bytes.
+        the DET003 source invariant): it decides the kernel sequence
+        numbers of the t=0 sampling events, hence the event stream's
+        bytes.
         """
         for tool in self.adl.tools:
             self.nodes[tool.tool_id].start()

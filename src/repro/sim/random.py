@@ -48,12 +48,12 @@ def seeded_generator(seed: int) -> np.random.Generator:
     """A fresh generator for an *explicit* seed.
 
     The one sanctioned construction point outside
-    :class:`RandomStreams` (the DET001 lint rule pins every other
-    module to this module): experiment cells that are parameterised
-    by a literal seed -- ablation sweeps, offline trainers -- call
-    this instead of ``np.random.default_rng`` so that auditing "who
-    can create randomness?" stays a one-file job.  Draw-for-draw
-    identical to ``default_rng(seed)``.
+    :class:`RandomStreams` (a tier-1 source invariant, DET001, keeps
+    every other module from building generators): experiment cells
+    that are parameterised by a literal seed -- ablation sweeps,
+    offline trainers -- call this instead of ``np.random.default_rng``
+    so that auditing "who can create randomness?" stays a one-file
+    job.  Draw-for-draw identical to ``default_rng(seed)``.
     """
     return np.random.default_rng(seed)
 
@@ -147,31 +147,19 @@ class Pcg64Draws:
             self._bitgen.state = state
 
 
-class _GeneratorDraws:
-    """The :class:`Pcg64Draws` interface over numpy's own calls."""
-
-    __slots__ = ("random", "_integers")
-
-    def __init__(self, rng: np.random.Generator) -> None:
-        self.random = rng.random
-        self._integers = rng.integers
-
-    def integers(self, n: int, k: int) -> List[int]:
-        return self._integers(n, size=k).tolist()
-
-    def close(self) -> None:
-        pass
-
-
-def generator_draws(rng: np.random.Generator, reserve: int):
-    """``random()``/``integers(n, k)``/``close()`` draws of ``rng``:
-    decoded by :class:`Pcg64Draws` for a PCG64 generator (every
-    generator this package builds), numpy's own calls otherwise.
-    ``reserve`` is the number of 64-bit words the caller expects to
-    consume."""
-    if type(rng.bit_generator) is np.random.PCG64:
-        return Pcg64Draws(rng, reserve)
-    return _GeneratorDraws(rng)
+def generator_draws(
+    rng: np.random.Generator, reserve: int
+) -> Pcg64Draws:
+    """``random()``/``integers(n, k)``/``close()`` draws of ``rng``,
+    decoded by :class:`Pcg64Draws`.  ``rng`` must be a PCG64 generator
+    (every generator this package builds); ``reserve`` is the number
+    of 64-bit words the caller expects to consume."""
+    if type(rng.bit_generator) is not np.random.PCG64:
+        raise TypeError(
+            "generator_draws needs a PCG64 generator, got "
+            f"{type(rng.bit_generator).__name__}"
+        )
+    return Pcg64Draws(rng, reserve)
 
 
 # numpy's ``SeedSequence`` mixing constants (``numpy/random/bit_generator.pyx``).
@@ -350,10 +338,6 @@ class RandomStreams:
         if key not in forks:
             forks[key] = derive_seed(self.master_seed, f"fork:{name}")
         return RandomStreams(forks[key], self._batch)
-
-    def spawned(self) -> int:
-        """Number of distinct streams created so far."""
-        return len(self._streams)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

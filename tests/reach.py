@@ -62,7 +62,6 @@ def run_roots(tmp: Path) -> None:
         argvs += [fleet_jobs + ["--timing"], fleet_jobs + ["--json"],
                   fleet_jobs + ["--json", "--episodes", "5"]]
     report = ["report", "--fast", "--cache", str(tmp / "report")]
-    lint = ["lint", str(SRC)]
     argvs += [
         ["list-adls"], ["scenario"], ["simulate", "nope"],
         ["train", "tea-making", "--config", str(config), "--routine", "1,3,2,4",
@@ -73,10 +72,6 @@ def run_roots(tmp: Path) -> None:
          "--config", str(config)],
         report + ["--no-ablations", "--timing", "--output", str(tmp / "out.txt")],
         report,
-        lint + ["--baseline", str(ROOT / "lint-baseline.json")],
-        lint + ["--format", "json", "--rules", "DET001,SIM001"],
-        lint + ["--format", "sarif"],
-        lint + ["--write-baseline", str(tmp / "baseline.json")],
     ]
     for argv in argvs:
         with contextlib.suppress(SystemExit):

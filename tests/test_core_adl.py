@@ -10,7 +10,7 @@ from repro.core.adl import (
     SensorType,
     Tool,
 )
-from repro.core.errors import RoutineError, UnknownStepError, UnknownToolError
+from repro.core.errors import RoutineError, UnknownStepError
 
 
 def make_tools(n=4, base=1):
@@ -56,12 +56,6 @@ class TestADL:
         adl = make_adl()
         with pytest.raises(UnknownStepError):
             adl.step(99)
-
-    def test_tool_by_name(self):
-        adl = make_adl()
-        assert adl.tool_by_name("tool-1").tool_id == 1
-        with pytest.raises(UnknownToolError):
-            adl.tool_by_name("missing")
 
     def test_terminal_and_ids(self):
         adl = make_adl()

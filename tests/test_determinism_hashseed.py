@@ -1,6 +1,6 @@
 """Runtime determinism sanitizer: PYTHONHASHSEED must not matter.
 
-The static rules (DET003 in particular) exist to keep ``set``/``dict``
+The source invariants (DET003 in particular) exist to keep ``set``/``dict``
 hash order out of the event stream.  This test closes the loop at
 runtime: the Figure 1 tea scenario is executed in two fresh
 interpreters with *different* ``PYTHONHASHSEED`` values -- so any

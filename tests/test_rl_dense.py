@@ -821,14 +821,21 @@ def test_fused_kernel_rebinds_when_the_stride_grows():
         )
 
 
-def test_fused_kernels_take_any_bit_generator():
+def test_fused_kernels_refuse_other_bit_generators():
     """The kernels decode a PCG64 generator's words themselves; any
-    other bit generator keeps numpy's calls, to the same effect."""
+    other bit generator is refused before the learner or table moves."""
     for kind in (TDLambdaQLearner, DynaQLearner):
-        _kernel_vs_per_step(
-            kind, DenseQTable, [SHORT_PLAN] * 30,
-            lambda: np.random.Generator(np.random.MT19937(6)),
-        )
+        q = DenseQTable()
+        learner = kind(learner_config(epsilon=0.3))
+        learner.q = q
+        if kind is TDLambdaQLearner:
+            learner.traces = DenseTraces(index=q.index)
+        rng = np.random.Generator(np.random.MT19937(6))
+        with pytest.raises(TypeError, match="PCG64"):
+            fused_kernel(learner)(
+                learner, FROZEN_ACTIONS, [SHORT_PLAN] * 3, rng
+            )
+        assert (learner.episodes, learner.updates, q.version) == (0, 0, 0)
 
 
 def test_fused_dispatch_is_on_exact_types():

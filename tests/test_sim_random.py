@@ -62,12 +62,13 @@ class TestRandomStreams:
         assert fork_a.master_seed == fork_b.master_seed
         assert fork_a.master_seed != streams.master_seed
 
-    def test_spawned_counts_streams(self):
+    def test_cache_keeps_one_generator_per_name(self):
         streams = RandomStreams(0)
-        streams.get("a")
-        streams.get("b")
-        streams.get("a")
-        assert streams.spawned() == 2
+        a = streams.get("a")
+        b = streams.get("b")
+        assert b is not a
+        assert streams.get("a") is a
+        assert streams.get("b") is b
 
 
 class TestStreamBatch:
@@ -188,15 +189,12 @@ class TestGeneratorDraws:
             == expected_rng.bit_generator.state
         )
 
-    def test_other_bit_generators_take_numpy_calls(self):
-        ops = [("random",), ("integers", 9, 5), ("integers", 1, 3)]
-        expected = np.random.Generator(np.random.MT19937(4))
+    def test_other_bit_generators_are_refused(self):
         rng = np.random.Generator(np.random.MT19937(4))
-        draws = generator_draws(rng, 10)
-        assert not isinstance(draws, Pcg64Draws)
-        assert _replay(draws, ops) == _replay(_Numpy(expected), ops)
-        draws.close()
-        # Both generators continue alike (MT19937's state holds arrays).
+        expected = np.random.Generator(np.random.MT19937(4))
+        with pytest.raises(TypeError, match="MT19937"):
+            generator_draws(rng, 10)
+        # Refused before any draw: the generator is untouched.
         assert rng.random(5).tolist() == expected.random(5).tolist()
 
     def test_close_rewinds_an_unused_draw_ahead(self):
