@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test report bench bench-pairs reach ziggurat-tables
+.PHONY: test report bench bench-pairs reach knobs ziggurat-tables
 
 test:
 	$(PYTHON) -m pytest tests/
@@ -39,6 +39,13 @@ bench-pairs:
 # example calls (about 45 s); it never edits the tree.
 reach:
 	$(PYTHON) -m tests.reach
+
+# The parameter census: for every src/repro function the same roots
+# and the four benchmark workloads call, the defaulted parameters no
+# root ever sets, tagged by who passes them (about 15 s); it never
+# edits the tree.
+knobs:
+	$(PYTHON) -m tests.reach --knobs
 
 # Re-derives src/repro/sim/ziggurat.py from the installed numpy; run it
 # when tests/test_sim_ziggurat.py reports that numpy's ziggurat changed.

@@ -54,12 +54,6 @@ class ADLRegistry:
         """All registered ADL names, sorted."""
         return sorted(self._factories)
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._factories
-
-    def __len__(self) -> int:
-        return len(self._factories)
-
 
 def default_registry() -> ADLRegistry:
     """A registry with every ADL shipped in this package.

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.adl import ADL, ReminderLevel, Routine
+from repro.core.adl import ADL, ReminderLevel
 from repro.planning.action import PromptAction
 
 __all__ = ["FixedSequenceReminder"]
@@ -21,9 +21,9 @@ __all__ = ["FixedSequenceReminder"]
 class FixedSequenceReminder:
     """Prompts the next step of a fixed, pre-planned routine."""
 
-    def __init__(self, adl: ADL, plan: Optional[Routine] = None) -> None:
+    def __init__(self, adl: ADL) -> None:
         self.adl = adl
-        self.plan = plan if plan is not None else adl.canonical_routine()
+        self.plan = adl.canonical_routine()
 
     def predict_next_tool(
         self, previous_step_id: int, current_step_id: int

@@ -28,29 +28,30 @@ from repro.rl.value_iteration import extract_policy, value_iteration
 __all__ = ["build_guidance_mdp", "MdpPlannerBaseline"]
 
 
-def build_guidance_mdp(
-    routine: Routine,
-    compliance: float = 0.9,
-    completion_reward: float = 1000.0,
-    step_reward: float = 100.0,
-) -> TabularMDP:
+#: The chance that a prompted user takes the prompted (correct) step.
+COMPLIANCE = 0.9
+#: What advancing one step pays, and what entering the terminal step pays.
+STEP_REWARD = 100.0
+COMPLETION_REWARD = 1000.0
+
+
+def build_guidance_mdp(routine: Routine) -> TabularMDP:
     """The guidance MDP of one known routine.
 
     In every on-routine state the planner may prompt any tool of the
     ADL.  Prompting the correct next tool advances the user with
-    probability ``compliance`` (they stay put otherwise); prompting
+    probability ``COMPLIANCE`` (they stay put otherwise); prompting
     anything else leaves them where they are.  Advancing pays
-    ``step_reward`` (``completion_reward`` into the terminal state).
+    ``STEP_REWARD`` (``COMPLETION_REWARD`` into the terminal state).
     """
-    if not 0.0 < compliance <= 1.0:
-        raise ValueError("compliance must be in (0, 1]")
+    compliance = COMPLIANCE
     mdp = TabularMDP()
     states = episode_states(list(routine.step_ids))
     tools = [step.step_id for step in routine.adl.steps]
     for index in range(len(states) - 1):
         state, next_state = states[index], states[index + 1]
         entering_terminal = next_state.current == routine.terminal_step_id
-        reward = completion_reward if entering_terminal else step_reward
+        reward = COMPLETION_REWARD if entering_terminal else STEP_REWARD
         for tool_id in tools:
             if tool_id == next_state.current:
                 mdp.add_transition(
@@ -70,19 +71,14 @@ def build_guidance_mdp(
 class MdpPlannerBaseline:
     """Value-iteration guidance over a hand-authored routine model."""
 
-    def __init__(
-        self,
-        routine: Routine,
-        compliance: float = 0.9,
-        discount: float = 0.9,
-    ) -> None:
+    def __init__(self, routine: Routine) -> None:
         self.routine = routine
-        self.mdp = build_guidance_mdp(routine, compliance=compliance)
-        result = value_iteration(self.mdp, discount=discount)
+        self.mdp = build_guidance_mdp(routine)
+        result = value_iteration(self.mdp)
         self.values = result.values
         self.solver_iterations = result.iterations
         self._policy: Dict[PlanningState, int] = extract_policy(
-            self.mdp, self.values, discount=discount
+            self.mdp, self.values
         )
 
     def predict_next_tool(

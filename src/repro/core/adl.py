@@ -203,11 +203,6 @@ class Routine:
         """The StepID that completes this routine."""
         return self.step_ids[-1]
 
-    @property
-    def first_step_id(self) -> int:
-        """The StepID that starts this routine."""
-        return self.step_ids[0]
-
     def next_step_id(self, step_id: int) -> Optional[int]:
         """StepID after ``step_id``, or ``None`` if terminal.
 
@@ -225,25 +220,9 @@ class Routine:
             return None
         return self.step_ids[index + 1]
 
-    def position(self, step_id: int) -> int:
-        """0-based position of ``step_id`` within the routine."""
-        try:
-            return self.step_ids.index(step_id)
-        except ValueError:
-            raise UnknownStepError(
-                f"StepID {step_id} is not part of this routine"
-            ) from None
-
     def contains(self, step_id: int) -> bool:
         """True if the routine visits ``step_id``."""
         return step_id in self.step_ids
-
-    def steps(self) -> List[ADLStep]:
-        """The ADLStep objects in routine order."""
-        return [self.adl.step(sid) for sid in self.step_ids]
-
-    def __len__(self) -> int:
-        return len(self.step_ids)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Routine):

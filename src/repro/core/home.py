@@ -20,7 +20,6 @@ from repro.core.config import CoReDAConfig
 from repro.core.errors import CoReDAError, UnknownADLError
 from repro.core.system import CoReDA
 from repro.reporting.caregiver import CaregiverReport
-from repro.resident.compliance import ComplianceModel
 from repro.resident.dementia import DementiaProfile
 from repro.resident.model import EpisodeOutcome
 from repro.sim.kernel import Simulator
@@ -88,7 +87,7 @@ class CareHome:
                 f"no deployment for {adl_name!r}; have {sorted(self.systems)}"
             ) from None
 
-    def train_all(self, episodes: int = 120) -> None:
+    def train_all(self) -> None:
         """Learn the (canonical) routine of every deployed ADL.
 
         Training runs in deployment (insertion) order -- made explicit
@@ -97,14 +96,12 @@ class CareHome:
         off the ADL name.
         """
         for system in list(self.systems.values()):
-            system.train_offline(episodes=episodes)
+            system.train_offline()
 
     def run_day(
         self,
         schedule: Sequence[ScheduledActivity],
         dementia: Optional[DementiaProfile] = None,
-        compliance: Optional[ComplianceModel] = None,
-        horizon_per_activity: float = 3600.0,
     ) -> DayResult:
         """Run a resident through a daily schedule of activities.
 
@@ -126,11 +123,10 @@ class CareHome:
             }
             resident = system.create_resident(
                 dementia=dementia,
-                compliance=compliance,
                 handling_overrides=reliable,
                 name=f"day.{index}.{activity.adl_name}",
             )
-            outcome = system.run_episode(resident, horizon=horizon_per_activity)
+            outcome = system.run_episode(resident, horizon=3600.0)
             outcomes.append((activity.adl_name, outcome))
         return DayResult(outcomes=outcomes)
 

@@ -49,6 +49,9 @@ from repro.sim.tracing import TraceRecorder
 
 __all__ = ["CoReDA", "system_streams"]
 
+#: Simulated seconds an observed (unguided) episode may take.
+_OBSERVE_HORIZON = 1800.0
+
 
 def system_streams(streams: RandomStreams, adl: ADL) -> RandomStreams:
     """The stream family of ``adl``'s deployment under ``streams``."""
@@ -131,7 +134,6 @@ class CoReDA:
         routine: Optional[Routine] = None,
         episodes: int = 120,
         episode_log: Optional[Sequence[Sequence[int]]] = None,
-        criteria: Sequence[float] = (0.95, 0.98),
         require_converged: bool = True,
     ) -> TrainingResult:
         """Learn the user's routine and deploy planning + reminding.
@@ -149,11 +151,11 @@ class CoReDA:
             self.config.planning,
             rng=self.streams.get(f"planning.training.{self.adl.name}"),
         )
-        self.training = trainer.train(episode_log, routine=routine, criteria=criteria)
+        self.training = trainer.train(
+            episode_log, routine=routine, criteria=(0.95, 0.98)
+        )
         self.predictor = NextStepPredictor.from_training(
-            self.training,
-            criterion=criteria[0],
-            require_converged=require_converged,
+            self.training, require_converged=require_converged
         )
         self._deploy()
         return self.training
@@ -192,9 +194,7 @@ class CoReDA:
             trace=self.trace,
         )
 
-    def observe_episode(
-        self, resident: Resident, horizon: float = 1800.0
-    ) -> EpisodeOutcome:
+    def observe_episode(self, resident: Resident) -> EpisodeOutcome:
         """Run one episode with sensing only (no guidance).
 
         The field-training flow: before any policy exists, the system
@@ -205,7 +205,7 @@ class CoReDA:
         """
         self.start()
         process = resident.start_episode()
-        deadline = self.sim.now + horizon
+        deadline = self.sim.now + _OBSERVE_HORIZON
         while not process.done and self.sim.now < deadline:
             next_time = self.sim.peek()
             if next_time is None or next_time > deadline:
@@ -213,7 +213,7 @@ class CoReDA:
             self.sim.step()
         if not process.done:
             raise CoReDAError(
-                f"observed episode did not complete within {horizon}s"
+                f"observed episode did not complete within {_OBSERVE_HORIZON}s"
             )
         self.sensing.reset_episode()
         if self.planning is not None:
@@ -221,46 +221,33 @@ class CoReDA:
         assert resident.outcome is not None
         return resident.outcome
 
-    def train_from_history(
-        self,
-        idle_gap: Optional[float] = None,
-        repair: bool = True,
-        min_episodes: int = 120,
-        criteria: Sequence[float] = (0.95, 0.98),
-        require_converged: bool = True,
-    ) -> TrainingResult:
+    def train_from_history(self) -> TrainingResult:
         """Field training: learn from the system's own usage history.
 
         Segments the continuous detection stream into episodes at
         idle gaps, infers the user's routine as the modal complete
-        episode, optionally repairs gappy episodes against it with
-        the routine HMM, replicates the training set to the paper's
-        budget if fewer episodes were observed, and trains.
+        episode, repairs gappy episodes against it with the routine
+        HMM, replicates the training set to the paper's budget if
+        fewer episodes were observed, and trains.
         """
         from repro.recognition.repair import EpisodeRepairer
         from repro.sensing.segmentation import infer_routine, segment_episodes
 
-        if idle_gap is None:
-            idle_gap = self.config.sensing.idle_timeout
-        episodes = segment_episodes(self.sensing.history, idle_gap=idle_gap)
+        episodes = segment_episodes(
+            self.sensing.history, idle_gap=self.config.sensing.idle_timeout
+        )
         if not episodes:
             raise CoReDAError("usage history contains no episodes yet")
         routine, support = infer_routine(self.adl, episodes)
-        if repair:
-            episodes = EpisodeRepairer(routine).repair_all(episodes)
+        episodes = EpisodeRepairer(routine).repair_all(episodes)
         # The paper trains on 120 samples; if the home observed fewer,
         # replicate the log to give the ε schedule room to decay.
         log = list(episodes)
-        while len(log) < max(min_episodes, 1):
+        while len(log) < 120:
             log.extend(episodes)
-        return self.train_offline(
-            routine=routine,
-            episode_log=log,
-            criteria=criteria,
-            require_converged=require_converged,
-        )
+        return self.train_offline(routine=routine, episode_log=log)
 
-    def enable_online_adaptation(self, epsilon: float = 0.1) -> OnlineAdaptation:
+    def enable_online_adaptation(self) -> OnlineAdaptation:
         """Turn on the paper's "learning update all the while" mode.
 
         The deployed predictor reads the offline learner's Q-table;
@@ -276,7 +263,7 @@ class CoReDA:
             learner=self.training.learner,
             config=self.config.planning,
             rng=self.streams.get("planning.online"),
-            epsilon=epsilon,
+            epsilon=0.1,
         ).attach(self.bus)
         return self.adaptation
 

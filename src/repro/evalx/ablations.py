@@ -38,12 +38,7 @@ import numpy as np
 from repro.adls.dressing import dressing_definition, dressing_routines
 from repro.adls.library import ADLDefinition
 from repro.core.adl import ADL
-from repro.core.config import (
-    CoReDAConfig,
-    PlanningConfig,
-    RadioConfig,
-    SensingConfig,
-)
+from repro.core.config import CoReDAConfig, PlanningConfig, RadioConfig
 from repro.core.metrics import mean
 from repro.evalx.extract_precision import plan_extract_precision
 from repro.evalx.parallel import Cell, Section, run_section
@@ -72,6 +67,12 @@ __all__ = [
 ]
 
 
+#: Training episodes per learner (the paper's 120 samples).
+EPISODES = 120
+#: The convergence criterion the sweeps report: 95% greedy accuracy.
+CRITERION = 0.95
+
+
 # ---------------------------------------------------------------------------
 # Cells: one pure unit of work each (picklable, seed-explicit)
 # ---------------------------------------------------------------------------
@@ -81,10 +82,8 @@ def _convergence_cell(
     adl: ADL,
     config: PlanningConfig,
     seed: int,
-    episodes: int = 120,
-    criterion: float = 0.95,
-    learner_spec: Optional[Tuple] = None,
-    cache_dir: Optional[str] = None,
+    learner_spec: Optional[Tuple],
+    cache_dir: Optional[str],
 ) -> Optional[int]:
     """One seed's iterations-to-criterion (``None`` = never converged)."""
     cache = PolicyCache(cache_dir) if cache_dir else None
@@ -93,20 +92,19 @@ def _convergence_cell(
         list(adl.canonical_routine().step_ids),
         config,
         seed,
-        episodes,
-        criteria=(criterion,),
+        EPISODES,
+        criteria=(CRITERION,),
         cache=cache,
         learner_spec=learner_spec,
     )
-    return trained.convergence[criterion]
+    return trained.convergence[CRITERION]
 
 
 def _final_accuracy_cell(
     adl: ADL,
     config: PlanningConfig,
     seed: int,
-    episodes: int = 120,
-    cache_dir: Optional[str] = None,
+    cache_dir: Optional[str],
 ) -> float:
     """One seed's final greedy accuracy after training."""
     cache = PolicyCache(cache_dir) if cache_dir else None
@@ -115,68 +113,61 @@ def _final_accuracy_cell(
         list(adl.canonical_routine().step_ids),
         config,
         seed,
-        episodes,
+        EPISODES,
         criteria=(0.95, 0.98),
         cache=cache,
     )
     return trained.curve.greedy_accuracy[-1]
 
 
-def _detector_cell(
-    k: int,
-    window: int,
-    trials: int,
-    seed: int,
-    profile: SignalProfile,
-    handling_duration: float,
-    idle_seconds: float,
-) -> Tuple[int, int]:
+#: The detector sweep: the k values, the window n, the towel profile
+#: (the paper's hardest accelerometer step), its handling time and the
+#: idle stretch that counts false triggers.
+DETECTOR_KS = (1, 2, 3, 5)
+DETECTOR_WINDOW = 10
+TOWEL_PROFILE = SignalProfile(burst_probability=0.30)
+TOWEL_HANDLING_S = 1.8
+IDLE_SECONDS = 600.0
+
+
+def _detector_cell(k: int, trials: int) -> Tuple[int, int]:
     """One k of the k-of-n rule: (handling hits, idle false triggers)."""
     hz = 10.0
-    rng = seeded_generator(seed)
-    source = SignalSource(profile, rng)
+    rng = seeded_generator(0)
+    source = SignalSource(TOWEL_PROFILE, rng)
     hits = 0
     for _ in range(trials):
-        detector = KofNDetector(threshold=1.0, k=k, n=window)
-        source.begin_use(0.0, handling_duration)
-        trace = source.read_trace(0.0, int(handling_duration * hz) + 20, hz)
+        detector = KofNDetector(threshold=1.0, k=k, n=DETECTOR_WINDOW)
+        source.begin_use(0.0, TOWEL_HANDLING_S)
+        trace = source.read_trace(0.0, int(TOWEL_HANDLING_S * hz) + 20, hz)
         source.end_use()
         if detector.observe_trace(trace) > 0:
             hits += 1
-    idle_detector = KofNDetector(threshold=1.0, k=k, n=window)
-    idle_trace = source.read_trace(0.0, int(idle_seconds * hz), hz)
+    idle_detector = KofNDetector(threshold=1.0, k=k, n=DETECTOR_WINDOW)
+    idle_trace = source.read_trace(0.0, int(IDLE_SECONDS * hz), hz)
     false_triggers = idle_detector.observe_trace(idle_trace)
     return hits, false_triggers
 
 
 def _radio_cell(
-    definition: ADLDefinition,
-    loss: float,
-    samples_per_step: int,
-    seed: int,
-    sensing: Optional[SensingConfig] = None,
+    definition: ADLDefinition, loss: float, samples_per_step: int
 ) -> float:
     """Mean extract precision at one frame-loss rate."""
     config = CoReDAConfig(radio=RadioConfig(loss_probability=loss))
-    if sensing is not None:
-        config = replace(config, sensing=sensing)
     result = run_section(
         plan_extract_precision(
-            [definition],
-            samples_per_step=samples_per_step,
-            config=config,
-            seed=seed,
+            [definition], samples_per_step=samples_per_step, config=config
         )
     )
     return mean([row.precision for row in result.rows])
 
 
-def _expected_sarsa_cell(adl: ADL, seed: int, episodes: int) -> float:
+def _expected_sarsa_cell(adl: ADL, seed: int) -> float:
     """Final greedy accuracy of Expected SARSA on the canonical logs."""
     from repro.rl.expected_sarsa import ExpectedSarsaLearner
 
     routine = adl.canonical_routine()
-    log = [list(routine.step_ids)] * episodes
+    log = [list(routine.step_ids)] * EPISODES
     # A constant ε of 0.1: behaviour and bootstrap explore alike.
     config = PlanningConfig(epsilon=0.1, epsilon_decay=1.0)
     learner = ExpectedSarsaLearner(config)
@@ -187,18 +178,16 @@ def _expected_sarsa_cell(adl: ADL, seed: int, episodes: int) -> float:
     return result.curve.greedy_accuracy[-1]
 
 
-def _sarsa_cell(adl: ADL, seed: int, episodes: int) -> float:
+def _sarsa_cell(adl: ADL, seed: int) -> float:
     """Final greedy accuracy of naive SARSA(λ) on the canonical logs."""
     routine = adl.canonical_routine()
-    log = [list(routine.step_ids)] * episodes
+    log = [list(routine.step_ids)] * EPISODES
     return _train_sarsa(
         adl, PlanningConfig(), log, seeded_generator(seed)
     )
 
 
-def _adaptation_cell(
-    adl: ADL, epsilon: float, seed: int, max_episodes: int
-) -> float:
+def _adaptation_cell(adl: ADL, epsilon: float, seed: int) -> float:
     """Episodes the always-adapting mode needs to track a new routine."""
     from repro.core.adl import Routine
     from repro.core.events import StepEvent
@@ -209,7 +198,7 @@ def _adaptation_cell(
     Routine(adl, new_ids)  # validates the permutation
     trainer = RoutineTrainer(adl, rng=seeded_generator(seed))
     result = trainer.train(
-        [list(adl.step_ids)] * 120, routine=adl.canonical_routine()
+        [list(adl.step_ids)] * EPISODES, routine=adl.canonical_routine()
     )
     adaptation = OnlineAdaptation(
         adl,
@@ -217,7 +206,7 @@ def _adaptation_cell(
         rng=seeded_generator(1000 + seed),
         epsilon=epsilon,
     )
-    for episode in range(1, max_episodes + 1):
+    for episode in range(1, ADAPTATION_MAX_EPISODES + 1):
         for event_index, step_id in enumerate(new_ids):
             adaptation.on_step(
                 StepEvent(
@@ -230,15 +219,11 @@ def _adaptation_cell(
             )
         if _tracks_routine(result.learner, trainer.actions, new_ids):
             return float(episode)
-    return float(max_episodes)
+    return float(ADAPTATION_MAX_EPISODES)
 
 
 def _escalation_cell(
-    definition: ADLDefinition,
-    escalate_after: int,
-    minimal_response: float,
-    episodes: int,
-    seed: int,
+    definition: ADLDefinition, escalate_after: int, episodes: int
 ) -> Tuple[float, int]:
     """One escalation policy: (mean reminders/episode, self-recoveries)."""
     from repro.core.system import CoReDA
@@ -246,7 +231,7 @@ def _escalation_cell(
     from repro.resident.dementia import DementiaProfile
 
     config = replace(
-        CoReDAConfig(seed=seed),
+        CoReDAConfig(seed=0),
         reminding=replace(
             CoReDAConfig().reminding,
             escalate_after=escalate_after,
@@ -260,7 +245,7 @@ def _escalation_cell(
         for step in definition.adl.steps
     }
     compliance = ComplianceModel(
-        minimal_response=minimal_response, specific_response=0.98
+        minimal_response=ESCALATION_MINIMAL_RESPONSE, specific_response=0.98
     )
     reminders = []
     recoveries_before = system.trace.count("resident.self_recovery")
@@ -279,9 +264,7 @@ def _escalation_cell(
     return mean(reminders), recoveries
 
 
-def _multi_routine_cell(
-    episodes_per_routine: int, seed: int
-) -> List[Tuple[str, str, str]]:
+def _multi_routine_cell(episodes_per_routine: int) -> List[Tuple[str, str, str]]:
     """The whole multi-routine comparison (one shared training run)."""
     definition = dressing_definition()
     adl = definition.adl
@@ -289,13 +272,13 @@ def _multi_routine_cell(
     log: List[List[int]] = []
     for routine in routines:
         log.extend([list(routine.step_ids)] * episodes_per_routine)
-    rng = seeded_generator(seed)
+    rng = seeded_generator(0)
     order = rng.permutation(len(log))
     mixed = [log[i] for i in order]
 
-    planner = MultiRoutinePlanner(adl, rng=seeded_generator(seed + 1))
+    planner = MultiRoutinePlanner(adl, rng=seeded_generator(1))
     planner.train(mixed)
-    single = RoutineTrainer(adl, rng=seeded_generator(seed + 2))
+    single = RoutineTrainer(adl, rng=seeded_generator(2))
     single_result = single.train(mixed, routine=routines[0])
 
     rows = []
@@ -343,9 +326,12 @@ def _convergence_row(
 # ---------------------------------------------------------------------------
 
 
+#: The trace decays λ the λ sweep compares.
+LAMBDAS = (0.0, 0.3, 0.7, 0.9)
+
+
 def plan_lambda_sweep(
     adl: ADL,
-    lambdas: Sequence[float] = (0.0, 0.3, 0.7, 0.9),
     seeds: Sequence[int] = tuple(range(8)),
     cache_dir: Optional[str] = None,
 ) -> Section:
@@ -353,17 +339,17 @@ def plan_lambda_sweep(
     cells = [
         Cell(
             _convergence_cell,
-            (adl, replace(PlanningConfig(), trace_decay=lam), seed, 120,
-             0.95, None, cache_dir),
+            (adl, replace(PlanningConfig(), trace_decay=lam), seed, None,
+             cache_dir),
             label=f"lambda.{lam}[{seed}]",
         )
-        for lam in lambdas
+        for lam in LAMBDAS
         for seed in seeds
     ]
 
     def merge(results: List[Optional[int]]) -> str:
         rows = []
-        for index, lam in enumerate(lambdas):
+        for index, lam in enumerate(LAMBDAS):
             chunk = results[index * len(seeds):(index + 1) * len(seeds)]
             label, mean_text, rate = _convergence_row(f"{lam:.1f}", chunk)
             rows.append((label, mean_text, rate))
@@ -376,11 +362,14 @@ def plan_lambda_sweep(
     return Section(f"ablation.lambda.{adl.name}", cells, merge)
 
 
+#: Rewards for an unfollowed prompt: CoReDA's 0 up to a followed
+#: prompt's 100.
+WRONG_REWARDS = (0.0, 50.0, 100.0)
+
+
 def plan_wrong_reward_sweep(
     adl: ADL,
-    wrong_rewards: Sequence[float] = (0.0, 50.0, 100.0),
     seeds: Sequence[int] = tuple(range(5)),
-    episodes: int = 120,
     cache_dir: Optional[str] = None,
 ) -> Section:
     """Reward for unfollowed prompts vs final greedy accuracy.
@@ -393,16 +382,16 @@ def plan_wrong_reward_sweep(
         Cell(
             _final_accuracy_cell,
             (adl, replace(PlanningConfig(), wrong_prompt_reward=wrong), seed,
-             episodes, cache_dir),
+             cache_dir),
             label=f"wrong-reward.{wrong}[{seed}]",
         )
-        for wrong in wrong_rewards
+        for wrong in WRONG_REWARDS
         for seed in seeds
     ]
 
     def merge(results: List[float]) -> str:
         rows = []
-        for index, wrong in enumerate(wrong_rewards):
+        for index, wrong in enumerate(WRONG_REWARDS):
             chunk = results[index * len(seeds):(index + 1) * len(seeds)]
             rows.append((f"{wrong:.0f}", f"{mean(chunk):.1%}"))
         return format_table(
@@ -414,42 +403,30 @@ def plan_wrong_reward_sweep(
     return Section(f"ablation.wrong-reward.{adl.name}", cells, merge)
 
 
-def plan_detector_sweep(
-    ks: Sequence[int] = (1, 2, 3, 5),
-    window: int = 10,
-    trials: int = 300,
-    seed: int = 0,
-    profile: Optional[SignalProfile] = None,
-    handling_duration: float = 1.8,
-    idle_seconds: float = 600.0,
-) -> Section:
+def plan_detector_sweep(trials: int = 300) -> Section:
     """The k of the k-of-n rule: hard-step detection vs idle noise.
 
     Uses the towel profile (the paper's hardest accelerometer step).
     Lower k detects short handling more often but trips on idle
     noise; the paper's k=3 buys a near-zero false-trigger rate.
     """
-    profile = profile if profile is not None else SignalProfile(
-        burst_probability=0.30
-    )
     cells = [
         Cell(
             _detector_cell,
-            (k, window, trials, seed, profile, handling_duration,
-             idle_seconds),
-            label=f"detector.{k}-of-{window}",
+            (k, trials),
+            label=f"detector.{k}-of-{DETECTOR_WINDOW}",
         )
-        for k in ks
+        for k in DETECTOR_KS
     ]
 
     def merge(results: List[Tuple[int, int]]) -> str:
         rows = [
             (
-                f"{k}-of-{window}",
+                f"{k}-of-{DETECTOR_WINDOW}",
                 f"{hits / trials:.1%}",
-                f"{false_triggers / (idle_seconds / 60):.2f}/min",
+                f"{false_triggers / (IDLE_SECONDS / 60):.2f}/min",
             )
-            for k, (hits, false_triggers) in zip(ks, results)
+            for k, (hits, false_triggers) in zip(DETECTOR_KS, results)
         ]
         return format_table(
             ["Rule", "Short-step detection", "Idle false triggers"],
@@ -460,9 +437,12 @@ def plan_detector_sweep(
     return Section("ablation.detector", cells, merge)
 
 
+#: The Dyna-Q planning-step counts the Dyna sweep compares.
+PLANNING_STEPS = (0, 5, 20)
+
+
 def plan_dyna_sweep(
     adl: ADL,
-    planning_steps: Sequence[int] = (0, 5, 20),
     seeds: Sequence[int] = tuple(range(8)),
     cache_dir: Optional[str] = None,
 ) -> Section:
@@ -471,12 +451,12 @@ def plan_dyna_sweep(
     specs: List[Tuple[str, Optional[Tuple]]] = [("TD(lambda) Q", None)]
     specs.extend(
         (f"Dyna-Q ({steps} planning steps)", ("dyna", steps))
-        for steps in planning_steps
+        for steps in PLANNING_STEPS
     )
     cells = [
         Cell(
             _convergence_cell,
-            (adl, base, seed, 120, 0.95, spec, cache_dir),
+            (adl, base, seed, spec, cache_dir),
             label=f"dyna.{label}[{seed}]",
         )
         for label, spec in specs
@@ -497,34 +477,27 @@ def plan_dyna_sweep(
     return Section(f"ablation.dyna.{adl.name}", cells, merge)
 
 
-def plan_radio_sweep(
-    definition: ADLDefinition,
-    loss_rates: Sequence[float] = (0.0, 0.05, 0.4, 0.8),
-    samples_per_step: int = 25,
-    seed: int = 0,
-    sensing: Optional[SensingConfig] = None,
-) -> Section:
-    """Frame-loss probability vs mean end-to-end extract precision.
+#: The frame-loss probabilities the radio sweep compares.
+LOSS_RATES = (0.0, 0.05, 0.4, 0.8)
 
-    ``sensing`` overrides the sensing configuration (the sensing
-    fast-path tests use it to run the sweep under a given
-    configuration); cell argument tuples are unchanged when it is
-    ``None``.
-    """
+
+def plan_radio_sweep(
+    definition: ADLDefinition, samples_per_step: int = 25
+) -> Section:
+    """Frame-loss probability vs mean end-to-end extract precision."""
     cells = [
         Cell(
             _radio_cell,
-            (definition, loss, samples_per_step, seed)
-            + ((sensing,) if sensing is not None else ()),
+            (definition, loss, samples_per_step),
             label=f"radio.{loss}",
         )
-        for loss in loss_rates
+        for loss in LOSS_RATES
     ]
 
     def merge(results: List[float]) -> str:
         rows = [
             (f"{loss:.0%}", f"{precision:.1%}")
-            for loss, precision in zip(loss_rates, results)
+            for loss, precision in zip(LOSS_RATES, results)
         ]
         return format_table(
             ["Frame loss", "Mean extract precision"],
@@ -538,8 +511,6 @@ def plan_radio_sweep(
 def plan_sarsa_comparison(
     adl: ADL,
     seeds: Sequence[int] = tuple(range(8)),
-    episodes: int = 120,
-    criterion: float = 0.95,
     cache_dir: Optional[str] = None,
 ) -> Section:
     """SARSA(λ) / Expected SARSA vs Watkins Q(λ) on the same logs.
@@ -552,20 +523,20 @@ def plan_sarsa_comparison(
     cells = [
         Cell(
             _convergence_cell,
-            (adl, config, seed, episodes, criterion, None, cache_dir),
+            (adl, config, seed, None, cache_dir),
             label=f"sarsa.q[{seed}]",
         )
         for seed in seeds
     ]
     cells.extend(
         Cell(
-            _expected_sarsa_cell, (adl, seed, episodes),
+            _expected_sarsa_cell, (adl, seed),
             label=f"sarsa.expected[{seed}]",
         )
         for seed in seeds
     )
     cells.extend(
-        Cell(_sarsa_cell, (adl, seed, episodes), label=f"sarsa.naive[{seed}]")
+        Cell(_sarsa_cell, (adl, seed), label=f"sarsa.naive[{seed}]")
         for seed in seeds
     )
 
@@ -638,15 +609,17 @@ def _train_sarsa(
     return correct / total
 
 
+#: The share of minimal prompts the escalation ablation's resident
+#: notices.
+ESCALATION_MINIMAL_RESPONSE = 0.35
+
+
 def plan_escalation_ablation(
-    definition: ADLDefinition,
-    minimal_response: float = 0.35,
-    episodes: int = 8,
-    seed: int = 0,
+    definition: ADLDefinition, episodes: int = 8
 ) -> Section:
     """Does escalation rescue users who miss minimal prompts?
 
-    A resident who notices only ``minimal_response`` of minimal
+    A resident who notices only ``ESCALATION_MINIMAL_RESPONSE`` of minimal
     prompts (but nearly all specific ones) stalls on every step.
     With escalation enabled, unanswered minimal prompts are upgraded
     to specific after ``escalate_after`` repeats; with it effectively
@@ -661,7 +634,7 @@ def plan_escalation_ablation(
     cells = [
         Cell(
             _escalation_cell,
-            (definition, escalate_after, minimal_response, episodes, seed),
+            (definition, escalate_after, episodes),
             label=f"escalation.{escalate_after}",
         )
         for _, escalate_after in policies
@@ -680,18 +653,21 @@ def plan_escalation_ablation(
             title=(
                 f"Ablation: escalation with low minimal-prompt compliance "
                 f"({definition.adl.name}, minimal response "
-                f"{minimal_response:.0%})"
+                f"{ESCALATION_MINIMAL_RESPONSE:.0%})"
             ),
         )
 
     return Section(f"ablation.escalation.{definition.adl.name}", cells, merge)
 
 
+#: The constant exploration ε values the adaptation study compares,
+#: and the live episodes it allows before giving up.
+ADAPTATION_EPSILONS = (0.05, 0.1, 0.3)
+ADAPTATION_MAX_EPISODES = 60
+
+
 def plan_adaptation_speed(
-    adl: ADL,
-    epsilons: Sequence[float] = (0.05, 0.1, 0.3),
-    seeds: Sequence[int] = tuple(range(5)),
-    max_episodes: int = 60,
+    adl: ADL, seeds: Sequence[int] = tuple(range(5))
 ) -> Section:
     """Online adaptation: episodes to re-learn a changed routine.
 
@@ -705,16 +681,16 @@ def plan_adaptation_speed(
     cells = [
         Cell(
             _adaptation_cell,
-            (adl, epsilon, seed, max_episodes),
+            (adl, epsilon, seed),
             label=f"adaptation.{epsilon}[{seed}]",
         )
-        for epsilon in epsilons
+        for epsilon in ADAPTATION_EPSILONS
         for seed in seeds
     ]
 
     def merge(results: List[float]) -> str:
         rows = []
-        for index, epsilon in enumerate(epsilons):
+        for index, epsilon in enumerate(ADAPTATION_EPSILONS):
             chunk = results[index * len(seeds):(index + 1) * len(seeds)]
             rows.append((f"{epsilon:.2f}", f"{mean(chunk):.1f}"))
         return format_table(
@@ -735,16 +711,11 @@ def _tracks_routine(learner, actions, step_ids) -> bool:
     )
 
 
-def plan_multi_routine_comparison(
-    episodes_per_routine: int = 60,
-    seed: int = 0,
-) -> Section:
+def plan_multi_routine_comparison(episodes_per_routine: int = 60) -> Section:
     """Multi-routine planner vs a single Q-table on mixed dressing logs."""
     cells = [
         Cell(
-            _multi_routine_cell,
-            (episodes_per_routine, seed),
-            label="multi-routine",
+            _multi_routine_cell, (episodes_per_routine,), label="multi-routine"
         )
     ]
 

@@ -114,7 +114,7 @@ def _user_cell(
     config: PlanningConfig,
     trainer_seed: int,
     episodes: int,
-    cache_dir: Optional[str] = None,
+    cache_dir: Optional[str],
 ) -> Dict[str, float]:
     """One user's accuracies under every system (pure, picklable)."""
     routine = Routine(adl, list(routine_ids))
@@ -148,13 +148,14 @@ def _user_cell(
     }
 
 
+#: The chance that a cohort user's interior steps are shuffled.
+SHUFFLE_PROBABILITY = 0.8
+
+
 def plan_baseline_comparison(
     adl: ADL,
     n_users: int = 20,
     episodes: int = 120,
-    seed: int = 0,
-    config: Optional[PlanningConfig] = None,
-    shuffle_probability: float = 0.8,
     cache_dir: Optional[str] = None,
 ) -> Section:
     """The cohort comparison as a section of one cell per user.
@@ -164,17 +165,17 @@ def plan_baseline_comparison(
     serial harness); each cell then trains and scores one user
     independently.
     """
-    config = config if config is not None else PlanningConfig()
-    rng = seeded_generator(seed)
+    config = PlanningConfig()
+    rng = seeded_generator(0)
     routines = [
-        personalized_routine(adl, rng, shuffle_probability=shuffle_probability)
+        personalized_routine(adl, rng, shuffle_probability=SHUFFLE_PROBABILITY)
         for _ in range(n_users)
     ]
     cells = [
         Cell(
             _user_cell,
-            (adl, list(routine.step_ids), config, seed * 1000 + user_index,
-             episodes, cache_dir),
+            (adl, list(routine.step_ids), config, user_index, episodes,
+             cache_dir),
             label=f"baseline.user[{user_index}]",
         )
         for user_index, routine in enumerate(routines)

@@ -17,7 +17,7 @@ the system alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from repro.adls.library import ADLDefinition
 from repro.core.config import CoReDAConfig
@@ -93,15 +93,10 @@ class BurdenResult:
 
 
 def _severity_cell(
-    definition: ADLDefinition,
-    severity: float,
-    episodes: int,
-    seed: int,
+    definition: ADLDefinition, severity: float, episodes: int
 ) -> BurdenRow:
     """One severity level's guided episodes (pure, picklable)."""
-    system = CoReDA.build(
-        definition, CoReDAConfig(seed=seed + int(severity * 100))
-    )
+    system = CoReDA.build(definition, CoReDAConfig(seed=int(severity * 100)))
     system.train_offline()
     reliable = {
         step.step_id: max(step.handling_duration, 5.0)
@@ -129,20 +124,19 @@ def _severity_cell(
     )
 
 
-def plan_burden_study(
-    definition: ADLDefinition,
-    severities: Sequence[float] = (0.2, 0.5, 0.8),
-    episodes: int = 10,
-    seed: int = 0,
-) -> Section:
+#: The dementia severities the burden study compares.
+SEVERITIES = (0.2, 0.5, 0.8)
+
+
+def plan_burden_study(definition: ADLDefinition, episodes: int = 10) -> Section:
     """The severity sweep as a section of one cell per severity."""
     cells = [
         Cell(
             _severity_cell,
-            (definition, severity, episodes, seed),
+            (definition, severity, episodes),
             label=f"burden.{severity}",
         )
-        for severity in severities
+        for severity in SEVERITIES
     ]
 
     def merge(rows: List[BurdenRow]) -> BurdenResult:

@@ -11,16 +11,16 @@ from typing import List, Tuple
 
 from repro.adls.library import ADLDefinition
 from repro.evalx.tables import format_table
-from repro.sensors.hardware import PAVENET_SPEC, HardwareSpec
+from repro.sensors.hardware import PAVENET_SPEC
 
 __all__ = ["table1_hardware", "table2_sensor_map", "table2_rows"]
 
 
-def table1_hardware(spec: HardwareSpec = PAVENET_SPEC) -> str:
+def table1_hardware() -> str:
     """Render Table 1 (Hardware of PAVENET)."""
     return format_table(
         ["Field", "Value"],
-        spec.table_rows(),
+        PAVENET_SPEC.table_rows(),
         title="Table 1. Hardware of PAVENET",
     )
 

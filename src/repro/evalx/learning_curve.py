@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.core.adl import ADL, Routine
+from repro.core.adl import ADL
 from repro.core.config import PlanningConfig
 from repro.core.metrics import mean, sample_sd
 from repro.evalx.parallel import Cell, Section
@@ -126,7 +126,7 @@ def _curve_cell(
     episodes: int,
     criteria: Sequence[float],
     config: PlanningConfig,
-    cache_dir: Optional[str] = None,
+    cache_dir: Optional[str],
 ) -> CurveRun:
     """One seed's training run -- pure, picklable, cacheable."""
     # Derive the stream from (seed, ADL name): two ADLs with the
@@ -147,25 +147,24 @@ def _curve_cell(
     )
 
 
+#: Training episodes per seed (the paper's 120 samples), and the
+#: convergence criteria Figure 4 reads off.
+EPISODES = 120
+CRITERIA = (0.95, 0.98)
+
+
 def plan_learning_curve(
     adl: ADL,
-    routine: Optional[Routine] = None,
-    episodes: int = 120,
     seeds: Sequence[int] = tuple(range(10)),
-    criteria: Sequence[float] = (0.95, 0.98),
-    config: Optional[PlanningConfig] = None,
     cache_dir: Optional[str] = None,
 ) -> Section:
     """Figure 4 for one ADL as a section of per-seed cells."""
-    if routine is None:
-        routine = adl.canonical_routine()
-    config = config if config is not None else PlanningConfig()
-    criteria = tuple(criteria)
+    routine = adl.canonical_routine()
     cells = [
         Cell(
             _curve_cell,
-            (adl, list(routine.step_ids), seed, episodes, criteria, config,
-             cache_dir),
+            (adl, list(routine.step_ids), seed, EPISODES, CRITERIA,
+             PlanningConfig(), cache_dir),
             label=f"curve.{adl.name}[{seed}]",
         )
         for seed in seeds
@@ -173,7 +172,7 @@ def plan_learning_curve(
 
     def merge(runs: List[CurveRun]) -> LearningCurveResult:
         return LearningCurveResult(
-            adl_name=adl.name, criteria=criteria, runs=list(runs)
+            adl_name=adl.name, criteria=CRITERIA, runs=list(runs)
         )
 
     return Section(f"fig4.curve.{adl.name}", cells, merge)

@@ -188,10 +188,13 @@ def _drain_windowed(
             pending.append(executor.submit(_timed_cell, cell))
 
 
+#: Cells in flight per worker when ``run_cells`` fans out.
+WINDOW_PER_JOB = 4
+
+
 def run_cells(
     cells: Sequence[Cell],
     jobs: int = 1,
-    window: Optional[int] = None,
     pool: Optional[WorkerPool] = None,
 ) -> Tuple[List[Any], List[float]]:
     """Run ``cells``; return their results *in submission order*.
@@ -201,13 +204,13 @@ def run_cells(
     lists are ordered like ``cells``, which is the determinism
     contract every merge function relies on.
 
-    Submission is windowed: at most ``window`` cells (default
-    ``4 * jobs``) are outstanding at any moment, and a failing cell
+    Submission is windowed: at most ``WINDOW_PER_JOB * jobs`` cells
+    are outstanding at any moment, and a failing cell
     cancels everything still queued instead of letting the remaining
     work run to completion.  ``pool`` lends a persistent
     :class:`WorkerPool` so several calls share one set of worker
-    processes; without it a fresh pool is created per call.  Neither
-    knob changes the results -- the inline ``jobs <= 1`` path and the
+    processes; without it a fresh pool is created per call.  The pool
+    changes no result -- the inline ``jobs <= 1`` path and the
     pooled path execute the same cell functions in the same order.
     """
     if jobs <= 1 or len(cells) <= 1:
@@ -218,9 +221,7 @@ def run_cells(
             results.append(result)
             seconds.append(elapsed)
         return results, seconds
-    if window is None:
-        window = 4 * jobs
-    window = max(window, 1)
+    window = WINDOW_PER_JOB * jobs
     results = []
     seconds = []
     if pool is not None:
@@ -231,9 +232,9 @@ def run_cells(
     return results, seconds
 
 
-def run_section(section: Section, jobs: int = 1) -> Any:
-    """Run one section start to finish; returns its merged result."""
-    results, _ = run_cells(section.cells, jobs=jobs)
+def run_section(section: Section) -> Any:
+    """Run one section's cells inline; returns its merged result."""
+    results, _ = run_cells(section.cells)
     return section.merge(results)
 
 

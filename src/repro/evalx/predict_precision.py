@@ -92,10 +92,7 @@ class PredictPrecisionResult:
 
 
 def plan_predict_precision(
-    definitions: Sequence[ADLDefinition],
-    samples_per_adl: int = 30,
-    config: Optional[CoReDAConfig] = None,
-    training_episodes: int = 120,
+    definitions: Sequence[ADLDefinition], samples_per_adl: int = 30
 ) -> Section:
     """Table 4 as a section of one cell per ADL.
 
@@ -106,7 +103,7 @@ def plan_predict_precision(
     timers between trials.  Timing behaviour is Figure 1's subject;
     Table 4 isolates *prediction*.
     """
-    config = config if config is not None else CoReDAConfig()
+    config = CoReDAConfig()
     config = replace(
         config,
         reminding=replace(
@@ -117,7 +114,7 @@ def plan_predict_precision(
     cells = [
         Cell(
             _evaluate_adl,
-            (definition, samples_per_adl, config, training_episodes),
+            (definition, samples_per_adl, config),
             label=f"predict.{definition.adl.name}",
         )
         for definition in definitions
@@ -136,11 +133,10 @@ def _evaluate_adl(
     definition: ADLDefinition,
     samples_per_adl: int,
     config: CoReDAConfig,
-    training_episodes: int,
 ) -> List[PredictRow]:
     system = CoReDA.build(definition, config)
     routine = definition.adl.canonical_routine()
-    system.train_offline(routine=routine, episodes=training_episodes)
+    system.train_offline(routine=routine)
     steps = routine.step_ids
     testable = len(steps) - 1
     per_step = max(samples_per_adl // max(testable, 1), 2)

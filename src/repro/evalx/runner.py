@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, TextIO
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.adls.library import default_registry
 from repro.evalx.ablations import (
@@ -293,17 +293,13 @@ def run_all(
     return "\n\n".join(blocks) + "\n"
 
 
-def write_report(
-    report: str,
-    output: Optional[str] = None,
-    stream: Optional[TextIO] = None,
-) -> None:
+def write_report(report: str, output: Optional[str] = None) -> None:
     """Print ``report`` and optionally persist it.
 
     The file is always written UTF-8 so the report's non-ASCII
     characters survive non-UTF-8 locales.
     """
-    (stream if stream is not None else sys.stdout).write(report)
+    sys.stdout.write(report)
     if output:
         with open(output, "w", encoding="utf-8") as handle:
             handle.write(report)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from typing import List, Optional
 
 from repro.adls.tea_making import KETTLE, POT, TEABOX, TEACUP, tea_making_definition
-from repro.core.config import CoReDAConfig, RemindingConfig, SensingConfig
+from repro.core.config import CoReDAConfig, RemindingConfig
 from repro.core.events import TriggerReason
 from repro.core.system import CoReDA
 from repro.evalx.tables import format_table
@@ -92,9 +92,7 @@ class ScenarioResult:
         )
 
 
-def build_tea_scenario(
-    seed: int = 11, sensing: Optional[SensingConfig] = None
-):
+def build_tea_scenario():
     """The trained Figure 1 world, ready to run: ``(system, resident)``.
 
     Split out of :func:`run_tea_scenario` so harnesses that need the
@@ -103,7 +101,7 @@ def build_tea_scenario(
     run the identical scenario and inspect the system afterwards.
     """
     definition = tea_making_definition()
-    base = CoReDAConfig(seed=seed)
+    base = CoReDAConfig(seed=11)
     # Figure 1 uses the fixed 30 s "did nothing" rule; the idle
     # transition from the sensing subsystem (30 s after the last tool
     # activity) is the trigger, so the planner's own statistical
@@ -114,8 +112,6 @@ def build_tea_scenario(
             statistical_timeout=False, stall_timeout=60.0, user_title="Mr. Tanaka"
         ),
     )
-    if sensing is not None:
-        config = replace(config, sensing=sensing)
     system = CoReDA.build(definition, config)
     system.train_offline(episodes=120)
     resident = system.create_resident(
@@ -144,17 +140,14 @@ def build_tea_scenario(
     return system, resident
 
 
-def run_tea_scenario(
-    seed: int = 11, sensing: Optional[SensingConfig] = None
-) -> ScenarioResult:
+def run_tea_scenario() -> ScenarioResult:
     """Run the Figure 1 scenario and reconstruct its timeline.
 
-    ``sensing`` overrides the sensing configuration.  The sensing
-    equivalence test replays this scenario on per-sample oracle nodes
-    and on the production block samplers and asserts identical
-    timelines.
+    The sensing equivalence test replays this scenario on per-sample
+    oracle nodes and on the production block samplers and asserts
+    identical timelines.
     """
-    system, resident = build_tea_scenario(seed=seed, sensing=sensing)
+    system, resident = build_tea_scenario()
     outcome = system.run_episode(resident, horizon=600.0)
     return _reconstruct(system, outcome.completed)
 

@@ -29,13 +29,21 @@ __all__ = [
 ]
 
 
+#: Training episodes per seed (the paper's 120 samples), and the
+#: convergence criterion the sweeps report.
+EPISODES = 120
+CRITERION = 0.95
+#: The learning rates α the α sweep compares.
+ALPHAS = (0.05, 0.1, 0.2, 0.5, 1.0)
+#: The (ε₀, decay) schedules the ε sweep compares.
+SCHEDULES = ((0.1, 0.978), (0.2, 0.978), (0.4, 0.978), (0.4, 1.0))
+
+
 def _sensitivity_cell(
     adl: ADL,
     config: PlanningConfig,
     seed: int,
-    episodes: int,
-    criterion: float,
-    cache_dir: Optional[str] = None,
+    cache_dir: Optional[str],
 ) -> Tuple[Optional[int], float]:
     """One seed of one config: (convergence iteration, final accuracy)."""
     cache = PolicyCache(cache_dir) if cache_dir else None
@@ -44,11 +52,11 @@ def _sensitivity_cell(
         list(adl.canonical_routine().step_ids),
         config,
         seed,
-        episodes,
-        criteria=(criterion,),
+        EPISODES,
+        criteria=(CRITERION,),
         cache=cache,
     )
-    return trained.convergence[criterion], trained.curve.greedy_accuracy[-1]
+    return trained.convergence[CRITERION], trained.curve.greedy_accuracy[-1]
 
 
 def _plan_sweep(
@@ -56,17 +64,15 @@ def _plan_sweep(
     adl: ADL,
     configs: Sequence[Tuple[str, PlanningConfig]],
     seeds: Sequence[int],
-    episodes: int,
-    criterion: float,
     columns: Sequence[str],
     title: str,
-    cache_dir: Optional[str] = None,
+    cache_dir: Optional[str],
 ) -> Section:
     """A labelled-config sweep as one section of (config, seed) cells."""
     cells = [
         Cell(
             _sensitivity_cell,
-            (adl, config, seed, episodes, criterion, cache_dir),
+            (adl, config, seed, cache_dir),
             label=f"{name}.{label}[{seed}]",
         )
         for label, config in configs
@@ -94,41 +100,28 @@ def _plan_sweep(
 
 def plan_alpha_sweep(
     adl: ADL,
-    alphas: Sequence[float] = (0.05, 0.1, 0.2, 0.5, 1.0),
     seeds: Sequence[int] = tuple(range(8)),
-    episodes: int = 120,
-    criterion: float = 0.95,
     cache_dir: Optional[str] = None,
 ) -> Section:
     """Learning rate α vs convergence speed and final accuracy."""
     configs = [
         (f"{alpha:.2f}", replace(PlanningConfig(), learning_rate=alpha))
-        for alpha in alphas
+        for alpha in ALPHAS
     ]
     return _plan_sweep(
         f"sensitivity.alpha.{adl.name}",
         adl,
         configs,
         seeds,
-        episodes,
-        criterion,
         ["alpha", "Mean iterations (95%)", "Converged", "Final accuracy"],
         f"Sensitivity: learning rate ({adl.name})",
-        cache_dir=cache_dir,
+        cache_dir,
     )
 
 
 def plan_epsilon_sweep(
     adl: ADL,
-    schedules: Sequence[Tuple[float, float]] = (
-        (0.1, 0.978),
-        (0.2, 0.978),
-        (0.4, 0.978),
-        (0.4, 1.0),
-    ),
     seeds: Sequence[int] = tuple(range(8)),
-    episodes: int = 120,
-    criterion: float = 0.95,
     cache_dir: Optional[str] = None,
 ) -> Section:
     """ε schedule vs convergence: the always-adapting mode in numbers.
@@ -144,17 +137,15 @@ def plan_epsilon_sweep(
             f"eps0={epsilon} decay={decay}",
             replace(PlanningConfig(), epsilon=epsilon, epsilon_decay=decay),
         )
-        for epsilon, decay in schedules
+        for epsilon, decay in SCHEDULES
     ]
     return _plan_sweep(
         f"sensitivity.epsilon.{adl.name}",
         adl,
         configs,
         seeds,
-        episodes,
-        criterion,
         ["epsilon schedule", "Mean iterations (95%)", "Converged",
          "Final accuracy"],
         f"Sensitivity: exploration schedule ({adl.name})",
-        cache_dir=cache_dir,
+        cache_dir,
     )

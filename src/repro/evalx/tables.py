@@ -41,19 +41,24 @@ def format_table(
     return "\n".join(lines)
 
 
+#: The plot's columns and rows.
+CURVE_WIDTH = 60
+CURVE_HEIGHT = 12
+
+
 def ascii_curve(
     values: Sequence[float],
-    width: int = 60,
-    height: int = 12,
     y_min: float = 0.0,
     y_max: float = 1.0,
     title: Optional[str] = None,
 ) -> str:
     """A terminal rendering of a learning curve (Figure 4 style).
 
-    The x-axis is compressed to ``width`` columns by averaging; each
-    column's value is drawn as a '*' on a ``height``-row grid.
+    The x-axis is compressed to ``CURVE_WIDTH`` columns by averaging;
+    each column's value is drawn as a '*' on a ``CURVE_HEIGHT``-row
+    grid.
     """
+    width, height = CURVE_WIDTH, CURVE_HEIGHT
     if not values:
         raise ValueError("cannot plot an empty series")
     if y_max <= y_min:

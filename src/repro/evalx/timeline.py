@@ -8,7 +8,7 @@ blinks, praise, completions -- for any ADL.  Used by the CLI's
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 from repro.core.adl import ADL
 from repro.evalx.tables import format_table
@@ -16,9 +16,9 @@ from repro.sim.tracing import TraceRecorder
 
 __all__ = ["timeline_rows", "render_timeline"]
 
-#: Categories rendered by default, in no particular order (the trace
-#: is already chronological).
-DEFAULT_CATEGORIES = (
+#: Categories rendered, in no particular order (the trace is already
+#: chronological).
+CATEGORIES = (
     "sensing.step",
     "reminder.prompt",
     "reminder.praise",
@@ -31,20 +31,11 @@ DEFAULT_CATEGORIES = (
 )
 
 
-def timeline_rows(
-    trace: TraceRecorder,
-    adl: ADL,
-    start: float = 0.0,
-    end: Optional[float] = None,
-    categories: Sequence[str] = DEFAULT_CATEGORIES,
-) -> List[Tuple[float, str, str]]:
-    """(time, kind, detail) rows for the selected trace window."""
-    if end is None:
-        last = trace.entries()[-1].time if len(trace) else start
-        end = last
-    wanted = set(categories)
+def timeline_rows(trace: TraceRecorder, adl: ADL) -> List[Tuple[float, str, str]]:
+    """(time, kind, detail) rows for the whole trace."""
+    wanted = set(CATEGORIES)
     rows: List[Tuple[float, str, str]] = []
-    for entry in trace.between(start, end):
+    for entry in trace.entries():
         if entry.category not in wanted:
             continue
         rows.append((entry.time, *_describe(entry.category, entry.payload, adl)))
@@ -52,16 +43,10 @@ def timeline_rows(
 
 
 def render_timeline(
-    trace: TraceRecorder,
-    adl: ADL,
-    start: float = 0.0,
-    end: Optional[float] = None,
-    categories: Sequence[str] = DEFAULT_CATEGORIES,
-    title: str = "Timeline",
+    trace: TraceRecorder, adl: ADL, title: str = "Timeline"
 ) -> str:
-    """Render the selected window as an aligned table."""
-    rows = timeline_rows(trace, adl, start=start, end=end,
-                         categories=categories)
+    """Render the whole trace as an aligned table."""
+    rows = timeline_rows(trace, adl)
     cells = [(f"{time:8.1f}", kind, detail) for time, kind, detail in rows]
     return format_table(["Time (s)", "Event", "Detail"], cells, title=title)
 

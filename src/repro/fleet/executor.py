@@ -204,11 +204,7 @@ def _publish_policies(
 
 
 def run_fleet(
-    spec: FleetSpec,
-    jobs: int = 1,
-    config: Optional[CoReDAConfig] = None,
-    cache_dir: Optional[str] = None,
-    window: Optional[int] = None,
+    spec: FleetSpec, jobs: int = 1, cache_dir: Optional[str] = None
 ) -> FleetResult:
     """Run a whole fleet; byte-identical result at any ``jobs``.
 
@@ -226,8 +222,7 @@ def run_fleet(
     training once per run (:func:`~repro.fleet.home.restore_memo`).
     """
     definition = default_registry().get(spec.adl_name)
-    if config is None:
-        config = CoReDAConfig(seed=spec.seed)
+    config = CoReDAConfig(seed=spec.seed)
     homes = spec.expand(definition)
     shards = spec.shards(homes)
     representatives = distinct_trainings(homes)
@@ -274,9 +269,7 @@ def run_fleet(
                     zip(representatives, cache_keys)
                 )
             ]
-            train_stats, _ = run_cells(
-                train_cells, jobs=jobs, window=window, pool=pool
-            )
+            train_stats, _ = run_cells(train_cells, jobs=jobs, pool=pool)
             _publish_policies(arena, cache_dir, cache_keys, definition)
             activate_local_arena(arena)
             shard_cells = [
@@ -295,9 +288,7 @@ def run_fleet(
                 )
                 for index, shard in enumerate(shards)
             ]
-            shard_results, _ = run_cells(
-                shard_cells, jobs=jobs, window=window, pool=pool
-            )
+            shard_results, _ = run_cells(shard_cells, jobs=jobs, pool=pool)
     finally:
         deactivate_local_arena(arena)
         arena.close()

@@ -72,6 +72,10 @@ from repro.sim.random import StreamBatch
 
 __all__ = ["ShardSimulator", "simulate_shard"]
 
+#: Simulated seconds one guided episode may take before the shard's
+#: watchdog calls it stuck.
+HORIZON = 3600.0
+
 
 class _HomeRun:
     """One home's episode chain on the shared kernel."""
@@ -84,7 +88,6 @@ class _HomeRun:
         "reliable",
         "compliance",
         "episodes",
-        "horizon",
         "outcomes",
         "report",
         "profile",
@@ -97,7 +100,6 @@ class _HomeRun:
         home: HomeSpec,
         system,
         episodes: int,
-        horizon: float,
         runtime: HomeRuntime,
     ) -> None:
         self.shard = shard
@@ -110,7 +112,6 @@ class _HomeRun:
         self.compliance = home_compliance(home)
         self.profile = DementiaProfile.from_severity(home.severity)
         self.episodes = episodes
-        self.horizon = horizon
         self.outcomes: List[EpisodeOutcome] = []
         self.report: Optional[HomeReport] = None
         self._watchdog = None
@@ -129,12 +130,12 @@ class _HomeRun:
             profile=self.profile,
         )
         process = resident.start_episode()
-        deadline = system.sim.now + self.horizon
+        deadline = system.sim.now + HORIZON
 
         def on_timeout() -> None:
             raise CoReDAError(
                 f"home {self.home.home_id}: episode {episode} did "
-                f"not complete within {self.horizon}s of simulated time"
+                f"not complete within {HORIZON}s of simulated time"
             )
 
         self._watchdog = system.sim.schedule_at(deadline, on_timeout)
@@ -216,7 +217,6 @@ class ShardSimulator:
         episodes: int,
         training_episodes: int,
         cache: Optional[PolicyCache],
-        horizon: float = 3600.0,
     ) -> None:
         """Deploy one home onto the shared kernel and queue episode 0."""
         runtime = self._runtime
@@ -230,7 +230,7 @@ class ShardSimulator:
             sim=self.sim, predictor=predictor, streams=self._streams,
         )
         system.start()
-        run = _HomeRun(self, home, system, episodes, horizon, runtime)
+        run = _HomeRun(self, home, system, episodes, runtime)
         self._runs.append(run)
         self._active += 1
         run.begin_episode()
@@ -273,7 +273,6 @@ def simulate_shard(
     episodes: int,
     training_episodes: int,
     cache: Optional[PolicyCache],
-    horizon: float = 3600.0,
     runtime: Optional[HomeRuntime] = None,
 ) -> List[HomeReport]:
     """Simulate ``homes`` on one shared kernel.
@@ -297,9 +296,7 @@ def simulate_shard(
             streams=home_stream_batch(definition, homes, episodes),
         )
         for home in homes:
-            shard.load(
-                definition, home, episodes, training_episodes, cache, horizon
-            )
+            shard.load(definition, home, episodes, training_episodes, cache)
         reports = shard.run()
         del shard
     finally:

@@ -7,9 +7,10 @@ buffer holding the interned state/action tables and the raw row-major
 float64 ``DenseQTable`` matrix -- that a fleet worker can map into
 its address space and serve **without parsing**: the Q matrix, the
 written mask and the learning curves are NumPy views straight over
-the mapped bytes (``np.frombuffer``), and the restored table is a
-*frozen* :class:`~repro.rl.dense.DenseQTable` that only copies if a
-learner ever mutates it (fleet inference never does).
+the mapped bytes (``np.frombuffer``).  The restored
+:class:`~repro.rl.dense.DenseQTable` copies the Q matrix and the
+written mask once into its own storage: a few dozen cells per
+training, restored once per training per process.
 
 Layout (all integers little-endian)::
 
@@ -32,8 +33,8 @@ Two encoding choices keep the artifact byte-equal to the JSON path:
 * **states** appear in the first-appearance order of the repr-sorted
   entry list -- exactly the order ``_qtable_from_document`` interns
   them -- and **actions** are the full ``action_space(adl)`` in its
-  canonical order, so a restored table never grows (growing would
-  copy) and every greedy readout sees the same values at the same
+  canonical order, so a restored table never grows and every greedy
+  readout sees the same values at the same
   ⟨state, action⟩ pairs;
 * **q** and the **curves** are stored as raw IEEE-754 doubles, so the
   values round-trip exactly (the JSON path round-trips exactly too,
@@ -91,8 +92,9 @@ class PolicyArtifactError(CoReDAError):
     """A sidecar that cannot be decoded (truncated, corrupt, stale)."""
 
 
-def _align(offset: int, boundary: int = 16) -> int:
-    return (offset + boundary - 1) // boundary * boundary
+def _align(offset: int) -> int:
+    """``offset`` rounded up to the payload's 16-byte alignment."""
+    return (offset + 15) // 16 * 16
 
 
 def pack_policy_artifact(
@@ -188,12 +190,11 @@ def pack_policy_artifact(
 class PolicyArtifact:
     """A decoded view over one packed policy buffer.
 
-    Holds NumPy views *into* the backing buffer (an ``mmap``, a
-    ``SharedMemory.buf`` or plain bytes) -- nothing is copied until a
-    learner writes, at which point the frozen
-    :class:`~repro.rl.dense.DenseQTable` thaws into private storage.
-    The artifact keeps the backing object alive for as long as any
-    view of it is reachable.
+    Holds read-only NumPy views *into* the backing buffer (an
+    ``mmap``, a ``SharedMemory.buf`` or plain bytes); :meth:`qtable`
+    copies the Q matrix and written mask out of them.  The artifact
+    keeps the backing object alive for as long as any view of it is
+    reachable.
     """
 
     __slots__ = (
@@ -230,14 +231,6 @@ class PolicyArtifact:
         self.curves = curves
         self._backing = backing
 
-    @property
-    def n_states(self) -> int:
-        return self.q.shape[0]
-
-    @property
-    def n_actions(self) -> int:
-        return self.q.shape[1]
-
     def matches(self, adl: ADL) -> bool:
         """Whether this artifact can serve a deployment of ``adl``.
 
@@ -262,18 +255,16 @@ class PolicyArtifact:
         )
 
     def qtable(self) -> DenseQTable:
-        """A frozen dense table directly over the shared buffer."""
+        """A dense table holding its own copy of the artifact's Q matrix."""
         states = [
             PlanningState(int(previous), int(current))
             for previous, current in self.states
         ]
-        return DenseQTable.from_frozen_buffers(
+        return DenseQTable.from_buffers(
             self.initial_q, states, self.actions, self.q, self.written
         )
 
-    def predictor(
-        self, adl: ADL, converged: bool = True
-    ) -> NextStepPredictor:
+    def predictor(self, adl: ADL, converged: bool) -> NextStepPredictor:
         """A deployed predictor over the zero-copy table.
 
         Raises :class:`~repro.core.errors.CoReDAError` on an ADL
@@ -293,7 +284,7 @@ class PolicyArtifact:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"PolicyArtifact(adl={self.adl_name!r}, "
-            f"q={self.n_states}x{self.n_actions})"
+            f"q={self.q.shape[0]}x{self.q.shape[1]})"
         )
 
 
@@ -302,20 +293,18 @@ def _view(
 ) -> np.ndarray:
     array = np.frombuffer(buffer, dtype=dtype, count=count, offset=offset)
     # Shared-memory buffers are writable; the artifact contract is
-    # read-only (writes go through the frozen table's thaw).
+    # read-only (a restored table writes to its own copy).
     array.flags.writeable = False
     return array
 
 
-def read_policy_artifact(
-    buffer: object, verify: bool = True
-) -> PolicyArtifact:
+def read_policy_artifact(buffer: object) -> PolicyArtifact:
     """Decode a packed artifact without copying its bulk data.
 
     ``buffer`` is anything NumPy can view (``mmap``, ``memoryview``,
     ``bytes``).  Raises :class:`PolicyArtifactError` on any structural
     problem -- short buffer, bad magic, version skew, length overrun
-    or (with ``verify``) a CRC mismatch -- so callers can treat every
+    or a CRC mismatch -- so callers can treat every
     failure as "no sidecar" and fall back to JSON.
     """
     view = memoryview(buffer)
@@ -360,10 +349,8 @@ def read_policy_artifact(
     )
     if len(view) < start + sum(sizes):
         raise PolicyArtifactError("truncated artifact payload")
-    if verify:
-        payload = view[start:start + sum(sizes)]
-        if zlib.crc32(payload) != crc:
-            raise PolicyArtifactError("artifact payload CRC mismatch")
+    if zlib.crc32(view[start:start + sum(sizes)]) != crc:
+        raise PolicyArtifactError("artifact payload CRC mismatch")
     offset = start
     states = _view(buffer, "<i8", n_states * 2, offset)
     states = states.reshape(n_states, 2)
@@ -402,19 +389,3 @@ def read_policy_artifact(
         backing=buffer,
     )
 
-
-def artifact_matches_document(
-    artifact: PolicyArtifact, document: dict
-) -> bool:
-    """Cheap coherence probe used by tests: same format and shape."""
-    return (
-        artifact.document_format == document.get("format")
-        and artifact.adl_name == document.get("adl")
-        and artifact.n_states
-        == len(
-            {
-                (entry["previous"], entry["current"])
-                for entry in document["entries"]
-            }
-        )
-    )

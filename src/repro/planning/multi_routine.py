@@ -20,7 +20,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.adl import ADL, Routine
-from repro.core.config import PlanningConfig
 from repro.core.errors import RoutineError
 from repro.planning.action import PromptAction
 from repro.planning.predictor import NextStepPredictor
@@ -33,6 +32,9 @@ __all__ = ["RoutineCluster", "MultiRoutinePlanner"]
 #: Likelihood assigned to a prefix that contradicts a routine: small
 #: but non-zero so the posterior never degenerates on sensing noise.
 _CONTRADICTION_LIKELIHOOD = 1e-6
+#: The least share of the episodes a routine cluster needs to count
+#: as a routine rather than noise.
+MIN_SUPPORT_FRACTION = 0.1
 
 
 @dataclass
@@ -49,31 +51,19 @@ class MultiRoutinePlanner:
     """Per-routine Q-learning with Bayesian routine identification."""
 
     def __init__(
-        self,
-        adl: ADL,
-        config: Optional[PlanningConfig] = None,
-        rng: Optional[np.random.Generator] = None,
-        min_support_fraction: float = 0.1,
+        self, adl: ADL, rng: Optional[np.random.Generator] = None
     ) -> None:
-        if not 0.0 <= min_support_fraction < 1.0:
-            raise ValueError("min_support_fraction must be in [0, 1)")
         self.adl = adl
-        self.config = config if config is not None else PlanningConfig()
         self._rng = rng if rng is not None else seeded_generator(0)
-        self.min_support_fraction = min_support_fraction
         self.clusters: List[RoutineCluster] = []
 
     # ------------------------------------------------------------------
     # training
 
-    def train(
-        self,
-        episodes: Sequence[Sequence[int]],
-        criteria: Sequence[float] = (0.95,),
-    ) -> List[RoutineCluster]:
+    def train(self, episodes: Sequence[Sequence[int]]) -> List[RoutineCluster]:
         """Cluster ``episodes`` and train one policy per routine.
 
-        Clusters supported by fewer than ``min_support_fraction`` of
+        Clusters supported by fewer than ``MIN_SUPPORT_FRACTION`` of
         the episodes are treated as noise and dropped.  Raises
         :class:`RoutineError` if nothing survives.
         """
@@ -83,24 +73,24 @@ class MultiRoutinePlanner:
         for episode in episodes:
             key = tuple(episode)
             counts[key] = counts.get(key, 0) + 1
-        cutoff = self.min_support_fraction * len(episodes)
+        cutoff = MIN_SUPPORT_FRACTION * len(episodes)
         surviving = {k: c for k, c in counts.items() if c >= cutoff}
         if not surviving:
             raise RoutineError(
                 "no routine cluster met the support threshold "
-                f"({self.min_support_fraction:.0%} of {len(episodes)} episodes)"
+                f"({MIN_SUPPORT_FRACTION:.0%} of {len(episodes)} episodes)"
             )
         self.clusters = []
         for sequence, support in sorted(
             surviving.items(), key=lambda item: (-item[1], item[0])
         ):
             routine = Routine(self.adl, sequence)
-            trainer = RoutineTrainer(self.adl, self.config, rng=self._rng)
+            trainer = RoutineTrainer(self.adl, rng=self._rng)
             training = trainer.train(
-                [list(sequence)] * support, routine=routine, criteria=criteria
+                [list(sequence)] * support, routine=routine, criteria=(0.95,)
             )
             predictor = NextStepPredictor.from_training(
-                training, criterion=criteria[0], require_converged=False
+                training, require_converged=False
             )
             self.clusters.append(
                 RoutineCluster(

@@ -51,22 +51,19 @@ class NextStepPredictor:
 
     @classmethod
     def from_training(
-        cls,
-        result: TrainingResult,
-        criterion: float = 0.95,
-        require_converged: bool = True,
+        cls, result: TrainingResult, require_converged: bool = True
     ) -> "NextStepPredictor":
         """Build a predictor from a :class:`TrainingResult`.
 
         With ``require_converged`` (the default), refuses to build
-        from a run that never met ``criterion`` -- prompting a
+        from a run that never met the 95% criterion -- prompting a
         dementia patient from a half-learned policy is exactly what a
         deployment must not do.
         """
-        converged = result.converged(criterion)
+        converged = result.converged(0.95)
         if require_converged and not converged:
             raise NotConvergedError(
-                f"training never reached the {criterion:.0%} criterion "
+                f"training never reached the 95% criterion "
                 f"(convergence map: {result.convergence})"
             )
         return cls(result.learner.q, result.actions, converged=converged)

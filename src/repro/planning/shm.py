@@ -132,12 +132,6 @@ class PolicyArena:
         segment.buf[: len(payload)] = payload
         self._segments[key] = segment
 
-    def registry(self) -> Dict[str, str]:
-        """``{cache key -> segment name}`` for the published keys."""
-        return {
-            key: segment.name for key, segment in self._segments.items()
-        }
-
     def artifact(self, key: str) -> Optional[PolicyArtifact]:
         """The in-process decoded artifact for ``key`` (parent side).
 
@@ -182,10 +176,9 @@ class PolicyArena:
             except BufferError:
                 lingering.append(segment)
         if lingering:
-            # Artifact views routinely sit in reference cycles (the
-            # deployment graph holds the predictor holds the frozen
-            # table holds its buffer view), so dropping the memo above
-            # doesn't free them until the cycle collector runs.  The
+            # Artifact views can sit in reference cycles (a caller's
+            # object graph holding an artifact), so dropping the memo
+            # above doesn't free them until the cycle collector runs.  The
             # segments are already unlinked; collect once so the
             # mappings can actually unmap now instead of spraying
             # BufferError from ``__del__`` at an arbitrary later GC.
@@ -195,12 +188,6 @@ class PolicyArena:
                     segment.close()
                 except BufferError:  # pragma: no cover - caller leak
                     pass
-
-    def __enter__(self) -> "PolicyArena":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -397,9 +397,12 @@ class CachedTraining:
     #: zero-copy restore); ``document`` is ``None`` then.
     artifact: Optional[PolicyArtifact] = None
 
-    def predictor(self, adl: ADL, criterion: float = 0.95) -> NextStepPredictor:
-        """Greedy predictor over the (restored) Q-table."""
-        converged = self.convergence.get(criterion) is not None
+    def predictor(self, adl: ADL) -> NextStepPredictor:
+        """Greedy predictor over the (restored) Q-table.
+
+        It counts as converged when the training met the 95% criterion.
+        """
+        converged = self.convergence.get(0.95) is not None
         if self.artifact is not None:
             return self.artifact.predictor(adl, converged=converged)
         return predictor_from_document(
@@ -410,9 +413,7 @@ class CachedTraining:
 
 
 def training_from_artifact(
-    artifact: PolicyArtifact,
-    config: PlanningConfig,
-    criteria: Sequence[float] = (0.95, 0.98),
+    artifact: PolicyArtifact, config: PlanningConfig
 ) -> CachedTraining:
     """A :class:`CachedTraining` served from a binary artifact.
 
@@ -429,7 +430,7 @@ def training_from_artifact(
             criterion,
             patience=config.convergence_patience,
         )
-        for criterion in criteria
+        for criterion in (0.95, 0.98)
     }
     return CachedTraining(
         curve=curve,

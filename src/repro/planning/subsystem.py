@@ -28,6 +28,7 @@ from repro.core.events import (
 )
 from repro.planning.predictor import NextStepPredictor
 from repro.planning.state import PlanningState
+from repro.reminding.prompts import PRAISE_MESSAGE
 from repro.sim.kernel import Event, Simulator
 from repro.sim.tracing import TraceRecorder
 
@@ -184,7 +185,7 @@ class PlanningSubsystem:
     def _praise(self, event: StepEvent) -> None:
         self.praises_given += 1
         praise = PraiseEvent(
-            time=self.sim.now, step_id=event.step_id, message="Excellent!"
+            time=self.sim.now, step_id=event.step_id, message=PRAISE_MESSAGE
         )
         if self._trace is not None and self._trace.enabled:
             self._trace.emit(self.sim.now, "planning.praise", step_id=event.step_id)

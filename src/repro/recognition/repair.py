@@ -30,20 +30,18 @@ from repro.recognition.hmm import DiscreteHMM
 
 __all__ = ["EpisodeRepairer"]
 
+#: The chance that a detection is missed, and that a detection names
+#: another of the ADL's tools.
+MISS_PROBABILITY = 0.15
+SUBSTITUTION_NOISE = 0.02
+
 
 class EpisodeRepairer:
     """Repairs gappy episode logs against a known routine."""
 
-    def __init__(
-        self,
-        routine: Routine,
-        miss_probability: float = 0.15,
-        substitution_noise: float = 0.02,
-    ) -> None:
-        if not 0.0 <= miss_probability < 1.0:
-            raise ValueError("miss_probability must be in [0, 1)")
-        if not 0.0 <= substitution_noise < 1.0:
-            raise ValueError("substitution_noise must be in [0, 1)")
+    def __init__(self, routine: Routine) -> None:
+        miss_probability = MISS_PROBABILITY
+        substitution_noise = SUBSTITUTION_NOISE
         self.routine = routine
         self.miss_probability = miss_probability
         positions = len(routine.step_ids)

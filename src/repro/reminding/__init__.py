@@ -3,7 +3,7 @@
 from repro.reminding.display import Display
 from repro.reminding.escalation import EscalationDecision, EscalationPolicy
 from repro.reminding.led import LedController
-from repro.reminding.prompts import render_message, render_praise
+from repro.reminding.prompts import render_message
 from repro.reminding.subsystem import RemindingSubsystem
 
 __all__ = [
@@ -13,5 +13,4 @@ __all__ = [
     "LedController",
     "RemindingSubsystem",
     "render_message",
-    "render_praise",
 ]

@@ -61,10 +61,5 @@ class EscalationPolicy:
         self._target = None
         self._attempts = 0
 
-    @property
-    def attempts(self) -> int:
-        """Attempts against the current target."""
-        return self._attempts
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"EscalationPolicy(target={self._target}, attempts={self._attempts})"

@@ -9,9 +9,10 @@ from __future__ import annotations
 
 from repro.core.adl import ReminderLevel, Tool
 
-__all__ = ["render_message", "render_praise"]
+__all__ = ["render_message"]
 
-#: Default praise line, straight from Figure 1.
+#: The praise line after a correctly followed prompt, straight from
+#: Figure 1.
 PRAISE_MESSAGE = "Excellent!"
 
 
@@ -20,8 +21,3 @@ def render_message(level: ReminderLevel, tool: Tool, user_title: str) -> str:
     if level is ReminderLevel.MINIMAL:
         return f"Please use {tool.name}."
     return f"{user_title}, use the {tool.name} in front of you."
-
-
-def render_praise() -> str:
-    """The praise line shown after a correctly followed prompt."""
-    return PRAISE_MESSAGE

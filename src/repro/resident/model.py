@@ -36,6 +36,10 @@ from repro.sim.tracing import TraceRecorder
 
 __all__ = ["EpisodeOutcome", "Resident"]
 
+#: Seconds a resident waits for an answerable prompt before
+#: remembering the step on their own.
+PROMPT_WAIT_TIMEOUT = 120.0
+
 
 @dataclass
 class EpisodeOutcome:
@@ -74,7 +78,6 @@ class Resident:
         dwell_overrides: Optional[Dict[int, float]] = None,
         handling_overrides: Optional[Dict[int, float]] = None,
         error_use_duration: float = 3.0,
-        prompt_wait_timeout: float = 120.0,
         name: str = "resident",
         trace: Optional[TraceRecorder] = None,
     ) -> None:
@@ -93,7 +96,6 @@ class Resident:
         self.dwell_overrides = dict(dwell_overrides or {})
         self.handling_overrides = dict(handling_overrides or {})
         self.error_use_duration = error_use_duration
-        self.prompt_wait_timeout = prompt_wait_timeout
         self._trace = trace
         self._reminder_queue: List[ReminderEvent] = []
         self._reminder_signal = Signal(f"{name}.reminders")
@@ -212,7 +214,7 @@ class Resident:
             reminder = self._pop_reminder(expected_tool_id)
             if reminder is None:
                 payload = yield Wait(
-                    self._reminder_signal, timeout=self.prompt_wait_timeout
+                    self._reminder_signal, timeout=PROMPT_WAIT_TIMEOUT
                 )
                 if payload is Wait.TIMED_OUT:
                     # No (answerable) guidance came: the resident

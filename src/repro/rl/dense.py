@@ -228,7 +228,6 @@ class DenseQTable:
         "_g1_view",
         "_g1",
         "_grow_count",
-        "_frozen",
     )
 
     def __init__(
@@ -265,14 +264,9 @@ class DenseQTable:
         self._g1_view: Optional[_ActionView] = None
         self._g1: Dict[int, object] = {}
         self._grow_count = 0
-        # Frozen tables serve reads straight out of an externally
-        # owned buffer (an mmap'd sidecar or a shared-memory segment,
-        # see repro.planning.binary); the first write thaws them into
-        # private storage (copy-on-write).
-        self._frozen = False
 
     @classmethod
-    def from_frozen_buffers(
+    def from_buffers(
         cls,
         initial_value: float,
         states: Sequence[State],
@@ -280,14 +274,14 @@ class DenseQTable:
         q2d: np.ndarray,
         written: np.ndarray,
     ) -> "DenseQTable":
-        """A read-only table served directly over external buffers.
+        """A table holding a copy of external buffers.
 
         ``q2d`` is the float64 ``(n_states, n_actions)`` matrix and
         ``written`` its flat uint8 support mask; ``states`` and
         ``actions`` are interned in buffer order, so row/column ids
-        line up with the matrix exactly.  Reads never copy; the first
-        write (or any interning that outgrows the buffers) thaws the
-        table into private storage via :meth:`_thaw`.
+        line up with the matrix exactly.  Both are copied once into
+        the table's own storage, so the buffers may be read-only and
+        no write ever reaches them.
         """
         table = cls(float(initial_value))
         index = table.index
@@ -298,33 +292,15 @@ class DenseQTable:
         rows, cols = q2d.shape
         if rows != len(index.states) or cols != len(index.actions):
             raise ValueError(
-                "frozen buffer shape does not match the interned tables"
+                "buffer shape does not match the interned tables"
             )
         if written.shape != (rows * cols,):
             raise ValueError("written mask does not match the Q matrix")
-        table._flat = q2d.reshape(-1)
-        table._written = written
+        table._flat = q2d.reshape(-1).tolist()
+        table._written = bytearray(written.tobytes())
         table._rows = rows
         table._cols = cols
-        table._frozen = True
         return table
-
-    def _thaw(self) -> None:
-        """Copy-on-write: materialize private, mutable buffers.
-
-        Runs before every element write of an arena-backed table:
-        :meth:`locate`, :meth:`add_at`, :meth:`add_pairs`, :meth:`set`
-        and :meth:`_grow` call it, and no code outside this module
-        touches the buffers (the VER001 source invariant).
-        Idempotent and cheap to probe: the hot paths pay one
-        attribute test when the table is already private.
-        """
-        if not self._frozen:
-            return
-        self._flat = [float(value) for value in self._flat]
-        self._written = bytearray(bytes(self._written))
-        self._array = None
-        self._frozen = False
 
     def _view(self, actions: Sequence[Action]) -> _ActionView:
         """The action view, via the one-entry identity cache."""
@@ -359,8 +335,6 @@ class DenseQTable:
 
     def _grow(self) -> None:
         """Grow the buffers to cover everything the index has interned."""
-        if self._frozen:
-            self._thaw()
         need_rows = len(self.index.states)
         need_cols = len(self.index.actions)
         rows, cols = self._rows, self._cols
@@ -468,9 +442,7 @@ class DenseQTable:
         id of ``next_state`` and the :class:`_ActionView` of
         ``next_actions`` (``-1`` and ``None`` otherwise).  Interning
         order is state, action, next state, next actions.  One
-        capacity guard then covers every id, and a frozen table thaws
-        here, so the reads feeding the update see the same private
-        floats the write will.
+        capacity guard then covers every id.
         """
         sid = self._state_ids.get(state)
         if sid is None:
@@ -496,8 +468,6 @@ class DenseQTable:
             or (view is not None and view.max_id >= self._cols)
         ):
             self._grow()
-        if self._frozen:
-            self._thaw()
         return sid, aid, next_sid, view
 
     def row_values(self, sid: int, view: _ActionView) -> Tuple[float, ...]:
@@ -550,12 +520,10 @@ class DenseQTable:
         return self._flat[sid * self._cols + aid]
 
     def add_at(self, sid: int, aid: int, x: float) -> None:
-        """``Q[sid, aid] += x``: thaw, add, mark written, bump version.
+        """``Q[sid, aid] += x``: add, mark written, bump version.
 
         Ids must be in range (see :meth:`locate`).
         """
-        if self._frozen:
-            self._thaw()
         off = sid * self._cols + aid
         flat = self._flat
         flat[off] = flat[off] + x
@@ -577,8 +545,6 @@ class DenseQTable:
         if not pairs:
             return
         self._ensure_capacity()
-        if self._frozen:
-            self._thaw()
         flat = self._flat
         written = self._written
         cols = self._cols
@@ -630,9 +596,6 @@ class DenseQTable:
         clone._written = self._written[:]
         clone._rows = self._rows
         clone._cols = self._cols
-        # Slicing a frozen table's ndarray buffers returns views, so
-        # the clone stays frozen and thaws independently on write.
-        clone._frozen = self._frozen
         return clone
 
     def max_abs_difference(self, other) -> float:
@@ -967,8 +930,6 @@ def replay_watkins(
                 if entry is None or entry[0] != q._grow_count:
                     steps = _bind(q, view, plan)
                     entry = bound[id(plan)] = (q._grow_count, steps)
-                if q._frozen:
-                    q._thaw()
                 flat = q._flat
                 written = q._written
                 trace_cols = q._cols
@@ -1112,8 +1073,6 @@ def replay_dyna(
                         for sid, aid, reward, next_sid, next_view in outcomes
                     ]
                     sweep_grows = q._grow_count
-                if q._frozen:
-                    q._thaw()
                 flat = q._flat
                 written = q._written
                 epsilon = learner.epsilon_at(step)

@@ -18,6 +18,12 @@ __all__ = ["ValueIterationResult", "value_iteration", "extract_policy", "q_value
 State = Hashable
 Action = Hashable
 
+#: The discount γ, the sup-norm residual that counts as solved, and
+#: the sweep budget.
+DISCOUNT = 0.9
+TOLERANCE = 1e-8
+MAX_ITERATIONS = 10_000
+
 
 @dataclass(frozen=True)
 class ValueIterationResult:
@@ -28,15 +34,9 @@ class ValueIterationResult:
     residual: float
 
 
-def value_iteration(
-    mdp: TabularMDP,
-    discount: float = 0.9,
-    tolerance: float = 1e-8,
-    max_iterations: int = 10_000,
-) -> ValueIterationResult:
-    """Solve ``mdp`` to within ``tolerance`` (sup-norm residual)."""
-    if not 0.0 <= discount < 1.0:
-        raise ValueError("discount must be in [0, 1)")
+def value_iteration(mdp: TabularMDP) -> ValueIterationResult:
+    """Solve ``mdp`` to within ``TOLERANCE`` (sup-norm residual)."""
+    discount, tolerance, max_iterations = DISCOUNT, TOLERANCE, MAX_ITERATIONS
     values: Dict[State, float] = {state: 0.0 for state in mdp.states()}
     residual = float("inf")
     iterations = 0
@@ -58,9 +58,10 @@ def value_iteration(
 
 
 def q_values(
-    mdp: TabularMDP, values: Dict[State, float], discount: float = 0.9
+    mdp: TabularMDP, values: Dict[State, float]
 ) -> Dict[State, Dict[Action, float]]:
     """Q(s, a) induced by state values ``values``."""
+    discount = DISCOUNT
     table: Dict[State, Dict[Action, float]] = {}
     for state in mdp.states():
         if mdp.is_terminal(state):
@@ -73,11 +74,11 @@ def q_values(
 
 
 def extract_policy(
-    mdp: TabularMDP, values: Dict[State, float], discount: float = 0.9
+    mdp: TabularMDP, values: Dict[State, float]
 ) -> Dict[State, Action]:
     """The greedy policy under ``values`` (deterministic tie-break)."""
     policy: Dict[State, Action] = {}
-    for state, action_values in q_values(mdp, values, discount).items():
+    for state, action_values in q_values(mdp, values).items():
         if not action_values:
             continue
         policy[state] = max(

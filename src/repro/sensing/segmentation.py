@@ -24,35 +24,31 @@ __all__ = ["segment_episodes", "infer_routine"]
 
 
 def segment_episodes(
-    history: UsageHistory,
-    idle_gap: float = 30.0,
-    min_length: int = 2,
+    history: UsageHistory, idle_gap: float = 30.0
 ) -> List[List[int]]:
     """Split a continuous detection stream into step-id episodes.
 
     A new episode starts whenever the gap since the previous
     detection exceeds ``idle_gap``.  Within an episode, consecutive
     detections of the same tool collapse to one step (they belong to
-    one handling).  Episodes shorter than ``min_length`` steps are
-    dropped as fragments (a lone detection between idle stretches is
+    one handling).  Episodes shorter than two steps are dropped as
+    fragments (a lone detection between idle stretches is
     more likely noise than an activity).
     """
     if idle_gap <= 0:
         raise ValueError("idle_gap must be positive")
-    if min_length < 1:
-        raise ValueError("min_length must be >= 1")
     episodes: List[List[int]] = []
     current: List[int] = []
     previous_time: Optional[float] = None
     for record in history.records():
         if previous_time is not None and record.time - previous_time > idle_gap:
-            if len(current) >= min_length:
+            if len(current) >= 2:
                 episodes.append(current)
             current = []
         if not current or current[-1] != record.tool_id:
             current.append(record.tool_id)
         previous_time = record.time
-    if len(current) >= min_length:
+    if len(current) >= 2:
         episodes.append(current)
     return episodes
 

@@ -17,9 +17,9 @@ __all__ = ["RealTimeClock"]
 class RealTimeClock:
     """A drifting clock: local = offset + (1 + ppm*1e-6) * wall."""
 
-    def __init__(self, drift_ppm: float = 20.0, offset: float = 0.0) -> None:
+    def __init__(self, drift_ppm: float = 20.0) -> None:
         self.drift_ppm = float(drift_ppm)
-        self.offset = float(offset)
+        self.offset = 0.0
 
     def local_time(self, wall_time: float) -> float:
         """The node's idea of the time at true simulated ``wall_time``."""

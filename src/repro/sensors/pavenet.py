@@ -49,7 +49,7 @@ from repro.sensors.battery import Battery, PowerProfile
 from repro.sensors.clock import RealTimeClock
 from repro.sensors.detector import DetectorState, KofNDetector
 from repro.sensors.eeprom import EepromLog, EepromRecord
-from repro.sensors.hardware import LED_COLORS, PAVENET_SPEC, HardwareSpec
+from repro.sensors.hardware import LED_COLORS, PAVENET_SPEC
 from repro.sensors.radio import (
     BASE_STATION_UID,
     DuplicateFilter,
@@ -138,9 +138,7 @@ class PavenetNode:
         radio: RadioMedium,
         config: SensingConfig,
         trace: Optional[TraceRecorder] = None,
-        spec: HardwareSpec = PAVENET_SPEC,
         battery: Optional[Battery] = None,
-        power_profile: Optional[PowerProfile] = None,
     ) -> None:
         self.sim = sim
         self.tool = tool
@@ -148,7 +146,6 @@ class PavenetNode:
         self.source = source
         self.radio = radio
         self.config = config
-        self.spec = spec
         self._trace = trace
         self.detector = KofNDetector(
             threshold=config.usage_threshold,
@@ -156,7 +153,7 @@ class PavenetNode:
             n=config.window_size,
             refractory_samples=int(config.refractory_period * config.sampling_hz),
         )
-        self.eeprom = EepromLog(spec.eeprom_bytes)
+        self.eeprom = EepromLog(PAVENET_SPEC.eeprom_bytes)
         self.rtc = RealTimeClock(drift_ppm=20.0 + (self.uid % 7) * 5.0)
         self._leds: Optional[Dict[str, Led]] = None
         self._sequence = itertools.count(1)
@@ -166,9 +163,6 @@ class PavenetNode:
         #: None = mains powered (tests and most experiments); a real
         #: Battery makes the node mortal.
         self.battery = battery
-        self.power_profile = (
-            power_profile if power_profile is not None else _POWER_PROFILE
-        )
         # Block sampler state (see module docstring).
         self._hz = config.sampling_hz
         self._period = 1.0 / config.sampling_hz
@@ -253,8 +247,8 @@ class PavenetNode:
         period = self._period
         while True:
             if not self._drain(
-                self.power_profile.sample_cost_mj
-                + self.power_profile.idle_cost_mj_per_s * period
+                _POWER_PROFILE.sample_cost_mj
+                + _POWER_PROFILE.idle_cost_mj_per_s * period
             ):
                 if self._trace is not None and self._trace.enabled:
                     self._trace.emit(self.sim.now, "node.battery_dead",
@@ -433,7 +427,7 @@ class PavenetNode:
             self._trace.emit(
                 self.sim.now, "node.usage_detected", uid=self.uid, sequence=sequence
             )
-        self._drain(self.power_profile.tx_attempt_cost_mj)
+        self._drain(_POWER_PROFILE.tx_attempt_cost_mj)
         self.radio.transmit(
             Frame(
                 src_uid=self.uid,
@@ -454,7 +448,7 @@ class PavenetNode:
         led = self.leds.get(color)
         if led is None:
             return
-        if not self._drain(blinks * self.power_profile.led_blink_cost_mj):
+        if not self._drain(blinks * _POWER_PROFILE.led_blink_cost_mj):
             return
         led.blink(self.sim.now, blinks)
         if self._trace is not None and self._trace.enabled:

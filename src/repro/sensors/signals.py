@@ -31,11 +31,10 @@ Two read paths exist and are draw-for-draw identical:
   a block read leaves the generator in the same state as the
   equivalent scalar reads and produces the same bytes.
 
-A monotonically increasing :attr:`SignalSource.epoch` is bumped on
-every regime transition, and regime listeners (the node firmware's
-block fast path) are notified on every *external* ``begin_use`` /
-``end_use`` so they can invalidate and resynchronise samples they
-pre-drew past the change (see ``docs/architecture.md``).
+Regime listeners (the node firmware's block fast path) are notified
+on every *external* ``begin_use`` / ``end_use`` so they can
+invalidate and resynchronise samples they pre-drew past the change
+(see ``docs/architecture.md``).
 """
 
 from __future__ import annotations
@@ -155,7 +154,6 @@ class SignalSource:
         "_bitgen",
         "_active",
         "_active_until",
-        "epoch",
         "_regime_listeners",
         "checkpoint",
     )
@@ -172,9 +170,6 @@ class SignalSource:
         self._bitgen = bitgen
         self._active = False
         self._active_until: float = float("inf")
-        #: Monotonic regime-transition counter; compare before/after
-        #: to detect that pre-drawn samples may be stale.
-        self.epoch = 0
         self._regime_listeners: List[Callable[[], None]] = []
         #: The :meth:`capture` of the source at the first idle sample
         #: of the last block read that a use's expiry split (a use
@@ -205,7 +200,6 @@ class SignalSource:
         """Enter the active regime (optionally for ``duration`` seconds)."""
         self._active = True
         self._active_until = now + duration
-        self.epoch += 1
         self._notify_regime()
 
     def end_use(self) -> None:
@@ -217,7 +211,6 @@ class SignalSource:
         """Regime flip to baseline without notifying listeners."""
         self._active = False
         self._active_until = float("inf")
-        self.epoch += 1
 
     def _notify_regime(self) -> None:
         for callback in list(self._regime_listeners):
@@ -359,8 +352,7 @@ class SignalSource:
         """Roll generator and regime back to a :meth:`capture` point.
 
         Used by the block fast path to replay the committed prefix of
-        an invalidated block; does not touch :attr:`epoch` (which is
-        monotonic) and does not notify regime listeners.
+        an invalidated block; does not notify regime listeners.
         """
         rng_state, active, active_until = state
         self._rng.bit_generator.state = rng_state

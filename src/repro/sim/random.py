@@ -254,7 +254,7 @@ class _PresetSeedSequence(ISeedSequence):
 class StreamBatch:
     """Generators for many named streams, seeded in one vectorised pass.
 
-    ``requests`` are ``(master seed, name)`` pairs, as a
+    :meth:`seed` takes ``(master seed, name)`` pairs, as a
     :class:`RandomStreams` rooted at that master seed would ask for
     them.  :meth:`take` hands out each generator once; it is
     draw-for-draw the ``default_rng(derive_seed(master, name))`` that
@@ -267,9 +267,9 @@ class StreamBatch:
 
     __slots__ = ("_rows", "_words", "forks")
 
-    def __init__(self, requests: Iterable[Tuple[int, str]] = ()) -> None:
+    def __init__(self) -> None:
         self.forks: Dict[Tuple[int, str], int] = {}
-        self.seed(requests)
+        self.seed(())
 
     def seed(self, requests: Iterable[Tuple[int, str]]) -> None:
         """Seed ``requests``, replacing the streams not yet taken."""
@@ -291,10 +291,6 @@ class StreamBatch:
         return np.random.Generator(
             np.random.PCG64(_PresetSeedSequence(self._words[row]))
         )
-
-    def __len__(self) -> int:
-        """Streams not yet taken."""
-        return len(self._rows)
 
 
 class RandomStreams:

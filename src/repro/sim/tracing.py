@@ -10,7 +10,7 @@ simple so any subsystem can emit them without coupling.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import Any, Callable, Dict, List
 
 __all__ = ["TraceEntry", "TraceRecorder"]
 
@@ -64,35 +64,20 @@ class TraceRecorder:
         """Register a live listener called for every new entry."""
         self._listeners.append(listener)
 
-    def entries(self, prefix: Optional[str] = None) -> List[TraceEntry]:
-        """All entries, optionally filtered by category prefix."""
-        if prefix is None:
-            return list(self._entries)
-        return [e for e in self._entries if e.matches(prefix)]
+    def entries(self) -> List[TraceEntry]:
+        """All entries, in time order."""
+        return list(self._entries)
 
-    def between(
-        self, start: float, end: float, prefix: Optional[str] = None
-    ) -> List[TraceEntry]:
-        """Entries with ``start <= time <= end`` (optionally filtered)."""
-        return [
-            e
-            for e in self.entries(prefix)
-            if start <= e.time <= end
-        ]
+    def between(self, start: float, end: float) -> List[TraceEntry]:
+        """Entries with ``start <= time <= end``."""
+        return [e for e in self._entries if start <= e.time <= end]
 
     def count(self, prefix: str) -> int:
         """Number of entries under ``prefix``."""
         return sum(1 for e in self._entries if e.matches(prefix))
 
-    def clear(self) -> None:
-        """Drop all recorded entries (listeners stay registered)."""
-        self._entries.clear()
-
     def __len__(self) -> int:
         return len(self._entries)
-
-    def __iter__(self) -> Iterator[TraceEntry]:
-        return iter(self._entries)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"TraceRecorder(entries={len(self._entries)}, enabled={self.enabled})"

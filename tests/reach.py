@@ -9,11 +9,26 @@ included; and every example.  It prints each function never called as
 not recorded: each ``--jobs 2`` root also runs at ``--jobs 1``, which
 calls the same worker code in this process.  Outputs go to a temporary
 directory; the tree is never edited.
+
+``python -m tests.reach --knobs`` (or ``make knobs``) is the parameter
+census.  It runs the same roots plus each benchmark workload (its
+``FleetSpec`` capped at 40 homes, at its jobs, set up as the benchmark
+sets it up) and records, for every called ``src/repro`` function, which
+defaulted parameters ever receive a value other than their default.
+A name-matched AST scan of ``src/repro``, ``tests``, ``examples`` and
+``bench`` then tags each parameter that no root sets: "no call site"
+(no call passes it), "tests only" (only calls outside ``src/repro``
+pass it) or "src passes the default" (some call in ``src/repro``
+passes it, always with the default's value).  ``Cell(fn, args,
+kwargs)`` counts as a call of ``fn``.
 """
 
 from __future__ import annotations
 
+import ast
 import contextlib
+import dis
+import gc
 import inspect
 import os
 import runpy
@@ -21,11 +36,18 @@ import sys
 import tempfile
 import threading
 import time
+import types
+from collections import defaultdict
+from dataclasses import replace
 from pathlib import Path
+from typing import Dict, List, NamedTuple, Optional
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "repro"
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT))
+#: Where the census looks for call sites, first the program's own.
+AREAS = ("src/repro", "tests", "examples", "bench")
 #: Comprehensions compile to code objects of their own; they are part
 #: of the function that holds them, not functions.
 _INLINE = {"<listcomp>", "<dictcomp>", "<setcomp>", "<genexpr>"}
@@ -80,22 +102,44 @@ def run_roots(tmp: Path) -> None:
         runpy.run_path(str(example), run_name="__main__")
 
 
-def main() -> int:
+def run_workloads(tmp: Path) -> None:
+    """Run each benchmark workload once, at most 40 homes, at its jobs."""
+    from bench.workloads import WORKLOADS, prepare
+
+    for workload in WORKLOADS.values():
+        if workload.homes:
+            homes = min(workload.homes, 40)
+            workload = replace(
+                workload, homes=homes, spec={**workload.spec, "homes": homes}
+            )
+        scratch = tmp / workload.name
+        scratch.mkdir()
+        run, _ = prepare(workload, 0, scratch)
+        run(workload.jobs_here(), {})
+
+
+def _profiled(roots, tmp: Path, record) -> None:
+    with open(os.devnull, "w") as null, contextlib.redirect_stdout(null), \
+            contextlib.redirect_stderr(null):
+        threading.setprofile(record)
+        sys.setprofile(record)
+        try:
+            for root in roots:
+                root(tmp)
+        finally:
+            sys.setprofile(None)
+            threading.setprofile(None)
+
+
+def reach() -> int:
     called = set()
 
     def record(frame, event, arg):
         called.add(frame.f_code)
 
     start = time.perf_counter()
-    with tempfile.TemporaryDirectory() as tmp, open(os.devnull, "w") as null, \
-            contextlib.redirect_stdout(null), contextlib.redirect_stderr(null):
-        threading.setprofile(record)
-        sys.setprofile(record)
-        try:
-            run_roots(Path(tmp))
-        finally:
-            sys.setprofile(None)
-            threading.setprofile(None)
+    with tempfile.TemporaryDirectory() as tmp:
+        _profiled([run_roots], Path(tmp), record)
     everything = functions()
     never = sorted(everything - {_key(code) for code in called})
     for path, line, name in never:
@@ -103,6 +147,231 @@ def main() -> int:
     print(f"{len(never)} of {len(everything)} functions in src/repro never "
           f"called ({time.perf_counter() - start:.0f} s)")
     return 0
+
+
+# -- the parameter census ------------------------------------------------
+
+
+def _function_of(code) -> Optional[types.FunctionType]:
+    """The function object running ``code`` (its defaults live there)."""
+    for referrer in gc.get_referrers(code):
+        if isinstance(referrer, types.FunctionType) and referrer.__code__ is code:
+            return referrer
+    return None
+
+
+def _defaults(function: types.FunctionType) -> Dict[str, object]:
+    """``{parameter: default}`` of every defaulted parameter."""
+    code = function.__code__
+    positional = code.co_varnames[: code.co_argcount]
+    defaults = function.__defaults__ or ()
+    found = dict(zip(positional[len(positional) - len(defaults):], defaults))
+    found.update(function.__kwdefaults__ or {})
+    return found
+
+
+def _same(value, default) -> bool:
+    if value is default:
+        return True
+    try:
+        return bool(value == default)
+    except Exception:  # e.g. an array against None
+        return False
+
+
+def _first_resume(code) -> Optional[int]:
+    """A generator's first ``call`` event fires here; later ones resume it."""
+    if not code.co_flags & (inspect.CO_GENERATOR | inspect.CO_COROUTINE
+                            | inspect.CO_ASYNC_GENERATOR):
+        return None
+    for instruction in dis.get_instructions(code):
+        if instruction.opname == "RESUME":
+            return instruction.offset
+    return None
+
+
+class _Watch(NamedTuple):
+    function: types.FunctionType
+    #: Defaulted parameters no call has set yet, with their defaults.
+    unset: Dict[str, object]
+    first_resume: Optional[int]
+
+
+def census(tmp: Path) -> Dict[types.CodeType, _Watch]:
+    """Run every root; return each called function's never-set parameters."""
+    src = str(SRC) + os.sep
+    watched: Dict[types.CodeType, Optional[_Watch]] = {}
+
+    def record(frame, event, arg):
+        if event != "call":
+            return
+        code = frame.f_code
+        try:
+            watch = watched[code]
+        except KeyError:
+            watch = None
+            if os.path.realpath(code.co_filename).startswith(src):
+                function = _function_of(code)
+                if function is not None:
+                    watch = _Watch(function, _defaults(function), _first_resume(code))
+            watched[code] = watch
+        if watch is None or not watch.unset:
+            return
+        if watch.first_resume is not None and frame.f_lasti != watch.first_resume:
+            return
+        values = frame.f_locals
+        for name, default in list(watch.unset.items()):
+            if not _same(values.get(name, default), default):
+                del watch.unset[name]
+
+    _profiled([run_roots, run_workloads], tmp, record)
+    return {code: watch for code, watch in watched.items() if watch is not None}
+
+
+class _Site(NamedTuple):
+    area: str
+    where: str
+    keywords: frozenset
+    #: Positional arguments before any ``*args``.
+    positional: int
+    #: A ``*args`` (or an argument tuple of unknown length).
+    star: bool
+    #: A ``**kwargs``.
+    double_star: bool
+
+    def passes(self, index: Optional[int], name: str) -> bool:
+        if name in self.keywords or self.double_star:
+            return True
+        return index is not None and (index < self.positional or self.star)
+
+
+def _callee(node) -> Optional[str]:
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def _arguments(args, keywords):
+    positional, star = 0, False
+    for arg in args:
+        if isinstance(arg, ast.Starred):
+            star = True
+            break
+        positional += 1
+    names = frozenset(k.arg for k in keywords if k.arg is not None)
+    return names, positional, star, any(k.arg is None for k in keywords)
+
+
+def _deferred(cell: ast.Call) -> ast.Call:
+    """``Cell(fn, args, kwargs)`` as the call of ``fn`` it defers."""
+    parts = dict(zip(("fn", "args", "kwargs"), cell.args))
+    parts.update((k.arg, k.value) for k in cell.keywords if k.arg)
+    args, kwargs = parts.get("args"), parts.get("kwargs")
+    if isinstance(args, ast.Tuple) or args is None:
+        positional = args.elts if args else []
+    else:  # an argument tuple of unknown length
+        positional = [ast.Starred()]
+    if isinstance(kwargs, ast.Dict):
+        keywords = [
+            ast.keyword(arg=key.value if isinstance(key, ast.Constant) else None)
+            for key in kwargs.keys
+        ]
+    else:
+        keywords = [ast.keyword(arg=None)] if kwargs else []
+    return ast.Call(func=parts["fn"], args=positional, keywords=keywords)
+
+
+def call_sites() -> Dict[str, List[_Site]]:
+    """Every call in the scanned areas, by the name it calls."""
+    sites: Dict[str, List[_Site]] = defaultdict(list)
+    for area in AREAS:
+        for path in sorted((ROOT / area).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if not isinstance(node, ast.Call):
+                    continue
+                calls = [node]
+                if _callee(node.func) == "Cell" and node.args:
+                    calls.append(_deferred(node))
+                where = f"{os.path.relpath(path, ROOT)}:{node.lineno}"
+                for call in calls:
+                    name = _callee(call.func)
+                    if name is not None:
+                        sites[name].append(
+                            _Site(area, where, *_arguments(call.args, call.keywords))
+                        )
+    return sites
+
+
+def _call_name(code) -> Optional[str]:
+    parts = code.co_qualname.split(".")
+    if parts[-1] == "__init__" and len(parts) > 1:
+        return parts[-2]
+    return parts[-1]
+
+
+def _index(code, name: str) -> Optional[int]:
+    """``name``'s index among the arguments a call passes positionally."""
+    positional = code.co_varnames[: code.co_argcount]
+    if name not in positional:
+        return None  # keyword-only
+    offset = 1 if positional and positional[0] in ("self", "cls") else 0
+    return positional.index(name) - offset
+
+
+def count_defaulted() -> int:
+    """Defaulted parameters in ``src/repro``, by AST."""
+    count = 0
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                count += len(node.args.defaults)
+                count += sum(default is not None for default in node.args.kw_defaults)
+    return count
+
+
+GROUPS = ("no call site", "tests only", "src passes the default")
+
+
+def knobs() -> int:
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory() as tmp:
+        watched = census(Path(tmp))
+    sites = call_sites()
+    groups: Dict[str, List[str]] = {group: [] for group in GROUPS}
+    total = 0
+    for code, watch in sorted(watched.items(), key=lambda item: _key(item[0])):
+        total += len(_defaults(watch.function))
+        for name in watch.unset:
+            index = _index(code, name)
+            passing = [s for s in sites.get(_call_name(code), ()) if s.passes(index, name)]
+            src_sites = [s for s in passing if s.area == AREAS[0]]
+            group = GROUPS[2] if src_sites else GROUPS[1] if passing else GROUPS[0]
+            shown = (src_sites or passing)[:1]
+            path, line, qualname = _key(code)
+            groups[group].append(
+                f"{os.path.relpath(path, ROOT)}:{line} {qualname}({name})"
+                + (f"  [{shown[0].where}]" if shown else "")
+            )
+    for group in GROUPS:
+        print(f"== {group}: {len(groups[group])}")
+        for entry in groups[group]:
+            print(entry)
+    never = sum(len(entries) for entries in groups.values())
+    print(f"{never} of {total} defaulted parameters of called src/repro functions "
+          f"never set by a root ({', '.join(f'{g} {len(groups[g])}' for g in GROUPS)}); "
+          f"{count_defaulted()} defaulted parameters in src/repro "
+          f"({time.perf_counter() - start:.0f} s)")
+    return 0
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if argv not in ([], ["--knobs"]):
+        print("usage: python -m tests.reach [--knobs]", file=sys.stderr)
+        return 2
+    return knobs() if argv else reach()
 
 
 if __name__ == "__main__":

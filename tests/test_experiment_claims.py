@@ -31,10 +31,12 @@ from repro.evalx.ablations import (
     plan_detector_sweep,
     plan_wrong_reward_sweep,
 )
+from repro.evalx import baseline_compare
 from repro.evalx.baseline_compare import plan_baseline_comparison
 from repro.evalx.parallel import run_section
 from repro.planning.state import episode_states
 from repro.planning.trainer import RoutineTrainer
+from repro.recognition import repair
 from repro.recognition.repair import EpisodeRepairer
 from repro.resident.routines import noisy_episodes
 from repro.sensors.battery import PowerProfile, estimate_lifetime_days
@@ -85,12 +87,12 @@ class TestBaselineComparison:
         """``(shuffle probability, comparison result)``."""
         if request.param == 0.8:
             return 0.8, full_report["baseline.tea-making"].result
-        return request.param, run_section(
-            plan_baseline_comparison(
-                tea_definition.adl, n_users=20, episodes=120,
-                shuffle_probability=request.param,
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(baseline_compare, "SHUFFLE_PROBABILITY", request.param)
+            section = plan_baseline_comparison(
+                tea_definition.adl, n_users=20, episodes=120
             )
-        )
+        return request.param, run_section(section)
 
     def test_baseline_comparison(self, shuffled):
         _, result = shuffled
@@ -152,8 +154,7 @@ class TestAblationWrongReward:
             return full_report["ablation.wrong-reward.tea-making"].result
         return run_section(
             plan_wrong_reward_sweep(
-                tea_definition.adl, wrong_rewards=(0.0, 50.0, 100.0),
-                seeds=tuple(range(request.param)),
+                tea_definition.adl, seeds=tuple(range(request.param))
             )
         )
 
@@ -204,7 +205,7 @@ class TestAblationDetector:
         if request.param == 300:
             return full_report["ablation.detector"].result
         return run_section(
-            plan_detector_sweep(ks=(1, 2, 3, 5), trials=request.param, seed=0)
+            plan_detector_sweep(trials=request.param)
         )
 
     def test_ablation_detector(self, table):
@@ -402,9 +403,10 @@ class TestAblationNoisyTraining:
             for seed in self.SEEDS:
                 rng = np.random.default_rng(1000 + seed)
                 log = noisy_episodes(routine, 120, rng, miss_probability=miss)
-                repaired = EpisodeRepairer(
-                    routine, miss_probability=max(miss, 0.01)
-                ).repair_all(log)
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(repair, "MISS_PROBABILITY", max(miss, 0.01))
+                    repairer = EpisodeRepairer(routine)
+                repaired = repairer.repair_all(log)
                 for episodes, bucket in ((log, raw_accuracy),
                                          (repaired, repaired_accuracy)):
                     trainer = RoutineTrainer(
@@ -614,7 +616,7 @@ class TestFieldTraining:
             )
             system.observe_episode(resident)
             system.sim.run_until(system.sim.now + 120.0)
-        result = system.train_from_history(require_converged=False)
+        result = system.train_from_history()
         routine_ok = list(result.routine.step_ids) == self.PERSONAL
         states = episode_states(self.PERSONAL)
         predictions_ok = all(
@@ -667,8 +669,7 @@ class TestOnlineAdaptation:
             return full_report["extension.adaptation.tea-making"].result
         return run_section(
             plan_adaptation_speed(
-                tea_definition.adl, epsilons=self.EPSILONS,
-                seeds=tuple(range(request.param)),
+                tea_definition.adl, seeds=tuple(range(request.param))
             )
         )
 

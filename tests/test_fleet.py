@@ -370,12 +370,11 @@ class TestShardCollector:
     graph to a single young-generation pass."""
 
     @staticmethod
-    def _shard(definition, tmp_path, horizon=3600.0):
+    def _shard(definition, tmp_path):
         return simulate_shard(
             definition, SPEC.expand(definition)[:3],
             CoReDAConfig(seed=SPEC.seed), SPEC.episodes_per_home,
             SPEC.training_episodes, PolicyCache(str(tmp_path / "cache")),
-            horizon=horizon,
         )
 
     def test_collector_enabled_after_shard(self, tea_fleet_definition, tmp_path):
@@ -384,10 +383,11 @@ class TestShardCollector:
         assert gc.isenabled()
 
     def test_collector_enabled_after_watchdog_raises(
-        self, tea_fleet_definition, tmp_path
+        self, tea_fleet_definition, tmp_path, monkeypatch
     ):
+        monkeypatch.setattr("repro.fleet.shard.HORIZON", 1.0)
         with pytest.raises(CoReDAError, match="did not complete"):
-            self._shard(tea_fleet_definition, tmp_path, horizon=1.0)
+            self._shard(tea_fleet_definition, tmp_path)
         assert gc.isenabled()
 
     def test_caller_disabled_collector_stays_disabled(
@@ -543,7 +543,8 @@ class TestWarmFleetCounts:
         result = run_fleet(spec, jobs=1, cache_dir=warm_cache)
         assert unbatched == []
         assert len(batches) == result.shards
-        assert [len(batch) for batch in batches] == [0] * result.shards
+        # Every stream the batch seeded was taken.
+        assert [len(batch._rows) for batch in batches] == [0] * result.shards
 
     def test_each_home_builds_its_models_and_derives_each_seed_once(
         self, warm_cache, monkeypatch, tea_fleet_definition

@@ -21,6 +21,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.metrics import mean
+from repro.evalx import extract_precision
 from repro.evalx.extract_precision import plan_extract_precision
 from repro.evalx.hardware_table import table2_rows
 from repro.evalx.parallel import run_section
@@ -96,10 +97,11 @@ class TestTable2SensorMap:
 
 
 class TestTable3ExtractPrecision:
-    def test_short_steps_are_weakest(self, paper_adls):
+    def test_short_steps_are_weakest(self, paper_adls, monkeypatch):
         # Paper: 80-100% per step, the two short steps lowest.
+        monkeypatch.setattr(extract_precision, "SEED", 3)
         result = run_section(
-            plan_extract_precision(paper_adls, samples_per_step=40, seed=3)
+            plan_extract_precision(paper_adls, samples_per_step=40)
         )
         assert len(result.rows) == 8
         assert sum(row.trials for row in result.rows) == 320

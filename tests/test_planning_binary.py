@@ -3,7 +3,7 @@
 The packed sidecar (``.qbin``) is a pure serving optimization of the
 canonical JSON document: the tests pin byte-identity between the two
 restore paths (same greedy predictions, same Q values, same curve and
-convergence), copy-on-write semantics of the frozen tables, clean
+convergence), restored tables that own their storage, clean
 JSON fallback on any corruption, and the decode-once memo of
 ``PolicyCache.get``.
 """
@@ -88,7 +88,7 @@ class TestArtifactRoundTrip:
         artifact = read_policy_artifact(blob)
         assert artifact.adl_name == tea_adl.name
         assert artifact.matches(tea_adl)
-        assert artifact.n_actions == len(action_space(tea_adl))
+        assert artifact.q.shape[1] == len(action_space(tea_adl))
 
     def test_wrong_adl_rejected(self, trained_cache):
         from repro.adls.tooth_brushing import make_tooth_brushing
@@ -102,13 +102,16 @@ class TestArtifactRoundTrip:
 
 
 class TestFrozenCopyOnWrite:
+    """A restored table copies the artifact's read-only arrays once:
+    it reads the artifact's values, and its writes never reach them."""
+
     def test_restored_table_is_frozen_and_readable(
         self, trained_cache, tea_adl
     ):
         cache, key, _ = trained_cache
         artifact = cache.get_artifact(key, tea_adl)
         q = artifact.qtable()
-        assert q._frozen
+        assert q.as_array().tolist() == artifact.q.tolist()
         state, action = next(iter(q.known_pairs()))
         assert isinstance(q.value(state, action), float)
 
@@ -120,20 +123,25 @@ class TestFrozenCopyOnWrite:
         q = artifact.qtable()
         state, action = next(iter(q.known_pairs()))
         before = q.value(state, action)
+        version = q.version
         q.add(state, action, 0.5)
-        assert not q._frozen
+        assert q.version > version
         assert q.value(state, action) == pytest.approx(before + 0.5)
         # A second restore still sees the original value: the write
-        # went to a private thawed copy, never the shared buffer.
+        # went to the table's own copy, never the shared buffer.
         assert artifact.qtable().value(state, action) == before
 
     def test_set_thaws_too(self, trained_cache, tea_adl):
         cache, key, _ = trained_cache
-        q = cache.get_artifact(key, tea_adl).qtable()
+        artifact = cache.get_artifact(key, tea_adl)
+        q = artifact.qtable()
         state, action = next(iter(q.known_pairs()))
+        before = q.value(state, action)
+        version = q.version
         q.set(state, action, 9.0)
-        assert not q._frozen
+        assert q.version > version
         assert q.value(state, action) == 9.0
+        assert artifact.qtable().value(state, action) == before
 
     def test_artifact_buffers_are_read_only_views(
         self, trained_cache, tea_adl

@@ -36,7 +36,7 @@ class TestClustering:
         adl = definition.adl
         routine_a, routine_b = dressing_routines(adl)
         log = [list(routine_a.step_ids)] * 50 + [list(routine_b.step_ids)] * 2
-        planner = MultiRoutinePlanner(adl, min_support_fraction=0.1)
+        planner = MultiRoutinePlanner(adl)
         planner.train(log)
         assert len(planner.clusters) == 1
 
@@ -82,10 +82,3 @@ class TestPrediction:
         with pytest.raises(RoutineError):
             planner.predict([])
 
-
-class TestValidation:
-    def test_support_fraction_bounds(self):
-        with pytest.raises(ValueError):
-            MultiRoutinePlanner(
-                dressing_definition().adl, min_support_fraction=1.0
-            )

@@ -63,15 +63,17 @@ def packed_policy(tmp_path, tea_adl):
 class TestPolicyArena:
     def test_publish_and_decode_round_trip(self, packed_policy, tea_adl):
         key, blob = packed_policy
-        with PolicyArena(tag="t1") as arena:
+        arena = PolicyArena(tag="t1")
+        try:
             arena.publish(key, blob)
             artifact = arena.artifact(key)
             assert artifact is not None
             assert artifact.matches(tea_adl)
-            assert arena.registry() == {key: arena.segment_name(key)}
             # The contract close() documents: views die before the
             # mappings unmap.
             del artifact
+        finally:
+            arena.close()
         assert _leaked_segments() == []
 
     def test_segment_names_deterministic_and_short(self, packed_policy):
@@ -136,7 +138,7 @@ class TestWorkerResolution:
         key, blob = packed_policy
         arena = PolicyArena(tag="t6")
         arena.publish(key, blob)
-        install_worker_registry(arena.registry())
+        install_worker_registry({key: arena.segment_name(key)})
         try:
             first = arena_artifact(key)
             assert first is not None and first.matches(tea_adl)

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.adl import Routine
 from repro.recognition.hmm import DiscreteHMM
+from repro.recognition import repair
 from repro.recognition.repair import EpisodeRepairer
 
 
@@ -111,20 +112,15 @@ class TestEpisodeRepairer:
         repairer = EpisodeRepairer(Routine(tea_adl, [1, 3, 2, 4]))
         assert repairer.repair([1, 2, 4]) == [1, 3, 2, 4]
 
-    def test_parameter_validation(self, tea_adl):
-        with pytest.raises(ValueError):
-            EpisodeRepairer(tea_adl.canonical_routine(), miss_probability=1.0)
-
-    def test_improves_training_on_gappy_logs(self, tea_adl):
+    def test_improves_training_on_gappy_logs(self, tea_adl, monkeypatch):
         from repro.planning.trainer import RoutineTrainer
         from repro.resident.routines import noisy_episodes
 
         routine = tea_adl.canonical_routine()
         rng = np.random.default_rng(100)
         noisy = noisy_episodes(routine, 120, rng, miss_probability=0.2)
-        repaired = EpisodeRepairer(routine, miss_probability=0.2).repair_all(
-            noisy
-        )
+        monkeypatch.setattr(repair, "MISS_PROBABILITY", 0.2)
+        repaired = EpisodeRepairer(routine).repair_all(noisy)
 
         def final_accuracy(log, seed=0):
             trainer = RoutineTrainer(tea_adl, rng=np.random.default_rng(seed))

@@ -15,7 +15,7 @@ from repro.core.events import (
 )
 from repro.reminding.display import Display
 from repro.reminding.escalation import EscalationPolicy
-from repro.reminding.prompts import render_message, render_praise
+from repro.reminding.prompts import PRAISE_MESSAGE, render_message
 from repro.reminding.subsystem import RemindingSubsystem
 
 
@@ -33,7 +33,7 @@ class TestPrompts:
         )
 
     def test_praise_line(self):
-        assert render_praise() == "Excellent!"
+        assert PRAISE_MESSAGE == "Excellent!"
 
 
 class TestDisplay:
@@ -84,7 +84,7 @@ class TestEscalation:
         policy = EscalationPolicy(RemindingConfig())
         policy.decide(1, ReminderLevel.MINIMAL)
         policy.reset()
-        assert policy.attempts == 0
+        assert policy.decide(1, ReminderLevel.MINIMAL).attempt == 1
 
 
 @pytest.fixture
@@ -149,7 +149,7 @@ class TestRemindingSubsystem:
         bus.publish(PraiseEvent(time=sim.now, step_id=2, message="Excellent!"))
         assert display.current.text == "Excellent!"
         assert reminding.praises_rendered == 1
-        assert reminding.escalation.attempts == 0
+        assert reminding.escalation.decide(2, ReminderLevel.MINIMAL).attempt == 1
 
     def test_praise_disabled(self, sim, tea_adl):
         bus = EventBus()

@@ -96,7 +96,7 @@ class TestRoutines:
     def test_personalized_keeps_endpoints(self, tea_adl, rng):
         for _ in range(50):
             routine = personalized_routine(tea_adl, rng, shuffle_probability=1.0)
-            assert routine.first_step_id == tea_adl.step_ids[0]
+            assert routine.step_ids[0] == tea_adl.step_ids[0]
             assert routine.terminal_step_id == tea_adl.terminal_step_id
             assert sorted(routine.step_ids) == sorted(tea_adl.step_ids)
 
@@ -119,7 +119,7 @@ class TestRoutines:
     def test_noisy_episodes_drop_steps(self, tea_adl, rng):
         routine = tea_adl.canonical_routine()
         episodes = noisy_episodes(routine, 200, rng, miss_probability=0.2)
-        assert any(len(e) < len(routine) for e in episodes)
+        assert any(len(e) < len(routine.step_ids) for e in episodes)
         # Every episode still ends at the terminal step.
         assert all(e[-1] == routine.terminal_step_id for e in episodes)
 

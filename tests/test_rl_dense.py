@@ -482,19 +482,20 @@ def test_dense_traces_apply_update_and_snapshot():
 
 
 # ----------------------------------------------------------------------
-# The write primitives own copy-on-write and the version counter.
+# The write primitives own the version counter; a table restored from
+# read-only buffers writes to its own copy.
 
 FROZEN_STATES = ("s0", "s1", "s2")
 FROZEN_ACTIONS = ("a", "b")
 
 
 def _frozen_table():
-    """A table served over read-only NumPy buffers, plus the buffers."""
+    """A table restored from read-only NumPy buffers, plus the buffers."""
     q2d = np.arange(6, dtype=np.float64).reshape(3, 2) / 4.0
     written = np.ones(6, dtype=np.uint8)
     q2d.flags.writeable = False
     written.flags.writeable = False
-    table = DenseQTable.from_frozen_buffers(
+    table = DenseQTable.from_buffers(
         0.0, FROZEN_STATES, FROZEN_ACTIONS, q2d, written
     )
     return table, q2d, written

@@ -1,5 +1,7 @@
 """Unit tests for value iteration and policy extraction."""
 
+import importlib
+
 import pytest
 
 from repro.rl.mdp import TabularMDP
@@ -8,6 +10,9 @@ from repro.rl.value_iteration import (
     q_values,
     value_iteration,
 )
+
+#: The module (``repro.rl`` re-exports its function under its name).
+solver = importlib.import_module("repro.rl.value_iteration")
 
 
 def chain_mdp():
@@ -22,8 +27,9 @@ def chain_mdp():
 
 
 class TestValueIteration:
-    def test_chain_values(self):
-        result = value_iteration(chain_mdp(), discount=0.9, tolerance=1e-10)
+    def test_chain_values(self, monkeypatch):
+        monkeypatch.setattr(solver, "TOLERANCE", 1e-10)
+        result = value_iteration(chain_mdp())
         assert result.values["s2"] == pytest.approx(10.0)
         assert result.values["s1"] == pytest.approx(9.0)
         assert result.values["goal"] == 0.0
@@ -35,42 +41,42 @@ class TestValueIteration:
         mdp.add_transition("s", "a", "lose", probability=0.5, reward=0.0)
         mdp.mark_terminal("win")
         mdp.mark_terminal("lose")
-        result = value_iteration(mdp, discount=0.9)
+        result = value_iteration(mdp)
         assert result.values["s"] == pytest.approx(5.0)
 
-    def test_discount_zero_is_myopic(self):
-        result = value_iteration(chain_mdp(), discount=0.0)
+    def test_discount_zero_is_myopic(self, monkeypatch):
+        monkeypatch.setattr(solver, "DISCOUNT", 0.0)
+        result = value_iteration(chain_mdp())
         assert result.values["s1"] == 0.0
         assert result.values["s2"] == 10.0
 
-    def test_discount_bounds(self):
-        with pytest.raises(ValueError):
-            value_iteration(chain_mdp(), discount=1.0)
-
-    def test_max_iterations_respected(self):
-        result = value_iteration(chain_mdp(), tolerance=0.0, max_iterations=3)
+    def test_max_iterations_respected(self, monkeypatch):
+        monkeypatch.setattr(solver, "TOLERANCE", 0.0)
+        monkeypatch.setattr(solver, "MAX_ITERATIONS", 3)
+        result = value_iteration(chain_mdp())
         assert result.iterations == 3
 
 
 class TestPolicyExtraction:
     def test_optimal_policy(self):
         mdp = chain_mdp()
-        result = value_iteration(mdp, discount=0.9)
-        policy = extract_policy(mdp, result.values, discount=0.9)
+        result = value_iteration(mdp)
+        policy = extract_policy(mdp, result.values)
         assert policy == {"s1": "go", "s2": "go"}
 
     def test_terminal_excluded_from_policy(self):
         mdp = chain_mdp()
-        result = value_iteration(mdp, discount=0.9)
-        policy = extract_policy(mdp, result.values, discount=0.9)
+        result = value_iteration(mdp)
+        policy = extract_policy(mdp, result.values)
         assert "goal" not in policy
 
 
 class TestQValues:
-    def test_q_consistency(self):
+    def test_q_consistency(self, monkeypatch):
+        monkeypatch.setattr(solver, "TOLERANCE", 1e-10)
         mdp = chain_mdp()
-        result = value_iteration(mdp, discount=0.9, tolerance=1e-10)
-        q = q_values(mdp, result.values, discount=0.9)
+        result = value_iteration(mdp)
+        q = q_values(mdp, result.values)
         assert q["s2"]["go"] == pytest.approx(10.0)
         assert q["s2"]["stay"] == pytest.approx(9.0)
         assert max(q["s1"].values()) == pytest.approx(result.values["s1"])

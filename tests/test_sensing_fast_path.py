@@ -317,7 +317,7 @@ class TestScenarioEquivalence:
 
     def test_default_config_uses_fast_path(self, results):
         reference, _ = results
-        default = run_tea_scenario(sensing=SensingConfig())
+        default = run_tea_scenario()
         assert default.timeline == reference.timeline
         # A mains-powered node samples in blocks, not per sample.
         _, node, _, _, _ = build_node(PavenetNode)
@@ -340,8 +340,7 @@ class TestRadioSweepEquivalence:
     def test_radio_ablation_table_identical(self, tea_definition, monkeypatch):
         def table():
             return run_section(
-                plan_radio_sweep(tea_definition, samples_per_step=8,
-                                 sensing=SensingConfig())
+                plan_radio_sweep(tea_definition, samples_per_step=8)
             )
 
         blocks = table()
@@ -360,8 +359,7 @@ class TestExtractPrecisionEquivalence:
         def rows():
             result = run_section(
                 plan_extract_precision(
-                    [definition], samples_per_step=4, config=CoReDAConfig(),
-                    seed=0,
+                    [definition], samples_per_step=4, config=CoReDAConfig()
                 )
             )
             return [

@@ -30,7 +30,7 @@ class TestSegmentation:
 
     def test_fragments_dropped(self):
         history = history_from([(0, 1), (100, 1), (105, 2), (110, 3)])
-        episodes = segment_episodes(history, idle_gap=30.0, min_length=2)
+        episodes = segment_episodes(history, idle_gap=30.0)
         assert episodes == [[1, 2, 3]]
 
     def test_gap_exactly_at_threshold_does_not_split(self):
@@ -43,8 +43,6 @@ class TestSegmentation:
     def test_validation(self):
         with pytest.raises(ValueError):
             segment_episodes(UsageHistory(), idle_gap=0.0)
-        with pytest.raises(ValueError):
-            segment_episodes(UsageHistory(), min_length=0)
 
 
 class TestInferRoutine:

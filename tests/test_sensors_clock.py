@@ -25,7 +25,7 @@ class TestDrift:
         assert all(a < b for a, b in zip(times, times[1:]))
 
     def test_resync_zeroes_skew(self):
-        clock = RealTimeClock(drift_ppm=500.0, offset=2.0)
+        clock = RealTimeClock(drift_ppm=500.0)
         clock.resync(1_000.0)
         assert clock.skew_at(1_000.0) == pytest.approx(0.0)
         # Drift resumes accumulating afterwards.

@@ -209,25 +209,16 @@ class TestReadBlockEquivalence:
         assert self.rng_state(fast) == self.rng_state(ref)
 
 
-class TestRegimeEpoch:
-    def test_begin_and_end_bump_epoch(self):
-        src = source()
-        start = src.epoch
-        src.begin_use(0.0)
-        assert src.epoch == start + 1
-        src.end_use()
-        assert src.epoch == start + 2
-
-    def test_auto_expiry_bumps_epoch_without_notify(self):
+class TestRegimeListeners:
+    def test_auto_expiry_does_not_notify(self):
         src = source(SignalProfile(burst_probability=0.9))
         calls = []
-        src.subscribe_regime(lambda: calls.append(src.epoch))
+        src.subscribe_regime(lambda: calls.append(src.active))
         src.begin_use(0.0, duration=1.0)
-        assert len(calls) == 1
-        before = src.epoch
+        assert calls == [True]
         src.read(2.0)  # auto-expires inside the read
-        assert src.epoch == before + 1
-        assert len(calls) == 1  # no notification for self-observed expiry
+        assert not src.active
+        assert calls == [True]  # no notification for self-observed expiry
 
 
 class TestCaptureRestore:

@@ -82,7 +82,8 @@ class TestStreamBatch:
         words = seed_sequence_words(seeds)
         assert words.shape == (len(seeds), 4)
         assert words.dtype == np.uint64
-        batch = StreamBatch((seed, "s") for seed in seeds)
+        batch = StreamBatch()
+        batch.seed((seed, "s") for seed in seeds)
         for seed, row in zip(seeds, words):
             expected = np.random.SeedSequence(seed).generate_state(4, np.uint64)
             assert row.tolist() == expected.tolist()
@@ -94,10 +95,11 @@ class TestStreamBatch:
 
     def test_streams_take_from_the_batch_then_seed_on_their_own(self):
         fork = RandomStreams(7).fork("home")
-        batch = StreamBatch([(fork.master_seed, "radio")])
+        batch = StreamBatch()
+        batch.seed([(fork.master_seed, "radio")])
         batched = RandomStreams(7, batch).fork("home")
         assert batched.get("radio") is batched.get("radio")
-        assert len(batch) == 0
+        assert batch.take(fork.master_seed, "radio") is None
         for name in ("radio", "signal.1"):
             assert (
                 batched.get(name).bit_generator.state
@@ -123,7 +125,9 @@ class TestStreamBatch:
     def test_batched_generators_pickle(self):
         import pickle
 
-        rng = StreamBatch([(1, "a")]).take(1, "a")
+        batch = StreamBatch()
+        batch.seed([(1, "a")])
+        rng = batch.take(1, "a")
         copy = pickle.loads(pickle.dumps(rng))
         assert copy.random(4).tolist() == rng.random(4).tolist()
 

@@ -10,7 +10,7 @@ class TestEmit:
         trace = TraceRecorder()
         trace.emit(1.0, "a", x=1)
         trace.emit(2.0, "b", y=2)
-        assert [e.category for e in trace] == ["a", "b"]
+        assert [e.category for e in trace.entries()] == ["a", "b"]
         assert len(trace) == 2
 
     def test_out_of_order_rejected(self):
@@ -48,13 +48,13 @@ class TestQueries:
         return trace
 
     def test_prefix_filter(self, trace):
-        assert len(trace.entries("reminder")) == 3
-        assert len(trace.entries("reminder.prompt")) == 2
+        assert trace.count("reminder") == 3
+        assert trace.count("reminder.prompt") == 2
 
     def test_prefix_does_not_match_partial_words(self):
         trace = TraceRecorder()
         trace.emit(1.0, "reminders")
-        assert trace.entries("reminder") == []
+        assert trace.count("reminder") == 0
 
     def test_between(self, trace):
         entries = trace.between(2.0, 3.0)
@@ -63,14 +63,6 @@ class TestQueries:
     def test_count(self, trace):
         assert trace.count("reminder.prompt") == 2
         assert trace.count("nothing") == 0
-
-    def test_clear_keeps_listeners(self, trace):
-        seen = []
-        trace.on_emit(seen.append)
-        trace.clear()
-        assert len(trace) == 0
-        trace.emit(9.0, "x")
-        assert len(seen) == 1
 
 
 class TestListeners:

@@ -49,8 +49,7 @@ HOT_PATH_CLASSES = {
 }
 DENSE_OWNER = "rl/dense.py"
 DENSE_PRIVATE = {
-    "_flat", "_written", "_frozen", "_thaw", "_grow", "_grow_count",
-    "_g0", "_g0_view",
+    "_flat", "_written", "_grow", "_grow_count", "_g0", "_g0_view",
 }
 
 

@@ -126,7 +126,7 @@ def test_trace_enabled_after_build_records_every_entry(
             definition, home, config, spec.episodes_per_home,
             spec.training_episodes, cache,
         )
-        for entry in systems[-1].trace:
+        for entry in systems[-1].trace.entries():
             categories.add(entry.category.split(".")[0])
             digest.update(repr(
                 (entry.time, entry.category, sorted(entry.payload.items()))
