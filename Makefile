@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test report bench bench-pairs reach knobs ziggurat-tables
+.PHONY: test report bench bench-pairs reach knobs lines ziggurat-tables
 
 test:
 	$(PYTHON) -m pytest tests/
@@ -36,7 +36,7 @@ bench-pairs:
 	done
 
 # Lists the src/repro functions that no report, fleet, CLI verb or
-# example calls (about 45 s); it never edits the tree.
+# example calls (about 15 s); it never edits the tree.
 reach:
 	$(PYTHON) -m tests.reach
 
@@ -46,6 +46,12 @@ reach:
 # edits the tree.
 knobs:
 	$(PYTHON) -m tests.reach --knobs
+
+# The statement audit: the statements of called src/repro functions
+# that the same roots and the four benchmark workloads never run,
+# judged by AST statement span (about 20 s); it never edits the tree.
+lines:
+	$(PYTHON) -m tests.reach --lines
 
 # Re-derives src/repro/sim/ziggurat.py from the installed numpy; run it
 # when tests/test_sim_ziggurat.py reports that numpy's ziggurat changed.

@@ -57,17 +57,6 @@ class NGramPredictor:
             return None
         return min(successors, key=lambda step: (-successors[step], step))
 
-    def distribution(
-        self, previous_step_id: int, current_step_id: int
-    ) -> Dict[int, float]:
-        """P(successor | context), empty dict for unseen contexts."""
-        context = self._context(previous_step_id, current_step_id)
-        successors = self._counts.get(context)
-        if not successors:
-            return {}
-        total = sum(successors.values())
-        return {step: count / total for step, count in successors.items()}
-
     def _context(self, previous: int, current: int) -> Tuple[int, ...]:
         if self.order == 1:
             return (current,)

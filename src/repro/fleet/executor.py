@@ -30,30 +30,23 @@ import os
 import shutil
 import tempfile
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.adls.library import ADLDefinition, default_registry
+from repro.core.adl import ADL
 from repro.core.config import CoReDAConfig
-from repro.core.errors import CoReDAError
 from repro.evalx.parallel import Cell, WorkerPool, run_cells
 from repro.fleet.home import HomeRuntime, restore_memo, train_home_policy
 from repro.fleet.metrics import FleetMetrics
 from repro.fleet.shard import simulate_shard
 from repro.fleet.spec import FleetSpec, HomeSpec, distinct_trainings
-from repro.planning.action import action_space
-from repro.planning.binary import pack_policy_artifact, read_policy_artifact
 from repro.planning.shm import (
     PolicyArena,
     activate_local_arena,
     deactivate_local_arena,
     install_worker_registry,
 )
-from repro.planning.store import (
-    ARTIFACT_SUFFIX,
-    PolicyCache,
-    training_cache_key,
-)
+from repro.planning.store import PolicyCache, training_cache_key
 
 __all__ = ["FleetResult", "run_fleet"]
 
@@ -130,7 +123,7 @@ def _shard_cell(
 
     The shard's :class:`~repro.fleet.home.HomeRuntime` resolves
     policies through the shared-memory arena installed by the pool
-    initializer, falling back to the mmap'd sidecar, then JSON.
+    initializer, falling back to the JSON document.
     ``cache_keys`` maps each training key of the fleet to its cache
     key, computed once in the parent.
     """
@@ -169,38 +162,18 @@ def _fleet_cache_keys(
 
 
 def _publish_policies(
-    arena: PolicyArena,
-    cache_root: str,
-    keys: Iterable[str],
-    definition: ADLDefinition,
+    arena: PolicyArena, cache: PolicyCache, keys: Iterable[str], adl: ADL
 ) -> None:
-    """Publish each trained policy's packed artifact into the arena.
+    """Publish each trained policy, packed by the cache, into the arena.
 
-    Prefers the binary sidecar wave 1 wrote (validated before
-    publishing); a missing or undecodable sidecar is re-packed from
-    the canonical JSON document.  A key that cannot be packed at all
-    is simply not published -- the workers fall back to JSON for it,
-    trading speed, never correctness.
+    A key the cache cannot pack is simply not published -- the workers
+    restore it from its JSON document, trading speed, never
+    correctness.
     """
-    root = Path(cache_root)
     for key in keys:
-        payload: Optional[bytes] = None
-        try:
-            payload = (root / f"{key}{ARTIFACT_SUFFIX}").read_bytes()
-            read_policy_artifact(payload)
-        except (OSError, CoReDAError):
-            payload = None
-        if payload is None:
-            try:
-                document = json.loads(
-                    (root / f"{key}.json").read_text(encoding="utf-8")
-                )
-                payload = pack_policy_artifact(
-                    document, action_space(definition.adl)
-                )
-            except (OSError, ValueError, CoReDAError):
-                continue
-        arena.publish(key, payload)
+        payload = cache.get_artifact(key, adl)
+        if payload is not None:
+            arena.publish(key, payload)
 
 
 def run_fleet(
@@ -213,9 +186,10 @@ def run_fleet(
     created for the run and removed afterwards -- policy sharing
     *within* the fleet works either way.
 
-    Between the waves each distinct training's binary artifact is
-    published into a shared-memory arena once, and every wave-2
-    worker serves it zero-copy.  Metrics and cache accounting are
+    Between the waves the cache packs each distinct training's document
+    once (:meth:`~repro.planning.store.PolicyCache.get_artifact`), the
+    packed bytes are published into a shared-memory arena, and every
+    wave-2 worker serves them zero-copy.  Metrics and cache accounting are
     byte-identical to restoring every policy from its JSON document
     (``tests/oracles/fleet.py`` keeps that path, and the tests pin
     the two against each other).  Each process restores a distinct
@@ -229,10 +203,11 @@ def run_fleet(
     own_cache = cache_dir is None
     if own_cache:
         cache_dir = tempfile.mkdtemp(prefix="repro-fleet-cache-")
-    else:
+    cache = PolicyCache(cache_dir)
+    if not own_cache:
         # The run's one sweep for temps of writers that died mid-put;
         # cells never sweep.
-        PolicyCache(cache_dir).sweep_stale_temps()
+        cache.sweep_stale_temps()
     metrics = FleetMetrics()
     cache_keys = _fleet_cache_keys(
         definition, representatives, config, spec.training_episodes
@@ -270,7 +245,7 @@ def run_fleet(
                 )
             ]
             train_stats, _ = run_cells(train_cells, jobs=jobs, pool=pool)
-            _publish_policies(arena, cache_dir, cache_keys, definition)
+            _publish_policies(arena, cache, cache_keys, definition.adl)
             activate_local_arena(arena)
             shard_cells = [
                 Cell(

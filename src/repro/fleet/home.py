@@ -64,15 +64,14 @@ class HomeRuntime:
     share one; the home builds its own.)
 
     The trained policy is restored from the shared-memory arena first
-    (:func:`repro.planning.shm.arena_artifact`), then the mmap'd
-    binary sidecar, then the canonical JSON document through
-    :func:`train_routine_cached`.  Every tier serves the same
-    training, so results are byte-identical whichever tier answers,
-    and each successful restore counts exactly one cache hit -- the
-    hit/miss accounting cannot depend on the tier or the shard
-    layout.  A runtime built inside :func:`restore_memo` shares its
-    restored policies with the other shards of the run in this
-    process.
+    (:func:`repro.planning.shm.arena_artifact`), then from the JSON
+    document through :func:`train_routine_cached`, which retrains on
+    a miss.  Every tier serves the same training, so results are
+    byte-identical whichever tier answers, and each successful restore
+    counts exactly one cache hit -- the hit/miss accounting cannot
+    depend on the tier or the shard layout.  A runtime built inside
+    :func:`restore_memo` shares its restored policies with the other
+    shards of the run in this process.
 
     ``cache_keys`` maps training keys to their content-addressed
     cache keys when the caller already computed them (the fleet
@@ -169,11 +168,6 @@ class HomeRuntime:
         if artifact is not None and artifact.matches(adl):
             if cache is not None:
                 cache.hits += 1
-        else:
-            artifact = (
-                cache.get_artifact(key, adl) if cache is not None else None
-            )
-        if artifact is not None:
             return training_from_artifact(
                 artifact, self.config.planning
             ).predictor(adl)

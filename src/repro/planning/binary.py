@@ -1,13 +1,13 @@
-"""Packed binary policy artifacts: mmap-able, zero-copy, JSON-equal.
+"""Packed binary policy artifacts: zero-copy and JSON-equal.
 
-The JSON training document (:mod:`repro.planning.store`) stays the
-canonical, versioned, human-inspectable format.  This module adds a
-*sidecar* representation of the same training -- a single packed
-buffer holding the interned state/action tables and the raw row-major
-float64 ``DenseQTable`` matrix -- that a fleet worker can map into
-its address space and serve **without parsing**: the Q matrix, the
-written mask and the learning curves are NumPy views straight over
-the mapped bytes (``np.frombuffer``).  The restored
+The JSON training document (:mod:`repro.planning.store`) is the
+canonical, versioned, human-inspectable format and the only one on
+disk.  This module packs the same training into one buffer -- the
+interned state/action tables and the raw row-major float64
+``DenseQTable`` matrix -- that the fleet publishes into shared memory
+(:mod:`repro.planning.shm`) and every worker serves **without
+parsing**: the Q matrix, the written mask and the learning curves are
+NumPy views straight over the shared bytes (``np.frombuffer``).  The restored
 :class:`~repro.rl.dense.DenseQTable` copies the Q matrix and the
 written mask once into its own storage: a few dozen cells per
 training, restored once per training per process.
@@ -89,7 +89,7 @@ _CURVE_KEYS = ("behaviour", "smoothed", "greedy", "minimal")
 
 
 class PolicyArtifactError(CoReDAError):
-    """A sidecar that cannot be decoded (truncated, corrupt, stale)."""
+    """A packed buffer that cannot be decoded (truncated, corrupt, stale)."""
 
 
 def _align(offset: int) -> int:
@@ -100,13 +100,13 @@ def _align(offset: int) -> int:
 def pack_policy_artifact(
     document: dict, actions: Sequence[PromptAction]
 ) -> bytes:
-    """Pack a JSON training document into the binary sidecar format.
+    """Pack a JSON training document into the binary artifact format.
 
     ``actions`` must be the deployment's full action space (in
     canonical order); every entry of the document must reference one
     of them, or the document is not packable (a stale or foreign
     document raises :class:`PolicyArtifactError` rather than writing
-    a sidecar that could not serve the deployment).
+    an artifact that could not serve the deployment).
     """
     actions = tuple(actions)
     action_cols = {}
@@ -190,9 +190,9 @@ def pack_policy_artifact(
 class PolicyArtifact:
     """A decoded view over one packed policy buffer.
 
-    Holds read-only NumPy views *into* the backing buffer (an
-    ``mmap``, a ``SharedMemory.buf`` or plain bytes); :meth:`qtable`
-    copies the Q matrix and written mask out of them.  The artifact
+    Holds read-only NumPy views *into* the backing buffer (a
+    ``SharedMemory.buf`` or plain bytes); :meth:`qtable` copies the Q
+    matrix and written mask out of them.  The artifact
     keeps the backing object alive for as long as any view of it is
     reachable.
     """
@@ -301,11 +301,11 @@ def _view(
 def read_policy_artifact(buffer: object) -> PolicyArtifact:
     """Decode a packed artifact without copying its bulk data.
 
-    ``buffer`` is anything NumPy can view (``mmap``, ``memoryview``,
-    ``bytes``).  Raises :class:`PolicyArtifactError` on any structural
-    problem -- short buffer, bad magic, version skew, length overrun
-    or a CRC mismatch -- so callers can treat every
-    failure as "no sidecar" and fall back to JSON.
+    ``buffer`` is anything NumPy can view (``SharedMemory.buf``,
+    ``memoryview``, ``bytes``).  Raises :class:`PolicyArtifactError` on
+    any structural problem -- short buffer, bad magic, version skew,
+    length overrun or a CRC mismatch -- so callers can treat every
+    failure as "no artifact" and fall back to JSON.
     """
     view = memoryview(buffer)
     if len(view) < 12 or bytes(view[:4]) != MAGIC:

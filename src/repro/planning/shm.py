@@ -245,8 +245,7 @@ def arena_artifact(key: str) -> Optional[PolicyArtifact]:
     Resolution order: the parent's local arena (inline execution),
     the per-process attach memo, then a fresh attach via the
     installed registry.  Every failure path returns ``None`` so the
-    caller can fall through to the mmap'd sidecar and finally the
-    canonical JSON document.
+    caller can fall through to the canonical JSON document.
     """
     for arena in reversed(_LOCAL_ARENAS):
         artifact = arena.artifact(key)

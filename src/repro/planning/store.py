@@ -12,31 +12,27 @@ key is a SHA-256 over the ADL name, the routine, the learner and its
 hyper-parameters, the training-set size and the RNG seed, so two
 sweeps that would train byte-identical Q-tables share one cache
 entry and the second one skips retraining entirely
-(:func:`train_routine_cached`).
+(:func:`train_routine_cached`).  An entry is one file,
+``<key>.json``; this module is the only one that knows the layout.
+The fleet's shared-memory arena serves the same document packed
+(:meth:`PolicyCache.get_artifact`), never a second file.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import mmap
 import os
 import tempfile
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
 from repro.core.adl import ADL, ReminderLevel, Routine
 from repro.core.config import PlanningConfig
 from repro.core.errors import CoReDAError
 from repro.planning.action import PromptAction, action_space
-from repro.planning.binary import (
-    PolicyArtifact,
-    pack_policy_artifact,
-    read_policy_artifact,
-)
+from repro.planning.binary import PolicyArtifact, pack_policy_artifact
 from repro.planning.predictor import NextStepPredictor
 from repro.planning.state import PlanningState
 from repro.planning.trainer import LearningCurve, RoutineTrainer, TrainingResult
@@ -49,7 +45,6 @@ __all__ = [
     "save_predictor",
     "load_predictor",
     "FORMAT_VERSION",
-    "ARTIFACT_SUFFIX",
     "PolicyCache",
     "CachedTraining",
     "training_cache_key",
@@ -62,12 +57,6 @@ __all__ = [
 
 #: Bump when the on-disk layout changes incompatibly.
 FORMAT_VERSION = 1
-
-#: Extension of the packed binary sidecar written next to each JSON
-#: document (see :mod:`repro.planning.binary`).  The JSON document
-#: stays canonical; the sidecar is a pure serving optimization and
-#: every reader falls back to JSON when it is missing or undecodable.
-ARTIFACT_SUFFIX = ".qbin"
 
 
 def _entries_from_qtable(q: DenseQTable) -> List[dict]:
@@ -261,76 +250,41 @@ class PolicyCache:
     def path_for(self, key: str) -> Path:
         return self.root / f"{key}.json"
 
-    def artifact_path_for(self, key: str) -> Path:
-        """Where ``key``'s binary sidecar lives (if it exists)."""
-        return self.root / f"{key}{ARTIFACT_SUFFIX}"
+    def _read(self, key: str) -> Optional[dict]:
+        try:
+            return json.loads(self.path_for(key).read_text(encoding="utf-8"))
+        except (OSError, ValueError):
+            return None
 
     def get(self, key: str) -> Optional[dict]:
         """The cached document for ``key``, or ``None`` (a missing or
         unreadable entry counts as a miss)."""
-        try:
-            document = json.loads(
-                self.path_for(key).read_text(encoding="utf-8")
-            )
-        except (OSError, ValueError):
+        document = self._read(key)
+        if document is None:
             self.misses += 1
-            return None
-        self.hits += 1
+        else:
+            self.hits += 1
         return document
 
-    def get_artifact(
-        self, key: str, adl: Optional[ADL] = None
-    ) -> Optional[PolicyArtifact]:
-        """The ``mmap``-backed binary artifact for ``key``, or ``None``.
+    def get_artifact(self, key: str, adl: ADL) -> Optional[bytes]:
+        """``key``'s document packed over ``action_space(adl)``, or ``None``.
 
-        Success counts as a cache hit (the training *was* served from
-        this cache); every failure -- missing sidecar, truncation,
-        corruption, ADL mismatch -- returns ``None`` **without**
-        counting, so the caller's JSON fallback does the accounting
-        exactly once per lookup.
+        The bytes are what :func:`~repro.planning.binary.read_policy_artifact`
+        decodes and the fleet's arena publishes.  A missing, unreadable
+        or unpackable entry returns ``None``.  Packing is not a lookup:
+        the hit/miss counters do not move.
         """
-        path = self.artifact_path_for(key)
-        try:
-            with open(path, "rb") as handle:
-                mapped = mmap.mmap(
-                    handle.fileno(), 0, access=mmap.ACCESS_READ
-                )
-        except (OSError, ValueError):
+        document = self._read(key)
+        if document is None:
             return None
         try:
-            artifact = read_policy_artifact(mapped)
-        except CoReDAError:
-            try:
-                mapped.close()
-            except BufferError:
-                # The in-flight exception's traceback still references
-                # a view of the map; the GC closes it once that frees.
-                pass
+            return pack_policy_artifact(document, action_space(adl))
+        except (CoReDAError, ValueError):
             return None
-        if adl is not None and not artifact.matches(adl):
-            return None
-        self.hits += 1
-        return artifact
 
-    def put(
-        self,
-        key: str,
-        document: dict,
-        actions: Optional[Sequence[PromptAction]] = None,
-    ) -> None:
-        """Store ``document`` under ``key`` (atomic, last write wins).
-
-        With ``actions`` (the deployment's action space), a packed
-        binary sidecar is written next to the document so later
-        readers can serve the policy without parsing; the sidecar
-        uses the same atomic temp-and-rename protocol.
-        """
-        self._write_atomic(self.path_for(key), json.dumps(document).encode("utf-8"))
-        if actions is not None:
-            blob = pack_policy_artifact(document, actions)
-            self._write_atomic(self.artifact_path_for(key), blob)
-
-    def _write_atomic(self, path: Path, blob: bytes) -> None:
+    def put(self, key: str, document: dict) -> None:
+        """Store ``document`` under ``key`` (atomic, last write wins)."""
+        blob = json.dumps(document).encode("utf-8")
         # The ``.part`` suffix keeps in-flight temps out of ``*.json``
         # globs (pathlib's ``*`` matches a leading dot, so a crashed
         # writer's ``.tmp-*.json`` leftover used to inflate __len__).
@@ -340,7 +294,7 @@ class PolicyCache:
         try:
             with os.fdopen(fd, "wb") as handle:
                 handle.write(blob)
-            os.replace(tmp, path)
+            os.replace(tmp, self.path_for(key))
         except BaseException:
             try:
                 os.unlink(tmp)
@@ -359,6 +313,7 @@ class PolicyCache:
         return self.hits, self.misses
 
     def __len__(self) -> int:
+        """The number of entries (only ``<key>.json`` files count)."""
         return sum(
             1
             for path in self.root.glob("*.json")
@@ -494,7 +449,7 @@ def train_routine_cached(
         )
         document = training_document(result, adl.name)
         if cache is not None:
-            cache.put(key, document, actions=action_space(adl))
+            cache.put(key, document)
         cache_hit = False
     else:
         cache_hit = True

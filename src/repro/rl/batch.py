@@ -148,12 +148,6 @@ class ShardPredictor:
         """The prompt for ``state`` = ⟨previous StepID, current StepID⟩."""
         return self._policy.lookup(state)
 
-    def predict_next_tool(
-        self, previous_step_id: int, current_step_id: int
-    ) -> int:
-        """Just the ToolID of the predicted next step."""
-        return self._policy.lookup((previous_step_id, current_step_id)).tool_id
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"ShardPredictor(actions={len(self.actions)}, "

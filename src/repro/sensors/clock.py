@@ -15,23 +15,18 @@ __all__ = ["RealTimeClock"]
 
 
 class RealTimeClock:
-    """A drifting clock: local = offset + (1 + ppm*1e-6) * wall."""
+    """A drifting clock: local = (1 + ppm*1e-6) * wall."""
 
     def __init__(self, drift_ppm: float = 20.0) -> None:
         self.drift_ppm = float(drift_ppm)
-        self.offset = 0.0
 
     def local_time(self, wall_time: float) -> float:
         """The node's idea of the time at true simulated ``wall_time``."""
-        return self.offset + wall_time * (1.0 + self.drift_ppm * 1e-6)
+        return wall_time * (1.0 + self.drift_ppm * 1e-6)
 
     def skew_at(self, wall_time: float) -> float:
         """Accumulated deviation from wall time, seconds."""
         return self.local_time(wall_time) - wall_time
 
-    def resync(self, wall_time: float) -> None:
-        """Zero the skew at ``wall_time`` (e.g. a time-sync beacon)."""
-        self.offset -= self.skew_at(wall_time)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"RealTimeClock(drift_ppm={self.drift_ppm}, offset={self.offset})"
+        return f"RealTimeClock(drift_ppm={self.drift_ppm})"

@@ -68,10 +68,6 @@ class TraceRecorder:
         """All entries, in time order."""
         return list(self._entries)
 
-    def between(self, start: float, end: float) -> List[TraceEntry]:
-        """Entries with ``start <= time <= end``."""
-        return [e for e in self._entries if start <= e.time <= end]
-
     def count(self, prefix: str) -> int:
         """Number of entries under ``prefix``."""
         return sum(1 for e in self._entries if e.matches(prefix))

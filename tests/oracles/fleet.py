@@ -10,10 +10,9 @@ can execute on the oracle.  Unlike production homes, an oracle home
 records its full trace and counts its errors from it.
 
 Production homes restore their trained policy from the shared-memory
-arena, then the mmap'd binary sidecar, then JSON.
-:class:`JsonHomeRuntime` is the reference restore -- always the
-canonical JSON document -- and :func:`json_restore` swaps it into the
-fleet executor.
+arena, then from the JSON document.  :class:`JsonHomeRuntime` is the
+reference restore -- always the canonical JSON document -- and
+:func:`json_restore` swaps it into the fleet executor.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ __all__ = [
 
 class JsonHomeRuntime(HomeRuntime):
     """A :class:`HomeRuntime` restoring every policy from its JSON
-    document, never from the arena or the binary sidecar."""
+    document, never from the arena."""
 
     __slots__ = ()
 

@@ -21,6 +21,16 @@ A name-matched AST scan of ``src/repro``, ``tests``, ``examples`` and
 pass it) or "src passes the default" (some call in ``src/repro``
 passes it, always with the default's value).  ``Cell(fn, args,
 kwargs)`` counts as a call of ``fn``.
+
+``python -m tests.reach --lines`` (or ``make lines``) is the statement
+audit.  It runs the same roots and workloads as ``--knobs`` under
+``sys.settrace`` and lists every statement of a called ``src/repro``
+function that never ran, as ``path:line qualname``.  A statement is
+judged by its AST span: a simple statement ran when any of its lines
+ran, and a compound one (``if``, ``for``, ``try``, a nested ``def``
+...) when its header lines ran; its body's statements are judged on
+their own.  Docstrings, ``global`` and bare annotations compile to no
+code and are not counted.
 """
 
 from __future__ import annotations
@@ -118,17 +128,20 @@ def run_workloads(tmp: Path) -> None:
         run(workload.jobs_here(), {})
 
 
-def _profiled(roots, tmp: Path, record) -> None:
+def _profiled(roots, tmp: Path, record, trace: bool = False) -> None:
+    """Run ``roots`` with ``record`` as the profile (or trace) function."""
+    hooks = (sys.settrace, threading.settrace) if trace else (
+        sys.setprofile, threading.setprofile)
     with open(os.devnull, "w") as null, contextlib.redirect_stdout(null), \
             contextlib.redirect_stderr(null):
-        threading.setprofile(record)
-        sys.setprofile(record)
+        for hook in reversed(hooks):
+            hook(record)
         try:
             for root in roots:
                 root(tmp)
         finally:
-            sys.setprofile(None)
-            threading.setprofile(None)
+            for hook in hooks:
+                hook(None)
 
 
 def reach() -> int:
@@ -366,12 +379,123 @@ def knobs() -> int:
     return 0
 
 
+# -- the statement audit ---------------------------------------------------
+
+#: Statements that compile to no code, so no line event can mark them.
+_SILENT = (ast.Global, ast.Nonlocal)
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _is_docstring(node, body) -> bool:
+    return (node is body[0] and isinstance(node, ast.Expr)
+            and isinstance(node.value, ast.Constant)
+            and isinstance(node.value.value, str))
+
+
+def _first_line(node) -> int:
+    decorators = getattr(node, "decorator_list", None)
+    return min([node.lineno] + [d.lineno for d in decorators or ()])
+
+
+def _span(node) -> range:
+    """The lines that mark ``node`` as run: a compound statement's
+    header (up to its first child statement), a simple one's whole span."""
+    body = getattr(node, "body", None)
+    if isinstance(body, list) and body:
+        return range(_first_line(node), max(node.lineno, body[0].lineno - 1) + 1)
+    return range(node.lineno, node.end_lineno + 1)
+
+
+def _statements(body):
+    """Every statement of a function body, nested blocks included, but
+    not the bodies of nested functions and classes (their own code)."""
+    for node in body:
+        if _is_docstring(node, body) or isinstance(node, _SILENT) or (
+                isinstance(node, ast.AnnAssign) and node.value is None):
+            continue
+        yield node
+        if isinstance(node, _DEFS):
+            continue
+        for field in ("body", "orelse", "finalbody"):
+            yield from _statements(getattr(node, field, None) or [])
+        for child in getattr(node, "handlers", None) or getattr(node, "cases", None) or ():
+            yield from _statements(child.body)
+
+
+def function_bodies(path: Path):
+    """``{(first line, qualname): statements}`` of every function in ``path``."""
+    found = {}
+
+    def walk(body, prefix):
+        for node in body:
+            if isinstance(node, _DEFS):
+                qualname = prefix + node.name
+                if isinstance(node, ast.ClassDef):
+                    walk(node.body, qualname + ".")
+                else:
+                    found[_first_line(node), qualname] = list(_statements(node.body))
+                    walk(node.body, qualname + ".<locals>.")
+            else:
+                for field in ("body", "orelse", "finalbody"):
+                    walk(getattr(node, field, None) or [], prefix)
+                for child in getattr(node, "handlers", None) or ():
+                    walk(child.body, prefix)
+
+    walk(ast.parse(path.read_text(), str(path)).body, "")
+    return found
+
+
+def lines() -> int:
+    src = str(SRC) + os.sep
+    inside: Dict[str, bool] = {}
+    called = set()
+    ran = set()
+
+    def local(frame, event, arg):
+        if event == "line":
+            ran.add((frame.f_code.co_filename, frame.f_lineno))
+        return local
+
+    def record(frame, event, arg):
+        code = frame.f_code
+        path = code.co_filename
+        if path not in inside:
+            inside[path] = os.path.realpath(path).startswith(src)
+        if not inside[path]:
+            return None
+        called.add(code)
+        return local
+
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory() as tmp:
+        _profiled([run_roots, run_workloads], Path(tmp), record, trace=True)
+    ran = {(os.path.realpath(path), line) for path, line in ran}
+    bodies = {}
+    total = 0
+    never = []
+    for path, first, qualname in sorted({_key(code) for code in called}):
+        if path not in bodies:
+            bodies[path] = function_bodies(Path(path))
+        for node in bodies[path].get((first, qualname), ()):
+            total += 1
+            if not any((path, line) in ran for line in _span(node)):
+                never.append(f"{os.path.relpath(path, ROOT)}:{node.lineno} {qualname}")
+    for entry in never:
+        print(entry)
+    print(f"{len(never)} of {total} statements in called src/repro functions "
+          f"never run ({time.perf_counter() - start:.0f} s)")
+    return 0
+
+
+MODES = {"--knobs": knobs, "--lines": lines}
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    if argv not in ([], ["--knobs"]):
-        print("usage: python -m tests.reach [--knobs]", file=sys.stderr)
+    if argv and (len(argv) > 1 or argv[0] not in MODES):
+        print("usage: python -m tests.reach [--knobs | --lines]", file=sys.stderr)
         return 2
-    return knobs() if argv else reach()
+    return MODES[argv[0]]() if argv else reach()
 
 
 if __name__ == "__main__":

@@ -61,15 +61,6 @@ class TestNGram:
         model = NGramPredictor(order=1).fit(episodes)
         assert model.predict_next_tool(IDLE_STEP_ID, 1) == 2
 
-    def test_distribution_normalized(self):
-        model = NGramPredictor(order=1).fit([[1, 2]] * 3 + [[1, 3]])
-        distribution = model.distribution(0, 1)
-        assert sum(distribution.values()) == pytest.approx(1.0)
-        assert distribution[2] == pytest.approx(0.75)
-
-    def test_distribution_empty_for_unseen(self):
-        assert NGramPredictor().distribution(0, 99) == {}
-
     def test_order_validation(self):
         with pytest.raises(ValueError):
             NGramPredictor(order=3)

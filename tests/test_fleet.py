@@ -13,6 +13,7 @@ import dataclasses
 import gc
 import json
 import math
+import os
 import statistics
 import weakref
 
@@ -425,7 +426,7 @@ class TestPolicyPlanes:
     """Zero-copy restore vs the JSON reference restore.
 
     Production shard cells serve policies from the shared-memory arena
-    (then the mmap'd sidecar, then JSON); ``serial_result`` and every
+    (then the JSON document); ``serial_result`` and every
     other byte-identity test in this module run that path.  These pin
     the JSON-only oracle restore of ``tests/oracles/fleet.py`` against
     it: the same bytes and the same cache accounting at any
@@ -470,6 +471,38 @@ class TestPolicyPlanes:
 
         run_fleet(SPEC, jobs=2)
         assert glob.glob("/dev/shm/rpp*") == []
+
+
+class TestCacheLayout:
+    """A cache keeps one ``<key>.json`` per distinct training."""
+
+    def test_cold_run_leaves_one_json_per_training(self, tmp_path):
+        cache_dir = tmp_path / "cache"
+        result = run_fleet(SPEC, jobs=1, cache_dir=str(cache_dir))
+        names = sorted(os.listdir(cache_dir))
+        assert len(names) == result.distinct_trainings
+        assert all(name.endswith(".json") for name in names)
+
+    def test_old_layout_cache_serves_without_training(self, tmp_path):
+        # Earlier versions wrote a packed ``<key>.qbin`` next to each
+        # document; a cache they filled must serve with 0 trainings and
+        # the same bytes.
+        from repro.adls.library import default_registry
+
+        cache_dir = tmp_path / "cache"
+        run_fleet(SPEC, jobs=1, cache_dir=str(cache_dir))
+        warm = run_fleet(SPEC, jobs=1, cache_dir=str(cache_dir))
+        cache = PolicyCache(cache_dir)
+        adl = default_registry().get(SPEC.adl_name).adl
+        for document in sorted(cache_dir.glob("*.json")):
+            document.with_suffix(".qbin").write_bytes(
+                cache.get_artifact(document.stem, adl)
+            )
+        assert len(cache) == warm.distinct_trainings
+        for jobs in (1, 2):
+            old_layout = run_fleet(SPEC, jobs=jobs, cache_dir=str(cache_dir))
+            assert old_layout.metrics.cache_misses == 0
+            assert old_layout.to_json() == warm.to_json()
 
 
 class TestWarmFleetCounts:

@@ -1,16 +1,17 @@
-"""The binary policy artifact and the cache paths that serve it.
+"""The binary policy artifact, the cache's packer and the cache layout.
 
-The packed sidecar (``.qbin``) is a pure serving optimization of the
-canonical JSON document: the tests pin byte-identity between the two
-restore paths (same greedy predictions, same Q values, same curve and
-convergence), restored tables that own their storage, clean
-JSON fallback on any corruption, and the decode-once memo of
-``PolicyCache.get``.
+The packed artifact is the form of the canonical JSON document that
+the fleet's shared-memory arena serves: the tests pin byte-identity
+between the two restore paths (same greedy predictions, same Q values,
+same curve and convergence), restored tables that own their storage,
+a reader that refuses any corrupt buffer, and a cache that keeps one
+``<key>.json`` file per training and counts every ``get``.
 """
 
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from repro.core.config import PlanningConfig
 from repro.core.errors import CoReDAError
 from repro.planning.action import action_space
 from repro.planning.binary import (
-    MAGIC,
     PolicyArtifactError,
     pack_policy_artifact,
     read_policy_artifact,
@@ -45,21 +45,18 @@ def trained_cache(tmp_path, tea_adl):
     return cache, key, warm
 
 
-class TestArtifactRoundTrip:
-    def test_sidecar_written_next_to_json(self, trained_cache):
-        cache, key, _ = trained_cache
-        sidecar = cache.artifact_path_for(key)
-        assert sidecar.is_file()
-        assert sidecar.read_bytes()[: len(MAGIC)] == MAGIC
-        assert cache.path_for(key).is_file()
+def _artifact(cache, key, adl):
+    return read_policy_artifact(cache.get_artifact(key, adl))
 
+
+class TestArtifactRoundTrip:
     def test_binary_predictor_matches_json_predictor(
         self, trained_cache, tea_adl
     ):
         cache, key, warm = trained_cache
-        artifact = cache.get_artifact(key, tea_adl)
-        assert artifact is not None
-        binary = training_from_artifact(artifact, PlanningConfig())
+        binary = training_from_artifact(
+            _artifact(cache, key, tea_adl), PlanningConfig()
+        )
         json_predictor = warm.predictor(tea_adl)
         bin_predictor = binary.predictor(tea_adl)
         states = episode_states(tea_adl.step_ids)
@@ -72,10 +69,13 @@ class TestArtifactRoundTrip:
             json_predictor.q
         ) == pytest.approx(0.0)
 
-    def test_curve_and_convergence_round_trip_exactly(self, trained_cache):
+    def test_curve_and_convergence_round_trip_exactly(
+        self, trained_cache, tea_adl
+    ):
         cache, key, warm = trained_cache
-        artifact = cache.get_artifact(key)
-        binary = training_from_artifact(artifact, PlanningConfig())
+        binary = training_from_artifact(
+            _artifact(cache, key, tea_adl), PlanningConfig()
+        )
         assert binary.curve.behaviour_accuracy == warm.curve.behaviour_accuracy
         assert binary.curve.smoothed_accuracy == warm.curve.smoothed_accuracy
         assert binary.curve.greedy_accuracy == warm.curve.greedy_accuracy
@@ -85,41 +85,54 @@ class TestArtifactRoundTrip:
         cache, key, _ = trained_cache
         document = cache.get(key)
         blob = pack_policy_artifact(document, action_space(tea_adl))
+        assert cache.get_artifact(key, tea_adl) == blob
         artifact = read_policy_artifact(blob)
         assert artifact.adl_name == tea_adl.name
         assert artifact.matches(tea_adl)
         assert artifact.q.shape[1] == len(action_space(tea_adl))
 
-    def test_wrong_adl_rejected(self, trained_cache):
+    def test_wrong_adl_rejected(self, trained_cache, tea_adl):
         from repro.adls.tooth_brushing import make_tooth_brushing
 
         cache, key, _ = trained_cache
         other = make_tooth_brushing()
         assert cache.get_artifact(key, other) is None
-        artifact = cache.get_artifact(key)
+        artifact = _artifact(cache, key, tea_adl)
         with pytest.raises(CoReDAError):
             artifact.predictor(other, converged=True)
 
+    def test_packing_is_not_a_lookup(self, trained_cache, tea_adl):
+        cache, key, _ = trained_cache
+        stats = cache.stats()
+        assert cache.get_artifact(key, tea_adl) is not None
+        assert cache.get_artifact("missing", tea_adl) is None
+        assert cache.stats() == stats
 
-class TestFrozenCopyOnWrite:
+    def test_unpackable_entry_packs_to_none(self, trained_cache, tea_adl):
+        cache, key, _ = trained_cache
+        document = cache.get(key)
+        document["entries"][0]["tool_id"] = 99
+        cache.put(key, document)
+        assert cache.get_artifact(key, tea_adl) is None
+        cache.path_for(key).write_text("{not json", encoding="utf-8")
+        assert cache.get_artifact(key, tea_adl) is None
+
+
+class TestRestoredTableOwnsStorage:
     """A restored table copies the artifact's read-only arrays once:
     it reads the artifact's values, and its writes never reach them."""
 
-    def test_restored_table_is_frozen_and_readable(
-        self, trained_cache, tea_adl
-    ):
+    def test_restored_table_reads_the_artifact(self, trained_cache, tea_adl):
         cache, key, _ = trained_cache
-        artifact = cache.get_artifact(key, tea_adl)
+        artifact = _artifact(cache, key, tea_adl)
         q = artifact.qtable()
         assert q.as_array().tolist() == artifact.q.tolist()
         state, action = next(iter(q.known_pairs()))
         assert isinstance(q.value(state, action), float)
 
-    def test_write_thaws_without_touching_the_artifact(
-        self, trained_cache, tea_adl
-    ):
+    def test_add_never_touches_the_artifact(self, trained_cache, tea_adl):
         cache, key, _ = trained_cache
-        artifact = cache.get_artifact(key, tea_adl)
+        artifact = _artifact(cache, key, tea_adl)
         q = artifact.qtable()
         state, action = next(iter(q.known_pairs()))
         before = q.value(state, action)
@@ -131,9 +144,9 @@ class TestFrozenCopyOnWrite:
         # went to the table's own copy, never the shared buffer.
         assert artifact.qtable().value(state, action) == before
 
-    def test_set_thaws_too(self, trained_cache, tea_adl):
+    def test_set_never_touches_the_artifact(self, trained_cache, tea_adl):
         cache, key, _ = trained_cache
-        artifact = cache.get_artifact(key, tea_adl)
+        artifact = _artifact(cache, key, tea_adl)
         q = artifact.qtable()
         state, action = next(iter(q.known_pairs()))
         before = q.value(state, action)
@@ -147,7 +160,7 @@ class TestFrozenCopyOnWrite:
         self, trained_cache, tea_adl
     ):
         cache, key, _ = trained_cache
-        artifact = cache.get_artifact(key, tea_adl)
+        artifact = _artifact(cache, key, tea_adl)
         with pytest.raises((ValueError, TypeError)):
             artifact.q[0, 0] = 1.0
         assert isinstance(artifact.q, np.ndarray)
@@ -155,50 +168,33 @@ class TestFrozenCopyOnWrite:
 
 
 class TestCorruptionFallsBackToJson:
-    def test_truncated_sidecar_returns_none_without_counting(
-        self, trained_cache
-    ):
-        cache, key, _ = trained_cache
-        sidecar = cache.artifact_path_for(key)
-        blob = sidecar.read_bytes()
-        sidecar.write_bytes(blob[: len(blob) // 2])
-        hits, misses = cache.stats()
-        assert cache.get_artifact(key) is None
-        assert cache.stats() == (hits, misses)
+    """The arena reader refuses a damaged buffer, so the home restores
+    from the JSON document instead."""
 
-    def test_bit_flip_fails_crc(self, trained_cache):
+    def test_truncated_artifact_rejected(self, trained_cache, tea_adl):
         cache, key, _ = trained_cache
-        sidecar = cache.artifact_path_for(key)
-        blob = bytearray(sidecar.read_bytes())
+        blob = cache.get_artifact(key, tea_adl)
+        for length in (0, 11, len(blob) // 2, len(blob) - 1):
+            with pytest.raises(PolicyArtifactError):
+                read_policy_artifact(blob[:length])
+
+    def test_bit_flip_fails_crc(self, trained_cache, tea_adl):
+        cache, key, _ = trained_cache
+        blob = bytearray(cache.get_artifact(key, tea_adl))
         blob[-1] ^= 0xFF
         with pytest.raises(PolicyArtifactError):
             read_policy_artifact(bytes(blob))
 
-    def test_bad_magic_rejected(self, trained_cache):
+    def test_bad_magic_rejected(self, trained_cache, tea_adl):
         cache, key, _ = trained_cache
-        blob = bytearray(cache.artifact_path_for(key).read_bytes())
+        blob = bytearray(cache.get_artifact(key, tea_adl))
         blob[:4] = b"XXXX"
         with pytest.raises(PolicyArtifactError):
             read_policy_artifact(bytes(blob))
 
-    def test_missing_sidecar_is_silent(self, trained_cache):
-        cache, key, _ = trained_cache
-        cache.artifact_path_for(key).unlink()
-        assert cache.get_artifact(key) is None
 
-    def test_json_path_still_serves_after_corruption(
-        self, trained_cache, tea_adl
-    ):
-        cache, key, warm = trained_cache
-        cache.artifact_path_for(key).write_bytes(b"garbage")
-        assert cache.get_artifact(key, tea_adl) is None
-        document = cache.get(key)
-        assert document is not None
-        assert document["adl"] == tea_adl.name
-
-
-class TestMemoizedGet:
-    def test_repeat_gets_decode_once(self, tmp_path):
+class TestGetAndPut:
+    def test_repeat_gets_count_each_hit(self, tmp_path):
         cache = PolicyCache(tmp_path / "cache")
         cache.put("k", {"format": 1, "n": 1})
         first = cache.get("k")
@@ -206,14 +202,14 @@ class TestMemoizedGet:
         assert first == second == {"format": 1, "n": 1}
         assert cache.stats() == (2, 0)
 
-    def test_put_invalidates_the_memo(self, tmp_path):
+    def test_put_overwrites(self, tmp_path):
         cache = PolicyCache(tmp_path / "cache")
         cache.put("k", {"format": 1, "n": 1})
         cache.get("k")
         cache.put("k", {"format": 1, "n": 2})
         assert cache.get("k")["n"] == 2
 
-    def test_external_rewrite_invalidates_the_memo(self, tmp_path):
+    def test_get_reads_an_external_rewrite(self, tmp_path):
         cache = PolicyCache(tmp_path / "cache")
         cache.put("k", {"format": 1, "n": 1})
         cache.get("k")
@@ -222,10 +218,17 @@ class TestMemoizedGet:
         )
         assert cache.get("k")["n"] == 22222
 
-    def test_deleted_entry_drops_the_memo(self, tmp_path):
+    def test_deleted_entry_is_a_miss(self, tmp_path):
         cache = PolicyCache(tmp_path / "cache")
         cache.put("k", {"format": 1})
         cache.get("k")
         cache.path_for("k").unlink()
         assert cache.get("k") is None
         assert cache.stats() == (1, 1)
+
+
+class TestOneFilePerEntry:
+    def test_put_leaves_one_json_file(self, trained_cache):
+        cache, key, _ = trained_cache
+        assert sorted(os.listdir(cache.root)) == [f"{key}.json"]
+        assert len(cache) == 1

@@ -19,7 +19,6 @@ import pytest
 from repro.core.config import PlanningConfig
 from repro.evalx.parallel import Cell, WorkerPool, run_cells
 from repro.fleet.spec import FleetSpec
-from repro.planning.action import action_space
 from repro.planning.shm import (
     PolicyArena,
     activate_local_arena,
@@ -57,7 +56,7 @@ def packed_policy(tmp_path, tea_adl):
     ids = list(tea_adl.canonical_routine().step_ids)
     train_routine_cached(tea_adl, ids, config, 0, 30, cache=cache)
     key = training_cache_key(tea_adl.name, ids, config, 0, 30)
-    return key, cache.artifact_path_for(key).read_bytes()
+    return key, cache.get_artifact(key, tea_adl)
 
 
 class TestPolicyArena:

@@ -188,10 +188,6 @@ class TestShardPredictor:
                 assert shard.predict((prev, cur)) == q.best_action(
                     (prev, cur), actions
                 )
-                assert (
-                    shard.predict_next_tool(prev, cur)
-                    == q.best_action((prev, cur), actions).tool_id
-                )
 
     def test_exposes_wrapped_metadata(self):
         actions = self.prompt_actions()

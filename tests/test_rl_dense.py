@@ -241,7 +241,7 @@ def _cached_document(backend: str, adl, cache: PolicyCache):
     document = training_document(
         trainer.train([routine] * EPISODES), adl.name
     )
-    cache.put(key, document, actions=action_space(adl))
+    cache.put(key, document)
     return document, False
 
 

@@ -23,10 +23,3 @@ class TestDrift:
         clock = RealTimeClock(drift_ppm=20.0)
         times = [clock.local_time(t) for t in range(0, 1000, 10)]
         assert all(a < b for a, b in zip(times, times[1:]))
-
-    def test_resync_zeroes_skew(self):
-        clock = RealTimeClock(drift_ppm=500.0)
-        clock.resync(1_000.0)
-        assert clock.skew_at(1_000.0) == pytest.approx(0.0)
-        # Drift resumes accumulating afterwards.
-        assert clock.skew_at(2_000.0) == pytest.approx(0.5)

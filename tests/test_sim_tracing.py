@@ -56,10 +56,6 @@ class TestQueries:
         trace.emit(1.0, "reminders")
         assert trace.count("reminder") == 0
 
-    def test_between(self, trace):
-        entries = trace.between(2.0, 3.0)
-        assert [e.category for e in entries] == ["sensing.step", "reminder.praise"]
-
     def test_count(self, trace):
         assert trace.count("reminder.prompt") == 2
         assert trace.count("nothing") == 0
