@@ -1,13 +1,29 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test report bench bench-pairs reach knobs lines ziggurat-tables
+.PHONY: test check report bench bench-pairs reach knobs lines ziggurat-tables
 
 test:
 	$(PYTHON) -m pytest tests/
 
 report:
 	$(PYTHON) -m repro report
+
+# The byte-identity gate in one command: tier-1, the benchmark's own
+# tests, and `report --fast` at --jobs 1 against --jobs 2 with a cold
+# and then a warm --cache (every output cmp-equal); about 35 s.
+check:
+	$(PYTHON) -m pytest -x -q
+	$(PYTHON) -m pytest bench -q
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	$(PYTHON) -m repro report --fast --jobs 1 > "$$dir/serial.txt" && \
+	$(PYTHON) -m repro report --fast --jobs 2 --cache "$$dir/cache" \
+	  > "$$dir/cold.txt" && \
+	$(PYTHON) -m repro report --fast --jobs 2 --cache "$$dir/cache" \
+	  > "$$dir/warm.txt" && \
+	cmp "$$dir/serial.txt" "$$dir/cold.txt" && \
+	cmp "$$dir/serial.txt" "$$dir/warm.txt" && \
+	echo "check: report --fast is byte-identical at --jobs 1 and 2, cold and warm cache"
 
 # Runs the four benchmark workloads of BENCHMARK.json end to end and
 # layer by layer (a few minutes); results go to bench/out/.

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.adl import ADL, ReminderLevel
-from repro.planning.action import PromptAction
+from repro.core.adl import ADL
 
 __all__ = ["FixedSequenceReminder"]
 
@@ -36,19 +35,6 @@ class FixedSequenceReminder:
         if not self.plan.contains(current_step_id):
             return None
         return self.plan.next_step_id(current_step_id)
-
-    def predict(
-        self, previous_step_id: int, current_step_id: int
-    ) -> Optional[PromptAction]:
-        """Prompt-action form of :meth:`predict_next_tool`.
-
-        A fixed-sequence system has no notion of learned minimality;
-        it always prompts SPECIFIC (the fully scripted instruction).
-        """
-        tool_id = self.predict_next_tool(previous_step_id, current_step_id)
-        if tool_id is None:
-            return None
-        return PromptAction(tool_id, ReminderLevel.SPECIFIC)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FixedSequenceReminder(plan={list(self.plan.step_ids)})"

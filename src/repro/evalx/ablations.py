@@ -33,8 +33,6 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.adls.dressing import dressing_definition, dressing_routines
 from repro.adls.library import ADLDefinition
 from repro.core.adl import ADL
@@ -43,12 +41,11 @@ from repro.core.metrics import mean
 from repro.evalx.extract_precision import plan_extract_precision
 from repro.evalx.parallel import Cell, Section, run_section
 from repro.evalx.tables import format_table
-from repro.planning.action import action_space
 from repro.planning.multi_routine import MultiRoutinePlanner
-from repro.planning.rewards_coreda import CoReDAReward
 from repro.planning.state import episode_states
 from repro.planning.store import PolicyCache, train_routine_cached
 from repro.planning.trainer import RoutineTrainer
+from repro.rl.expected_sarsa import ExpectedSarsaLearner
 from repro.rl.sarsa import SarsaLambdaLearner
 from repro.sensors.detector import KofNDetector
 from repro.sensors.signals import SignalProfile, SignalSource
@@ -164,8 +161,6 @@ def _radio_cell(
 
 def _expected_sarsa_cell(adl: ADL, seed: int) -> float:
     """Final greedy accuracy of Expected SARSA on the canonical logs."""
-    from repro.rl.expected_sarsa import ExpectedSarsaLearner
-
     routine = adl.canonical_routine()
     log = [list(routine.step_ids)] * EPISODES
     # A constant ε of 0.1: behaviour and bootstrap explore alike.
@@ -182,9 +177,13 @@ def _sarsa_cell(adl: ADL, seed: int) -> float:
     """Final greedy accuracy of naive SARSA(λ) on the canonical logs."""
     routine = adl.canonical_routine()
     log = [list(routine.step_ids)] * EPISODES
-    return _train_sarsa(
-        adl, PlanningConfig(), log, seeded_generator(seed)
+    config = PlanningConfig()
+    trainer = RoutineTrainer(
+        adl, config, learner=SarsaLambdaLearner(config),
+        rng=seeded_generator(seed),
     )
+    result = trainer.train(log, routine=routine)
+    return result.curve.greedy_accuracy[-1]
 
 
 def _adaptation_cell(adl: ADL, epsilon: float, seed: int) -> float:
@@ -568,45 +567,6 @@ def plan_sarsa_comparison(
         )
 
     return Section(f"ablation.sarsa.{adl.name}", cells, merge)
-
-
-def _train_sarsa(
-    adl: ADL,
-    config: PlanningConfig,
-    log: Sequence[Sequence[int]],
-    rng: np.random.Generator,
-) -> float:
-    """Train SARSA(λ) on logged episodes; return final greedy accuracy."""
-    actions = tuple(action_space(adl))
-    learner = SarsaLambdaLearner(config)
-    routine_steps = list(log[0])
-    reward_fn = CoReDAReward(config, routine_steps[-1])
-    for iteration, episode in enumerate(log):
-        states = episode_states(list(episode))
-        learner.begin_episode()
-        action, _ = learner.select_action(states[0], actions, rng, step=iteration)
-        for index in range(len(states) - 1):
-            state, next_state = states[index], states[index + 1]
-            reward = reward_fn.reward(state, action, next_state)
-            done = next_state.current == reward_fn.terminal_step_id
-            if done:
-                learner.observe(state, action, reward, next_state, None, True)
-                break
-            next_action, _ = learner.select_action(
-                next_state, actions, rng, step=iteration
-            )
-            learner.observe(state, action, reward, next_state, next_action, False)
-            action = next_action
-    # Greedy probe against the routine.
-    states = episode_states(routine_steps)
-    total = len(states) - 1
-    correct = sum(
-        1
-        for index in range(total)
-        if learner.greedy_action(states[index], actions).tool_id
-        == states[index + 1].current
-    )
-    return correct / total
 
 
 #: The share of minimal prompts the escalation ablation's resident

@@ -30,6 +30,7 @@ import os
 import pickle
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -40,8 +41,10 @@ from repro.planning.action import PromptAction, action_space
 from repro.planning.rewards_coreda import CoReDAReward
 from repro.planning.state import PlanningState, episode_states
 from repro.rl.convergence import convergence_iteration
-from repro.rl.dense import DenseQTable, replay_dyna, replay_watkins
+from repro.rl.dense import EXPECTED, SARSA, replay_dyna, replay_watkins
 from repro.rl.dyna import DynaQLearner
+from repro.rl.expected_sarsa import ExpectedSarsaLearner
+from repro.rl.sarsa import SarsaLambdaLearner
 from repro.rl.tdlambda import TDLambdaQLearner
 from repro.sim.random import seeded_generator
 
@@ -104,21 +107,28 @@ def _episode_plan(
 
 
 def fused_kernel(learner):
-    """The fused episode kernel that replays ``learner``, or ``None``.
+    """The fused episode kernel that trains ``learner``.
 
     :func:`~repro.rl.dense.replay_watkins` for a ``TDLambdaQLearner``,
+    and with its Expected SARSA or SARSA(λ) bootstrap bound for an
+    ``ExpectedSarsaLearner`` or a ``SarsaLambdaLearner``;
     :func:`~repro.rl.dense.replay_dyna` for a ``DynaQLearner``.  The
     kernels inline ``select_action`` and ``observe``, so dispatch is
-    on exact types: the sparse oracle subclasses and every other
-    learner keep the per-transition calls.  The kernel is looked up
+    on exact types, and any other learner -- ``DoubleQLearner``, a
+    subclass -- is refused with ``TypeError``: its per-transition loop
+    is a test oracle, not a training path.  The kernel is looked up
     per call, so a test may wrap the module-level name.
     """
     kind = type(learner)
     if kind is TDLambdaQLearner:
         return replay_watkins
+    if kind is ExpectedSarsaLearner:
+        return partial(replay_watkins, bootstrap=EXPECTED)
+    if kind is SarsaLambdaLearner:
+        return partial(replay_watkins, bootstrap=SARSA)
     if kind is DynaQLearner:
         return replay_dyna
-    return None
+    raise TypeError(f"no fused training kernel for {kind.__name__}")
 
 
 def replay_episode(
@@ -128,53 +138,22 @@ def replay_episode(
     reward_fn: CoReDAReward,
     rng: np.random.Generator,
     iteration: int = 0,
-    states: Optional[Sequence[PlanningState]] = None,
 ) -> Tuple[int, int]:
-    """Replay one logged episode through a learner.
+    """Replay one logged episode through a learner's fused kernel.
 
-    The behaviour policy chooses a prompt per transition, the CoReDA
-    reward scores it against the observed next step, and prompts that
-    were not followed are flagged off-target (strict Watkins cut).
-    Returns ``(correct_prompts, total_prompts)``.
-
-    ``states`` may carry the precomputed ``episode_states(episode)``
-    trajectory -- the trainer replays the same episodes hundreds of
-    times, so it caches them instead of rebuilding the namedtuples
-    every iteration.
+    The behaviour policy chooses a prompt per transition and the
+    CoReDA reward scores it against the observed next step; for
+    TD(λ), a prompt that was not followed is off-target (strict
+    Watkins cut).  Returns ``(correct_prompts, total_prompts)``.  A
+    learner with no :func:`fused_kernel` is refused before anything
+    is drawn.
 
     Shared by offline training (:class:`RoutineTrainer`) and online
-    adaptation (:class:`repro.planning.online.OnlineAdaptation`);
-    a learner with a :func:`fused_kernel` takes the kernel.
+    adaptation (:class:`repro.planning.online.OnlineAdaptation`).
     """
-    if states is None:
-        states = episode_states(list(episode))
     kernel = fused_kernel(learner)
-    if kernel is not None:
-        plan = _episode_plan(states, actions, reward_fn)
-        ((correct, total, _, _),) = kernel(
-            learner, actions, [plan], rng, iteration
-        )
-        return correct, total
-    learner.begin_episode()
-    correct = 0
-    total = 0
-    select = learner.select_action
-    observe = learner.observe
-    score = reward_fn.reward
-    terminal = reward_fn.terminal_step_id
-    for index in range(len(states) - 1):
-        state, next_state = states[index], states[index + 1]
-        action, exploratory = select(state, actions, rng, step=iteration)
-        reward = score(state, action, next_state)
-        followed = action.tool_id == next_state.current
-        done = next_state.current == terminal
-        observe(
-            state, action, reward, next_state, actions, done,
-            exploratory=exploratory or not followed,
-        )
-        total += 1
-        if followed:
-            correct += 1
+    plan = _episode_plan(episode_states(list(episode)), actions, reward_fn)
+    ((correct, total, _, _),) = kernel(learner, actions, [plan], rng, iteration)
     return correct, total
 
 
@@ -212,8 +191,12 @@ class RoutineTrainer:
     """Trains a learner on logged ADL episodes, recording the curve.
 
     ``learner`` defaults to Watkins TD(λ) Q-learning built from
-    ``config``; a :class:`~repro.rl.dyna.DynaQLearner` may be passed
-    for the fast-learning ablation.
+    ``config``; a :class:`~repro.rl.dyna.DynaQLearner`,
+    :class:`~repro.rl.sarsa.SarsaLambdaLearner` or
+    :class:`~repro.rl.expected_sarsa.ExpectedSarsaLearner` may be
+    passed for the ablations.  Every training runs through the
+    learner's :func:`fused_kernel`; :meth:`train` refuses any other
+    learner before it draws or counts an episode.
     """
 
     #: Rolling-mean window applied before convergence detection.
@@ -236,11 +219,6 @@ class RoutineTrainer:
             learner = TDLambdaQLearner(self.config)
         self.learner = learner
         self.actions: Tuple[PromptAction, ...] = tuple(action_space(adl))
-        # Probe-state cache: the greedy probe runs once per training
-        # iteration over the same routine, so its states, the expected
-        # next steps, and (on a dense Q-table) a prebound argmax
-        # prober are computed once per routine.
-        self._probe_cache: Optional[tuple] = None
         # Episode-trajectory cache: the paper replays the same logged
         # episodes for hundreds of iterations, so their PlanningState
         # trajectories are built once per distinct step sequence.
@@ -268,7 +246,6 @@ class RoutineTrainer:
             snapshot, rng_state = entry
             curve, self.learner = pickle.loads(snapshot)
             self._rng.bit_generator.state = rng_state
-            self._probe_cache = None
         else:
             curve = self._replay(episodes, routine)
             if key is not None:
@@ -325,36 +302,10 @@ class RoutineTrainer:
     def _replay(
         self, episodes: Sequence[Sequence[int]], routine: Routine
     ) -> LearningCurve:
-        """Replay every episode through the learner, recording the curve."""
-        reward_fn = CoReDAReward(self.config, routine.terminal_step_id)
+        """Replay every episode and probe the greedy policy after each,
+        all in one call of the learner's :func:`fused_kernel`."""
         kernel = fused_kernel(self.learner)
-        if kernel is not None:
-            scores = self._replay_fused(kernel, episodes, routine, reward_fn)
-        else:
-            scores = self._replay_per_step(episodes, routine, reward_fn)
-        scores = list(scores)
-        behaviour = [accuracy for accuracy, _, _ in scores]
-        window = self.SMOOTHING_WINDOW
-        return LearningCurve(
-            behaviour_accuracy=behaviour,
-            # The rolling mean over each prefix's last ``window`` values.
-            smoothed_accuracy=[
-                sum(behaviour[max(0, end - window):end]) / min(end, window)
-                for end in range(1, len(behaviour) + 1)
-            ],
-            greedy_accuracy=[greedy for _, greedy, _ in scores],
-            minimal_fraction=[minimal for _, _, minimal in scores],
-        )
-
-    def _replay_fused(
-        self,
-        kernel,
-        episodes: Sequence[Sequence[int]],
-        routine: Routine,
-        reward_fn: CoReDAReward,
-    ) -> Iterator[Tuple[float, float, float]]:
-        """The whole replay and probe in one call of the learner's
-        :func:`fused_kernel`."""
+        reward_fn = CoReDAReward(self.config, routine.terminal_step_id)
         plans: Dict[Tuple[int, ...], tuple] = {}
         for episode in episodes:
             key = tuple(episode)
@@ -371,27 +322,24 @@ class RoutineTrainer:
             self._rng,
             probe=probe if size else None,
         )
-        for followed, total, hits, marks in counts:
-            yield (
-                followed / total if total else 1.0,
-                hits / size if size else 1.0,
-                marks / size if size else 1.0,
-            )
-
-    def _replay_per_step(
-        self,
-        episodes: Sequence[Sequence[int]],
-        routine: Routine,
-        reward_fn: CoReDAReward,
-    ) -> Iterator[Tuple[float, float, float]]:
-        """Per-transition replay and probe, for every other learner."""
-        for iteration, episode in enumerate(episodes):
-            correct, total = replay_episode(
-                self.learner, self.actions, episode, reward_fn, self._rng,
-                iteration, states=self._episode_states(tuple(episode)),
-            )
-            yield (correct / total if total else 1.0,
-                   *self._probe_greedy(routine))
+        behaviour = [
+            followed / total if total else 1.0 for followed, total, _, _ in counts
+        ]
+        window = self.SMOOTHING_WINDOW
+        return LearningCurve(
+            behaviour_accuracy=behaviour,
+            # The rolling mean over each prefix's last ``window`` values.
+            smoothed_accuracy=[
+                sum(behaviour[max(0, end - window):end]) / min(end, window)
+                for end in range(1, len(behaviour) + 1)
+            ],
+            greedy_accuracy=[
+                hits / size if size else 1.0 for _, _, hits, _ in counts
+            ],
+            minimal_fraction=[
+                marks / size if size else 1.0 for _, _, _, marks in counts
+            ],
+        )
 
     def _episode_states(self, key: Tuple[int, ...]) -> List[PlanningState]:
         """The cached state trajectory of one logged episode."""
@@ -413,38 +361,4 @@ class RoutineTrainer:
             [[action.tool_id == after.current for action in self.actions]
              for after in states[1:]],
             [minimal] * (len(states) - 1),
-        )
-
-    def _probe_greedy(self, routine: Routine) -> Tuple[float, float]:
-        """Greedy accuracy and minimal-level fraction on the routine.
-
-        Probes all routine states with a prebound argmax prober when
-        the learner's ``q`` is a dense Q-table; per-state
-        ``greedy_action`` otherwise (Double Q's mean view, custom
-        learners passed to the trainer).
-        """
-        key = tuple(routine.step_ids)
-        if self._probe_cache is None or self._probe_cache[0] != key:
-            probe = self._probe_rows(routine)
-            prober = None
-            q = getattr(self.learner, "q", None)
-            if type(q) is DenseQTable and probe[0]:
-                prober = q.argmax_prober(probe[0], self.actions)
-            self._probe_cache = (key, probe, prober)
-        _, (states, hits, marks), prober = self._probe_cache
-        total = len(states)
-        if total <= 0:
-            return 1.0, 1.0
-        if prober is not None:
-            chosen = prober()
-        else:
-            chosen = [
-                self.actions.index(
-                    self.learner.greedy_action(state, self.actions)
-                )
-                for state in states
-            ]
-        return (
-            sum(hit[j] for hit, j in zip(hits, chosen)) / total,
-            sum(mark[j] for mark, j in zip(marks, chosen)) / total,
         )

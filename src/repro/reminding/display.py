@@ -49,8 +49,5 @@ class Display:
             return None
         return self.history[-1]
 
-    def __len__(self) -> int:
-        return len(self.history)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Display(shown={len(self.history)})"

@@ -22,11 +22,13 @@ experiment cell.  This module is the Q storage every learner uses:
   id-pair vectors so a TD(λ) sweep applies ``Q[active] += coef *
   e[active]`` over precomputed offsets with no hashing and no
   snapshot copy;
-* :func:`replay_watkins` fuses a Watkins Q(λ) learner's whole
-  episode -- ε-greedy selection, TD update, trace sweep -- and the
+* :func:`replay_watkins` fuses a TD learner's whole episode --
+  ε-greedy selection, TD update with the learner's bootstrap rule
+  (Watkins Q(λ), Expected SARSA or SARSA(λ)), trace sweep -- and the
   trainer's greedy probe into one loop over interned ids;
   :func:`replay_dyna` does the same for Dyna-Q -- ε-greedy selection,
-  one-step update, model write, planning sweep.  They live here
+  one-step update, model write, planning sweep.  They are the only
+  way the package trains a learner, and they live here
   because only this module may touch the table's buffers, and draw
   through :func:`repro.sim.random.generator_draws`, which decodes a
   PCG64 generator's raw words rather than pay numpy's dispatch per
@@ -53,6 +55,9 @@ import numpy as np
 from repro.sim.random import generator_draws
 
 __all__ = [
+    "EXPECTED",
+    "MAX",
+    "SARSA",
     "StateActionIndex",
     "DenseQTable",
     "DenseTraces",
@@ -842,13 +847,18 @@ class DenseTraces:
 
 
 def _bind(
-    q: DenseQTable, view: _ActionView, plan: tuple, every_state: bool = False
+    q: DenseQTable,
+    view: _ActionView,
+    plan: tuple,
+    next_ids: List[int],
+    every_state: bool = False,
 ) -> List[tuple]:
     """Intern ``plan``'s states into ``q`` in per-transition order and
-    lay out its transitions for ``q``'s stride.  Watkins never reads,
-    so never interns, the next state of a terminal last transition
-    (its id is then ``-1``); Dyna's model records it
-    (``every_state``)."""
+    lay out its transitions for ``q``'s stride.  Each transition's
+    next-row gather reads the actions ``next_ids`` and is ``None`` on
+    a terminal one.  The TD kernels never read, so never
+    intern, the next state of a terminal last transition (its id is
+    then ``-1``); Dyna's model records it (``every_state``)."""
     states, rewards, followed, dones = plan
     n = len(dones)
     last = n + 1 if every_state or not dones[-1] else n
@@ -860,12 +870,18 @@ def _bind(
         (
             _make_gather([bases[i] + a for a in view.sorted_ids_list]),
             None if dones[i]
-            else _make_gather([bases[i + 1] + a for a in view.ids_list]),
+            else _make_gather([bases[i + 1] + a for a in next_ids]),
             bases[i], sids[i], sids[i + 1],
             rewards[i], followed[i], dones[i],
         )
         for i in range(n)
     ]
+
+
+#: The bootstrap rules of :func:`replay_watkins`: Watkins' max over
+#: the next row, Expected SARSA's ε-greedy expectation of it, and
+#: SARSA(λ)'s next action, drawn before the update.
+MAX, EXPECTED, SARSA = "max", "expected", "sarsa"
 
 
 def replay_watkins(
@@ -875,27 +891,48 @@ def replay_watkins(
     rng: np.random.Generator,
     first_step: int = 0,
     probe: Optional[tuple] = None,
+    bootstrap: str = MAX,
 ) -> List[Tuple[int, int, int, int]]:
-    """Replay episode plans through a Watkins Q(λ) learner in one loop.
+    """Replay episode plans through a TD learner in one loop.
 
-    ``learner`` is an exact ``TDLambdaQLearner`` (the dispatch of
-    :func:`repro.planning.trainer.fused_kernel`).  A plan is
-    ``(states, rewards, followed, dones)``; transition
-    ``i`` (``states[i] -> states[i + 1]``) scores action ``j`` of
-    ``actions`` by ``rewards[i][j]`` and ``followed[i][j]``.  Episode
-    ``k`` runs at policy step ``first_step + k``.  Each transition is
-    ``select_action`` then ``observe`` over interned ids, with the
-    same RNG draws, interning order and float operations.  After each
-    episode, ``probe = (states, hits, marks)`` scores every probe
-    state's greedy action ``j`` by ``hits[k][j]`` and ``marks[k][j]``.
-    Returns ``(followed, transitions, hits, marks)`` per episode.
+    ``learner`` is an exact ``TDLambdaQLearner`` (``bootstrap`` MAX),
+    ``ExpectedSarsaLearner`` (EXPECTED) or ``SarsaLambdaLearner``
+    (SARSA); :func:`repro.planning.trainer.fused_kernel` binds the
+    rule from the learner's type.  A plan is ``(states, rewards,
+    followed, dones)``; transition ``i`` (``states[i] -> states[i +
+    1]``) scores action ``j`` of ``actions`` by ``rewards[i][j]`` and
+    ``followed[i][j]``.  Episode ``k`` runs at policy step
+    ``first_step + k`` and explores at its ε.  Each transition is the
+    learner's ``select_action`` then ``observe`` over interned ids,
+    with the same RNG draws, interning order and float operations:
+
+    * MAX: the target's max runs over the given-order next row; an
+      exploratory or unfollowed prompt updates its own pair and cuts
+      the traces;
+    * EXPECTED: the target is ``(1-ε)·max + ε·sum/len`` over that row,
+      with no traces (λ = 0);
+    * SARSA: the next action is picked at ``states[i + 1]`` before the
+      update and bootstraps it; a fresh pick opens each episode and
+      follows each terminal transition, and the traces are never cut.
+
+    After each episode, ``probe = (states, hits, marks)`` scores every
+    probe state's greedy action ``j`` by ``hits[k][j]`` and
+    ``marks[k][j]``.  Returns ``(followed, transitions, hits, marks)``
+    per episode.
     """
     q = learner.q
-    traces = learner.traces
     alpha = learner.learning_rate
     discount = learner.discount
-    factor = learner._glambda
-    cutoff = traces.cutoff
+    maxing = bootstrap == MAX
+    expected = bootstrap == EXPECTED
+    sarsa = bootstrap == SARSA
+    if expected:
+        traces = None
+        factor = cutoff = 0.0
+    else:
+        traces = learner.traces
+        factor = learner._glambda
+        cutoff = traces.cutoff
     n_actions = len(actions)
     view: Optional[_ActionView] = None
     prober: Optional[_ArgmaxProber] = None
@@ -928,35 +965,63 @@ def replay_watkins(
                     order = view.sorted_order
                 entry = bound.get(id(plan))
                 if entry is None or entry[0] != q._grow_count:
-                    steps = _bind(q, view, plan)
+                    steps = _bind(
+                        q, view, plan, sorted_ids if sarsa else ids
+                    )
                     entry = bound[id(plan)] = (q._grow_count, steps)
                 flat = q._flat
                 written = q._written
                 trace_cols = q._cols
                 epsilon = learner.epsilon_at(step)
-                for (greedy, nxt, base, _, _,
+                greedy_weight = 1.0 - epsilon
+                # SARSA's pick for the coming transition, if drawn.
+                pick = None
+                for (greedy, nxt, base, _, next_sid,
                      reward_row, followed_row, done) in entry[1]:
-                    # select_action: the first maximum in repr order, then ε.
-                    values = greedy(flat)
-                    g = values.index(max(values))
-                    if random() < epsilon:
-                        (j,) = bounded(n_actions, 1)
-                        aid = ids[j]
-                        exploratory = aid != sorted_ids[g]
+                    if pick is None:
+                        # select_action: the first maximum in repr
+                        # order, then ε.
+                        values = greedy(flat)
+                        g = values.index(max(values))
+                        if random() < epsilon:
+                            (j,) = bounded(n_actions, 1)
+                            aid = ids[j]
+                            exploratory = aid != sorted_ids[g]
+                        else:
+                            j = order[g]
+                            aid = sorted_ids[g]
+                            exploratory = False
                     else:
-                        j = order[g]
-                        aid = sorted_ids[g]
-                        exploratory = False
+                        j, aid = pick
+                        pick = None
                     followed = followed_row[j]
                     followed_count += followed
-                    # observe: the target's max runs over the given order.
+                    # observe.
                     if done:
                         target = reward_row[j]
-                    else:
+                    elif maxing:
                         target = reward_row[j] + discount * max(nxt(flat))
+                    elif expected:
+                        values = nxt(flat)
+                        target = reward_row[j] + discount * (
+                            greedy_weight * max(values)
+                            + epsilon * (sum(values) / n_actions)
+                        )
+                    else:
+                        # SARSA: select_action at the next state first.
+                        values = nxt(flat)
+                        g = values.index(max(values))
+                        if random() < epsilon:
+                            (next_j,) = bounded(n_actions, 1)
+                            pick = (next_j, ids[next_j])
+                        else:
+                            pick = (order[g], sorted_ids[g])
+                        target = reward_row[j] + discount * flat[
+                            next_sid * trace_cols + pick[1]
+                        ]
                     off = base + aid
                     coef = alpha * (target - flat[off])
-                    if exploratory or not followed:
+                    if maxing and (exploratory or not followed):
                         # Off-target: this pair only, then the strict cut.
                         flat[off] = flat[off] + coef
                         written[off] = 1
@@ -980,6 +1045,8 @@ def replay_watkins(
                             offs = [offs[k] for k in keep]
                             e = [e[k] for k in keep]
                 updates += n
+                if expected:
+                    learner.behaviour_epsilon = epsilon
             hits = marks = 0
             if probe is not None:
                 if prober is None:
@@ -988,7 +1055,7 @@ def replay_watkins(
             results.append((followed_count, n, hits, marks))
     finally:
         draws.close()
-    if results:
+    if results and traces is not None:
         pairs = [divmod(off, trace_cols) for off in offs]
         traces._slots = {pair: k for k, pair in enumerate(pairs)}
         traces._pairs = pairs
@@ -1058,7 +1125,7 @@ def replay_dyna(
                     order = view.sorted_order
                 entry = bound.get(id(plan))
                 if entry is None or entry[0] != q._grow_count:
-                    steps = _bind(q, view, plan, every_state=True)
+                    steps = _bind(q, view, plan, ids, every_state=True)
                     entry = bound[id(plan)] = (q._grow_count, steps)
                 if sweep_grows != q._grow_count:
                     cols = q._cols

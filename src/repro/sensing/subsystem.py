@@ -92,11 +92,6 @@ class SensingSubsystem:
             )
         self.bus.publish(event)
 
-    @property
-    def current_step_id(self) -> int:
-        """The StepID the user is currently in (0 = idle)."""
-        return self.extractor.current_step_id
-
     def reset_episode(self) -> None:
         """Prepare for a new ADL episode (extractor back to idle)."""
         self.extractor.reset()
@@ -104,5 +99,5 @@ class SensingSubsystem:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"SensingSubsystem({self.adl.name!r}, "
-            f"current_step={self.current_step_id})"
+            f"current_step={self.extractor.current_step_id})"
         )

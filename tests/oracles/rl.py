@@ -12,11 +12,15 @@ and compare curves, RNG draws and Q-values exactly.
 
 :func:`per_step_replay_episode` and :func:`per_step_replay` are the
 per-transition training loop -- ``select_action`` then ``observe`` for
-every transition, Dyna-Q planning included, the greedy probe after
-every episode -- that :func:`repro.rl.dense.replay_watkins` and
-:func:`repro.rl.dense.replay_dyna` fuse for the production
-:class:`~repro.rl.tdlambda.TDLambdaQLearner` and
-:class:`~repro.rl.dyna.DynaQLearner`.
+every transition, Dyna-Q planning included, SARSA(λ)'s next action
+drawn before each non-terminal update (:func:`per_step_sarsa_episode`),
+and a per-state ``greedy_action`` probe after every episode
+(:func:`greedy_probe`) -- that :func:`repro.rl.dense.replay_watkins`
+and :func:`repro.rl.dense.replay_dyna` fuse for the production
+learners.  Production trains no learner this way:
+:func:`repro.planning.trainer.fused_kernel` refuses one without a
+kernel, so a test that trains the sparse or Double Q learners installs
+:func:`per_step_replay` on its trainer.
 
 :func:`learner_config` is a :class:`PlanningConfig` with Q starting
 at 0 and a constant ε, the settings the unit tests reason with.
@@ -46,9 +50,11 @@ __all__ = [
     "SparseExpectedSarsaLearner",
     "SparseSarsaLambdaLearner",
     "SparseTDLambdaQLearner",
+    "greedy_probe",
     "learner_config",
     "per_step_replay",
     "per_step_replay_episode",
+    "per_step_sarsa_episode",
 ]
 
 State = Hashable
@@ -398,9 +404,14 @@ def per_step_replay_episode(
     """One logged episode through ``select_action`` and ``observe``.
 
     The per-transition form of ``repro.planning.trainer.
-    replay_episode``, Dyna-Q planning on ``rng`` included; returns
+    replay_episode``, Dyna-Q planning on ``rng`` included; a SARSA(λ)
+    learner takes :func:`per_step_sarsa_episode`.  Returns
     ``(followed prompts, prompts)``.
     """
+    if isinstance(learner, SarsaLambdaLearner):
+        return per_step_sarsa_episode(
+            learner, actions, episode, reward_fn, rng, iteration
+        )
     states = episode_states(list(episode))
     planning = {"rng": rng} if isinstance(learner, DynaQLearner) else {}
     learner.begin_episode()
@@ -422,6 +433,61 @@ def per_step_replay_episode(
     return correct, total
 
 
+def per_step_sarsa_episode(
+    learner, actions, episode, reward_fn, rng, iteration: int = 0
+) -> Tuple[int, int]:
+    """One logged episode through a SARSA(λ) learner, per transition.
+
+    An action is picked at the episode's first state and after every
+    terminal transition; before each non-terminal update the next
+    action is picked at the next state, and it bootstraps the update
+    and is the action of the next transition.  Returns ``(followed
+    prompts, prompts)``.
+    """
+    states = episode_states(list(episode))
+    learner.begin_episode()
+    correct = 0
+    action = None
+    for state, next_state in zip(states, states[1:]):
+        if action is None:
+            action, _ = learner.select_action(
+                state, actions, rng, step=iteration
+            )
+        reward = reward_fn.reward(state, action, next_state)
+        correct += action.tool_id == next_state.current
+        if next_state.current == reward_fn.terminal_step_id:
+            learner.observe(state, action, reward, next_state, None, True)
+            action = None
+            continue
+        next_action, _ = learner.select_action(
+            next_state, actions, rng, step=iteration
+        )
+        learner.observe(state, action, reward, next_state, next_action, False)
+        action = next_action
+    return correct, len(states[1:])
+
+
+def greedy_probe(trainer, routine) -> Tuple[float, float]:
+    """Greedy accuracy and minimal-level fraction on ``routine``.
+
+    One ``greedy_action`` per routine state, so it reads any learner
+    (Double Q's mean view, the sparse tables).
+    """
+    states, hits, marks = trainer._probe_rows(routine)
+    if not states:
+        return 1.0, 1.0
+    chosen = [
+        trainer.actions.index(
+            trainer.learner.greedy_action(state, trainer.actions)
+        )
+        for state in states
+    ]
+    return (
+        sum(hit[j] for hit, j in zip(hits, chosen)) / len(states),
+        sum(mark[j] for mark, j in zip(marks, chosen)) / len(states),
+    )
+
+
 def per_step_replay(trainer, episodes, routine) -> LearningCurve:
     """``RoutineTrainer._replay`` through :func:`per_step_replay_episode`.
 
@@ -439,7 +505,7 @@ def per_step_replay(trainer, episodes, routine) -> LearningCurve:
         curve.behaviour_accuracy.append(correct / total if total else 1.0)
         window = curve.behaviour_accuracy[-trainer.SMOOTHING_WINDOW:]
         curve.smoothed_accuracy.append(sum(window) / len(window))
-        greedy, minimal = trainer._probe_greedy(routine)
+        greedy, minimal = greedy_probe(trainer, routine)
         curve.greedy_accuracy.append(greedy)
         curve.minimal_fraction.append(minimal)
     return curve

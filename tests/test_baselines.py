@@ -6,7 +6,7 @@ from repro.baselines.fixed_sequence import FixedSequenceReminder
 from repro.baselines import mdp_planner
 from repro.baselines.mdp_planner import MdpPlannerBaseline, build_guidance_mdp
 from repro.baselines.ngram import NGramPredictor
-from repro.core.adl import IDLE_STEP_ID, ReminderLevel, Routine
+from repro.core.adl import IDLE_STEP_ID, Routine
 
 
 class TestFixedSequence:
@@ -29,10 +29,11 @@ class TestFixedSequence:
         baseline.plan = Routine(tea_adl, [1, 3, 2, 4])
         assert baseline.predict_next_tool(1, 3) == 2
 
-    def test_prompt_action_always_specific(self, tea_adl):
+    def test_off_plan_step_has_no_next(self, tea_adl):
         baseline = FixedSequenceReminder(tea_adl)
-        assert baseline.predict(0, 1).level is ReminderLevel.SPECIFIC
-        assert baseline.predict(3, 4) is None
+        baseline.plan = Routine(tea_adl, [1, 2, 4])
+        assert baseline.predict_next_tool(2, 3) is None
+        assert baseline.predict_next_tool(1, 2) == 4
 
 
 class TestNGram:

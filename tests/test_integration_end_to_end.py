@@ -67,7 +67,7 @@ class TestFullPipeline:
             handling_overrides=RELIABLE,
             name="stall",
         )
-        shown_before = len(system.display)
+        shown_before = len(system.display.history)
         outcome = system.run_episode(resident)
         assert outcome.completed
         texts = [e.text for e in system.display.history[shown_before:]]

@@ -1,11 +1,13 @@
 """Unit tests for the routine trainer (offline TD(λ) training)."""
 
+import functools
 import json
 import pickle
 
 import numpy as np
 import pytest
 
+from oracles.rl import SparseTDLambdaQLearner, greedy_probe, per_step_replay
 from repro.adls.library import default_registry
 from repro.core.adl import ADL, ADLStep, Routine, SensorType, Tool
 from repro.core.config import PlanningConfig
@@ -24,15 +26,23 @@ from repro.planning.trainer import (
     replay_episode,
     training_memo,
 )
+from repro.rl.double_q import DoubleQLearner
 from repro.rl.dyna import DynaQLearner
+from repro.rl.expected_sarsa import ExpectedSarsaLearner
+from repro.rl.sarsa import SarsaLambdaLearner
 from repro.rl.tdlambda import TDLambdaQLearner
 
 
-def train(adl, episodes=120, seed=0, routine=None, config=None, learner=None):
+def train(adl, episodes=120, seed=0, routine=None, config=None, learner=None,
+          per_step=False):
     trainer = RoutineTrainer(
         adl, config or PlanningConfig(), learner=learner,
         rng=np.random.default_rng(seed)
     )
+    if per_step:
+        # The oracle's per-transition loop: the trainer itself refuses
+        # a learner with no fused kernel.
+        trainer._replay = functools.partial(per_step_replay, trainer)
     routine = routine if routine is not None else adl.canonical_routine()
     log = [list(routine.step_ids)] * episodes
     return trainer, trainer.train(log, routine=routine)
@@ -125,17 +135,15 @@ class TestAlternativeLearners:
         # this formulation -- unbiasedness costs variance.  The claim
         # here is integration + a sane floor; Double-Q's own win (the
         # maximization-bias counterexample) is tests/test_rl_double_q.
-        from repro.rl.double_q import DoubleQLearner
-
+        # Double Q has no fused kernel, so it trains through the
+        # oracle's per-transition loop.
         learner = DoubleQLearner(
             PlanningConfig(epsilon=0.5, epsilon_decay=1.0, initial_q=0.0)
         )
-        _, result = train(tea_adl, learner=learner)
+        _, result = train(tea_adl, learner=learner, per_step=True)
         assert result.curve.greedy_accuracy[-1] >= 2 / 3
 
     def test_expected_sarsa_learner_supported(self, tea_adl):
-        from repro.rl.expected_sarsa import ExpectedSarsaLearner
-
         learner = ExpectedSarsaLearner(
             PlanningConfig(epsilon=0.1, epsilon_decay=1.0)
         )
@@ -324,13 +332,13 @@ class TestTrainingMemo:
                 log, routine=routine
             )
             trainer = RoutineTrainer(tea_adl, rng=np.random.default_rng(12))
-            # Binds the probe to the untrained table.
-            untrained = trainer._probe_greedy(routine)
+            untrained = greedy_probe(trainer, routine)
             result = trainer.train(log, routine=routine)
         trained = (result.curve.greedy_accuracy[-1],
                    result.curve.minimal_fraction[-1])
         assert untrained != trained
-        assert trainer._probe_greedy(routine) == trained
+        # The trainer holds the served learner, not the one it built.
+        assert greedy_probe(trainer, routine) == trained
 
     def test_worker_processes_train_unshared(self):
         with training_memo():
@@ -357,7 +365,7 @@ class TestTrainingMemo:
         monkeypatch.setattr(RoutineTrainer, "train", counting_train)
         monkeypatch.setattr(RoutineTrainer, "_replay", counting_replay)
         run_all(fast=True)
-        assert counts == {"train": 73, "replay": 54}
+        assert counts == {"train": 75, "replay": 56}
         # The memo is freed when the run ends.
         assert not trainer_module._TRAINING_MEMO
 
@@ -366,8 +374,8 @@ class TestTrainingMemo:
     ):
         # A replay is "cached" when it trains behind a missed cache
         # lookup; the sections that take no cache (Table 4, the
-        # scenario, burden, the SARSA variants, multi-routine and
-        # adaptation) replay "uncached".
+        # scenario, burden, the SARSA(λ) and Expected SARSA cells,
+        # multi-routine and adaptation) replay "uncached".
         counts = {"cached": 0, "uncached": 0, "misses": 0}
         pending = []  # keys whose lookup missed and are not yet stored
         replay, get, put = (
@@ -400,27 +408,30 @@ class TestTrainingMemo:
         # Cold, two uncached trainings are served by the memo from a
         # cached section's replay; warm, that replay is gone, so they
         # replay themselves.
-        assert cold == {"cached": 43, "uncached": 11, "misses": 43}
-        assert counts == {"cached": 0, "uncached": 13, "misses": 0}
+        assert cold == {"cached": 43, "uncached": 13, "misses": 43}
+        assert counts == {"cached": 0, "uncached": 15, "misses": 0}
 
 
 class TestFusedReplay:
-    """Every trainer-built TD(λ) and Dyna-Q learner replays through its
-    fused kernel.
+    """Every trainer-built learner replays through its fused kernel.
 
-    A count, not a timing: ``TDLambdaQLearner.observe`` and
-    ``DynaQLearner.observe`` are the per-transition paths, so any call
-    to them during the report or a cold fleet means some training
-    silently fell back.
+    A count, not a timing: the learners' ``observe`` methods are the
+    per-transition paths, so any call to one during the report or a
+    cold fleet means some training ran outside a kernel.
     """
+
+    OBSERVERS = {
+        "observe": TDLambdaQLearner,
+        "dyna_observe": DynaQLearner,
+        "sarsa_observe": SarsaLambdaLearner,
+        "expected_observe": ExpectedSarsaLearner,
+    }
 
     def _count(self, monkeypatch):
         counts = dict.fromkeys(
-            ("observe", "kernel", "dyna_observe", "dyna_kernel"), 0
+            (*self.OBSERVERS, "kernel", "dyna_kernel"), 0
         )
-        for learner, key in (
-            (TDLambdaQLearner, "observe"), (DynaQLearner, "dyna_observe")
-        ):
+        for key, learner in self.OBSERVERS.items():
             monkeypatch.setattr(
                 learner, "observe", _counting(learner.observe, counts, key)
             )
@@ -436,9 +447,9 @@ class TestFusedReplay:
     def test_fast_report_never_observes_per_transition(self, monkeypatch):
         counts = self._count(monkeypatch)
         run_all(fast=True)
-        assert counts["observe"] == 0
+        for key in self.OBSERVERS:
+            assert counts[key] == 0, key
         assert counts["kernel"] > 0
-        assert counts["dyna_observe"] == 0
         assert counts["dyna_kernel"] > 0
 
     def test_cold_fleet_never_observes_per_transition(self, monkeypatch):
@@ -448,9 +459,40 @@ class TestFusedReplay:
             training_episodes=40, seed_classes=10, shard_size=5,
         )
         run_fleet(spec, jobs=1)
-        assert counts["observe"] == 0
+        for key in self.OBSERVERS:
+            assert counts[key] == 0, key
         assert counts["kernel"] > 0
-        assert counts["dyna_observe"] == 0
+
+
+class TestLearnersWithoutAKernel:
+    """A learner with no fused kernel is refused before anything moves:
+    no draw from the generator and no episode counted."""
+
+    @pytest.mark.parametrize("kind", [DoubleQLearner, SparseTDLambdaQLearner])
+    def test_train_refuses(self, tea_adl, kind):
+        learner = kind(PlanningConfig())
+        rng = np.random.default_rng(16)
+        before = rng.bit_generator.state
+        trainer = RoutineTrainer(tea_adl, learner=learner, rng=rng)
+        with pytest.raises(TypeError, match=kind.__name__):
+            trainer.train([list(tea_adl.step_ids)] * 3)
+        assert rng.bit_generator.state == before
+        assert (learner.episodes, learner.updates) == (0, 0)
+
+    @pytest.mark.parametrize("kind", [DoubleQLearner, SparseTDLambdaQLearner])
+    def test_replay_episode_refuses(self, tea_adl, kind):
+        learner = kind(PlanningConfig())
+        rng = np.random.default_rng(17)
+        before = rng.bit_generator.state
+        routine = tea_adl.canonical_routine()
+        reward_fn = CoReDAReward(PlanningConfig(), routine.terminal_step_id)
+        with pytest.raises(TypeError, match=kind.__name__):
+            replay_episode(
+                learner, RoutineTrainer(tea_adl).actions,
+                list(routine.step_ids), reward_fn, rng,
+            )
+        assert rng.bit_generator.state == before
+        assert (learner.episodes, learner.updates) == (0, 0)
 
 
 def _counting(function, counts, key):

@@ -44,7 +44,7 @@ class TestDisplay:
         display = Display(sim, bus=bus)
         display.show("hello", picture="pot.png")
         assert display.current.text == "hello"
-        assert len(display) == 1
+        assert len(display.history) == 1
         assert events[0].picture == "pot.png"
 
     def test_current_none_before_first_show(self, sim):

@@ -50,6 +50,8 @@ from repro.planning.store import (
 from repro.planning.online import OnlineAdaptation
 from repro.planning.trainer import RoutineTrainer, fused_kernel, replay_episode
 from repro.rl.dense import (
+    EXPECTED,
+    SARSA,
     DenseQTable,
     DenseTraces,
     StateActionIndex,
@@ -85,6 +87,7 @@ def _learner(kind: str, backend: str, *args):
 #: evaluation suite trains.
 LEARNERS = {
     "tdlambda-replacing": lambda backend, c: _learner("tdlambda", backend, c),
+    "sarsa": lambda backend, c: _learner("sarsa", backend, c),
     "dyna": lambda backend, c: _learner("dyna", backend, c, 10),
     "double-q": lambda backend, c: _learner("double-q", backend, c),
     "expected-sarsa": lambda backend, c: _learner(
@@ -100,8 +103,9 @@ def _train(adl, learner_name: str, backend: str, seed: int):
     trainer = RoutineTrainer(
         adl, config, learner=learner, rng=seeded_generator(seed)
     )
-    if backend == "sparse":
-        # The oracle's per-transition loop, Dyna-Q planning included.
+    if backend == "sparse" or learner_name == "double-q":
+        # The oracle's per-transition loop, Dyna-Q planning included:
+        # the trainer refuses a learner with no fused kernel.
         trainer._replay = functools.partial(per_step_replay, trainer)
     return trainer.train([list(adl.step_ids)] * EPISODES)
 
@@ -135,7 +139,8 @@ def test_backends_train_identically(tea_adl, learner_name, seed):
 
 
 def test_sarsa_backends_train_identically(tea_adl):
-    """Naive SARSA(λ), trained the way the ablation bench trains it."""
+    """Naive SARSA(λ) through its per-transition calls, every TD error
+    compared."""
 
     def run(backend):
         config = PlanningConfig()
@@ -238,6 +243,7 @@ def _cached_document(backend: str, adl, cache: PolicyCache):
     trainer = RoutineTrainer(
         adl, config, learner=learner, rng=seeded_generator(0)
     )
+    trainer._replay = functools.partial(per_step_replay, trainer)
     document = training_document(
         trainer.train([routine] * EPISODES), adl.name
     )
@@ -540,6 +546,18 @@ def _dyna_replay(q):
     replay_dyna(learner, FROZEN_ACTIONS, [FROZEN_PLAN], seeded_generator(0))
 
 
+def _kernel_replay(kind):
+    """A write entry point: ``kind``'s fused kernel over the frozen plan."""
+
+    def replay(q):
+        learner = _fresh_learner(kind, q, learner_config(epsilon=0.0))
+        fused_kernel(learner)(
+            learner, FROZEN_ACTIONS, [FROZEN_PLAN], seeded_generator(0)
+        )
+
+    return replay
+
+
 WRITE_ENTRY_POINTS = {
     "set": lambda q: q.set("s1", "b", 9.0),
     "add": lambda q: q.add("s1", "b", 0.5),
@@ -549,6 +567,8 @@ WRITE_ENTRY_POINTS = {
     "traces.step": _traces_step,
     "dyna.planning_sweep": _dyna_planning_sweep,
     "replay_watkins": _watkins_replay,
+    "replay_watkins.expected": _kernel_replay(ExpectedSarsaLearner),
+    "replay_watkins.sarsa": _kernel_replay(SarsaLambdaLearner),
     "replay_dyna": _dyna_replay,
 }
 
@@ -568,7 +588,8 @@ def test_write_primitives_thaw_and_bump(entry):
 
 
 # ---------------------------------------------------------------------------
-# The fused Watkins Q(λ) kernel against the per-transition loop
+# The fused TD kernel (Watkins Q(λ), SARSA(λ), Expected SARSA) against the
+# per-transition loop
 # ---------------------------------------------------------------------------
 
 def _routines(name: str):
@@ -604,12 +625,17 @@ def _log(draw, adl, routine, specials):
     return episodes
 
 
+#: The learners :func:`repro.rl.dense.replay_watkins` trains.
+TD_LEARNERS = ("tdlambda", "sarsa", "expected-sarsa")
+
+
 @st.composite
 def _replay_cases(draw):
     name = draw(st.sampled_from(["tea-making", "dressing"]))
     adl, ids, reordered, specials = _routines(name)
     return {
         "adl": name,
+        "learner": draw(st.sampled_from(TD_LEARNERS)),
         "trace_decay": draw(st.sampled_from([0.0, 0.7, 1.0])),
         # (ε, its decay): constant and decaying exploration.
         "epsilon": draw(st.sampled_from([(0.0, 1.0), (0.3, 1.0), (0.5, 0.9)])),
@@ -633,12 +659,23 @@ def _bits(values) -> bytes:
     return np.asarray(values, dtype=np.float64).tobytes()
 
 
+def _dense_cells(q) -> dict:
+    """A dense table's written cells, keyed like the sparse table's."""
+    states, actions, cols = q.index.states, q.index.actions, q._cols
+    return {
+        (states[off // cols], actions[off % cols]): q._flat[off]
+        for off, flag in enumerate(q._written) if flag
+    }
+
+
 def _replay_case(case, path: str) -> dict:
     """Train, train again, adapt online; return every observable.
 
     ``path`` is ``"fused"`` (production dispatch), ``"per-step"`` (the
     production learner through the per-transition loop of
-    ``tests/oracles/rl.py``) or ``"sparse"`` (the dict oracle).
+    ``tests/oracles/rl.py``) or ``"sparse"`` (the dict oracle through
+    that loop).  The sparse tables are keyed by states and actions, so
+    the dense ones are mapped to the same form for the comparison.
     """
     adl, ids, reordered, _ = _routines(case["adl"])
     epsilon, decay = case["epsilon"]
@@ -646,15 +683,16 @@ def _replay_case(case, path: str) -> dict:
         trace_decay=case["trace_decay"], epsilon=epsilon,
         epsilon_decay=decay, initial_q=case["initial_q"],
     )
-    learner = (
-        SparseTDLambdaQLearner(config) if path == "sparse"
-        else TDLambdaQLearner(config)
+    learner = _learner(
+        case["learner"], "sparse" if path == "sparse" else "dense", config
     )
-    learner.traces.cutoff = case["cutoff"]
+    traces = getattr(learner, "traces", None)
+    if traces is not None:
+        traces.cutoff = case["cutoff"]
     trainer = RoutineTrainer(
         adl, config, learner=learner, rng=seeded_generator(case["seed"])
     )
-    if path == "per-step":
+    if path != "fused":
         trainer._replay = functools.partial(per_step_replay, trainer)
     curves, documents = [], []
     for log, routine in zip(case["logs"], (ids, reordered)):
@@ -668,34 +706,40 @@ def _replay_case(case, path: str) -> dict:
         adl, learner, config, rng=seeded_generator(case["seed"] + 1),
         epsilon=0.2,
     )
-    replay = per_step_replay_episode if path == "per-step" else replay_episode
+    replay = replay_episode if path == "fused" else per_step_replay_episode
     with mock.patch.object(online_module, "replay_episode", replay):
         for episode in case["online"]:
             previous = 0
             for step in episode:
                 adaptation.on_step(StepEvent(0.0, step, previous))
                 previous = step
+    q = learner.q
     observed = {
         "curves": curves,
         "rng": (
             trainer._rng.bit_generator.state,
             adaptation._rng.bit_generator.state,
         ),
-        "counters": (learner.updates, learner.episodes, learner.q.version),
+        "counters": (learner.updates, learner.episodes),
         "online": (adaptation.episodes_learned, adaptation.recent_accuracy),
+        "cells": dict(q._q) if path == "sparse" else _dense_cells(q),
+        "traces": None if traces is None else list(traces.items()),
+        "behaviour_epsilon": getattr(learner, "behaviour_epsilon", None),
     }
     if path == "sparse":
         return observed
-    q, traces = learner.q, learner.traces
     observed.update(
         documents=documents,
+        version=q.version,
         states=list(q.index.states),
         actions=list(q.index.actions),
         array=(q.as_array().shape, q.as_array().tobytes()),
         written=bytes(q._written),
-        traces=(list(traces._slots.items()), list(traces._pairs),
-                _bits(traces._e)),
     )
+    if traces is not None:
+        observed["trace_vectors"] = (
+            list(traces._slots.items()), list(traces._pairs), _bits(traces._e)
+        )
     return observed
 
 
@@ -703,12 +747,13 @@ _TEA_IDS = _routines("tea-making")[1]
 _DRESSING = _routines("dressing")
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(case=_replay_cases())
 @example(
     # Greedy replays of the long episode revisit live pairs.
     case={
-        "adl": "tea-making", "trace_decay": 0.7, "epsilon": (0.0, 1.0),
+        "adl": "tea-making", "learner": "tdlambda",
+        "trace_decay": 0.7, "epsilon": (0.0, 1.0),
         "cutoff": 1e-4, "initial_q": 1000.0, "seed": 0,
         "logs": [[_TEA_IDS[:-1] * 32 + [_TEA_IDS[-1]]] * 4, [_TEA_IDS]],
         "online": [_TEA_IDS],
@@ -717,7 +762,8 @@ _DRESSING = _routines("dressing")
 @example(
     # A high cutoff: greedy replays of the long episode compact.
     case={
-        "adl": "tea-making", "trace_decay": 0.7, "epsilon": (0.0, 1.0),
+        "adl": "tea-making", "learner": "tdlambda",
+        "trace_decay": 0.7, "epsilon": (0.0, 1.0),
         "cutoff": 0.3, "initial_q": 1000.0, "seed": 0,
         "logs": [[_TEA_IDS[:-1] * 32 + [_TEA_IDS[-1]]] * 4, [_TEA_IDS]],
         "online": [_TEA_IDS],
@@ -726,9 +772,34 @@ _DRESSING = _routines("dressing")
 @example(
     # The tour grows the table past the plan bound before it.
     case={
-        "adl": "dressing", "trace_decay": 0.7, "epsilon": (0.3, 1.0),
+        "adl": "dressing", "learner": "tdlambda",
+        "trace_decay": 0.7, "epsilon": (0.3, 1.0),
         "cutoff": 1e-4, "initial_q": 1000.0, "seed": 1,
         "logs": [[_DRESSING[1], _DRESSING[3][-1], _DRESSING[1]],
+                 [_DRESSING[2]]],
+        "online": [_DRESSING[1]],
+    }
+)
+@example(
+    # SARSA(λ): the last transition of the first episode is not
+    # terminal, so the next action is drawn at the final state and
+    # dropped; a terminal step mid-episode forces a fresh pick.
+    case={
+        "adl": "tea-making", "learner": "sarsa",
+        "trace_decay": 0.7, "epsilon": (0.3, 1.0),
+        "cutoff": 1e-4, "initial_q": 1000.0, "seed": 2,
+        "logs": [[_TEA_IDS[:-1], _TEA_IDS[:2] + [_TEA_IDS[-1]] + _TEA_IDS[1:],
+                  _TEA_IDS], [_TEA_IDS[:-1] * 32 + [_TEA_IDS[-1]]]],
+        "online": [_TEA_IDS],
+    }
+)
+@example(
+    # Expected SARSA at a decaying ε: each episode bootstraps at its own.
+    case={
+        "adl": "dressing", "learner": "expected-sarsa",
+        "trace_decay": 0.7, "epsilon": (0.5, 0.9),
+        "cutoff": 1e-4, "initial_q": 1000.0, "seed": 3,
+        "logs": [[_DRESSING[1], _DRESSING[3][-1], _DRESSING[1][:-1]],
                  [_DRESSING[2]]],
         "online": [_DRESSING[1]],
     }
@@ -738,25 +809,48 @@ def test_fused_kernel_equals_the_per_step_loop(case):
     per_step = _replay_case(case, "per-step")
     assert fused == per_step
     sparse = _replay_case(case, "sparse")
-    assert sparse["curves"] == fused["curves"]
-    assert sparse["rng"] == fused["rng"]
+    assert {key: fused[key] for key in sparse} == sparse
 
 
 def _per_step_plans(learner, actions, plans, rng) -> None:
-    """``select_action`` + ``observe`` over fused-kernel plans."""
+    """``select_action`` + ``observe`` over fused-kernel plans.
+
+    SARSA(λ) picks as ``oracles.rl.per_step_sarsa_episode`` does: the
+    next action before each non-terminal update, a fresh one after a
+    terminal transition.
+    """
+    sarsa = isinstance(learner, SarsaLambdaLearner)
     planning = {"rng": rng} if isinstance(learner, DynaQLearner) else {}
     for step, (states, rewards, followed, dones) in enumerate(plans):
         learner.begin_episode()
+        action = None
         for i, done in enumerate(dones):
-            action, exploratory = learner.select_action(
-                states[i], actions, rng, step=step
-            )
+            if action is None:
+                action, exploratory = learner.select_action(
+                    states[i], actions, rng, step=step
+                )
             j = actions.index(action)
-            learner.observe(
-                states[i], action, rewards[i][j], states[i + 1], actions,
-                done, exploratory=exploratory or not followed[i][j],
-                **planning,
-            )
+            if not sarsa:
+                learner.observe(
+                    states[i], action, rewards[i][j], states[i + 1], actions,
+                    done, exploratory=exploratory or not followed[i][j],
+                    **planning,
+                )
+                action = None
+            elif done:
+                learner.observe(
+                    states[i], action, rewards[i][j], states[i + 1], None,
+                    True,
+                )
+                action = None
+            else:
+                action, _ = learner.select_action(
+                    states[i + 1], actions, rng, step=step
+                )
+                learner.observe(
+                    states[i], actions[j], rewards[i][j], states[i + 1],
+                    action, False,
+                )
 
 
 def _dyna_model(learner) -> tuple:
@@ -770,6 +864,31 @@ def _dyna_model(learner) -> tuple:
     )
 
 
+#: The learners with a fused kernel.
+KERNEL_LEARNERS = (
+    TDLambdaQLearner, SarsaLambdaLearner, ExpectedSarsaLearner, DynaQLearner
+)
+
+
+def _fresh_learner(kind, q, config):
+    """A ``kind`` learner built from ``config``, training on ``q``."""
+    learner = kind(config)
+    learner.q = q
+    if hasattr(learner, "traces"):
+        learner.traces = DenseTraces(index=q.index)
+    return learner
+
+
+def _learned(learner) -> tuple:
+    """What a learner keeps besides its table: traces, Expected SARSA's
+    behaviour ε, or Dyna's model."""
+    if isinstance(learner, DynaQLearner):
+        return _dyna_model(learner), learner.planning_updates
+    if isinstance(learner, ExpectedSarsaLearner):
+        return learner.behaviour_epsilon
+    return list(learner.traces._pairs), _bits(learner.traces._e)
+
+
 def _kernel_vs_per_step(kind, make_table, plans, make_rng) -> None:
     """Replay ``plans`` through a fresh ``kind`` learner on
     ``make_table()`` with the fused kernel and with the per-transition
@@ -777,23 +896,15 @@ def _kernel_vs_per_step(kind, make_table, plans, make_rng) -> None:
     observed = []
     for fused in (True, False):
         q = make_table()
-        learner = kind(learner_config(epsilon=0.3))
-        learner.q = q
-        if kind is TDLambdaQLearner:
-            learner.traces = DenseTraces(index=q.index)
+        learner = _fresh_learner(kind, q, learner_config(epsilon=0.3))
         rng = make_rng()
         if fused:
             fused_kernel(learner)(learner, FROZEN_ACTIONS, plans, rng)
         else:
             _per_step_plans(learner, FROZEN_ACTIONS, plans, rng)
-        learned = (
-            (list(learner.traces._pairs), _bits(learner.traces._e))
-            if kind is TDLambdaQLearner
-            else (_dyna_model(learner), learner.planning_updates)
-        )
         observed.append((
             q.as_array().tobytes(), bytes(q._written), q.index.states,
-            learned, learner.updates, q.version,
+            _learned(learner), learner.updates, q.version,
             # Where the generator stands, its buffered 32-bit half
             # included (an MT19937 state holds arrays).
             rng.integers(1 << 30, size=3).tolist(), rng.random(3).tolist(),
@@ -814,7 +925,7 @@ def test_fused_kernel_rebinds_when_the_stride_grows():
     Dyna's model records be laid out again."""
     fresh = [f"n{i}" for i in range(20)]
     long = (fresh, [[0.5, 1.5]] * 19, [[True, True]] * 19, [False] * 19)
-    for kind in (TDLambdaQLearner, DynaQLearner):
+    for kind in KERNEL_LEARNERS:
         _kernel_vs_per_step(
             kind, lambda: _frozen_table()[0],
             [SHORT_PLAN, long, SHORT_PLAN, SHORT_PLAN],
@@ -825,12 +936,9 @@ def test_fused_kernel_rebinds_when_the_stride_grows():
 def test_fused_kernels_refuse_other_bit_generators():
     """The kernels decode a PCG64 generator's words themselves; any
     other bit generator is refused before the learner or table moves."""
-    for kind in (TDLambdaQLearner, DynaQLearner):
+    for kind in KERNEL_LEARNERS:
         q = DenseQTable()
-        learner = kind(learner_config(epsilon=0.3))
-        learner.q = q
-        if kind is TDLambdaQLearner:
-            learner.traces = DenseTraces(index=q.index)
+        learner = _fresh_learner(kind, q, learner_config(epsilon=0.3))
         rng = np.random.Generator(np.random.MT19937(6))
         with pytest.raises(TypeError, match="PCG64"):
             fused_kernel(learner)(
@@ -843,15 +951,22 @@ def test_fused_dispatch_is_on_exact_types():
     config = PlanningConfig()
     assert fused_kernel(TDLambdaQLearner(config)) is replay_watkins
     assert fused_kernel(DynaQLearner(config)) is replay_dyna
+    for kind, rule in (
+        (ExpectedSarsaLearner, EXPECTED), (SarsaLambdaLearner, SARSA)
+    ):
+        kernel = fused_kernel(kind(config))
+        assert kernel.func is replay_watkins
+        assert (kernel.args, kernel.keywords) == ((), {"bootstrap": rule})
     for kind in (
         SparseTDLambdaQLearner,
+        SparseSarsaLambdaLearner,
+        SparseExpectedSarsaLearner,
         SparseDynaQLearner,
-        SarsaLambdaLearner,
-        ExpectedSarsaLearner,
         DoubleQLearner,
+        SparseDoubleQLearner,
     ):
-        learner = kind(config)
-        assert fused_kernel(learner) is None, learner
+        with pytest.raises(TypeError, match=kind.__name__):
+            fused_kernel(kind(config))
 
 
 # ---------------------------------------------------------------------------
@@ -924,11 +1039,8 @@ def _dyna_case(case, path: str) -> dict:
             for pair, outcome in zip(learner._known_pairs, learner._outcomes)
         ]
     else:
-        states, actions, cols = q.index.states, q.index.actions, q._cols
-        cells = {
-            (states[off // cols], actions[off % cols]): q._flat[off]
-            for off, flag in enumerate(q._written) if flag
-        }
+        states, actions = q.index.states, q.index.actions
+        cells = _dense_cells(q)
         model = [
             (
                 (states[sid], actions[aid]),

@@ -28,7 +28,7 @@ class TestInjection:
         subsystem.inject_usage(1)
         assert [u.tool_id for u in subsystem.test_usages] == [1]
         assert len(subsystem.history) == 1
-        assert subsystem.current_step_id == 1
+        assert subsystem.extractor.current_step_id == 1
 
     def test_step_events_on_transition_only(self, subsystem):
         for tool in (1, 1, 2):
@@ -86,7 +86,7 @@ class TestIdle:
     def test_reset_episode(self, sim, subsystem):
         subsystem.inject_usage(1)
         subsystem.reset_episode()
-        assert subsystem.current_step_id == IDLE_STEP_ID
+        assert subsystem.extractor.current_step_id == IDLE_STEP_ID
         sim.run_until(100.0)
         # No idle event after reset (timer disarmed).
         assert [s.step_id for s in subsystem.test_steps] == [1]
